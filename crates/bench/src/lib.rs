@@ -177,32 +177,27 @@ pub fn maybe_help(bin: &str, about: &str, extra: &[(&str, &str)]) {
     std::process::exit(0);
 }
 
-/// If the binary was invoked with `--list`, print all five registries' spec
-/// grammars — every scheduler policy, workload, memory-system model, cache
-/// mode and arrival process, with their typed parameters — and exit.  Call
-/// this before doing any work.
+/// All five registries' spec grammars — every scheduler policy, workload,
+/// memory-system model, cache mode and arrival process, with their typed
+/// parameters — exactly as `--list` prints them.
+pub fn list_text() -> String {
+    [
+        ("Scheduler specs (policy", Registry::global().help()),
+        ("Workload specs (name", WorkloadRegistry::global().help()),
+        ("Memory-system specs (model", MemSysRegistry::global().help()),
+        ("Cache-mode specs (mode", CacheModeRegistry::global().help()),
+        ("Arrival specs (process", ArrivalRegistry::global().help()),
+    ]
+    .iter()
+    .map(|(heading, help)| format!("{heading}:key=value,...):\n{help}\n"))
+    .collect()
+}
+
+/// If the binary was invoked with `--list`, print [`list_text`] and exit.
+/// Call this before doing any work.
 pub fn maybe_list() {
     if std::env::args().any(|a| a == "--list") {
-        println!(
-            "Scheduler specs (policy:key=value,...):\n{}",
-            Registry::global().help()
-        );
-        println!(
-            "Workload specs (name:key=value,...):\n{}",
-            WorkloadRegistry::global().help()
-        );
-        println!(
-            "Memory-system specs (model:key=value,...):\n{}",
-            MemSysRegistry::global().help()
-        );
-        println!(
-            "Cache-mode specs (mode:key=value,...):\n{}",
-            CacheModeRegistry::global().help()
-        );
-        println!(
-            "Arrival specs (process:key=value,...):\n{}",
-            ArrivalRegistry::global().help()
-        );
+        print!("{}", list_text());
         std::process::exit(0);
     }
 }
