@@ -66,10 +66,7 @@ fn main() {
                 StreamExperiment::new(mix.clone())
                     .jobs(jobs)
                     .cores(cores)
-                    .arrivals(ArrivalProcess::OpenLoopPoisson {
-                        jobs_per_mcycle: rate,
-                        seed: 0x57_2EA4,
-                    })
+                    .arrivals(ArrivalSpec::poisson(rate))
                     .admission(AdmissionPolicy::Fifo)
                     .threads(threads),
             )
@@ -124,10 +121,7 @@ fn main() {
     // an outstanding-jobs counter.
     if let Some(mix) = mixes.first() {
         let mut cfg = StreamConfig::new(cores, SchedulerSpec::pdf());
-        cfg.arrivals = ArrivalProcess::OpenLoopPoisson {
-            jobs_per_mcycle: rates[0],
-            seed: 0x57_2EA4,
-        };
+        cfg.arrivals = ArrivalSpec::poisson(rates[0]);
         cfg.admission = AdmissionPolicy::Fifo;
         emit_stream_trace(mix, jobs, &cfg, &SchedulerSpec::paper_pair());
     }

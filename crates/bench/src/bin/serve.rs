@@ -118,7 +118,7 @@ fn main() {
     // The load axis: one requested process, or the default light/overload
     // contrast (rates in jobs per megacycle).
     let loads: Vec<(String, ArrivalSpec)> = match flag_value("--arrivals") {
-        Some(v) => match ArrivalSpec::parse(&v) {
+        Some(v) => match v.parse::<ArrivalSpec>() {
             Ok(spec) => vec![("requested".to_string(), spec)],
             Err(e) => {
                 eprintln!("error: {e}");

@@ -31,8 +31,7 @@ use pdfws_core::prelude::*;
 use pdfws_metrics::{Series, Table};
 use pdfws_report::Figure;
 use pdfws_schedulers::{simulate_traced, SimOptions};
-use pdfws_serve::ArrivalRegistry;
-use pdfws_stream::{run_stream_sim_traced, JobMix, StreamConfig};
+use pdfws_stream::{run_stream_sim_traced, ArrivalRegistry, JobMix, StreamConfig};
 use pdfws_trace::{chrome_trace_json, timeline_table, EventTrace, TraceTrack};
 
 /// The core counts on the x-axis of Figure 1.
@@ -182,14 +181,29 @@ pub fn maybe_help(bin: &str, about: &str, extra: &[(&str, &str)]) {
 /// parameters — exactly as `--list` prints them.
 pub fn list_text() -> String {
     [
-        ("Scheduler specs (policy", Registry::global().help()),
-        ("Workload specs (name", WorkloadRegistry::global().help()),
-        ("Memory-system specs (model", MemSysRegistry::global().help()),
-        ("Cache-mode specs (mode", CacheModeRegistry::global().help()),
-        ("Arrival specs (process", ArrivalRegistry::global().help()),
+        (
+            "Scheduler specs (policy:key=value,...)",
+            Registry::global().help(),
+        ),
+        (
+            "Workload specs (name:key=value,...)",
+            WorkloadRegistry::global().help(),
+        ),
+        (
+            "Memory-system specs (model:key=value,...)",
+            MemSysRegistry::global().help(),
+        ),
+        (
+            "Cache-mode specs (mode:key=value,...)",
+            CacheModeRegistry::global().help(),
+        ),
+        (
+            "Arrival specs (process:key=value,...)",
+            ArrivalRegistry::global().help(),
+        ),
     ]
     .iter()
-    .map(|(heading, help)| format!("{heading}:key=value,...):\n{help}\n"))
+    .map(|(heading, help)| format!("{heading}:\n{help}\n"))
     .collect()
 }
 

@@ -59,7 +59,7 @@ pub use addr::{block_of, Addr, BlockAddr};
 pub use cache::{AccessKind, Cache, CacheAccessResult};
 pub use hierarchy::{AccessOutcome, CmpCacheHierarchy, Level};
 pub use mode::{
-    CacheModeError, CacheModeFactory, CacheModeRegistry, CacheModeSpec, MPKI_SLACK_ABS,
+    CacheModeDomain, CacheModeError, CacheModeRegistry, CacheModeSpec, MPKI_SLACK_ABS,
     MPKI_TOLERANCE_ANALYTIC, MPKI_TOLERANCE_SAMPLED,
 };
 pub use replacement::ReplacementPolicy;

@@ -23,23 +23,13 @@
 //! `parse()` is the identity — the same contract as the scheduler, workload
 //! and memsys grammars.
 
-use pdfws_spec::{ParamKind, ParamSpec, SpecErrorKind, SpecFamily, SpecTable, Vocab};
-use serde::{Deserialize, Serialize};
+use pdfws_spec::{spec_type, Domain, ParamKind, ParamSpec, Registry, Spec, SpecFamily, Vocab};
 use std::collections::BTreeMap;
-use std::fmt;
-use std::str::FromStr;
 use std::sync::{Arc, OnceLock};
 
 /// Errors from parsing or validating a [`CacheModeSpec`] (the shared
 /// [`pdfws_spec::SpecError`], worded with the cache vocabulary).
 pub type CacheModeError = pdfws_spec::SpecError;
-
-/// The cache domain's error wording ("unknown cache mode …; known modes: …").
-static CACHE_VOCAB: Vocab = Vocab {
-    subject: "cache",
-    entity: "cache mode",
-    known_label: "known modes",
-};
 
 /// Declared accuracy contract of `sampled` (any legal rate) against `exact`:
 /// L2 MPKI must agree within this relative fraction plus [`MPKI_SLACK_ABS`]
@@ -55,121 +45,42 @@ pub const MPKI_TOLERANCE_ANALYTIC: f64 = 0.60;
 /// rates (everything fits in the L2) cannot fail on rounding noise.
 pub const MPKI_SLACK_ABS: f64 = 2.0;
 
-/// Describes an accepted cache mode: name, doc line, parameters.
-///
-/// The registry guarantees validated specs only carry declared, well-typed
-/// parameters, so consumers (`pdfws-schedulers`' engine) can `expect`-parse.
-pub trait CacheModeFactory: Send + Sync {
-    /// The registry key (`"exact"`); also the spec's name component.
-    fn name(&self) -> &'static str;
-    /// One-line description, shown by [`CacheModeRegistry::help`].
-    fn doc(&self) -> &'static str;
-    /// The parameters this mode accepts (empty slice: none).
-    fn params(&self) -> &'static [ParamSpec];
-    /// Check cross-parameter constraints after each key/value passed its
-    /// [`ParamSpec`].  Return an error message to reject the combination.
-    fn validate_spec(&self, _spec: &CacheModeSpec) -> Result<(), String> {
-        Ok(())
-    }
-}
+/// The cache-mode axis: the modes carry no domain method, so their factory
+/// objects are the bare [`SpecFamily`] declarations.
+pub enum CacheModeDomain {}
 
-/// Adapter letting the shared [`SpecTable`] read a mode factory's
-/// declarations.
-impl SpecFamily for dyn CacheModeFactory {
-    fn family_name(&self) -> &'static str {
-        self.name()
+impl Domain for CacheModeDomain {
+    type Factory = dyn SpecFamily;
+    const VOCAB: &'static Vocab = &Vocab {
+        subject: "cache",
+        entity: "cache mode",
+        known_label: "known modes",
+    };
+    fn builtins() -> Vec<Arc<dyn SpecFamily>> {
+        vec![
+            Arc::new(ExactFactory),
+            Arc::new(SampledFactory),
+            Arc::new(AnalyticFactory),
+        ]
     }
-    fn family_doc(&self) -> &'static str {
-        self.doc()
-    }
-    fn family_params(&self) -> &'static [ParamSpec] {
-        self.params()
-    }
-}
-
-/// A name-keyed set of [`CacheModeFactory`] objects.  Almost all code uses
-/// the process-wide [`CacheModeRegistry::global`] instance.
-pub struct CacheModeRegistry {
-    factories: SpecTable<dyn CacheModeFactory>,
-}
-
-impl CacheModeRegistry {
-    /// An empty registry (no built-ins).
-    pub fn empty() -> Self {
-        CacheModeRegistry {
-            factories: SpecTable::new(&CACHE_VOCAB),
-        }
-    }
-
-    /// A registry pre-loaded with the built-in modes.
-    pub fn with_builtins() -> Self {
-        let reg = Self::empty();
-        reg.register(Arc::new(ExactFactory));
-        reg.register(Arc::new(SampledFactory));
-        reg.register(Arc::new(AnalyticFactory));
-        reg
-    }
-
-    /// The process-wide registry every cache-mode spec parse resolves through.
-    pub fn global() -> &'static CacheModeRegistry {
+    fn global() -> &'static CacheModeRegistry {
         static GLOBAL: OnceLock<CacheModeRegistry> = OnceLock::new();
-        GLOBAL.get_or_init(CacheModeRegistry::with_builtins)
-    }
-
-    /// Add (or replace — last registration wins) a factory.
-    pub fn register(&self, factory: Arc<dyn CacheModeFactory>) {
-        self.factories.register(factory);
-    }
-
-    /// The registered mode names, sorted.
-    pub fn names(&self) -> Vec<String> {
-        self.factories.names()
-    }
-
-    /// Look up one factory.
-    pub fn factory(&self, name: &str) -> Option<Arc<dyn CacheModeFactory>> {
-        self.factories.get(name)
-    }
-
-    /// Validate a raw `(mode, params)` pair into a canonical
-    /// [`CacheModeSpec`].
-    pub fn validate(
-        &self,
-        mode: String,
-        params: BTreeMap<String, String>,
-    ) -> Result<CacheModeSpec, CacheModeError> {
-        let (factory, canonical) = self.factories.validate(mode, params)?;
-        let spec = CacheModeSpec::known_valid(factory.name(), canonical);
-        if let Err(message) = factory.validate_spec(&spec) {
-            return Err(CacheModeError::new(
-                &CACHE_VOCAB,
-                SpecErrorKind::InvalidCombination {
-                    owner: factory.name().to_string(),
-                    message,
-                },
-            ));
-        }
-        Ok(spec)
-    }
-
-    /// A human-readable listing of every registered mode and its parameters
-    /// (what `--list` prints for the cache axis).
-    pub fn help(&self) -> String {
-        self.factories.help()
+        GLOBAL.get_or_init(Registry::with_builtins)
     }
 }
 
-/// A parsed, validated cache-evaluation mode: mode name + parameters.
-///
-/// Construct one with the named constructors ([`CacheModeSpec::exact`],
-/// [`CacheModeSpec::sampled`], [`CacheModeSpec::analytic`]) or by parsing
-/// (`"sampled:rate=16".parse()`); every path validates against the global
-/// [`CacheModeRegistry`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct CacheModeSpec {
-    mode: String,
-    /// Canonically sorted `key -> value` parameters.
-    params: BTreeMap<String, String>,
+/// The cache-mode registry (every `--cache` string resolves through its
+/// [`global`](Registry::global) instance).
+pub type CacheModeRegistry = Registry<CacheModeDomain>;
+
+spec_type! {
+    /// A parsed, validated cache-evaluation mode: mode name + parameters.
+    ///
+    /// Construct one with the named constructors ([`CacheModeSpec::exact`],
+    /// [`CacheModeSpec::sampled`], [`CacheModeSpec::analytic`]) or by parsing
+    /// (`"sampled:rate=16".parse()`); every path validates against the global
+    /// [`CacheModeRegistry`].
+    pub struct CacheModeSpec(CacheModeDomain);
 }
 
 impl Default for CacheModeSpec {
@@ -180,22 +91,9 @@ impl Default for CacheModeSpec {
 }
 
 impl CacheModeSpec {
-    /// Internal: build a spec that is already known valid.
-    fn known_valid(mode: &str, params: BTreeMap<String, String>) -> Self {
-        CacheModeSpec {
-            mode: mode.to_string(),
-            params,
-        }
-    }
-
-    /// Parse and validate a spec string (same as `s.parse()`).
-    pub fn parse(s: &str) -> Result<Self, CacheModeError> {
-        s.parse()
-    }
-
     /// Per-access exact simulation of every set (the default).
     pub fn exact() -> Self {
-        Self::known_valid("exact", BTreeMap::new())
+        CacheModeSpec(Spec::known_valid("exact", BTreeMap::new()))
     }
 
     /// Systematic set-sampling at the given rate (a power of two ≥ 2).
@@ -213,53 +111,24 @@ impl CacheModeSpec {
     /// Reuse-distance histograms profiled once per DAG, composed per cache
     /// size.
     pub fn analytic() -> Self {
-        Self::known_valid("analytic", BTreeMap::new())
-    }
-
-    /// The registry key this spec resolves through (`"exact"`, `"sampled"`,
-    /// `"analytic"`).
-    pub fn mode(&self) -> &str {
-        &self.mode
+        CacheModeSpec(Spec::known_valid("analytic", BTreeMap::new()))
     }
 
     /// Whether this is the bit-exact default mode.
     pub fn is_exact(&self) -> bool {
-        self.mode == "exact"
+        self.name() == "exact"
     }
 
     /// The sampling rate, if this is a `sampled` spec (defaults to 16 when
     /// the parameter was omitted).
     pub fn sample_rate(&self) -> Option<u64> {
-        if self.mode != "sampled" {
-            return None;
-        }
-        Some(
-            self.params
-                .get("rate")
-                .map(|v| v.parse().expect("validated u64 parameter"))
-                .unwrap_or(16),
-        )
-    }
-
-    /// The canonical string form (what [`fmt::Display`] prints).
-    pub fn canonical(&self) -> String {
-        self.to_string()
+        sample_rate(self)
     }
 }
 
-impl fmt::Display for CacheModeSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        pdfws_spec::format_spec(f, &self.mode, &self.params)
-    }
-}
-
-impl FromStr for CacheModeSpec {
-    type Err = CacheModeError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let (mode, params) = pdfws_spec::parse_spec(s, &CACHE_VOCAB)?;
-        CacheModeRegistry::global().validate(mode, params)
-    }
+/// The sampling rate of a `sampled` spec (see [`CacheModeSpec::sample_rate`]).
+fn sample_rate(spec: &Spec) -> Option<u64> {
+    (spec.name() == "sampled").then(|| spec.u64_param("rate").unwrap_or(16))
 }
 
 // ---------------------------------------------------------------------------
@@ -268,7 +137,7 @@ impl FromStr for CacheModeSpec {
 
 struct ExactFactory;
 
-impl CacheModeFactory for ExactFactory {
+impl SpecFamily for ExactFactory {
     fn name(&self) -> &'static str {
         "exact"
     }
@@ -282,7 +151,7 @@ impl CacheModeFactory for ExactFactory {
 
 struct SampledFactory;
 
-impl CacheModeFactory for SampledFactory {
+impl SpecFamily for SampledFactory {
     fn name(&self) -> &'static str {
         "sampled"
     }
@@ -296,8 +165,8 @@ impl CacheModeFactory for SampledFactory {
             doc: "sample 1 in <rate> sets; a power of two >= 2 (default 16)",
         }]
     }
-    fn validate_spec(&self, spec: &CacheModeSpec) -> Result<(), String> {
-        let rate = spec.sample_rate().expect("sampled spec");
+    fn validate_spec(&self, spec: &Spec) -> Result<(), String> {
+        let rate = sample_rate(spec).expect("sampled spec");
         if rate < 2 || !rate.is_power_of_two() {
             return Err(format!("'rate' must be a power of two >= 2, got {rate}"));
         }
@@ -307,7 +176,7 @@ impl CacheModeFactory for SampledFactory {
 
 struct AnalyticFactory;
 
-impl CacheModeFactory for AnalyticFactory {
+impl SpecFamily for AnalyticFactory {
     fn name(&self) -> &'static str {
         "analytic"
     }
@@ -327,7 +196,7 @@ mod tests {
     fn bare_mode_names_parse_and_display() {
         for name in ["exact", "sampled", "analytic"] {
             let spec: CacheModeSpec = name.parse().unwrap();
-            assert_eq!(spec.mode(), name);
+            assert_eq!(spec.name(), name);
             assert_eq!(spec.to_string(), name);
         }
     }

@@ -361,7 +361,7 @@ mod tests {
 
     #[test]
     fn defaults_run_the_paper_pair_on_eight_cores() {
-        let report = Experiment::new(MergeSort::small().into_spec())
+        let report = Experiment::new(MergeSort::small().into_instance())
             .run()
             .unwrap();
         assert_eq!(report.runs().len(), 2);
@@ -373,7 +373,7 @@ mod tests {
 
     #[test]
     fn sweep_produces_one_cell_per_cores_times_scheduler() {
-        let report = Experiment::new(ParallelScan::small().into_spec())
+        let report = Experiment::new(ParallelScan::small().into_instance())
             .core_sweep(&[1, 2, 4])
             .schedulers(&[
                 SchedulerSpec::pdf(),
@@ -392,7 +392,7 @@ mod tests {
 
     #[test]
     fn speedups_are_relative_to_the_one_core_baseline() {
-        let report = Experiment::new(MergeSort::small().into_spec())
+        let report = Experiment::new(MergeSort::small().into_instance())
             .core_sweep(&[1, 4])
             .run()
             .unwrap();
@@ -406,7 +406,7 @@ mod tests {
 
     #[test]
     fn pdf_ws_comparisons_are_available() {
-        let report = Experiment::new(MergeSort::small().into_spec())
+        let report = Experiment::new(MergeSort::small().into_instance())
             .cores(4)
             .run()
             .unwrap();
@@ -418,7 +418,7 @@ mod tests {
     #[test]
     fn metric_tables_render_requested_cells() {
         let specs = [SchedulerSpec::pdf(), SchedulerSpec::ws()];
-        let report = Experiment::new(MergeSort::small().into_spec())
+        let report = Experiment::new(MergeSort::small().into_instance())
             .core_sweep(&[1, 2])
             .schedulers(&specs)
             .run()
@@ -437,7 +437,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "no (16 cores, pdf) cell")]
     fn metric_tables_panic_on_missing_cells() {
-        let report = Experiment::new(MergeSort::small().into_spec())
+        let report = Experiment::new(MergeSort::small().into_instance())
             .cores(2)
             .run()
             .unwrap();
@@ -446,12 +446,12 @@ mod tests {
 
     #[test]
     fn empty_sweeps_are_rejected() {
-        let e = Experiment::new(MergeSort::small().into_spec())
+        let e = Experiment::new(MergeSort::small().into_instance())
             .core_sweep(&[])
             .run()
             .unwrap_err();
         assert_eq!(e, ExperimentError::NoCores);
-        let e = Experiment::new(MergeSort::small().into_spec())
+        let e = Experiment::new(MergeSort::small().into_instance())
             .schedulers(&[])
             .run()
             .unwrap_err();
@@ -460,7 +460,7 @@ mod tests {
 
     #[test]
     fn invalid_core_counts_surface_model_errors() {
-        let e = Experiment::new(MergeSort::small().into_spec())
+        let e = Experiment::new(MergeSort::small().into_instance())
             .cores(999)
             .run()
             .unwrap_err();
@@ -473,7 +473,7 @@ mod tests {
         let mut cfg = default_config(4).unwrap();
         cfg.l2.capacity_bytes = 1024 * 1024;
         cfg.l2.latency_cycles = 10;
-        let report = Experiment::new(MergeSort::small().into_spec())
+        let report = Experiment::new(MergeSort::small().into_instance())
             .cores(4)
             .with_config(cfg)
             .run()

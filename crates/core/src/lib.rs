@@ -6,7 +6,7 @@
 //! ```
 //! use pdfws_core::prelude::*;
 //!
-//! let report = Experiment::new(MergeSort::new(1 << 13).into_spec())
+//! let report = Experiment::new(MergeSort::new(1 << 13).into_instance())
 //!     .core_sweep(&[1, 4, 8])
 //!     .schedulers(&[SchedulerSpec::pdf(), "ws:steal=half".parse().unwrap()])
 //!     .run()
@@ -39,7 +39,6 @@ pub mod stream_experiment;
 pub mod sweep;
 
 pub use experiment::{Experiment, ExperimentError, ExperimentReport, RunRecord};
-pub use spec::Instantiate as IntoSpec;
 pub use spec::{Instantiate, WorkloadInstance};
 pub use stream_experiment::{StreamExperiment, StreamReport};
 pub use sweep::{
@@ -54,19 +53,17 @@ pub mod prelude {
     pub use crate::sweep::{SweepGrid, SweepProfile, SweepReport, SweepRunner};
     pub use pdfws_cmp_model::{default_config, default_core_counts, CmpConfig, ProcessNode};
     pub use pdfws_memsys::{
-        register as register_memsys_model, MemSysSpec, ModelFactory, Registry as MemSysRegistry,
-        SpecError as MemSysSpecError,
+        MemSysSpec, ModelFactory, Registry as MemSysRegistry, SpecError as MemSysSpecError,
     };
-    #[allow(deprecated)]
-    pub use pdfws_schedulers::SchedulerKind;
     pub use pdfws_schedulers::{
-        register, CacheModeRegistry, CacheModeSpec, Disturbance, ParamKind, ParamSpec,
-        PolicyFactory, Registry, SchedulerPolicy, SchedulerSpec, SimOptions, SimResult, SpecError,
+        CacheModeRegistry, CacheModeSpec, Disturbance, ParamKind, ParamSpec, PolicyFactory,
+        Registry, SchedulerPolicy, SchedulerSpec, SimOptions, SimResult, SpecError,
     };
-    pub use pdfws_stream::{AdmissionPolicy, ArrivalProcess, JobMix, StreamOutcome, StreamSummary};
+    pub use pdfws_spec::{Spec, SpecErrorKind, SpecFamily};
+    pub use pdfws_stream::{AdmissionPolicy, ArrivalSpec, JobMix, StreamOutcome, StreamSummary};
     pub use pdfws_workloads::{
-        register_workload, ComputeKernel, HashJoin, LuDecomposition, MatMul, MergeSort,
-        ParallelScan, QuickSort, SpMv, SyntheticTree, Workload, WorkloadClass, WorkloadFactory,
-        WorkloadRegistry, WorkloadSpec, WorkloadSpecError,
+        ComputeKernel, HashJoin, LuDecomposition, MatMul, MergeSort, ParallelScan, QuickSort, SpMv,
+        SyntheticTree, Workload, WorkloadClass, WorkloadFactory, WorkloadRegistry, WorkloadSpec,
+        WorkloadSpecError,
     };
 }

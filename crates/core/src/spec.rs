@@ -105,15 +105,6 @@ pub trait Instantiate {
     /// Instantiate the workload into a [`WorkloadInstance`] (builds the DAG
     /// once).
     fn into_instance(self) -> WorkloadInstance;
-
-    /// Legacy name for [`Instantiate::into_instance`], kept so pre-redesign
-    /// call sites read naturally ("workload into spec'd instance").
-    fn into_spec(self) -> WorkloadInstance
-    where
-        Self: Sized,
-    {
-        self.into_instance()
-    }
 }
 
 impl<W: Workload> Instantiate for W {
@@ -141,13 +132,11 @@ mod tests {
     }
 
     #[test]
-    fn from_workload_matches_into_instance_and_legacy_into_spec() {
+    fn from_workload_matches_into_instance() {
         let w = ParallelScan::small();
         let a = WorkloadInstance::from_workload(&w);
         let b = ParallelScan::small().into_instance();
-        let c = ParallelScan::small().into_spec();
         assert_eq!(a, b);
-        assert_eq!(a, c);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::sweep::SweepRunner;
 use pdfws_metrics::{Series, Table};
 use pdfws_schedulers::{SchedulerSpec, SimOptions};
 use pdfws_stream::{
-    run_stream_sim_with_jobs, validate_stream_cfg, AdmissionPolicy, ArrivalProcess, JobMix,
+    run_stream_sim_with_jobs, validate_stream_cfg, AdmissionPolicy, ArrivalSpec, JobMix,
     StreamConfig, StreamOutcome, StreamSummary,
 };
 
@@ -65,8 +65,10 @@ impl StreamExperiment {
         self
     }
 
-    /// The arrival process (open-loop Poisson/uniform or closed loop).
-    pub fn arrivals(mut self, arrivals: ArrivalProcess) -> Self {
+    /// The arrival process: any registered [`ArrivalSpec`] (open-loop
+    /// `poisson:rate=80`, `pareto:alpha=1.5,rate=80`, ... or closed-loop
+    /// `closed:population=4,think=20000`).
+    pub fn arrivals(mut self, arrivals: ArrivalSpec) -> Self {
         self.config.arrivals = arrivals;
         self
     }
@@ -99,6 +101,13 @@ impl StreamExperiment {
     /// Job-sampling seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.config.seed = seed;
+        self
+    }
+
+    /// Open-loop arrival-generator seed (independent of the job-sampling
+    /// [`seed`](Self::seed)).
+    pub fn arrival_seed(mut self, seed: u64) -> Self {
+        self.config.arrival_seed = seed;
         self
     }
 
@@ -246,10 +255,8 @@ mod tests {
             .jobs(8)
             .cores(4)
             .quantum_cycles(5_000)
-            .arrivals(ArrivalProcess::OpenLoopPoisson {
-                jobs_per_mcycle: 100.0,
-                seed: 3,
-            })
+            .arrivals(ArrivalSpec::poisson(100.0))
+            .arrival_seed(3)
     }
 
     #[test]
@@ -300,13 +307,7 @@ mod tests {
 
     #[test]
     fn closed_loop_experiments_bound_concurrency() {
-        let report = quick()
-            .arrivals(ArrivalProcess::ClosedLoop {
-                population: 2,
-                think_cycles: 100,
-            })
-            .run()
-            .unwrap();
+        let report = quick().arrivals(ArrivalSpec::closed(2, 100)).run().unwrap();
         for outcome in report.outcomes() {
             assert!(outcome.peak_concurrency <= 2, "{}", outcome.scheduler);
         }

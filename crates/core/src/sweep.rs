@@ -35,8 +35,8 @@
 //! use pdfws_core::prelude::*;
 //!
 //! let grid = SweepGrid::new()
-//!     .workload(MergeSort::new(1 << 12).into_spec())
-//!     .workload(ParallelScan::new(1 << 14).into_spec())
+//!     .workload(MergeSort::new(1 << 12).into_instance())
+//!     .workload(ParallelScan::new(1 << 14).into_instance())
 //!     .cores(&[1, 4])
 //!     .specs(&SchedulerSpec::paper_pair());
 //! let report = SweepRunner::new(2).run(&grid).unwrap();
@@ -715,8 +715,8 @@ mod tests {
 
     fn small_grid() -> SweepGrid {
         SweepGrid::new()
-            .workload(MergeSort::small().into_spec())
-            .workload(ParallelScan::small().into_spec())
+            .workload(MergeSort::small().into_instance())
+            .workload(ParallelScan::small().into_instance())
             .cores(&[1, 2])
             .specs(&SchedulerSpec::paper_pair())
     }
@@ -753,7 +753,7 @@ mod tests {
 
     #[test]
     fn baselines_are_deduplicated_per_shared_dag() {
-        let shared = MergeSort::small().into_spec();
+        let shared = MergeSort::small().into_instance();
         let grid = SweepGrid::new()
             .workload(shared.clone())
             .workload(shared.clone()) // same Arc: baseline must not rerun
@@ -766,8 +766,8 @@ mod tests {
 
         // A distinct DAG build of the same workload gets its own baseline.
         let grid = SweepGrid::new()
-            .workload(MergeSort::small().into_spec())
-            .workload(MergeSort::small().into_spec())
+            .workload(MergeSort::small().into_instance())
+            .workload(MergeSort::small().into_instance())
             .cores(&[2])
             .specs(&[SchedulerSpec::pdf()]);
         let plan = Plan::build(&grid).unwrap();

@@ -42,7 +42,7 @@ pub use component::{align_up, run_until, Component};
 pub use dram::{DramController, DramRequest, DramService, ROW_BYTES};
 pub use model::{MemSystem, Transaction};
 pub use queue::EventQueue;
-pub use registry::{register, ModelFactory, Registry};
+pub use registry::{MemSysDomain, ModelFactory, Registry};
 pub use spec::{MemSysSpec, SpecError};
 
 #[cfg(test)]

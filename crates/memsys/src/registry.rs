@@ -1,156 +1,53 @@
 //! The memory-system model registry: name → [`ModelFactory`], the open half
 //! of the [`MemSysSpec`] API.
 //!
-//! Built on the same `pdfws-spec` substrate as the scheduler and workload
-//! registries, so `--memsys` strings get the same typed-parameter validation
-//! and `--list` help treatment as `--scheduler` and `--workload` strings.
+//! An instance of the generic `pdfws-spec` registry, so `--memsys` strings
+//! get the same typed-parameter validation and `--list` help treatment as
+//! `--scheduler` and `--workload` strings.
 //! Two models ship built in: `bus` (the component bus+DRAM system) and
 //! `legacy` (the old serializing-channel formula); registering another
 //! factory makes its name parseable everywhere a memsys spec is accepted.
 
-use crate::spec::{MemSysSpec, SpecError};
+use crate::spec::MemSysSpec;
 use pdfws_cmp_model::MemSysParams;
-use pdfws_spec::{SpecErrorKind, SpecFamily, SpecTable, Vocab};
-use std::collections::BTreeMap;
+use pdfws_spec::{Domain, Spec, SpecFamily, Vocab};
 use std::sync::{Arc, OnceLock};
 
 pub use pdfws_spec::{ParamKind, ParamSpec};
-
-/// The memsys domain's error wording ("unknown memory-system model …;
-/// known models: …").
-pub(crate) static MEMSYS_VOCAB: Vocab = Vocab {
-    subject: "memsys",
-    entity: "memory-system model",
-    known_label: "known models",
-};
 
 /// Turns a validated [`MemSysSpec`] into the [`MemSysParams`] override block
 /// a `CmpConfig` stores.
 ///
 /// The registry guarantees `memsys_params` only ever sees specs whose keys
-/// and values passed the factory's [`ModelFactory::params`] declarations, so
-/// it is infallible.
-pub trait ModelFactory: Send + Sync {
-    /// The registry key (`"bus"`); also the spec's model name.
-    fn name(&self) -> &'static str;
-    /// One-line description, shown by [`Registry::help`].
-    fn doc(&self) -> &'static str;
-    /// The parameters this model accepts (empty slice: none).
-    fn params(&self) -> &'static [ParamSpec];
-    /// Check cross-parameter constraints after each key/value passed its
-    /// [`ParamSpec`] (e.g. reject a zero bank count).  Return an error
-    /// message to reject the combination; the default accepts all.
-    fn validate_spec(&self, _spec: &MemSysSpec) -> Result<(), String> {
-        Ok(())
-    }
+/// and values passed the factory's [`SpecFamily`] declarations, so it is
+/// infallible.
+pub trait ModelFactory: SpecFamily {
     /// The parameter block the spec describes.
     fn memsys_params(&self, spec: &MemSysSpec) -> MemSysParams;
 }
 
-/// Adapter letting the shared [`SpecTable`] read a model factory's
-/// declarations.
-impl SpecFamily for dyn ModelFactory {
-    fn family_name(&self) -> &'static str {
-        self.name()
-    }
-    fn family_doc(&self) -> &'static str {
-        self.doc()
-    }
-    fn family_params(&self) -> &'static [ParamSpec] {
-        self.params()
-    }
-}
+/// The memory-system axis.
+pub enum MemSysDomain {}
 
-/// A name-keyed set of [`ModelFactory`] objects.  Almost all code uses the
-/// process-wide [`Registry::global`] instance.
-pub struct Registry {
-    factories: SpecTable<dyn ModelFactory>,
-}
-
-impl Registry {
-    /// An empty registry (no built-ins).
-    pub fn empty() -> Self {
-        Registry {
-            factories: SpecTable::new(&MEMSYS_VOCAB),
-        }
+impl Domain for MemSysDomain {
+    type Factory = dyn ModelFactory;
+    const VOCAB: &'static Vocab = &Vocab {
+        subject: "memsys",
+        entity: "memory-system model",
+        known_label: "known models",
+    };
+    fn builtins() -> Vec<Arc<dyn ModelFactory>> {
+        vec![Arc::new(BusFactory), Arc::new(LegacyFactory)]
     }
-
-    /// A registry pre-loaded with the built-in models.
-    pub fn with_builtins() -> Self {
-        let reg = Self::empty();
-        reg.register(Arc::new(BusFactory));
-        reg.register(Arc::new(LegacyFactory));
-        reg
-    }
-
-    /// The process-wide registry every spec parse resolves through.
-    pub fn global() -> &'static Registry {
+    fn global() -> &'static Registry {
         static GLOBAL: OnceLock<Registry> = OnceLock::new();
         GLOBAL.get_or_init(Registry::with_builtins)
     }
-
-    /// Add (or replace — last registration wins) a factory.
-    pub fn register(&self, factory: Arc<dyn ModelFactory>) {
-        self.factories.register(factory);
-    }
-
-    /// The registered model names, sorted.
-    pub fn names(&self) -> Vec<String> {
-        self.factories.names()
-    }
-
-    /// Look up one factory.
-    pub fn factory(&self, name: &str) -> Option<Arc<dyn ModelFactory>> {
-        self.factories.get(name)
-    }
-
-    /// Validate a raw `(model, params)` pair into a canonical
-    /// [`MemSysSpec`].
-    pub fn validate(
-        &self,
-        model: String,
-        params: BTreeMap<String, String>,
-    ) -> Result<MemSysSpec, SpecError> {
-        let (factory, canonical) = self.factories.validate(model, params)?;
-        let spec = MemSysSpec::known_valid(factory.name(), canonical);
-        if let Err(message) = factory.validate_spec(&spec) {
-            return Err(SpecError::new(
-                &MEMSYS_VOCAB,
-                SpecErrorKind::InvalidCombination {
-                    owner: factory.name().to_string(),
-                    message,
-                },
-            ));
-        }
-        Ok(spec)
-    }
-
-    /// The [`MemSysParams`] block a spec describes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec's model has been removed from the registry since
-    /// the spec was created (specs are validated at construction, so this is
-    /// the only failure mode).
-    pub fn params_for(&self, spec: &MemSysSpec) -> MemSysParams {
-        let factory = self
-            .factory(spec.model())
-            .unwrap_or_else(|| panic!("model '{}' vanished from the registry", spec.model()));
-        factory.memsys_params(spec)
-    }
-
-    /// A human-readable listing of every registered model and its parameters
-    /// (what `--list` prints for the memsys axis).
-    pub fn help(&self) -> String {
-        self.factories.help()
-    }
 }
 
-/// Register a factory with the global registry (sugar over
-/// [`Registry::global`] + [`Registry::register`]).
-pub fn register(factory: Arc<dyn ModelFactory>) {
-    Registry::global().register(factory);
-}
+/// The memory-system model registry (every `--memsys` string resolves
+/// through its [`global`](pdfws_spec::Registry::global) instance).
+pub type Registry = pdfws_spec::Registry<MemSysDomain>;
 
 // ---------------------------------------------------------------------------
 // Built-in factories.
@@ -158,7 +55,7 @@ pub fn register(factory: Arc<dyn ModelFactory>) {
 
 struct BusFactory;
 
-impl ModelFactory for BusFactory {
+impl SpecFamily for BusFactory {
     fn name(&self) -> &'static str {
         "bus"
     }
@@ -203,7 +100,16 @@ impl ModelFactory for BusFactory {
             },
         ]
     }
-    fn validate_spec(&self, spec: &MemSysSpec) -> Result<(), String> {
+    fn validate_spec(&self, spec: &Spec) -> Result<(), String> {
+        // Below this a single line transfer no longer fits in a cycle count.
+        const MIN_BYTES_PER_CYCLE: f64 = 1e-3;
+        for key in ["width", "bw"] {
+            if spec.f64_param(key).is_some_and(|v| v < MIN_BYTES_PER_CYCLE) {
+                return Err(format!(
+                    "'{key}' must be at least {MIN_BYTES_PER_CYCLE} bytes per cycle"
+                ));
+            }
+        }
         if spec.u64_param("clock") == Some(0) {
             return Err("'clock' must be at least 1 core cycle per bus cycle".into());
         }
@@ -215,6 +121,9 @@ impl ModelFactory for BusFactory {
         }
         Ok(())
     }
+}
+
+impl ModelFactory for BusFactory {
     fn memsys_params(&self, spec: &MemSysSpec) -> MemSysParams {
         MemSysParams {
             bus_bytes_per_cycle: spec.f64_param("width"),
@@ -230,7 +139,7 @@ impl ModelFactory for BusFactory {
 
 struct LegacyFactory;
 
-impl ModelFactory for LegacyFactory {
+impl SpecFamily for LegacyFactory {
     fn name(&self) -> &'static str {
         "legacy"
     }
@@ -240,6 +149,9 @@ impl ModelFactory for LegacyFactory {
     fn params(&self) -> &'static [ParamSpec] {
         &[]
     }
+}
+
+impl ModelFactory for LegacyFactory {
     fn memsys_params(&self, _spec: &MemSysSpec) -> MemSysParams {
         MemSysParams::legacy()
     }
@@ -270,7 +182,7 @@ mod tests {
     #[test]
     fn custom_factories_extend_the_grammar() {
         struct Perfect;
-        impl ModelFactory for Perfect {
+        impl SpecFamily for Perfect {
             fn name(&self) -> &'static str {
                 "test-perfect"
             }
@@ -280,6 +192,8 @@ mod tests {
             fn params(&self) -> &'static [ParamSpec] {
                 &[]
             }
+        }
+        impl ModelFactory for Perfect {
             fn memsys_params(&self, _spec: &MemSysSpec) -> MemSysParams {
                 MemSysParams {
                     bus_bytes_per_cycle: Some(f64::INFINITY),
@@ -288,7 +202,7 @@ mod tests {
                 }
             }
         }
-        register(Arc::new(Perfect));
+        Registry::global().register(Arc::new(Perfect));
         let spec: MemSysSpec = "test-perfect".parse().unwrap();
         let params = spec.memsys_params();
         assert_eq!(params.mode, MemSysMode::BusDram);
@@ -301,6 +215,6 @@ mod tests {
     fn separate_registries_are_independent() {
         let reg = Registry::empty();
         assert!(reg.names().is_empty());
-        assert!(reg.validate("bus".to_string(), BTreeMap::new()).is_err());
+        assert!(reg.parse("bus").is_err());
     }
 }

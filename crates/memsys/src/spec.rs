@@ -16,116 +16,43 @@
 //! derives them from its off-chip channel at resolve time, which is what
 //! keeps `bus` calibrated against the legacy latency by default.
 
-use crate::registry::Registry;
+use crate::registry::{MemSysDomain, Registry};
 use pdfws_cmp_model::MemSysParams;
-use serde::{Deserialize, Serialize};
+use pdfws_spec::{spec_type, Spec};
 use std::collections::BTreeMap;
-use std::fmt;
-use std::str::FromStr;
 
 /// Errors from parsing or validating a [`MemSysSpec`] (the shared
 /// [`pdfws_spec::SpecError`], worded with the memsys vocabulary).
 pub type SpecError = pdfws_spec::SpecError;
 
-/// A parsed, validated memory-system model description: model name +
-/// parameter overrides.
-///
-/// Construct one with the named constructors ([`MemSysSpec::bus`],
-/// [`MemSysSpec::legacy`]), by parsing (`"bus:width=4".parse()`), or via
-/// [`MemSysSpec::with_param`]; every path validates against the global
-/// [`Registry`], so a value is always resolvable into [`MemSysParams`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct MemSysSpec {
-    model: String,
-    /// Canonically sorted `key -> value` overrides (only the
-    /// explicitly-given ones; everything else derives from the config).
-    params: BTreeMap<String, String>,
+spec_type! {
+    /// A parsed, validated memory-system model description: model name +
+    /// parameter overrides (only the explicitly-given ones; everything else
+    /// derives from the config).
+    ///
+    /// Construct one with the named constructors ([`MemSysSpec::bus`],
+    /// [`MemSysSpec::legacy`]), by parsing (`"bus:width=4".parse()`), or via
+    /// [`MemSysSpec::with_param`]; every path validates against the global
+    /// [`Registry`], so a value is always resolvable into [`MemSysParams`].
+    pub struct MemSysSpec(MemSysDomain);
 }
 
 impl MemSysSpec {
-    /// Internal: build a spec that is already known valid.
-    pub(crate) fn known_valid(model: &str, params: BTreeMap<String, String>) -> Self {
-        MemSysSpec {
-            model: model.to_string(),
-            params,
-        }
-    }
-
-    /// Parse and validate a spec string (same as `s.parse()`).
-    pub fn parse(s: &str) -> Result<Self, SpecError> {
-        s.parse()
-    }
-
     /// The component bus+DRAM model with every parameter derived from the
     /// configuration (the default).
     pub fn bus() -> Self {
-        Self::known_valid("bus", BTreeMap::new())
+        MemSysSpec(Spec::known_valid("bus", BTreeMap::new()))
     }
 
     /// The pre-memsys serializing-channel latency formula.
     pub fn legacy() -> Self {
-        Self::known_valid("legacy", BTreeMap::new())
-    }
-
-    /// The registry key this spec resolves through (`"bus"`, `"legacy"`).
-    pub fn model(&self) -> &str {
-        &self.model
-    }
-
-    /// The explicitly-given overrides, in canonical (sorted-by-key) order.
-    pub fn params(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.params.iter().map(|(k, v)| (k.as_str(), v.as_str()))
-    }
-
-    /// The raw value of one parameter, if it was given.
-    pub fn param(&self, key: &str) -> Option<&str> {
-        self.params.get(key).map(String::as_str)
-    }
-
-    /// A `u64` override, if given (parses by construction).
-    pub fn u64_param(&self, key: &str) -> Option<u64> {
-        self.param(key)
-            .map(|v| v.parse().expect("validated u64 parameter"))
-    }
-
-    /// An `f64` override, if given (parses by construction; `inf` is a legal
-    /// value meaning an unbounded resource).
-    pub fn f64_param(&self, key: &str) -> Option<f64> {
-        self.param(key)
-            .map(|v| v.parse().expect("validated f64 parameter"))
-    }
-
-    /// Add or replace one parameter, revalidating the result.  Consumes and
-    /// returns the spec so calls chain.
-    pub fn with_param(mut self, key: &str, value: &str) -> Result<Self, SpecError> {
-        self.params.insert(key.to_string(), value.to_string());
-        Registry::global().validate(self.model.clone(), self.params)
+        MemSysSpec(Spec::known_valid("legacy", BTreeMap::new()))
     }
 
     /// The [`MemSysParams`] override block this spec describes — what gets
     /// stored on a `CmpConfig` and resolved against its channel parameters.
     pub fn memsys_params(&self) -> MemSysParams {
-        Registry::global().params_for(self)
-    }
-
-    /// The canonical string form (what [`fmt::Display`] prints).
-    pub fn canonical(&self) -> String {
-        self.to_string()
-    }
-}
-
-impl fmt::Display for MemSysSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        pdfws_spec::format_spec(f, &self.model, &self.params)
-    }
-}
-
-impl FromStr for MemSysSpec {
-    type Err = SpecError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let (model, params) = pdfws_spec::parse_spec(s, &crate::registry::MEMSYS_VOCAB)?;
-        Registry::global().validate(model, params)
+        Registry::global().resolve(self).memsys_params(self)
     }
 }
 
@@ -138,7 +65,7 @@ mod tests {
     fn bare_model_names_parse_and_display() {
         for name in ["bus", "legacy"] {
             let spec: MemSysSpec = name.parse().unwrap();
-            assert_eq!(spec.model(), name);
+            assert_eq!(spec.name(), name);
             assert_eq!(spec.to_string(), name);
         }
     }
@@ -214,6 +141,8 @@ mod tests {
             "bus:clock=0",
             "bus:dram:banks=0",
             "bus:dram:miss=0",
+            "bus:width=1e-300",
+            "bus:bw=0.0001",
         ] {
             assert!(bad.parse::<MemSysSpec>().is_err(), "{bad} should not parse");
         }

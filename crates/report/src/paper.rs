@@ -442,10 +442,8 @@ fn claim_c7_stream_tail() -> Claim {
             let mut experiment = StreamExperiment::new(mix)
                 .jobs(jobs)
                 .cores(cores)
-                .arrivals(ArrivalProcess::OpenLoopPoisson {
-                    jobs_per_mcycle: 80.0,
-                    seed: STREAM_SEED,
-                })
+                .arrivals(ArrivalSpec::poisson(80.0))
+                .arrival_seed(STREAM_SEED)
                 .admission(AdmissionPolicy::Fifo)
                 .seed(STREAM_SEED)
                 .cache(ctx.cfg.cache.clone())

@@ -521,7 +521,7 @@ impl SimEngine {
         if let Some(d) = &options.disturbance {
             assert_valid_disturbance(d);
         }
-        let analytic_mode = options.cache_mode.mode() == "analytic";
+        let analytic_mode = options.cache_mode.name() == "analytic";
         // Analytic mode has no reference stream to profile working sets from.
         let profiler = if analytic_mode {
             None
@@ -551,7 +551,7 @@ impl SimEngine {
                 MemSysMode::BusDram => MemSysModel::BusDram(Box::new(MemSystem::new(&resolved))),
             }
         };
-        let (hierarchy, cache_model) = match options.cache_mode.mode() {
+        let (hierarchy, cache_model) = match options.cache_mode.name() {
             "sampled" => {
                 let requested = options
                     .cache_mode

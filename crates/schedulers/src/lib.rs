@@ -91,7 +91,6 @@ pub mod adaptive;
 pub mod analytic;
 pub mod engine;
 pub mod hybrid;
-pub mod kind;
 pub mod pdf;
 pub mod policy;
 pub mod registry;
@@ -104,12 +103,10 @@ pub use adaptive::{tuned_threshold, window_pressure, AdaptiveConfig, AdaptivePol
 pub use analytic::{DagCacheProfile, TaskCacheCosts};
 pub use engine::{Disturbance, EngineStatus, SimEngine, SimOptions};
 pub use hybrid::HybridPolicy;
-#[allow(deprecated)]
-pub use kind::SchedulerKind;
 pub use pdf::PdfPolicy;
 pub use pdfws_cache_sim::{CacheModeRegistry, CacheModeSpec};
 pub use policy::{SchedulerPolicy, WindowFeedback};
-pub use registry::{register, ParamKind, ParamSpec, PolicyFactory, Registry};
+pub use registry::{ParamKind, ParamSpec, PolicyFactory, Registry, SchedulerDomain};
 pub use result::SimResult;
 pub use spec::{SchedulerSpec, SpecError};
 pub use static_partition::StaticPartitionPolicy;
@@ -120,7 +117,7 @@ use pdfws_task_dag::TaskDag;
 
 /// Build the policy object a spec describes, via the global [`Registry`].
 pub fn make_policy(spec: &SchedulerSpec, cores: usize) -> Box<dyn SchedulerPolicy> {
-    Registry::global().build(spec, cores)
+    Registry::global().resolve(spec).build(spec, cores)
 }
 
 /// Simulate `dag` on the machine described by `config` under the given scheduler.

@@ -9,169 +9,63 @@
 //! becomes parseable everywhere a spec string is accepted — experiments,
 //! stream configs, bench binaries (see `examples/custom_policy.rs`).
 //!
-//! The grammar, typed-parameter declarations and registry substrate are the
-//! shared `pdfws-spec` machinery (the same machinery `pdfws-workloads` builds
-//! its [`WorkloadRegistry`] on); this module adds the scheduler-specific half:
-//! the [`PolicyFactory`] trait with its `build` method and cross-parameter
-//! validation hook, and the scheduler error vocabulary.
-//!
-//! [`WorkloadRegistry`]: https://docs.rs/pdfws-workloads
+//! The grammar, typed-parameter declarations and the registry itself are the
+//! generic `pdfws-spec` machinery shared by all five spec axes; this module
+//! adds the scheduler-specific half: the [`PolicyFactory`] trait with its
+//! `build` method, the scheduler error vocabulary, and the built-in policies.
 
 use crate::adaptive::{AdaptiveConfig, AdaptivePolicy};
 use crate::hybrid::HybridPolicy;
 use crate::pdf::PdfPolicy;
 use crate::policy::SchedulerPolicy;
-use crate::spec::{SchedulerSpec, SpecError};
+use crate::spec::SchedulerSpec;
 use crate::static_partition::StaticPartitionPolicy;
 use crate::ws::{StealGranularity, VictimSelect, WorkStealingPolicy};
-use pdfws_spec::{SpecFamily, SpecTable, Vocab};
-use std::collections::BTreeMap;
+use pdfws_spec::{Domain, Spec, SpecFamily, Vocab};
 use std::sync::{Arc, OnceLock};
 
 pub use pdfws_spec::{ParamKind, ParamSpec};
 
-/// The scheduler domain's error wording ("unknown scheduler policy …;
-/// known policies: …").
-pub(crate) static SCHEDULER_VOCAB: Vocab = Vocab {
-    subject: "scheduler",
-    entity: "scheduler policy",
-    known_label: "known policies",
-};
-
 /// Builds a [`SchedulerPolicy`] from a validated [`SchedulerSpec`].
 ///
-/// Implementations declare their parameters via [`PolicyFactory::params`]; the
-/// registry guarantees that `build` only ever sees specs whose keys and values
-/// passed those declarations, so `build` is infallible.
-pub trait PolicyFactory: Send + Sync {
-    /// The registry key (`"ws"`); also the spec's policy name.
-    fn name(&self) -> &'static str;
-    /// One-line description, shown by [`Registry::help`].
-    fn doc(&self) -> &'static str;
-    /// The parameters this policy accepts (empty slice: none).
-    fn params(&self) -> &'static [ParamSpec];
-    /// Check cross-parameter constraints after each key/value passed its
-    /// [`ParamSpec`] (e.g. "`seed` requires `victim=random`").  Return an
-    /// error message to reject the combination; the default accepts all.
-    fn validate_spec(&self, _spec: &SchedulerSpec) -> Result<(), String> {
-        Ok(())
-    }
+/// Implementations declare their parameters through the [`SpecFamily`]
+/// supertrait; the registry guarantees that `build` only ever sees specs
+/// whose keys and values passed those declarations (and
+/// [`SpecFamily::validate_spec`]), so `build` is infallible.
+pub trait PolicyFactory: SpecFamily {
     /// Build the policy for a machine with `cores` cores.
     fn build(&self, spec: &SchedulerSpec, cores: usize) -> Box<dyn SchedulerPolicy>;
 }
 
-/// Adapter letting the shared [`SpecTable`] read a policy factory's
-/// declarations (`PolicyFactory` keeps its own `name`/`doc`/`params` method
-/// names for source compatibility).
-impl SpecFamily for dyn PolicyFactory {
-    fn family_name(&self) -> &'static str {
-        self.name()
-    }
-    fn family_doc(&self) -> &'static str {
-        self.doc()
-    }
-    fn family_params(&self) -> &'static [ParamSpec] {
-        self.params()
-    }
-}
+/// The scheduler axis.
+pub enum SchedulerDomain {}
 
-/// A name-keyed set of [`PolicyFactory`] objects.
-///
-/// Almost all code uses the process-wide [`Registry::global`] instance, which
-/// the spec parser consults; separate instances exist only for tests.
-pub struct Registry {
-    factories: SpecTable<dyn PolicyFactory>,
-}
-
-impl Registry {
-    /// An empty registry (no built-ins).
-    pub fn empty() -> Self {
-        Registry {
-            factories: SpecTable::new(&SCHEDULER_VOCAB),
-        }
+impl Domain for SchedulerDomain {
+    type Factory = dyn PolicyFactory;
+    const VOCAB: &'static Vocab = &Vocab {
+        subject: "scheduler",
+        entity: "scheduler policy",
+        known_label: "known policies",
+    };
+    fn builtins() -> Vec<Arc<dyn PolicyFactory>> {
+        vec![
+            Arc::new(PdfFactory),
+            Arc::new(WsFactory),
+            Arc::new(StaticFactory),
+            Arc::new(HybridFactory),
+            Arc::new(AdaptiveFactory),
+        ]
     }
-
-    /// A registry pre-loaded with the built-in policies.
-    pub fn with_builtins() -> Self {
-        let reg = Self::empty();
-        reg.register(Arc::new(PdfFactory));
-        reg.register(Arc::new(WsFactory));
-        reg.register(Arc::new(StaticFactory));
-        reg.register(Arc::new(HybridFactory));
-        reg.register(Arc::new(AdaptiveFactory));
-        reg
-    }
-
-    /// The process-wide registry every spec parse resolves through.
-    pub fn global() -> &'static Registry {
+    fn global() -> &'static Registry {
         static GLOBAL: OnceLock<Registry> = OnceLock::new();
         GLOBAL.get_or_init(Registry::with_builtins)
     }
-
-    /// Add (or replace — last registration wins) a factory.  After this call,
-    /// `factory.name()` parses as a spec everywhere.
-    pub fn register(&self, factory: Arc<dyn PolicyFactory>) {
-        self.factories.register(factory);
-    }
-
-    /// The registered policy names, sorted.
-    pub fn names(&self) -> Vec<String> {
-        self.factories.names()
-    }
-
-    /// Look up one factory.
-    pub fn factory(&self, name: &str) -> Option<Arc<dyn PolicyFactory>> {
-        self.factories.get(name)
-    }
-
-    /// Validate a raw `(policy, params)` pair into a canonical
-    /// [`SchedulerSpec`]: the policy must be registered, every key declared,
-    /// and every value well-typed (values are canonicalised, e.g. `lag=007`
-    /// becomes `lag=7`).  The shared table checks names and declarations;
-    /// the factory's cross-parameter hook ([`PolicyFactory::validate_spec`])
-    /// runs on the canonical result.
-    pub fn validate(
-        &self,
-        policy: String,
-        params: BTreeMap<String, String>,
-    ) -> Result<SchedulerSpec, SpecError> {
-        let (factory, canonical) = self.factories.validate(policy, params)?;
-        let spec = SchedulerSpec::known_valid(factory.name(), canonical);
-        if let Err(message) = factory.validate_spec(&spec) {
-            return Err(SpecError::InvalidCombination {
-                policy: factory.name().to_string(),
-                message,
-            });
-        }
-        Ok(spec)
-    }
-
-    /// Build the policy object a spec describes for a `cores`-core machine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec's policy has been removed from the registry since
-    /// the spec was created (specs are validated at construction, so this is
-    /// the only failure mode).
-    pub fn build(&self, spec: &SchedulerSpec, cores: usize) -> Box<dyn SchedulerPolicy> {
-        let factory = self
-            .factory(spec.policy())
-            .unwrap_or_else(|| panic!("policy '{}' vanished from the registry", spec.policy()));
-        factory.build(spec, cores)
-    }
-
-    /// A human-readable listing of every registered policy and its parameters
-    /// (what a `--help` for the spec grammar prints).
-    pub fn help(&self) -> String {
-        self.factories.help()
-    }
 }
 
-/// Register a factory with the global registry (sugar over
-/// [`Registry::global`] + [`Registry::register`]).
-pub fn register(factory: Arc<dyn PolicyFactory>) {
-    Registry::global().register(factory);
-}
+/// The policy registry: almost all code uses its process-wide
+/// [`global`](pdfws_spec::Registry::global) instance, which the spec parser
+/// consults; separate instances exist only for tests.
+pub type Registry = pdfws_spec::Registry<SchedulerDomain>;
 
 // ---------------------------------------------------------------------------
 // Built-in factories.
@@ -179,7 +73,7 @@ pub fn register(factory: Arc<dyn PolicyFactory>) {
 
 struct PdfFactory;
 
-impl PolicyFactory for PdfFactory {
+impl SpecFamily for PdfFactory {
     fn name(&self) -> &'static str {
         "pdf"
     }
@@ -194,9 +88,12 @@ impl PolicyFactory for PdfFactory {
                   sequential frontier (omit for the classic unbounded policy)",
         }]
     }
+}
+
+impl PolicyFactory for PdfFactory {
     fn build(&self, spec: &SchedulerSpec, _cores: usize) -> Box<dyn SchedulerPolicy> {
-        let pdf = match spec.param("lag") {
-            Some(_) => PdfPolicy::with_lag(spec.u64_param("lag", 0)),
+        let pdf = match spec.u64_param("lag") {
+            Some(lag) => PdfPolicy::with_lag(lag),
             None => PdfPolicy::new(),
         };
         Box::new(pdf.named(spec.canonical()))
@@ -205,7 +102,7 @@ impl PolicyFactory for PdfFactory {
 
 struct WsFactory;
 
-impl PolicyFactory for WsFactory {
+impl SpecFamily for WsFactory {
     fn name(&self) -> &'static str {
         "ws"
     }
@@ -251,10 +148,13 @@ impl PolicyFactory for WsFactory {
             },
         ]
     }
-    fn validate_spec(&self, spec: &SchedulerSpec) -> Result<(), String> {
+    fn validate_spec(&self, spec: &Spec) -> Result<(), String> {
         seed_requires_random_victim(spec)?;
         cluster_requires_hier_victim(spec)
     }
+}
+
+impl PolicyFactory for WsFactory {
     fn build(&self, spec: &SchedulerSpec, cores: usize) -> Box<dyn SchedulerPolicy> {
         let (victim, steal, seed, steal_cycles, fail_backoff) = ws_options_of(spec);
         Box::new(
@@ -268,12 +168,14 @@ impl PolicyFactory for WsFactory {
 /// Decode the shared work-stealing parameters (`victim` — including the
 /// hierarchical geometry — `steal`, `seed`, and the steal prices) from a
 /// validated spec (used by the `ws`, `hybrid` and `adaptive` factories).
-fn ws_options_of(spec: &SchedulerSpec) -> (VictimSelect, StealGranularity, u64, u64, u64) {
+fn ws_options_of(spec: &Spec) -> (VictimSelect, StealGranularity, u64, u64, u64) {
     let victim = match spec.param("victim").unwrap_or("round-robin") {
         "random" => VictimSelect::Random,
         "nearest" => VictimSelect::Nearest,
         "hier" => VictimSelect::Hier {
-            cluster: spec.u64_param("cluster", crate::ws::DEFAULT_CLUSTER as u64) as usize,
+            cluster: spec
+                .u64_param("cluster")
+                .unwrap_or(crate::ws::DEFAULT_CLUSTER as u64) as usize,
         },
         _ => VictimSelect::RoundRobin,
     };
@@ -284,16 +186,16 @@ fn ws_options_of(spec: &SchedulerSpec) -> (VictimSelect, StealGranularity, u64, 
     (
         victim,
         steal,
-        spec.u64_param("seed", 0),
-        spec.u64_param("steal_cycles", 0),
-        spec.u64_param("fail_backoff", 0),
+        spec.u64_param("seed").unwrap_or(0),
+        spec.u64_param("steal_cycles").unwrap_or(0),
+        spec.u64_param("fail_backoff").unwrap_or(0),
     )
 }
 
 /// A `seed` with any victim strategy other than `random` would be silently
 /// inert while still producing a distinct spec string — reject it so identical
 /// runs cannot masquerade as different schedulers.
-fn seed_requires_random_victim(spec: &SchedulerSpec) -> Result<(), String> {
+fn seed_requires_random_victim(spec: &Spec) -> Result<(), String> {
     if spec.param("seed").is_some() && spec.param("victim") != Some("random") {
         return Err("'seed' only affects victim=random; add victim=random or drop seed".into());
     }
@@ -302,7 +204,7 @@ fn seed_requires_random_victim(spec: &SchedulerSpec) -> Result<(), String> {
 
 /// Same inert-parameter discipline for the hierarchical geometry: `cluster`
 /// only shapes the `hier` victim scan.
-fn cluster_requires_hier_victim(spec: &SchedulerSpec) -> Result<(), String> {
+fn cluster_requires_hier_victim(spec: &Spec) -> Result<(), String> {
     if spec.param("cluster").is_some() && spec.param("victim") != Some("hier") {
         return Err("'cluster' only affects victim=hier; add victim=hier or drop cluster".into());
     }
@@ -314,7 +216,7 @@ fn cluster_requires_hier_victim(spec: &SchedulerSpec) -> Result<(), String> {
 
 struct StaticFactory;
 
-impl PolicyFactory for StaticFactory {
+impl SpecFamily for StaticFactory {
     fn name(&self) -> &'static str {
         "static"
     }
@@ -324,6 +226,9 @@ impl PolicyFactory for StaticFactory {
     fn params(&self) -> &'static [ParamSpec] {
         &[]
     }
+}
+
+impl PolicyFactory for StaticFactory {
     fn build(&self, spec: &SchedulerSpec, cores: usize) -> Box<dyn SchedulerPolicy> {
         Box::new(StaticPartitionPolicy::new(cores).named(spec.canonical()))
     }
@@ -331,7 +236,7 @@ impl PolicyFactory for StaticFactory {
 
 struct HybridFactory;
 
-impl PolicyFactory for HybridFactory {
+impl SpecFamily for HybridFactory {
     fn name(&self) -> &'static str {
         "hybrid"
     }
@@ -379,12 +284,15 @@ impl PolicyFactory for HybridFactory {
             },
         ]
     }
-    fn validate_spec(&self, spec: &SchedulerSpec) -> Result<(), String> {
+    fn validate_spec(&self, spec: &Spec) -> Result<(), String> {
         seed_requires_random_victim(spec)?;
         cluster_requires_hier_victim(spec)
     }
+}
+
+impl PolicyFactory for HybridFactory {
     fn build(&self, spec: &SchedulerSpec, cores: usize) -> Box<dyn SchedulerPolicy> {
-        let threshold = spec.u64_param("threshold", 2 * cores as u64) as usize;
+        let threshold = spec.u64_param("threshold").unwrap_or(2 * cores as u64) as usize;
         let (victim, steal, seed, steal_cycles, fail_backoff) = ws_options_of(spec);
         Box::new(
             HybridPolicy::with_ws_options(cores, threshold, victim, steal, seed)
@@ -396,7 +304,7 @@ impl PolicyFactory for HybridFactory {
 
 struct AdaptiveFactory;
 
-impl PolicyFactory for AdaptiveFactory {
+impl SpecFamily for AdaptiveFactory {
     fn name(&self) -> &'static str {
         "adaptive"
     }
@@ -468,14 +376,14 @@ impl PolicyFactory for AdaptiveFactory {
             },
         ]
     }
-    fn validate_spec(&self, spec: &SchedulerSpec) -> Result<(), String> {
+    fn validate_spec(&self, spec: &Spec) -> Result<(), String> {
         seed_requires_random_victim(spec)?;
         cluster_requires_hier_victim(spec)?;
         if spec.param("window") == Some("0") {
             return Err("the feedback 'window' must be non-zero".into());
         }
-        let lo = f64_param(spec, "lo", crate::adaptive::DEFAULT_LO);
-        let hi = f64_param(spec, "hi", crate::adaptive::DEFAULT_HI);
+        let lo = spec.f64_param("lo").unwrap_or(crate::adaptive::DEFAULT_LO);
+        let hi = spec.f64_param("hi").unwrap_or(crate::adaptive::DEFAULT_HI);
         if lo > hi {
             return Err(format!(
                 "the pressure band needs lo <= hi, got lo={lo} hi={hi}"
@@ -483,13 +391,20 @@ impl PolicyFactory for AdaptiveFactory {
         }
         Ok(())
     }
+}
+
+impl PolicyFactory for AdaptiveFactory {
     fn build(&self, spec: &SchedulerSpec, cores: usize) -> Box<dyn SchedulerPolicy> {
         let config = AdaptiveConfig {
-            threshold: spec.u64_param("threshold", 2 * cores as u64) as usize,
-            window: spec.u64_param("window", crate::adaptive::DEFAULT_WINDOW),
-            step: spec.u64_param("step", crate::adaptive::DEFAULT_STEP as u64) as usize,
-            lo: f64_param(spec, "lo", crate::adaptive::DEFAULT_LO),
-            hi: f64_param(spec, "hi", crate::adaptive::DEFAULT_HI),
+            threshold: spec.u64_param("threshold").unwrap_or(2 * cores as u64) as usize,
+            window: spec
+                .u64_param("window")
+                .unwrap_or(crate::adaptive::DEFAULT_WINDOW),
+            step: spec
+                .u64_param("step")
+                .unwrap_or(crate::adaptive::DEFAULT_STEP as u64) as usize,
+            lo: spec.f64_param("lo").unwrap_or(crate::adaptive::DEFAULT_LO),
+            hi: spec.f64_param("hi").unwrap_or(crate::adaptive::DEFAULT_HI),
         };
         let (victim, steal, seed, steal_cycles, fail_backoff) = ws_options_of(spec);
         Box::new(
@@ -500,17 +415,11 @@ impl PolicyFactory for AdaptiveFactory {
     }
 }
 
-/// An `f64` parameter, or `default` if it was not given (the value parses by
-/// construction — validated as [`ParamKind::PositiveF64`]).
-fn f64_param(spec: &SchedulerSpec, key: &str, default: f64) -> f64 {
-    spec.param(key)
-        .map(|v| v.parse().expect("validated f64 parameter"))
-        .unwrap_or(default)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::make_policy;
+    use pdfws_spec::SpecErrorKind;
 
     #[test]
     fn global_registry_knows_the_builtins() {
@@ -537,7 +446,7 @@ mod tests {
             "adaptive:victim=hier,cluster=4,steal_cycles=64",
         ] {
             let spec: SchedulerSpec = s.parse().unwrap();
-            let policy = Registry::global().build(&spec, 4);
+            let policy = make_policy(&spec, 4);
             assert_eq!(policy.name(), spec.canonical(), "{s}");
         }
     }
@@ -562,7 +471,10 @@ mod tests {
     fn inert_cluster_and_bad_bands_are_rejected() {
         for s in ["ws:cluster=4", "hybrid:cluster=2", "adaptive:cluster=8"] {
             let err = s.parse::<SchedulerSpec>().unwrap_err();
-            assert!(matches!(err, SpecError::InvalidCombination { .. }), "{s}");
+            assert!(
+                matches!(err.kind, SpecErrorKind::InvalidCombination { .. }),
+                "{s}"
+            );
             assert!(err.to_string().contains("victim=hier"), "{err}");
         }
         let err = "ws:victim=hier,cluster=0"
@@ -581,7 +493,7 @@ mod tests {
     #[test]
     fn custom_factories_extend_the_spec_grammar() {
         struct Lifo;
-        impl PolicyFactory for Lifo {
+        impl SpecFamily for Lifo {
             fn name(&self) -> &'static str {
                 "test-lifo"
             }
@@ -591,15 +503,17 @@ mod tests {
             fn params(&self) -> &'static [ParamSpec] {
                 &[]
             }
+        }
+        impl PolicyFactory for Lifo {
             fn build(&self, spec: &SchedulerSpec, _cores: usize) -> Box<dyn SchedulerPolicy> {
                 // A LIFO stack is just the static policy on one queue for the
                 // purposes of this test; realism is not the point here.
                 Box::new(StaticPartitionPolicy::new(1).named(spec.canonical()))
             }
         }
-        register(Arc::new(Lifo));
+        Registry::global().register(Arc::new(Lifo));
         let spec: SchedulerSpec = "test-lifo".parse().unwrap();
-        assert_eq!(Registry::global().build(&spec, 8).name(), "test-lifo");
+        assert_eq!(make_policy(&spec, 8).name(), "test-lifo");
         // Unknown params still rejected for custom policies.
         let err = "test-lifo:x=1".parse::<SchedulerSpec>().unwrap_err();
         assert!(err.to_string().contains("takes no parameters"), "{err}");
@@ -609,9 +523,7 @@ mod tests {
     fn separate_registries_are_independent() {
         let reg = Registry::empty();
         assert!(reg.names().is_empty());
-        let err = reg
-            .validate("pdf".to_string(), BTreeMap::new())
-            .unwrap_err();
-        assert!(matches!(err, SpecError::UnknownPolicy { .. }));
+        let err = reg.parse("pdf").unwrap_err();
+        assert!(matches!(err.kind, SpecErrorKind::UnknownName { .. }));
     }
 }

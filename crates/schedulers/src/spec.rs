@@ -20,177 +20,32 @@
 //! by key and numeric values are normalised — so `to_string()` followed by
 //! `parse()` is the identity, and two equal specs render identically in
 //! reports and job-stream records.
-//!
-//! The serde derives are markers (see the vendored `serde` stand-in); actual
-//! serialization goes through the canonical string form, e.g. in
-//! `pdfws-stream`'s JSONL record path.
 
-use crate::registry::Registry;
-use serde::{Deserialize, Serialize};
+use crate::registry::SchedulerDomain;
+use pdfws_spec::{spec_type, Spec};
 use std::collections::BTreeMap;
-use std::fmt;
-use std::str::FromStr;
 
-/// A parsed, validated scheduler description: policy name + parameters.
-///
-/// Construct one with the named constructors ([`SchedulerSpec::pdf`],
-/// [`SchedulerSpec::ws`], ...), by parsing (`"ws:steal=half".parse()`), or via
-/// [`SchedulerSpec::with_param`].  Every constructor validates against the
-/// global [`Registry`], so a `SchedulerSpec` value is always resolvable into a
-/// policy object.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct SchedulerSpec {
-    policy: String,
-    /// Canonically sorted `key -> value` parameters (only the explicitly-given
-    /// ones; defaults are applied by the factory at build time).
-    params: BTreeMap<String, String>,
-}
+/// Errors from parsing or validating a [`SchedulerSpec`] (the shared
+/// [`pdfws_spec::SpecError`], worded with the scheduler vocabulary; match on
+/// its [`kind`](pdfws_spec::SpecError::kind)).
+pub type SpecError = pdfws_spec::SpecError;
 
-/// Errors from parsing or validating a [`SchedulerSpec`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SpecError {
-    /// The spec string was empty.
-    Empty,
-    /// The policy name is not in the registry.
-    UnknownPolicy {
-        /// The name that failed to resolve.
-        name: String,
-        /// Registered policy names at the time of the error.
-        known: Vec<String>,
-    },
-    /// The policy exists but has no such parameter.
-    UnknownParam {
-        /// The policy the parameter was given to.
-        policy: String,
-        /// The unknown key.
-        key: String,
-        /// The keys the policy does accept.
-        known: Vec<String>,
-    },
-    /// A parameter was not of the form `key=value`.
-    MalformedParam {
-        /// The offending fragment.
-        fragment: String,
-    },
-    /// The same key appeared twice.
-    DuplicateParam {
-        /// The repeated key.
-        key: String,
-    },
-    /// A combination of individually-valid parameters that the policy's
-    /// factory rejected (e.g. `seed` without `victim=random`).
-    InvalidCombination {
-        /// The policy that rejected the combination.
-        policy: String,
-        /// The factory's explanation.
-        message: String,
-    },
-    /// The value could not be parsed as the parameter's declared type.
-    InvalidValue {
-        /// The policy the parameter belongs to.
-        policy: String,
-        /// The parameter key.
-        key: String,
-        /// The rejected value.
-        value: String,
-        /// Human description of what was expected.
-        expected: String,
-    },
-}
-
-impl fmt::Display for SpecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SpecError::Empty => write!(f, "empty scheduler spec"),
-            SpecError::UnknownPolicy { name, known } => write!(
-                f,
-                "unknown scheduler policy '{name}'; known policies: {}",
-                known.join(", ")
-            ),
-            SpecError::UnknownParam { policy, key, known } => {
-                if known.is_empty() {
-                    write!(f, "scheduler '{policy}' takes no parameters, got '{key}'")
-                } else {
-                    write!(
-                        f,
-                        "scheduler '{policy}' has no parameter '{key}'; known parameters: {}",
-                        known.join(", ")
-                    )
-                }
-            }
-            SpecError::MalformedParam { fragment } => {
-                write!(f, "malformed parameter '{fragment}' (expected key=value)")
-            }
-            SpecError::DuplicateParam { key } => {
-                write!(f, "duplicate parameter '{key}' in scheduler spec")
-            }
-            SpecError::InvalidCombination { policy, message } => write!(
-                f,
-                "invalid parameter combination for scheduler '{policy}': {message}"
-            ),
-            SpecError::InvalidValue {
-                policy,
-                key,
-                value,
-                expected,
-            } => write!(
-                f,
-                "invalid value '{value}' for parameter '{key}' of scheduler '{policy}': expected {expected}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for SpecError {}
-
-/// Map the shared grammar/registry machinery's error into the scheduler
-/// domain's public error enum (`pdfws-spec` reports generic kinds; this enum
-/// is the crate's stable API and what tests pattern-match on).
-impl From<pdfws_spec::SpecError> for SpecError {
-    fn from(e: pdfws_spec::SpecError) -> Self {
-        use pdfws_spec::SpecErrorKind as K;
-        match e.kind {
-            K::Empty => SpecError::Empty,
-            K::UnknownName { name, known } => SpecError::UnknownPolicy { name, known },
-            K::UnknownParam { owner, key, known } => SpecError::UnknownParam {
-                policy: owner,
-                key,
-                known,
-            },
-            K::MalformedParam { fragment } => SpecError::MalformedParam { fragment },
-            K::DuplicateParam { key } => SpecError::DuplicateParam { key },
-            K::InvalidCombination { owner, message } => SpecError::InvalidCombination {
-                policy: owner,
-                message,
-            },
-            K::InvalidValue {
-                owner,
-                key,
-                value,
-                expected,
-            } => SpecError::InvalidValue {
-                policy: owner,
-                key,
-                value,
-                expected,
-            },
-        }
-    }
+spec_type! {
+    /// A parsed, validated scheduler description: policy name + parameters.
+    ///
+    /// Construct one with the named constructors ([`SchedulerSpec::pdf`],
+    /// [`SchedulerSpec::ws`], ...), by parsing (`"ws:steal=half".parse()`),
+    /// or via [`SchedulerSpec::with_param`].  Every constructor validates
+    /// against the global [`Registry`](crate::Registry), so a
+    /// `SchedulerSpec` value is always resolvable into a policy object.
+    pub struct SchedulerSpec(SchedulerDomain);
 }
 
 impl SchedulerSpec {
-    /// Internal: build a spec that is already known valid (used by the named
-    /// constructors and by the registry after validation).
+    /// Internal: a spec that is already known valid (the named constructors
+    /// and the policies' canonical-name synthesis).
     pub(crate) fn known_valid(policy: &str, params: BTreeMap<String, String>) -> Self {
-        SchedulerSpec {
-            policy: policy.to_string(),
-            params,
-        }
-    }
-
-    /// Parse and validate a spec string (same as `s.parse()`).
-    pub fn parse(s: &str) -> Result<Self, SpecError> {
-        s.parse()
+        SchedulerSpec(Spec::known_valid(policy, params))
     }
 
     /// The classic Parallel Depth First policy (no parameters).
@@ -233,72 +88,18 @@ impl SchedulerSpec {
     pub fn paper_pair() -> [SchedulerSpec; 2] {
         [Self::pdf(), Self::ws()]
     }
-
-    /// The registry key this spec resolves through ("pdf", "ws", ...).
-    pub fn policy(&self) -> &str {
-        &self.policy
-    }
-
-    /// The explicitly-given parameters, in canonical (sorted-by-key) order.
-    pub fn params(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.params.iter().map(|(k, v)| (k.as_str(), v.as_str()))
-    }
-
-    /// The raw value of one parameter, if it was given.
-    pub fn param(&self, key: &str) -> Option<&str> {
-        self.params.get(key).map(String::as_str)
-    }
-
-    /// A `u64` parameter, or `default` if it was not given.  The value parses
-    /// by construction (validated against the registry's [`ParamKind::U64`]
-    /// declaration when the spec was created).
-    ///
-    /// [`ParamKind::U64`]: crate::registry::ParamKind::U64
-    pub fn u64_param(&self, key: &str, default: u64) -> u64 {
-        self.param(key)
-            .map(|v| v.parse().expect("validated u64 parameter"))
-            .unwrap_or(default)
-    }
-
-    /// Add or replace one parameter, revalidating the result.  Consumes and
-    /// returns the spec so calls chain.
-    pub fn with_param(mut self, key: &str, value: &str) -> Result<Self, SpecError> {
-        self.params.insert(key.to_string(), value.to_string());
-        Registry::global().validate(self.policy.clone(), self.params)
-    }
-
-    /// The canonical string form (what [`fmt::Display`] prints): reports,
-    /// tables and job-stream records all carry this, so two differently
-    /// parameterized instances of the same policy stay distinguishable.
-    pub fn canonical(&self) -> String {
-        self.to_string()
-    }
-}
-
-impl fmt::Display for SchedulerSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        pdfws_spec::format_spec(f, &self.policy, &self.params)
-    }
-}
-
-impl FromStr for SchedulerSpec {
-    type Err = SpecError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let (policy, params) = pdfws_spec::parse_spec(s, &crate::registry::SCHEDULER_VOCAB)?;
-        Registry::global().validate(policy, params)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pdfws_spec::SpecErrorKind;
 
     #[test]
     fn bare_policy_names_parse_and_display() {
         for name in ["pdf", "ws", "static", "hybrid"] {
             let spec: SchedulerSpec = name.parse().unwrap();
-            assert_eq!(spec.policy(), name);
+            assert_eq!(spec.name(), name);
             assert_eq!(spec.to_string(), name);
         }
     }
@@ -318,7 +119,7 @@ mod tests {
         let b: SchedulerSpec = "pdf:lag=7".parse().unwrap();
         assert_eq!(a, b);
         assert_eq!(a.to_string(), "pdf:lag=7");
-        assert_eq!(a.u64_param("lag", 0), 7);
+        assert_eq!(a.u64_param("lag"), Some(7));
     }
 
     #[test]
@@ -356,10 +157,16 @@ mod tests {
     #[test]
     fn malformed_and_duplicate_params_are_rejected() {
         let err = "ws:steal".parse::<SchedulerSpec>().unwrap_err();
-        assert!(matches!(err, SpecError::MalformedParam { .. }), "{err}");
+        assert!(
+            matches!(err.kind, SpecErrorKind::MalformedParam { .. }),
+            "{err}"
+        );
         assert!(err.to_string().contains("expected key=value"), "{err}");
         let err = "ws:seed=1,seed=2".parse::<SchedulerSpec>().unwrap_err();
-        assert!(matches!(err, SpecError::DuplicateParam { .. }), "{err}");
+        assert!(
+            matches!(err.kind, SpecErrorKind::DuplicateParam { .. }),
+            "{err}"
+        );
     }
 
     #[test]
@@ -377,7 +184,10 @@ mod tests {
     #[test]
     fn inert_parameter_combinations_are_rejected() {
         let err = "ws:seed=7".parse::<SchedulerSpec>().unwrap_err();
-        assert!(matches!(err, SpecError::InvalidCombination { .. }), "{err}");
+        assert!(
+            matches!(err.kind, SpecErrorKind::InvalidCombination { .. }),
+            "{err}"
+        );
         assert!(err.to_string().contains("victim=random"), "{err}");
         let err = "hybrid:threshold=2,seed=7"
             .parse::<SchedulerSpec>()
@@ -392,12 +202,11 @@ mod tests {
 
     #[test]
     fn empty_specs_are_rejected() {
-        assert_eq!("".parse::<SchedulerSpec>().unwrap_err(), SpecError::Empty);
-        assert_eq!("  ".parse::<SchedulerSpec>().unwrap_err(), SpecError::Empty);
-        assert_eq!(
-            ":lag=1".parse::<SchedulerSpec>().unwrap_err(),
-            SpecError::Empty
-        );
+        for raw in ["", "  ", ":lag=1"] {
+            let err = raw.parse::<SchedulerSpec>().unwrap_err();
+            assert_eq!(err.kind, SpecErrorKind::Empty, "{raw:?}");
+            assert_eq!(err.to_string(), "empty scheduler spec");
+        }
     }
 
     #[test]
@@ -405,7 +214,7 @@ mod tests {
         let spec = SchedulerSpec::ws().with_param("steal", "half").unwrap();
         assert_eq!(spec.to_string(), "ws:steal=half");
         let err = SchedulerSpec::ws().with_param("steal", "most").unwrap_err();
-        assert!(matches!(err, SpecError::InvalidValue { .. }));
+        assert!(matches!(err.kind, SpecErrorKind::InvalidValue { .. }));
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //!
 //! * [`ArrivalSpec`] — the workspace's **fifth** string-addressable axis
 //!   (after schedulers, workloads, memory systems, and cache modes): an
-//!   extensible registry of arrival processes.  `poisson:rate=40` and
-//!   `uniform:gap=25000` bridge to the stream backend's native processes;
+//!   extensible registry of arrival processes, defined in `pdfws-stream`
+//!   (the stream backend consumes the same specs) and re-exported here.
+//!   `poisson:rate=40` and `uniform:gap=25000` are the classic open loops;
 //!   `pareto:alpha=1.5,rate=40` draws heavy-tailed inter-arrival gaps;
 //!   `burst:period=400000,duty=0.25,hi=160,lo=10` and
 //!   `diurnal:period=2000000,mean=40,amp=0.8` modulate a Poisson process by
@@ -30,15 +31,12 @@
 //! (P² quantiles), so a 10⁷-job day costs the same memory as a 10²-job
 //! smoke test.
 
-pub mod arrival_spec;
 pub mod autoscale;
 pub mod server;
 pub mod tenant;
 
-pub use arrival_spec::{
-    register as register_arrival, ArrivalFactory, ArrivalGen, ArrivalRegistry, ArrivalSpec,
-};
 pub use autoscale::{AutoscalePolicy, Autoscaler};
+pub use pdfws_stream::{ArrivalDomain, ArrivalFactory, ArrivalGen, ArrivalRegistry, ArrivalSpec};
 pub use server::{
     run_serve, run_serve_traced, validate_serve_cfg, ServeConfig, ServeReport, TenantReport,
 };

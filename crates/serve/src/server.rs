@@ -35,12 +35,12 @@
 //! per-job statistics fold into constant-size [`StreamingQuantiles`], so
 //! memory use is independent of the job count.
 
-use crate::arrival_spec::ArrivalSpec;
 use crate::autoscale::{AutoscalePolicy, Autoscaler};
 use crate::tenant::TenantSpec;
 use pdfws_cmp_model::{default_config, CmpConfig, MemSysParams, ModelError};
 use pdfws_metrics::{P2Quantile, Quantiles, Series, StreamingQuantiles, Table};
 use pdfws_schedulers::{make_policy, SchedulerSpec, SimEngine, SimOptions};
+use pdfws_stream::ArrivalSpec;
 use pdfws_trace::{TraceEvent, TraceSink};
 use pdfws_workloads::{WorkloadRegistry, WorkloadSpec};
 use rand::rngs::StdRng;

@@ -1,12 +1,12 @@
 //! `pdfws-spec` — the shared machinery behind every string-addressable spec
 //! axis in the workspace.
 //!
-//! Two of the experiment axes are open registries addressed by strings of the
-//! same shape: `name:key=value,key=value` — scheduler specs
-//! (`ws:steal=half,victim=random`, resolved by `pdfws-schedulers`) and
-//! workload specs (`mergesort:grain=64,n=262144`, resolved by
-//! `pdfws-workloads`).  This crate holds the domain-independent half both are
-//! built on:
+//! Five experiment axes are open registries addressed by strings of the same
+//! shape, `name:key=value,key=value`: scheduler policies
+//! (`ws:steal=half,victim=random`), workloads (`mergesort:grain=64,n=262144`),
+//! memory-system models (`bus:dram:banks=16`), cache modes (`sampled:rate=16`)
+//! and arrival processes (`pareto:alpha=1.5,rate=80`).  Everything name- and
+//! parameter-shaped is written once, here:
 //!
 //! * the **grammar** — [`parse_spec`] splits, trims, and rejects malformed or
 //!   duplicated `key=value` fragments; [`format_spec`] prints the canonical
@@ -15,17 +15,21 @@
 //! * **typed parameters** — [`ParamSpec`] declares one parameter's key, value
 //!   type ([`ParamKind`]) and help line, so registries can type-check values
 //!   (and normalise them: `lag=007` → `lag=7`) before anything is built;
-//! * the **registry substrate** — [`SpecTable`] maps names to factories
-//!   implementing [`SpecFamily`], validates raw `(name, params)` pairs
-//!   against their declarations, and renders the `--list` help text;
+//! * the **spec value** — [`Spec`]: a validated name plus canonical
+//!   parameters, with typed accessors and the canonical `Display`;
+//! * the **registry** — [`Registry<D>`] maps names to factories for one
+//!   [`Domain`]: parse → declared-parameter check → factory cross-check
+//!   ([`SpecFamily::validate_spec`]), registration, lookup, and the `--list`
+//!   help text;
 //! * **errors** — [`SpecError`] carries a [`Vocab`] word pack so the same
 //!   machinery reports "unknown scheduler policy 'x'; known policies: …" in
-//!   one domain and "unknown workload 'x'; known workloads: …" in the other.
+//!   one domain and "unknown workload 'x'; known workloads: …" in another.
 //!
-//! Domain crates keep their own spec types (`SchedulerSpec`, `WorkloadSpec`)
-//! and factory traits (which add the domain `build` method and cross-parameter
-//! validation hooks); everything name- and parameter-shaped routes through
-//! here.
+//! A domain crate supplies only what is its own: a [`Domain`] marker (vocab,
+//! factory object type, built-ins, process-wide instance), a factory trait
+//! with [`SpecFamily`] as supertrait plus its domain method (`build`,
+//! `memsys_params`, `generator`, …), the built-in factories, and a spec type
+//! declared with [`spec_type!`] that holds its named constructors.
 //!
 //! ```
 //! use pdfws_spec::{parse_spec, Vocab};
@@ -127,7 +131,7 @@ pub struct ParamSpec {
     pub key: &'static str,
     /// Value type and constraints.
     pub kind: ParamKind,
-    /// One-line description, shown by [`SpecTable::help`].
+    /// One-line description, shown by [`Registry::help`].
     pub doc: &'static str,
 }
 
@@ -261,7 +265,7 @@ impl std::error::Error for SpecError {}
 /// Whitespace around the name, keys and values is tolerated; malformed
 /// fragments, duplicated keys and empty names are rejected.  Validation of the
 /// name and the parameter values against declarations is the registry's job
-/// ([`SpecTable::validate`]).
+/// ([`Registry::validate`]).
 pub fn parse_spec(
     s: &str,
     vocab: &'static Vocab,
@@ -319,49 +323,143 @@ pub fn format_spec(
     Ok(())
 }
 
-/// What a registry needs to know about a factory: its name and declared
-/// parameters.  Domain factory traits (`PolicyFactory`, `WorkloadFactory`)
-/// keep their own `name`/`doc`/`params` methods for source compatibility and
-/// forward them to this trait from an `impl SpecFamily for dyn …Factory`.
+/// A validated spec: a registered name plus its canonical parameters (only
+/// the explicitly-given ones, sorted by key, values normalised; defaults are
+/// the factory's business).
+///
+/// Every domain's spec type derefs to this (see [`spec_type!`]), so the
+/// accessors below are shared by all five axes.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct Spec {
+    name: String,
+    params: BTreeMap<String, String>,
+}
+
+impl Spec {
+    /// A spec the caller vouches for without consulting a registry: named
+    /// constructors of already-valid values, and ad-hoc names that are not
+    /// registered (such a spec renders and compares, but does not re-parse).
+    pub fn known_valid(name: impl Into<String>, params: BTreeMap<String, String>) -> Self {
+        Spec {
+            name: name.into(),
+            params,
+        }
+    }
+
+    /// The registry key this spec resolves through (`"ws"`, `"mergesort"`).
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The explicitly-given parameters, in canonical (sorted-by-key) order.
+    pub fn params(&self) -> impl Iterator<Item = (&str, &str)> {
+        self.params.iter().map(|(k, v)| (k.as_str(), v.as_str()))
+    }
+
+    /// The raw value of one parameter, if it was given.
+    pub fn param(&self, key: &str) -> Option<&str> {
+        self.params.get(key).map(String::as_str)
+    }
+
+    /// A `u64` parameter, if given.  The value parses by construction
+    /// (validated against a [`ParamKind::U64`] declaration).
+    pub fn u64_param(&self, key: &str) -> Option<u64> {
+        self.param(key)
+            .map(|v| v.parse().expect("validated u64 parameter"))
+    }
+
+    /// A real-valued parameter, if given.  The value parses by construction
+    /// (validated as [`ParamKind::Fraction`] or [`ParamKind::PositiveF64`];
+    /// `inf` is a legal positive value).
+    pub fn f64_param(&self, key: &str) -> Option<f64> {
+        self.param(key)
+            .map(|v| v.parse().expect("validated f64 parameter"))
+    }
+
+    /// The canonical string form (what [`fmt::Display`] prints): reports,
+    /// tables and records all carry this, so two differently parameterized
+    /// instances of the same name stay distinguishable.
+    pub fn canonical(&self) -> String {
+        self.to_string()
+    }
+}
+
+impl fmt::Display for Spec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        format_spec(f, &self.name, &self.params)
+    }
+}
+
+/// What a registry needs to know about a factory: its name, its declared
+/// parameters, and its cross-parameter check.  Every domain's factory trait
+/// takes this as a supertrait and adds the domain method.
 pub trait SpecFamily: Send + Sync {
     /// The registry key; also the spec's name component.
-    fn family_name(&self) -> &'static str;
-    /// One-line description, shown by [`SpecTable::help`].
-    fn family_doc(&self) -> &'static str;
+    fn name(&self) -> &'static str;
+    /// One-line description, shown by [`Registry::help`].
+    fn doc(&self) -> &'static str;
     /// The parameters this factory accepts (empty slice: none).
-    fn family_params(&self) -> &'static [ParamSpec];
+    fn params(&self) -> &'static [ParamSpec];
+    /// Check cross-parameter constraints after each key/value passed its
+    /// [`ParamSpec`] (e.g. "`seed` requires `victim=random`").  Return an
+    /// error message to reject the combination; the default accepts all.
+    fn validate_spec(&self, _spec: &Spec) -> Result<(), String> {
+        Ok(())
+    }
 }
 
-/// The name-keyed factory table both domain registries wrap: registration,
-/// lookup, declared-parameter validation and help-text rendering.
+/// One spec axis: the type parameter of its [`Registry`].
+pub trait Domain: Sized + 'static {
+    /// The domain's factory object type (e.g. `dyn PolicyFactory`).
+    type Factory: SpecFamily + ?Sized;
+    /// The domain's error wording.
+    const VOCAB: &'static Vocab;
+    /// The factories a [`Registry::with_builtins`] starts with.
+    fn builtins() -> Vec<Arc<Self::Factory>>;
+    /// The process-wide registry every spec parse resolves through (a
+    /// `OnceLock` holding [`Registry::with_builtins`] in the domain crate).
+    fn global() -> &'static Registry<Self>;
+}
+
+/// A name-keyed set of factories for one [`Domain`]: registration, lookup,
+/// parsing and validation, and help-text rendering.
 ///
-/// `F` is the domain's factory object type (e.g. `dyn PolicyFactory`); it must
-/// implement [`SpecFamily`] so the table can read declarations.
-pub struct SpecTable<F: SpecFamily + ?Sized> {
-    vocab: &'static Vocab,
-    entries: RwLock<BTreeMap<&'static str, Arc<F>>>,
+/// Almost all code uses the process-wide [`Registry::global`] instance, which
+/// the domain's spec parser consults; separate instances exist for tests.
+pub struct Registry<D: Domain> {
+    entries: RwLock<BTreeMap<&'static str, Arc<D::Factory>>>,
 }
 
-impl<F: SpecFamily + ?Sized> SpecTable<F> {
-    /// An empty table for the given domain.
-    pub fn new(vocab: &'static Vocab) -> Self {
-        SpecTable {
-            vocab,
+impl<D: Domain> Registry<D> {
+    /// An empty registry (no built-ins).
+    pub fn empty() -> Self {
+        Registry {
             entries: RwLock::new(BTreeMap::new()),
         }
     }
 
-    /// The domain's word pack (for callers building their own errors).
-    pub fn vocab(&self) -> &'static Vocab {
-        self.vocab
+    /// A registry pre-loaded with the domain's built-in factories.
+    pub fn with_builtins() -> Self {
+        let reg = Self::empty();
+        for factory in D::builtins() {
+            reg.register(factory);
+        }
+        reg
     }
 
-    /// Add (or replace — last registration wins) a factory.
-    pub fn register(&self, factory: Arc<F>) {
+    /// The process-wide registry of the domain.
+    pub fn global() -> &'static Self {
+        D::global()
+    }
+
+    /// Add (or replace — last registration wins) a factory.  After this call
+    /// on the global registry, `factory.name()` parses everywhere a spec of
+    /// the domain is accepted.
+    pub fn register(&self, factory: Arc<D::Factory>) {
         self.entries
             .write()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert(factory.family_name(), factory);
+            .insert(factory.name(), factory);
     }
 
     /// The registered names, sorted.
@@ -375,7 +473,7 @@ impl<F: SpecFamily + ?Sized> SpecTable<F> {
     }
 
     /// Look up one factory.
-    pub fn get(&self, name: &str) -> Option<Arc<F>> {
+    pub fn factory(&self, name: &str) -> Option<Arc<D::Factory>> {
         self.entries
             .read()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -383,25 +481,53 @@ impl<F: SpecFamily + ?Sized> SpecTable<F> {
             .cloned()
     }
 
-    /// Validate a raw `(name, params)` pair against the named factory's
-    /// declarations: the name must be registered, every key declared, and
-    /// every value well-typed.  Returns the factory and the canonicalised
-    /// parameters (e.g. `lag=007` → `lag=7`); cross-parameter constraints are
-    /// the caller's (domain's) job.
-    #[allow(clippy::type_complexity)]
+    /// The factory a validated spec resolves through.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec's name is not (or no longer) registered — parsed
+    /// specs are validated at construction, so this only affects specs built
+    /// with [`Spec::known_valid`] for unregistered names.
+    pub fn resolve(&self, spec: &Spec) -> Arc<D::Factory> {
+        self.factory(spec.name()).unwrap_or_else(|| {
+            panic!(
+                "{} '{}' vanished from the registry",
+                D::VOCAB.entity,
+                spec.name()
+            )
+        })
+    }
+
+    /// Parse and validate a spec string.
+    pub fn parse(&self, s: &str) -> Result<Spec, SpecError> {
+        let (name, params) = parse_spec(s, D::VOCAB)?;
+        self.validate(name, params)
+    }
+
+    /// Add or replace one parameter of `spec`, revalidating the result.
+    pub fn with_param(&self, spec: Spec, key: &str, value: &str) -> Result<Spec, SpecError> {
+        let Spec { name, mut params } = spec;
+        params.insert(key.to_string(), value.to_string());
+        self.validate(name, params)
+    }
+
+    /// Validate a raw `(name, params)` pair into a canonical [`Spec`]: the
+    /// name must be registered, every key declared, every value well-typed
+    /// (values are canonicalised, e.g. `lag=007` becomes `lag=7`), and the
+    /// factory's [`SpecFamily::validate_spec`] must accept the result.
     pub fn validate(
         &self,
         name: String,
         params: BTreeMap<String, String>,
-    ) -> Result<(Arc<F>, BTreeMap<String, String>), SpecError> {
-        let err = |kind| Err(SpecError::new(self.vocab, kind));
-        let Some(factory) = self.get(&name) else {
+    ) -> Result<Spec, SpecError> {
+        let err = |kind| Err(SpecError::new(D::VOCAB, kind));
+        let Some(factory) = self.factory(&name) else {
             return err(SpecErrorKind::UnknownName {
                 name,
                 known: self.names(),
             });
         };
-        let declared = factory.family_params();
+        let declared = factory.params();
         let mut canonical = BTreeMap::new();
         for (key, value) in params {
             let Some(decl) = declared.iter().find(|p| p.key == key) else {
@@ -425,7 +551,14 @@ impl<F: SpecFamily + ?Sized> SpecTable<F> {
                 }
             }
         }
-        Ok((factory, canonical))
+        let spec = Spec::known_valid(factory.name(), canonical);
+        if let Err(message) = factory.validate_spec(&spec) {
+            return err(SpecErrorKind::InvalidCombination {
+                owner: factory.name().to_string(),
+                message,
+            });
+        }
+        Ok(spec)
     }
 
     /// A human-readable listing of every registered factory and its
@@ -437,12 +570,8 @@ impl<F: SpecFamily + ?Sized> SpecTable<F> {
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         let mut out = String::new();
         for factory in entries.values() {
-            out.push_str(&format!(
-                "{:<8} {}\n",
-                factory.family_name(),
-                factory.family_doc()
-            ));
-            for p in factory.family_params() {
+            out.push_str(&format!("{:<8} {}\n", factory.name(), factory.doc()));
+            for p in factory.params() {
                 out.push_str(&format!(
                     "  {}=<{}>  {}\n",
                     p.key,
@@ -455,35 +584,130 @@ impl<F: SpecFamily + ?Sized> SpecTable<F> {
     }
 }
 
-impl<F: SpecFamily + ?Sized> fmt::Debug for SpecTable<F> {
+impl<D: Domain> fmt::Debug for Registry<D> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SpecTable")
-            .field("subject", &self.vocab.subject)
+        f.debug_struct("Registry")
+            .field("subject", &D::VOCAB.subject)
             .field("names", &self.names())
             .finish()
     }
 }
 
+/// Declare a domain's spec type: a newtype over [`Spec`] that derefs to it
+/// (so the shared accessors apply), displays canonically, parses through
+/// the domain's global [`Registry`], and revalidates on `with_param`.  The
+/// domain adds its named constructors in its own `impl` block.
+///
+/// ```
+/// use pdfws_spec::{spec_type, Domain, ParamSpec, Registry, SpecFamily, Vocab};
+/// use std::sync::{Arc, OnceLock};
+///
+/// pub enum Shapes {}
+///
+/// struct Square;
+/// impl SpecFamily for Square {
+///     fn name(&self) -> &'static str { "square" }
+///     fn doc(&self) -> &'static str { "a square" }
+///     fn params(&self) -> &'static [ParamSpec] { &[] }
+/// }
+///
+/// impl Domain for Shapes {
+///     type Factory = dyn SpecFamily;
+///     const VOCAB: &'static Vocab =
+///         &Vocab { subject: "shape", entity: "shape", known_label: "known shapes" };
+///     fn builtins() -> Vec<Arc<dyn SpecFamily>> { vec![Arc::new(Square)] }
+///     fn global() -> &'static Registry<Shapes> {
+///         static GLOBAL: OnceLock<Registry<Shapes>> = OnceLock::new();
+///         GLOBAL.get_or_init(Registry::with_builtins)
+///     }
+/// }
+///
+/// spec_type! {
+///     /// Which shape.
+///     pub struct ShapeSpec(Shapes);
+/// }
+///
+/// let spec: ShapeSpec = "square".parse().unwrap();
+/// assert_eq!(spec.name(), "square");
+/// let err = "circle".parse::<ShapeSpec>().unwrap_err();
+/// assert_eq!(err.to_string(), "unknown shape 'circle'; known shapes: square");
+/// ```
+#[macro_export]
+macro_rules! spec_type {
+    ($(#[$attr:meta])* $vis:vis struct $name:ident($domain:ty);) => {
+        $(#[$attr])*
+        #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+        $vis struct $name($crate::Spec);
+
+        impl $name {
+            /// Add or replace one parameter, revalidating the result.
+            /// Consumes and returns the spec so calls chain.
+            pub fn with_param(self, key: &str, value: &str) -> Result<Self, $crate::SpecError> {
+                $crate::Registry::<$domain>::global()
+                    .with_param(self.0, key, value)
+                    .map($name)
+            }
+        }
+
+        impl ::std::ops::Deref for $name {
+            type Target = $crate::Spec;
+            fn deref(&self) -> &$crate::Spec {
+                &self.0
+            }
+        }
+
+        impl ::std::fmt::Display for $name {
+            fn fmt(&self, f: &mut ::std::fmt::Formatter<'_>) -> ::std::fmt::Result {
+                ::std::fmt::Display::fmt(&self.0, f)
+            }
+        }
+
+        impl ::std::str::FromStr for $name {
+            type Err = $crate::SpecError;
+            fn from_str(s: &str) -> Result<Self, $crate::SpecError> {
+                $crate::Registry::<$domain>::global().parse(s).map($name)
+            }
+        }
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
 
-    static TEST_VOCAB: Vocab = Vocab {
-        subject: "widget",
-        entity: "widget kind",
-        known_label: "known widgets",
-    };
+    enum Widgets {}
+
+    impl Domain for Widgets {
+        type Factory = dyn SpecFamily;
+        const VOCAB: &'static Vocab = &Vocab {
+            subject: "widget",
+            entity: "widget kind",
+            known_label: "known widgets",
+        };
+        fn builtins() -> Vec<Arc<dyn SpecFamily>> {
+            vec![Arc::new(Gear)]
+        }
+        fn global() -> &'static Registry<Widgets> {
+            static GLOBAL: OnceLock<Registry<Widgets>> = OnceLock::new();
+            GLOBAL.get_or_init(Registry::with_builtins)
+        }
+    }
+
+    spec_type! {
+        struct WidgetSpec(Widgets);
+    }
 
     #[derive(Debug)]
     struct Gear;
     impl SpecFamily for Gear {
-        fn family_name(&self) -> &'static str {
+        fn name(&self) -> &'static str {
             "gear"
         }
-        fn family_doc(&self) -> &'static str {
+        fn doc(&self) -> &'static str {
             "a test factory"
         }
-        fn family_params(&self) -> &'static [ParamSpec] {
+        fn params(&self) -> &'static [ParamSpec] {
             &[
                 ParamSpec {
                     key: "teeth",
@@ -507,18 +731,23 @@ mod tests {
                 },
             ]
         }
+        fn validate_spec(&self, spec: &Spec) -> Result<(), String> {
+            if spec.u64_param("teeth") == Some(0) {
+                return Err("a gear needs teeth".into());
+            }
+            Ok(())
+        }
     }
 
-    fn table() -> SpecTable<Gear> {
-        let t = SpecTable::new(&TEST_VOCAB);
-        t.register(Arc::new(Gear));
-        t
+    const VOCAB: &Vocab = Widgets::VOCAB;
+
+    fn table() -> &'static Registry<Widgets> {
+        Registry::global()
     }
 
     #[test]
     fn grammar_splits_and_trims() {
-        let (name, params) =
-            parse_spec(" gear : teeth = 12 , metal = brass ", &TEST_VOCAB).unwrap();
+        let (name, params) = parse_spec(" gear : teeth = 12 , metal = brass ", VOCAB).unwrap();
         assert_eq!(name, "gear");
         assert_eq!(params.get("teeth").map(String::as_str), Some("12"));
         assert_eq!(params.get("metal").map(String::as_str), Some("brass"));
@@ -526,40 +755,36 @@ mod tests {
 
     #[test]
     fn grammar_rejects_empty_malformed_and_duplicates() {
-        let e = parse_spec("  ", &TEST_VOCAB).unwrap_err();
+        let e = parse_spec("  ", VOCAB).unwrap_err();
         assert_eq!(e.kind, SpecErrorKind::Empty);
         assert_eq!(e.to_string(), "empty widget spec");
-        let e = parse_spec(":x=1", &TEST_VOCAB).unwrap_err();
+        let e = parse_spec(":x=1", VOCAB).unwrap_err();
         assert_eq!(e.kind, SpecErrorKind::Empty);
-        let e = parse_spec("gear:teeth", &TEST_VOCAB).unwrap_err();
+        let e = parse_spec("gear:teeth", VOCAB).unwrap_err();
         assert!(matches!(e.kind, SpecErrorKind::MalformedParam { .. }));
         assert!(e.to_string().contains("expected key=value"), "{e}");
-        let e = parse_spec("gear:teeth=1,teeth=2", &TEST_VOCAB).unwrap_err();
+        let e = parse_spec("gear:teeth=1,teeth=2", VOCAB).unwrap_err();
         assert!(matches!(e.kind, SpecErrorKind::DuplicateParam { .. }));
         assert!(e.to_string().contains("in widget spec"), "{e}");
     }
 
     #[test]
     fn validate_canonicalises_typed_values() {
-        let t = table();
-        let (name, raw) = parse_spec("gear:teeth=007,bias=0.50", &TEST_VOCAB).unwrap();
-        let (_, canonical) = t.validate(name, raw).unwrap();
-        assert_eq!(canonical.get("teeth").map(String::as_str), Some("7"));
-        assert_eq!(canonical.get("bias").map(String::as_str), Some("0.5"));
+        let spec = table().parse("gear:teeth=007,bias=0.50").unwrap();
+        assert_eq!(spec.param("teeth"), Some("7"));
+        assert_eq!(spec.u64_param("teeth"), Some(7));
+        assert_eq!(spec.f64_param("bias"), Some(0.5));
+        assert_eq!(spec.to_string(), "gear:bias=0.5,teeth=7");
     }
 
     #[test]
     fn positive_f64_accepts_positive_reals_and_infinity_only() {
-        let t = table();
-        let (name, raw) = parse_spec("gear:width=2.50", &TEST_VOCAB).unwrap();
-        let (_, canonical) = t.validate(name, raw).unwrap();
-        assert_eq!(canonical.get("width").map(String::as_str), Some("2.5"));
-        let (name, raw) = parse_spec("gear:width=inf", &TEST_VOCAB).unwrap();
-        let (_, canonical) = t.validate(name, raw).unwrap();
-        assert_eq!(canonical.get("width").map(String::as_str), Some("inf"));
+        let spec = table().parse("gear:width=2.50").unwrap();
+        assert_eq!(spec.param("width"), Some("2.5"));
+        let spec = table().parse("gear:width=inf").unwrap();
+        assert_eq!(spec.f64_param("width"), Some(f64::INFINITY));
         for bad in ["0", "-1", "NaN", "wide"] {
-            let (name, raw) = parse_spec(&format!("gear:width={bad}"), &TEST_VOCAB).unwrap();
-            let e = t.validate(name, raw).unwrap_err();
+            let e = table().parse(&format!("gear:width={bad}")).unwrap_err();
             assert!(e.to_string().contains("a positive real number"), "{e}");
         }
     }
@@ -572,19 +797,42 @@ mod tests {
             e.to_string(),
             "unknown widget kind 'sprocket'; known widgets: gear"
         );
-        let (name, raw) = parse_spec("gear:size=3", &TEST_VOCAB).unwrap();
-        let e = t.validate(name, raw).unwrap_err();
+        let e = t.parse("gear:size=3").unwrap_err();
         assert!(
             e.to_string()
                 .starts_with("widget 'gear' has no parameter 'size'"),
             "{e}"
         );
-        let (name, raw) = parse_spec("gear:bias=1.5", &TEST_VOCAB).unwrap();
-        let e = t.validate(name, raw).unwrap_err();
+        let e = t.parse("gear:bias=1.5").unwrap_err();
         assert!(e.to_string().contains("a fraction between 0 and 1"), "{e}");
-        let (name, raw) = parse_spec("gear:metal=wood", &TEST_VOCAB).unwrap();
-        let e = t.validate(name, raw).unwrap_err();
+        let e = t.parse("gear:metal=wood").unwrap_err();
         assert!(e.to_string().contains("one of steel, brass"), "{e}");
+        let e = t.parse("gear:teeth=0").unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "invalid parameter combination for widget 'gear': a gear needs teeth"
+        );
+    }
+
+    #[test]
+    fn spec_types_parse_display_and_revalidate() {
+        let spec: WidgetSpec = " gear : metal = brass ".parse().unwrap();
+        assert_eq!(spec.to_string(), "gear:metal=brass");
+        assert_eq!(spec.canonical(), "gear:metal=brass");
+        let spec = spec.with_param("teeth", "09").unwrap();
+        assert_eq!(spec.to_string(), "gear:metal=brass,teeth=9");
+        let again: WidgetSpec = spec.to_string().parse().unwrap();
+        assert_eq!(again, spec);
+        assert!(spec.with_param("teeth", "0").is_err());
+    }
+
+    #[test]
+    fn separate_registries_are_independent() {
+        let reg = Registry::<Widgets>::empty();
+        assert!(reg.names().is_empty());
+        let err = reg.parse("gear").unwrap_err();
+        assert!(matches!(err.kind, SpecErrorKind::UnknownName { .. }));
+        assert_eq!(Registry::<Widgets>::with_builtins().names(), ["gear"]);
     }
 
     #[test]
@@ -598,15 +846,9 @@ mod tests {
 
     #[test]
     fn format_spec_is_the_inverse_of_parse_spec_on_canonical_input() {
-        struct Disp(String, BTreeMap<String, String>);
-        impl fmt::Display for Disp {
-            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                format_spec(f, &self.0, &self.1)
-            }
-        }
-        let (name, params) = parse_spec("gear:teeth=9,metal=steel", &TEST_VOCAB).unwrap();
-        let printed = Disp(name.clone(), params.clone()).to_string();
+        let (name, params) = parse_spec("gear:teeth=9,metal=steel", VOCAB).unwrap();
+        let printed = Spec::known_valid(name.clone(), params.clone()).to_string();
         assert_eq!(printed, "gear:metal=steel,teeth=9");
-        assert_eq!(parse_spec(&printed, &TEST_VOCAB).unwrap(), (name, params));
+        assert_eq!(parse_spec(&printed, VOCAB).unwrap(), (name, params));
     }
 }

@@ -1,180 +1,175 @@
-//! Arrival processes: when jobs enter the system.
+//! Arrival generators: when jobs enter the system.
 //!
 //! Two standard traffic shapes from the queueing literature:
 //!
-//! * **Open loop** — arrivals are an exogenous process (Poisson or uniform)
-//!   that does not react to the system; if service is slower than the offered
-//!   load, the queue grows without bound.  This is the regime where PDF's
-//!   cache advantage compounds: faster drains mean shorter queues mean lower
-//!   sojourn times at the same arrival rate.
+//! * **Open loop** — arrivals are an exogenous process that does not react to
+//!   the system; if service is slower than the offered load, the queue grows
+//!   without bound.  This is the regime where PDF's cache advantage
+//!   compounds: faster drains mean shorter queues mean lower sojourn times at
+//!   the same arrival rate.  Each open-loop process is an [`ArrivalGen`]: a
+//!   constant-memory stream of absolute arrival cycles.
 //! * **Closed loop** — a fixed population of clients, each submitting its next
 //!   job a fixed think time after the previous one completes; in-flight jobs
-//!   never exceed the population size.
+//!   never exceed the population size.  Its arrivals depend on completions,
+//!   so it has no generator (see [`ArrivalSpec::closed_loop`]).
 //!
-//! All randomness is seeded: the same process, seed and job count produce the
-//! same arrival schedule, cycle for cycle.
+//! Which process runs is an [`ArrivalSpec`](crate::ArrivalSpec) string
+//! (`poisson:rate=80`, `closed:population=4,think=20000`, …).  All randomness
+//! is seeded: the same spec and seed produce the same arrival schedule, cycle
+//! for cycle.
+//!
+//! [`ArrivalSpec::closed_loop`]: crate::ArrivalSpec::closed_loop
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// How jobs arrive.  Cycles are the simulator's time unit; the thread backend
-/// maps them to wall-clock microseconds.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ArrivalProcess {
-    /// Open-loop Poisson arrivals at `jobs_per_mcycle` jobs per million cycles
-    /// (exponential interarrival gaps), seeded for determinism.
-    OpenLoopPoisson {
-        /// Offered load in jobs per million cycles.
-        jobs_per_mcycle: f64,
-        /// Seed for the interarrival sampler.
-        seed: u64,
-    },
-    /// Open-loop arrivals with a fixed gap — the deterministic D/.../k analogue,
-    /// useful for bisecting queueing effects from arrival burstiness.
-    OpenLoopUniform {
-        /// Gap between consecutive arrivals, in cycles.
-        interarrival_cycles: u64,
-    },
-    /// Closed loop: `population` clients, each re-submitting `think_cycles`
-    /// after its previous job completes.
-    ClosedLoop {
-        /// Number of concurrent clients (the concurrency bound).
-        population: usize,
-        /// Idle gap between a completion and the client's next submission.
-        think_cycles: u64,
-    },
-    /// Open-loop arrivals at explicit, precomputed cycles — the bridge from
-    /// richer arrival grammars (the serving tier's Pareto / burst / diurnal
-    /// [`ArrivalSpec`](https://docs.rs/pdfws-serve) generators) into this
-    /// supervisor.  The schedule is behind an [`Arc`](std::sync::Arc) so
-    /// cloning a `StreamConfig` does not copy a potentially million-entry
-    /// schedule.
-    Explicit {
-        /// Non-decreasing arrival cycles.  If a run asks for more jobs than
-        /// the schedule holds, the final gap is repeated; fewer, the prefix is
-        /// used.
-        schedule: std::sync::Arc<Vec<u64>>,
-        /// Table label describing the generating process (e.g.
-        /// `"pareto:alpha=1.5,rate=80"`).
-        label: String,
-    },
+/// A streaming source of absolute arrival cycles: each call returns the next
+/// arrival, non-decreasing, forever.  Constant memory — the serving loop pulls
+/// one arrival at a time even for 10⁷-job runs.
+pub trait ArrivalGen: Send {
+    /// The next absolute arrival cycle.
+    fn next_arrival(&mut self) -> u64;
 }
 
-impl ArrivalProcess {
-    /// Arrival times for `n` jobs under an open-loop process; `None` for
-    /// closed-loop processes (their arrivals depend on completions).
-    pub fn open_loop_schedule(&self, n: usize) -> Option<Vec<u64>> {
-        match self {
-            &ArrivalProcess::OpenLoopPoisson {
-                jobs_per_mcycle,
-                seed,
-            } => {
-                assert!(
-                    jobs_per_mcycle > 0.0,
-                    "Poisson arrivals need a positive rate"
-                );
-                let mean_gap = 1.0e6 / jobs_per_mcycle;
-                let mut rng = StdRng::seed_from_u64(seed ^ 0xA881_7A15);
-                let mut t = 0.0f64;
-                Some(
-                    (0..n)
-                        .map(|_| {
-                            // Inverse-CDF exponential sample; clamp u away from 0
-                            // so ln is finite.
-                            let u: f64 = rng.gen::<f64>().max(1e-12);
-                            t += -u.ln() * mean_gap;
-                            t as u64
-                        })
-                        .collect(),
-                )
-            }
-            &ArrivalProcess::OpenLoopUniform {
-                interarrival_cycles,
-            } => Some((0..n as u64).map(|i| i * interarrival_cycles).collect()),
-            ArrivalProcess::ClosedLoop { .. } => None,
-            ArrivalProcess::Explicit { schedule, .. } => {
-                assert!(
-                    !schedule.is_empty(),
-                    "an explicit arrival schedule needs at least one cycle"
-                );
-                let mut times: Vec<u64> = schedule.iter().take(n).copied().collect();
-                // Extend by repeating the final gap (or a gap of 1 for a
-                // single-entry schedule) so `n` larger than the schedule still
-                // yields a well-formed open-loop run.
-                let tail_gap = match schedule.as_slice() {
-                    [.., a, b] => (b - a).max(1),
-                    _ => 1,
-                };
-                while times.len() < n {
-                    let last = *times.last().expect("schedule is non-empty");
-                    times.push(last + tail_gap);
-                }
-                Some(times)
-            }
+/// Seed-mixing constant of the Poisson sampler.
+const POISSON_SEED_MIX: u64 = 0xA881_7A15;
+
+/// Memoryless arrivals: exponential gaps drawn by inverse CDF.
+pub(crate) struct PoissonGen {
+    mean_gap: f64,
+    t: f64,
+    rng: StdRng,
+}
+
+impl PoissonGen {
+    /// Poisson arrivals at `jobs_per_mcycle` jobs per million cycles.
+    pub(crate) fn new(jobs_per_mcycle: f64, seed: u64) -> Self {
+        PoissonGen {
+            mean_gap: 1.0e6 / jobs_per_mcycle,
+            t: 0.0,
+            rng: StdRng::seed_from_u64(seed ^ POISSON_SEED_MIX),
         }
     }
+}
 
-    /// The closed-loop population, if this is a closed-loop process.
-    pub fn population(&self) -> Option<usize> {
-        match self {
-            ArrivalProcess::ClosedLoop { population, .. } => Some(*population),
-            _ => None,
+impl ArrivalGen for PoissonGen {
+    fn next_arrival(&mut self) -> u64 {
+        // Inverse-CDF exponential sample; clamp u away from 0 so ln is finite.
+        let u: f64 = self.rng.gen::<f64>().max(1e-12);
+        self.t += -u.ln() * self.mean_gap;
+        self.t as u64
+    }
+}
+
+/// Deterministic arrivals: cycle 0, then one every `gap` cycles.
+pub(crate) struct UniformGen {
+    gap: u64,
+    next: u64,
+}
+
+impl UniformGen {
+    /// One arrival every `gap` cycles, the first at cycle 0.
+    pub(crate) fn new(gap: u64) -> Self {
+        UniformGen { gap, next: 0 }
+    }
+}
+
+impl ArrivalGen for UniformGen {
+    fn next_arrival(&mut self) -> u64 {
+        let t = self.next;
+        // Saturate: a gap near u64::MAX must pin the clock, not wrap it back
+        // below the previous arrival.
+        self.next = self.next.saturating_add(self.gap);
+        t
+    }
+}
+
+/// Heavy-tailed arrivals: Pareto gaps drawn by inverse CDF.
+pub(crate) struct ParetoGen {
+    /// Pareto scale `x_m`, chosen so the mean gap hits the requested rate.
+    xm: f64,
+    inv_alpha: f64,
+    t: f64,
+    rng: StdRng,
+}
+
+impl ParetoGen {
+    /// Tail index `alpha` (> 1) at a mean of `jobs_per_mcycle`.
+    pub(crate) fn new(alpha: f64, jobs_per_mcycle: f64, seed: u64) -> Self {
+        let mean_gap = 1.0e6 / jobs_per_mcycle;
+        // Pareto mean is x_m * alpha / (alpha - 1); invert for x_m.
+        ParetoGen {
+            xm: mean_gap * (alpha - 1.0) / alpha,
+            inv_alpha: 1.0 / alpha,
+            t: 0.0,
+            rng: StdRng::seed_from_u64(seed ^ 0x9A7E_70AA),
         }
     }
+}
 
-    /// Build an explicit schedule from precomputed arrival cycles (see
-    /// [`ArrivalProcess::Explicit`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `schedule` is empty or decreasing.
-    pub fn explicit(schedule: Vec<u64>, label: impl Into<String>) -> Self {
-        assert!(
-            !schedule.is_empty(),
-            "an explicit arrival schedule needs at least one cycle"
-        );
-        assert!(
-            schedule.windows(2).all(|w| w[0] <= w[1]),
-            "explicit arrival cycles must be non-decreasing"
-        );
-        ArrivalProcess::Explicit {
-            schedule: std::sync::Arc::new(schedule),
-            label: label.into(),
+impl ArrivalGen for ParetoGen {
+    fn next_arrival(&mut self) -> u64 {
+        // Inverse-CDF Pareto sample: X = x_m * U^(-1/alpha), U ∈ (0, 1].
+        let u: f64 = (1.0 - self.rng.gen::<f64>()).max(1e-12);
+        self.t += self.xm * u.powf(-self.inv_alpha);
+        self.t as u64
+    }
+}
+
+/// Thinning (Lewis–Shedler) sampler for rate-modulated Poisson processes:
+/// candidate gaps are drawn at the peak rate and accepted with probability
+/// `rate(t) / peak`, which realises the exact inhomogeneous process.
+pub(crate) struct ModulatedGen<F: Fn(f64) -> f64 + Send> {
+    peak_rate_per_cycle: f64,
+    rate_per_cycle_at: F,
+    t: f64,
+    rng: StdRng,
+}
+
+impl<F: Fn(f64) -> f64 + Send> ModulatedGen<F> {
+    /// Arrivals at `rate_per_cycle_at(t)`, never above `peak_rate_per_cycle`.
+    pub(crate) fn new(peak_rate_per_cycle: f64, rate_per_cycle_at: F, seed: u64) -> Self {
+        ModulatedGen {
+            peak_rate_per_cycle,
+            rate_per_cycle_at,
+            t: 0.0,
+            rng: StdRng::seed_from_u64(seed),
         }
     }
+}
 
-    /// Short name used in tables.
-    pub fn label(&self) -> String {
-        match self {
-            ArrivalProcess::OpenLoopPoisson {
-                jobs_per_mcycle, ..
-            } => format!("poisson@{jobs_per_mcycle}/Mcyc"),
-            ArrivalProcess::OpenLoopUniform {
-                interarrival_cycles,
-            } => {
-                format!("uniform@{interarrival_cycles}cyc")
+impl<F: Fn(f64) -> f64 + Send> ArrivalGen for ModulatedGen<F> {
+    fn next_arrival(&mut self) -> u64 {
+        loop {
+            let u: f64 = self.rng.gen::<f64>().max(1e-12);
+            self.t += -u.ln() / self.peak_rate_per_cycle;
+            if self.t.is_infinite() {
+                // A near-zero rate ran the clock past f64 range, where the
+                // rate function is undefined: pin arrivals at the horizon.
+                return u64::MAX;
             }
-            ArrivalProcess::ClosedLoop {
-                population,
-                think_cycles,
-            } => format!("closed@{population}x{think_cycles}"),
-            ArrivalProcess::Explicit { label, .. } => label.clone(),
+            let accept: f64 = self.rng.gen();
+            if accept * self.peak_rate_per_cycle <= (self.rate_per_cycle_at)(self.t) {
+                return self.t as u64;
+            }
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::ArrivalSpec;
+
+    fn schedule(spec: &ArrivalSpec, n: usize, seed: u64) -> Vec<u64> {
+        let mut gen = spec.generator(seed).expect("open-loop spec");
+        (0..n).map(|_| gen.next_arrival()).collect()
+    }
 
     #[test]
     fn poisson_schedules_are_deterministic_and_increasing() {
-        let p = ArrivalProcess::OpenLoopPoisson {
-            jobs_per_mcycle: 100.0,
-            seed: 9,
-        };
-        let a = p.open_loop_schedule(50).unwrap();
-        let b = p.open_loop_schedule(50).unwrap();
+        let p = ArrivalSpec::poisson(100.0);
+        let a = schedule(&p, 50, 9);
+        let b = schedule(&p, 50, 9);
         assert_eq!(a, b);
         assert!(
             a.windows(2).all(|w| w[0] <= w[1]),
@@ -184,11 +179,8 @@ mod tests {
 
     #[test]
     fn poisson_rate_matches_the_mean_gap() {
-        let p = ArrivalProcess::OpenLoopPoisson {
-            jobs_per_mcycle: 100.0, // mean gap 10_000 cycles
-            seed: 4,
-        };
-        let times = p.open_loop_schedule(2_000).unwrap();
+        // Mean gap 10_000 cycles.
+        let times = schedule(&ArrivalSpec::poisson(100.0), 2_000, 4);
         let span = *times.last().unwrap() as f64;
         let mean_gap = span / times.len() as f64;
         assert!(
@@ -199,59 +191,41 @@ mod tests {
 
     #[test]
     fn uniform_schedule_is_an_arithmetic_sequence() {
-        let p = ArrivalProcess::OpenLoopUniform {
-            interarrival_cycles: 500,
-        };
-        assert_eq!(p.open_loop_schedule(4).unwrap(), vec![0, 500, 1000, 1500]);
+        let times = schedule(&ArrivalSpec::uniform(500), 4, 0);
+        assert_eq!(times, vec![0, 500, 1000, 1500]);
+    }
+
+    #[test]
+    fn uniform_gaps_near_u64_max_saturate_instead_of_wrapping() {
+        let spec: ArrivalSpec = "uniform:gap=18446744073709551615".parse().unwrap();
+        let times = schedule(&spec, 3, 0);
+        assert_eq!(times, vec![0, u64::MAX, u64::MAX]);
+        assert!(times.windows(2).all(|w| w[0] <= w[1]), "{times:?}");
+    }
+
+    #[test]
+    fn vanishing_modulated_rates_pin_the_clock_instead_of_spinning() {
+        let spec: ArrivalSpec = "diurnal:mean=1e-300".parse().unwrap();
+        let times = schedule(&spec, 2_000, 1);
+        assert_eq!(*times.last().unwrap(), u64::MAX);
+        assert!(times.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]
     fn closed_loop_exposes_population_not_schedule() {
-        let p = ArrivalProcess::ClosedLoop {
-            population: 3,
-            think_cycles: 100,
-        };
-        assert_eq!(p.open_loop_schedule(10), None);
-        assert_eq!(p.population(), Some(3));
-        assert_eq!(
-            ArrivalProcess::OpenLoopUniform {
-                interarrival_cycles: 1
-            }
-            .population(),
-            None
-        );
-    }
-
-    #[test]
-    fn explicit_schedules_truncate_and_extend_by_the_tail_gap() {
-        let p = ArrivalProcess::explicit(vec![0, 100, 250], "trace:demo");
-        assert_eq!(p.open_loop_schedule(2).unwrap(), vec![0, 100]);
-        assert_eq!(p.open_loop_schedule(3).unwrap(), vec![0, 100, 250]);
-        // Beyond the schedule, the final gap (150) repeats.
-        assert_eq!(
-            p.open_loop_schedule(5).unwrap(),
-            vec![0, 100, 250, 400, 550]
-        );
-        assert_eq!(p.population(), None);
-        assert_eq!(p.label(), "trace:demo");
-        // A one-entry schedule extends by unit gaps (never stalls).
-        let single = ArrivalProcess::explicit(vec![7], "one");
-        assert_eq!(single.open_loop_schedule(3).unwrap(), vec![7, 8, 9]);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-decreasing")]
-    fn explicit_schedules_must_be_sorted() {
-        let _ = ArrivalProcess::explicit(vec![5, 3], "bad");
+        let p = ArrivalSpec::closed(3, 100);
+        assert!(p.generator(0).is_none());
+        assert_eq!(p.closed_loop(), Some((3, 100)));
+        assert_eq!(ArrivalSpec::uniform(1).closed_loop(), None);
     }
 
     #[test]
     fn labels_identify_the_process() {
-        assert!(ArrivalProcess::ClosedLoop {
-            population: 2,
-            think_cycles: 5
-        }
-        .label()
-        .starts_with("closed@2"));
+        // Tables label a stream by its arrival spec's canonical string.
+        assert_eq!(
+            ArrivalSpec::closed(2, 5).to_string(),
+            "closed:population=2,think=5"
+        );
+        assert_eq!(ArrivalSpec::poisson(80.0).to_string(), "poisson:rate=80");
     }
 }

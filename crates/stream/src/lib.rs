@@ -10,8 +10,10 @@
 //!   [`WorkloadSpec`](pdfws_workloads::WorkloadSpec) mixes (the paper's
 //!   class-A bandwidth-limited vs. class-B neutral taxonomy ships as built-in
 //!   mixes; any registered workload spec string can serve traffic).
-//! * [`arrival::ArrivalProcess`] — seeded open-loop Poisson / uniform arrivals
-//!   and closed-loop (fixed population + think time) submission.
+//! * [`ArrivalSpec`] — the arrival-process axis, a registry addressed by
+//!   spec strings: seeded open-loop generators ([`ArrivalGen`]: Poisson,
+//!   uniform, Pareto, burst, diurnal) and closed-loop (fixed population +
+//!   think time) submission.
 //! * [`admission::AdmissionQueue`] — FIFO, shortest-job-first and per-tenant
 //!   fair-share admission to a bounded set of machine slots.
 //! * [`sim_backend::run_stream_sim`] — time-multiplexes the cycle-level
@@ -37,13 +39,13 @@
 //!
 //! ```
 //! use pdfws_stream::{
-//!     AdmissionPolicy, ArrivalProcess, JobMix, StreamConfig, run_stream_sim,
+//!     AdmissionPolicy, ArrivalSpec, JobMix, StreamConfig, run_stream_sim,
 //! };
 //! use pdfws_schedulers::SchedulerSpec;
 //!
 //! let mix = JobMix::class_b();
 //! let mut cfg = StreamConfig::new(4, SchedulerSpec::pdf());
-//! cfg.arrivals = ArrivalProcess::ClosedLoop { population: 2, think_cycles: 1_000 };
+//! cfg.arrivals = "closed:population=2,think=1000".parse().unwrap();
 //! cfg.admission = AdmissionPolicy::Fifo;
 //! let outcome = run_stream_sim(&mix, 6, &cfg).unwrap();
 //! let summary = outcome.summary();
@@ -54,6 +56,7 @@
 
 pub mod admission;
 pub mod arrival;
+pub mod arrival_spec;
 pub mod job;
 pub mod record;
 pub mod sim_backend;
@@ -62,7 +65,8 @@ pub mod source;
 pub mod thread_backend;
 
 pub use admission::{AdmissionPolicy, AdmissionQueue};
-pub use arrival::ArrivalProcess;
+pub use arrival::ArrivalGen;
+pub use arrival_spec::{ArrivalDomain, ArrivalFactory, ArrivalRegistry, ArrivalSpec};
 pub use job::StreamJob;
 pub use record::{records_from_jsonl, JobRecord, StreamOutcome, StreamSummary};
 pub use sim_backend::{

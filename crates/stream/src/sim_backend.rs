@@ -15,7 +15,7 @@
 //! admission order and per-job sojourn times are pure functions of the inputs.
 
 use crate::admission::{AdmissionPolicy, AdmissionQueue};
-use crate::arrival::ArrivalProcess;
+use crate::arrival_spec::ArrivalSpec;
 use crate::job::StreamJob;
 use crate::record::{JobRecord, StreamOutcome};
 use crate::sink::{JobSink, RecordBuffer, StreamStats};
@@ -44,7 +44,7 @@ pub struct StreamConfig {
     /// Which queued job gets a freed slot.
     pub admission: AdmissionPolicy,
     /// When jobs enter the system.
-    pub arrivals: ArrivalProcess,
+    pub arrivals: ArrivalSpec,
     /// Engine options applied to every job's engine.
     pub sim_options: SimOptions,
     /// Memory-system model override for the simulated machine (`None`: the
@@ -55,9 +55,11 @@ pub struct StreamConfig {
     /// Cache-interference model: L2 blocks polluted per co-resident rival per
     /// disturbance period.  0 disables cross-job interference.
     pub rival_pollution_blocks: u64,
-    /// Seed for job sampling (arrival sampling derives from the arrival
-    /// process's own seed).
+    /// Seed for job sampling.
     pub seed: u64,
+    /// Seed for the open-loop arrival generator, independent of the
+    /// job-sampling `seed`.
+    pub arrival_seed: u64,
 }
 
 impl StreamConfig {
@@ -70,14 +72,12 @@ impl StreamConfig {
             quantum_cycles: 20_000,
             max_concurrent: 4,
             admission: AdmissionPolicy::Fifo,
-            arrivals: ArrivalProcess::OpenLoopPoisson {
-                jobs_per_mcycle: 40.0,
-                seed: 0x57_2EA4,
-            },
+            arrivals: ArrivalSpec::poisson(40.0),
             sim_options: SimOptions::default(),
             memsys: None,
             rival_pollution_blocks: 64,
             seed: 42,
+            arrival_seed: 0x57_2EA4,
         }
     }
 }
@@ -121,7 +121,7 @@ pub fn run_stream_sim(
 pub fn validate_stream_cfg(cfg: &StreamConfig) {
     assert!(cfg.quantum_cycles > 0, "quantum must be positive");
     assert!(cfg.max_concurrent > 0, "need at least one job slot");
-    if let Some(population) = cfg.arrivals.population() {
+    if let Some((population, _)) = cfg.arrivals.closed_loop() {
         assert!(population > 0, "a closed loop needs at least one client");
     }
 }
@@ -255,14 +255,14 @@ fn stream_sim_impl(
     // completion releases the next job after the think time.
     let mut future: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new(); // (arrival, id)
     let mut unreleased: std::collections::VecDeque<StreamJob>;
-    let closed_loop = cfg.arrivals.population();
+    let closed_loop = cfg.arrivals.closed_loop();
     // Closed loop releases jobs in id order; this is the next id to hand to a
     // client slot.
     let mut next_release = 0u64;
-    match cfg.arrivals.open_loop_schedule(n_jobs) {
-        Some(schedule) => {
-            for (job, t) in jobs.iter_mut().zip(&schedule) {
-                job.arrival_cycle = *t;
+    match cfg.arrivals.generator(cfg.arrival_seed) {
+        Some(mut arrivals) => {
+            for job in jobs.iter_mut() {
+                job.arrival_cycle = arrivals.next_arrival();
             }
             for job in &jobs {
                 future.push(Reverse((job.arrival_cycle, job.id)));
@@ -270,7 +270,12 @@ fn stream_sim_impl(
             unreleased = jobs.into_iter().collect();
         }
         None => {
-            let population = closed_loop.expect("no schedule implies closed loop");
+            let (population, _) = closed_loop.unwrap_or_else(|| {
+                panic!(
+                    "arrival process '{}' has neither a schedule nor a client population",
+                    cfg.arrivals
+                )
+            });
             // The first wave of clients submits together at cycle 0.
             for id in 0..population.min(n_jobs) as u64 {
                 future.push(Reverse((0, id)));
@@ -287,10 +292,7 @@ fn stream_sim_impl(
     let mut peak_concurrency = 0usize;
     let mut now: u64 = 0;
     let mut turn = 0usize;
-    let think = match &cfg.arrivals {
-        ArrivalProcess::ClosedLoop { think_cycles, .. } => *think_cycles,
-        _ => 0,
-    };
+    let think = closed_loop.map_or(0, |(_, think)| think);
 
     while completed < n_jobs {
         // 1. Move every job that has arrived by `now` into the admission queue.
@@ -461,10 +463,8 @@ mod tests {
     fn quick_cfg(scheduler: SchedulerSpec) -> StreamConfig {
         let mut cfg = StreamConfig::new(4, scheduler);
         cfg.quantum_cycles = 5_000;
-        cfg.arrivals = ArrivalProcess::OpenLoopPoisson {
-            jobs_per_mcycle: 200.0,
-            seed: 7,
-        };
+        cfg.arrivals = ArrivalSpec::poisson(200.0);
+        cfg.arrival_seed = 7;
         cfg
     }
 
@@ -528,10 +528,7 @@ mod tests {
     fn closed_loop_never_exceeds_the_population() {
         let mix = JobMix::class_b();
         let mut cfg = quick_cfg(SchedulerSpec::pdf());
-        cfg.arrivals = ArrivalProcess::ClosedLoop {
-            population: 2,
-            think_cycles: 500,
-        };
+        cfg.arrivals = ArrivalSpec::closed(2, 500);
         cfg.max_concurrent = 8; // slots are not the binding constraint
         let outcome = run_stream_sim(&mix, 9, &cfg).unwrap();
         assert_eq!(outcome.records.len(), 9);
@@ -545,11 +542,10 @@ mod tests {
     #[test]
     fn sjf_admits_short_jobs_before_long_ones_under_backlog() {
         let mix = JobMix::class_b();
-        // Everything arrives at cycle 0, one slot: admission order == policy order.
+        // Everything arrives at cycle 0 (a client per job), one slot:
+        // admission order == policy order.
         let mut cfg = quick_cfg(SchedulerSpec::pdf());
-        cfg.arrivals = ArrivalProcess::OpenLoopUniform {
-            interarrival_cycles: 0,
-        };
+        cfg.arrivals = ArrivalSpec::closed(8, 0);
         cfg.max_concurrent = 1;
         cfg.admission = AdmissionPolicy::ShortestJobFirst;
         let outcome = run_stream_sim(&mix, 8, &cfg).unwrap();
@@ -569,15 +565,10 @@ mod tests {
     fn higher_offered_load_increases_sojourn_times() {
         let mix = JobMix::class_b();
         let mut slow = quick_cfg(SchedulerSpec::pdf());
-        slow.arrivals = ArrivalProcess::OpenLoopPoisson {
-            jobs_per_mcycle: 5.0,
-            seed: 11,
-        };
+        slow.arrivals = ArrivalSpec::poisson(5.0);
+        slow.arrival_seed = 11;
         let mut fast = slow.clone();
-        fast.arrivals = ArrivalProcess::OpenLoopPoisson {
-            jobs_per_mcycle: 500.0,
-            seed: 11,
-        };
+        fast.arrivals = ArrivalSpec::poisson(500.0);
         let relaxed = run_stream_sim(&mix, 10, &slow).unwrap().summary();
         let loaded = run_stream_sim(&mix, 10, &fast).unwrap().summary();
         assert!(
@@ -593,10 +584,7 @@ mod tests {
     fn zero_population_closed_loops_are_rejected() {
         let mix = JobMix::class_b();
         let mut cfg = quick_cfg(SchedulerSpec::pdf());
-        cfg.arrivals = ArrivalProcess::ClosedLoop {
-            population: 0,
-            think_cycles: 100,
-        };
+        cfg.arrivals = ArrivalSpec::closed(0, 100);
         let _ = run_stream_sim(&mix, 3, &cfg);
     }
 
@@ -604,9 +592,7 @@ mod tests {
     fn fair_share_serves_both_tenants_under_a_flood() {
         let mix = JobMix::mixed();
         let mut cfg = quick_cfg(SchedulerSpec::pdf());
-        cfg.arrivals = ArrivalProcess::OpenLoopUniform {
-            interarrival_cycles: 0,
-        };
+        cfg.arrivals = ArrivalSpec::closed(12, 0);
         cfg.max_concurrent = 1;
         cfg.admission = AdmissionPolicy::FairShare;
         let outcome = run_stream_sim(&mix, 12, &cfg).unwrap();

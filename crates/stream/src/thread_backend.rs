@@ -246,7 +246,7 @@ pub fn run_stream_threads(
             ),
         });
     }
-    match cfg.scheduler.policy() {
+    match cfg.scheduler.name() {
         "ws" => {
             let pool = WsPool::new(cfg.threads)?;
             Ok(serve(&pool, mix, n_jobs, cfg))

@@ -51,7 +51,7 @@ pub use lu::LuDecomposition;
 pub use matmul::MatMul;
 pub use mergesort::MergeSort;
 pub use quicksort::QuickSort;
-pub use registry::{register_workload, WorkloadFactory, WorkloadRegistry};
+pub use registry::{WorkloadDomain, WorkloadFactory, WorkloadRegistry};
 pub use scan::ParallelScan;
 pub use spec::{SpecSynth, WorkloadSpec, WorkloadSpecError};
 pub use spmv::SpMv;

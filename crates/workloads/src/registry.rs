@@ -13,9 +13,9 @@
 //! open for extension: register your own factory and its name becomes
 //! parseable everywhere a workload spec string is accepted — experiments,
 //! sweep grids, job-stream mixes, bench binaries (see
-//! `examples/custom_workload.rs`).  The grammar, typed parameters and table
-//! substrate are the shared `pdfws-spec` machinery, the same machinery the
-//! scheduler registry is built on.
+//! `examples/custom_workload.rs`).  The grammar, typed parameters and the
+//! registry itself are the generic `pdfws-spec` machinery shared by all five
+//! spec axes.
 
 use crate::compute::ComputeKernel;
 use crate::hashjoin::HashJoin;
@@ -24,46 +24,26 @@ use crate::matmul::MatMul;
 use crate::mergesort::MergeSort;
 use crate::quicksort::QuickSort;
 use crate::scan::ParallelScan;
-use crate::spec::{WorkloadSpec, WorkloadSpecError};
+use crate::spec::WorkloadSpec;
 use crate::spmv::SpMv;
 use crate::synthetic::SyntheticTree;
 use crate::Workload;
-use pdfws_spec::{SpecErrorKind, SpecFamily, SpecTable, Vocab};
+use pdfws_spec::{Domain, Spec, SpecFamily, Vocab};
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 pub use pdfws_spec::{ParamKind, ParamSpec};
 
-/// The workload domain's error wording ("unknown workload …; known
-/// workloads: …").
-pub(crate) static WORKLOAD_VOCAB: Vocab = Vocab {
-    subject: "workload",
-    entity: "workload",
-    known_label: "known workloads",
-};
-
 /// Builds a [`Workload`] from a validated [`WorkloadSpec`].
 ///
-/// Implementations declare their parameters via [`WorkloadFactory::params`];
-/// the registry guarantees that `build` only ever sees specs whose keys and
-/// values passed those declarations (and [`WorkloadFactory::validate_spec`]),
-/// so `build` is infallible.  The [`scale`](WorkloadFactory::scale) and
-/// [`reseed`](WorkloadFactory::reseed) hooks let the job-stream sampler vary
-/// an instance's problem size and RNG seed without knowing which parameters
-/// carry them.
-pub trait WorkloadFactory: Send + Sync {
-    /// The registry key (`"mergesort"`); also the spec's name component.
-    fn name(&self) -> &'static str;
-    /// One-line description, shown by [`WorkloadRegistry::help`].
-    fn doc(&self) -> &'static str;
-    /// The parameters this workload accepts (empty slice: none).
-    fn params(&self) -> &'static [ParamSpec];
-    /// Check cross-parameter / structural constraints after each key/value
-    /// passed its [`ParamSpec`] (e.g. "`n` must be a power of two").  Return
-    /// an error message to reject the combination; the default accepts all.
-    fn validate_spec(&self, _spec: &WorkloadSpec) -> Result<(), String> {
-        Ok(())
-    }
+/// Implementations declare their parameters through the [`SpecFamily`]
+/// supertrait; the registry guarantees that `build` only ever sees specs
+/// whose keys and values passed those declarations (and
+/// [`SpecFamily::validate_spec`]), so `build` is infallible.  The
+/// [`scale`](WorkloadFactory::scale) and [`reseed`](WorkloadFactory::reseed)
+/// hooks let the job-stream sampler vary an instance's problem size and RNG
+/// seed without knowing which parameters carry them.
+pub trait WorkloadFactory: SpecFamily {
     /// Instantiate the workload the spec describes.
     fn build(&self, spec: &WorkloadSpec) -> Box<dyn Workload>;
     /// Multiply the instance's problem size by `factor` (job-stream
@@ -79,124 +59,39 @@ pub trait WorkloadFactory: Send + Sync {
     }
 }
 
-/// Adapter letting the shared [`SpecTable`] read a workload factory's
-/// declarations.
-impl SpecFamily for dyn WorkloadFactory {
-    fn family_name(&self) -> &'static str {
-        self.name()
-    }
-    fn family_doc(&self) -> &'static str {
-        self.doc()
-    }
-    fn family_params(&self) -> &'static [ParamSpec] {
-        self.params()
-    }
-}
+/// The workload axis.
+pub enum WorkloadDomain {}
 
-/// A name-keyed set of [`WorkloadFactory`] objects.
-///
-/// Almost all code uses the process-wide [`WorkloadRegistry::global`]
-/// instance, which the spec parser consults; separate instances exist only
-/// for tests.
-pub struct WorkloadRegistry {
-    factories: SpecTable<dyn WorkloadFactory>,
-}
-
-impl WorkloadRegistry {
-    /// An empty registry (no built-ins).
-    pub fn empty() -> Self {
-        WorkloadRegistry {
-            factories: SpecTable::new(&WORKLOAD_VOCAB),
-        }
+impl Domain for WorkloadDomain {
+    type Factory = dyn WorkloadFactory;
+    const VOCAB: &'static Vocab = &Vocab {
+        subject: "workload",
+        entity: "workload",
+        known_label: "known workloads",
+    };
+    fn builtins() -> Vec<Arc<dyn WorkloadFactory>> {
+        vec![
+            Arc::new(MergeSortFactory),
+            Arc::new(QuickSortFactory),
+            Arc::new(MatMulFactory),
+            Arc::new(LuFactory),
+            Arc::new(SpMvFactory),
+            Arc::new(HashJoinFactory),
+            Arc::new(ScanFactory),
+            Arc::new(ComputeFactory),
+            Arc::new(SyntheticFactory),
+        ]
     }
-
-    /// A registry pre-loaded with the built-in benchmark programs.
-    pub fn with_builtins() -> Self {
-        let reg = Self::empty();
-        reg.register(Arc::new(MergeSortFactory));
-        reg.register(Arc::new(QuickSortFactory));
-        reg.register(Arc::new(MatMulFactory));
-        reg.register(Arc::new(LuFactory));
-        reg.register(Arc::new(SpMvFactory));
-        reg.register(Arc::new(HashJoinFactory));
-        reg.register(Arc::new(ScanFactory));
-        reg.register(Arc::new(ComputeFactory));
-        reg.register(Arc::new(SyntheticFactory));
-        reg
-    }
-
-    /// The process-wide registry every workload spec parse resolves through.
-    pub fn global() -> &'static WorkloadRegistry {
+    fn global() -> &'static WorkloadRegistry {
         static GLOBAL: OnceLock<WorkloadRegistry> = OnceLock::new();
         GLOBAL.get_or_init(WorkloadRegistry::with_builtins)
     }
-
-    /// Add (or replace — last registration wins) a factory.  After this call,
-    /// `factory.name()` parses as a workload spec everywhere.
-    pub fn register(&self, factory: Arc<dyn WorkloadFactory>) {
-        self.factories.register(factory);
-    }
-
-    /// The registered workload names, sorted.
-    pub fn names(&self) -> Vec<String> {
-        self.factories.names()
-    }
-
-    /// Look up one factory.
-    pub fn factory(&self, name: &str) -> Option<Arc<dyn WorkloadFactory>> {
-        self.factories.get(name)
-    }
-
-    /// Validate a raw `(name, params)` pair into a canonical
-    /// [`WorkloadSpec`]: the name must be registered, every key declared,
-    /// every value well-typed (and canonicalised), and the factory's
-    /// structural constraints satisfied.
-    pub fn validate(
-        &self,
-        name: String,
-        params: BTreeMap<String, String>,
-    ) -> Result<WorkloadSpec, WorkloadSpecError> {
-        let (factory, canonical) = self.factories.validate(name, params)?;
-        let spec = WorkloadSpec::known_valid(factory.name(), canonical);
-        if let Err(message) = factory.validate_spec(&spec) {
-            return Err(WorkloadSpecError::new(
-                &WORKLOAD_VOCAB,
-                SpecErrorKind::InvalidCombination {
-                    owner: factory.name().to_string(),
-                    message,
-                },
-            ));
-        }
-        Ok(spec)
-    }
-
-    /// Instantiate the workload a spec describes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec's name has been removed from the registry since the
-    /// spec was created (specs are validated at construction, so this is the
-    /// only failure mode).
-    pub fn build(&self, spec: &WorkloadSpec) -> Box<dyn Workload> {
-        let factory = self
-            .factory(spec.name())
-            .unwrap_or_else(|| panic!("workload '{}' vanished from the registry", spec.name()));
-        factory.build(spec)
-    }
-
-    /// A human-readable listing of every registered workload and its
-    /// parameters (what the bench binaries' `--list` prints next to the
-    /// scheduler help).
-    pub fn help(&self) -> String {
-        self.factories.help()
-    }
 }
 
-/// Register a factory with the global registry (sugar over
-/// [`WorkloadRegistry::global`] + [`WorkloadRegistry::register`]).
-pub fn register_workload(factory: Arc<dyn WorkloadFactory>) {
-    WorkloadRegistry::global().register(factory);
-}
+/// The workload registry: almost all code uses its process-wide
+/// [`global`](pdfws_spec::Registry::global) instance, which the spec parser
+/// consults; separate instances exist only for tests.
+pub type WorkloadRegistry = pdfws_spec::Registry<WorkloadDomain>;
 
 /// Replace one `u64` parameter with a new value (no registry round-trip; the
 /// canonical form of a `u64` is its decimal rendering).
@@ -216,7 +111,7 @@ fn set_u64(spec: &WorkloadSpec, key: &str, value: u64) -> WorkloadSpec {
 
 struct MergeSortFactory;
 
-impl WorkloadFactory for MergeSortFactory {
+impl SpecFamily for MergeSortFactory {
     fn name(&self) -> &'static str {
         "mergesort"
     }
@@ -253,34 +148,43 @@ impl WorkloadFactory for MergeSortFactory {
             },
         ]
     }
-    fn validate_spec(&self, spec: &WorkloadSpec) -> Result<(), String> {
-        if spec.u64_param("n", MergeSort::small().n_keys) < 2 {
+    fn validate_spec(&self, spec: &Spec) -> Result<(), String> {
+        if spec.u64_param("n").unwrap_or(MergeSort::small().n_keys) < 2 {
             return Err("'n' must be at least 2 (need two keys to sort)".into());
         }
         require_nonzero(spec, "coarse")?;
         require_nonzero(spec, "grain")
     }
+}
+
+impl WorkloadFactory for MergeSortFactory {
     fn build(&self, spec: &WorkloadSpec) -> Box<dyn Workload> {
         // Defaults come from `small()` itself, so the bare name reproduces the
         // test-size instance by construction (pinned by the bit-for-bit test).
         let d = MergeSort::small();
         Box::new(MergeSort {
-            n_keys: spec.u64_param("n", d.n_keys),
-            grain_keys: spec.u64_param("grain", d.grain_keys),
-            leaf_instr_per_key: spec.u64_param("leaf-instr", d.leaf_instr_per_key),
-            merge_instr_per_key: spec.u64_param("merge-instr", d.merge_instr_per_key),
-            coarse_chunks: spec.param("coarse").map(|_| spec.u64_param("coarse", 1)),
+            n_keys: spec.u64_param("n").unwrap_or(d.n_keys),
+            grain_keys: spec.u64_param("grain").unwrap_or(d.grain_keys),
+            leaf_instr_per_key: spec.u64_param("leaf-instr").unwrap_or(d.leaf_instr_per_key),
+            merge_instr_per_key: spec
+                .u64_param("merge-instr")
+                .unwrap_or(d.merge_instr_per_key),
+            coarse_chunks: spec.u64_param("coarse"),
         })
     }
     fn scale(&self, spec: &WorkloadSpec, factor: u64) -> WorkloadSpec {
         let d = MergeSort::small();
-        set_u64(spec, "n", spec.u64_param("n", d.n_keys) * factor.max(1))
+        set_u64(
+            spec,
+            "n",
+            spec.u64_param("n").unwrap_or(d.n_keys) * factor.max(1),
+        )
     }
 }
 
 struct QuickSortFactory;
 
-impl WorkloadFactory for QuickSortFactory {
+impl SpecFamily for QuickSortFactory {
     fn name(&self) -> &'static str {
         "quicksort"
     }
@@ -311,30 +215,39 @@ impl WorkloadFactory for QuickSortFactory {
             },
         ]
     }
-    fn validate_spec(&self, spec: &WorkloadSpec) -> Result<(), String> {
-        if spec.u64_param("n", QuickSort::small().n_keys) < 2 {
+    fn validate_spec(&self, spec: &Spec) -> Result<(), String> {
+        if spec.u64_param("n").unwrap_or(QuickSort::small().n_keys) < 2 {
             return Err("'n' must be at least 2 (need two keys to sort)".into());
         }
         require_nonzero(spec, "grain")
     }
+}
+
+impl WorkloadFactory for QuickSortFactory {
     fn build(&self, spec: &WorkloadSpec) -> Box<dyn Workload> {
         let d = QuickSort::small();
         Box::new(QuickSort {
-            n_keys: spec.u64_param("n", d.n_keys),
-            grain_keys: spec.u64_param("grain", d.grain_keys),
-            partition_instr_per_key: spec.u64_param("partition-instr", d.partition_instr_per_key),
-            leaf_instr_per_key: spec.u64_param("leaf-instr", d.leaf_instr_per_key),
+            n_keys: spec.u64_param("n").unwrap_or(d.n_keys),
+            grain_keys: spec.u64_param("grain").unwrap_or(d.grain_keys),
+            partition_instr_per_key: spec
+                .u64_param("partition-instr")
+                .unwrap_or(d.partition_instr_per_key),
+            leaf_instr_per_key: spec.u64_param("leaf-instr").unwrap_or(d.leaf_instr_per_key),
         })
     }
     fn scale(&self, spec: &WorkloadSpec, factor: u64) -> WorkloadSpec {
         let d = QuickSort::small();
-        set_u64(spec, "n", spec.u64_param("n", d.n_keys) * factor.max(1))
+        set_u64(
+            spec,
+            "n",
+            spec.u64_param("n").unwrap_or(d.n_keys) * factor.max(1),
+        )
     }
 }
 
 struct MatMulFactory;
 
-impl WorkloadFactory for MatMulFactory {
+impl SpecFamily for MatMulFactory {
     fn name(&self) -> &'static str {
         "matmul"
     }
@@ -366,33 +279,40 @@ impl WorkloadFactory for MatMulFactory {
             },
         ]
     }
-    fn validate_spec(&self, spec: &WorkloadSpec) -> Result<(), String> {
-        let n = spec.u64_param("n", MatMul::small().n);
+    fn validate_spec(&self, spec: &Spec) -> Result<(), String> {
+        let n = spec.u64_param("n").unwrap_or(MatMul::small().n);
         if n < 2 || !n.is_power_of_two() {
             return Err(format!("'n' must be a power of two >= 2, got {n}"));
         }
         require_nonzero(spec, "coarse")?;
         require_nonzero(spec, "grain")
     }
+}
+
+impl WorkloadFactory for MatMulFactory {
     fn build(&self, spec: &WorkloadSpec) -> Box<dyn Workload> {
         let d = MatMul::small();
         Box::new(MatMul {
-            n: spec.u64_param("n", d.n),
-            grain: spec.u64_param("grain", d.grain),
-            instr_per_madd: spec.u64_param("instr-per-madd", d.instr_per_madd),
-            coarse_chunks: spec.param("coarse").map(|_| spec.u64_param("coarse", 1)),
+            n: spec.u64_param("n").unwrap_or(d.n),
+            grain: spec.u64_param("grain").unwrap_or(d.grain),
+            instr_per_madd: spec.u64_param("instr-per-madd").unwrap_or(d.instr_per_madd),
+            coarse_chunks: spec.u64_param("coarse"),
         })
     }
     fn scale(&self, spec: &WorkloadSpec, factor: u64) -> WorkloadSpec {
         // The dimension must stay a power of two: round the factor up.
         let factor = factor.max(1).next_power_of_two();
-        set_u64(spec, "n", spec.u64_param("n", MatMul::small().n) * factor)
+        set_u64(
+            spec,
+            "n",
+            spec.u64_param("n").unwrap_or(MatMul::small().n) * factor,
+        )
     }
 }
 
 struct LuFactory;
 
-impl WorkloadFactory for LuFactory {
+impl SpecFamily for LuFactory {
     fn name(&self) -> &'static str {
         "lu"
     }
@@ -418,10 +338,10 @@ impl WorkloadFactory for LuFactory {
             },
         ]
     }
-    fn validate_spec(&self, spec: &WorkloadSpec) -> Result<(), String> {
+    fn validate_spec(&self, spec: &Spec) -> Result<(), String> {
         let d = LuDecomposition::small();
-        let n = spec.u64_param("n", d.n);
-        let block = spec.u64_param("block", d.block);
+        let n = spec.u64_param("n").unwrap_or(d.n);
+        let block = spec.u64_param("block").unwrap_or(d.block);
         if block == 0 || !n.is_multiple_of(block) || n / block < 2 {
             return Err(format!(
                 "'n' ({n}) must be a multiple of 'block' ({block}) with at least 2 blocks per side"
@@ -429,23 +349,30 @@ impl WorkloadFactory for LuFactory {
         }
         Ok(())
     }
+}
+
+impl WorkloadFactory for LuFactory {
     fn build(&self, spec: &WorkloadSpec) -> Box<dyn Workload> {
         let d = LuDecomposition::small();
         Box::new(LuDecomposition {
-            n: spec.u64_param("n", d.n),
-            block: spec.u64_param("block", d.block),
-            instr_per_elem: spec.u64_param("instr-per-elem", d.instr_per_elem),
+            n: spec.u64_param("n").unwrap_or(d.n),
+            block: spec.u64_param("block").unwrap_or(d.block),
+            instr_per_elem: spec.u64_param("instr-per-elem").unwrap_or(d.instr_per_elem),
         })
     }
     fn scale(&self, spec: &WorkloadSpec, factor: u64) -> WorkloadSpec {
         let d = LuDecomposition::small();
-        set_u64(spec, "n", spec.u64_param("n", d.n) * factor.max(1))
+        set_u64(
+            spec,
+            "n",
+            spec.u64_param("n").unwrap_or(d.n) * factor.max(1),
+        )
     }
 }
 
 struct SpMvFactory;
 
-impl WorkloadFactory for SpMvFactory {
+impl SpecFamily for SpMvFactory {
     fn name(&self) -> &'static str {
         "spmv"
     }
@@ -491,26 +418,35 @@ impl WorkloadFactory for SpMvFactory {
             },
         ]
     }
-    fn validate_spec(&self, spec: &WorkloadSpec) -> Result<(), String> {
+    fn validate_spec(&self, spec: &Spec) -> Result<(), String> {
         require_nonzero(spec, "rows")?;
         require_nonzero(spec, "rows-per-task")?;
         require_u32(spec, "iterations")
     }
+}
+
+impl WorkloadFactory for SpMvFactory {
     fn build(&self, spec: &WorkloadSpec) -> Box<dyn Workload> {
         let d = SpMv::small();
         Box::new(SpMv {
-            rows: spec.u64_param("rows", d.rows),
-            nnz_per_row: spec.u64_param("nnz-per-row", d.nnz_per_row),
-            rows_per_task: spec.u64_param("rows-per-task", d.rows_per_task),
-            iterations: spec.u64_param("iterations", d.iterations as u64) as u32,
-            locality_window: spec.u64_param("locality-window", d.locality_window),
-            seed: spec.u64_param("seed", d.seed),
-            instr_per_nnz: spec.u64_param("instr-per-nnz", d.instr_per_nnz),
+            rows: spec.u64_param("rows").unwrap_or(d.rows),
+            nnz_per_row: spec.u64_param("nnz-per-row").unwrap_or(d.nnz_per_row),
+            rows_per_task: spec.u64_param("rows-per-task").unwrap_or(d.rows_per_task),
+            iterations: spec.u64_param("iterations").unwrap_or(d.iterations as u64) as u32,
+            locality_window: spec
+                .u64_param("locality-window")
+                .unwrap_or(d.locality_window),
+            seed: spec.u64_param("seed").unwrap_or(d.seed),
+            instr_per_nnz: spec.u64_param("instr-per-nnz").unwrap_or(d.instr_per_nnz),
         })
     }
     fn scale(&self, spec: &WorkloadSpec, factor: u64) -> WorkloadSpec {
         let d = SpMv::small();
-        set_u64(spec, "rows", spec.u64_param("rows", d.rows) * factor.max(1))
+        set_u64(
+            spec,
+            "rows",
+            spec.u64_param("rows").unwrap_or(d.rows) * factor.max(1),
+        )
     }
     fn reseed(&self, spec: &WorkloadSpec, seed: u64) -> WorkloadSpec {
         set_u64(spec, "seed", seed)
@@ -519,7 +455,7 @@ impl WorkloadFactory for SpMvFactory {
 
 struct HashJoinFactory;
 
-impl WorkloadFactory for HashJoinFactory {
+impl SpecFamily for HashJoinFactory {
     fn name(&self) -> &'static str {
         "hashjoin"
     }
@@ -560,19 +496,26 @@ impl WorkloadFactory for HashJoinFactory {
             },
         ]
     }
-    fn validate_spec(&self, spec: &WorkloadSpec) -> Result<(), String> {
+    fn validate_spec(&self, spec: &Spec) -> Result<(), String> {
         require_nonzero(spec, "tuples-per-task")?;
         require_nonzero(spec, "buckets")
     }
+}
+
+impl WorkloadFactory for HashJoinFactory {
     fn build(&self, spec: &WorkloadSpec) -> Box<dyn Workload> {
         let d = HashJoin::small();
         Box::new(HashJoin {
-            build_tuples: spec.u64_param("build-tuples", d.build_tuples),
-            probe_tuples: spec.u64_param("probe-tuples", d.probe_tuples),
-            tuples_per_task: spec.u64_param("tuples-per-task", d.tuples_per_task),
-            buckets: spec.u64_param("buckets", d.buckets),
-            seed: spec.u64_param("seed", d.seed),
-            instr_per_tuple: spec.u64_param("instr-per-tuple", d.instr_per_tuple),
+            build_tuples: spec.u64_param("build-tuples").unwrap_or(d.build_tuples),
+            probe_tuples: spec.u64_param("probe-tuples").unwrap_or(d.probe_tuples),
+            tuples_per_task: spec
+                .u64_param("tuples-per-task")
+                .unwrap_or(d.tuples_per_task),
+            buckets: spec.u64_param("buckets").unwrap_or(d.buckets),
+            seed: spec.u64_param("seed").unwrap_or(d.seed),
+            instr_per_tuple: spec
+                .u64_param("instr-per-tuple")
+                .unwrap_or(d.instr_per_tuple),
         })
     }
     fn scale(&self, spec: &WorkloadSpec, factor: u64) -> WorkloadSpec {
@@ -581,12 +524,12 @@ impl WorkloadFactory for HashJoinFactory {
         let scaled = set_u64(
             spec,
             "build-tuples",
-            spec.u64_param("build-tuples", d.build_tuples) * factor,
+            spec.u64_param("build-tuples").unwrap_or(d.build_tuples) * factor,
         );
         set_u64(
             &scaled,
             "probe-tuples",
-            spec.u64_param("probe-tuples", d.probe_tuples) * factor,
+            spec.u64_param("probe-tuples").unwrap_or(d.probe_tuples) * factor,
         )
     }
     fn reseed(&self, spec: &WorkloadSpec, seed: u64) -> WorkloadSpec {
@@ -596,7 +539,7 @@ impl WorkloadFactory for HashJoinFactory {
 
 struct ScanFactory;
 
-impl WorkloadFactory for ScanFactory {
+impl SpecFamily for ScanFactory {
     fn name(&self) -> &'static str {
         "scan"
     }
@@ -622,27 +565,34 @@ impl WorkloadFactory for ScanFactory {
             },
         ]
     }
-    fn validate_spec(&self, spec: &WorkloadSpec) -> Result<(), String> {
+    fn validate_spec(&self, spec: &Spec) -> Result<(), String> {
         require_nonzero(spec, "n")?;
         require_nonzero(spec, "grain")
     }
+}
+
+impl WorkloadFactory for ScanFactory {
     fn build(&self, spec: &WorkloadSpec) -> Box<dyn Workload> {
         let d = ParallelScan::small();
         Box::new(ParallelScan {
-            n: spec.u64_param("n", d.n),
-            grain: spec.u64_param("grain", d.grain),
-            instr_per_elem: spec.u64_param("instr-per-elem", d.instr_per_elem),
+            n: spec.u64_param("n").unwrap_or(d.n),
+            grain: spec.u64_param("grain").unwrap_or(d.grain),
+            instr_per_elem: spec.u64_param("instr-per-elem").unwrap_or(d.instr_per_elem),
         })
     }
     fn scale(&self, spec: &WorkloadSpec, factor: u64) -> WorkloadSpec {
         let d = ParallelScan::small();
-        set_u64(spec, "n", spec.u64_param("n", d.n) * factor.max(1))
+        set_u64(
+            spec,
+            "n",
+            spec.u64_param("n").unwrap_or(d.n) * factor.max(1),
+        )
     }
 }
 
 struct ComputeFactory;
 
-impl WorkloadFactory for ComputeFactory {
+impl SpecFamily for ComputeFactory {
     fn name(&self) -> &'static str {
         "compute-kernel"
     }
@@ -668,16 +618,19 @@ impl WorkloadFactory for ComputeFactory {
             },
         ]
     }
-    fn validate_spec(&self, spec: &WorkloadSpec) -> Result<(), String> {
+    fn validate_spec(&self, spec: &Spec) -> Result<(), String> {
         require_nonzero(spec, "items")?;
         require_nonzero(spec, "grain")
     }
+}
+
+impl WorkloadFactory for ComputeFactory {
     fn build(&self, spec: &WorkloadSpec) -> Box<dyn Workload> {
         let d = ComputeKernel::small();
         Box::new(ComputeKernel {
-            items: spec.u64_param("items", d.items),
-            grain: spec.u64_param("grain", d.grain),
-            instr_per_item: spec.u64_param("instr-per-item", d.instr_per_item),
+            items: spec.u64_param("items").unwrap_or(d.items),
+            grain: spec.u64_param("grain").unwrap_or(d.grain),
+            instr_per_item: spec.u64_param("instr-per-item").unwrap_or(d.instr_per_item),
         })
     }
     fn scale(&self, spec: &WorkloadSpec, factor: u64) -> WorkloadSpec {
@@ -685,14 +638,14 @@ impl WorkloadFactory for ComputeFactory {
         set_u64(
             spec,
             "items",
-            spec.u64_param("items", d.items) * factor.max(1),
+            spec.u64_param("items").unwrap_or(d.items) * factor.max(1),
         )
     }
 }
 
 struct SyntheticFactory;
 
-impl WorkloadFactory for SyntheticFactory {
+impl SpecFamily for SyntheticFactory {
     fn name(&self) -> &'static str {
         "synthetic"
     }
@@ -738,22 +691,29 @@ impl WorkloadFactory for SyntheticFactory {
             },
         ]
     }
-    fn validate_spec(&self, spec: &WorkloadSpec) -> Result<(), String> {
+    fn validate_spec(&self, spec: &Spec) -> Result<(), String> {
         require_nonzero(spec, "fanout")?;
         require_u32(spec, "depth")?;
         require_u32(spec, "fanout")?;
         require_u32(spec, "passes")
     }
+}
+
+impl WorkloadFactory for SyntheticFactory {
     fn build(&self, spec: &WorkloadSpec) -> Box<dyn Workload> {
         let d = SyntheticTree::small();
         Box::new(SyntheticTree {
-            depth: spec.u64_param("depth", d.depth as u64) as u32,
-            fanout: spec.u64_param("fanout", d.fanout as u64) as u32,
-            leaf_instructions: spec.u64_param("leaf-instr", d.leaf_instructions),
-            leaf_private_bytes: spec.u64_param("private-bytes", d.leaf_private_bytes),
-            shared_bytes: spec.u64_param("shared-bytes", d.shared_bytes),
-            shared_fraction: spec.fraction_param("shared-fraction", d.shared_fraction),
-            passes: spec.u64_param("passes", d.passes as u64) as u32,
+            depth: spec.u64_param("depth").unwrap_or(d.depth as u64) as u32,
+            fanout: spec.u64_param("fanout").unwrap_or(d.fanout as u64) as u32,
+            leaf_instructions: spec.u64_param("leaf-instr").unwrap_or(d.leaf_instructions),
+            leaf_private_bytes: spec
+                .u64_param("private-bytes")
+                .unwrap_or(d.leaf_private_bytes),
+            shared_bytes: spec.u64_param("shared-bytes").unwrap_or(d.shared_bytes),
+            shared_fraction: spec
+                .f64_param("shared-fraction")
+                .unwrap_or(d.shared_fraction),
+            passes: spec.u64_param("passes").unwrap_or(d.passes as u64) as u32,
         })
     }
     fn scale(&self, spec: &WorkloadSpec, factor: u64) -> WorkloadSpec {
@@ -761,14 +721,14 @@ impl WorkloadFactory for SyntheticFactory {
         set_u64(
             spec,
             "leaf-instr",
-            spec.u64_param("leaf-instr", d.leaf_instructions) * factor.max(1),
+            spec.u64_param("leaf-instr").unwrap_or(d.leaf_instructions) * factor.max(1),
         )
     }
 }
 
 /// Shared constraint: if `key` was given explicitly, its value must be >= 1
 /// (these parameters size divisions or loops where 0 is meaningless).
-fn require_nonzero(spec: &WorkloadSpec, key: &str) -> Result<(), String> {
+fn require_nonzero(spec: &Spec, key: &str) -> Result<(), String> {
     if spec.param(key) == Some("0") {
         return Err(format!("'{key}' must be at least 1"));
     }
@@ -778,8 +738,8 @@ fn require_nonzero(spec: &WorkloadSpec, key: &str) -> Result<(), String> {
 /// Shared constraint for parameters stored in `u32` fields: reject values the
 /// build would otherwise silently truncate (breaking the spec→instance
 /// round-trip, and defeating [`require_nonzero`] via wrap-to-zero).
-fn require_u32(spec: &WorkloadSpec, key: &str) -> Result<(), String> {
-    if spec.u64_param(key, 0) > u32::MAX as u64 {
+fn require_u32(spec: &Spec, key: &str) -> Result<(), String> {
+    if spec.u64_param(key).unwrap_or(0) > u32::MAX as u64 {
         return Err(format!("'{key}' must fit in 32 bits"));
     }
     Ok(())
@@ -789,6 +749,7 @@ fn require_u32(spec: &WorkloadSpec, key: &str) -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::WorkloadClass;
+    use pdfws_spec::SpecErrorKind;
 
     #[test]
     fn global_registry_knows_the_builtins() {
@@ -926,7 +887,7 @@ mod tests {
     #[test]
     fn custom_factories_extend_the_grammar() {
         struct Pair;
-        impl WorkloadFactory for Pair {
+        impl SpecFamily for Pair {
             fn name(&self) -> &'static str {
                 "test-pair"
             }
@@ -936,13 +897,15 @@ mod tests {
             fn params(&self) -> &'static [ParamSpec] {
                 &[]
             }
+        }
+        impl WorkloadFactory for Pair {
             fn build(&self, _spec: &WorkloadSpec) -> Box<dyn Workload> {
                 let mut t = SyntheticTree::small();
                 t.depth = 1;
                 Box::new(t)
             }
         }
-        register_workload(Arc::new(Pair));
+        WorkloadRegistry::global().register(Arc::new(Pair));
         let spec: WorkloadSpec = "test-pair".parse().unwrap();
         assert_eq!(spec.build().build_dag().len(), 4);
         let err = "test-pair:x=1".parse::<WorkloadSpec>().unwrap_err();
@@ -953,9 +916,7 @@ mod tests {
     fn separate_registries_are_independent() {
         let reg = WorkloadRegistry::empty();
         assert!(reg.names().is_empty());
-        let err = reg
-            .validate("mergesort".into(), BTreeMap::new())
-            .unwrap_err();
+        let err = reg.parse("mergesort").unwrap_err();
         assert!(matches!(err.kind, SpecErrorKind::UnknownName { .. }));
     }
 }

@@ -28,107 +28,41 @@
 //! constructor, so the bare name builds exactly the instance the unit tests
 //! exercise, and `small()`/`new(n)` constructors now *are* canonical strings
 //! (see [`Workload::spec`]).
-//!
-//! The serde derives are markers (see the vendored `serde` stand-in); actual
-//! serialization goes through the canonical string form, e.g. in
-//! `pdfws-stream`'s JSONL record path.
 
-use crate::registry::{WorkloadRegistry, WORKLOAD_VOCAB};
+use crate::registry::{WorkloadDomain, WorkloadRegistry};
 use crate::Workload;
-use serde::{Deserialize, Serialize};
+use pdfws_spec::{spec_type, Spec};
 use std::collections::BTreeMap;
-use std::fmt;
-use std::str::FromStr;
 
 /// Errors from parsing or validating a [`WorkloadSpec`] (the shared
 /// `pdfws-spec` error with the workload vocabulary attached).
 pub type WorkloadSpecError = pdfws_spec::SpecError;
 
-/// A parsed, validated workload description: registered name + parameters.
-///
-/// Construct one by parsing (`"mergesort:n=4096".parse()`), from a live
-/// workload value ([`Workload::spec`]), or via [`WorkloadSpec::with_param`].
-/// Every parsed spec validates against the global
-/// [`WorkloadRegistry`], so it is always
-/// resolvable into a workload object with [`WorkloadSpec::build`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct WorkloadSpec {
-    name: String,
-    /// Canonically sorted `key -> value` parameters (only the explicitly-given
-    /// ones; defaults are applied by the factory at build time).
-    params: BTreeMap<String, String>,
+spec_type! {
+    /// A parsed, validated workload description: registered name +
+    /// parameters.
+    ///
+    /// Construct one by parsing (`"mergesort:n=4096".parse()`), from a live
+    /// workload value ([`Workload::spec`]), or via
+    /// [`WorkloadSpec::with_param`].  Every parsed spec validates against the
+    /// global [`WorkloadRegistry`], so it is always resolvable into a
+    /// workload object with [`WorkloadSpec::build`].
+    pub struct WorkloadSpec(WorkloadDomain);
 }
 
 impl WorkloadSpec {
     /// Internal: build a spec that is already known valid (used by the
-    /// registry after validation and by the [`SpecSynth`] the workload
+    /// registry's scale/reseed hooks and by the [`SpecSynth`] the workload
     /// constructors report themselves through).
     pub(crate) fn known_valid(name: &str, params: BTreeMap<String, String>) -> Self {
-        WorkloadSpec {
-            name: name.to_string(),
-            params,
-        }
+        WorkloadSpec(Spec::known_valid(name, params))
     }
 
     /// A bare, *unvalidated* spec for an ad-hoc workload that is not in the
     /// registry (e.g. a hand-built DAG).  It renders and compares like any
     /// other spec but will not re-parse unless the name gets registered.
     pub fn unregistered(name: impl Into<String>) -> Self {
-        WorkloadSpec {
-            name: name.into(),
-            params: BTreeMap::new(),
-        }
-    }
-
-    /// Parse and validate a spec string (same as `s.parse()`).
-    pub fn parse(s: &str) -> Result<Self, WorkloadSpecError> {
-        s.parse()
-    }
-
-    /// The registry key this spec resolves through ("mergesort", "spmv", ...).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The explicitly-given parameters, in canonical (sorted-by-key) order.
-    pub fn params(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.params.iter().map(|(k, v)| (k.as_str(), v.as_str()))
-    }
-
-    /// The raw value of one parameter, if it was given.
-    pub fn param(&self, key: &str) -> Option<&str> {
-        self.params.get(key).map(String::as_str)
-    }
-
-    /// A `u64` parameter, or `default` if it was not given.  The value parses
-    /// by construction (validated against the registry's
-    /// [`ParamKind::U64`](pdfws_spec::ParamKind::U64) declaration when the
-    /// spec was created).
-    pub fn u64_param(&self, key: &str, default: u64) -> u64 {
-        self.param(key)
-            .map(|v| v.parse().expect("validated u64 parameter"))
-            .unwrap_or(default)
-    }
-
-    /// A fraction parameter in `[0, 1]`, or `default` if it was not given.
-    pub fn fraction_param(&self, key: &str, default: f64) -> f64 {
-        self.param(key)
-            .map(|v| v.parse().expect("validated fraction parameter"))
-            .unwrap_or(default)
-    }
-
-    /// Add or replace one parameter, revalidating the result.  Consumes and
-    /// returns the spec so calls chain.
-    pub fn with_param(mut self, key: &str, value: &str) -> Result<Self, WorkloadSpecError> {
-        self.params.insert(key.to_string(), value.to_string());
-        WorkloadRegistry::global().validate(self.name, self.params)
-    }
-
-    /// The canonical string form (what [`fmt::Display`] prints): reports,
-    /// sweep tables and job-stream records all carry this, so two differently
-    /// parameterized instances of the same program stay distinguishable.
-    pub fn canonical(&self) -> String {
-        self.to_string()
+        WorkloadSpec(Spec::known_valid(name, BTreeMap::new()))
     }
 
     /// Instantiate the workload this spec describes, via the global
@@ -140,22 +74,7 @@ impl WorkloadSpec {
     /// specs are validated at construction, so this only affects
     /// [`WorkloadSpec::unregistered`] values.
     pub fn build(&self) -> Box<dyn Workload> {
-        WorkloadRegistry::global().build(self)
-    }
-}
-
-impl fmt::Display for WorkloadSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        pdfws_spec::format_spec(f, &self.name, &self.params)
-    }
-}
-
-impl FromStr for WorkloadSpec {
-    type Err = WorkloadSpecError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let (name, params) = pdfws_spec::parse_spec(s, &WORKLOAD_VOCAB)?;
-        WorkloadRegistry::global().validate(name, params)
+        WorkloadRegistry::global().resolve(self).build(self)
     }
 }
 
@@ -226,8 +145,8 @@ mod tests {
         assert_eq!(spec.to_string(), "mergesort:grain=64,n=4096");
         let again: WorkloadSpec = spec.to_string().parse().unwrap();
         assert_eq!(again, spec);
-        assert_eq!(spec.u64_param("grain", 32), 64);
-        assert_eq!(spec.u64_param("leaf-instr", 12), 12);
+        assert_eq!(spec.u64_param("grain"), Some(64));
+        assert_eq!(spec.u64_param("leaf-instr"), None);
     }
 
     #[test]
@@ -266,7 +185,7 @@ mod tests {
     fn fractions_parse_and_normalise() {
         let spec: WorkloadSpec = "synthetic:shared-fraction=0.50".parse().unwrap();
         assert_eq!(spec.to_string(), "synthetic:shared-fraction=0.5");
-        assert_eq!(spec.fraction_param("shared-fraction", 0.0), 0.5);
+        assert_eq!(spec.f64_param("shared-fraction"), Some(0.5));
         let err = "synthetic:shared-fraction=1.5"
             .parse::<WorkloadSpec>()
             .unwrap_err();

@@ -1,8 +1,8 @@
 //! Add your own scheduler in ~30 lines.
 //!
 //! The scheduler API is open: implement [`SchedulerPolicy`] (four required
-//! methods), wrap it in a [`PolicyFactory`] that names it and declares its
-//! parameters, and `register` it.  From that point `"lifo"` — or
+//! methods), name it and declare its parameters ([`SpecFamily`]), wrap it in
+//! a [`PolicyFactory`] that builds it, and register it.  From that point `"lifo"` — or
 //! `"lifo:your=params"` if you declare any — parses as a [`SchedulerSpec`]
 //! everywhere: `Experiment`, `StreamExperiment`, stream configs, bench
 //! binaries.
@@ -45,7 +45,7 @@ impl SchedulerPolicy for LifoPolicy {
 
 struct LifoFactory;
 
-impl PolicyFactory for LifoFactory {
+impl SpecFamily for LifoFactory {
     fn name(&self) -> &'static str {
         "lifo"
     }
@@ -55,6 +55,9 @@ impl PolicyFactory for LifoFactory {
     fn params(&self) -> &'static [ParamSpec] {
         &[] // declare ParamSpec entries here and read them via spec.param()
     }
+}
+
+impl PolicyFactory for LifoFactory {
     fn build(&self, spec: &SchedulerSpec, _cores: usize) -> Box<dyn SchedulerPolicy> {
         Box::new(LifoPolicy {
             name: spec.canonical(),
@@ -66,14 +69,14 @@ impl PolicyFactory for LifoFactory {
 // ---------------------------------------------------------------------------
 
 fn main() {
-    register(Arc::new(LifoFactory));
+    Registry::global().register(Arc::new(LifoFactory));
 
     // The registry now knows the policy...
     println!("registered policies:\n{}", Registry::global().help());
 
     // ...and the name parses like any built-in spec.
     let lifo: SchedulerSpec = "lifo".parse().expect("registered name parses");
-    let report = Experiment::new(MergeSort::new(1 << 16).into_spec())
+    let report = Experiment::new(MergeSort::new(1 << 16).into_instance())
         .cores(8)
         .schedulers(&[SchedulerSpec::pdf(), SchedulerSpec::ws(), lifo.clone()])
         .run()

@@ -2,8 +2,8 @@
 //!
 //! The workload API is open, exactly like the scheduler API
 //! (`examples/custom_policy.rs`): implement [`Workload`] (four required
-//! methods), wrap it in a [`WorkloadFactory`] that names it and declares its
-//! typed parameters, and `register_workload` it.  From that point
+//! methods), name it and declare its typed parameters ([`SpecFamily`]), wrap
+//! it in a [`WorkloadFactory`] that builds it, and register it.  From that point
 //! `"stencil"` — or `"stencil:points=8192,iters=4"` — parses as a
 //! [`WorkloadSpec`] everywhere: `Experiment::for_spec`, `SweepGrid`,
 //! job-stream mixes, and every bench binary's `--workload` flag.
@@ -89,7 +89,7 @@ impl Workload for Stencil {
 
 struct StencilFactory;
 
-impl WorkloadFactory for StencilFactory {
+impl SpecFamily for StencilFactory {
     fn name(&self) -> &'static str {
         "stencil"
     }
@@ -116,11 +116,14 @@ impl WorkloadFactory for StencilFactory {
             },
         ]
     }
+}
+
+impl WorkloadFactory for StencilFactory {
     fn build(&self, spec: &WorkloadSpec) -> Box<dyn Workload> {
         Box::new(Stencil {
-            points: spec.u64_param("points", 4096),
-            iters: spec.u64_param("iters", 2),
-            grain: spec.u64_param("grain", 256),
+            points: spec.u64_param("points").unwrap_or(4096),
+            iters: spec.u64_param("iters").unwrap_or(2),
+            grain: spec.u64_param("grain").unwrap_or(256),
         })
     }
 }
@@ -128,7 +131,7 @@ impl WorkloadFactory for StencilFactory {
 // ---------------------------------------------------------------------------
 
 fn main() {
-    register_workload(Arc::new(StencilFactory));
+    WorkloadRegistry::global().register(Arc::new(StencilFactory));
 
     // The registry now knows the workload...
     println!(

@@ -9,7 +9,7 @@ use pdfws::prelude::*;
 
 fn main() {
     // The Figure-1 workload at a small size so this example runs in a second.
-    let workload = MergeSort::new(1 << 16).into_spec();
+    let workload = MergeSort::new(1 << 16).into_instance();
 
     let report = Experiment::new(workload)
         .cores(8)

@@ -34,10 +34,8 @@ fn main() {
     let open = StreamExperiment::new(mix.clone())
         .jobs(24)
         .cores(8)
-        .arrivals(ArrivalProcess::OpenLoopPoisson {
-            jobs_per_mcycle: 80.0,
-            seed: 7,
-        })
+        .arrivals(ArrivalSpec::poisson(80.0))
+        .arrival_seed(7)
         .run()
         .expect("8-core default configuration exists");
     for spec in SchedulerSpec::paper_pair() {
@@ -51,10 +49,7 @@ fn main() {
     let closed = StreamExperiment::new(mix.clone())
         .jobs(24)
         .cores(8)
-        .arrivals(ArrivalProcess::ClosedLoop {
-            population: 3,
-            think_cycles: 2_000,
-        })
+        .arrivals(ArrivalSpec::closed(3, 2_000))
         .admission(AdmissionPolicy::ShortestJobFirst)
         .run()
         .expect("8-core default configuration exists");

@@ -4,6 +4,9 @@
 //! This umbrella crate re-exports the whole workspace so that examples, integration
 //! tests and downstream users can depend on a single crate:
 //!
+//! * [`spec`] — the shared `name:key=value` grammar and the generic registry
+//!   every string-addressable axis (scheduler, workload, memsys, cache mode,
+//!   arrivals) is an instance of.
 //! * [`cmp_model`] — die-area / process-technology configuration model (the paper's
 //!   "default configurations" for 1–32 cores on a 240 mm² die).
 //! * [`cache_sim`] — private-L1 / shared-L2 cache-hierarchy simulator.
@@ -19,10 +22,10 @@
 //!   (workload registry, typed `name:key=value` parameters).
 //! * [`metrics`] — L2 misses per 1000 instructions, speedups, latency quantiles,
 //!   traffic, reporting.
-//! * [`stream`] — the multiprogrammed job-stream subsystem: open/closed-loop DAG
-//!   arrivals, admission policies, and latency-SLO metrics under load.
+//! * [`stream`] — the multiprogrammed job-stream subsystem: the open
+//!   `ArrivalSpec` axis (Poisson/uniform/Pareto/burst/diurnal open loops and
+//!   closed loops), admission policies, and latency-SLO metrics under load.
 //! * [`serve`] — the multi-tenant serving tier on top of the stream subsystem:
-//!   the open `ArrivalSpec` axis (Poisson/Pareto/burst/diurnal processes),
 //!   weighted tenants with p99 sojourn SLOs, admission control with load
 //!   shedding, core autoscaling, and constant-memory streaming statistics for
 //!   sustained 10⁶–10⁷-job runs.
@@ -42,7 +45,7 @@
 //! use pdfws::prelude::*;
 //!
 //! // Simulate parallel merge sort on the default 8-core CMP under both schedulers.
-//! let workload = MergeSort::new(1 << 14).into_spec();
+//! let workload = MergeSort::new(1 << 14).into_instance();
 //! let report = Experiment::new(workload)
 //!     .cores(8)
 //!     .schedulers(&[SchedulerSpec::pdf(), "ws:steal=half".parse().unwrap()])
@@ -62,6 +65,7 @@ pub use pdfws_report as report;
 pub use pdfws_runtime as runtime;
 pub use pdfws_schedulers as schedulers;
 pub use pdfws_serve as serve;
+pub use pdfws_spec as spec;
 pub use pdfws_stream as stream;
 pub use pdfws_task_dag as task_dag;
 pub use pdfws_trace as trace;

@@ -4,7 +4,7 @@ use pdfws::prelude::*;
 
 #[test]
 fn sweep_over_the_paper_core_counts_completes_for_a_small_mergesort() {
-    let report = Experiment::new(MergeSort::new(1 << 12).into_spec())
+    let report = Experiment::new(MergeSort::new(1 << 12).into_instance())
         .core_sweep(&[1, 2, 4, 8, 16, 32])
         .schedulers(&SchedulerSpec::paper_pair())
         .run()
@@ -25,15 +25,15 @@ fn sweep_over_the_paper_core_counts_completes_for_a_small_mergesort() {
 #[test]
 fn every_workload_class_runs_under_every_scheduler() {
     let workloads: Vec<WorkloadInstance> = vec![
-        MergeSort::small().into_spec(),
-        QuickSort::small().into_spec(),
-        MatMul::small().into_spec(),
-        LuDecomposition::small().into_spec(),
-        SpMv::small().into_spec(),
-        HashJoin::small().into_spec(),
-        ParallelScan::small().into_spec(),
-        ComputeKernel::small().into_spec(),
-        SyntheticTree::small().into_spec(),
+        MergeSort::small().into_instance(),
+        QuickSort::small().into_instance(),
+        MatMul::small().into_instance(),
+        LuDecomposition::small().into_instance(),
+        SpMv::small().into_instance(),
+        HashJoin::small().into_instance(),
+        ParallelScan::small().into_instance(),
+        ComputeKernel::small().into_instance(),
+        SyntheticTree::small().into_instance(),
     ];
     for spec in workloads {
         let tasks = spec.dag.len();
@@ -58,7 +58,7 @@ fn every_workload_class_runs_under_every_scheduler() {
 fn speedups_are_monotone_enough_for_an_embarrassingly_parallel_workload() {
     // The compute-bound kernel has negligible memory traffic, so speedup should
     // track core count closely for both schedulers.
-    let report = Experiment::new(ComputeKernel::new(1 << 13).into_spec())
+    let report = Experiment::new(ComputeKernel::new(1 << 13).into_instance())
         .core_sweep(&[1, 2, 4, 8])
         .run()
         .unwrap();
@@ -78,7 +78,7 @@ fn speedups_are_monotone_enough_for_an_embarrassingly_parallel_workload() {
 
 #[test]
 fn baseline_is_the_one_core_configuration() {
-    let report = Experiment::new(ParallelScan::small().into_spec())
+    let report = Experiment::new(ParallelScan::small().into_instance())
         .cores(4)
         .run()
         .unwrap();
@@ -89,11 +89,11 @@ fn baseline_is_the_one_core_configuration() {
 
 #[test]
 fn deterministic_reports_for_identical_experiments() {
-    let a = Experiment::new(SpMv::small().into_spec())
+    let a = Experiment::new(SpMv::small().into_instance())
         .core_sweep(&[2, 4])
         .run()
         .unwrap();
-    let b = Experiment::new(SpMv::small().into_spec())
+    let b = Experiment::new(SpMv::small().into_instance())
         .core_sweep(&[2, 4])
         .run()
         .unwrap();

@@ -12,10 +12,8 @@ fn same_seed_reproduces_admission_order_and_sojourn_times() {
     for spec in SchedulerSpec::paper_pair() {
         let mut cfg = StreamConfig::new(4, spec.clone());
         cfg.quantum_cycles = 8_000;
-        cfg.arrivals = ArrivalProcess::OpenLoopPoisson {
-            jobs_per_mcycle: 80.0,
-            seed: 21,
-        };
+        cfg.arrivals = ArrivalSpec::poisson(80.0);
+        cfg.arrival_seed = 21;
         let a = run_stream_sim(&mix, 10, &cfg).unwrap();
         let b = run_stream_sim(&mix, 10, &cfg).unwrap();
         assert_eq!(a.admission_order, b.admission_order, "{spec}");
@@ -44,10 +42,7 @@ fn closed_loop_concurrency_never_exceeds_the_population() {
         let mut cfg = StreamConfig::new(4, SchedulerSpec::ws());
         cfg.quantum_cycles = 8_000;
         cfg.max_concurrent = 8; // slots must not be what bounds concurrency here
-        cfg.arrivals = ArrivalProcess::ClosedLoop {
-            population,
-            think_cycles: 300,
-        };
+        cfg.arrivals = ArrivalSpec::closed(population as u64, 300);
         let outcome = run_stream_sim(&mix, 7, &cfg).unwrap();
         assert_eq!(outcome.records.len(), 7);
         assert!(
@@ -64,9 +59,8 @@ fn open_loop_respects_the_slot_limit() {
     let mut cfg = StreamConfig::new(4, SchedulerSpec::pdf());
     cfg.quantum_cycles = 8_000;
     cfg.max_concurrent = 2;
-    cfg.arrivals = ArrivalProcess::OpenLoopUniform {
-        interarrival_cycles: 0, // everything arrives at once
-    };
+    // A client per job with no think time: everything arrives at once.
+    cfg.arrivals = ArrivalSpec::closed(9, 0);
     let outcome = run_stream_sim(&mix, 9, &cfg).unwrap();
     assert_eq!(outcome.records.len(), 9);
     assert!(outcome.peak_concurrency <= 2);
@@ -80,10 +74,8 @@ fn stream_experiment_compares_the_paper_pair() {
         .jobs(8)
         .cores(4)
         .quantum_cycles(8_000)
-        .arrivals(ArrivalProcess::OpenLoopPoisson {
-            jobs_per_mcycle: 60.0,
-            seed: 5,
-        })
+        .arrivals(ArrivalSpec::poisson(60.0))
+        .arrival_seed(5)
         .run()
         .unwrap();
     let pdf = report.summary(&SchedulerSpec::pdf()).unwrap();
@@ -109,9 +101,7 @@ fn admission_policies_change_the_order_not_the_job_set() {
         cfg.quantum_cycles = 8_000;
         cfg.max_concurrent = 1;
         cfg.admission = policy;
-        cfg.arrivals = ArrivalProcess::OpenLoopUniform {
-            interarrival_cycles: 0,
-        };
+        cfg.arrivals = ArrivalSpec::closed(8, 0);
         let outcome = run_stream_sim(&mix, 8, &cfg).unwrap();
         let mut ids: Vec<u64> = outcome.records.iter().map(|r| r.id).collect();
         ids.sort_unstable();

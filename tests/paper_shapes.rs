@@ -26,7 +26,7 @@ fn small_cache_config(cores: usize) -> CmpConfig {
 #[test]
 fn mergesort_pdf_produces_no_more_l2_misses_than_ws_at_scale() {
     // 2^16 keys * 8 B * 2 buffers = 1 MiB of data against a 256 KiB L2.
-    let spec = MergeSort::new(1 << 16).with_grain(1 << 10).into_spec();
+    let spec = MergeSort::new(1 << 16).with_grain(1 << 10).into_instance();
     for cores in [8usize, 16] {
         let report = Experiment::new(spec.clone())
             .cores(cores)
@@ -53,7 +53,7 @@ fn mergesort_pdf_produces_no_more_l2_misses_than_ws_at_scale() {
 
 #[test]
 fn ws_l2_misses_grow_with_cores_faster_than_pdf_for_mergesort() {
-    let spec = MergeSort::new(1 << 16).with_grain(1 << 10).into_spec();
+    let spec = MergeSort::new(1 << 16).with_grain(1 << 10).into_instance();
     let mpki = |cores: usize, scheduler: &SchedulerSpec| {
         let report = Experiment::new(spec.clone())
             .cores(cores)
@@ -74,7 +74,7 @@ fn ws_l2_misses_grow_with_cores_faster_than_pdf_for_mergesort() {
 
 #[test]
 fn low_reuse_scan_ties_between_schedulers() {
-    let spec = ParallelScan::new(1 << 15).into_spec();
+    let spec = ParallelScan::new(1 << 15).into_instance();
     let cores = 8;
     let report = Experiment::new(spec)
         .cores(cores)
@@ -92,7 +92,7 @@ fn low_reuse_scan_ties_between_schedulers() {
 
 #[test]
 fn compute_bound_kernel_ties_between_schedulers() {
-    let spec = ComputeKernel::new(1 << 13).into_spec();
+    let spec = ComputeKernel::new(1 << 13).into_instance();
     let cores = 8;
     let report = Experiment::new(spec)
         .cores(cores)
@@ -124,10 +124,10 @@ fn coarse_grained_mergesort_cannot_exploit_constructive_sharing() {
             .run()
             .unwrap()
     };
-    let fine = run(MergeSort::new(1 << 16).with_grain(1 << 10).into_spec());
+    let fine = run(MergeSort::new(1 << 16).with_grain(1 << 10).into_instance());
     let coarse = run(MergeSort::new(1 << 16)
         .coarse_grained(cores as u64)
-        .into_spec());
+        .into_instance());
 
     let fine_reduction = fine.pdf_traffic_reduction_percent(cores).unwrap();
     let coarse_reduction = coarse.pdf_traffic_reduction_percent(cores).unwrap();
@@ -151,7 +151,7 @@ fn shrinking_the_l2_hurts_ws_more_than_pdf() {
     // in the halved L2 while WS's per-core working sets spill: at 2^16 keys
     // both schedulers outgrow even the full 256 KiB L2 and the halving
     // penalty is dominated by capacity misses neither scheduler can avoid.
-    let spec = MergeSort::new(1 << 15).with_grain(1 << 10).into_spec();
+    let spec = MergeSort::new(1 << 15).with_grain(1 << 10).into_instance();
     let cores = 8;
     let full = small_cache_config(cores);
     let mut half = full;

@@ -201,7 +201,7 @@ fn every_registered_policy_matches_the_sequential_baseline_on_one_core() {
 fn experiments_distinguish_two_variants_of_the_same_policy() {
     let steal_one = SchedulerSpec::ws();
     let steal_half: SchedulerSpec = "ws:steal=half".parse().unwrap();
-    let report = Experiment::new(MergeSort::new(1 << 12).into_spec())
+    let report = Experiment::new(MergeSort::new(1 << 12).into_instance())
         .cores(4)
         .schedulers(&[steal_one.clone(), steal_half.clone()])
         .run()
@@ -249,7 +249,7 @@ fn custom_policies_register_and_run_through_the_experiment_api() {
         }
     }
     struct FifoFactory;
-    impl PolicyFactory for FifoFactory {
+    impl SpecFamily for FifoFactory {
         fn name(&self) -> &'static str {
             "test-fifo"
         }
@@ -259,6 +259,8 @@ fn custom_policies_register_and_run_through_the_experiment_api() {
         fn params(&self) -> &'static [ParamSpec] {
             &[]
         }
+    }
+    impl PolicyFactory for FifoFactory {
         fn build(&self, spec: &SchedulerSpec, _cores: usize) -> Box<dyn SchedulerPolicy> {
             Box::new(FifoPolicy {
                 name: spec.canonical(),
@@ -267,9 +269,9 @@ fn custom_policies_register_and_run_through_the_experiment_api() {
         }
     }
 
-    register(Arc::new(FifoFactory));
+    Registry::global().register(Arc::new(FifoFactory));
     let spec: SchedulerSpec = "test-fifo".parse().expect("registered name parses");
-    let report = Experiment::new(ParallelScan::small().into_spec())
+    let report = Experiment::new(ParallelScan::small().into_instance())
         .cores(2)
         .schedulers(std::slice::from_ref(&spec))
         .run()

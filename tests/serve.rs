@@ -75,7 +75,7 @@ fn every_open_loop_arrival_process_serves_end_to_end() {
         "diurnal",
     ] {
         let mut cfg = base_cfg(150, 60.0);
-        cfg.arrivals = ArrivalSpec::parse(spec).unwrap();
+        cfg.arrivals = spec.parse().unwrap();
         let report = run_serve(&cfg).unwrap();
         assert_eq!(report.offered, 150, "{spec}");
         assert_eq!(

@@ -289,7 +289,7 @@ fn custom_workloads_register_and_run_through_the_experiment_api() {
         }
     }
     struct FlatParFactory;
-    impl WorkloadFactory for FlatParFactory {
+    impl SpecFamily for FlatParFactory {
         fn name(&self) -> &'static str {
             "test-flatpar"
         }
@@ -303,14 +303,16 @@ fn custom_workloads_register_and_run_through_the_experiment_api() {
                 doc: "parallel leaves",
             }]
         }
+    }
+    impl WorkloadFactory for FlatParFactory {
         fn build(&self, spec: &WorkloadSpec) -> Box<dyn Workload> {
             Box::new(FlatPar {
-                width: spec.u64_param("width", 8),
+                width: spec.u64_param("width").unwrap_or(8),
             })
         }
     }
 
-    register_workload(Arc::new(FlatParFactory));
+    WorkloadRegistry::global().register(Arc::new(FlatParFactory));
     let report = Experiment::for_spec("test-flatpar:width=16")
         .expect("registered name parses")
         .cores(2)
