@@ -16,8 +16,6 @@
 //!   energy model behind the paper's "PDF's smaller working sets provide
 //!   opportunities to power down segments of the cache" finding (the powered
 //!   L2 fractions themselves come from `pdfws_cmp_model::sweep::sweep_l2_fraction`).
-//! * [`working_set::WorkingSetProfiler`] — distinct-blocks-in-window profiling used
-//!   to compare aggregate working sets under the two schedulers.
 //! * [`mode::CacheModeSpec`] — the string-addressable *cache mode* axis
 //!   (`exact`, `sampled:rate=N`, `analytic`) selecting how the engine prices
 //!   memory references: full trace-driven simulation, systematic set-sampling
@@ -53,7 +51,6 @@ pub mod power;
 pub mod replacement;
 pub mod stack_distance;
 pub mod stats;
-pub mod working_set;
 
 pub use addr::{block_of, Addr, BlockAddr};
 pub use cache::{AccessKind, Cache, CacheAccessResult};

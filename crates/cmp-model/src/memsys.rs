@@ -64,6 +64,14 @@ pub struct MemSysParams {
 /// each keep two rows open (`pdfws-memsys` pairs the ranks' row buffers).
 pub const DEFAULT_DRAM_BANKS: u64 = 16;
 
+/// Largest accepted bus clock period (core cycles per bus cycle); together
+/// with the bounds below it keeps component timing far from `u64` overflow.
+pub const MAX_BUS_CLOCK_PERIOD: u64 = 1 << 20;
+/// Largest accepted DRAM bank count (banks are allocated up front).
+pub const MAX_DRAM_BANKS: u64 = 1 << 12;
+/// Largest accepted DRAM row-hit or row-miss latency, in core cycles.
+pub const MAX_DRAM_CYCLES: u64 = 1 << 20;
+
 impl MemSysParams {
     /// The component model with every value derived from the configuration.
     pub fn bus_dram() -> Self {
@@ -134,14 +142,15 @@ impl MemSysParams {
                 return Err("memsys DRAM bandwidth must be positive".to_string());
             }
         }
-        if self.bus_clock_period == Some(0) {
-            return Err("memsys bus clock period must be positive".to_string());
-        }
-        if self.dram_banks == Some(0) {
-            return Err("memsys DRAM bank count must be positive".to_string());
-        }
-        if self.dram_miss_cycles == Some(0) {
-            return Err("memsys DRAM row-miss latency must be positive".to_string());
+        for (value, min, max, what) in [
+            (self.bus_clock_period, 1, MAX_BUS_CLOCK_PERIOD, "bus clock"),
+            (self.dram_banks, 1, MAX_DRAM_BANKS, "DRAM bank count"),
+            (self.dram_hit_cycles, 0, MAX_DRAM_CYCLES, "DRAM row hit"),
+            (self.dram_miss_cycles, 1, MAX_DRAM_CYCLES, "DRAM row miss"),
+        ] {
+            if value.is_some_and(|v| !(min..=max).contains(&v)) {
+                return Err(format!("memsys {what} must be in {min}..={max}"));
+            }
         }
         Ok(())
     }
@@ -260,5 +269,37 @@ mod tests {
         }
         MemSysParams::bus_dram().validate().unwrap();
         MemSysParams::legacy().validate().unwrap();
+    }
+
+    #[test]
+    fn validation_rejects_unphysical_overrides() {
+        for bad in [
+            MemSysParams {
+                bus_clock_period: Some(u64::MAX),
+                ..MemSysParams::bus_dram()
+            },
+            MemSysParams {
+                dram_banks: Some(MAX_DRAM_BANKS + 1),
+                ..MemSysParams::bus_dram()
+            },
+            MemSysParams {
+                dram_hit_cycles: Some(u64::MAX),
+                ..MemSysParams::bus_dram()
+            },
+            MemSysParams {
+                dram_miss_cycles: Some(MAX_DRAM_CYCLES + 1),
+                ..MemSysParams::bus_dram()
+            },
+        ] {
+            assert!(bad.validate().is_err(), "{bad:?}");
+        }
+        let at_the_bounds = MemSysParams {
+            bus_clock_period: Some(MAX_BUS_CLOCK_PERIOD),
+            dram_banks: Some(MAX_DRAM_BANKS),
+            dram_hit_cycles: Some(MAX_DRAM_CYCLES),
+            dram_miss_cycles: Some(MAX_DRAM_CYCLES),
+            ..MemSysParams::bus_dram()
+        };
+        at_the_bounds.validate().unwrap();
     }
 }

@@ -98,7 +98,7 @@ impl SharedBus {
 
     /// Core cycles a request of `bytes` occupies the bus.
     pub fn occupancy_cycles(&self, bytes: u64) -> u64 {
-        transfer_cycles(bytes, self.width_bytes_per_cycle) * self.clock_period
+        transfer_cycles(bytes, self.width_bytes_per_cycle).saturating_mul(self.clock_period)
     }
 
     /// Synchronously resolve a grant for a requester with no other
@@ -106,7 +106,7 @@ impl SharedBus {
     pub fn transact(&mut self, requester: usize, bytes: u64, at: u64) -> BusGrant {
         let start = align_up(at.max(self.busy_until), self.clock_period);
         let duration = self.occupancy_cycles(bytes);
-        let delivered_at = start + duration;
+        let delivered_at = start.saturating_add(duration);
         if duration > 0 {
             self.busy_until = delivered_at;
         }

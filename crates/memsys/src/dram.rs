@@ -189,17 +189,17 @@ impl DramController {
             // limiting case where only the flat access latency remains.
             return DramService {
                 start: at,
-                done: at + access,
+                done: at.saturating_add(access),
                 queue_cycles: 0,
                 row_hit,
             };
         }
         let start = at.max(bank.busy_until);
         let bank_wait = start - at;
-        let ready = start + access;
+        let ready = start.saturating_add(access);
         let data_start = ready.max(self.data_busy_until);
         let data_wait = data_start - ready;
-        let done = data_start + transfer;
+        let done = data_start.saturating_add(transfer);
         self.data_busy_until = done;
         // A row miss holds the bank for the row cycle (tRC: activate, access,
         // restore) — about three quarters of the end-to-end miss latency; the
@@ -208,9 +208,9 @@ impl DramController {
         // bank frees at the data-burst rate while the hit latency itself is
         // pure pipeline delay experienced only by the requester.
         bank.busy_until = if row_hit {
-            start + transfer
+            start.saturating_add(transfer)
         } else {
-            done.min(start + 2 * self.miss_cycles / 3 + transfer)
+            done.min(start.saturating_add(2 * self.miss_cycles / 3 + transfer))
         };
         let queue_cycles = bank_wait + data_wait;
         self.queue_cycles += queue_cycles;

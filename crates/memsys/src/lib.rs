@@ -10,7 +10,7 @@
 //! paper's claim that constructive cache sharing reduces off-chip pressure —
 //! is then an *observed* queuing delay, not a computed one.
 //!
-//! The crate has three layers:
+//! The crate has four layers:
 //!
 //! * the **substrate** — [`EventQueue`] (a deterministic `(time, id)`
 //!   min-heap) and the [`Component`] trait with its [`run_until`] driver,
@@ -19,6 +19,8 @@
 //!   either queued (through the event loop) or synchronously (the engine's
 //!   one-outstanding-miss-per-core path); the two modes share state and are
 //!   tested equivalent on in-order traffic;
+//! * the **off-chip model** — [`OffChip`], what the execution engine drives:
+//!   the component [`MemSystem`] or the closed-form [`LegacyChannel`];
 //! * the **grammar** — [`MemSysSpec`] / [`Registry`], making the model
 //!   selectable as `--memsys bus:width=4,dram:banks=16` (or `--memsys
 //!   legacy`) through the same `pdfws-spec` machinery as schedulers and
@@ -33,6 +35,7 @@ pub mod bus;
 pub mod component;
 pub mod dram;
 pub mod model;
+pub mod offchip;
 pub mod queue;
 pub mod registry;
 pub mod spec;
@@ -41,6 +44,7 @@ pub use bus::{BusGrant, BusRequest, SharedBus};
 pub use component::{align_up, run_until, Component};
 pub use dram::{DramController, DramRequest, DramService, ROW_BYTES};
 pub use model::{MemSystem, Transaction};
+pub use offchip::{Carry, LegacyChannel, OffChip};
 pub use queue::EventQueue;
 pub use registry::{MemSysDomain, ModelFactory, Registry};
 pub use spec::{MemSysSpec, SpecError};

@@ -110,30 +110,26 @@ impl SpecFamily for BusFactory {
                 ));
             }
         }
-        if spec.u64_param("clock") == Some(0) {
-            return Err("'clock' must be at least 1 core cycle per bus cycle".into());
-        }
-        if spec.u64_param("dram:banks") == Some(0) {
-            return Err("'dram:banks' must be at least 1".into());
-        }
-        if spec.u64_param("dram:miss") == Some(0) {
-            return Err("'dram:miss' must be at least 1 cycle".into());
-        }
-        Ok(())
+        bus_params(spec).validate()
+    }
+}
+
+/// The override block a `bus` spec describes.
+fn bus_params(spec: &Spec) -> MemSysParams {
+    MemSysParams {
+        bus_bytes_per_cycle: spec.f64_param("width"),
+        bus_clock_period: spec.u64_param("clock"),
+        dram_bytes_per_cycle: spec.f64_param("bw"),
+        dram_banks: spec.u64_param("dram:banks"),
+        dram_hit_cycles: spec.u64_param("dram:hit"),
+        dram_miss_cycles: spec.u64_param("dram:miss"),
+        ..MemSysParams::bus_dram()
     }
 }
 
 impl ModelFactory for BusFactory {
     fn memsys_params(&self, spec: &MemSysSpec) -> MemSysParams {
-        MemSysParams {
-            bus_bytes_per_cycle: spec.f64_param("width"),
-            bus_clock_period: spec.u64_param("clock"),
-            dram_bytes_per_cycle: spec.f64_param("bw"),
-            dram_banks: spec.u64_param("dram:banks"),
-            dram_hit_cycles: spec.u64_param("dram:hit"),
-            dram_miss_cycles: spec.u64_param("dram:miss"),
-            ..MemSysParams::bus_dram()
-        }
+        bus_params(spec)
     }
 }
 

@@ -143,6 +143,10 @@ mod tests {
             "bus:dram:miss=0",
             "bus:width=1e-300",
             "bus:bw=0.0001",
+            "bus:clock=18446744073709551615",
+            "bus:dram:banks=18446744073709551615",
+            "bus:dram:hit=18446744073709551615",
+            "bus:dram:miss=4294967296",
         ] {
             assert!(bad.parse::<MemSysSpec>().is_err(), "{bad} should not parse");
         }

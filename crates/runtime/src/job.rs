@@ -30,26 +30,33 @@ impl Latch {
 
     /// Mark the latch as set and wake any blocked waiters.
     pub fn set(&self) {
-        // Release pairs with the Acquire in `probe`/`wait`, so everything the
-        // setting thread wrote (in particular the job's result) is visible to the
-        // waiter that observes `set == true`.
-        self.set.store(true, Ordering::Release);
+        // Stored under the mutex, so a waiter that sees the flag can wait for
+        // this thread to leave the latch (see `probe`) before freeing it.
+        // Release pairs with the Acquire in `probe`/`wait`: the job's result
+        // is visible to the waiter that observes `set == true`.
         let _guard = self.mutex.lock();
+        self.set.store(true, Ordering::Release);
         self.cond.notify_all();
     }
 
     /// Non-blocking check.
+    ///
+    /// A `true` answer takes the mutex once before returning, so the setter
+    /// has released it and no longer touches the latch.
     pub fn probe(&self) -> bool {
-        self.set.load(Ordering::Acquire)
+        if !self.set.load(Ordering::Acquire) {
+            return false;
+        }
+        drop(self.mutex.lock());
+        true
     }
 
     /// Block the calling thread until the latch is set.
     pub fn wait(&self) {
-        if self.probe() {
-            return;
-        }
+        // Re-check the flag directly under the guard: `probe` would take the
+        // mutex a second time and deadlock.
         let mut guard = self.mutex.lock();
-        while !self.probe() {
+        while !self.set.load(Ordering::Acquire) {
             self.cond.wait(&mut guard);
         }
     }

@@ -41,7 +41,7 @@ struct TaskProfile {
 }
 
 /// Analytic cache costs of one task against a concrete two-level geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TaskCacheCosts {
     /// Memory references the task issues.
     pub refs: u64,

@@ -1,44 +1,51 @@
-//! The cycle-level CMP execution engine.
+//! The cycle-level CMP execution engine: an event core over one memory layer.
 //!
-//! The engine advances a set of simulated cores through a task DAG under a
-//! [`SchedulerPolicy`].  Each core executes its current task as an interleaving of
-//! compute instructions (one per cycle) and memory references; references go
-//! through the shared [`CmpCacheHierarchy`], and any reference that goes off chip
-//! traverses the modelled memory system: by default a shared split-transaction
-//! bus feeding a banked DRAM controller (the `pdfws-memsys` components), so
-//! bandwidth-limited programs become bandwidth-limited through *emergent*
-//! queuing at the bus arbiter and the controller's banks and data pins.  A
-//! configuration whose `memsys` selects [`MemSysMode::Legacy`] (`--memsys
-//! legacy` on the bench bins) instead charges the old closed-form cost: a
-//! single serialising channel with one busy window.
+//! The **event core** ([`SimEngine`]) advances simulated cores through a
+//! task DAG under a [`SchedulerPolicy`].  It repeatedly picks the core whose
+//! next step starts earliest and simulates a bounded *step* of its task — an
+//! interleaving of compute (one instruction per cycle) and memory references,
+//! at most [`TIME_SLICE_CYCLES`] cycles or [`MAX_ACCESSES_PER_STEP`]
+//! references — fine enough to capture constructive and destructive sharing
+//! on the shared L2, far faster than per-cycle lockstep.  Completions enable
+//! successors (in reverse listing order, so LIFO policies descend
+//! leftmost-first like the sequential program) and wake idle cores.  The
+//! core also owns dispatch (priced steals, backoff wakes), the co-runner's
+//! bursts, the policy's feedback windows and every trace emit point.
 //!
-//! Time advances event-by-event: the engine repeatedly picks the core whose next
-//! step starts earliest, simulates a bounded *step* of that task (at most
-//! [`SimOptions::time_slice_cycles`] cycles or [`SimOptions::max_accesses_per_step`]
-//! references, whichever is hit first), and re-queues the core.  The bounded step
-//! keeps the interleaving of different cores' references on the shared L2 fine
-//! enough to capture constructive and destructive sharing while staying far faster
-//! than per-cycle lockstep simulation.
-//!
-//! Completions enable successor tasks (in reverse listing order, so LIFO policies
-//! descend leftmost-first like the sequential program) and wake idle cores.
+//! The **memory layer** prices what the tasks touch, the same way for every
+//! policy: the reference pricer (`pricing.rs`) owns the cache hierarchy and
+//! prices references `exact`ly or by `sampled` sets, or whole tasks
+//! `analytic`ally ([`SimOptions::cache_mode`]); the [`OffChip`] model
+//! carries every L2 fill and writeback — the shared bus and banked DRAM of
+//! `pdfws-memsys`, where queuing is emergent, or the closed-form legacy
+//! channel (`--memsys legacy`).  Both are enums with static dispatch: their
+//! variants are closed, and the pricer runs once per simulated reference.
 
-use crate::analytic::{profile_for, DagCacheProfile};
 use crate::policy::{SchedulerPolicy, WindowFeedback};
+use crate::pricing::RefPricer;
 use crate::result::SimResult;
-use pdfws_cache_sim::hierarchy::CmpCacheHierarchy;
-use pdfws_cache_sim::working_set::WorkingSetProfiler;
-use pdfws_cache_sim::{CacheModeSpec, HierarchyStats};
-use pdfws_cmp_model::{CmpConfig, MemSysMode};
-use pdfws_memsys::{EventQueue, MemSystem};
+use pdfws_cache_sim::CacheModeSpec;
+use pdfws_cmp_model::CmpConfig;
+use pdfws_memsys::{EventQueue, OffChip};
 use pdfws_task_dag::{MemAccess, TaskDag, TaskId};
 use pdfws_trace::{PolicyEvent, TraceEvent, TraceSink};
 use std::sync::Arc;
 
-/// Default period, in simulated cycles, of the windowed cache-counter samples
-/// emitted while a trace sink is installed (see
-/// [`SimEngine::set_trace_cache_window`]).
-pub const DEFAULT_TRACE_CACHE_WINDOW: u64 = 8_192;
+/// Period, in simulated cycles, of the windowed cache-counter samples
+/// emitted while a trace sink is installed.  Counters are snapshotted once
+/// per window and emitted as deltas — per-access events would dwarf
+/// everything else in the trace.
+pub const TRACE_CACHE_WINDOW: u64 = 8_192;
+
+/// Upper bound on the simulated cycles one engine step may cover.
+pub const TIME_SLICE_CYCLES: u64 = 256;
+
+/// Upper bound on the memory references one engine step may issue.
+pub const MAX_ACCESSES_PER_STEP: u64 = 64;
+
+/// Analytic-mode step stretch: an analytic burn may span up to this many
+/// time slices per event-loop iteration (see `SimEngine::step`).
+const ANALYTIC_STEP_STRETCH: u64 = 64;
 
 /// A synthetic co-runner that periodically touches the shared L2, used by the
 /// multiprogramming experiment and the job-stream subsystem.  Its references
@@ -64,37 +71,14 @@ pub struct Disturbance {
     pub region_blocks: u64,
 }
 
-/// Engine tuning knobs and optional instrumentation.
-#[derive(Debug, Clone, PartialEq)]
+/// What one run simulates besides the DAG, machine and policy.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimOptions {
-    /// Upper bound on the simulated cycles one engine step may cover.  Smaller
-    /// values interleave cores more finely (more accurate, slower).
-    pub time_slice_cycles: u64,
-    /// Upper bound on the memory references one engine step may issue.
-    pub max_accesses_per_step: u32,
-    /// If set, profile the interleaved access stream's working set with this
-    /// window size (in references).
-    pub working_set_window: Option<u64>,
     /// Optional multiprogramming co-runner.
     pub disturbance: Option<Disturbance>,
-    /// How memory references are priced (see [`CacheModeSpec`]):
-    /// `exact` — full trace-driven simulation (the default);
-    /// `sampled:rate=N` — 1-in-N set sampling with scaled-up statistics;
-    /// `analytic` — reuse-distance histograms composed per task, no
-    /// per-reference simulation at all.
+    /// How memory references are priced (see [`CacheModeSpec`]): `exact`
+    /// (the default), `sampled:rate=N` or `analytic`.
     pub cache_mode: CacheModeSpec,
-}
-
-impl Default for SimOptions {
-    fn default() -> Self {
-        SimOptions {
-            time_slice_cycles: 256,
-            max_accesses_per_step: 64,
-            working_set_window: None,
-            disturbance: None,
-            cache_mode: CacheModeSpec::exact(),
-        }
-    }
 }
 
 /// Per-task execution progress.
@@ -119,12 +103,13 @@ struct RunningTask {
 }
 
 impl RunningTask {
-    fn new(dag: &TaskDag, task: TaskId) -> Self {
-        let node = dag.node(task);
-        let total_accesses = node.memory_accesses();
+    /// A task issuing `total_accesses` references with `compute` compute
+    /// cycles spread evenly over the gaps around them.  An analytic task is
+    /// one burn: no references, its composed time as compute.
+    fn new(task: TaskId, total_accesses: u64, compute: u64) -> Self {
         let gaps = total_accesses + 1;
-        let compute_per_gap = node.compute_instructions / gaps;
-        let compute_remainder = node.compute_instructions % gaps;
+        let compute_per_gap = compute / gaps;
+        let compute_remainder = compute % gaps;
         RunningTask {
             task,
             pattern_idx: 0,
@@ -139,22 +124,6 @@ impl RunningTask {
                 },
             compute_per_gap,
             compute_remainder,
-        }
-    }
-
-    /// An analytic-mode task: no references to expand, just `t_total` cycles
-    /// to burn (compute plus the composed memory time).  The engine's burn
-    /// loop drives it; the pro-rata crediting lives in [`AnalyticCosts`].
-    fn new_analytic(task: TaskId, t_total: u64) -> Self {
-        RunningTask {
-            task,
-            pattern_idx: 0,
-            within_idx: 0,
-            issued: 0,
-            total_accesses: 0,
-            pending_compute: t_total,
-            compute_per_gap: 0,
-            compute_remainder: 0,
         }
     }
 
@@ -219,8 +188,7 @@ impl AccessBuffer {
 
     /// Refill from the running task's patterns (clears consumed items).
     fn refill(&mut self, running: &mut RunningTask, dag: &TaskDag) {
-        self.items.clear();
-        self.cursor = 0;
+        self.clear();
         running.expand(dag, ACCESS_BUFFER_CHUNK, &mut self.items);
     }
 
@@ -230,174 +198,12 @@ impl AccessBuffer {
     }
 }
 
-/// Analytic-mode cost totals of one running task, with Bresenham-style
-/// pro-rata crediting: every burned chunk of the task's `t_total` cycles
-/// credits its proportional share of instructions, references, misses and
-/// off-chip bytes, and the final chunk lands every counter exactly on its
-/// total (`credited = total * cycles / t_total` is exact at
-/// `cycles == t_total`).
-#[derive(Debug, Clone, Copy, Default)]
-struct AnalyticCosts {
-    instr_total: u64,
-    refs: u64,
-    l1_hits: u64,
-    l2_hits: u64,
-    misses: u64,
-    writebacks: u64,
-    bytes_total: u64,
-    t_total: u64,
-    credited_cycles: u64,
-    credited_instr: u64,
-    credited_refs: u64,
-    credited_l1m: u64,
-    credited_l2m: u64,
-    credited_bytes: u64,
-}
-
-/// `total * cycles / t_total - already_credited`, advancing the credit.
-#[inline]
-fn credit_share(total: u64, cycles: u64, t_total: u64, credited: &mut u64) -> u64 {
-    let new = (total as u128 * cycles as u128 / t_total as u128) as u64;
-    let delta = new - *credited;
-    *credited = new;
-    delta
-}
-
-impl AnalyticCosts {
-    /// Credit `burn` more cycles and return the freshly credited off-chip
-    /// bytes.  Only the byte share is computed per chunk — it paces the
-    /// closed-form channel, so its granularity is observable.  The remaining
-    /// counters are synced in bulk by [`Self::sync_counters`] at step end:
-    /// nothing reads them at sub-step granularity, and the four u128
-    /// divisions this skips per chunk are most of an analytic cell's cost.
-    fn credit_bytes(&mut self, burn: u64) -> u64 {
-        self.credited_cycles += burn;
-        credit_share(
-            self.bytes_total,
-            self.credited_cycles,
-            self.t_total,
-            &mut self.credited_bytes,
-        )
-    }
-
-    /// Sync the non-paced counters up to `credited_cycles`; returns the
-    /// freshly credited (instructions, references, l1 misses, l2 misses).
-    /// The shares are cut at the same cycle boundary `credit_bytes` advanced
-    /// to, so totals at every step end are identical to per-chunk crediting.
-    fn sync_counters(&mut self) -> (u64, u64, u64, u64) {
-        let t = self.t_total;
-        let c = self.credited_cycles;
-        (
-            credit_share(self.instr_total, c, t, &mut self.credited_instr),
-            credit_share(self.refs, c, t, &mut self.credited_refs),
-            credit_share(self.l2_hits + self.misses, c, t, &mut self.credited_l1m),
-            credit_share(self.misses, c, t, &mut self.credited_l2m),
-        )
-    }
-}
-
 #[derive(Debug, Default)]
 struct CoreState {
     running: Option<RunningTask>,
     busy_cycles: u64,
     /// Expanded-but-unconsumed references of the running task.
     buffer: AccessBuffer,
-    /// Analytic-mode cost state of the running task.
-    analytic: Option<AnalyticCosts>,
-    /// Sampled-mode per-task estimator: (count, total observed cycles) of
-    /// the *running task's* sampled references (reset at task start).  Tasks
-    /// are the natural phase boundary — a streaming task and a reuse task on
-    /// sibling cores must not share one latency estimate.
-    sample_est: (u64, u64),
-}
-
-/// Sampled-mode latency estimator window: once this many sampled references
-/// accumulate, the per-level counts are halved, giving an exponentially
-/// decayed average that follows the program's current phase.
-const SAMPLED_LATENCY_WINDOW: u64 = 256;
-
-/// Analytic-mode step stretch: an analytic compute burn may span up to this
-/// many time slices per event-loop iteration (still clipped to the run_for
-/// deadline and the next disturbance/trace-window horizon).  Analytic tasks
-/// issue no per-reference events, so the stretch only amortizes event-loop
-/// overhead; credit chunks keep single-slice granularity.
-const ANALYTIC_STEP_STRETCH: u64 = 64;
-
-/// How the engine prices memory references (resolved from
-/// [`SimOptions::cache_mode`] at construction).
-enum CacheModel {
-    /// Every reference goes through the full hierarchy (today's default).
-    Exact,
-    /// 1-in-`rate` systematic set sampling: the engine's hierarchy is built
-    /// with capacities divided by `rate`, blocks whose low bits are zero are
-    /// simulated against it at `block >> shift` (exactly the original sets
-    /// ≡ 0 mod rate), and unsampled references are charged the running
-    /// average hit-level latency.  `result()` scales the statistics back up.
-    Sampled {
-        rate: u64,
-        shift: u32,
-        mask: u64,
-        l1_lat: u64,
-        /// Engine-wide fallback estimator: (count, total observed cycles) of
-        /// sampled references, used until the running task has samples of
-        /// its own.
-        est: (u64, u64),
-    },
-    /// Reuse-distance composition: tasks are priced from the DAG's profile,
-    /// no reference-level simulation at all.  Statistics are synthesized per
-    /// completed task.
-    Analytic {
-        profile: Arc<DagCacheProfile>,
-        l1_blocks: u64,
-        l2_blocks: u64,
-        stats: HierarchyStats,
-        /// Credited L1/L2 misses so far (drives the windowed trace samples).
-        l1_miss_credit: u64,
-        l2_miss_credit: u64,
-    },
-}
-
-/// The off-chip model the engine drives, instantiated from the
-/// configuration's resolved `memsys` parameters.
-enum MemSysModel {
-    /// The pre-component formula: one busy window, per-miss transfer cost
-    /// `ceil(bytes / bandwidth)`.
-    Legacy {
-        bytes_per_cycle: f64,
-        /// Time until which the channel is occupied by earlier transfers.
-        busy_until: u64,
-    },
-    /// The component model: a shared bus in front of a banked DRAM
-    /// controller; queuing delays emerge from resource occupancy.
-    BusDram(Box<MemSystem>),
-}
-
-/// Scale every counter of a sampled run's statistics back up: each sampled
-/// set stands for `rate` sets of the full-size hierarchy.
-fn scale_hierarchy_stats(mut stats: HierarchyStats, rate: u64) -> HierarchyStats {
-    let scale = |c: &mut pdfws_cache_sim::CacheStats| {
-        c.read_hits *= rate;
-        c.read_misses *= rate;
-        c.write_hits *= rate;
-        c.write_misses *= rate;
-        c.evictions *= rate;
-        c.writebacks *= rate;
-        c.invalidations *= rate;
-    };
-    for c in &mut stats.l1 {
-        scale(c);
-    }
-    scale(&mut stats.l2);
-    stats.offchip_bytes *= rate;
-    stats.memory_fills *= rate;
-    stats.coherence_invalidations *= rate;
-    stats
-}
-
-/// A zero period or empty region would divide by zero in the injection loop.
-fn assert_valid_disturbance(d: &Disturbance) {
-    assert!(d.period_cycles > 0, "disturbance period must be positive");
-    assert!(d.region_blocks > 0, "disturbance region must be non-empty");
 }
 
 /// Progress status returned by [`SimEngine::run_for`].
@@ -417,16 +223,14 @@ pub enum EngineStatus {
 /// job-stream subsystem time-multiplexes many engines this way) and collect
 /// [`SimEngine::result`] when it reports [`EngineStatus::Done`].
 pub struct SimEngine {
-    dag: std::sync::Arc<TaskDag>,
+    dag: Arc<TaskDag>,
     config: CmpConfig,
     policy: Box<dyn SchedulerPolicy>,
-    options: SimOptions,
-    hierarchy: CmpCacheHierarchy,
-    /// How references are priced (exact / sampled / analytic).
-    cache_model: CacheModel,
-    /// `log2(line_bytes)` — hoisted so the hot path shifts instead of
-    /// dividing.
-    block_shift: u32,
+    /// The memory layer: how references are priced (exact / sampled /
+    /// analytic) ...
+    pricer: RefPricer,
+    /// ... and the off-chip model every L2 fill and writeback crosses.
+    offchip: OffChip,
     cores: Vec<CoreState>,
     /// Earliest time each busy core can take its next step (cores are the
     /// scheduled ids; the memory-system components are driven synchronously
@@ -447,16 +251,12 @@ pub struct SimEngine {
     remaining_preds: Vec<usize>,
     completed: usize,
     now: u64,
-    /// The off-chip model every L2 miss (and writeback) goes through.
-    memsys: MemSysModel,
-    /// Legacy-mode queuing accumulator; in bus/DRAM mode the components keep
-    /// their own counters and `result()` reads them back.
-    offchip_queue_cycles: u64,
     /// Bus busy-cycle total at the previous trace window sample.
     bus_busy_base: u64,
     instructions: u64,
     memory_accesses: u64,
-    profiler: Option<WorkingSetProfiler>,
+    /// The multiprogramming co-runner, if any.
+    disturbance: Option<Disturbance>,
     disturbance_cursor: u64,
     next_disturbance_at: u64,
     disturbance_accesses: u64,
@@ -466,8 +266,6 @@ pub struct SimEngine {
     trace: Option<Box<dyn TraceSink>>,
     /// Scratch buffer reused when draining policy-buffered events.
     policy_events: Vec<PolicyEvent>,
-    /// Period of the windowed cache-counter samples.
-    trace_cache_window: u64,
     /// Cycle at which the next cache-counter sample is due (`u64::MAX` while
     /// tracing is off).
     next_cache_sample_at: u64,
@@ -502,127 +300,44 @@ impl SimEngine {
         policy: Box<dyn SchedulerPolicy>,
         options: SimOptions,
     ) -> Self {
-        Self::with_shared_dag(std::sync::Arc::new(dag.clone()), config, policy, options)
+        Self::with_shared_dag(Arc::new(dag.clone()), config, policy, options)
     }
 
     /// Build an engine over a shared DAG without copying it.
     pub fn with_shared_dag(
-        dag: std::sync::Arc<TaskDag>,
+        dag: Arc<TaskDag>,
         config: &CmpConfig,
         policy: Box<dyn SchedulerPolicy>,
         options: SimOptions,
     ) -> Self {
         config.validate().expect("CMP configuration must be valid");
-        assert!(options.time_slice_cycles > 0, "time slice must be positive");
-        assert!(
-            options.max_accesses_per_step > 0,
-            "steps must allow at least one reference"
-        );
-        if let Some(d) = &options.disturbance {
-            assert_valid_disturbance(d);
-        }
-        let analytic_mode = options.cache_mode.name() == "analytic";
-        // Analytic mode has no reference stream to profile working sets from.
-        let profiler = if analytic_mode {
-            None
-        } else {
-            options.working_set_window.map(WorkingSetProfiler::new)
-        };
-        let next_disturbance_at = options
-            .disturbance
-            .map(|d| d.period_cycles)
-            .unwrap_or(u64::MAX);
-        let remaining_preds = dag.in_degrees();
-        let resolved = config.resolved_memsys();
-        let memsys = if analytic_mode {
-            // The component model needs per-transaction block addresses the
-            // analytic composition never produces; off-chip bandwidth is
-            // modelled by the closed-form channel in every analytic run.
-            MemSysModel::Legacy {
-                bytes_per_cycle: config.offchip_bytes_per_cycle,
-                busy_until: 0,
-            }
-        } else {
-            match resolved.mode {
-                MemSysMode::Legacy => MemSysModel::Legacy {
-                    bytes_per_cycle: config.offchip_bytes_per_cycle,
-                    busy_until: 0,
-                },
-                MemSysMode::BusDram => MemSysModel::BusDram(Box::new(MemSystem::new(&resolved))),
-            }
-        };
-        let (hierarchy, cache_model) = match options.cache_mode.name() {
-            "sampled" => {
-                let requested = options
-                    .cache_mode
-                    .sample_rate()
-                    .expect("sampled cache mode always carries a rate");
-                // The scaled hierarchy must keep at least one set per level,
-                // so the rate is clamped to the smaller set count (both are
-                // powers of two, so the clamp stays a power of two).
-                let rate = (requested.min(config.l1.sets() as u64)).min(config.l2.sets() as u64);
-                let mut scaled = *config;
-                scaled.l1.capacity_bytes /= rate as usize;
-                scaled.l2.capacity_bytes /= rate as usize;
-                (
-                    CmpCacheHierarchy::new(&scaled),
-                    CacheModel::Sampled {
-                        rate,
-                        shift: rate.trailing_zeros(),
-                        mask: rate - 1,
-                        l1_lat: config.l1.latency_cycles,
-                        est: (0, 0),
-                    },
-                )
-            }
-            "analytic" => {
-                let hierarchy = CmpCacheHierarchy::new(config);
-                let line = hierarchy.line_bytes();
-                let profile = profile_for(&dag, line);
-                let model = CacheModel::Analytic {
-                    profile,
-                    l1_blocks: config.l1.capacity_bytes as u64 / line,
-                    l2_blocks: config.l2.capacity_bytes as u64 / line,
-                    stats: HierarchyStats::new(config.cores),
-                    l1_miss_credit: 0,
-                    l2_miss_credit: 0,
-                };
-                (hierarchy, model)
-            }
-            _ => (CmpCacheHierarchy::new(config), CacheModel::Exact),
-        };
-        let block_shift = hierarchy.line_bytes().trailing_zeros();
+        let (pricer, offchip) = RefPricer::memory_layer(&dag, config, &options);
         let feedback_window = policy.feedback_window().unwrap_or(u64::MAX);
-        SimEngine {
+        let mut engine = SimEngine {
+            remaining_preds: dag.in_degrees(),
             dag,
             config: *config,
             policy,
-            options,
-            hierarchy,
-            cache_model,
-            block_shift,
+            pricer,
+            offchip,
             cores: (0..config.cores).map(|_| CoreState::default()).collect(),
             events: EventQueue::new(),
             idle: vec![true; config.cores],
             available_at: vec![0; config.cores],
             wake_at: vec![u64::MAX; config.cores],
             steal_cycles: 0,
-            remaining_preds,
             completed: 0,
             now: 0,
-            memsys,
-            offchip_queue_cycles: 0,
             bus_busy_base: 0,
             instructions: 0,
             memory_accesses: 0,
-            profiler,
+            disturbance: None,
             disturbance_cursor: 0,
-            next_disturbance_at,
+            next_disturbance_at: u64::MAX,
             disturbance_accesses: 0,
             started: false,
             trace: None,
             policy_events: Vec::new(),
-            trace_cache_window: DEFAULT_TRACE_CACHE_WINDOW,
             next_cache_sample_at: u64::MAX,
             cache_sample_base: (0, 0, 0),
             last_ready_depth: None,
@@ -630,7 +345,9 @@ impl SimEngine {
             feedback_window,
             next_feedback_at: feedback_window,
             feedback_base: (0, 0, 0, 0),
-        }
+        };
+        engine.set_disturbance(options.disturbance);
+        engine
     }
 
     /// Install a trace sink and enable event emission.
@@ -644,26 +361,8 @@ impl SimEngine {
     /// the initial dispatches are captured.
     pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
         self.policy.trace_enable();
-        self.next_cache_sample_at = self.now.saturating_add(self.trace_cache_window);
+        self.next_cache_sample_at = self.now.saturating_add(TRACE_CACHE_WINDOW);
         self.trace = Some(sink);
-    }
-
-    /// Remove the installed trace sink (if any), disabling event emission.
-    pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.next_cache_sample_at = u64::MAX;
-        self.trace.take()
-    }
-
-    /// Change the period of the windowed cache-counter samples (default
-    /// [`DEFAULT_TRACE_CACHE_WINDOW`] cycles).  The hierarchy's counters are
-    /// snapshotted once per window and emitted as deltas — per-access events
-    /// would dwarf everything else in the trace.
-    pub fn set_trace_cache_window(&mut self, cycles: u64) {
-        assert!(cycles > 0, "cache sample window must be positive");
-        self.trace_cache_window = cycles;
-        if self.trace.is_some() {
-            self.next_cache_sample_at = self.now.saturating_add(cycles);
-        }
     }
 
     /// Emit one event if a sink is installed.  Per-core events are clamped to
@@ -716,34 +415,13 @@ impl SimEngine {
         if t < self.next_cache_sample_at {
             return;
         }
-        // Windows are emitted in every cache mode: exact reads the hierarchy
-        // counters, sampled scales them back up, analytic reports the
-        // pro-rata credited misses of the in-flight tasks.
-        let (l1, l2) = match &self.cache_model {
-            CacheModel::Exact => {
-                let stats = self.hierarchy.stats();
-                (stats.l1.iter().map(|c| c.misses()).sum(), stats.l2.misses())
-            }
-            CacheModel::Sampled { rate, .. } => {
-                let stats = self.hierarchy.stats();
-                (
-                    stats.l1.iter().map(|c| c.misses()).sum::<u64>() * rate,
-                    stats.l2.misses() * rate,
-                )
-            }
-            CacheModel::Analytic {
-                l1_miss_credit,
-                l2_miss_credit,
-                ..
-            } => (*l1_miss_credit, *l2_miss_credit),
-        };
+        let (l1, l2) = self.pricer.miss_totals();
         let accesses = self.memory_accesses + self.disturbance_accesses;
         let (base_acc, base_l1, base_l2) = self.cache_sample_base;
         self.cache_sample_base = (accesses, l1, l2);
         while self.next_cache_sample_at <= t {
-            self.next_cache_sample_at = self
-                .next_cache_sample_at
-                .saturating_add(self.trace_cache_window);
+            self.next_cache_sample_at =
+                self.next_cache_sample_at.saturating_add(TRACE_CACHE_WINDOW);
         }
         self.emit(TraceEvent::CacheWindow {
             t,
@@ -751,7 +429,7 @@ impl SimEngine {
             l1_misses: l1 - base_l1,
             l2_misses: l2 - base_l2,
         });
-        if let MemSysModel::BusDram(mem) = &self.memsys {
+        if let Some(mem) = self.offchip.components() {
             let busy = mem.bus_busy_cycles();
             let depth = mem.backlog_cycles(t);
             let busy_cycles = busy - self.bus_busy_base;
@@ -773,12 +451,7 @@ impl SimEngine {
         if t < self.next_feedback_at {
             return;
         }
-        // L2-miss totals per cache model, mirroring `sample_cache_window`.
-        let l2 = match &self.cache_model {
-            CacheModel::Exact => self.hierarchy.stats().l2.misses(),
-            CacheModel::Sampled { rate, .. } => self.hierarchy.stats().l2.misses() * rate,
-            CacheModel::Analytic { l2_miss_credit, .. } => *l2_miss_credit,
-        };
+        let (_, l2) = self.pricer.miss_totals();
         let migrations = self.policy.migrations();
         let (base_t, base_instr, base_l2, base_mig) = self.feedback_base;
         self.feedback_base = (t, self.instructions, l2, migrations);
@@ -806,11 +479,11 @@ impl SimEngine {
     /// `pdfws-stream`'s job-stream backend) can hold many engines and grant
     /// each one bounded quanta, time-multiplexing the modelled cores across
     /// concurrently admitted jobs.  An engine step that straddles the deadline
-    /// is allowed to finish (overshoot is bounded by
-    /// [`SimOptions::time_slice_cycles`] plus one task's memory stalls; in
-    /// `cache=analytic` mode by `ANALYTIC_STEP_STRETCH` slices, since analytic
-    /// burns batch whole stretches per step), so a quantum should be large
-    /// relative to the time slice.
+    /// is allowed to finish (overshoot is bounded by [`TIME_SLICE_CYCLES`]
+    /// plus one task's memory stalls; in `cache=analytic` mode by
+    /// `ANALYTIC_STEP_STRETCH` slices, since analytic burns batch whole
+    /// stretches per step), so a quantum should be large relative to the
+    /// time slice.
     pub fn run_for(&mut self, budget: u64) -> EngineStatus {
         if !self.started {
             self.started = true;
@@ -861,16 +534,10 @@ impl SimEngine {
             loop {
                 self.now = time;
                 self.inject_disturbance(time);
-                let bound = match &self.memsys {
-                    MemSysModel::Legacy { .. } => u64::MAX,
-                    // A contention-free system (infinite capacity, flat
-                    // latency) prices traffic independently of issue order, so
-                    // the coarse legacy batching — and with it the exact event
-                    // schedule — is preserved in the limiting case.
-                    MemSysModel::BusDram(mem) if mem.contention_free() => u64::MAX,
-                    MemSysModel::BusDram(_) => {
-                        self.events.peek().map_or(u64::MAX, |(next, _)| next)
-                    }
+                let bound = if self.offchip.needs_time_order() {
+                    self.events.peek().map_or(u64::MAX, |(next, _)| next)
+                } else {
+                    u64::MAX
                 };
                 let (elapsed, finished) = self.step(core, time, bound);
                 self.cores[core].busy_cycles += elapsed;
@@ -935,7 +602,7 @@ impl SimEngine {
     /// # Panics
     ///
     /// Panics if tasks remain unexecuted.
-    pub fn result(&mut self) -> SimResult {
+    pub fn result(&self) -> SimResult {
         assert!(
             self.is_done(),
             "result() requires a finished run ({} of {} tasks executed)",
@@ -945,14 +612,8 @@ impl SimEngine {
         let makespan = self
             .now
             .max(self.cores.iter().map(|c| c.busy_cycles).max().unwrap_or(0));
-        let (offchip_queue_cycles, bus_queue_cycles, dram_queue_cycles) = match &self.memsys {
-            MemSysModel::Legacy { .. } => (self.offchip_queue_cycles, 0, 0),
-            MemSysModel::BusDram(mem) => {
-                let bus = mem.bus_queue_cycles();
-                let dram = mem.dram_queue_cycles();
-                (bus + dram, bus, dram)
-            }
-        };
+        let (offchip_queue_cycles, bus_queue_cycles, dram_queue_cycles) =
+            self.offchip.queue_cycles();
         SimResult {
             scheduler: self.policy.name(),
             cores: self.config.cores,
@@ -966,14 +627,7 @@ impl SimEngine {
             dram_queue_cycles,
             migrations: self.policy.migrations(),
             steal_cycles: self.steal_cycles,
-            hierarchy: match &self.cache_model {
-                CacheModel::Exact => self.hierarchy.stats(),
-                CacheModel::Sampled { rate, .. } => {
-                    scale_hierarchy_stats(self.hierarchy.stats(), *rate)
-                }
-                CacheModel::Analytic { stats, .. } => stats.clone(),
-            },
-            working_set: self.profiler.take().map(WorkingSetProfiler::finish),
+            hierarchy: self.pricer.stats(),
         }
     }
 
@@ -985,9 +639,12 @@ impl SimEngine {
     /// period after the engine's current time.
     pub fn set_disturbance(&mut self, disturbance: Option<Disturbance>) {
         if let Some(d) = &disturbance {
-            assert_valid_disturbance(d);
+            // A zero period or empty region would divide by zero in the
+            // injection loop.
+            assert!(d.period_cycles > 0, "disturbance period must be positive");
+            assert!(d.region_blocks > 0, "disturbance region must be non-empty");
         }
-        self.options.disturbance = disturbance;
+        self.disturbance = disturbance;
         self.next_disturbance_at = match disturbance {
             Some(d) => self.now.saturating_add(d.period_cycles),
             None => u64::MAX,
@@ -1003,61 +660,54 @@ impl SimEngine {
     /// Simulate one bounded step of `core`'s running task starting at `start`.
     /// Returns the elapsed cycles and whether the task finished.
     ///
-    /// `bound` is the next pending event time of any *other* core: under the
-    /// component memory-system model the step yields before issuing work at or
-    /// past it, so every bus/DRAM transaction is made in global time order.
-    /// (The first access or burn always runs — the event queue already decided
-    /// this core goes first at `start` — which guarantees progress.)  The
-    /// stateful components require this temporal coherence: a core simulated
-    /// thousands of cycles ahead would occupy the bus and banks "in the
-    /// future", and a core popped later at an earlier timestamp would queue
-    /// behind phantom traffic.  The legacy closed-form channel keeps the old
-    /// coarse batching (`bound == u64::MAX`) and its exact cycle counts, as
-    /// does a contention-free component system (see
-    /// `MemSystem::contention_free`), whose costs cannot depend on issue
-    /// order — that exemption is what makes the infinite-capacity limiting
-    /// case reproduce legacy schedules bit-for-bit.
+    /// `bound` is the next pending event time of any *other* core when the
+    /// off-chip model needs time-ordered transfers (see
+    /// [`OffChip::needs_time_order`]), else `u64::MAX`: the step yields
+    /// before issuing work at or past it, so every bus/DRAM transaction is
+    /// made in global time order.  (The first access or burn always runs —
+    /// the event queue already decided this core goes first at `start` —
+    /// which guarantees progress.)  The stateful components require this
+    /// temporal coherence: a core simulated thousands of cycles ahead would
+    /// occupy the bus and banks "in the future", and a core popped later at
+    /// an earlier timestamp would queue behind phantom traffic.
     fn step(&mut self, core: usize, start: u64, bound: u64) -> (u64, bool) {
-        let base_slice = self.options.time_slice_cycles;
+        let analytic = self.pricer.is_analytic();
         // Analytic tasks are single pre-priced compute burns with no
         // per-reference events, so the only reasons to return to the event
-        // loop are a pending disturbance burst and the next trace-window
-        // sample.  Stretch the step bound to the nearest of those horizons
-        // (hard-capped at [`ANALYTIC_STEP_STRETCH`] slices) instead of
-        // bouncing through the event loop once per time slice; the credit
-        // chunks below keep `time_slice_cycles` granularity, so channel
-        // pacing is unchanged.  The stretch deliberately ignores the run_for
-        // deadline — step sizes must not depend on how a run is quantized, or
-        // stepped and un-stepped runs would diverge — which widens the
-        // documented quantum overshoot to the stretched slice.
-        let slice = if self.cores[core].analytic.is_some() {
+        // loop are a pending disturbance burst, the next trace-window sample
+        // and the next feedback window.  Stretch the step bound to the
+        // nearest of those horizons (hard-capped at `ANALYTIC_STEP_STRETCH`
+        // slices) instead of bouncing through the event loop once per time
+        // slice; the burn chunks below keep `TIME_SLICE_CYCLES` granularity,
+        // so channel pacing is unchanged.  The stretch deliberately ignores
+        // the run_for deadline — step sizes must not depend on how a run is
+        // quantized, or stepped and un-stepped runs would diverge — which
+        // widens the documented quantum overshoot to the stretched slice.
+        let slice = if analytic {
             self.next_disturbance_at
                 .min(self.next_cache_sample_at)
                 .min(self.next_feedback_at)
                 .saturating_sub(start)
-                .min(base_slice.saturating_mul(ANALYTIC_STEP_STRETCH))
-                .max(base_slice)
+                .clamp(TIME_SLICE_CYCLES, TIME_SLICE_CYCLES * ANALYTIC_STEP_STRETCH)
         } else {
-            base_slice
+            TIME_SLICE_CYCLES
         };
-        let max_accesses = self.options.max_accesses_per_step as u64;
         let mut elapsed = 0u64;
         let mut accesses_this_step = 0u64;
 
-        // Take the running task (and its access buffer / analytic state) out
-        // to avoid aliasing with `self` during accesses.
+        // Take the running task and its access buffer out to avoid aliasing
+        // with `self` during accesses.
         let mut running = self.cores[core]
             .running
             .take()
             .expect("step called on a core with no running task");
         let mut buffer = std::mem::take(&mut self.cores[core].buffer);
-        let mut analytic = self.cores[core].analytic.take();
 
         let finished = loop {
             if running.finished() {
                 break true;
             }
-            if elapsed >= slice || accesses_this_step >= max_accesses {
+            if elapsed >= slice || accesses_this_step >= MAX_ACCESSES_PER_STEP {
                 break false;
             }
             if elapsed > 0 && start + elapsed >= bound {
@@ -1067,37 +717,18 @@ impl SimEngine {
                 let burn = running
                     .pending_compute
                     .min(slice - elapsed)
-                    .min(base_slice)
-                    .max(1);
+                    .clamp(1, TIME_SLICE_CYCLES);
                 running.pending_compute -= burn;
                 elapsed += burn;
-                match analytic.as_mut() {
-                    None => self.instructions += burn,
-                    Some(costs) => {
-                        // Analytic mode: the whole task is one compute burn of
-                        // its composed total time; pace this chunk's off-chip
-                        // bytes through the closed-form channel.  The other
-                        // counters are synced once per step, below.
-                        let d_bytes = costs.credit_bytes(burn);
-                        if d_bytes > 0 {
-                            if let MemSysModel::Legacy {
-                                bytes_per_cycle,
-                                busy_until,
-                            } = &mut self.memsys
-                            {
-                                let transfer = (d_bytes as f64 / *bytes_per_cycle).ceil() as u64;
-                                if transfer > 0 {
-                                    let at = start + elapsed;
-                                    let queue_delay = busy_until.saturating_sub(at);
-                                    *busy_until = at + queue_delay + transfer;
-                                    self.offchip_queue_cycles += queue_delay;
-                                    // Queuing stalls the core without
-                                    // consuming composed task time.
-                                    elapsed += queue_delay;
-                                }
-                            }
-                        }
-                    }
+                if analytic {
+                    // The whole task is one burn of its composed time; this
+                    // chunk's off-chip bytes are paced through the channel,
+                    // and queuing stalls the core without consuming task time.
+                    elapsed += self
+                        .pricer
+                        .burn(core, burn, start + elapsed, &mut self.offchip);
+                } else {
+                    self.instructions += burn;
                 }
                 continue;
             }
@@ -1112,162 +743,28 @@ impl SimEngine {
                 continue;
             };
             running.note_issued();
-            let latency = self.issue_access(core, acc, start + elapsed);
-            elapsed += latency;
+            elapsed += self
+                .pricer
+                .access(core, acc, start + elapsed, &mut self.offchip);
             self.instructions += 1;
             self.memory_accesses += 1;
             accesses_this_step += 1;
         };
 
-        if let Some(costs) = analytic.as_mut() {
-            let (d_instr, d_refs, d_l1m, d_l2m) = costs.sync_counters();
-            self.instructions += d_instr;
-            self.memory_accesses += d_refs;
-            if let CacheModel::Analytic {
-                l1_miss_credit,
-                l2_miss_credit,
-                ..
-            } = &mut self.cache_model
-            {
-                *l1_miss_credit += d_l1m;
-                *l2_miss_credit += d_l2m;
-            }
+        if analytic {
+            let (instructions, references) = self.pricer.end_step(core);
+            self.instructions += instructions;
+            self.memory_accesses += references;
         }
         self.cores[core].running = Some(running);
         self.cores[core].buffer = buffer;
-        self.cores[core].analytic = analytic;
         (elapsed, finished)
-    }
-
-    /// Issue one reference through the hierarchy at absolute time `at`,
-    /// sending any off-chip traffic through the memory-system model.  Returns
-    /// the reference's total latency.
-    ///
-    /// Under the component model an L2 *miss* replaces the hierarchy's flat
-    /// memory latency with the transaction's end-to-end time (bus grant +
-    /// DRAM service + data return), while a dirty-victim writeback from an L2
-    /// *hit* is fully posted: the eviction drains from a write buffer off the
-    /// core's critical path, costing the requester nothing but still
-    /// occupying the bus and DRAM banks that later requests queue behind.
-    fn issue_access(&mut self, core: usize, acc: MemAccess, at: u64) -> u64 {
-        // Set/tag math is hoisted: the block address is computed once here
-        // and reused by the profiler, the hierarchy and the memory system.
-        let block = acc.addr >> self.block_shift;
-        if let Some(p) = &mut self.profiler {
-            p.record(block);
-        }
-        // Sampled mode: only blocks landing in the sampled sets (low bits
-        // zero) are simulated, against the capacity-scaled hierarchy at
-        // `block >> shift` — exactly the original sets ≡ 0 (mod rate).
-        // Everything else is charged the running average hit-level latency.
-        let (block, byte_scale) = match &self.cache_model {
-            CacheModel::Sampled {
-                rate,
-                shift,
-                mask,
-                l1_lat,
-                est,
-            } => {
-                if block & *mask != 0 {
-                    // Charge the mean *observed* latency of recent sampled
-                    // references — preferring the running task's own samples
-                    // (tasks are the natural phase boundary), falling back
-                    // to the engine-wide estimator, then to the L1 latency
-                    // before any sample exists.  Observed latencies include
-                    // the queuing the sampled transactions saw; unsampled
-                    // references add no occupancy of their own, so this
-                    // mirrors — not double-counts — the bandwidth pressure.
-                    let (count, cycles) = match self.cores[core].sample_est {
-                        (0, _) => *est,
-                        task_est => task_est,
-                    };
-                    return match (cycles + count / 2).checked_div(count) {
-                        Some(mean) => mean,
-                        None => *l1_lat,
-                    };
-                }
-                (block >> *shift, *rate)
-            }
-            _ => (block, 1),
-        };
-        let outcome = self.hierarchy.access_block(core, block, acc.write);
-        let mut latency = outcome.latency;
-        if outcome.offchip_bytes > 0 {
-            // A sampled reference stands for `rate` of them: its off-chip
-            // traffic occupies the memory system at scale.
-            let offchip_bytes = outcome.offchip_bytes * byte_scale;
-            match &mut self.memsys {
-                MemSysModel::Legacy {
-                    bytes_per_cycle,
-                    busy_until,
-                } => {
-                    let transfer_cycles = (offchip_bytes as f64 / *bytes_per_cycle).ceil() as u64;
-                    // A zero-cycle transfer (unbounded channel) occupies the
-                    // channel for nothing and cannot queue — the same guard
-                    // the component bus applies to zero-duration grants.
-                    if transfer_cycles > 0 {
-                        let queue_delay = busy_until.saturating_sub(at);
-                        *busy_until = at + queue_delay + transfer_cycles;
-                        self.offchip_queue_cycles += queue_delay;
-                        latency += queue_delay;
-                    }
-                }
-                MemSysModel::BusDram(mem) => {
-                    let tx = mem.transact(core, block, offchip_bytes, at);
-                    if outcome.is_offchip() {
-                        // The hierarchy charged its flat memory latency; the
-                        // transaction's observed end-to-end time replaces it.
-                        // A sampled transaction moves `rate` lines of data in
-                        // one transfer for occupancy's sake, but the single
-                        // sampled reference only waits for its own line:
-                        // queue delays in full, service pro-rata.  (With
-                        // byte_scale == 1 this is exactly `tx.total_cycles`.)
-                        let queue = tx.bus_queue_cycles + tx.dram_queue_cycles;
-                        let service = tx.total_cycles - queue;
-                        latency = latency.saturating_sub(self.config.memory_latency_cycles)
-                            + queue
-                            + service.div_ceil(byte_scale);
-                    }
-                    // Writeback-only traffic (a dirty victim behind an L2
-                    // hit) is posted: no latency charge, only occupancy.
-                }
-            }
-        }
-        if let CacheModel::Sampled { est, .. } = &mut self.cache_model {
-            // Feed the final observed latency (hit level plus any queuing)
-            // into both estimators.  Halving a full window makes each an
-            // exponentially-decayed mean, so estimates track the current
-            // phase instead of the whole history.
-            for e in [est, &mut self.cores[core].sample_est] {
-                e.0 += 1;
-                e.1 += latency;
-                if e.0 >= SAMPLED_LATENCY_WINDOW {
-                    e.0 /= 2;
-                    e.1 /= 2;
-                }
-            }
-        }
-        latency
     }
 
     /// Handle completion of `task` on `core` at time `end`.
     fn complete_task(&mut self, task: TaskId, core: usize, end: u64) {
         self.completed += 1;
-        if let Some(a) = self.cores[core].analytic.take() {
-            if let CacheModel::Analytic { stats, .. } = &mut self.cache_model {
-                // Synthesize hierarchy counters from the composed costs.  No
-                // read/write split is available (reuse distances are
-                // kind-blind), so everything lands in the read columns; the
-                // derived metrics (misses, MPKI, off-chip bytes) are exact.
-                stats.l1[core].read_hits += a.l1_hits;
-                stats.l1[core].read_misses += a.l2_hits + a.misses;
-                stats.l2.read_hits += a.l2_hits;
-                stats.l2.read_misses += a.misses;
-                stats.l2.writebacks += a.writebacks;
-                stats.offchip_bytes += a.bytes_total;
-                stats.memory_fills += a.misses;
-            }
-        }
+        self.pricer.finish_task(core);
         self.emit(TraceEvent::TaskComplete {
             t: end,
             core,
@@ -1367,40 +864,13 @@ impl SimEngine {
                 task: task.index() as u64,
             });
         }
-        let running = if let CacheModel::Analytic {
-            profile,
-            l1_blocks,
-            l2_blocks,
-            ..
-        } = &self.cache_model
-        {
-            // Compose the task's cache behaviour from its reuse-distance
-            // profile: two histogram lookups price the whole task.
-            let c = profile.task_costs(task, *l1_blocks, *l2_blocks);
-            let node = self.dag.node(task);
-            let t_total = node.compute_instructions
-                + c.l1_hits * self.config.l1.latency_cycles
-                + c.l2_hits * self.config.l2.latency_cycles
-                + c.misses * self.config.memory_latency_cycles;
-            let line = profile.line_bytes();
-            self.cores[core].analytic = Some(AnalyticCosts {
-                instr_total: node.compute_instructions + c.refs,
-                refs: c.refs,
-                l1_hits: c.l1_hits,
-                l2_hits: c.l2_hits,
-                misses: c.misses,
-                writebacks: c.writebacks,
-                bytes_total: (c.misses + c.writebacks) * line,
-                t_total,
-                ..AnalyticCosts::default()
-            });
-            RunningTask::new_analytic(task, t_total)
-        } else {
-            RunningTask::new(&self.dag, task)
+        let node = self.dag.node(task);
+        let (accesses, compute) = match self.pricer.begin_task(core, &self.dag, task) {
+            Some(t_total) => (0, t_total),
+            None => (node.memory_accesses(), node.compute_instructions),
         };
-        self.cores[core].running = Some(running);
+        self.cores[core].running = Some(RunningTask::new(task, accesses, compute));
         self.cores[core].buffer.clear();
-        self.cores[core].sample_est = (0, 0);
         self.idle[core] = false;
         self.events.push(now, core);
     }
@@ -1416,7 +886,7 @@ impl SimEngine {
     /// (more bytes per period than the memory system can move) would grow the
     /// queues without bound and the simulation would never converge.
     fn inject_disturbance(&mut self, time: u64) {
-        let Some(d) = self.options.disturbance else {
+        let Some(d) = self.disturbance else {
             return;
         };
         if self.next_disturbance_at > time {
@@ -1431,11 +901,7 @@ impl SimEngine {
         while self.next_disturbance_at <= time {
             let at = self.next_disturbance_at;
             self.next_disturbance_at += d.period_cycles;
-            let backlog_until = match &self.memsys {
-                MemSysModel::Legacy { busy_until, .. } => *busy_until,
-                MemSysModel::BusDram(mem) => mem.backlog_until(),
-            };
-            if backlog_until > at.saturating_add(d.period_cycles) {
+            if self.offchip.backlog_until() > at.saturating_add(d.period_cycles) {
                 // Memory system backlogged past the next period: the
                 // co-runner's own fetches stall, so this burst never issues.
                 continue;
@@ -1444,40 +910,10 @@ impl SimEngine {
                 let block = d.region_base_block + (self.disturbance_cursor % d.region_blocks);
                 self.disturbance_cursor += 1;
                 self.disturbance_accesses += 1;
-                // The co-runner's pollution is filtered the same way the
-                // program's references are: in sampled mode only sampled
-                // blocks touch the (scaled) hierarchy, standing for `rate`
-                // of them.  (Analytic program stats ignore the hierarchy,
-                // but the channel occupancy below still applies pressure.)
-                let (block, byte_scale) = match &self.cache_model {
-                    CacheModel::Sampled {
-                        mask, shift, rate, ..
-                    } => {
-                        if block & *mask != 0 {
-                            continue;
-                        }
-                        (block >> *shift, *rate)
-                    }
-                    _ => (block, 1),
-                };
-                let outcome = self.hierarchy.access_block(0, block, false);
-                let offchip_bytes = outcome.offchip_bytes * byte_scale;
-                if offchip_bytes > 0 {
-                    match &mut self.memsys {
-                        MemSysModel::Legacy {
-                            bytes_per_cycle,
-                            busy_until,
-                        } => {
-                            let transfer = (offchip_bytes as f64 / *bytes_per_cycle).ceil() as u64;
-                            *busy_until = (*busy_until).max(at) + transfer;
-                        }
-                        // The co-runner is its own bus requester, one id past
-                        // the real cores.
-                        MemSysModel::BusDram(mem) => {
-                            mem.transact(self.config.cores, block, offchip_bytes, at);
-                        }
-                    }
-                }
+                // The co-runner is its own bus requester, one id past the
+                // real cores.
+                self.pricer
+                    .corunner_access(block, self.config.cores, at, &mut self.offchip);
             }
         }
     }
@@ -1699,26 +1135,6 @@ mod tests {
             let b = simulate(&dag, &cfg, &spec, &SimOptions::default());
             assert_eq!(a, b, "{spec} must be deterministic");
         }
-    }
-
-    #[test]
-    fn working_set_profiling_reports_footprint() {
-        let mut b = DagBuilder::new();
-        let _ = b
-            .task("scan")
-            .access(AccessPattern::range_read(0, 64 * 500))
-            .build();
-        let dag = b.finish().unwrap();
-        let cfg = default_config(1).unwrap();
-        let opts = SimOptions {
-            working_set_window: Some(100),
-            ..SimOptions::default()
-        };
-        let r = simulate(&dag, &cfg, &SchedulerSpec::pdf(), &opts);
-        let ws = r.working_set.expect("profiling was enabled");
-        assert_eq!(ws.footprint_blocks, 500);
-        assert_eq!(ws.per_window_blocks.len(), 5);
-        assert_eq!(ws.peak_blocks, 100);
     }
 
     #[test]
@@ -1986,43 +1402,36 @@ mod tests {
     }
 
     #[test]
-    fn analytic_mode_forces_the_legacy_channel_and_skips_working_sets() {
+    fn analytic_mode_forces_the_legacy_channel() {
         let dag = reuse_dag(2, 500);
         let cfg = default_config(2).unwrap();
-        let opts = SimOptions {
-            working_set_window: Some(100),
-            ..options_with_mode("analytic")
-        };
-        let r = simulate(&dag, &cfg, &SchedulerSpec::pdf(), &opts);
+        let r = simulate(
+            &dag,
+            &cfg,
+            &SchedulerSpec::pdf(),
+            &options_with_mode("analytic"),
+        );
         // The component bus/DRAM split never applies in analytic mode.
         assert_eq!(r.bus_queue_cycles, 0);
         assert_eq!(r.dram_queue_cycles, 0);
-        // There is no reference stream to profile.
-        assert!(r.working_set.is_none());
     }
 
     #[test]
     fn compute_only_dags_are_identical_across_all_modes() {
-        // With no memory references the three modes must agree exactly.
-        let dag = leaf_tree(16, 1_000);
+        // With no memory references the three modes must agree exactly —
+        // including on a task with no work at all, which analytic mode
+        // credits in full at once.
         let cfg = default_config(4).unwrap();
-        let exact = simulate(&dag, &cfg, &SchedulerSpec::ws(), &SimOptions::default());
-        for mode in ["sampled:rate=8", "analytic"] {
-            let r = simulate(&dag, &cfg, &SchedulerSpec::ws(), &options_with_mode(mode));
-            assert_eq!(r.cycles, exact.cycles, "{mode}");
-            assert_eq!(r.instructions, exact.instructions, "{mode}");
+        let zero_work = SpTree::Par(vec![SpTree::leaf("a", 0), SpTree::leaf("b", 100)])
+            .into_dag()
+            .unwrap();
+        for dag in [leaf_tree(16, 1_000), zero_work] {
+            let exact = simulate(&dag, &cfg, &SchedulerSpec::ws(), &SimOptions::default());
+            for mode in ["sampled:rate=8", "analytic"] {
+                let r = simulate(&dag, &cfg, &SchedulerSpec::ws(), &options_with_mode(mode));
+                assert_eq!(r.cycles, exact.cycles, "{mode}");
+                assert_eq!(r.instructions, exact.instructions, "{mode}");
+            }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "time slice")]
-    fn zero_time_slice_is_rejected() {
-        let dag = leaf_tree(2, 10);
-        let cfg = default_config(1).unwrap();
-        let opts = SimOptions {
-            time_slice_cycles: 0,
-            ..SimOptions::default()
-        };
-        let _ = SimEngine::new(&dag, &cfg, make_policy(&SchedulerSpec::pdf(), 1), opts);
     }
 }

@@ -57,13 +57,15 @@
 //!
 //! # The engine
 //!
-//! [`engine::SimEngine`] advances a set of simulated cores through the task DAG:
-//! each core executes its current task's compute instructions (one per cycle) and
-//! memory references (through the shared [`pdfws_cache_sim::CmpCacheHierarchy`]),
-//! every L2 miss crosses the component memory system (`pdfws-memsys`'s shared
-//! bus and banked DRAM controller, where queuing delay is emergent; the
-//! pre-component serializing channel survives as `memsys=legacy`), and every
-//! completion enables successors and lets idle cores pick up work.  The
+//! [`engine::SimEngine`] is an event core over one memory layer.  The event
+//! core advances simulated cores through the task DAG in bounded steps of
+//! compute and memory references, lets idle cores pick up work as tasks
+//! complete, and owns steal prices, the co-runner, policy feedback and
+//! tracing.  The memory layer prices what the tasks touch, the same for
+//! every policy: a reference pricer over the shared
+//! [`pdfws_cache_sim::CmpCacheHierarchy`] (see [`SimOptions::cache_mode`])
+//! and the off-chip model every L2 miss crosses ([`pdfws_memsys::OffChip`]:
+//! the shared bus and banked DRAM, or `memsys=legacy`).  The
 //! result is a [`result::SimResult`] carrying the makespan, per-core utilisation,
 //! cache statistics and scheduler counters — everything the paper's figures need.
 //! The result's `scheduler` field is the spec's canonical string, so two
@@ -93,6 +95,7 @@ pub mod engine;
 pub mod hybrid;
 pub mod pdf;
 pub mod policy;
+mod pricing;
 pub mod registry;
 pub mod result;
 pub mod spec;

@@ -1,7 +1,6 @@
 //! Results of one simulated run.
 
 use pdfws_cache_sim::stats::HierarchyStats;
-use pdfws_cache_sim::working_set::WorkingSetSummary;
 use serde::{Deserialize, Serialize};
 
 /// Everything measured during one simulation of one DAG on one configuration
@@ -47,9 +46,6 @@ pub struct SimResult {
     pub steal_cycles: u64,
     /// Cache-hierarchy statistics at the end of the run.
     pub hierarchy: HierarchyStats,
-    /// Working-set profile of the interleaved access stream, if profiling was
-    /// enabled in [`crate::engine::SimOptions`].
-    pub working_set: Option<WorkingSetSummary>,
 }
 
 impl SimResult {
@@ -106,7 +102,6 @@ mod tests {
             migrations: 0,
             steal_cycles: 0,
             hierarchy,
-            working_set: None,
         }
     }
 

@@ -37,7 +37,7 @@ pub struct StreamConfig {
     /// with parameters — e.g. `"ws:victim=random,seed=7".parse()`).
     pub scheduler: SchedulerSpec,
     /// Machine quantum granted per scheduling turn, in cycles.  Must be large
-    /// relative to [`SimOptions::time_slice_cycles`].
+    /// relative to [`TIME_SLICE_CYCLES`](pdfws_schedulers::engine::TIME_SLICE_CYCLES).
     pub quantum_cycles: u64,
     /// Maximum number of co-resident (admitted, unfinished) jobs.
     pub max_concurrent: usize,
@@ -402,7 +402,7 @@ fn stream_sim_impl(
         now += consumed.max(1);
 
         if status == EngineStatus::Done {
-            let mut done = active.swap_remove(turn);
+            let done = active.swap_remove(turn);
             let metrics = done.engine.result();
             if let Some(s) = sink.as_deref_mut() {
                 s.emit(TraceEvent::JobComplete {

@@ -5,9 +5,11 @@
 use pdfws::cache_sim::{CacheModeDomain, CacheModeSpec};
 use pdfws::cmp_model::default_config;
 use pdfws::memsys::{MemSysDomain, MemSysSpec};
-use pdfws::schedulers::{make_policy, SchedulerDomain, SchedulerSpec};
+use pdfws::schedulers::{make_policy, simulate, SchedulerDomain, SchedulerSpec, SimOptions};
 use pdfws::spec::{Domain, Registry, SpecError, SpecFamily};
 use pdfws::stream::{ArrivalDomain, ArrivalSpec};
+use pdfws::task_dag::builder::SpTree;
+use pdfws::task_dag::{AccessPattern, TaskDag};
 use pdfws::workloads::{WorkloadDomain, WorkloadSpec};
 use pdfws_bench::list_text;
 use proptest::prelude::*;
@@ -70,8 +72,24 @@ const EDGE_VALUES: &[&str] = &[
     "x",
 ];
 
+/// A two-leaf DAG that misses in every cache and dirties what it writes, so
+/// one `simulate` drives the hierarchy, writebacks and the off-chip model.
+fn tiny_dag() -> TaskDag {
+    SpTree::Par(vec![
+        SpTree::leaf_with_accesses("read", 50, vec![AccessPattern::range_read(0, 64 * 64)]),
+        SpTree::leaf_with_accesses(
+            "write",
+            50,
+            vec![AccessPattern::range_write(1 << 20, 64 * 64)],
+        ),
+    ])
+    .into_dag()
+    .expect("tiny DAG")
+}
+
 /// Parse `input` in all five grammars; build every accepted spec where that
-/// is cheap.  Any panic fails the calling property.
+/// is cheap, and run one `simulate` of a tiny DAG under every accepted memsys
+/// and cache-mode spec.  Any panic fails the calling property.
 fn parse_and_build(input: &str, cores: usize, seed: u64) {
     fn typed<T>(result: Result<T, SpecError>) -> Option<T> {
         // An error must render (Display is part of the typed contract).
@@ -86,9 +104,20 @@ fn parse_and_build(input: &str, cores: usize, seed: u64) {
         cfg.memsys = spec.memsys_params();
         assert_eq!(cfg.validate(), Ok(()), "{input}");
         let _ = cfg.resolved_memsys();
+        let dag = tiny_dag();
+        let r = simulate(&dag, &cfg, &SchedulerSpec::ws(), &SimOptions::default());
+        assert_eq!(r.tasks, dag.len(), "{input}");
     }
     if let Some(spec) = typed(input.parse::<CacheModeSpec>()) {
         let _ = (spec.is_exact(), spec.sample_rate());
+        let cfg = default_config(2).expect("2-core default");
+        let options = SimOptions {
+            cache_mode: spec,
+            ..SimOptions::default()
+        };
+        let dag = tiny_dag();
+        let r = simulate(&dag, &cfg, &SchedulerSpec::pdf(), &options);
+        assert_eq!(r.tasks, dag.len(), "{input}");
     }
     if let Some(spec) = typed(input.parse::<ArrivalSpec>()) {
         match spec.generator(seed) {

@@ -69,7 +69,7 @@ fn perfetto_export_is_byte_identical_across_sweep_thread_counts() {
     }
 }
 
-// The engine keeps `set_trace_cache_window` meaningful off the exact path:
+// The engine keeps its windowed cache samples meaningful off the exact path:
 // sampled runs scale the sampled-set counters back up and analytic runs
 // report the pro-rata credited misses, so windowed `CacheWindow` events never
 // silently flatline when a statistical cache mode is selected.
