@@ -11,55 +11,53 @@
 //! `--list` prints the spec grammars.
 
 use pdfws_bench::{
-    compare_pdf_ws_all, comparison_table, emit_tables, emit_trace, maybe_help, maybe_list,
-    quick_mode, scaled, sizes, text_output, threads_arg, workloads_or, ComparisonRow,
+    compare_pdf_ws_all, comparison_table, emit_tables, emit_trace, outln, scaled, sizes, Cli,
+    ComparisonRow,
 };
 use pdfws_core::prelude::*;
 use pdfws_workloads::{HashJoin, LuDecomposition, MatMul, MergeSort, QuickSort, SpMv};
 
 fn main() {
-    maybe_help(
+    let cli = Cli::parse(
         "class_a_bandwidth_limited",
         "Class A: divide-and-conquer + bandwidth-limited irregular programs, PDF vs WS (the paper's 1.3-1.6x / 13-41% claims)",
         &[],
     );
-    maybe_list();
-    let quick = quick_mode();
     let cores = [8usize, 16, 32];
 
-    let workloads = workloads_or(|| {
+    let workloads = cli.workloads_or(|| {
         vec![
-            MergeSort::new(scaled(sizes::MERGESORT_KEYS, quick)).into_instance(),
-            QuickSort::new(scaled(sizes::MERGESORT_KEYS, quick)).into_instance(),
-            MatMul::new(if quick { 128 } else { sizes::MATRIX_N }).into_instance(),
-            LuDecomposition::new(if quick { 128 } else { sizes::MATRIX_N }).into_instance(),
-            SpMv::new(scaled(sizes::SPMV_ROWS, quick)).into_instance(),
-            HashJoin::new(scaled(sizes::HASHJOIN_BUILD, quick)).into_instance(),
+            MergeSort::new(scaled(sizes::MERGESORT_KEYS, cli.quick)).into_instance(),
+            QuickSort::new(scaled(sizes::MERGESORT_KEYS, cli.quick)).into_instance(),
+            MatMul::new(if cli.quick { 128 } else { sizes::MATRIX_N }).into_instance(),
+            LuDecomposition::new(if cli.quick { 128 } else { sizes::MATRIX_N }).into_instance(),
+            SpMv::new(scaled(sizes::SPMV_ROWS, cli.quick)).into_instance(),
+            HashJoin::new(scaled(sizes::HASHJOIN_BUILD, cli.quick)).into_instance(),
         ]
     });
     eprintln!(
         "# running {} workloads x {:?} cores on {} threads ...",
         workloads.len(),
         cores,
-        threads_arg()
+        cli.threads
     );
     // One grid: all (workload x cores x scheduler) cells execute on the shared
     // worker pool, each workload's DAG built once.
-    let rows: Vec<ComparisonRow> = compare_pdf_ws_all(&workloads, &cores);
+    let rows: Vec<ComparisonRow> = compare_pdf_ws_all(&cli, &workloads, &cores);
 
     let table = comparison_table(
         "Class A: divide-and-conquer + bandwidth-limited irregular (PDF vs WS)",
         &rows,
     );
-    emit_tables(&[&table]);
+    emit_tables(&cli, &[&table]);
 
     // Summary against the paper's headline numbers (at 32 cores) — prose, so
     // text mode only (--csv/--json stdout stays machine-parseable).
     let at32: Vec<&ComparisonRow> = rows.iter().filter(|r| r.cores == 32).collect();
-    if text_output() && !at32.is_empty() {
+    if cli.text_output() && !at32.is_empty() {
         let speedups: Vec<f64> = at32.iter().map(|r| r.relative_speedup).collect();
         let reductions: Vec<f64> = at32.iter().map(|r| r.traffic_reduction_percent).collect();
-        println!(
+        outln!(
             "At 32 cores: relative speedup (pdf/ws) range {:.2}-{:.2} (paper: 1.3-1.6), \
              off-chip traffic reduction range {:.0}%-{:.0}% (paper: 13-41%)",
             speedups.iter().cloned().fold(f64::INFINITY, f64::min),
@@ -72,6 +70,6 @@ fn main() {
     // --trace / --trace-summary: a PDF-vs-WS timeline of the first workload at
     // the headline core count.
     if let Some(workload) = workloads.first() {
-        emit_trace(workload, 32, &SchedulerSpec::paper_pair());
+        emit_trace(&cli, workload, 32, &SchedulerSpec::paper_pair());
     }
 }

@@ -13,48 +13,46 @@
 //! `--list` prints the spec grammars.
 
 use pdfws_bench::{
-    compare_pdf_ws_all, comparison_table, emit_tables, emit_trace, maybe_help, maybe_list,
-    quick_mode, scaled, sizes, text_output, threads_arg, workloads_or, ComparisonRow,
+    compare_pdf_ws_all, comparison_table, emit_tables, emit_trace, outln, scaled, sizes, Cli,
+    ComparisonRow,
 };
 use pdfws_core::prelude::*;
 use pdfws_workloads::{ComputeKernel, ParallelScan};
 
 fn main() {
-    maybe_help(
+    let cli = Cli::parse(
         "class_b_neutral",
         "Class B: limited-reuse and compute-bound programs where PDF and WS are expected to tie",
         &[],
     );
-    maybe_list();
-    let quick = quick_mode();
     let cores = [8usize, 16, 32];
 
-    let workloads = workloads_or(|| {
+    let workloads = cli.workloads_or(|| {
         vec![
-            ParallelScan::new(scaled(sizes::SCAN_N, quick)).into_instance(),
-            ComputeKernel::new(scaled(sizes::COMPUTE_ITEMS, quick)).into_instance(),
+            ParallelScan::new(scaled(sizes::SCAN_N, cli.quick)).into_instance(),
+            ComputeKernel::new(scaled(sizes::COMPUTE_ITEMS, cli.quick)).into_instance(),
         ]
     });
     eprintln!(
         "# running {} workloads x {:?} cores on {} threads ...",
         workloads.len(),
         cores,
-        threads_arg()
+        cli.threads
     );
-    let rows: Vec<ComparisonRow> = compare_pdf_ws_all(&workloads, &cores);
+    let rows: Vec<ComparisonRow> = compare_pdf_ws_all(&cli, &workloads, &cores);
 
     let table = comparison_table(
         "Class B: limited reuse / not bandwidth-bound (PDF vs WS, expected to tie)",
         &rows,
     );
-    emit_tables(&[&table]);
+    emit_tables(&cli, &[&table]);
 
     let max_gap = rows
         .iter()
         .map(|r| (r.relative_speedup - 1.0).abs())
         .fold(0.0f64, f64::max);
-    if text_output() {
-        println!(
+    if cli.text_output() {
+        outln!(
             "Largest |relative speedup - 1| across class-B cells: {:.3} (paper: roughly the same execution times)",
             max_gap
         );
@@ -63,6 +61,6 @@ fn main() {
     // --trace / --trace-summary: a PDF-vs-WS timeline of the first workload at
     // the headline core count.
     if let Some(workload) = workloads.first() {
-        emit_trace(workload, 32, &SchedulerSpec::paper_pair());
+        emit_trace(&cli, workload, 32, &SchedulerSpec::paper_pair());
     }
 }

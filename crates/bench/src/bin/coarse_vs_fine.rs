@@ -20,27 +20,22 @@
 //!     --workload mergesort:n=65536 --workload mergesort:coarse=8,n=65536
 //! ```
 
-use pdfws_bench::{
-    emit_tables, emit_trace, grid_with_memsys, maybe_help, maybe_list, quick_mode, runner, scaled,
-    sizes, text_output, threads_arg, workloads_or,
-};
+use pdfws_bench::{emit_tables, emit_trace, outln, scaled, sizes, Cli};
 use pdfws_core::prelude::*;
 use pdfws_metrics::{Series, Table};
 use pdfws_workloads::{MatMul, MergeSort};
 
 fn main() {
-    maybe_help(
+    let cli = Cli::parse(
         "coarse_vs_fine",
         "Coarse-grained (SMP-style) vs fine-grained threading under PDF: L2 MPKI and speedup",
         &[],
     );
-    maybe_list();
-    let quick = quick_mode();
     let cores = [8usize, 16, 32];
     let x: Vec<String> = cores.iter().map(|c| c.to_string()).collect();
 
-    let n_keys = scaled(sizes::MERGESORT_KEYS, quick);
-    let n = if quick { 128 } else { sizes::MATRIX_N };
+    let n_keys = scaled(sizes::MERGESORT_KEYS, cli.quick);
+    let n = if cli.quick { 128 } else { sizes::MATRIX_N };
 
     let mut mpki_table = Table::new(
         "Coarse vs fine-grained threading under PDF: L2 misses per 1000 instructions",
@@ -53,7 +48,7 @@ fn main() {
         x,
     );
 
-    let variants = workloads_or(|| {
+    let variants = cli.workloads_or(|| {
         vec![
             MergeSort::new(n_keys).into_instance(),
             MergeSort::new(n_keys).coarse_grained(32).into_instance(),
@@ -68,15 +63,16 @@ fn main() {
         "# running {} variants x {:?} cores on {} threads ...",
         variants.len(),
         cores,
-        threads_arg()
+        cli.threads
     );
-    let grid = grid_with_memsys(
+    let grid = cli.grid(
         SweepGrid::new()
             .workloads(&variants)
             .cores(&cores)
             .specs(&[SchedulerSpec::pdf()]),
     );
-    let reports = runner()
+    let reports = cli
+        .runner()
         .run(&grid)
         .expect("default configurations exist")
         .into_reports();
@@ -100,9 +96,9 @@ fn main() {
         speedup_table.push_series(Series::new(variant.spec.canonical(), speedup));
     }
 
-    emit_tables(&[&mpki_table, &speedup_table]);
-    if text_output() {
-        println!(
+    emit_tables(&cli, &[&mpki_table, &speedup_table]);
+    if cli.text_output() {
+        outln!(
             "Expected shape: the fine-grained variants scale and keep MPKI low; the coarse \
              variants lose both the load balance and the constructive-sharing benefit."
         );
@@ -113,6 +109,7 @@ fn main() {
     // per-core slice density in Perfetto.
     for variant in &variants {
         emit_trace(
+            &cli,
             variant,
             *cores.last().expect("core axis nonempty"),
             &[SchedulerSpec::pdf()],

@@ -19,22 +19,20 @@
 //! for arbitrary programs.
 
 use pdfws_bench::{
-    emit_tables, emit_trace, figure1_tables_from, maybe_help, maybe_list, migrations_table_from,
-    paper_core_counts, quick_mode, scaled, sizes, sweep_reports, threads_arg, workloads_or,
+    emit_tables, emit_trace, figure1_tables_from, paper_core_counts, scaled, sizes, sweep_reports,
+    Cli,
 };
 use pdfws_core::prelude::*;
 use pdfws_workloads::MergeSort;
 
 fn main() {
-    maybe_help(
+    let cli = Cli::parse(
         "fig1_mergesort",
         "Figure 1: merge sort L2 MPKI + speedup under PDF vs WS (plus the per-spec work-migration table), 1-32 cores",
         &[],
     );
-    maybe_list();
-    let quick = quick_mode();
-    let n_keys = scaled(sizes::MERGESORT_KEYS, quick);
-    let workloads = workloads_or(|| vec![MergeSort::new(n_keys).into_instance()]);
+    let n_keys = scaled(sizes::MERGESORT_KEYS, cli.quick);
+    let workloads = cli.workloads_or(|| vec![MergeSort::new(n_keys).into_instance()]);
     let specs: Vec<SchedulerSpec> = ["pdf", "ws", "ws:steal=half", "hybrid", "static"]
         .iter()
         .map(|s| s.parse().expect("built-in specs parse"))
@@ -45,25 +43,30 @@ fn main() {
             "# {}: {:.1} MiB of data{}, {} sweep threads",
             workload.spec.canonical(),
             workload.data_bytes as f64 / (1024.0 * 1024.0),
-            if quick { " [quick mode]" } else { "" },
-            threads_arg()
+            if cli.quick { " [quick mode]" } else { "" },
+            cli.threads
         );
     }
     // One grid feeds both the Figure-1 panels (pdf/ws) and the per-spec
     // migrations table for every requested workload — no cell is simulated
     // twice, each DAG is built once, and all (workload × cores × spec) cells
     // execute on the shared worker pool.
-    let reports = sweep_reports(&workloads, &cores, &specs);
+    let reports = sweep_reports(&cli, &workloads, &cores, &specs);
     for report in &reports {
         let (mpki, speedup) = figure1_tables_from(report, &cores);
         // Work migrations per scheduler spec (steal events / cross-core
         // placements), including two parameterized variants of the same policy.
-        let migrations = migrations_table_from(report, &cores, &specs);
-        emit_tables(&[&mpki, &speedup, &migrations]);
+        let migrations = report.migrations_table(&cores, &specs);
+        emit_tables(&cli, &[&mpki, &speedup, &migrations]);
     }
     // --trace / --trace-summary: one representative timeline per spec at the
     // largest swept core count.
     for workload in &workloads {
-        emit_trace(workload, *cores.last().expect("core axis nonempty"), &specs);
+        emit_trace(
+            &cli,
+            workload,
+            *cores.last().expect("core axis nonempty"),
+            &specs,
+        );
     }
 }

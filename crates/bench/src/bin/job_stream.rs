@@ -19,34 +19,27 @@
 //!
 //! [`JobRecord`]: pdfws_stream::JobRecord
 
-use pdfws_bench::{
-    emit_stream_trace, emit_tables, maybe_help, maybe_list, output_mode, quick_mode,
-    stream_with_memsys, threads_arg, workload_spec_args, OutputMode,
-};
+use pdfws_bench::{emit_stream_trace, emit_tables, outln, Cli, OutputMode};
 use pdfws_core::prelude::*;
 use pdfws_metrics::{Series, Table};
 use pdfws_stream::{JobMix, StreamConfig};
 
 fn main() {
-    maybe_help(
+    let cli = Cli::parse(
         "job_stream",
         "PDF vs WS serving a multiprogrammed job stream: tail latency and throughput per (mix x offered load)",
         &[],
     );
-    maybe_list();
-    let quick = quick_mode();
-    let threads = threads_arg();
-    let jobs = if quick { 10 } else { 32 };
+    let jobs = if cli.quick { 10 } else { 32 };
     let cores = 8;
     let rates = [20.0f64, 120.0];
-    let custom = workload_spec_args();
-    let mixes = if custom.is_empty() {
+    let mixes = if cli.workloads.is_empty() {
         vec![JobMix::class_a(), JobMix::class_b(), JobMix::mixed()]
     } else {
         // One mix of the requested specs, equally weighted.
         vec![JobMix::new(
             "custom",
-            custom.into_iter().map(|s| (s, 1)).collect(),
+            cli.workloads.iter().map(|s| (s.clone(), 1)).collect(),
         )]
     };
 
@@ -59,19 +52,20 @@ fn main() {
     let mut ws_tput = Vec::new();
     let mut tail_ratio = Vec::new();
 
-    let json = output_mode() == OutputMode::Json;
+    let json = cli.output == OutputMode::Json;
     for mix in &mixes {
         for &rate in &rates {
-            let report = stream_with_memsys(
-                StreamExperiment::new(mix.clone())
-                    .jobs(jobs)
-                    .cores(cores)
-                    .arrivals(ArrivalSpec::poisson(rate))
-                    .admission(AdmissionPolicy::Fifo)
-                    .threads(threads),
-            )
-            .run()
-            .expect("default configurations exist for 8 cores");
+            let report = cli
+                .stream(
+                    StreamExperiment::new(mix.clone())
+                        .jobs(jobs)
+                        .cores(cores)
+                        .arrivals(ArrivalSpec::poisson(rate))
+                        .admission(AdmissionPolicy::Fifo)
+                        .threads(cli.threads),
+                )
+                .run()
+                .expect("default configurations exist for 8 cores");
             if json {
                 // The per-job record sink: one JSONL line per completed job,
                 // each carrying its full scheduler and workload spec strings.
@@ -81,7 +75,7 @@ fn main() {
                 let mix_name = mix.name.replace('\\', "\\\\").replace('"', "\\\"");
                 for line in report.to_jsonl().lines() {
                     let record = line.strip_prefix('{').expect("records are JSON objects");
-                    println!("{{\"mix\":\"{mix_name}\",\"jobs_per_mcycle\":{rate},{record}");
+                    outln!("{{\"mix\":\"{mix_name}\",\"jobs_per_mcycle\":{rate},{record}");
                 }
             }
             let pdf = report.summary(&SchedulerSpec::pdf()).expect("pdf ran");
@@ -113,7 +107,7 @@ fn main() {
     table.push_series(Series::new("ws/pdf_p95", tail_ratio));
 
     if !json {
-        emit_tables(&[&table]);
+        emit_tables(&cli, &[&table]);
     }
 
     // --trace / --trace-summary: a PDF-vs-WS timeline of the first mix at the
@@ -123,6 +117,6 @@ fn main() {
         let mut cfg = StreamConfig::new(cores, SchedulerSpec::pdf());
         cfg.arrivals = ArrivalSpec::poisson(rates[0]);
         cfg.admission = AdmissionPolicy::Fifo;
-        emit_stream_trace(mix, jobs, &cfg, &SchedulerSpec::paper_pair());
+        emit_stream_trace(&cli, mix, jobs, &cfg, &SchedulerSpec::paper_pair());
     }
 }

@@ -19,10 +19,7 @@
 //! `--workload <spec>` replaces the default merge sort (the first spec is
 //! used; both parts study one program); `--list` prints the spec grammars.
 
-use pdfws_bench::{
-    emit_tables, emit_trace, experiment_with_memsys, maybe_help, maybe_list, quick_mode, runner,
-    scaled, sizes, text_output, threads_arg, workload_spec_args,
-};
+use pdfws_bench::{emit_tables, emit_trace, outln, scaled, sizes, Cli};
 use pdfws_cache_sim::power::{estimate_energy, EnergyModel};
 use pdfws_cmp_model::{default_config, sweep::sweep_l2_fraction};
 use pdfws_core::prelude::*;
@@ -32,17 +29,15 @@ use pdfws_workloads::MergeSort;
 const CORES: usize = 8;
 
 fn main() {
-    maybe_help(
+    let cli = Cli::parse(
         "power_and_multiprogramming",
         "PDF's smaller working set: L2 power-down slowdown/energy and co-runner (multiprogramming) slowdown",
         &[],
     );
-    maybe_list();
-    let quick = quick_mode();
-    let n_keys = scaled(sizes::MERGESORT_KEYS, quick);
+    let n_keys = scaled(sizes::MERGESORT_KEYS, cli.quick);
     // Both parts study one program: instantiate only the first --workload
     // spec (or the default merge sort).
-    let workload = match workload_spec_args().first() {
+    let workload = match cli.workloads.first() {
         Some(spec) => WorkloadInstance::from_spec(spec),
         None => MergeSort::new(n_keys).into_instance(),
     };
@@ -72,10 +67,10 @@ fn main() {
     // 5 configs × (baseline + 2 schedulers) simulations are independent, so
     // the whole part-1 table parallelizes (the DAG is built once up front and
     // shared by every cell).
-    let threads = threads_arg();
+    let threads = cli.threads;
     eprintln!("# power-down sweep on {threads} threads ...");
-    let reports: Vec<ExperimentReport> = runner().run_cells(configs.len(), |i| {
-        experiment_with_memsys(
+    let reports: Vec<ExperimentReport> = cli.runner().run_cells(configs.len(), |i| {
+        cli.experiment(
             Experiment::new(workload.clone())
                 .cores(CORES)
                 .with_config(configs[i])
@@ -107,7 +102,7 @@ fn main() {
         ));
         energy_table.push_series(Series::new(spec.canonical(), energies));
     }
-    emit_tables(&[&slowdown_table, &energy_table]);
+    emit_tables(&cli, &[&slowdown_table, &energy_table]);
 
     // --- Part 2: multiprogramming (co-runner polluting the shared L2) --------
     let disturbance = Disturbance {
@@ -123,26 +118,28 @@ fn main() {
     );
     // One experiment per scenario, both schedulers as cells of the same sweep.
     eprintln!("# multiprogramming sweep on {threads} threads ...");
-    let alone = experiment_with_memsys(
-        Experiment::new(workload.clone())
-            .cores(CORES)
-            .schedulers(&SchedulerSpec::paper_pair())
-            .threads(threads),
-    )
-    .run()
-    .expect("experiment runs");
-    let noisy = experiment_with_memsys(
-        Experiment::new(workload.clone())
-            .cores(CORES)
-            .schedulers(&SchedulerSpec::paper_pair())
-            .options(SimOptions {
-                disturbance: Some(disturbance),
-                ..SimOptions::default()
-            })
-            .threads(threads),
-    )
-    .run()
-    .expect("experiment runs");
+    let alone = cli
+        .experiment(
+            Experiment::new(workload.clone())
+                .cores(CORES)
+                .schedulers(&SchedulerSpec::paper_pair())
+                .threads(threads),
+        )
+        .run()
+        .expect("experiment runs");
+    let noisy = cli
+        .experiment(
+            Experiment::new(workload.clone())
+                .cores(CORES)
+                .schedulers(&SchedulerSpec::paper_pair())
+                .options(SimOptions {
+                    disturbance: Some(disturbance),
+                    ..SimOptions::default()
+                })
+                .threads(threads),
+        )
+        .run()
+        .expect("experiment runs");
     for spec in SchedulerSpec::paper_pair() {
         let alone_cycles = alone.find(CORES, &spec).unwrap().metrics.cycles as f64;
         let noisy_cycles = noisy.find(CORES, &spec).unwrap().metrics.cycles as f64;
@@ -151,9 +148,9 @@ fn main() {
             vec![1.0, noisy_cycles / alone_cycles],
         ));
     }
-    emit_tables(&[&mp_table]);
-    if text_output() {
-        println!(
+    emit_tables(&cli, &[&mp_table]);
+    if cli.text_output() {
+        outln!(
             "Expected shape: PDF's slowdown under reduced L2 and under the co-runner is smaller \
              than WS's, and powering down segments saves leakage energy."
         );
@@ -161,5 +158,5 @@ fn main() {
 
     // --trace / --trace-summary: a PDF-vs-WS timeline of the studied workload
     // at the experiment's core count (the "alone" scenario).
-    emit_trace(&workload, CORES, &SchedulerSpec::paper_pair());
+    emit_trace(&cli, &workload, CORES, &SchedulerSpec::paper_pair());
 }

@@ -21,15 +21,12 @@
 //! Exits non-zero iff any claim evaluates to `Deviation`, so CI (and any
 //!"fast path" PR) trips the moment a paper-shaped result flips.
 
-use pdfws_bench::{
-    cache_mode_arg, maybe_help, maybe_list, memsys_spec_arg, quick_mode, threads_arg,
-    workload_spec_args,
-};
+use pdfws_bench::{outln, Cli};
 use pdfws_report::{cache_mode_validation_figure, ClaimStatus, ReplicationSuite, SuiteConfig};
 use std::path::{Component, Path, PathBuf};
 
 fn main() {
-    maybe_help(
+    let cli = Cli::parse(
         "replicate",
         "Run the paper-claim replication suite and emit REPLICATION.md + per-claim artifacts",
         &[
@@ -39,34 +36,23 @@ fn main() {
             ("--validate-cache", "also emit the sampled-vs-exact cache-mode validation figure under <out>/validation/ (runs the Figure-1 sweep in every cache mode)"),
         ],
     );
-    maybe_list();
-    let quick = quick_mode();
-    let threads = threads_arg();
-    let out_dir = flag_value("--out").map(PathBuf::from);
-    let claim_filter = flag_values("--claim");
+    let quick = cli.quick;
+    let threads = cli.threads;
+    let out_dir = cli.value("--out").map(PathBuf::from);
     // The claims pin their own spec strings; --workload is validated (a typo
     // must still abort with the registry's message) and then ignored.
-    let ignored = workload_spec_args();
-    if !ignored.is_empty() {
-        eprintln!(
-            "note: the replication claims pin their own workload specs; ignoring --workload {}",
-            ignored
-                .iter()
-                .map(|s| s.canonical())
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-    }
+    cli.ignore_workloads("the replication claims pin their own workload specs");
 
     let mut suite = ReplicationSuite::paper();
-    if std::env::args().any(|a| a == "--list-claims") {
+    if cli.has("--list-claims") {
         for claim in suite.claims() {
-            println!("{:<24}  {}", claim.id, claim.title);
+            outln!("{:<24}  {}", claim.id, claim.title);
         }
         return;
     }
+    let claim_filter = cli.values("--claim");
     if !claim_filter.is_empty() {
-        let unknown = suite.retain_ids(&claim_filter);
+        let unknown = suite.retain_ids(claim_filter);
         if !unknown.is_empty() {
             eprintln!(
                 "error: unknown claim id(s) {} (try --list-claims)",
@@ -76,7 +62,7 @@ fn main() {
         }
     }
 
-    let cache = cache_mode_arg();
+    let cache = cli.cache.clone();
     eprintln!(
         "# replicating {} claim(s), {} mode, cache={}, {} sweep threads",
         suite.claims().len(),
@@ -88,7 +74,7 @@ fn main() {
     // profiles — the CI-cheap way to regression-check the matrix at paper
     // scale.
     let mut cfg = SuiteConfig::new(quick).threads(threads).cache(cache);
-    if let Some(spec) = memsys_spec_arg() {
+    if let Some(spec) = cli.memsys.clone() {
         // The whole suite re-runs under the selected model (e.g. `--memsys
         // legacy` compares the claims against the pre-memsys formula).
         cfg = cfg.memsys(spec);
@@ -109,7 +95,7 @@ fn main() {
     // The claim ↔ result matrix, with observed numbers, always goes to the
     // log so a CI failure is diagnosable from stdout alone.
     for r in &report.results {
-        println!(
+        outln!(
             "{:<28} {:>10}   {} = {:.6}, {} = {:.6}   ({})",
             r.id,
             r.status.to_string(),
@@ -124,7 +110,7 @@ fn main() {
     // `--validate-cache`: price the Figure-1 sweep in every cache mode and
     // render the side-by-side MPKI figure (the human-readable companion of
     // the tolerance contract in tests/cache_modes.rs).
-    let validation = if std::env::args().any(|a| a == "--validate-cache") {
+    let validation = if cli.has("--validate-cache") {
         eprintln!("# building the cache-mode validation figure ...");
         match cache_mode_validation_figure(quick, threads) {
             Ok(figure) => Some(figure),
@@ -155,7 +141,7 @@ fn main() {
         }
     } else if let Some(figure) = &validation {
         // No artifact directory: the figure still reaches the log.
-        println!("\n{}", figure.to_markdown());
+        outln!("\n{}", figure.to_markdown());
     }
 
     let deviations = report
@@ -192,30 +178,4 @@ fn paper_path_from(out_dir: &Path) -> String {
         Ok(cwd) => cwd.join("PAPER.md").display().to_string(),
         Err(_) => "PAPER.md".to_string(),
     }
-}
-
-/// The value of the first `--flag value` / `--flag=value` occurrence.
-fn flag_value(flag: &str) -> Option<String> {
-    flag_values(flag).into_iter().next()
-}
-
-/// Every value of a repeatable `--flag value` / `--flag=value`.
-fn flag_values(flag: &str) -> Vec<String> {
-    let prefix = format!("{flag}=");
-    let mut values = Vec::new();
-    let mut args = std::env::args();
-    while let Some(arg) = args.next() {
-        if arg == flag {
-            match args.next() {
-                Some(v) => values.push(v),
-                None => {
-                    eprintln!("error: {flag} needs a value");
-                    std::process::exit(2);
-                }
-            }
-        } else if let Some(v) = arg.strip_prefix(&prefix) {
-            values.push(v.to_string());
-        }
-    }
-    values
 }

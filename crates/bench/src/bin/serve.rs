@@ -24,39 +24,17 @@
 //! slices plus `active_cores` / `outstanding_jobs` counter tracks) of the
 //! heaviest run.
 
-use pdfws_bench::{
-    cache_mode_arg, emit_tables, maybe_help, maybe_list, memsys_spec_arg, quick_mode, text_output,
-    trace_args,
-};
+use pdfws_bench::{emit_tables, outln, write_trace, Cli};
 use pdfws_schedulers::SchedulerSpec;
 use pdfws_serve::{parse_tenants, run_serve, run_serve_traced, ArrivalSpec, ServeConfig};
-use pdfws_trace::{chrome_trace_json, EventTrace, TraceTrack};
+use pdfws_trace::{EventTrace, TraceTrack};
 
 /// Arrival seed shared by every run of this binary (the serving loop derives
 /// its tenant/shape sampling streams from it).
 const SEED: u64 = 0x5E12_7E4A;
 
-fn flag_value(flag: &str) -> Option<String> {
-    let prefix = format!("{flag}=");
-    let mut args = std::env::args();
-    while let Some(arg) = args.next() {
-        if arg == flag {
-            match args.next() {
-                Some(v) => return Some(v),
-                None => {
-                    eprintln!("error: {flag} needs an argument (try --help)");
-                    std::process::exit(2);
-                }
-            }
-        } else if let Some(v) = arg.strip_prefix(&prefix) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
-
 fn main() {
-    maybe_help(
+    let cli = Cli::parse(
         "serve",
         "multi-tenant SLO-aware serving tier: admission control, load shedding and core autoscaling over calibrated arrivals",
         &[
@@ -77,23 +55,22 @@ fn main() {
             ("--jobs N", "jobs offered per run (default 4000, quick 400)"),
         ],
     );
-    maybe_list();
-    let quick = quick_mode();
+    cli.ignore_workloads("the serving tier draws its jobs from the tenants' mixes");
     let cores = 8;
-    let jobs = match flag_value("--jobs") {
+    let jobs = match cli.value("--jobs") {
         Some(v) => v.parse::<usize>().unwrap_or_else(|_| {
             eprintln!("error: --jobs needs a positive integer, got '{v}'");
             std::process::exit(2);
         }),
         None => {
-            if quick {
+            if cli.quick {
                 400
             } else {
                 4000
             }
         }
     };
-    let headroom = match flag_value("--slo") {
+    let headroom = match cli.value("--slo") {
         Some(v) => match v.parse::<f64>() {
             Ok(f) if f > 0.0 => f,
             _ => {
@@ -103,10 +80,10 @@ fn main() {
         },
         None => 1.0,
     };
-    let shedding = !std::env::args().any(|a| a == "--no-shed");
-    let autoscale = !std::env::args().any(|a| a == "--no-autoscale");
-    let tenants = match flag_value("--tenants") {
-        Some(v) => match parse_tenants(&v) {
+    let shedding = !cli.has("--no-shed");
+    let autoscale = !cli.has("--no-autoscale");
+    let tenants = match cli.value("--tenants") {
+        Some(v) => match parse_tenants(v) {
             Ok(t) => t,
             Err(e) => {
                 eprintln!("error: {e}");
@@ -117,7 +94,7 @@ fn main() {
     };
     // The load axis: one requested process, or the default light/overload
     // contrast (rates in jobs per megacycle).
-    let loads: Vec<(String, ArrivalSpec)> = match flag_value("--arrivals") {
+    let loads: Vec<(String, ArrivalSpec)> = match cli.value("--arrivals") {
         Some(v) => match v.parse::<ArrivalSpec>() {
             Ok(spec) => vec![("requested".to_string(), spec)],
             Err(e) => {
@@ -143,14 +120,14 @@ fn main() {
         if !autoscale {
             cfg.autoscale = None;
         }
-        cfg.sim_options.cache_mode = cache_mode_arg();
-        if let Some(spec) = memsys_spec_arg() {
+        cfg.sim_options.cache_mode = cli.cache.clone();
+        if let Some(spec) = &cli.memsys {
             cfg.memsys = Some(spec.memsys_params());
         }
         let report = run_serve(&cfg).expect("default configurations exist for 8 cores");
-        emit_tables(&[&report.summary_table()]);
-        if text_output() {
-            println!(
+        emit_tables(&cli, &[&report.summary_table()]);
+        if cli.text_output() {
+            outln!(
                 "# {label} ({}): shed-rate: {:.4}  completed: {}/{}  worst p99/target: {:.3}  final cores: {}",
                 arrivals.canonical(),
                 report.shed_rate(),
@@ -166,8 +143,7 @@ fn main() {
     // --trace: a Perfetto timeline of the heaviest run — async job slices
     // spanning admit -> complete (shed jobs never open a slice) plus the
     // `active_cores` and `outstanding_jobs` counter tracks.
-    let targs = trace_args();
-    if let Some(path) = &targs.path {
+    if let Some(path) = &cli.trace.path {
         let cfg = heaviest.expect("load axis is never empty");
         let mut trace = EventTrace::new();
         run_serve_traced(&cfg, &mut trace).expect("traced serve run");
@@ -181,17 +157,6 @@ fn main() {
             cores,
             trace.into_events(),
         );
-        let json = chrome_trace_json(std::slice::from_ref(&track));
-        match std::fs::write(path, &json) {
-            Ok(()) => eprintln!(
-                "# wrote {} ({} bytes) — open in ui.perfetto.dev",
-                path.display(),
-                json.len()
-            ),
-            Err(e) => {
-                eprintln!("error: cannot write trace to {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
+        write_trace(path, &[track]);
     }
 }

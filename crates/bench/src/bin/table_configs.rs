@@ -11,42 +11,28 @@
 //! `--workload <spec>` are validated but no-ops here — the table is derived
 //! analytically, nothing is simulated.
 
-use pdfws_bench::{
-    config_table, emit_tables, maybe_help, maybe_list, memsys_spec_arg, paper_core_counts,
-    trace_args, workload_spec_args,
-};
+use pdfws_bench::{config_table, emit_tables, paper_core_counts, Cli};
 
 fn main() {
-    maybe_help(
+    let cli = Cli::parse(
         "table_configs",
         "The paper's 'CMP configurations studied' table (240 mm2 die, 1-32 cores) — analytic, nothing is simulated",
         &[],
     );
-    maybe_list();
-    let ignored = workload_spec_args();
-    if !ignored.is_empty() {
-        eprintln!(
-            "note: this table is configuration-only; ignoring --workload {}",
-            ignored
-                .iter()
-                .map(|s| s.canonical())
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-    }
-    if let Some(spec) = memsys_spec_arg() {
+    cli.ignore_workloads("this table is configuration-only");
+    if let Some(spec) = &cli.memsys {
         eprintln!(
             "note: this table lists the baseline channel parameters; --memsys {} changes \
              simulated cells, not this analytic table",
             spec.canonical()
         );
     }
-    if trace_args().enabled() {
+    if cli.trace.enabled() {
         eprintln!(
             "note: this table is derived analytically — nothing is simulated, so \
              --trace/--trace-summary produce no timeline here"
         );
     }
     let table = config_table(&paper_core_counts());
-    emit_tables(&[&table]);
+    emit_tables(&cli, &[&table]);
 }

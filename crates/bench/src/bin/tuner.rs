@@ -16,15 +16,12 @@
 use pdfws_bench::tuner::{
     pareto_csv, quick_workloads, rows_from_reports, tuner_figures, tuner_specs, TUNER_CORES,
 };
-use pdfws_bench::{
-    emit_figures, emit_trace, maybe_help, maybe_list, quick_mode, sizes, sweep_reports,
-    text_output, threads_arg, workloads_or,
-};
+use pdfws_bench::{emit_figures, emit_trace, outln, sizes, sweep_reports, Cli};
 use pdfws_core::prelude::*;
 use std::path::PathBuf;
 
 fn main() {
-    maybe_help(
+    let cli = Cli::parse(
         "tuner",
         "Search the scheduler-spec grid and emit the per-workload Pareto front over (makespan, L2 MPKI, migrations)",
         &[(
@@ -32,12 +29,10 @@ fn main() {
             "write pareto.csv plus per-workload figure artifacts under <dir>",
         )],
     );
-    maybe_list();
-    let quick = quick_mode();
-    let out_dir = out_dir_arg();
+    let out_dir = cli.value("--out").map(PathBuf::from);
 
-    let workloads = workloads_or(|| {
-        if quick {
+    let workloads = cli.workloads_or(|| {
+        if cli.quick {
             quick_workloads()
         } else {
             vec![
@@ -52,14 +47,14 @@ fn main() {
         "# tuning {} workloads x {} specs @ {TUNER_CORES} cores on {} threads ...",
         workloads.len(),
         specs.len(),
-        threads_arg()
+        cli.threads
     );
-    let reports = sweep_reports(&workloads, &[TUNER_CORES], &specs);
+    let reports = sweep_reports(&cli, &workloads, &[TUNER_CORES], &specs);
     let rows = rows_from_reports(&reports, TUNER_CORES, &specs);
     let figures = tuner_figures(&rows);
-    emit_figures(&figures);
+    emit_figures(&cli, &figures);
 
-    if text_output() {
+    if cli.text_output() {
         for figure in &figures {
             let winners: Vec<&str> = rows
                 .iter()
@@ -69,7 +64,7 @@ fn main() {
                 })
                 .map(|r| r.scheduler.as_str())
                 .collect();
-            println!("{}: Pareto front = {}", figure.caption, winners.join(", "));
+            outln!("{}: Pareto front = {}", figure.caption, winners.join(", "));
         }
     }
 
@@ -95,26 +90,6 @@ fn main() {
     // --trace / --trace-summary: a timeline of the full zoo on the first
     // workload.
     if let Some(workload) = workloads.first() {
-        emit_trace(workload, TUNER_CORES, &specs);
+        emit_trace(&cli, workload, TUNER_CORES, &specs);
     }
-}
-
-/// Parse `--out <dir>` / `--out=<dir>`.
-fn out_dir_arg() -> Option<PathBuf> {
-    let mut args = std::env::args();
-    while let Some(arg) = args.next() {
-        let value = if arg == "--out" {
-            args.next()
-        } else if let Some(v) = arg.strip_prefix("--out=") {
-            Some(v.to_string())
-        } else {
-            continue;
-        };
-        let Some(dir) = value else {
-            eprintln!("error: --out needs a directory argument (e.g. --out target/tuner)");
-            std::process::exit(2);
-        };
-        return Some(PathBuf::from(dir));
-    }
-    None
 }

@@ -64,7 +64,8 @@ pub const THREADS_ENV: &str = "PDFWS_THREADS";
 /// Parse one thread-count value as every knob (`PDFWS_THREADS`, the bench
 /// binaries' `--threads`) accepts it: a whitespace-trimmed `usize`, with 0
 /// clamped to 1.  `None` means malformed — callers that face users (the CLI
-/// harness) warn on it; the library stays silent.
+/// harness rejects a bad `--threads` and warns on a bad `PDFWS_THREADS`)
+/// report it; the library stays silent.
 pub fn parse_threads(value: &str) -> Option<usize> {
     value.trim().parse::<usize>().ok().map(|n| n.max(1))
 }
