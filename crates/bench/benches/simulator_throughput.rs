@@ -1,7 +1,9 @@
 //! Criterion bench: raw throughput of the simulation substrates.
 //!
 //! Tracks how many simulated memory references per second the cache hierarchy and
-//! the execution engine sustain.  These are not paper results; they bound how
+//! the execution engine sustain.  The hierarchy has two shapes: random 8-core
+//! traffic, and a 32-core line-stepped stream that misses the L1 on nearly
+//! every reference, like the L2-exceeding Figure-1 merge sort.  These are not paper results; they bound how
 //! large the paper-scale experiments can be, so regressions here matter to every
 //! other bench.
 
@@ -44,6 +46,61 @@ fn bench_hierarchy_accesses(c: &mut Criterion) {
     group.finish();
 }
 
+/// One pass of the streaming pattern: every core alternately reads a line
+/// another core wrote in the previous pass and writes a fresh line, stepping
+/// one line per reference — merge sort's merge step at 32 cores, where
+/// nearly every reference misses the L1 and the writes miss the L2.
+fn stream_pass(hier: &mut CmpCacheHierarchy, pass: u64, accesses: u64) -> u64 {
+    let cores = hier.cores() as u64;
+    let line = hier.line_bytes();
+    // Each core reads and writes `per_core` lines; one pass writes `region`.
+    let per_core = accesses / cores / 2;
+    let region = per_core * cores;
+    let mut offchip = 0;
+    for i in 0..accesses {
+        let core = i % cores;
+        let round = i / cores;
+        let step = (round / 2) % per_core;
+        // Even rounds read what a neighbour wrote in the previous pass, odd
+        // rounds write this pass's output.
+        let write = round % 2 == 1;
+        let block = if write {
+            (pass + 1) * region + core * per_core + step
+        } else {
+            pass * region + (core + 1) % cores * per_core + step
+        };
+        offchip += hier
+            .access(core as usize, block * line, write)
+            .offchip_bytes;
+    }
+    offchip
+}
+
+fn bench_hierarchy_stream(c: &mut Criterion) {
+    const ACCESSES: u64 = 100_000;
+    let cfg = default_config(32).expect("default configuration");
+    let mut hier = CmpCacheHierarchy::new(&cfg);
+    // Warm up until the L2 is full, so every timed pass is in steady state:
+    // each write fill evicts (and back-invalidates) a line of an older pass.
+    let l2_lines = (cfg.l2.capacity_bytes / cfg.l2.line_bytes) as u64;
+    let mut pass = 0;
+    while pass * ACCESSES / 2 <= 2 * l2_lines {
+        stream_pass(&mut hier, pass, ACCESSES);
+        pass += 1;
+    }
+    let mut group = c.benchmark_group("cache_hierarchy");
+    group.throughput(Throughput::Elements(ACCESSES));
+    group.sample_size(20);
+    group.bench_function("stream_32core_100k", |b| {
+        b.iter(|| {
+            let offchip = stream_pass(&mut hier, pass, ACCESSES);
+            pass += 1;
+            black_box(offchip)
+        })
+    });
+    group.finish();
+}
+
 fn bench_engine_throughput(c: &mut Criterion) {
     let workload = SyntheticTree {
         depth: 6,
@@ -68,9 +125,8 @@ fn bench_engine_throughput(c: &mut Criterion) {
         });
     }
     // The one-core baseline every sweep dedups and reruns constantly: with a
-    // single busy core the engine's event heap stays size <= 1, so this case
-    // isolates the heap-reuse fast path (strictly-earliest cores step without
-    // pop/push).
+    // single busy core the engine's event heap holds one entry, so every step
+    // re-keys it in place and this case isolates the rest of the step.
     let one_core = default_config(1).expect("one-core configuration");
     group.bench_function("sequential_baseline_1core", |b| {
         b.iter(|| black_box(simulate_sequential(&dag, &one_core, &SimOptions::default()).cycles))
@@ -78,5 +134,10 @@ fn bench_engine_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_hierarchy_accesses, bench_engine_throughput);
+criterion_group!(
+    benches,
+    bench_hierarchy_accesses,
+    bench_hierarchy_stream,
+    bench_engine_throughput
+);
 criterion_main!(benches);

@@ -28,40 +28,39 @@ pub struct EvictedBlock {
 pub struct CacheAccessResult {
     /// Whether the block was already present.
     pub hit: bool,
-    /// A block that had to be evicted to fill the new one (misses only).
+    /// The slot (`set * associativity + way`, below
+    /// [`CacheGeometry::lines`]) that holds the block after the access: the
+    /// hit line, or the line the miss filled.
+    pub slot: usize,
+    /// A block that had to be evicted to fill the new one (misses only).  It
+    /// occupied `slot`.
     pub evicted: Option<EvictedBlock>,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Line {
-    block: BlockAddr,
-    dirty: bool,
-    valid: bool,
-}
+/// Flag bit of a tag word marking the line dirty.
+const DIRTY: u64 = 1 << 63;
 
-impl Line {
-    const INVALID: Line = Line {
-        block: 0,
-        dirty: false,
-        valid: false,
-    };
-}
+/// Tag word of an empty line.  `Cache::access` admits only blocks below
+/// `DIRTY - 1`, so no resident block's tag, dirty or clean, can equal it.
+const INVALID: u64 = u64::MAX;
 
 /// A set-associative cache with write-back, write-allocate semantics.
 ///
 /// The cache stores block addresses only (no data): the simulator cares about
 /// hits, misses, evictions and write-backs, not values.
 ///
-/// Storage is flat: all lines live in one set-major array (`sets × ways`), with
-/// a parallel stamp array for the replacement order and one RNG word per set
-/// for the Random policy.  An access therefore touches exactly one contiguous
-/// `associativity`-sized window — no per-set heap structures on the hot path.
+/// Storage is flat: all lines live in one set-major array (`sets × ways`) of
+/// one-word tags — the block number, with bit 63 as the dirty flag and
+/// `u64::MAX` for an empty line — with a parallel stamp array for the
+/// replacement order and one RNG word per set for the Random policy.  An
+/// access therefore touches exactly one contiguous `associativity`-word
+/// window — no per-set heap structures on the hot path.
 #[derive(Debug, Clone)]
 pub struct Cache {
     geometry: CacheGeometry,
     policy: ReplacementPolicy,
-    /// All lines, set-major: set `s` owns `lines[s*assoc .. (s+1)*assoc]`.
-    lines: Box<[Line]>,
+    /// All tag words, set-major: set `s` owns `lines[s*assoc .. (s+1)*assoc]`.
+    lines: Box<[u64]>,
     /// Replacement stamps parallel to `lines` (recency for LRU, fill time for
     /// FIFO; unused for Random).
     stamps: Box<[u64]>,
@@ -91,7 +90,7 @@ impl Cache {
         Cache {
             geometry,
             policy,
-            lines: vec![Line::INVALID; num_sets * assoc].into_boxed_slice(),
+            lines: vec![INVALID; num_sets * assoc].into_boxed_slice(),
             stamps: vec![0; num_sets * assoc].into_boxed_slice(),
             rng: (0..num_sets).map(set_rng_seed).collect(),
             clock: 0,
@@ -127,23 +126,43 @@ impl Cache {
         (block & self.set_mask) as usize * self.assoc
     }
 
+    /// Slot holding `block`, if it is resident.
+    #[inline]
+    fn find(&self, block: BlockAddr) -> Option<usize> {
+        let base = self.set_base(block);
+        self.lines[base..base + self.assoc]
+            .iter()
+            .position(|&tag| tag & !DIRTY == block)
+            .map(|way| base + way)
+    }
+
     /// Access `block`; on a miss the block is filled (write-allocate), possibly
     /// evicting another block from the same set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` is `2^63 - 1` or larger: its tag would collide with
+    /// the dirty flag or the empty-line marker.
     pub fn access(&mut self, block: BlockAddr, kind: AccessKind) -> CacheAccessResult {
+        assert!(
+            block < DIRTY - 1,
+            "block {block:#x} collides with the tag flags"
+        );
         let base = self.set_base(block);
         let set = &mut self.lines[base..base + self.assoc];
 
-        // One scan finds both the hit way and the first free way.
+        // One scan finds both the hit way and the first free way.  An empty
+        // line's tag never matches a block, so the hit test needs no validity
+        // check.
         let mut free_way = usize::MAX;
         let mut hit_way = usize::MAX;
-        for (way, line) in set.iter().enumerate() {
-            if !line.valid {
-                if free_way == usize::MAX {
-                    free_way = way;
-                }
-            } else if line.block == block {
+        for (way, &tag) in set.iter().enumerate() {
+            if tag & !DIRTY == block {
                 hit_way = way;
                 break;
+            }
+            if tag == INVALID && free_way == usize::MAX {
+                free_way = way;
             }
         }
 
@@ -151,7 +170,7 @@ impl Cache {
 
         if hit_way != usize::MAX {
             if kind == AccessKind::Write {
-                set[hit_way].dirty = true;
+                set[hit_way] |= DIRTY;
                 self.stats.write_hits += 1;
             } else {
                 self.stats.read_hits += 1;
@@ -161,6 +180,7 @@ impl Cache {
             }
             return CacheAccessResult {
                 hit: true,
+                slot: base + hit_way,
                 evicted: None,
             };
         }
@@ -186,23 +206,24 @@ impl Cache {
                 }
             };
             let old = set[way];
+            let dirty = old & DIRTY != 0;
             self.stats.evictions += 1;
-            if old.dirty {
+            if dirty {
                 self.stats.writebacks += 1;
             }
             (
                 way,
                 Some(EvictedBlock {
-                    block: old.block,
-                    dirty: old.dirty,
+                    block: old & !DIRTY,
+                    dirty,
                 }),
             )
         };
 
-        set[way] = Line {
-            block,
-            dirty: kind == AccessKind::Write,
-            valid: true,
+        set[way] = if kind == AccessKind::Write {
+            block | DIRTY
+        } else {
+            block
         };
         if self.policy != ReplacementPolicy::Random {
             self.stamps[base + way] = self.clock;
@@ -210,6 +231,7 @@ impl Cache {
 
         CacheAccessResult {
             hit: false,
+            slot: base + way,
             evicted,
         }
     }
@@ -217,55 +239,47 @@ impl Cache {
     /// Check whether `block` is present without disturbing replacement state or
     /// statistics.
     pub fn probe(&self, block: BlockAddr) -> bool {
-        let base = self.set_base(block);
-        self.lines[base..base + self.assoc]
-            .iter()
-            .any(|l| l.valid && l.block == block)
+        self.find(block).is_some()
     }
 
-    /// Mark `block` dirty if it is resident, without touching statistics or
-    /// replacement order.  Used to sink write-backs from an upper level into this
-    /// one.  Returns whether the block was present.
-    pub fn set_dirty(&mut self, block: BlockAddr) -> bool {
-        let base = self.set_base(block);
-        for line in &mut self.lines[base..base + self.assoc] {
-            if line.valid && line.block == block {
-                line.dirty = true;
-                return true;
-            }
-        }
-        false
+    /// The block held in `slot`, or `None` if the slot is empty.
+    pub fn block_at(&self, slot: usize) -> Option<BlockAddr> {
+        let tag = self.lines[slot];
+        (tag != INVALID).then_some(tag & !DIRTY)
+    }
+
+    /// Mark the line in `slot` dirty, without touching statistics or
+    /// replacement order.  Used to sink write-backs from an upper level into
+    /// this one; the slot must hold a block.
+    pub fn set_dirty(&mut self, slot: usize) {
+        debug_assert_ne!(self.lines[slot], INVALID, "set_dirty on an empty slot");
+        self.lines[slot] |= DIRTY;
     }
 
     /// Invalidate `block` if present.  Returns `Some(dirty)` if a line was
     /// invalidated, `None` if the block was not cached.
     pub fn invalidate(&mut self, block: BlockAddr) -> Option<bool> {
-        let base = self.set_base(block);
-        for line in &mut self.lines[base..base + self.assoc] {
-            if line.valid && line.block == block {
-                let dirty = line.dirty;
-                *line = Line::INVALID;
-                self.stats.invalidations += 1;
-                return Some(dirty);
-            }
-        }
-        None
+        let slot = self.find(block)?;
+        let dirty = self.lines[slot] & DIRTY != 0;
+        self.lines[slot] = INVALID;
+        self.stats.invalidations += 1;
+        Some(dirty)
     }
 
     /// Number of valid lines currently resident.
     pub fn occupancy(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        self.lines.iter().filter(|&&tag| tag != INVALID).count()
     }
 
     /// Iterate over all resident block addresses (used by tests and the working-set
     /// profiler; order is unspecified).
     pub fn resident_blocks(&self) -> impl Iterator<Item = BlockAddr> + '_ {
-        self.lines.iter().filter(|l| l.valid).map(|l| l.block)
+        (0..self.lines.len()).filter_map(|slot| self.block_at(slot))
     }
 
     /// Drop every line (contents and replacement state), keeping statistics.
     pub fn flush(&mut self) {
-        self.lines.fill(Line::INVALID);
+        self.lines.fill(INVALID);
         self.stamps.fill(0);
         for (set_idx, state) in self.rng.iter_mut().enumerate() {
             *state = set_rng_seed(set_idx);
@@ -452,15 +466,50 @@ mod tests {
 
     #[test]
     fn set_dirty_only_affects_resident_blocks() {
+        // Direct-mapped, 2 sets: blocks 0 and 1 live in different slots.
         let mut c = tiny_cache(128, 1);
-        c.access(0, AccessKind::Read);
+        let slot = c.access(0, AccessKind::Read).slot;
+        c.access(1, AccessKind::Read);
         let before = *c.stats();
-        assert!(c.set_dirty(0));
-        assert!(!c.set_dirty(99));
+        c.set_dirty(slot);
         assert_eq!(*c.stats(), before, "set_dirty must not change stats");
-        // The dirtied block now requires a write-back when evicted.
+        assert_eq!(c.block_at(slot), Some(0), "the tag keeps its block");
+        // The dirtied block now requires a write-back when evicted; its
+        // neighbour in the other set does not.
         let r = c.access(2, AccessKind::Read);
         assert!(r.evicted.unwrap().dirty);
+        let r = c.access(3, AccessKind::Read);
+        assert!(!r.evicted.unwrap().dirty);
+    }
+
+    #[test]
+    fn access_reports_the_slot_that_holds_the_block() {
+        // 2 sets x 2 ways: even blocks map to set 0 (slots 0-1), odd to set 1.
+        let mut c = tiny_cache(256, 2);
+        let a = c.access(4, AccessKind::Write);
+        assert_eq!((a.hit, a.slot), (false, 0));
+        let b = c.access(3, AccessKind::Read);
+        assert_eq!((b.hit, b.slot), (false, 2));
+        let hit = c.access(4, AccessKind::Read);
+        assert_eq!((hit.hit, hit.slot), (true, 0));
+        c.access(6, AccessKind::Read); // fills slot 1
+        let evict = c.access(8, AccessKind::Read); // LRU is block 4 in slot 0
+        assert_eq!(evict.slot, 0);
+        assert_eq!(
+            evict.evicted,
+            Some(EvictedBlock {
+                block: 4,
+                dirty: true
+            })
+        );
+        assert_eq!(c.block_at(0), Some(8));
+        assert_eq!(c.block_at(3), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "collides with the tag flags")]
+    fn blocks_that_collide_with_the_tag_flags_are_rejected() {
+        tiny_cache(4096, 4).access(u64::MAX >> 1, AccessKind::Read);
     }
 
     #[test]

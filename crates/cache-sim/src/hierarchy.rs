@@ -13,37 +13,7 @@ use crate::addr::{Addr, BlockAddr};
 use crate::cache::{AccessKind, Cache};
 use crate::replacement::ReplacementPolicy;
 use crate::stats::HierarchyStats;
-use pdfws_cmp_model::CmpConfig;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// Multiply-and-fold hasher for block addresses.
-///
-/// The sharer directory is probed on the access hot path; the standard
-/// `HashMap` hasher (SipHash) costs more than the cache lookup it guards.
-/// Block addresses are near-sequential integers, so one Fibonacci multiply
-/// with a xor-fold mixes them plenty.
-#[derive(Debug, Default, Clone)]
-struct BlockAddrHasher(u64);
-
-impl Hasher for BlockAddrHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("the directory only hashes u64 block addresses");
-    }
-
-    #[inline]
-    fn write_u64(&mut self, x: u64) {
-        let h = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = h ^ (h >> 32);
-    }
-}
-
-type DirectoryMap = HashMap<BlockAddr, u64, BuildHasherDefault<BlockAddrHasher>>;
+use pdfws_cmp_model::{CmpConfig, MAX_CORES};
 
 /// Where in the hierarchy an access was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -87,6 +57,12 @@ impl AccessOutcome {
 }
 
 /// Private-L1s + shared-L2 hierarchy for one simulated CMP.
+///
+/// The sharer directory lives with the inclusive L2: one core mask per L2
+/// slot, plus, for every L1 slot, the L2 slot of the block it holds.
+/// Inclusion guarantees that every L1 block has an L2 slot, and a block keeps
+/// its L2 slot until the L2 evicts it (which back-invalidates every L1 copy),
+/// so each directory update is a direct index rather than a lookup.
 #[derive(Debug, Clone)]
 pub struct CmpCacheHierarchy {
     l1s: Vec<Cache>,
@@ -98,11 +74,12 @@ pub struct CmpCacheHierarchy {
     l1_latency: u64,
     l2_latency: u64,
     memory_latency: u64,
-    /// For every block resident in at least one L1: bitmask of the cores holding it.
-    ///
-    /// Sized at construction for the worst case (every L1 line holding a
-    /// distinct block), so the hot path never grows the table.
-    directory: DirectoryMap,
+    /// Per L2 slot: bitmask of the cores whose L1 holds that slot's block
+    /// (0 for an empty slot).
+    sharers: Box<[u64]>,
+    /// Per core, per L1 slot: the L2 slot of the block the L1 line holds.
+    /// Meaningful only while the L1 line is valid.
+    l2_slot_of: Vec<Box<[u32]>>,
     offchip_bytes: u64,
     memory_fills: u64,
     coherence_invalidations: u64,
@@ -117,27 +94,34 @@ impl CmpCacheHierarchy {
 
     /// Build the hierarchy with an explicit replacement policy (sensitivity
     /// studies).
+    ///
+    /// # Panics
+    ///
+    /// Panics above 64 cores, the sharer-mask width; `CmpConfig::validate`
+    /// rejects such configurations.
     pub fn with_policy(config: &CmpConfig, policy: ReplacementPolicy) -> Self {
         assert!(
-            config.cores <= 64,
-            "the sharer directory uses a 64-bit core mask"
+            config.cores <= MAX_CORES,
+            "the sharer masks are 64 bits wide"
         );
-        let l1s: Vec<Cache> = (0..config.cores)
-            .map(|_| Cache::new(config.l1, policy))
-            .collect();
-        let directory_capacity = config.cores * config.l1.lines();
+        assert!(
+            u32::try_from(config.l2.lines()).is_ok(),
+            "L2 slots must fit the 32-bit L1-to-L2 map"
+        );
         CmpCacheHierarchy {
-            l1s,
+            l1s: (0..config.cores)
+                .map(|_| Cache::new(config.l1, policy))
+                .collect(),
             l2: Cache::new(config.l2, policy),
+            sharers: vec![0; config.l2.lines()].into_boxed_slice(),
+            l2_slot_of: (0..config.cores)
+                .map(|_| vec![0; config.l1.lines()].into_boxed_slice())
+                .collect(),
             line_bytes: config.l2.line_bytes as u64,
             block_shift: (config.l2.line_bytes as u64).trailing_zeros(),
             l1_latency: config.l1.latency_cycles,
             l2_latency: config.l2.latency_cycles,
             memory_latency: config.memory_latency_cycles,
-            directory: DirectoryMap::with_capacity_and_hasher(
-                directory_capacity,
-                BuildHasherDefault::default(),
-            ),
             offchip_bytes: 0,
             memory_fills: 0,
             coherence_invalidations: 0,
@@ -173,7 +157,8 @@ impl CmpCacheHierarchy {
 
         if l1_result.hit {
             if write {
-                self.invalidate_other_sharers(block, core);
+                let slot = self.l2_slot_of[core][l1_result.slot] as usize;
+                self.invalidate_other_sharers(slot, block, core);
             }
             return AccessOutcome {
                 level: Level::L1,
@@ -182,37 +167,40 @@ impl CmpCacheHierarchy {
             };
         }
 
-        // The L1 filled the block and may have evicted a victim; keep the
-        // directory and the L2 dirty bits consistent.
+        // The L1 filled the block and may have evicted a victim from the same
+        // slot; drop this core from the victim's sharers and sink a dirty
+        // victim into its L2 line, which inclusion guarantees is still there.
         if let Some(victim) = l1_result.evicted {
-            self.remove_sharer(victim.block, core);
+            let slot = self.l2_slot_of[core][l1_result.slot] as usize;
+            debug_assert_eq!(self.l2.block_at(slot), Some(victim.block));
+            self.sharers[slot] &= !(1 << core);
             if victim.dirty {
-                // Inclusion means the victim is normally still in the L2; if it
-                // raced with an L2 eviction the write-back goes straight off chip.
-                if !self.l2.set_dirty(victim.block) {
-                    self.offchip_bytes += self.line_bytes;
-                }
+                self.l2.set_dirty(slot);
             }
-        }
-
-        // Mark this core as a sharer of the newly filled block and resolve write
-        // invalidations against the other cores.
-        self.add_sharer(block, core);
-        if write {
-            self.invalidate_other_sharers(block, core);
         }
 
         // Look up the shared L2.  Fills are reads from the L2's perspective; dirty
         // data only reaches the L2 through L1 write-backs.
         let l2_result = self.l2.access(block, AccessKind::Read);
+        let slot = l2_result.slot;
 
         let mut offchip = 0u64;
         if let Some(victim) = l2_result.evicted {
             // Inclusion: every L1 copy of the victim must go.
-            let victim_dirty_in_l1 = self.back_invalidate(victim.block);
+            let victim_dirty_in_l1 = self.back_invalidate(slot, victim.block);
             if victim.dirty || victim_dirty_in_l1 {
                 offchip += self.line_bytes;
             }
+        }
+
+        // Mark this core as a sharer of the newly filled block and resolve write
+        // invalidations against the other cores.  Doing this after the L2
+        // lookup changes nothing: a block another L1 holds is an L2 hit, so the
+        // lookup neither evicts nor reorders anything the invalidation touches.
+        self.l2_slot_of[core][l1_result.slot] = slot as u32;
+        self.sharers[slot] |= 1 << core;
+        if write {
+            self.invalidate_other_sharers(slot, block, core);
         }
 
         if l2_result.hit {
@@ -234,26 +222,11 @@ impl CmpCacheHierarchy {
         }
     }
 
-    fn add_sharer(&mut self, block: BlockAddr, core: usize) {
-        *self.directory.entry(block).or_insert(0) |= 1 << core;
-    }
-
-    fn remove_sharer(&mut self, block: BlockAddr, core: usize) {
-        if let Some(mask) = self.directory.get_mut(&block) {
-            *mask &= !(1 << core);
-            if *mask == 0 {
-                self.directory.remove(&block);
-            }
-        }
-    }
-
-    /// Invalidate every other core's L1 copy of `block` (write-invalidate
-    /// coherence).  Dirty remote copies are folded into the L2.
-    fn invalidate_other_sharers(&mut self, block: BlockAddr, writer: usize) {
-        let Some(&mask) = self.directory.get(&block) else {
-            return;
-        };
-        let mut others = mask & !(1 << writer);
+    /// Invalidate every other core's L1 copy of `block`, held in L2 slot
+    /// `slot` (write-invalidate coherence).  Dirty remote copies are folded
+    /// into the L2.
+    fn invalidate_other_sharers(&mut self, slot: usize, block: BlockAddr, writer: usize) {
+        let mut others = self.sharers[slot] & !(1 << writer);
         if others == 0 {
             return;
         }
@@ -263,21 +236,19 @@ impl CmpCacheHierarchy {
             if let Some(dirty) = self.l1s[core].invalidate(block) {
                 self.coherence_invalidations += 1;
                 if dirty {
-                    self.l2.set_dirty(block);
+                    self.l2.set_dirty(slot);
                 }
             }
         }
-        self.directory.insert(block, 1 << writer);
+        self.sharers[slot] = 1 << writer;
     }
 
-    /// Remove `block` from every L1 (inclusion back-invalidation).  Returns whether
-    /// any evicted L1 copy was dirty.
-    fn back_invalidate(&mut self, block: BlockAddr) -> bool {
-        let Some(mask) = self.directory.remove(&block) else {
-            return false;
-        };
+    /// Remove `block`, just evicted from L2 slot `slot`, from every L1
+    /// (inclusion back-invalidation).  Returns whether any evicted L1 copy
+    /// was dirty.
+    fn back_invalidate(&mut self, slot: usize, block: BlockAddr) -> bool {
+        let mut remaining = std::mem::take(&mut self.sharers[slot]);
         let mut any_dirty = false;
-        let mut remaining = mask;
         while remaining != 0 {
             let core = remaining.trailing_zeros() as usize;
             remaining &= remaining - 1;
@@ -326,7 +297,7 @@ impl CmpCacheHierarchy {
             c.flush();
         }
         self.l2.flush();
-        self.directory.clear();
+        self.sharers.fill(0);
     }
 
     /// Number of distinct blocks currently resident in the shared L2.
@@ -351,12 +322,39 @@ impl CmpCacheHierarchy {
             .iter()
             .all(|l1| l1.resident_blocks().all(|b| self.l2.probe(b)))
     }
+
+    /// Check the sharer directory: every L2 slot's mask is exactly the set of
+    /// cores whose L1 holds the slot's block (empty for an empty slot), and
+    /// every valid L1 line's recorded L2 slot holds that line's block.
+    /// Intended for tests and debug assertions; O(L2 lines × cores).
+    pub fn check_directory(&self) -> bool {
+        let masks_exact = (0..self.l2.geometry().lines()).all(|slot| {
+            let holders = match self.l2.block_at(slot) {
+                Some(block) => self
+                    .l1s
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, l1)| l1.probe(block))
+                    .fold(0u64, |mask, (core, _)| mask | 1 << core),
+                None => 0,
+            };
+            self.sharers[slot] == holders
+        });
+        let slots_exact = self.l1s.iter().zip(&self.l2_slot_of).all(|(l1, map)| {
+            (0..l1.geometry().lines()).all(|l1_slot| match l1.block_at(l1_slot) {
+                Some(block) => self.l2.block_at(map[l1_slot] as usize) == Some(block),
+                None => true,
+            })
+        });
+        masks_exact && slots_exact
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pdfws_cmp_model::{config::config_for, default_config, AreaModel, ProcessNode};
+    use proptest::prelude::*;
 
     fn small_config(cores: usize) -> CmpConfig {
         let mut cfg = config_for(cores, ProcessNode::Nm32, &AreaModel::default()).unwrap();
@@ -460,6 +458,89 @@ mod tests {
             h.access(core, addr, write);
         }
         assert!(h.check_inclusion(), "inclusion invariant violated");
+        assert!(h.check_directory(), "sharer directory out of sync");
+    }
+
+    /// 32 cores in front of tiny caches, so L1 and L2 evictions, sharing and
+    /// write-invalidation all happen within a few hundred references.
+    fn tiny_32core_config() -> CmpConfig {
+        let mut cfg = default_config(32).unwrap();
+        cfg.l1.capacity_bytes = 512;
+        cfg.l1.associativity = 2;
+        cfg.l2.capacity_bytes = 8 * 1024;
+        cfg.l2.associativity = 4;
+        cfg.validate().unwrap();
+        cfg
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        // Random read/write traffic with an occasional flush keeps inclusion,
+        // the sharer directory and the level accounting exact.
+        #[test]
+        fn directory_stays_exact_under_random_traffic(
+            ops in prop::collection::vec((0usize..32, 0u64..512, 0u8..4, 0u8..64), 1..600),
+        ) {
+            let cfg = tiny_32core_config();
+            let mut h = CmpCacheHierarchy::new(&cfg);
+            let (mut l1_hits, mut l2_hits, mut mem) = (0u64, 0u64, 0u64);
+            for (i, &(core, block, write, flush)) in ops.iter().enumerate() {
+                if flush == 0 {
+                    h.flush();
+                }
+                match h.access(core, block * 64, write == 0).level {
+                    Level::L1 => l1_hits += 1,
+                    Level::L2 => l2_hits += 1,
+                    Level::Memory => mem += 1,
+                }
+                if i % 50 == 49 || i + 1 == ops.len() {
+                    prop_assert!(h.check_inclusion());
+                    prop_assert!(h.check_directory());
+                    let s = h.stats();
+                    prop_assert_eq!(s.l1_total().accesses(), i as u64 + 1);
+                    prop_assert_eq!(s.l1_total().hits(), l1_hits);
+                    prop_assert_eq!(s.l2.accesses(), l2_hits + mem);
+                    prop_assert_eq!(s.l2.misses(), mem);
+                    prop_assert_eq!(s.memory_fills, mem);
+                    prop_assert!(s.offchip_bytes >= mem * h.line_bytes());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_block_dirty_in_an_l1_is_written_back_once_on_l2_eviction() {
+        // Direct-mapped L2 with 1 KiB: blocks 16 apart collide in one L2 set
+        // (and in one set of each 2-way L1).
+        let mut cfg = default_config(2).unwrap();
+        cfg.l1.capacity_bytes = 512;
+        cfg.l1.associativity = 2;
+        cfg.l2.capacity_bytes = 1024;
+        cfg.l2.associativity = 1;
+        cfg.validate().unwrap();
+        let line = cfg.l2.line_bytes as u64;
+
+        // Dirty only in core 0's L1: the L2 copy is clean.
+        let mut h = CmpCacheHierarchy::new(&cfg);
+        h.access(0, 0, true);
+        let evicting = h.access(1, 16 * line, false);
+        assert_eq!(evicting.level, Level::Memory);
+        assert_eq!(evicting.offchip_bytes, 2 * line, "fill + one write-back");
+        assert!(!h.l1(0).probe(0), "back-invalidated");
+        assert!(h.check_directory());
+        assert_eq!(h.stats().offchip_bytes, 3 * line);
+
+        // Dirty in the L2 (core 0's copy folded in by core 1's write) and in
+        // core 1's L1: still one write-back.
+        let mut h = CmpCacheHierarchy::new(&cfg);
+        h.access(0, 0, true);
+        h.access(1, 0, true);
+        assert_eq!(h.stats().coherence_invalidations, 1);
+        let evicting = h.access(0, 16 * line, false);
+        assert_eq!(evicting.offchip_bytes, 2 * line, "fill + one write-back");
+        assert!(!h.l1(1).probe(0), "back-invalidated");
+        assert!(h.check_inclusion() && h.check_directory());
+        assert_eq!(h.stats().offchip_bytes, 3 * line);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!   ([`replacement::ReplacementPolicy`]), write-back/write-allocate behaviour and
 //!   full hit/miss/eviction statistics.
 //! * [`hierarchy::CmpCacheHierarchy`] — per-core private L1s in front of one shared,
-//!   inclusive L2 with a directory of L1 sharers, MSI-style invalidations and
-//!   back-invalidation on L2 eviction.
+//!   inclusive L2 with a directory of L1 sharers (a core mask per L2 slot),
+//!   MSI-style invalidations and back-invalidation on L2 eviction.
 //! * [`power::estimate_energy`] / [`power::EnergyModel`] — the leakage/dynamic
 //!   energy model behind the paper's "PDF's smaller working sets provide
 //!   opportunities to power down segments of the cache" finding (the powered

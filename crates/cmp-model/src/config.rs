@@ -70,6 +70,10 @@ impl CacheGeometry {
     }
 }
 
+/// Largest core count a configuration may have: the cache hierarchy tracks
+/// each L2 line's L1 sharers in a 64-bit core mask.
+pub const MAX_CORES: usize = 64;
+
 /// A complete simulated-CMP configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CmpConfig {
@@ -97,8 +101,10 @@ pub struct CmpConfig {
 impl CmpConfig {
     /// Validate the whole configuration.
     pub fn validate(&self) -> Result<(), ModelError> {
-        if self.cores == 0 {
-            return Err(ModelError::UnsupportedCoreCount { requested: 0 });
+        if self.cores == 0 || self.cores > MAX_CORES {
+            return Err(ModelError::UnsupportedCoreCount {
+                requested: self.cores,
+            });
         }
         self.l1.validate()?;
         self.l2.validate()?;
@@ -285,6 +291,23 @@ mod tests {
             cfg.validate().unwrap();
             assert_eq!(cfg.cores, cores);
         }
+    }
+
+    #[test]
+    fn validate_bounds_the_core_count_by_the_sharer_mask_width() {
+        let mut cfg = default_config(32).unwrap();
+        cfg.cores = MAX_CORES;
+        assert_eq!(cfg.validate(), Ok(()));
+        cfg.cores = MAX_CORES + 1;
+        assert_eq!(
+            cfg.validate(),
+            Err(ModelError::UnsupportedCoreCount { requested: 65 })
+        );
+        cfg.cores = 0;
+        assert_eq!(
+            cfg.validate(),
+            Err(ModelError::UnsupportedCoreCount { requested: 0 })
+        );
     }
 
     #[test]

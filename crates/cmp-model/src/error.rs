@@ -1,12 +1,14 @@
 //! Error type for configuration-model failures.
 
+use crate::config::MAX_CORES;
 use std::fmt;
 
 /// Errors produced while deriving or validating a CMP configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ModelError {
     /// The requested core count is outside the range studied in the paper (1..=32)
-    /// or otherwise impossible to place on the die.
+    /// or otherwise impossible to place on the die, or a configuration has no
+    /// cores or more than [`MAX_CORES`].
     UnsupportedCoreCount {
         /// The core count that was requested.
         requested: usize,
@@ -36,7 +38,11 @@ impl fmt::Display for ModelError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ModelError::UnsupportedCoreCount { requested } => {
-                write!(f, "unsupported core count {requested} (the study covers 1..=32)")
+                write!(
+                    f,
+                    "unsupported core count {requested} (the study covers 1..=32; \
+                     a configuration may have 1..={MAX_CORES})"
+                )
             }
             ModelError::DieBudgetExceeded {
                 cores,

@@ -51,7 +51,9 @@ pub mod sweep;
 pub mod tech;
 
 pub use area::AreaModel;
-pub use config::{default_config, default_core_counts, default_sweep, CacheGeometry, CmpConfig};
+pub use config::{
+    default_config, default_core_counts, default_sweep, CacheGeometry, CmpConfig, MAX_CORES,
+};
 pub use error::ModelError;
 pub use memsys::{MemSysMode, MemSysParams, ResolvedMemSys};
 pub use tech::ProcessNode;

@@ -33,6 +33,29 @@ impl EventQueue {
         self.heap.peek().map(|&Reverse(e)| e)
     }
 
+    /// The earliest event after the top one: the smaller of the root's two
+    /// children, so the top can keep its place while its owner runs up to
+    /// the next event's time.
+    pub fn peek_second(&self) -> Option<(u64, usize)> {
+        // `BinaryHeap` is a max-heap, so the larger `Reverse` is earlier.
+        let heap = self.heap.as_slice();
+        let earlier = match (heap.get(1), heap.get(2)) {
+            (Some(a), Some(b)) => a.max(b),
+            (Some(a), None) => a,
+            _ => return None,
+        };
+        Some(earlier.0)
+    }
+
+    /// Re-key the top event to `(time, id)` in place: one sift instead of a
+    /// `pop` plus a `push`, with the same pop order afterwards (order depends
+    /// only on the keys).  No-op on an empty queue.
+    pub fn replace_top(&mut self, time: u64, id: usize) {
+        if let Some(mut top) = self.heap.peek_mut() {
+            *top = Reverse((time, id));
+        }
+    }
+
     /// Remove and return the earliest `(time, id)` event.
     pub fn pop(&mut self) -> Option<(u64, usize)> {
         self.heap.pop().map(|Reverse(e)| e)
@@ -93,6 +116,44 @@ mod tests {
                 break;
             }
         }
+    }
+
+    #[test]
+    fn peek_second_is_the_earliest_event_below_the_top() {
+        let mut q = EventQueue::new();
+        assert_eq!(q.peek_second(), None);
+        q.push(4, 0);
+        assert_eq!(q.peek_second(), None);
+        q.push(9, 1);
+        assert_eq!(q.peek_second(), Some((9, 1)));
+        q.push(6, 3);
+        q.push(6, 2);
+        q.push(1, 7);
+        assert_eq!(q.peek(), Some((1, 7)));
+        assert_eq!(q.peek_second(), Some((4, 0)));
+    }
+
+    #[test]
+    fn replace_top_matches_pop_then_push() {
+        // Re-key the top of one queue while popping and re-pushing on the
+        // other; both must then pop the same sequence.
+        let mut keyed = EventQueue::new();
+        let mut popped = EventQueue::new();
+        for (t, id) in [(3u64, 0usize), (5, 1), (5, 2), (8, 3), (2, 4)] {
+            keyed.push(t, id);
+            popped.push(t, id);
+        }
+        for new_time in [2u64, 5, 6, 11, 11, 20] {
+            let (_, id) = keyed.peek().unwrap();
+            keyed.replace_top(new_time, id);
+            let (_, id) = popped.pop().unwrap();
+            popped.push(new_time, id);
+            assert_eq!(keyed.peek(), popped.peek());
+        }
+        while let Some(e) = popped.pop() {
+            assert_eq!(keyed.pop(), Some(e));
+        }
+        assert!(keyed.is_empty());
     }
 
     #[test]

@@ -232,9 +232,10 @@ pub struct SimEngine {
     /// ... and the off-chip model every L2 fill and writeback crosses.
     offchip: OffChip,
     cores: Vec<CoreState>,
-    /// Earliest time each busy core can take its next step (cores are the
-    /// scheduled ids; the memory-system components are driven synchronously
-    /// from the issuing core's timeline).
+    /// Earliest time each busy core can take its next step, plus backoff
+    /// wakes (cores are the scheduled ids; the memory-system components are
+    /// driven synchronously from the issuing core's timeline).  The stepping
+    /// core's event stays at the top while it steps (see `run_for`).
     events: EventQueue,
     idle: Vec<bool>,
     /// Earliest time each core may be offered work again: a failed victim
@@ -494,7 +495,13 @@ impl SimEngine {
         }
         let deadline = self.now.saturating_add(budget);
 
-        'events: while let Some((time, _)) = self.events.peek() {
+        // The stepping core's event stays at the top of the queue: a step is
+        // bounded by the next event below it (`peek_second`), a yielding step
+        // re-keys the top in place (one sift; a core that stays earliest
+        // costs two compares), and only completions and backoff wakes pop.
+        // Pop order depends only on the `(time, core)` keys, so the schedule
+        // is the one a pop-then-push loop would produce.
+        while let Some((time, core)) = self.events.peek() {
             if self.completed == self.dag.len() {
                 // Once every task has completed, only dangling backoff wakes
                 // (see `arm_wake`) can remain; drop them without advancing
@@ -507,72 +514,58 @@ impl SimEngine {
                 self.now = deadline;
                 return EngineStatus::Running;
             }
-            let (mut time, core) = self.events.pop().expect("peeked event exists");
             if self.wake_at[core] == time {
                 // A backoff-retry wake (see `arm_wake`), not a step event.
                 // Step events only exist for running cores, so if the core is
                 // running at the wake's timestamp the queue necessarily holds
                 // a second `(time, core)` entry for the actual step — consume
                 // this one as the (now stale) wake and let the other proceed.
+                self.events.pop();
                 self.wake_at[core] = u64::MAX;
                 if self.cores[core].running.is_some() {
-                    continue 'events;
+                    continue;
                 }
                 if time > self.now {
                     self.now = time;
                 }
                 self.dispatch_idle_cores(self.now);
                 self.emit_ready_depth(self.now);
-                continue 'events;
+                continue;
             }
-            // Step this core repeatedly while it remains *strictly* the
-            // earliest event: re-queueing it would only pop it right back, so
-            // the pop/push pair per bounded step is skipped entirely.  On a
-            // tie the event goes back into the heap, which breaks ties by core
-            // index exactly as a pop would, so the schedule (and therefore the
-            // whole simulation) is unchanged.
-            loop {
-                self.now = time;
-                self.inject_disturbance(time);
-                let bound = if self.offchip.needs_time_order() {
-                    self.events.peek().map_or(u64::MAX, |(next, _)| next)
-                } else {
-                    u64::MAX
-                };
-                let (elapsed, finished) = self.step(core, time, bound);
-                self.cores[core].busy_cycles += elapsed;
-                let end = time + elapsed;
-                // `now` must track step *ends*, not just event pop times, or the
-                // makespan would miss the final step of the run.
-                if end > self.now {
-                    self.now = end;
-                }
-                self.sample_cache_window(self.now);
-                self.sample_feedback(self.now);
-                if finished {
-                    let task = self.cores[core]
-                        .running
-                        .take()
-                        .expect("finished step implies a running task")
-                        .task;
-                    self.complete_task(task, core, end);
-                    if self.now >= deadline && !self.events.is_empty() {
-                        return EngineStatus::Running;
-                    }
-                    continue 'events;
-                }
-                if self.now >= deadline {
-                    self.events.push(end, core);
+            self.now = time;
+            self.inject_disturbance(time);
+            let bound = if self.offchip.needs_time_order() {
+                self.events.peek_second().map_or(u64::MAX, |(next, _)| next)
+            } else {
+                u64::MAX
+            };
+            let (elapsed, finished) = self.step(core, time, bound);
+            self.cores[core].busy_cycles += elapsed;
+            let end = time + elapsed;
+            // `now` must track step *ends*, not just event pop times, or the
+            // makespan would miss the final step of the run.
+            if end > self.now {
+                self.now = end;
+            }
+            self.sample_cache_window(self.now);
+            self.sample_feedback(self.now);
+            if finished {
+                let popped = self.events.pop();
+                debug_assert_eq!(popped, Some((time, core)), "the stepping core is on top");
+                let task = self.cores[core]
+                    .running
+                    .take()
+                    .expect("finished step implies a running task")
+                    .task;
+                self.complete_task(task, core, end);
+                if self.now >= deadline && !self.events.is_empty() {
                     return EngineStatus::Running;
                 }
-                match self.events.peek() {
-                    Some((next, _)) if end >= next => {
-                        self.events.push(end, core);
-                        continue 'events;
-                    }
-                    // Strictly earliest (or the only busy core): keep going.
-                    _ => time = end,
-                }
+                continue;
+            }
+            self.events.replace_top(end, core);
+            if self.now >= deadline {
+                return EngineStatus::Running;
             }
         }
 
@@ -1203,6 +1196,43 @@ mod tests {
                 full,
                 "{spec}: stepping changed the simulation"
             );
+        }
+    }
+
+    #[test]
+    fn quantum_stepping_matches_a_single_run_on_memory_traffic() {
+        // Reference-heavy tasks under the bus+DRAM model: steps end at the
+        // next core's event, so the deadline and yield paths both run.
+        // Priced stealing adds backoff wakes, adaptive adds feedback windows.
+        let dag = reuse_dag(16, 1_000);
+        let cfg = default_config(8).unwrap();
+        for spec in [
+            "pdf",
+            "ws",
+            "ws:steal_cycles=64,fail_backoff=128",
+            "adaptive",
+        ] {
+            let spec: SchedulerSpec = spec.parse().unwrap();
+            let full = simulate(&dag, &cfg, &spec, &SimOptions::default());
+            assert!(
+                full.bus_queue_cycles > 0,
+                "{spec}: the bus must be contended"
+            );
+            for quantum in [500, 7_919] {
+                let mut engine =
+                    SimEngine::new(&dag, &cfg, make_policy(&spec, 8), SimOptions::default());
+                let mut quanta = 0u32;
+                while engine.run_for(quantum) == EngineStatus::Running {
+                    quanta += 1;
+                    assert!(quanta < 1_000_000, "{spec}: engine failed to make progress");
+                }
+                assert!(quanta > 1, "{spec}: quantum {quantum} must split the run");
+                assert_eq!(
+                    engine.result(),
+                    full,
+                    "{spec}: stepping by {quantum} changed the simulation"
+                );
+            }
         }
     }
 
