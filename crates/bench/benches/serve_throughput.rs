@@ -8,10 +8,16 @@
 //! path simulates every quantum of every job.  The serve path therefore
 //! serves far more jobs per second — this bench tracks that gap per PR
 //! (recorded in `EXPERIMENTS.md` and, with `--json`, in `BENCH_<n>.json`).
+//!
+//! The 2000-job serve row pins the tier at full capacity, so it takes no
+//! autoscale tick.  `serve_light_autoscale_exact` is the serving loop's
+//! tick path: a light load on the default ladder, where ticks outnumber
+//! arrivals and completions about five to one and most of them find the
+//! tier idle.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pdfws_schedulers::{CacheModeSpec, SchedulerSpec};
-use pdfws_serve::{run_serve, ServeConfig};
+use pdfws_serve::{run_serve, ArrivalSpec, ServeConfig};
 use pdfws_stream::{run_stream_sim, JobMix, StreamConfig};
 use std::hint::black_box;
 
@@ -33,6 +39,17 @@ fn bench_serve_throughput(c: &mut Criterion) {
     group.throughput(Throughput::Elements(serve_jobs as u64));
     group.bench_function("serve_2000_jobs_analytic", |b| {
         b.iter(|| black_box(run_serve(&cfg).expect("serve run").completed))
+    });
+
+    // The tick path: `poisson:rate=2` on the default 2/4/8-core ladder
+    // (50k-cycle evaluation interval), calibrated under exact caches.
+    let light_jobs = 200_000;
+    let mut light = ServeConfig::new(8, SchedulerSpec::pdf());
+    light.jobs = light_jobs;
+    light.arrivals = ArrivalSpec::poisson(2.0);
+    group.throughput(Throughput::Elements(light_jobs as u64));
+    group.bench_function("serve_light_autoscale_exact", |b| {
+        b.iter(|| black_box(run_serve(&light).expect("serve run").completed))
     });
 
     // The plain job-stream path: every quantum of every job simulated.  Far

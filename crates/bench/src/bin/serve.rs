@@ -26,12 +26,20 @@
 
 use pdfws_bench::{emit_tables, outln, write_trace, Cli};
 use pdfws_schedulers::SchedulerSpec;
-use pdfws_serve::{parse_tenants, run_serve, run_serve_traced, ArrivalSpec, ServeConfig};
+use pdfws_serve::{
+    parse_tenants, run_serve, run_serve_traced, ArrivalSpec, ServeConfig, ServeError,
+};
 use pdfws_trace::{EventTrace, TraceTrack};
 
 /// Arrival seed shared by every run of this binary (the serving loop derives
 /// its tenant/shape sampling streams from it).
 const SEED: u64 = 0x5E12_7E4A;
+
+/// Report a configuration the serving tier rejected and exit 2.
+fn fail(e: &ServeError) -> ! {
+    eprintln!("error: {e}");
+    std::process::exit(2);
+}
 
 fn main() {
     let cli = Cli::parse(
@@ -124,7 +132,7 @@ fn main() {
         if let Some(spec) = &cli.memsys {
             cfg.memsys = Some(spec.memsys_params());
         }
-        let report = run_serve(&cfg).expect("default configurations exist for 8 cores");
+        let report = run_serve(&cfg).unwrap_or_else(|e| fail(&e));
         emit_tables(&cli, &[&report.summary_table()]);
         if cli.text_output() {
             outln!(
@@ -146,7 +154,7 @@ fn main() {
     if let Some(path) = &cli.trace.path {
         let cfg = heaviest.expect("load axis is never empty");
         let mut trace = EventTrace::new();
-        run_serve_traced(&cfg, &mut trace).expect("traced serve run");
+        run_serve_traced(&cfg, &mut trace).unwrap_or_else(|e| fail(&e));
         let track = TraceTrack::new(
             1,
             format!(

@@ -222,6 +222,9 @@ fn malformed_command_lines_exit_2_with_a_message() {
         ("class_b_neutral", &["--trace", "--quick"][..]),
         ("serve", &["--workload", "nonsense:zzz=1", "--quick"][..]),
         ("serve", &["--threads", "abc", "--quick"][..]),
+        // Well-formed flags the serving tier rejects as a configuration.
+        ("serve", &["--jobs", "0"][..]),
+        ("serve", &["--arrivals", "closed"][..]),
         ("tuner", &["--claim", "c1"][..]),
     ] {
         let out = run(exe(bin), args);

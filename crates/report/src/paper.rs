@@ -13,9 +13,10 @@ use crate::replication::{
     Claim, Evaluation, Expectation, Observation, ReplicationSuite, SuiteConfig,
 };
 use pdfws_cmp_model::sweep::sweep_l2_fraction;
+use pdfws_cmp_model::ModelError;
 use pdfws_core::prelude::*;
 use pdfws_metrics::{Series, Table};
-use pdfws_serve::{parse_tenants, run_serve, ServeConfig};
+use pdfws_serve::{parse_tenants, run_serve, ServeConfig, ServeError};
 
 /// The paper's two scheduler spec strings, in claim order.
 const PAPER_SCHEDULERS: [&str; 2] = ["pdf", "ws"];
@@ -526,10 +527,10 @@ fn claim_c8_serve_slo_matrix() -> Claim {
                     if let Some(spec) = &ctx.cfg.memsys {
                         cfg.memsys = Some(spec.memsys_params());
                     }
-                    let shed = run_serve(&cfg)?;
+                    let shed = run_serve(&cfg).map_err(serve_error)?;
                     let mut baseline_cfg = cfg.clone();
                     baseline_cfg.shedding = false;
-                    let baseline = run_serve(&baseline_cfg)?;
+                    let baseline = run_serve(&baseline_cfg).map_err(serve_error)?;
                     scenario_names.push(format!("{mix_label}/{arrival_label}"));
                     shed_p99.push(shed.worst_p99_over_target());
                     noshed_p99.push(baseline.worst_p99_over_target());
@@ -574,6 +575,15 @@ fn claim_c8_serve_slo_matrix() -> Claim {
             })
         },
     )
+}
+
+/// A serving run's error as an experiment error: a rejected serving
+/// configuration is an invalid parameter of the claim's sweep.
+fn serve_error(e: ServeError) -> ExperimentError {
+    match e {
+        ServeError::Model(e) => e.into(),
+        ServeError::Config(reason) => ModelError::InvalidSweepParameter { reason }.into(),
+    }
 }
 
 fn paper_pair() -> Vec<SchedulerSpec> {

@@ -42,36 +42,35 @@ impl AutoscalePolicy {
         }
     }
 
-    /// Assert the invariants the scaler relies on.
+    /// Check the invariants the scaler relies on.
     ///
-    /// # Panics
-    ///
-    /// Panics on an empty or non-ascending ladder, a zero level, inverted
-    /// thresholds, or a zero evaluation interval.
-    pub fn validate(&self) {
-        assert!(
-            !self.levels.is_empty(),
-            "autoscale ladder must be non-empty"
-        );
-        assert!(
-            self.levels.iter().all(|&c| c > 0),
-            "autoscale levels must be positive core counts"
-        );
-        assert!(
-            self.levels.windows(2).all(|w| w[0] < w[1]),
-            "autoscale ladder must be strictly ascending: {:?}",
-            self.levels
-        );
-        assert!(
-            self.down_jobs_per_core < self.up_jobs_per_core,
-            "hysteresis requires down ({}) < up ({})",
-            self.down_jobs_per_core,
-            self.up_jobs_per_core
-        );
-        assert!(
-            self.interval_cycles > 0,
-            "evaluation interval must be positive"
-        );
+    /// Rejects an empty or non-ascending ladder, a zero level, thresholds
+    /// that are not strictly ordered (NaN included), or a zero evaluation
+    /// interval.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.levels.is_empty() {
+            return Err("autoscale ladder must be non-empty".into());
+        }
+        if self.levels.contains(&0) {
+            return Err("autoscale levels must be positive core counts".into());
+        }
+        if !self.levels.windows(2).all(|w| w[0] < w[1]) {
+            return Err(format!(
+                "autoscale ladder must be strictly ascending: {:?}",
+                self.levels
+            ));
+        }
+        let ordered = self.down_jobs_per_core < self.up_jobs_per_core;
+        if !ordered {
+            return Err(format!(
+                "hysteresis requires down ({}) < up ({})",
+                self.down_jobs_per_core, self.up_jobs_per_core
+            ));
+        }
+        if self.interval_cycles == 0 {
+            return Err("evaluation interval must be positive".into());
+        }
+        Ok(())
     }
 }
 
@@ -87,8 +86,14 @@ pub struct Autoscaler {
 impl Autoscaler {
     /// Start at the top rung (the serving tier scales *down* from full
     /// capacity when load allows, so cold starts never violate SLOs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`AutoscalePolicy::validate`] rejects the policy.
     pub fn new(policy: AutoscalePolicy) -> Self {
-        policy.validate();
+        if let Err(e) = policy.validate() {
+            panic!("{e}");
+        }
         let level_idx = policy.levels.len() - 1;
         Autoscaler {
             policy,
@@ -154,10 +159,10 @@ mod tests {
     fn default_ladder_ends_at_full_capacity() {
         let p = AutoscalePolicy::for_cores(8);
         assert_eq!(p.levels, vec![2, 4, 8]);
-        p.validate();
+        assert_eq!(p.validate(), Ok(()));
         let p = AutoscalePolicy::for_cores(1);
         assert_eq!(p.levels, vec![1]);
-        p.validate();
+        assert_eq!(p.validate(), Ok(()));
     }
 
     #[test]

@@ -38,6 +38,7 @@ pub mod tenant;
 pub use autoscale::{AutoscalePolicy, Autoscaler};
 pub use pdfws_stream::{ArrivalDomain, ArrivalFactory, ArrivalGen, ArrivalRegistry, ArrivalSpec};
 pub use server::{
-    run_serve, run_serve_traced, validate_serve_cfg, ServeConfig, ServeReport, TenantReport,
+    run_serve, run_serve_traced, validate_serve_cfg, ServeConfig, ServeError, ServeReport,
+    TenantReport,
 };
 pub use tenant::{parse_tenants, TenantSpec, DEFAULT_BATCH_P99_CYCLES, DEFAULT_LATENCY_P99_CYCLES};

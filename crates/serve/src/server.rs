@@ -34,18 +34,35 @@
 //! through core levels.  All
 //! per-job statistics fold into constant-size [`StreamingQuantiles`], so
 //! memory use is independent of the job count.
+//!
+//! # Cost per event
+//!
+//! The loop's events are arrivals, completions and autoscale ticks, and each
+//! does only the work its change calls for.  An arrival or a completion
+//! costs O(active + tenants): the admission estimate sums the tenant's
+//! active work, a completion scans the active set, and either one may run a
+//! dispatch pass and rebuild the cached GPS state (each tenant's head job
+//! and its two rate factors).  A tick costs O(tenants) while jobs are
+//! active and O(1) while the tier is idle: idle ticks step in a tight loop
+//! up to the next arrival, and a shed arrival or a tick changes neither a
+//! queue nor the active set, so neither runs a dispatch pass.  Nothing is
+//! allocated inside the loop.  The floating-point operations are the same,
+//! in the same order, as a loop that re-derives all of that state at every
+//! event: each event decrements `remaining` and adds to the core-cycle
+//! integral once, and the admission estimate sums in active-set order.
 
 use crate::autoscale::{AutoscalePolicy, Autoscaler};
 use crate::tenant::TenantSpec;
 use pdfws_cmp_model::{default_config, CmpConfig, MemSysParams, ModelError};
 use pdfws_metrics::{P2Quantile, Quantiles, Series, StreamingQuantiles, Table};
 use pdfws_schedulers::{make_policy, SchedulerSpec, SimEngine, SimOptions};
-use pdfws_stream::ArrivalSpec;
+use pdfws_stream::{ArrivalGen, ArrivalSpec};
 use pdfws_trace::{TraceEvent, TraceSink};
 use pdfws_workloads::{WorkloadRegistry, WorkloadSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
+use std::fmt;
 
 /// Size multipliers the job sampler draws from (matching
 /// [`JobMix::generate`]'s `1..=4` scaling).
@@ -120,51 +137,93 @@ impl ServeConfig {
     }
 }
 
-/// Assert the config invariants the serving loop requires.
-///
-/// # Panics
-///
-/// Panics on closed-loop arrivals, an empty tenant list, zero jobs or slots,
-/// a non-positive headroom, a zero DRR quantum, or an autoscale ladder whose
-/// top rung is not `cores`.
-pub fn validate_serve_cfg(cfg: &ServeConfig) {
-    assert!(
-        cfg.arrivals.is_open_loop(),
-        "the serving tier needs an open-loop arrival spec, got '{}'",
-        cfg.arrivals
-    );
-    assert!(!cfg.tenants.is_empty(), "need at least one tenant");
-    assert!(cfg.jobs > 0, "need at least one offered job");
-    assert!(cfg.max_active > 0, "need at least one serving slot");
-    assert!(
-        cfg.slo_headroom > 0.0,
-        "slo_headroom must be positive, got {}",
-        cfg.slo_headroom
-    );
-    assert!(cfg.drr_quantum_cycles > 0, "DRR quantum must be positive");
-    if let Some(policy) = &cfg.autoscale {
-        policy.validate();
-        assert_eq!(
-            *policy.levels.last().expect("validated ladder is non-empty"),
-            cfg.cores,
-            "the autoscale ladder's top rung must be the machine's cores"
-        );
+/// Why a serving run could not start.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ServeError {
+    /// The configuration breaks an invariant the serving loop needs.
+    Config(String),
+    /// A calibration machine could not be derived or validated.
+    Model(ModelError),
+}
+
+impl fmt::Display for ServeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ServeError::Config(reason) => write!(f, "invalid serving configuration: {reason}"),
+            ServeError::Model(e) => write!(f, "{e}"),
+        }
     }
 }
 
-/// One tenant's calibrated templates: the parsed mix entries plus the
-/// measured alone-run service cycles per (entry, scale, level).
+impl std::error::Error for ServeError {}
+
+impl From<ModelError> for ServeError {
+    fn from(e: ModelError) -> Self {
+        ServeError::Model(e)
+    }
+}
+
+/// Check the config invariants the serving loop requires.
+///
+/// Rejects closed-loop arrivals, an empty tenant list, zero jobs or slots, a
+/// headroom that is not positive (NaN included), a zero DRR quantum, an
+/// invalid autoscale policy, or an autoscale ladder whose top rung is not
+/// `cores`.
+pub fn validate_serve_cfg(cfg: &ServeConfig) -> Result<(), ServeError> {
+    let reject = |reason: String| Err(ServeError::Config(reason));
+    if !cfg.arrivals.is_open_loop() {
+        return reject(format!(
+            "the serving tier needs an open-loop arrival spec, got '{}'",
+            cfg.arrivals
+        ));
+    }
+    if cfg.tenants.is_empty() {
+        return reject("need at least one tenant".into());
+    }
+    if cfg.jobs == 0 {
+        return reject("need at least one offered job".into());
+    }
+    if cfg.max_active == 0 {
+        return reject("need at least one serving slot".into());
+    }
+    if cfg.slo_headroom.is_nan() || cfg.slo_headroom <= 0.0 {
+        return reject(format!(
+            "slo_headroom must be positive, got {}",
+            cfg.slo_headroom
+        ));
+    }
+    if cfg.drr_quantum_cycles == 0 {
+        return reject("DRR quantum must be positive".into());
+    }
+    if let Some(policy) = &cfg.autoscale {
+        policy.validate().map_err(ServeError::Config)?;
+        if policy.levels.last() != Some(&cfg.cores) {
+            return reject(format!(
+                "the autoscale ladder's top rung must be the machine's {} cores, got {:?}",
+                cfg.cores, policy.levels
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// One tenant's calibrated templates: the parsed mix entries and where its
+/// job shapes start in the service table.
 struct TenantTables {
     entries: Vec<(WorkloadSpec, u32)>,
     entry_weight_total: u64,
-    /// `service[entry][scale - 1][level_idx]` — alone-run cycles.
-    service: Vec<Vec<Vec<u64>>>,
+    /// Shape index of (entry 0, scale 1); the tenant's shape for `(entry,
+    /// scale)` is `first_shape + entry * SCALES + scale - 1`.
+    first_shape: usize,
 }
 
-/// Calibrated machine: core levels plus per-tenant service tables.
+/// Calibrated machine: core levels, per-tenant templates, and the measured
+/// alone-run service cycles of every job shape at every level.
 struct Calibration {
     levels: Vec<usize>,
     tenants: Vec<TenantTables>,
+    /// `service[shape * levels.len() + level_idx]` — alone-run cycles.
+    service: Vec<u64>,
 }
 
 impl Calibration {
@@ -175,8 +234,12 @@ impl Calibration {
             .expect("autoscaler only selects calibrated levels")
     }
 
-    fn service(&self, tenant: usize, entry: usize, scale: u64, level_idx: usize) -> u64 {
-        self.tenants[tenant].service[entry][(scale - 1) as usize][level_idx]
+    fn shape(&self, tenant: usize, entry: usize, scale: u64) -> usize {
+        self.tenants[tenant].first_shape + entry * SCALES as usize + (scale - 1) as usize
+    }
+
+    fn service(&self, shape: usize, level_idx: usize) -> u64 {
+        self.service[shape * self.levels.len() + level_idx]
     }
 }
 
@@ -192,17 +255,17 @@ fn calibrate(cfg: &ServeConfig, levels: &[usize]) -> Result<Calibration, ModelEr
         machines.push(machine);
     }
     let mut tenants = Vec::with_capacity(cfg.tenants.len());
+    let mut service = Vec::new();
     for (t, tenant) in cfg.tenants.iter().enumerate() {
         let mix = tenant.mix();
         let entries: Vec<(WorkloadSpec, u32)> =
             mix.entries().map(|(s, w)| (s.clone(), w)).collect();
         let entry_weight_total = entries.iter().map(|&(_, w)| w as u64).sum();
-        let mut service = Vec::with_capacity(entries.len());
+        let first_shape = service.len() / levels.len();
         for (e, (spec, _)) in entries.iter().enumerate() {
             let factory = WorkloadRegistry::global()
                 .factory(spec.name())
                 .unwrap_or_else(|| panic!("workload '{}' is not in the registry", spec.name()));
-            let mut per_scale = Vec::with_capacity(SCALES as usize);
             for scale in 1..=SCALES {
                 // One fixed DAG per job shape: deterministic, and the same
                 // shape every arrival of this (tenant, entry, scale) reuses.
@@ -210,7 +273,6 @@ fn calibrate(cfg: &ServeConfig, levels: &[usize]) -> Result<Calibration, ModelEr
                     cfg.seed ^ 0xCA11_B8A7 ^ ((t as u64) << 32 | (e as u64) << 16 | scale);
                 let shaped = factory.reseed(&factory.scale(spec, scale), calib_seed);
                 let dag = std::sync::Arc::new(shaped.build().build_dag());
-                let mut per_level = Vec::with_capacity(levels.len());
                 for machine in &machines {
                     let mut engine = SimEngine::with_shared_dag(
                         dag.clone(),
@@ -218,29 +280,28 @@ fn calibrate(cfg: &ServeConfig, levels: &[usize]) -> Result<Calibration, ModelEr
                         make_policy(&cfg.scheduler, machine.cores),
                         cfg.sim_options.clone(),
                     );
-                    per_level.push(engine.run().cycles.max(1));
+                    service.push(engine.run().cycles.max(1));
                 }
-                per_scale.push(per_level);
             }
-            service.push(per_scale);
         }
         tenants.push(TenantTables {
             entries,
             entry_weight_total,
-            service,
+            first_shape,
         });
     }
     Ok(Calibration {
         levels: levels.to_vec(),
         tenants,
+        service,
     })
 }
 
 /// A job waiting in its tenant's dispatch queue.
 struct QueuedJob {
     id: u64,
-    entry: usize,
-    scale: u64,
+    /// Index of the job's shape in the calibrated service table.
+    shape: usize,
     arrival: f64,
     /// Raw (uncorrected) sojourn prediction made at arrival, for the EWMA.
     raw_prediction: f64,
@@ -250,8 +311,7 @@ struct QueuedJob {
 struct ActiveJob {
     id: u64,
     tenant: usize,
-    entry: usize,
-    scale: u64,
+    shape: usize,
     arrival: f64,
     /// Alone-run cycles still owed at the current core level.
     remaining: f64,
@@ -268,8 +328,57 @@ struct TenantStats {
     sojourn: StreamingQuantiles,
 }
 
+/// The fluid GPS rates, which hold constant while the active set does.
+///
+/// Busy tenants split the machine by weight, and within a tenant the whole
+/// slice serves its oldest active job (FIFO, by admission order = job id),
+/// so tenant `t`'s head progresses at `weights[t] / w_busy` alone-cycles per
+/// cycle and every other active job of `t` waits.  Rebuilt only when the
+/// active set changes; between rebuilds it describes the active set exactly.
+struct Gps {
+    /// Active jobs per tenant.
+    n_active: Vec<usize>,
+    /// Index into the active set of each tenant's oldest job.
+    head: Vec<Option<usize>>,
+    /// `weights[t] / w_busy`: alone-cycles per cycle for tenant `t`'s head.
+    rate: Vec<f64>,
+    /// `w_busy / weights[t]`: cycles per alone-cycle for tenant `t`'s head.
+    stretch: Vec<f64>,
+}
+
+impl Gps {
+    fn new(tenants: usize) -> Self {
+        Gps {
+            n_active: vec![0; tenants],
+            head: vec![None; tenants],
+            rate: vec![0.0; tenants],
+            stretch: vec![0.0; tenants],
+        }
+    }
+
+    fn rebuild(&mut self, active: &[ActiveJob], weights: &[f64]) {
+        self.n_active.fill(0);
+        self.head.fill(None);
+        for (i, job) in active.iter().enumerate() {
+            self.n_active[job.tenant] += 1;
+            match self.head[job.tenant] {
+                Some(h) if active[h].id <= job.id => {}
+                _ => self.head[job.tenant] = Some(i),
+            }
+        }
+        let w_busy: f64 = (0..weights.len())
+            .filter(|&t| self.n_active[t] > 0)
+            .map(|t| weights[t])
+            .sum();
+        for (t, &w) in weights.iter().enumerate() {
+            self.rate[t] = w / w_busy;
+            self.stretch[t] = w_busy / w;
+        }
+    }
+}
+
 /// Drive one serving run (see the module docs for the model).
-pub fn run_serve(cfg: &ServeConfig) -> Result<ServeReport, ModelError> {
+pub fn run_serve(cfg: &ServeConfig) -> Result<ServeReport, ServeError> {
     serve_impl(cfg, None)
 }
 
@@ -279,405 +388,499 @@ pub fn run_serve(cfg: &ServeConfig) -> Result<ServeReport, ModelError> {
 pub fn run_serve_traced(
     cfg: &ServeConfig,
     sink: &mut dyn TraceSink,
-) -> Result<ServeReport, ModelError> {
+) -> Result<ServeReport, ServeError> {
     serve_impl(cfg, Some(sink))
 }
 
-fn serve_impl(
-    cfg: &ServeConfig,
-    mut sink: Option<&mut dyn TraceSink>,
-) -> Result<ServeReport, ModelError> {
-    validate_serve_cfg(cfg);
+fn serve_impl<'a>(
+    cfg: &'a ServeConfig,
+    sink: Option<&'a mut dyn TraceSink>,
+) -> Result<ServeReport, ServeError> {
+    validate_serve_cfg(cfg)?;
     let levels: Vec<usize> = cfg
         .autoscale
         .as_ref()
         .map(|p| p.levels.clone())
         .unwrap_or_else(|| vec![cfg.cores]);
     let calib = calibrate(cfg, &levels)?;
-    let mut scaler = cfg.autoscale.clone().map(Autoscaler::new);
+    let mut tier = Tier::new(cfg, calib, sink);
+    tier.run();
+    Ok(tier.report())
+}
 
-    let n_tenants = cfg.tenants.len();
-    let mut gen = cfg
-        .arrivals
-        .generator(cfg.seed)
-        .expect("validated open-loop spec");
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x5E2E_7E4A);
+/// The serving loop's state between events.
+struct Tier<'a> {
+    cfg: &'a ServeConfig,
+    calib: Calibration,
+    sink: Option<&'a mut dyn TraceSink>,
+    scaler: Option<Autoscaler>,
+    gen: Box<dyn ArrivalGen>,
+    rng: StdRng,
+    /// Tenant weights as `f64`, and their sum.
+    weights: Vec<f64>,
+    w_all: f64,
+    /// Serving slots per tenant.
+    quotas: Vec<usize>,
+    queues: Vec<VecDeque<QueuedJob>>,
+    queued_total: usize,
+    /// Estimated service cycles waiting in each tenant's queue.
+    queued_backlog: Vec<f64>,
+    deficits: Vec<f64>,
+    drr_cursor: usize,
+    active: Vec<ActiveJob>,
+    gps: Gps,
+    level_idx: usize,
+    now: f64,
+    next_arrival: f64,
+    offered: usize,
+    /// Completed plus shed jobs.
+    resolved: usize,
+    stats: Vec<TenantStats>,
+    /// The admission estimator's learned correction, per tenant: a
+    /// streaming P² tail quantile of the realised `sojourn / raw_prediction`
+    /// ratio.  With FIFO service inside each tenant the raw prediction is
+    /// already an upper bound at a fixed core level, so the correction
+    /// usually sits at its 1.0 floor; it exists to absorb what the bound
+    /// does not cover — autoscale re-denomination of in-flight work
+    /// mid-sojourn.  The SLO is a p99, so the tracker follows the *tail* of
+    /// the error, not its mean: an average-tracking correction admits
+    /// borderline jobs whose worst few percent still miss.  The 1.0 floor
+    /// means a stretch of idle competitors can never teach the estimator to
+    /// predict better than the guaranteed share.
+    error_tail: Vec<P2Quantile>,
+    peak_active: usize,
+    last_outstanding: Option<u64>,
+    /// ∫ cores dt.
+    core_cycles: f64,
+    scale_events: u64,
+    scale_log: Vec<(u64, usize)>,
+}
 
-    let mut queues: Vec<VecDeque<QueuedJob>> = (0..n_tenants).map(|_| VecDeque::new()).collect();
-    let mut deficits: Vec<f64> = vec![0.0; n_tenants];
-    let mut drr_cursor = 0usize;
-    let mut active: Vec<ActiveJob> = Vec::new();
-    let mut stats: Vec<TenantStats> = (0..n_tenants).map(|_| TenantStats::default()).collect();
-
-    // GPS shares: tenant `t` is guaranteed `weights[t] / w_all` of the
-    // machine whenever it has active jobs (more when other tenants idle).
-    let weights: Vec<f64> = cfg.tenants.iter().map(|t| t.weight() as f64).collect();
-    let w_all: f64 = weights.iter().sum();
-    let mut n_active: Vec<usize> = vec![0; n_tenants];
-    // Serving slots are partitioned by weight too (min 1 each).  Shared
-    // slots would let slow-draining batch jobs occupy every slot and make an
-    // interactive job's *activation* wait depend on other tenants — the one
-    // delay the GPS guarantee cannot bound, and therefore the admission
-    // estimator could not predict.
-    let quotas: Vec<usize> = weights
-        .iter()
-        .map(|w| ((cfg.max_active as f64 * w / w_all).floor() as usize).max(1))
-        .collect();
-
-    let mut level_idx = calib.level_idx(scaler.as_ref().map_or(cfg.cores, Autoscaler::cores));
-    let mut now = 0.0f64;
-    let mut offered = 0usize;
-    let mut resolved = 0usize; // completed + shed
-    let mut queued_total = 0usize;
-    // Estimated service cycles waiting in each tenant's queue.
-    let mut queued_backlog: Vec<f64> = vec![0.0; n_tenants];
-    let mut next_arrival = gen.next_arrival() as f64;
-    // The admission estimator's learned correction, per tenant: a streaming
-    // P² tail quantile of the realised `sojourn / raw_prediction` ratio.
-    // With FIFO service inside each tenant the raw prediction is already an
-    // upper bound at a fixed core level, so the correction usually sits at
-    // its 1.0 floor; it exists to absorb what the bound does not cover —
-    // autoscale re-denomination of in-flight work mid-sojourn.  The SLO is
-    // a p99, so the tracker follows the *tail* of the error, not its mean:
-    // an average-tracking correction admits borderline jobs whose worst
-    // few percent still miss.  The 1.0 floor means a stretch of idle
-    // competitors can never teach the estimator to predict better than the
-    // guaranteed share.
-    let mut error_tail: Vec<P2Quantile> = (0..n_tenants).map(|_| P2Quantile::new(0.99)).collect();
-    let correction = |tracker: &P2Quantile| tracker.estimate().max(1.0);
-    let mut peak_active = 0usize;
-    let mut last_outstanding: Option<u64> = None;
-    let mut core_cycles = 0.0f64; // ∫ cores dt
-    let mut last_core_t = 0.0f64;
-    let mut scale_events = 0u64;
-    let mut scale_log: Vec<(u64, usize)> = Vec::new();
-
-    if let Some(s) = sink.as_deref_mut() {
-        s.emit(TraceEvent::ActiveCores {
-            t: 0,
-            cores: calib.levels[level_idx] as u64,
-        });
-    }
-
-    macro_rules! outstanding {
-        ($s:expr, $t:expr) => {
-            let jobs_now = active.len() as u64;
-            if last_outstanding != Some(jobs_now) {
-                last_outstanding = Some(jobs_now);
-                $s.emit(TraceEvent::OutstandingJobs {
-                    t: $t as u64,
-                    jobs: jobs_now,
-                });
-            }
-        };
-    }
-
-    while resolved < cfg.jobs {
-        // 1. Deficit-round-robin dispatch into free slots (each tenant
-        // bounded by its slot quota).  Deficits grow by quantum * weight per
-        // visited round, so a head job larger than one quantum still
-        // dispatches after enough rounds — large jobs are delayed
-        // proportionally to their size, never starved.
-        n_active.iter_mut().for_each(|n| *n = 0);
-        for job in &active {
-            n_active[job.tenant] += 1;
+impl<'a> Tier<'a> {
+    fn new(cfg: &'a ServeConfig, calib: Calibration, sink: Option<&'a mut dyn TraceSink>) -> Self {
+        let n_tenants = cfg.tenants.len();
+        let scaler = cfg.autoscale.clone().map(Autoscaler::new);
+        let mut gen = cfg
+            .arrivals
+            .generator(cfg.seed)
+            .expect("validated open-loop spec");
+        let next_arrival = gen.next_arrival() as f64;
+        // GPS shares: tenant `t` is guaranteed `weights[t] / w_all` of the
+        // machine whenever it has active jobs (more when other tenants idle).
+        let weights: Vec<f64> = cfg.tenants.iter().map(|t| t.weight() as f64).collect();
+        let w_all: f64 = weights.iter().sum();
+        // Serving slots are partitioned by weight too (min 1 each).  Shared
+        // slots would let slow-draining batch jobs occupy every slot and make
+        // an interactive job's *activation* wait depend on other tenants —
+        // the one delay the GPS guarantee cannot bound, and therefore the
+        // admission estimator could not predict.
+        let quotas: Vec<usize> = weights
+            .iter()
+            .map(|w| ((cfg.max_active as f64 * w / w_all).floor() as usize).max(1))
+            .collect();
+        let slots: usize = quotas.iter().sum();
+        let level_idx = calib.level_idx(scaler.as_ref().map_or(cfg.cores, Autoscaler::cores));
+        Tier {
+            cfg,
+            calib,
+            sink,
+            scaler,
+            gen,
+            rng: StdRng::seed_from_u64(cfg.seed ^ 0x5E2E_7E4A),
+            weights,
+            w_all,
+            quotas,
+            queues: (0..n_tenants).map(|_| VecDeque::new()).collect(),
+            queued_total: 0,
+            queued_backlog: vec![0.0; n_tenants],
+            deficits: vec![0.0; n_tenants],
+            drr_cursor: 0,
+            active: Vec::with_capacity(slots),
+            gps: Gps::new(n_tenants),
+            level_idx,
+            now: 0.0,
+            next_arrival,
+            offered: 0,
+            resolved: 0,
+            stats: (0..n_tenants).map(|_| TenantStats::default()).collect(),
+            error_tail: (0..n_tenants).map(|_| P2Quantile::new(0.99)).collect(),
+            peak_active: 0,
+            last_outstanding: None,
+            core_cycles: 0.0,
+            scale_events: 0,
+            scale_log: Vec::new(),
         }
+    }
+
+    fn emit(&mut self, event: TraceEvent) {
+        if let Some(s) = self.sink.as_deref_mut() {
+            s.emit(event);
+        }
+    }
+
+    /// Emit the `OutstandingJobs` counter if the active count moved.
+    fn note_outstanding(&mut self) {
+        if self.sink.is_none() {
+            return;
+        }
+        let jobs = self.active.len() as u64;
+        if self.last_outstanding != Some(jobs) {
+            self.last_outstanding = Some(jobs);
+            self.emit(TraceEvent::OutstandingJobs {
+                t: self.now as u64,
+                jobs,
+            });
+        }
+    }
+
+    fn next_tick(&self) -> f64 {
+        self.scaler
+            .as_ref()
+            .map_or(f64::INFINITY, |s| (s.next_eval() as f64).max(self.now))
+    }
+
+    fn run(&mut self) {
+        let cores = self.calib.levels[self.level_idx] as u64;
+        self.emit(TraceEvent::ActiveCores { t: 0, cores });
+        // Whether a queue or the active set changed since the last dispatch
+        // pass.  A pass leaves every tenant with an empty queue or a full
+        // quota, so until one of the two changes another pass would admit
+        // nothing; ticks, level changes and shed arrivals change neither.
+        let mut changed = true;
+        while self.resolved < self.cfg.jobs {
+            if changed {
+                if self.dispatch() {
+                    self.gps.rebuild(&self.active, &self.weights);
+                }
+                changed = false;
+            }
+            self.peak_active = self.peak_active.max(self.active.len());
+            self.note_outstanding();
+            if self.active.is_empty() && self.queued_total == 0 && self.offered < self.cfg.jobs {
+                self.idle_ticks();
+            }
+
+            // The next event: completion, autoscale tick, or arrival.
+            let t_complete = self.next_completion();
+            let t_tick = self.next_tick();
+            let t_arrival = if self.offered < self.cfg.jobs {
+                self.next_arrival.max(self.now)
+            } else {
+                f64::INFINITY
+            };
+            let t_event = t_complete.min(t_tick).min(t_arrival);
+            assert!(
+                t_event.is_finite(),
+                "serving loop stalled: {} of {} jobs resolved, {} active, {} queued",
+                self.resolved,
+                self.cfg.jobs,
+                self.active.len(),
+                self.queued_total
+            );
+            self.advance(t_event);
+            if t_event == t_complete && self.complete() {
+                changed = true;
+            }
+            if t_event == t_tick {
+                self.tick();
+            }
+            if t_event == t_arrival && self.offered < self.cfg.jobs && self.arrive() {
+                changed = true;
+            }
+        }
+    }
+
+    /// Step an idle tier (nothing active, nothing queued) through the
+    /// autoscale ticks strictly before the next arrival.  Each is the event
+    /// the main loop would take, minus the work an idle tier skips.
+    fn idle_ticks(&mut self) {
+        let t_arrival = self.next_arrival.max(self.now);
         loop {
-            let dispatchable = |t: usize| !queues[t].is_empty() && n_active[t] < quotas[t];
+            let t_tick = self.next_tick();
+            if t_tick >= t_arrival {
+                return;
+            }
+            self.advance(t_tick);
+            self.tick();
+        }
+    }
+
+    /// When the first head job finishes at the current rates.
+    fn next_completion(&self) -> f64 {
+        if self.active.is_empty() {
+            return f64::INFINITY;
+        }
+        let horizon = self
+            .gps
+            .head
+            .iter()
+            .zip(&self.gps.stretch)
+            .filter_map(|(h, stretch)| h.map(|h| self.active[h].remaining.max(0.0) * stretch))
+            .fold(f64::INFINITY, f64::min);
+        self.now + horizon
+    }
+
+    /// Advance the fluid shares and the core-cycle integral to `t_event`.
+    fn advance(&mut self, t_event: f64) {
+        if !self.active.is_empty() && t_event > self.now {
+            let dt = t_event - self.now;
+            for (h, rate) in self.gps.head.iter().zip(&self.gps.rate) {
+                if let Some(h) = *h {
+                    self.active[h].remaining -= dt * rate;
+                }
+            }
+        }
+        self.core_cycles += (t_event - self.now) * self.calib.levels[self.level_idx] as f64;
+        self.now = t_event;
+    }
+
+    /// Deficit-round-robin dispatch into free slots (each tenant bounded by
+    /// its slot quota); returns whether any job was admitted.  Deficits grow
+    /// by quantum * weight per visited round, so a head job larger than one
+    /// quantum still dispatches after enough rounds — large jobs are delayed
+    /// proportionally to their size, never starved.
+    fn dispatch(&mut self) -> bool {
+        let n_tenants = self.queues.len();
+        let before = self.active.len();
+        loop {
+            let dispatchable =
+                |t: usize| !self.queues[t].is_empty() && self.gps.n_active[t] < self.quotas[t];
             if !(0..n_tenants).any(dispatchable) {
                 break;
             }
             for _ in 0..n_tenants {
-                let t = drr_cursor;
-                drr_cursor = (drr_cursor + 1) % n_tenants;
-                if queues[t].is_empty() {
+                let t = self.drr_cursor;
+                self.drr_cursor = (self.drr_cursor + 1) % n_tenants;
+                if self.queues[t].is_empty() {
                     // An idle tenant banks no credit (classic DRR).
-                    deficits[t] = 0.0;
+                    self.deficits[t] = 0.0;
                     continue;
                 }
-                if n_active[t] >= quotas[t] {
+                if self.gps.n_active[t] >= self.quotas[t] {
                     continue;
                 }
-                deficits[t] += cfg.drr_quantum_cycles as f64 * cfg.tenants[t].weight() as f64;
-                while n_active[t] < quotas[t] {
-                    let Some(head) = queues[t].front() else { break };
-                    let est = calib.service(t, head.entry, head.scale, level_idx) as f64;
-                    if est > deficits[t] {
+                self.deficits[t] += self.cfg.drr_quantum_cycles as f64 * self.weights[t];
+                while self.gps.n_active[t] < self.quotas[t] {
+                    let Some(head) = self.queues[t].front() else {
+                        break;
+                    };
+                    let est = self.calib.service(head.shape, self.level_idx) as f64;
+                    if est > self.deficits[t] {
                         break;
                     }
-                    deficits[t] -= est;
-                    let job = queues[t].pop_front().expect("head exists");
-                    queued_total -= 1;
-                    queued_backlog[t] = (queued_backlog[t] - est).max(0.0);
-                    if let Some(s) = sink.as_deref_mut() {
-                        s.emit(TraceEvent::JobAdmit {
-                            t: now as u64,
-                            job: job.id,
-                        });
-                    }
-                    active.push(ActiveJob {
+                    self.deficits[t] -= est;
+                    let job = self.queues[t].pop_front().expect("head exists");
+                    self.queued_total -= 1;
+                    self.queued_backlog[t] = (self.queued_backlog[t] - est).max(0.0);
+                    self.emit(TraceEvent::JobAdmit {
+                        t: self.now as u64,
+                        job: job.id,
+                    });
+                    self.active.push(ActiveJob {
                         id: job.id,
                         tenant: t,
-                        entry: job.entry,
-                        scale: job.scale,
+                        shape: job.shape,
                         arrival: job.arrival,
                         remaining: est,
                         raw_prediction: job.raw_prediction,
                     });
-                    n_active[t] += 1;
+                    self.gps.n_active[t] += 1;
                 }
             }
             // Un-dispatchable heads only grow their deficits; loop again.
         }
-        peak_active = peak_active.max(active.len());
-        if let Some(s) = sink.as_deref_mut() {
-            outstanding!(s, now);
-        }
-
-        // 2. Pick the next event: completion, autoscale tick, or arrival.
-        // GPS rates hold constant between events: busy tenants split the
-        // machine by weight, and within a tenant the whole slice serves its
-        // oldest active job (FIFO, by admission order = job id), so tenant
-        // `t`'s head progresses at `weights[t] / w_busy` alone-cycles per
-        // cycle and every other active job of `t` waits.
-        let k = active.len();
-        n_active.iter_mut().for_each(|n| *n = 0);
-        let mut head: Vec<Option<usize>> = vec![None; n_tenants];
-        for (i, job) in active.iter().enumerate() {
-            n_active[job.tenant] += 1;
-            match head[job.tenant] {
-                Some(h) if active[h].id <= job.id => {}
-                _ => head[job.tenant] = Some(i),
-            }
-        }
-        let w_busy: f64 = (0..n_tenants)
-            .filter(|&t| n_active[t] > 0)
-            .map(|t| weights[t])
-            .sum();
-        let t_complete = if k > 0 {
-            let horizon = head
-                .iter()
-                .enumerate()
-                .filter_map(|(t, h)| {
-                    h.map(|h| active[h].remaining.max(0.0) * (w_busy / weights[t]))
-                })
-                .fold(f64::INFINITY, f64::min);
-            now + horizon
-        } else {
-            f64::INFINITY
-        };
-        let t_tick = scaler
-            .as_ref()
-            .map_or(f64::INFINITY, |s| (s.next_eval() as f64).max(now));
-        let t_arrival = if offered < cfg.jobs {
-            next_arrival.max(now)
-        } else {
-            f64::INFINITY
-        };
-        let t_event = t_complete.min(t_tick).min(t_arrival);
-        assert!(
-            t_event.is_finite(),
-            "serving loop stalled: {resolved} of {} jobs resolved, {} active, {} queued",
-            cfg.jobs,
-            k,
-            queued_total
-        );
-
-        // 3. Advance the fluid shares to the event time.
-        if k > 0 && t_event > now {
-            let dt = t_event - now;
-            for (t, h) in head.iter().enumerate() {
-                if let Some(h) = *h {
-                    active[h].remaining -= dt * (weights[t] / w_busy);
-                }
-            }
-        }
-        core_cycles += (t_event - last_core_t) * calib.levels[level_idx] as f64;
-        last_core_t = t_event;
-        now = t_event;
-
-        // 4a. Completions.
-        if t_event == t_complete {
-            let mut i = 0;
-            while i < active.len() {
-                if active[i].remaining > REMAINING_EPS {
-                    i += 1;
-                    continue;
-                }
-                let done = active.swap_remove(i);
-                let sojourn = (now - done.arrival).max(0.0);
-                let st = &mut stats[done.tenant];
-                st.completed += 1;
-                st.sojourn.observe(sojourn);
-                if sojourn <= cfg.tenants[done.tenant].p99_target_cycles() as f64 {
-                    st.slo_met += 1;
-                }
-                // Fold the realised sojourn into the tenant's estimator.
-                if done.raw_prediction > 0.0 {
-                    let ratio = (sojourn / done.raw_prediction).clamp(0.1, 20.0);
-                    error_tail[done.tenant].observe(ratio);
-                }
-                resolved += 1;
-                if let Some(s) = sink.as_deref_mut() {
-                    s.emit(TraceEvent::JobComplete {
-                        t: now as u64,
-                        job: done.id,
-                    });
-                    outstanding!(s, now);
-                }
-            }
-        }
-
-        // 4b. Autoscale tick.
-        if let Some(scaler) = scaler.as_mut() {
-            if t_event == t_tick {
-                if let Some(new_cores) = scaler.observe(now as u64, active.len() + queued_total) {
-                    let new_idx = calib.level_idx(new_cores);
-                    // Rescale in-flight work: keep each job's completed
-                    // *fraction*, re-denominated in the new level's service.
-                    for job in &mut active {
-                        let old = calib.service(job.tenant, job.entry, job.scale, level_idx) as f64;
-                        let new = calib.service(job.tenant, job.entry, job.scale, new_idx) as f64;
-                        job.remaining = (job.remaining / old).max(0.0) * new;
-                    }
-                    level_idx = new_idx;
-                    // Queued estimates change denomination too.
-                    for (t, queue) in queues.iter().enumerate() {
-                        queued_backlog[t] = queue
-                            .iter()
-                            .map(|j| calib.service(t, j.entry, j.scale, level_idx) as f64)
-                            .sum();
-                    }
-                    scale_events += 1;
-                    if scale_log.len() < SCALE_LOG_CAP {
-                        scale_log.push((now as u64, new_cores));
-                    }
-                    if let Some(s) = sink.as_deref_mut() {
-                        s.emit(TraceEvent::ActiveCores {
-                            t: now as u64,
-                            cores: new_cores as u64,
-                        });
-                    }
-                }
-            }
-        }
-
-        // 4c. Arrival: sample the job shape, then admit or shed.
-        if t_event == t_arrival && offered < cfg.jobs {
-            let id = offered as u64;
-            offered += 1;
-            next_arrival = (gen.next_arrival() as f64).max(next_arrival);
-            // Offered traffic splits evenly across tenants; the tenant's mix
-            // weights pick the template, and sizes scale 1..=4 uniformly
-            // (matching JobMix::generate's heterogeneity).
-            let tenant = rng.gen_range(0..n_tenants as u64) as usize;
-            let tables = &calib.tenants[tenant];
-            let mut pick = rng.gen_range(0..tables.entry_weight_total);
-            let mut entry = 0usize;
-            for (i, &(_, w)) in tables.entries.iter().enumerate() {
-                if pick < w as u64 {
-                    entry = i;
-                    break;
-                }
-                pick -= w as u64;
-            }
-            let scale = rng.gen_range(1u64..=SCALES);
-            stats[tenant].offered += 1;
-
-            let est = calib.service(tenant, entry, scale, level_idx) as f64;
-            // Predicted sojourn, denominated per tenant: GPS guarantees the
-            // tenant at least `weights/w_all` of the machine while it is
-            // busy, so its own in-flight plus queued backlog (plus this job)
-            // drains in at most that many cycles — other tenants' traffic
-            // cannot stretch it, which is what makes the bound usable.  The
-            // per-tenant EWMA folds realised error back in: under-use of the
-            // guarantee (other tenants idle) pulls it below 1, same-tenant
-            // queueing behind this job pushes it above.
-            let tenant_active: f64 = active
-                .iter()
-                .filter(|j| j.tenant == tenant)
-                .map(|j| j.remaining.max(0.0))
-                .sum();
-            let raw_prediction =
-                (tenant_active + queued_backlog[tenant] + est) * (w_all / weights[tenant]);
-            let predicted = raw_prediction * correction(&error_tail[tenant]);
-            let target = cfg.tenants[tenant].p99_target_cycles() as f64;
-            if cfg.shedding && predicted > target * cfg.slo_headroom {
-                stats[tenant].shed += 1;
-                resolved += 1;
-                if let Some(s) = sink.as_deref_mut() {
-                    s.emit(TraceEvent::JobShed {
-                        t: now as u64,
-                        job: id,
-                    });
-                }
-            } else {
-                queues[tenant].push_back(QueuedJob {
-                    id,
-                    entry,
-                    scale,
-                    arrival: now,
-                    raw_prediction,
-                });
-                queued_total += 1;
-                queued_backlog[tenant] += est;
-            }
-        }
+        self.active.len() > before
     }
 
-    let makespan_cycles = now as u64;
-    let tenants = cfg
-        .tenants
-        .iter()
-        .zip(&stats)
-        .map(|(spec, st)| {
-            let admitted = st.offered - st.shed;
-            TenantReport {
-                name: spec.name().to_string(),
-                slo_class: spec.slo_class().to_string(),
-                p99_target_cycles: spec.p99_target_cycles(),
-                offered: st.offered,
-                admitted,
-                shed: st.shed,
-                completed: st.completed,
-                shed_rate: if st.offered == 0 {
-                    0.0
-                } else {
-                    st.shed as f64 / st.offered as f64
-                },
-                slo_attainment: if st.completed == 0 {
-                    0.0
-                } else {
-                    st.slo_met as f64 / st.completed as f64
-                },
-                sojourn: st.sojourn.quantiles(),
-                goodput_jobs_per_mcycle: if makespan_cycles == 0 {
-                    0.0
-                } else {
-                    st.slo_met as f64 * 1.0e6 / makespan_cycles as f64
-                },
+    /// Retire every finished job; returns whether any was.
+    fn complete(&mut self) -> bool {
+        let before = self.active.len();
+        let mut i = 0;
+        while i < self.active.len() {
+            if self.active[i].remaining > REMAINING_EPS {
+                i += 1;
+                continue;
             }
-        })
-        .collect();
-    Ok(ServeReport {
-        scheduler: cfg.scheduler.clone(),
-        arrivals: cfg.arrivals.canonical(),
-        shedding: cfg.shedding,
-        offered: offered as u64,
-        completed: stats.iter().map(|s| s.completed).sum(),
-        shed: stats.iter().map(|s| s.shed).sum(),
-        makespan_cycles,
-        peak_active,
-        mean_active_cores: if makespan_cycles == 0 {
-            calib.levels[level_idx] as f64
-        } else {
-            core_cycles / now
-        },
-        final_cores: calib.levels[level_idx],
-        scale_events,
-        scale_log,
-        tenants,
-    })
+            let done = self.active.swap_remove(i);
+            let sojourn = (self.now - done.arrival).max(0.0);
+            let st = &mut self.stats[done.tenant];
+            st.completed += 1;
+            st.sojourn.observe(sojourn);
+            if sojourn <= self.cfg.tenants[done.tenant].p99_target_cycles() as f64 {
+                st.slo_met += 1;
+            }
+            // Fold the realised sojourn into the tenant's estimator.
+            if done.raw_prediction > 0.0 {
+                let ratio = (sojourn / done.raw_prediction).clamp(0.1, 20.0);
+                self.error_tail[done.tenant].observe(ratio);
+            }
+            self.resolved += 1;
+            self.emit(TraceEvent::JobComplete {
+                t: self.now as u64,
+                job: done.id,
+            });
+            self.note_outstanding();
+        }
+        if self.active.len() == before {
+            return false;
+        }
+        self.gps.rebuild(&self.active, &self.weights);
+        true
+    }
+
+    /// An autoscale tick: evaluate the load, and on a level change rescale
+    /// in-flight work (keeping each job's completed *fraction*,
+    /// re-denominated in the new level's service) and queued estimates.
+    fn tick(&mut self) {
+        let Some(scaler) = self.scaler.as_mut() else {
+            return;
+        };
+        let Some(new_cores) =
+            scaler.observe(self.now as u64, self.active.len() + self.queued_total)
+        else {
+            return;
+        };
+        let (old_idx, new_idx) = (self.level_idx, self.calib.level_idx(new_cores));
+        for job in &mut self.active {
+            let old = self.calib.service(job.shape, old_idx) as f64;
+            let new = self.calib.service(job.shape, new_idx) as f64;
+            job.remaining = (job.remaining / old).max(0.0) * new;
+        }
+        self.level_idx = new_idx;
+        for (t, queue) in self.queues.iter().enumerate() {
+            self.queued_backlog[t] = queue
+                .iter()
+                .map(|j| self.calib.service(j.shape, new_idx) as f64)
+                .sum();
+        }
+        self.scale_events += 1;
+        if self.scale_log.len() < SCALE_LOG_CAP {
+            self.scale_log.push((self.now as u64, new_cores));
+        }
+        self.emit(TraceEvent::ActiveCores {
+            t: self.now as u64,
+            cores: new_cores as u64,
+        });
+    }
+
+    /// An arrival: sample the job shape, then shed it or queue it; returns
+    /// whether it was queued.
+    fn arrive(&mut self) -> bool {
+        let id = self.offered as u64;
+        self.offered += 1;
+        self.next_arrival = (self.gen.next_arrival() as f64).max(self.next_arrival);
+        // Offered traffic splits evenly across tenants; the tenant's mix
+        // weights pick the template, and sizes scale 1..=4 uniformly
+        // (matching JobMix::generate's heterogeneity).
+        let tenant = self.rng.gen_range(0..self.queues.len() as u64) as usize;
+        let tables = &self.calib.tenants[tenant];
+        let mut pick = self.rng.gen_range(0..tables.entry_weight_total);
+        let mut entry = 0usize;
+        for (i, &(_, w)) in tables.entries.iter().enumerate() {
+            if pick < w as u64 {
+                entry = i;
+                break;
+            }
+            pick -= w as u64;
+        }
+        let scale = self.rng.gen_range(1u64..=SCALES);
+        self.stats[tenant].offered += 1;
+
+        let shape = self.calib.shape(tenant, entry, scale);
+        let est = self.calib.service(shape, self.level_idx) as f64;
+        // Predicted sojourn, denominated per tenant: GPS guarantees the
+        // tenant at least `weights/w_all` of the machine while it is busy, so
+        // its own in-flight plus queued backlog (plus this job) drains in at
+        // most that many cycles — other tenants' traffic cannot stretch it,
+        // which is what makes the bound usable.  The tail correction folds
+        // realised error back in.
+        let tenant_active: f64 = self
+            .active
+            .iter()
+            .filter(|j| j.tenant == tenant)
+            .map(|j| j.remaining.max(0.0))
+            .sum();
+        let raw_prediction = (tenant_active + self.queued_backlog[tenant] + est)
+            * (self.w_all / self.weights[tenant]);
+        let predicted = raw_prediction * self.error_tail[tenant].estimate().max(1.0);
+        let target = self.cfg.tenants[tenant].p99_target_cycles() as f64;
+        if self.cfg.shedding && predicted > target * self.cfg.slo_headroom {
+            self.stats[tenant].shed += 1;
+            self.resolved += 1;
+            self.emit(TraceEvent::JobShed {
+                t: self.now as u64,
+                job: id,
+            });
+            return false;
+        }
+        self.queues[tenant].push_back(QueuedJob {
+            id,
+            shape,
+            arrival: self.now,
+            raw_prediction,
+        });
+        self.queued_total += 1;
+        self.queued_backlog[tenant] += est;
+        true
+    }
+
+    fn report(self) -> ServeReport {
+        let cfg = self.cfg;
+        let makespan_cycles = self.now as u64;
+        let tenants = cfg
+            .tenants
+            .iter()
+            .zip(&self.stats)
+            .map(|(spec, st)| {
+                let admitted = st.offered - st.shed;
+                TenantReport {
+                    name: spec.name().to_string(),
+                    slo_class: spec.slo_class().to_string(),
+                    p99_target_cycles: spec.p99_target_cycles(),
+                    offered: st.offered,
+                    admitted,
+                    shed: st.shed,
+                    completed: st.completed,
+                    shed_rate: if st.offered == 0 {
+                        0.0
+                    } else {
+                        st.shed as f64 / st.offered as f64
+                    },
+                    slo_attainment: if st.completed == 0 {
+                        0.0
+                    } else {
+                        st.slo_met as f64 / st.completed as f64
+                    },
+                    sojourn: st.sojourn.quantiles(),
+                    goodput_jobs_per_mcycle: if makespan_cycles == 0 {
+                        0.0
+                    } else {
+                        st.slo_met as f64 * 1.0e6 / makespan_cycles as f64
+                    },
+                }
+            })
+            .collect();
+        let final_cores = self.calib.levels[self.level_idx];
+        ServeReport {
+            scheduler: cfg.scheduler.clone(),
+            arrivals: cfg.arrivals.canonical(),
+            shedding: cfg.shedding,
+            offered: self.offered as u64,
+            completed: self.stats.iter().map(|s| s.completed).sum(),
+            shed: self.stats.iter().map(|s| s.shed).sum(),
+            makespan_cycles,
+            peak_active: self.peak_active,
+            mean_active_cores: if makespan_cycles == 0 {
+                final_cores as f64
+            } else {
+                self.core_cycles / self.now
+            },
+            final_cores,
+            scale_events: self.scale_events,
+            scale_log: self.scale_log,
+            tenants,
+        }
+    }
 }
 
 /// One tenant's share of a [`ServeReport`].
@@ -926,26 +1129,56 @@ mod tests {
         assert_eq!(table.series.len(), 7);
     }
 
-    #[test]
-    #[should_panic(expected = "open-loop")]
-    fn closed_loop_arrivals_are_rejected() {
-        let mut cfg = quick_cfg(10, 40.0);
-        cfg.arrivals = ArrivalSpec::closed(2, 100);
-        let _ = run_serve(&cfg);
+    fn config_error(cfg: &ServeConfig) -> String {
+        match run_serve(cfg) {
+            Err(ServeError::Config(reason)) => reason,
+            other => panic!("expected a config error, got {other:?}"),
+        }
     }
 
     #[test]
-    #[should_panic(expected = "top rung")]
+    fn closed_loop_arrivals_are_rejected() {
+        let mut cfg = quick_cfg(10, 40.0);
+        cfg.arrivals = ArrivalSpec::closed(2, 100);
+        assert!(config_error(&cfg).contains("open-loop"));
+    }
+
+    #[test]
     fn autoscale_ladders_must_top_out_at_the_machine() {
         let mut cfg = quick_cfg(10, 40.0);
         cfg.autoscale = Some(AutoscalePolicy::for_cores(8));
-        let _ = run_serve(&cfg);
+        assert!(config_error(&cfg).contains("top rung"));
+        cfg.autoscale = Some(AutoscalePolicy {
+            levels: vec![4, 2],
+            ..AutoscalePolicy::for_cores(4)
+        });
+        assert!(config_error(&cfg).contains("strictly ascending"));
+    }
+
+    #[test]
+    fn degenerate_configs_are_rejected() {
+        let mut cfg = quick_cfg(0, 40.0);
+        assert!(config_error(&cfg).contains("offered job"));
+        cfg.jobs = 10;
+        cfg.max_active = 0;
+        assert!(config_error(&cfg).contains("serving slot"));
+        cfg.max_active = 8;
+        for headroom in [0.0, -1.0, f64::NAN] {
+            cfg.slo_headroom = headroom;
+            assert!(config_error(&cfg).contains("slo_headroom"), "{headroom}");
+        }
+        cfg.slo_headroom = 1.0;
+        cfg.drr_quantum_cycles = 0;
+        assert!(config_error(&cfg).contains("DRR quantum"));
+        cfg.drr_quantum_cycles = 50_000;
+        cfg.tenants.clear();
+        assert!(config_error(&cfg).contains("tenant"));
     }
 
     #[test]
     fn model_errors_surface() {
         let mut cfg = quick_cfg(10, 40.0);
         cfg.cores = 999;
-        assert!(run_serve(&cfg).is_err());
+        assert!(matches!(run_serve(&cfg), Err(ServeError::Model(_))));
     }
 }
