@@ -549,9 +549,7 @@ impl<'a> Tier<'a> {
         let mut changed = true;
         while self.resolved < self.cfg.jobs {
             if changed {
-                if self.dispatch() {
-                    self.gps.rebuild(&self.active, &self.weights);
-                }
+                self.dispatch();
                 changed = false;
             }
             self.peak_active = self.peak_active.max(self.active.len());
@@ -635,11 +633,11 @@ impl<'a> Tier<'a> {
     }
 
     /// Deficit-round-robin dispatch into free slots (each tenant bounded by
-    /// its slot quota); returns whether any job was admitted.  Deficits grow
-    /// by quantum * weight per visited round, so a head job larger than one
-    /// quantum still dispatches after enough rounds — large jobs are delayed
-    /// proportionally to their size, never starved.
-    fn dispatch(&mut self) -> bool {
+    /// its slot quota), then a GPS rebuild if any job was admitted.
+    /// Deficits grow by quantum * weight per visited round, so a head job
+    /// larger than one quantum still dispatches after enough rounds — large
+    /// jobs are delayed proportionally to their size, never starved.
+    fn dispatch(&mut self) {
         let n_tenants = self.queues.len();
         let before = self.active.len();
         loop {
@@ -689,7 +687,9 @@ impl<'a> Tier<'a> {
             }
             // Un-dispatchable heads only grow their deficits; loop again.
         }
-        self.active.len() > before
+        if self.active.len() > before {
+            self.gps.rebuild(&self.active, &self.weights);
+        }
     }
 
     /// Retire every finished job; returns whether any was.
