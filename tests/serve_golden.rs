@@ -12,23 +12,23 @@
 //! `UPDATE_GOLDEN=1 cargo test --test serve_golden` and review it.
 
 use pdfws::prelude::*;
-use pdfws::serve::{parse_tenants, run_serve, run_serve_traced, ArrivalSpec, ServeConfig};
+use pdfws::serve::{
+    parse_tenants, run_serve, run_serve_traced, ArrivalSpec, ServeConfig, ServeReport,
+};
 use pdfws::trace::EventTrace;
 use std::fmt::Write;
 
 const TRIO: &str =
     "api:p99=1500000,weight=4+analytics:mix=mixed,slo=batch+bulk:mix=class-b,slo=batch";
 
-/// A 4-core tier (ladder 1/2/4) calibrated under the analytic cache mode so
-/// the debug-build test stays quick; the loop under test is the same for
-/// every cache mode.
+/// A 4-core tier (ladder 1/2/4), its job classes calibrated by exact
+/// simulation.
 fn cfg(arrivals: &str, jobs: usize) -> ServeConfig {
     let mut cfg = ServeConfig::new(4, SchedulerSpec::pdf());
     cfg.jobs = jobs;
     cfg.arrivals = arrivals
         .parse::<ArrivalSpec>()
         .expect("registered arrival spec");
-    cfg.sim_options.cache_mode = "analytic".parse().expect("cache mode");
     cfg.seed = 17;
     cfg
 }
@@ -36,16 +36,16 @@ fn cfg(arrivals: &str, jobs: usize) -> ServeConfig {
 fn render() -> String {
     let mut runs: Vec<(&str, ServeConfig)> = vec![
         ("poisson-light-autoscale", cfg("poisson:rate=2", 1_500)),
-        ("poisson-near-capacity", cfg("poisson:rate=4", 3_000)),
+        ("poisson-near-capacity", cfg("poisson:rate=10", 3_000)),
         ("uniform-ties-ticks", cfg("uniform:gap=50000", 2_000)),
-        ("pareto", cfg("pareto:alpha=1.5,rate=6", 3_000)),
+        ("pareto", cfg("pareto:alpha=1.5,rate=10", 3_000)),
         (
             "burst",
-            cfg("burst:period=4000000,duty=0.25,hi=8,lo=0.5", 3_000),
+            cfg("burst:period=4000000,duty=0.25,hi=32,lo=0.5", 3_000),
         ),
         (
             "diurnal",
-            cfg("diurnal:period=20000000,mean=6,amp=0.8", 3_000),
+            cfg("diurnal:period=20000000,mean=10,amp=0.8", 3_000),
         ),
     ];
     let mut no_shed = cfg("poisson:rate=400", 2_000);
@@ -57,13 +57,14 @@ fn render() -> String {
     let mut tight = cfg("poisson:rate=3", 3_000);
     tight.slo_headroom = 0.5;
     runs.push(("headroom-0.5", tight));
-    let mut trio = cfg("poisson:rate=4", 3_000);
+    let mut trio = cfg("poisson:rate=10", 3_000);
     trio.tenants = parse_tenants(TRIO).expect("three-tenant spec");
     runs.push(("three-tenants", trio));
 
     let mut out = String::new();
     for (name, cfg) in &runs {
         let report = run_serve(cfg).expect("serve run");
+        assert_covers_its_path(name, cfg, &report);
         writeln!(out, "== {name} arrivals={} jobs={}", cfg.arrivals, cfg.jobs).unwrap();
         writeln!(out, "{report:?}").unwrap();
     }
@@ -71,12 +72,35 @@ fn render() -> String {
     let traced_cfg = cfg("poisson:rate=400", 100);
     let mut trace = EventTrace::new();
     let report = run_serve_traced(&traced_cfg, &mut trace).expect("traced serve run");
+    assert_covers_its_path("traced overload", &traced_cfg, &report);
     writeln!(out, "== traced overload arrivals=poisson:rate=400 jobs=100").unwrap();
     writeln!(out, "{report:?}").unwrap();
     for event in trace.events() {
         writeln!(out, "{event:?}").unwrap();
     }
     out
+}
+
+/// Each run must exercise the path its name promises, or the golden would
+/// pin a loop that never sheds or never rescales.
+fn assert_covers_its_path(name: &str, cfg: &ServeConfig, report: &ServeReport) {
+    const SHEDDING: &[&str] = &[
+        "poisson-near-capacity",
+        "pareto",
+        "burst",
+        "diurnal",
+        "headroom-0.5",
+        "three-tenants",
+    ];
+    if name.contains("light") {
+        assert_eq!(report.shed, 0, "{name}: a light load must admit every job");
+    }
+    if SHEDDING.contains(&name) {
+        assert!(report.shed > 0, "{name}: the run never sheds");
+    }
+    if cfg.autoscale.is_some() {
+        assert!(report.scale_events > 0, "{name}: the autoscaler never acts");
+    }
 }
 
 #[test]
