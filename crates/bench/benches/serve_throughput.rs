@@ -2,10 +2,10 @@
 //! fluid loop (admission + DRR dispatch + shedding) vs the plain `job_stream`
 //! per-quantum simulation path.
 //!
-//! Both paths run under `cache=analytic` so the contrast isolates the tier
-//! itself: the serve path pays a one-off calibration (one engine run per job
-//! shape) and then prices every further job in O(events), while the stream
-//! path simulates every quantum of every job.  The serve path therefore
+//! Both paths price references exactly; the contrast is the tier itself:
+//! the serve path pays a one-off calibration (one engine run per job shape)
+//! and then prices every further job in O(events), while the stream path
+//! simulates every quantum of every job.  The serve path therefore
 //! serves far more jobs per second — this bench tracks that gap per PR
 //! (recorded in `EXPERIMENTS.md` and, with `--json`, in `BENCH_<n>.json`).
 //!
@@ -16,7 +16,7 @@
 //! tier idle.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use pdfws_schedulers::{CacheModeSpec, SchedulerSpec};
+use pdfws_schedulers::SchedulerSpec;
 use pdfws_serve::{run_serve, ArrivalSpec, ServeConfig};
 use pdfws_stream::{run_stream_sim, JobMix, StreamConfig};
 use std::hint::black_box;
@@ -35,14 +35,13 @@ fn bench_serve_throughput(c: &mut Criterion) {
     let mut cfg = ServeConfig::new(8, SchedulerSpec::pdf());
     cfg.jobs = serve_jobs;
     cfg.autoscale = None;
-    cfg.sim_options.cache_mode = CacheModeSpec::analytic();
     group.throughput(Throughput::Elements(serve_jobs as u64));
-    group.bench_function("serve_2000_jobs_analytic", |b| {
+    group.bench_function("serve_2000_jobs_exact", |b| {
         b.iter(|| black_box(run_serve(&cfg).expect("serve run").completed))
     });
 
     // The tick path: `poisson:rate=2` on the default 2/4/8-core ladder
-    // (50k-cycle evaluation interval), calibrated under exact caches.
+    // (50k-cycle evaluation interval).
     let light_jobs = 200_000;
     let mut light = ServeConfig::new(8, SchedulerSpec::pdf());
     light.jobs = light_jobs;
@@ -57,10 +56,9 @@ fn bench_serve_throughput(c: &mut Criterion) {
     // units make the two comparable.
     let stream_jobs = 20;
     let mix = JobMix::class_a();
-    let mut scfg = StreamConfig::new(8, SchedulerSpec::pdf());
-    scfg.sim_options.cache_mode = CacheModeSpec::analytic();
+    let scfg = StreamConfig::new(8, SchedulerSpec::pdf());
     group.throughput(Throughput::Elements(stream_jobs as u64));
-    group.bench_function("job_stream_20_jobs_analytic", |b| {
+    group.bench_function("job_stream_20_jobs_exact", |b| {
         b.iter(|| {
             black_box(
                 run_stream_sim(&mix, stream_jobs, &scfg)

@@ -134,7 +134,6 @@ fn main() {
                 .schedulers(&SchedulerSpec::paper_pair())
                 .options(SimOptions {
                     disturbance: Some(disturbance),
-                    ..SimOptions::default()
                 })
                 .threads(threads),
         )

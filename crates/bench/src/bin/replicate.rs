@@ -22,7 +22,7 @@
 //!"fast path" PR) trips the moment a paper-shaped result flips.
 
 use pdfws_bench::{outln, Cli};
-use pdfws_report::{cache_mode_validation_figure, ClaimStatus, ReplicationSuite, SuiteConfig};
+use pdfws_report::{ClaimStatus, ReplicationSuite, SuiteConfig};
 use std::path::{Component, Path, PathBuf};
 
 fn main() {
@@ -33,7 +33,6 @@ fn main() {
             ("--out <dir>", "write REPLICATION.md, claim_status.csv, claims.jsonl and per-claim artifacts under <dir>"),
             ("--claim <id>", "(repeatable) run only the named claims"),
             ("--list-claims", "print the suite's claim ids and titles, then exit"),
-            ("--validate-cache", "also emit the sampled-vs-exact cache-mode validation figure under <out>/validation/ (runs the Figure-1 sweep in every cache mode)"),
         ],
     );
     let quick = cli.quick;
@@ -62,18 +61,13 @@ fn main() {
         }
     }
 
-    let cache = cli.cache.clone();
     eprintln!(
-        "# replicating {} claim(s), {} mode, cache={}, {} sweep threads",
+        "# replicating {} claim(s), {} mode, {} sweep threads",
         suite.claims().len(),
         if quick { "quick" } else { "paper-scale" },
-        cache,
         threads,
     );
-    // `--cache analytic` re-prices every claim from per-task reuse-distance
-    // profiles — the CI-cheap way to regression-check the matrix at paper
-    // scale.
-    let mut cfg = SuiteConfig::new(quick).threads(threads).cache(cache);
+    let mut cfg = SuiteConfig::new(quick).threads(threads);
     if let Some(spec) = cli.memsys.clone() {
         // The whole suite re-runs under the selected model (e.g. `--memsys
         // legacy` compares the claims against the pre-memsys formula).
@@ -107,28 +101,8 @@ fn main() {
         );
     }
 
-    // `--validate-cache`: price the Figure-1 sweep in every cache mode and
-    // render the side-by-side MPKI figure (the human-readable companion of
-    // the tolerance contract in tests/cache_modes.rs).
-    let validation = if cli.has("--validate-cache") {
-        eprintln!("# building the cache-mode validation figure ...");
-        match cache_mode_validation_figure(quick, threads) {
-            Ok(figure) => Some(figure),
-            Err(e) => {
-                eprintln!("error: cache-mode validation sweep failed: {e}");
-                std::process::exit(2);
-            }
-        }
-    } else {
-        None
-    };
-
     if let Some(dir) = out_dir {
-        let mut artifacts = report.artifacts_in(&paper_path_from(&dir));
-        if let Some(figure) = &validation {
-            artifacts.push_figure("validation", figure);
-        }
-        match artifacts.write_to(&dir) {
+        match report.artifacts_in(&paper_path_from(&dir)).write_to(&dir) {
             Ok(written) => eprintln!(
                 "# wrote {} artifact(s) under {}",
                 written.len(),
@@ -139,9 +113,6 @@ fn main() {
                 std::process::exit(2);
             }
         }
-    } else if let Some(figure) = &validation {
-        // No artifact directory: the figure still reaches the log.
-        outln!("\n{}", figure.to_markdown());
     }
 
     let deviations = report

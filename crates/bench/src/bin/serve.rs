@@ -19,7 +19,7 @@
 //! scales the admission headroom (predictions are compared against `F x
 //! target`); `--no-shed` disables the shedder for a baseline run;
 //! `--no-autoscale` pins the tier at full capacity; `--jobs N` overrides the
-//! per-run job count.  `--list` prints the five spec-registry grammars,
+//! per-run job count.  `--list` prints the four spec-registry grammars,
 //! `--trace <out.json>` exports a Perfetto timeline (admit/complete/shed job
 //! slices plus `active_cores` / `outstanding_jobs` counter tracks) of the
 //! heaviest run.
@@ -128,7 +128,6 @@ fn main() {
         if !autoscale {
             cfg.autoscale = None;
         }
-        cfg.sim_options.cache_mode = cli.cache.clone();
         if let Some(spec) = &cli.memsys {
             cfg.memsys = Some(spec.memsys_params());
         }

@@ -28,10 +28,6 @@ pub const UNIFORM_FLAGS: &[(&str, &str)] = &[
         "--memsys <spec>",
         "memory-system model for every simulated cell (e.g. 'legacy' or 'bus:dram:banks=32'; default: the component bus+DRAM model)",
     ),
-    (
-        "--cache <spec>",
-        "cache simulation mode for every cell ('exact' (default), 'sampled:rate=N', 'analytic')",
-    ),
     ("--csv", "print CSV blocks instead of aligned text tables"),
     ("--json", "print self-describing JSONL rows instead of tables"),
     (
@@ -44,7 +40,7 @@ pub const UNIFORM_FLAGS: &[(&str, &str)] = &[
     ),
     (
         "--list",
-        "print the spec grammars of all five registries (schedulers, workloads, memory-system models, cache modes, arrival processes) and exit",
+        "print the spec grammars of all four registries (schedulers, workloads, memory-system models, arrival processes) and exit",
     ),
     ("--help", "print this flag table and exit"),
 ];
@@ -107,8 +103,6 @@ pub struct Cli {
     /// `--memsys`: the memory-system model for every simulated cell (`None`:
     /// each configuration's own component bus+DRAM model).
     pub memsys: Option<MemSysSpec>,
-    /// `--cache`: the cache simulation mode (default `exact`).
-    pub cache: CacheModeSpec,
     /// `--csv` / `--json`: how tables are rendered.
     pub output: OutputMode,
     /// `--trace` / `--trace-summary`.
@@ -206,7 +200,6 @@ impl Cli {
             threads: 1,
             workloads: Vec::new(),
             memsys: None,
-            cache: CacheModeSpec::exact(),
             output: OutputMode::Text,
             trace: TraceArgs::default(),
             given,
@@ -226,9 +219,6 @@ impl Cli {
             .value("--memsys")
             .map(|v| v.parse().map_err(|e| format!("{e}")))
             .transpose()?;
-        if let Some(v) = cli.value("--cache") {
-            cli.cache = v.parse().map_err(|e| format!("{e}"))?;
-        }
         cli.output = match (cli.has("--csv"), cli.has("--json")) {
             (true, true) => return Err("--csv and --json are mutually exclusive".into()),
             (true, false) => OutputMode::Csv,
@@ -299,28 +289,24 @@ impl Cli {
         }
     }
 
-    /// Apply the `--memsys` and `--cache` selections to a sweep grid.
+    /// Apply the `--memsys` selection to a sweep grid.
     pub fn grid(&self, grid: SweepGrid) -> SweepGrid {
-        let grid = grid.cache(self.cache.clone());
         match &self.memsys {
             Some(spec) => grid.memsys(spec.clone()),
             None => grid,
         }
     }
 
-    /// Apply the `--memsys` and `--cache` selections to an experiment builder.
+    /// Apply the `--memsys` selection to an experiment builder.
     pub fn experiment(&self, experiment: Experiment) -> Experiment {
-        let experiment = experiment.cache(self.cache.clone());
         match &self.memsys {
             Some(spec) => experiment.memsys(spec.clone()),
             None => experiment,
         }
     }
 
-    /// Apply the `--memsys` and `--cache` selections to a stream-experiment
-    /// builder.
+    /// Apply the `--memsys` selection to a stream-experiment builder.
     pub fn stream(&self, experiment: StreamExperiment) -> StreamExperiment {
-        let experiment = experiment.cache(self.cache.clone());
         match &self.memsys {
             Some(spec) => experiment.memsys(spec.clone()),
             None => experiment,

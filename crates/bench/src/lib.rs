@@ -15,10 +15,9 @@
 //! default workload axis with registered workload specs, e.g. `--workload
 //! mergesort:n=4096 --workload spmv`), `--memsys <spec>` (the memory-system
 //! model for every simulated cell, e.g. `--memsys legacy` or `--memsys
-//! bus:dram:banks=32`), `--cache <spec>` (`exact`, `sampled:rate=N` or
-//! `analytic`), the output and tracing flags below, `--list` (print all five
-//! registries' grammars and exit) and `--help` (print the flag table and
-//! exit).  A binary adds its own flags as extra (usage, help) rows.  An
+//! bus:dram:banks=32`), the output and tracing flags below, `--list` (print
+//! all four registries' grammars and exit) and `--help` (print the flag table
+//! and exit).  A binary adds its own flags as extra (usage, help) rows.  An
 //! unknown flag, a missing value, a value that is itself a flag, or a spec
 //! that does not validate ends the process with exit status 2 and a message
 //! on stderr before anything is simulated.
@@ -71,9 +70,9 @@ pub mod tuner;
 
 pub use cli::{Cli, CliError, OutputMode, TraceArgs, UNIFORM_FLAGS};
 
-/// All five registries' spec grammars — every scheduler policy, workload,
-/// memory-system model, cache mode and arrival process, with their typed
-/// parameters — exactly as `--list` prints them.
+/// All four registries' spec grammars — every scheduler policy, workload,
+/// memory-system model and arrival process, with their typed parameters —
+/// exactly as `--list` prints them.
 pub fn list_text() -> String {
     [
         (
@@ -87,10 +86,6 @@ pub fn list_text() -> String {
         (
             "Memory-system specs (model:key=value,...)",
             MemSysRegistry::global().help(),
-        ),
-        (
-            "Cache-mode specs (mode:key=value,...)",
-            CacheModeRegistry::global().help(),
         ),
         (
             "Arrival specs (process:key=value,...)",
@@ -325,13 +320,8 @@ pub fn emit_trace(cli: &Cli, workload: &WorkloadInstance, cores: usize, specs: &
             .validate()
             .expect("validated memsys spec stays valid");
     }
-    // ... and under the same cache mode.
-    let options = SimOptions {
-        cache_mode: cli.cache.clone(),
-        ..SimOptions::default()
-    };
     let (cells, profile) = cli.runner().run_cells_profiled(specs.len(), |i| {
-        simulate_traced(&workload.dag, &config, &specs[i], &options)
+        simulate_traced(&workload.dag, &config, &specs[i], &SimOptions::default())
     });
 
     if let Some(path) = &cli.trace.path {
@@ -391,13 +381,12 @@ pub fn emit_stream_trace(
     if !cli.trace.enabled() {
         return;
     }
-    // The traced stream must serve under the same memory-system model and
-    // cache mode as the sweep it represents.
+    // The traced stream must serve under the same memory-system model as
+    // the sweep it represents.
     let mut cfg = cfg.clone();
     if let Some(spec) = &cli.memsys {
         cfg.memsys = Some(spec.memsys_params());
     }
-    cfg.sim_options.cache_mode = cli.cache.clone();
     let cells: Vec<Vec<pdfws_trace::TraceEvent>> = specs
         .iter()
         .map(|spec| {

@@ -92,8 +92,6 @@ fn parse_from_reads_every_uniform_and_extra_flag() {
         "mergesort:n=4096",
         "--workload=spmv",
         "--memsys=legacy",
-        "--cache",
-        "analytic",
         "--csv",
         "--trace",
         "out.json",
@@ -114,7 +112,6 @@ fn parse_from_reads_every_uniform_and_extra_flag() {
         cli.memsys.as_ref().map(|s| s.canonical()).as_deref(),
         Some("legacy")
     );
-    assert_eq!(cli.cache.canonical(), "analytic");
     assert_eq!(cli.output, OutputMode::Csv);
     assert_eq!(cli.trace.path, Some(PathBuf::from("out.json")));
     assert!(cli.trace.summary);
@@ -129,7 +126,6 @@ fn parse_from_defaults_without_flags() {
     let cli = parse(&[]).expect("an empty line parses");
     assert!(!cli.quick && cli.threads >= 1 && cli.workloads.is_empty());
     assert_eq!(cli.memsys, None);
-    assert!(cli.cache.is_exact());
     assert_eq!(cli.output, OutputMode::Text);
     assert!(!cli.trace.enabled());
     assert_eq!(cli.value("--out"), None);
@@ -164,7 +160,7 @@ fn parse_from_rejects_malformed_lines() {
             "unknown workload 'nonsense'",
         ),
         (&["--memsys", "nope"][..], "nope"),
-        (&["--cache", "nope"][..], "nope"),
+        (&["--cache", "exact"][..], "unknown argument '--cache'"),
     ] {
         let message = invalid(args);
         assert!(
@@ -226,6 +222,9 @@ fn malformed_command_lines_exit_2_with_a_message() {
         ("serve", &["--jobs", "0"][..]),
         ("serve", &["--arrivals", "closed"][..]),
         ("tuner", &["--claim", "c1"][..]),
+        // Flags of the removed cache-mode axis.
+        ("fig1_mergesort", &["--cache", "exact", "--quick"][..]),
+        ("replicate", &["--validate-cache", "--list-claims"][..]),
     ] {
         let out = run(exe(bin), args);
         let stderr = String::from_utf8_lossy(&out.stderr);

@@ -16,13 +16,6 @@
 //!   energy model behind the paper's "PDF's smaller working sets provide
 //!   opportunities to power down segments of the cache" finding (the powered
 //!   L2 fractions themselves come from `pdfws_cmp_model::sweep::sweep_l2_fraction`).
-//! * [`mode::CacheModeSpec`] — the string-addressable *cache mode* axis
-//!   (`exact`, `sampled:rate=N`, `analytic`) selecting how the engine prices
-//!   memory references: full trace-driven simulation, systematic set-sampling
-//!   with scaled-up statistics, or analytic composition of per-task
-//!   reuse-distance histograms.
-//! * [`stack_distance::StackDistanceProfiler`] — the one-pass LRU
-//!   stack-distance profiler behind `cache=analytic`.
 //!
 //! The simulator is deterministic, single-threaded, and driven one access at a
 //! time by the execution engine in `pdfws-schedulers`.
@@ -46,19 +39,12 @@
 pub mod addr;
 pub mod cache;
 pub mod hierarchy;
-pub mod mode;
 pub mod power;
 pub mod replacement;
-pub mod stack_distance;
 pub mod stats;
 
 pub use addr::{block_of, Addr, BlockAddr};
 pub use cache::{AccessKind, Cache, CacheAccessResult};
 pub use hierarchy::{AccessOutcome, CmpCacheHierarchy, Level};
-pub use mode::{
-    CacheModeDomain, CacheModeError, CacheModeRegistry, CacheModeSpec, MPKI_SLACK_ABS,
-    MPKI_TOLERANCE_ANALYTIC, MPKI_TOLERANCE_SAMPLED,
-};
 pub use replacement::ReplacementPolicy;
-pub use stack_distance::{DistanceHistogram, StackDistanceProfiler};
 pub use stats::{CacheStats, HierarchyStats};

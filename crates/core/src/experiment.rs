@@ -312,16 +312,9 @@ impl Experiment {
         self
     }
 
-    /// Set engine options (working-set profiling, disturbance co-runner, ...).
+    /// Set engine options (the disturbance co-runner).
     pub fn options(mut self, options: SimOptions) -> Self {
         self.options = options;
-        self
-    }
-
-    /// Cache simulation mode for every cell (`exact`, `sampled:rate=N`,
-    /// `analytic`); default `exact`.
-    pub fn cache(mut self, mode: pdfws_schedulers::CacheModeSpec) -> Self {
-        self.options.cache_mode = mode;
         self
     }
 

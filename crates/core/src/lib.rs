@@ -56,8 +56,8 @@ pub mod prelude {
         MemSysSpec, ModelFactory, Registry as MemSysRegistry, SpecError as MemSysSpecError,
     };
     pub use pdfws_schedulers::{
-        CacheModeRegistry, CacheModeSpec, Disturbance, ParamKind, ParamSpec, PolicyFactory,
-        Registry, SchedulerPolicy, SchedulerSpec, SimOptions, SimResult, SpecError,
+        Disturbance, ParamKind, ParamSpec, PolicyFactory, Registry, SchedulerPolicy, SchedulerSpec,
+        SimOptions, SimResult, SpecError,
     };
     pub use pdfws_spec::{Spec, SpecErrorKind, SpecFamily};
     pub use pdfws_stream::{AdmissionPolicy, ArrivalSpec, JobMix, StreamOutcome, StreamSummary};

@@ -117,13 +117,6 @@ impl StreamExperiment {
         self
     }
 
-    /// Cache simulation mode for every job's engine (`exact`,
-    /// `sampled:rate=N`, `analytic`); default `exact`.
-    pub fn cache(mut self, mode: pdfws_schedulers::CacheModeSpec) -> Self {
-        self.config.sim_options.cache_mode = mode;
-        self
-    }
-
     /// Memory-system model for the simulated machine, e.g.
     /// `"legacy".parse().unwrap()` (default: the configuration's component
     /// bus+DRAM model).

@@ -50,7 +50,7 @@ use crate::spec::WorkloadInstance;
 use pdfws_cmp_model::{default_config, CmpConfig};
 use pdfws_memsys::MemSysSpec;
 use pdfws_metrics::{Series, Table};
-use pdfws_schedulers::{simulate_shared, CacheModeSpec, SchedulerSpec, SimOptions, SimResult};
+use pdfws_schedulers::{simulate_shared, SchedulerSpec, SimOptions, SimResult};
 use pdfws_task_dag::TaskDag;
 use pdfws_workloads::WorkloadSpec;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -171,19 +171,9 @@ impl SweepGrid {
         self
     }
 
-    /// Engine options applied to every cell (working-set profiling,
-    /// disturbance co-runner, ...).
+    /// Engine options applied to every cell (the disturbance co-runner).
     pub fn options(mut self, options: SimOptions) -> Self {
         self.options = options;
-        self
-    }
-
-    /// Select the cache simulation mode (`exact`, `sampled:rate=N`,
-    /// `analytic`) for every cell.  Shorthand for setting
-    /// [`SimOptions::cache_mode`] through [`SweepGrid::options`]; the default
-    /// is `exact`, the full trace-driven hierarchy.
-    pub fn cache(mut self, mode: CacheModeSpec) -> Self {
-        self.options.cache_mode = mode;
         self
     }
 
@@ -815,17 +805,6 @@ mod tests {
                 < plan.run_start[1],
             "scan's baseline beats scan's parallel cells into the pool"
         );
-    }
-
-    #[test]
-    fn cache_builder_sets_the_mode_for_every_cell() {
-        let mode: CacheModeSpec = "sampled:rate=8".parse().unwrap();
-        let grid = small_grid().cache(mode.clone());
-        assert_eq!(grid.options.cache_mode, mode);
-        // And the grid still runs (deterministically) under the mode.
-        let a = SweepRunner::sequential().run(&grid).unwrap();
-        let b = SweepRunner::new(4).run(&grid).unwrap();
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -45,7 +45,6 @@ pub mod artifact;
 pub mod figure;
 mod paper;
 pub mod replication;
-pub mod validation;
 
 pub use artifact::{Artifact, ArtifactSet};
 pub use figure::{slug, Figure};
@@ -53,4 +52,3 @@ pub use replication::{
     Claim, ClaimResult, ClaimStatus, Direction, EvalCtx, Evaluation, Expectation, Observation,
     ReplicationReport, ReplicationSuite, SuiteConfig,
 };
-pub use validation::cache_mode_validation_figure;

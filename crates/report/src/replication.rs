@@ -42,10 +42,6 @@ pub struct SuiteConfig {
     /// configuration's component bus+DRAM model).  `replicate --memsys
     /// legacy` re-runs the whole suite on the pre-memsys formula.
     pub memsys: Option<MemSysSpec>,
-    /// Cache simulation mode every claim simulates under (default `exact`).
-    /// `replicate --cache analytic` re-prices the whole suite from per-task
-    /// reuse-distance profiles, making paper-scale runs CI-cheap.
-    pub cache: CacheModeSpec,
 }
 
 impl SuiteConfig {
@@ -55,7 +51,6 @@ impl SuiteConfig {
             quick,
             threads: 1,
             memsys: None,
-            cache: CacheModeSpec::exact(),
         }
     }
 
@@ -68,12 +63,6 @@ impl SuiteConfig {
     /// Run every claim under a memory-system model spec.
     pub fn memsys(mut self, spec: MemSysSpec) -> Self {
         self.memsys = Some(spec);
-        self
-    }
-
-    /// Run every claim under a cache simulation mode.
-    pub fn cache(mut self, mode: CacheModeSpec) -> Self {
-        self.cache = mode;
         self
     }
 
@@ -240,16 +229,15 @@ impl EvalCtx {
         schedulers: &[&str],
     ) -> Result<Rc<Vec<ExperimentReport>>, ExperimentError> {
         let key = format!(
-            "w={workloads:?};c={cores:?};s={schedulers:?};m={:?};k={}",
-            self.cfg.memsys, self.cfg.cache
+            "w={workloads:?};c={cores:?};s={schedulers:?};m={:?}",
+            self.cfg.memsys
         );
         if let Some(hit) = self.cache.borrow().get(&key) {
             return Ok(hit.clone());
         }
         let mut grid = SweepGrid::new()
             .cores(cores)
-            .specs(&parse_schedulers(schedulers))
-            .cache(self.cfg.cache.clone());
+            .specs(&parse_schedulers(schedulers));
         if let Some(spec) = &self.cfg.memsys {
             grid = grid.memsys(spec.clone());
         }
@@ -398,7 +386,6 @@ impl ReplicationSuite {
         mut progress: impl FnMut(&Claim),
     ) -> Result<ReplicationReport, ExperimentError> {
         let quick = cfg.quick;
-        let cache = cfg.cache.clone();
         let ctx = EvalCtx::new(cfg);
         let mut results = Vec::with_capacity(self.claims.len());
         for claim in &self.claims {
@@ -420,11 +407,7 @@ impl ReplicationSuite {
                 timeline: None,
             });
         }
-        Ok(ReplicationReport {
-            quick,
-            cache,
-            results,
-        })
+        Ok(ReplicationReport { quick, results })
     }
 }
 
@@ -433,8 +416,6 @@ impl ReplicationSuite {
 pub struct ReplicationReport {
     /// Whether this was a quick (CI-sized) run.
     pub quick: bool,
-    /// The cache simulation mode the suite ran under.
-    pub cache: CacheModeSpec,
     /// Per-claim results, in suite order.
     pub results: Vec<ClaimResult>,
 }
@@ -499,7 +480,7 @@ impl ReplicationReport {
     /// suite runs stay trace-free.
     pub fn attach_traces(&mut self) {
         for r in &mut self.results {
-            r.timeline = timeline_figure_for(r, &self.cache);
+            r.timeline = timeline_figure_for(r);
         }
     }
 
@@ -508,9 +489,6 @@ impl ReplicationReport {
         let mut cmd = String::from("cargo run --release -p pdfws-bench --bin replicate --");
         if self.quick {
             cmd.push_str(" --quick");
-        }
-        if self.cache != CacheModeSpec::exact() {
-            cmd.push_str(&format!(" --cache {}", self.cache));
         }
         if let Some(id) = claim {
             cmd.push_str(&format!(" --claim {id}"));
@@ -536,14 +514,13 @@ impl ReplicationReport {
         let mut out = String::new();
         out.push_str("# Replication report\n\n");
         out.push_str(&format!(
-            "Generated by `{}`.  Mode: **{}**.  Cache mode: **`{}`**.\n\n",
+            "Generated by `{}`.  Mode: **{}**.\n\n",
             self.reproduce_command(None),
             if self.quick {
                 "quick (CI problem sizes — validates claim shape, not paper-scale magnitudes)"
             } else {
                 "paper-scale"
             },
-            self.cache,
         ));
         out.push_str(&format!(
             "Each claim is checked against the paper statement it replicates \
@@ -665,7 +642,7 @@ const TRACE_FIGURE_BINS: usize = 24;
 /// The representative-cell timeline of one claim (see
 /// [`ReplicationReport::attach_traces`]), or `None` when the claim's recorded
 /// axes cannot be re-instantiated.
-fn timeline_figure_for(r: &ClaimResult, cache: &CacheModeSpec) -> Option<Figure> {
+fn timeline_figure_for(r: &ClaimResult) -> Option<Figure> {
     let workload = r.workloads.first()?;
     let scheduler = r.schedulers.first()?;
     let cores = r.cores.iter().copied().max()?;
@@ -673,11 +650,7 @@ fn timeline_figure_for(r: &ClaimResult, cache: &CacheModeSpec) -> Option<Figure>
     let sspec = scheduler.parse::<SchedulerSpec>().ok()?;
     let config = default_config(cores).ok()?;
     let instance = WorkloadInstance::from_spec(&wspec);
-    let options = SimOptions {
-        cache_mode: cache.clone(),
-        ..SimOptions::default()
-    };
-    let (_, events) = simulate_traced(&instance.dag, &config, &sspec, &options);
+    let (_, events) = simulate_traced(&instance.dag, &config, &sspec, &SimOptions::default());
     let table = timeline_table(
         &format!("{workload} under {scheduler} @ {cores} cores"),
         &events,

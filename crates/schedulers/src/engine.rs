@@ -14,17 +14,15 @@
 //!
 //! The **memory layer** prices what the tasks touch, the same way for every
 //! policy: the reference pricer (`pricing.rs`) owns the cache hierarchy and
-//! prices references `exact`ly or by `sampled` sets, or whole tasks
-//! `analytic`ally ([`SimOptions::cache_mode`]); the [`OffChip`] model
-//! carries every L2 fill and writeback — the shared bus and banked DRAM of
-//! `pdfws-memsys`, where queuing is emergent, or the closed-form legacy
-//! channel (`--memsys legacy`).  Both are enums with static dispatch: their
-//! variants are closed, and the pricer runs once per simulated reference.
+//! sends every reference through it; the [`OffChip`] model carries every L2
+//! fill and writeback — the shared bus and banked DRAM of `pdfws-memsys`,
+//! where queuing is emergent, or the closed-form legacy channel (`--memsys
+//! legacy`).  Neither is a trait object: the pricer runs once per simulated
+//! reference, and the off-chip model is an enum whose variants are closed.
 
 use crate::policy::{SchedulerPolicy, WindowFeedback};
 use crate::pricing::RefPricer;
 use crate::result::SimResult;
-use pdfws_cache_sim::CacheModeSpec;
 use pdfws_cmp_model::CmpConfig;
 use pdfws_memsys::{EventQueue, OffChip};
 use pdfws_task_dag::{MemAccess, TaskDag, TaskId};
@@ -42,10 +40,6 @@ pub const TIME_SLICE_CYCLES: u64 = 256;
 
 /// Upper bound on the memory references one engine step may issue.
 pub const MAX_ACCESSES_PER_STEP: u64 = 64;
-
-/// Analytic-mode step stretch: an analytic burn may span up to this many
-/// time slices per event-loop iteration (see `SimEngine::step`).
-const ANALYTIC_STEP_STRETCH: u64 = 64;
 
 /// A synthetic co-runner that periodically touches the shared L2, used by the
 /// multiprogramming experiment and the job-stream subsystem.  Its references
@@ -71,14 +65,53 @@ pub struct Disturbance {
     pub region_blocks: u64,
 }
 
+impl Disturbance {
+    /// Check the co-runner can be injected: a zero period or an empty region
+    /// would divide by zero in the injection loop.
+    pub fn validate(&self) -> Result<(), EngineError> {
+        if self.period_cycles == 0 {
+            return Err(EngineError::Disturbance("period must be positive"));
+        }
+        if self.region_blocks == 0 {
+            return Err(EngineError::Disturbance("region must be non-empty"));
+        }
+        Ok(())
+    }
+}
+
+/// A request the engine cannot honour.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum EngineError {
+    /// The co-runner cannot be injected (see [`Disturbance::validate`]).
+    Disturbance(&'static str),
+    /// [`SimEngine::result`] was asked for before every task completed.
+    Unfinished {
+        /// Tasks executed so far.
+        completed: usize,
+        /// Tasks in the DAG.
+        tasks: usize,
+    },
+}
+
+impl std::fmt::Display for EngineError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            EngineError::Disturbance(reason) => write!(f, "invalid disturbance: {reason}"),
+            EngineError::Unfinished { completed, tasks } => write!(
+                f,
+                "result() requires a finished run ({completed} of {tasks} tasks executed)"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for EngineError {}
+
 /// What one run simulates besides the DAG, machine and policy.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimOptions {
     /// Optional multiprogramming co-runner.
     pub disturbance: Option<Disturbance>,
-    /// How memory references are priced (see [`CacheModeSpec`]): `exact`
-    /// (the default), `sampled:rate=N` or `analytic`.
-    pub cache_mode: CacheModeSpec,
 }
 
 /// Per-task execution progress.
@@ -104,8 +137,7 @@ struct RunningTask {
 
 impl RunningTask {
     /// A task issuing `total_accesses` references with `compute` compute
-    /// cycles spread evenly over the gaps around them.  An analytic task is
-    /// one burn: no references, its composed time as compute.
+    /// cycles spread evenly over the gaps around them.
     fn new(task: TaskId, total_accesses: u64, compute: u64) -> Self {
         let gaps = total_accesses + 1;
         let compute_per_gap = compute / gaps;
@@ -226,8 +258,8 @@ pub struct SimEngine {
     dag: Arc<TaskDag>,
     config: CmpConfig,
     policy: Box<dyn SchedulerPolicy>,
-    /// The memory layer: how references are priced (exact / sampled /
-    /// analytic) ...
+    /// The memory layer: the cache hierarchy every reference is priced
+    /// through ...
     pricer: RefPricer,
     /// ... and the off-chip model every L2 fill and writeback crosses.
     offchip: OffChip,
@@ -295,6 +327,11 @@ impl SimEngine {
     ///
     /// Clones the DAG once; callers that already share the DAG (the job-stream
     /// backend) should use [`SimEngine::with_shared_dag`] instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` does not validate or `options.disturbance` fails
+    /// [`Disturbance::validate`].
     pub fn new(
         dag: &TaskDag,
         config: &CmpConfig,
@@ -304,7 +341,8 @@ impl SimEngine {
         Self::with_shared_dag(Arc::new(dag.clone()), config, policy, options)
     }
 
-    /// Build an engine over a shared DAG without copying it.
+    /// Build an engine over a shared DAG without copying it.  Panics like
+    /// [`SimEngine::new`].
     pub fn with_shared_dag(
         dag: Arc<TaskDag>,
         config: &CmpConfig,
@@ -312,7 +350,7 @@ impl SimEngine {
         options: SimOptions,
     ) -> Self {
         config.validate().expect("CMP configuration must be valid");
-        let (pricer, offchip) = RefPricer::memory_layer(&dag, config, &options);
+        let (pricer, offchip) = RefPricer::memory_layer(config);
         let feedback_window = policy.feedback_window().unwrap_or(u64::MAX);
         let mut engine = SimEngine {
             remaining_preds: dag.in_degrees(),
@@ -347,7 +385,9 @@ impl SimEngine {
             next_feedback_at: feedback_window,
             feedback_base: (0, 0, 0, 0),
         };
-        engine.set_disturbance(options.disturbance);
+        engine
+            .set_disturbance(options.disturbance)
+            .expect("SimOptions::disturbance must be valid");
         engine
     }
 
@@ -469,9 +509,9 @@ impl SimEngine {
 
     /// Run the simulation to completion and return the measurements.
     pub fn run(&mut self) -> SimResult {
-        let status = self.run_for(u64::MAX);
-        debug_assert_eq!(status, EngineStatus::Done);
+        self.run_for(u64::MAX);
         self.result()
+            .expect("an unbounded run_for finishes every task")
     }
 
     /// Advance the simulation by at most `budget` cycles of simulated time.
@@ -481,10 +521,8 @@ impl SimEngine {
     /// each one bounded quanta, time-multiplexing the modelled cores across
     /// concurrently admitted jobs.  An engine step that straddles the deadline
     /// is allowed to finish (overshoot is bounded by [`TIME_SLICE_CYCLES`]
-    /// plus one task's memory stalls; in `cache=analytic` mode by
-    /// `ANALYTIC_STEP_STRETCH` slices, since analytic burns batch whole
-    /// stretches per step), so a quantum should be large relative to the
-    /// time slice.
+    /// plus one step's memory stalls), so a quantum should be large relative
+    /// to the time slice.
     pub fn run_for(&mut self, budget: u64) -> EngineStatus {
         if !self.started {
             self.started = true;
@@ -590,24 +628,21 @@ impl SimEngine {
     }
 
     /// Collect the measurements after [`SimEngine::run_for`] reported
-    /// [`EngineStatus::Done`] (or [`SimEngine::is_done`] turned true).
-    ///
-    /// # Panics
-    ///
-    /// Panics if tasks remain unexecuted.
-    pub fn result(&self) -> SimResult {
-        assert!(
-            self.is_done(),
-            "result() requires a finished run ({} of {} tasks executed)",
-            self.completed,
-            self.dag.len()
-        );
+    /// [`EngineStatus::Done`] (or [`SimEngine::is_done`] turned true);
+    /// [`EngineError::Unfinished`] while tasks remain unexecuted.
+    pub fn result(&self) -> Result<SimResult, EngineError> {
+        if !self.is_done() {
+            return Err(EngineError::Unfinished {
+                completed: self.completed,
+                tasks: self.dag.len(),
+            });
+        }
         let makespan = self
             .now
             .max(self.cores.iter().map(|c| c.busy_cycles).max().unwrap_or(0));
         let (offchip_queue_cycles, bus_queue_cycles, dram_queue_cycles) =
             self.offchip.queue_cycles();
-        SimResult {
+        Ok(SimResult {
             scheduler: self.policy.name(),
             cores: self.config.cores,
             cycles: makespan,
@@ -621,7 +656,7 @@ impl SimEngine {
             migrations: self.policy.migrations(),
             steal_cycles: self.steal_cycles,
             hierarchy: self.pricer.stats(),
-        }
+        })
     }
 
     /// Replace the multiprogramming co-runner between quanta.
@@ -629,19 +664,18 @@ impl SimEngine {
     /// The job-stream supervisor uses this to model cache pressure from the
     /// *other* co-resident jobs: the disturbance strength can be raised and
     /// lowered as jobs are admitted and drain.  The next burst fires one
-    /// period after the engine's current time.
-    pub fn set_disturbance(&mut self, disturbance: Option<Disturbance>) {
+    /// period after the engine's current time.  A co-runner that fails
+    /// [`Disturbance::validate`] is refused and the current one kept.
+    pub fn set_disturbance(&mut self, disturbance: Option<Disturbance>) -> Result<(), EngineError> {
         if let Some(d) = &disturbance {
-            // A zero period or empty region would divide by zero in the
-            // injection loop.
-            assert!(d.period_cycles > 0, "disturbance period must be positive");
-            assert!(d.region_blocks > 0, "disturbance region must be non-empty");
+            d.validate()?;
         }
         self.disturbance = disturbance;
         self.next_disturbance_at = match disturbance {
             Some(d) => self.now.saturating_add(d.period_cycles),
             None => u64::MAX,
         };
+        Ok(())
     }
 
     /// Number of references injected by the disturbance co-runner (not charged to
@@ -664,27 +698,6 @@ impl SimEngine {
     /// occupy the bus and banks "in the future", and a core popped later at
     /// an earlier timestamp would queue behind phantom traffic.
     fn step(&mut self, core: usize, start: u64, bound: u64) -> (u64, bool) {
-        let analytic = self.pricer.is_analytic();
-        // Analytic tasks are single pre-priced compute burns with no
-        // per-reference events, so the only reasons to return to the event
-        // loop are a pending disturbance burst, the next trace-window sample
-        // and the next feedback window.  Stretch the step bound to the
-        // nearest of those horizons (hard-capped at `ANALYTIC_STEP_STRETCH`
-        // slices) instead of bouncing through the event loop once per time
-        // slice; the burn chunks below keep `TIME_SLICE_CYCLES` granularity,
-        // so channel pacing is unchanged.  The stretch deliberately ignores
-        // the run_for deadline — step sizes must not depend on how a run is
-        // quantized, or stepped and un-stepped runs would diverge — which
-        // widens the documented quantum overshoot to the stretched slice.
-        let slice = if analytic {
-            self.next_disturbance_at
-                .min(self.next_cache_sample_at)
-                .min(self.next_feedback_at)
-                .saturating_sub(start)
-                .clamp(TIME_SLICE_CYCLES, TIME_SLICE_CYCLES * ANALYTIC_STEP_STRETCH)
-        } else {
-            TIME_SLICE_CYCLES
-        };
         let mut elapsed = 0u64;
         let mut accesses_this_step = 0u64;
 
@@ -700,29 +713,17 @@ impl SimEngine {
             if running.finished() {
                 break true;
             }
-            if elapsed >= slice || accesses_this_step >= MAX_ACCESSES_PER_STEP {
+            if elapsed >= TIME_SLICE_CYCLES || accesses_this_step >= MAX_ACCESSES_PER_STEP {
                 break false;
             }
             if elapsed > 0 && start + elapsed >= bound {
                 break false;
             }
             if running.pending_compute > 0 {
-                let burn = running
-                    .pending_compute
-                    .min(slice - elapsed)
-                    .clamp(1, TIME_SLICE_CYCLES);
+                let burn = running.pending_compute.min(TIME_SLICE_CYCLES - elapsed);
                 running.pending_compute -= burn;
                 elapsed += burn;
-                if analytic {
-                    // The whole task is one burn of its composed time; this
-                    // chunk's off-chip bytes are paced through the channel,
-                    // and queuing stalls the core without consuming task time.
-                    elapsed += self
-                        .pricer
-                        .burn(core, burn, start + elapsed, &mut self.offchip);
-                } else {
-                    self.instructions += burn;
-                }
+                self.instructions += burn;
                 continue;
             }
             // Issue the next memory reference (pattern runs are expanded into
@@ -744,11 +745,6 @@ impl SimEngine {
             accesses_this_step += 1;
         };
 
-        if analytic {
-            let (instructions, references) = self.pricer.end_step(core);
-            self.instructions += instructions;
-            self.memory_accesses += references;
-        }
         self.cores[core].running = Some(running);
         self.cores[core].buffer = buffer;
         (elapsed, finished)
@@ -757,7 +753,6 @@ impl SimEngine {
     /// Handle completion of `task` on `core` at time `end`.
     fn complete_task(&mut self, task: TaskId, core: usize, end: u64) {
         self.completed += 1;
-        self.pricer.finish_task(core);
         self.emit(TraceEvent::TaskComplete {
             t: end,
             core,
@@ -858,11 +853,11 @@ impl SimEngine {
             });
         }
         let node = self.dag.node(task);
-        let (accesses, compute) = match self.pricer.begin_task(core, &self.dag, task) {
-            Some(t_total) => (0, t_total),
-            None => (node.memory_accesses(), node.compute_instructions),
-        };
-        self.cores[core].running = Some(RunningTask::new(task, accesses, compute));
+        self.cores[core].running = Some(RunningTask::new(
+            task,
+            node.memory_accesses(),
+            node.compute_instructions,
+        ));
         self.cores[core].buffer.clear();
         self.idle[core] = false;
         self.events.push(now, core);
@@ -1154,7 +1149,6 @@ mod tests {
                 region_base_block: 1 << 30,
                 region_blocks: 2048,
             }),
-            ..SimOptions::default()
         };
         let noisy = simulate(&dag, &cfg, &SchedulerSpec::pdf(), &noisy_opts);
         assert!(
@@ -1192,7 +1186,7 @@ mod tests {
             }
             assert!(engine.is_done());
             assert_eq!(
-                engine.result(),
+                engine.result().unwrap(),
                 full,
                 "{spec}: stepping changed the simulation"
             );
@@ -1228,7 +1222,7 @@ mod tests {
                 }
                 assert!(quanta > 1, "{spec}: quantum {quantum} must split the run");
                 assert_eq!(
-                    engine.result(),
+                    engine.result().unwrap(),
                     full,
                     "{spec}: stepping by {quantum} changed the simulation"
                 );
@@ -1254,8 +1248,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "requires a finished run")]
-    fn result_before_completion_panics() {
+    fn result_before_completion_is_an_error() {
         let dag = leaf_tree(16, 10_000);
         let cfg = default_config(2).unwrap();
         let mut engine = SimEngine::new(
@@ -1264,8 +1257,14 @@ mod tests {
             make_policy(&SchedulerSpec::pdf(), 2),
             SimOptions::default(),
         );
-        let _ = engine.run_for(100);
-        let _ = engine.result();
+        assert_eq!(engine.run_for(100), EngineStatus::Running);
+        let err = engine.result().unwrap_err();
+        assert!(
+            matches!(err, EngineError::Unfinished { completed, tasks }
+                if tasks == dag.len() && completed < tasks),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("requires a finished run"), "{err}");
     }
 
     #[test]
@@ -1287,12 +1286,14 @@ mod tests {
         assert_eq!(engine.disturbance_accesses(), 0);
         // A light co-runner: well within the off-chip budget, so the run still
         // converges quickly.
-        engine.set_disturbance(Some(Disturbance {
-            period_cycles: 2_000,
-            blocks_per_burst: 16,
-            region_base_block: 1 << 30,
-            region_blocks: 64,
-        }));
+        engine
+            .set_disturbance(Some(Disturbance {
+                period_cycles: 2_000,
+                blocks_per_burst: 16,
+                region_base_block: 1 << 30,
+                region_blocks: 64,
+            }))
+            .unwrap();
         let mut quanta = 0u32;
         while engine.run_for(50_000) == EngineStatus::Running {
             quanta += 1;
@@ -1304,9 +1305,9 @@ mod tests {
         );
     }
 
-    #[test]
-    #[should_panic(expected = "disturbance period must be positive")]
-    fn zero_period_disturbance_is_rejected() {
+    /// Offer `disturbance` to a fresh engine and run it; a refused co-runner
+    /// must leave the run untouched.
+    fn offer_disturbance(disturbance: Disturbance) -> Result<(), EngineError> {
         let dag = leaf_tree(2, 10);
         let cfg = default_config(1).unwrap();
         let mut engine = SimEngine::new(
@@ -1315,12 +1316,38 @@ mod tests {
             make_policy(&SchedulerSpec::pdf(), 1),
             SimOptions::default(),
         );
-        engine.set_disturbance(Some(Disturbance {
+        let offered = engine.set_disturbance(Some(disturbance));
+        assert_eq!(engine.run_for(u64::MAX), EngineStatus::Done);
+        assert_eq!(engine.disturbance_accesses(), 0, "a refused co-runner ran");
+        offered
+    }
+
+    #[test]
+    fn zero_period_disturbance_is_rejected() {
+        let err = offer_disturbance(Disturbance {
             period_cycles: 0,
             blocks_per_burst: 1,
             region_base_block: 0,
             region_blocks: 1,
-        }));
+        });
+        assert_eq!(
+            err,
+            Err(EngineError::Disturbance("period must be positive"))
+        );
+    }
+
+    #[test]
+    fn empty_region_disturbance_is_rejected() {
+        let err = offer_disturbance(Disturbance {
+            period_cycles: 10,
+            blocks_per_burst: 1,
+            region_base_block: 0,
+            region_blocks: 0,
+        });
+        assert_eq!(
+            err,
+            Err(EngineError::Disturbance("region must be non-empty"))
+        );
     }
 
     /// A reuse-heavy DAG: every leaf streams a range, then a second wave
@@ -1344,124 +1371,5 @@ mod tests {
             b.edge(first, second);
         }
         b.finish().unwrap()
-    }
-
-    fn options_with_mode(mode: &str) -> SimOptions {
-        SimOptions {
-            cache_mode: mode.parse().unwrap(),
-            ..SimOptions::default()
-        }
-    }
-
-    #[test]
-    fn sampled_mode_tracks_exact_statistics() {
-        let dag = reuse_dag(8, 4_000);
-        let cfg = default_config(4).unwrap();
-        for spec in SchedulerSpec::paper_pair() {
-            let exact = simulate(&dag, &cfg, &spec, &SimOptions::default());
-            let sampled = simulate(&dag, &cfg, &spec, &options_with_mode("sampled:rate=16"));
-            // Same program: instruction and reference counts are exact.
-            assert_eq!(sampled.instructions, exact.instructions, "{spec}");
-            assert_eq!(sampled.memory_accesses, exact.memory_accesses, "{spec}");
-            // Cache statistics are estimates within the declared tolerance.
-            let (em, sm) = (exact.l2_mpki(), sampled.l2_mpki());
-            let budget =
-                pdfws_cache_sim::MPKI_TOLERANCE_SAMPLED * em + pdfws_cache_sim::MPKI_SLACK_ABS;
-            assert!(
-                (sm - em).abs() <= budget,
-                "{spec}: sampled MPKI {sm} vs exact {em}"
-            );
-            // Makespan should be in the same regime (not an accuracy claim,
-            // a sanity bound: the expected-latency path can't collapse time).
-            let ratio = sampled.cycles as f64 / exact.cycles as f64;
-            assert!((0.5..2.0).contains(&ratio), "{spec}: cycle ratio {ratio}");
-        }
-    }
-
-    #[test]
-    fn sampled_rate_is_clamped_to_the_set_count() {
-        // A tiny L1 (few sets): an absurd rate must clamp, not panic.
-        let dag = reuse_dag(2, 500);
-        let mut cfg = default_config(2).unwrap();
-        cfg.l1.capacity_bytes = 64 * 4 * 8; // 8 sets at 4-way
-        cfg.validate().unwrap();
-        let r = simulate(
-            &dag,
-            &cfg,
-            &SchedulerSpec::pdf(),
-            &options_with_mode("sampled:rate=1024"),
-        );
-        assert_eq!(r.tasks, dag.len());
-        assert!(r.hierarchy.l2_misses() > 0);
-    }
-
-    #[test]
-    fn analytic_mode_reproduces_program_totals_and_plausible_cache_stats() {
-        let dag = reuse_dag(8, 4_000);
-        let cfg = default_config(4).unwrap();
-        for spec in SchedulerSpec::paper_pair() {
-            let exact = simulate(&dag, &cfg, &spec, &SimOptions::default());
-            let analytic = simulate(&dag, &cfg, &spec, &options_with_mode("analytic"));
-            assert_eq!(analytic.tasks, dag.len(), "{spec}");
-            assert_eq!(analytic.instructions, exact.instructions, "{spec}");
-            assert_eq!(analytic.memory_accesses, exact.memory_accesses, "{spec}");
-            let (em, am) = (exact.l2_mpki(), analytic.l2_mpki());
-            let budget =
-                pdfws_cache_sim::MPKI_TOLERANCE_ANALYTIC * em + pdfws_cache_sim::MPKI_SLACK_ABS;
-            assert!(
-                (am - em).abs() <= budget,
-                "{spec}: analytic MPKI {am} vs exact {em}"
-            );
-            assert!(analytic.offchip_bytes() > 0, "{spec}");
-            assert!(analytic.cycles > 0, "{spec}");
-        }
-    }
-
-    #[test]
-    fn analytic_mode_is_deterministic_and_quantum_safe() {
-        let dag = reuse_dag(4, 1_000);
-        let cfg = default_config(4).unwrap();
-        let opts = options_with_mode("analytic");
-        let a = simulate(&dag, &cfg, &SchedulerSpec::pdf(), &opts);
-        let b = simulate(&dag, &cfg, &SchedulerSpec::pdf(), &opts);
-        assert_eq!(a, b, "analytic mode must be deterministic");
-        // Quantum stepping must agree with a single run, as in exact mode.
-        let mut engine = SimEngine::new(&dag, &cfg, make_policy(&SchedulerSpec::pdf(), 4), opts);
-        while engine.run_for(700) == EngineStatus::Running {}
-        assert_eq!(engine.result(), a, "stepping changed the analytic run");
-    }
-
-    #[test]
-    fn analytic_mode_forces_the_legacy_channel() {
-        let dag = reuse_dag(2, 500);
-        let cfg = default_config(2).unwrap();
-        let r = simulate(
-            &dag,
-            &cfg,
-            &SchedulerSpec::pdf(),
-            &options_with_mode("analytic"),
-        );
-        // The component bus/DRAM split never applies in analytic mode.
-        assert_eq!(r.bus_queue_cycles, 0);
-        assert_eq!(r.dram_queue_cycles, 0);
-    }
-
-    #[test]
-    fn compute_only_dags_are_identical_across_all_modes() {
-        // With no memory references the three modes must agree exactly —
-        // including on a task with no work at all, which analytic mode
-        // credits in full at once.
-        let cfg = default_config(4).unwrap();
-        let zero_work = SpTree::Par(vec![SpTree::leaf("a", 0), SpTree::leaf("b", 100)])
-            .into_dag()
-            .unwrap();
-        for dag in [leaf_tree(16, 1_000), zero_work] {
-            let exact = simulate(&dag, &cfg, &SchedulerSpec::ws(), &SimOptions::default());
-            for mode in ["sampled:rate=8", "analytic"] {
-                let r = simulate(&dag, &cfg, &SchedulerSpec::ws(), &options_with_mode(mode));
-                assert_eq!(r.cycles, exact.cycles, "{mode}");
-                assert_eq!(r.instructions, exact.instructions, "{mode}");
-            }
-        }
     }
 }

@@ -62,9 +62,8 @@
 //! compute and memory references, lets idle cores pick up work as tasks
 //! complete, and owns steal prices, the co-runner, policy feedback and
 //! tracing.  The memory layer prices what the tasks touch, the same for
-//! every policy: a reference pricer over the shared
-//! [`pdfws_cache_sim::CmpCacheHierarchy`] (see [`SimOptions::cache_mode`])
-//! and the off-chip model every L2 miss crosses ([`pdfws_memsys::OffChip`]:
+//! every policy: a reference pricer that sends every reference through the
+//! shared [`pdfws_cache_sim::CmpCacheHierarchy`], and the off-chip model every L2 miss crosses ([`pdfws_memsys::OffChip`]:
 //! the shared bus and banked DRAM, or `memsys=legacy`).  The
 //! result is a [`result::SimResult`] carrying the makespan, per-core utilisation,
 //! cache statistics and scheduler counters — everything the paper's figures need.
@@ -90,7 +89,6 @@
 //! ```
 
 pub mod adaptive;
-pub mod analytic;
 pub mod engine;
 pub mod hybrid;
 pub mod pdf;
@@ -103,11 +101,9 @@ pub mod static_partition;
 pub mod ws;
 
 pub use adaptive::{tuned_threshold, window_pressure, AdaptiveConfig, AdaptivePolicy};
-pub use analytic::{DagCacheProfile, TaskCacheCosts};
-pub use engine::{Disturbance, EngineStatus, SimEngine, SimOptions};
+pub use engine::{Disturbance, EngineError, EngineStatus, SimEngine, SimOptions};
 pub use hybrid::HybridPolicy;
 pub use pdf::PdfPolicy;
-pub use pdfws_cache_sim::{CacheModeRegistry, CacheModeSpec};
 pub use policy::{SchedulerPolicy, WindowFeedback};
 pub use registry::{ParamKind, ParamSpec, PolicyFactory, Registry, SchedulerDomain};
 pub use result::SimResult;

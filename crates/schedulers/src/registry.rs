@@ -10,7 +10,7 @@
 //! stream configs, bench binaries (see `examples/custom_policy.rs`).
 //!
 //! The grammar, typed-parameter declarations and the registry itself are the
-//! generic `pdfws-spec` machinery shared by all five spec axes; this module
+//! generic `pdfws-spec` machinery shared by all four spec axes; this module
 //! adds the scheduler-specific half: the [`PolicyFactory`] trait with its
 //! `build` method, the scheduler error vocabulary, and the built-in policies.
 

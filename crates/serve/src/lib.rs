@@ -8,8 +8,8 @@
 //!
 //! Four pieces compose the tier:
 //!
-//! * [`ArrivalSpec`] — the workspace's **fifth** string-addressable axis
-//!   (after schedulers, workloads, memory systems, and cache modes): an
+//! * [`ArrivalSpec`] — the workspace's **fourth** string-addressable axis
+//!   (after schedulers, workloads and memory systems): an
 //!   extensible registry of arrival processes, defined in `pdfws-stream`
 //!   (the stream backend consumes the same specs) and re-exported here.
 //!   `poisson:rate=40` and `uniform:gap=25000` are the classic open loops;

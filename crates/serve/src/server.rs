@@ -104,8 +104,7 @@ pub struct ServeConfig {
     /// Deficit-round-robin quantum in estimated-service cycles credited per
     /// tenant weight per dispatch round.
     pub drr_quantum_cycles: u64,
-    /// Engine options for calibration runs (the cache-mode axis applies
-    /// here).
+    /// Engine options for calibration runs.
     pub sim_options: SimOptions,
     /// Memory-system override for calibration machines.
     pub memsys: Option<MemSysParams>,

@@ -1,11 +1,11 @@
 //! `pdfws-spec` — the shared machinery behind every string-addressable spec
 //! axis in the workspace.
 //!
-//! Five experiment axes are open registries addressed by strings of the same
+//! Four experiment axes are open registries addressed by strings of the same
 //! shape, `name:key=value,key=value`: scheduler policies
 //! (`ws:steal=half,victim=random`), workloads (`mergesort:grain=64,n=262144`),
-//! memory-system models (`bus:dram:banks=16`), cache modes (`sampled:rate=16`)
-//! and arrival processes (`pareto:alpha=1.5,rate=80`).  Everything name- and
+//! memory-system models (`bus:dram:banks=16`) and arrival processes
+//! (`pareto:alpha=1.5,rate=80`).  Everything name- and
 //! parameter-shaped is written once, here:
 //!
 //! * the **grammar** — [`parse_spec`] splits, trims, and rejects malformed or
@@ -328,7 +328,7 @@ pub fn format_spec(
 /// the factory's business).
 ///
 /// Every domain's spec type derefs to this (see [`spec_type!`]), so the
-/// accessors below are shared by all five axes.
+/// accessors below are shared by all four axes.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Spec {
     name: String,

@@ -1,6 +1,6 @@
 //! `ArrivalSpec` — the open, parameterized description of an arrival process,
-//! the workspace's **fifth** string-addressable axis (after schedulers,
-//! workloads, memory-system models, and cache modes), in the shared
+//! the workspace's **fourth** string-addressable axis (after schedulers,
+//! workloads and memory-system models), in the shared
 //! `name:key=value` grammar:
 //!
 //! ```text

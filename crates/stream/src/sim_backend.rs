@@ -386,7 +386,9 @@ fn stream_sim_impl(
         } else {
             None
         };
-        slot.engine.set_disturbance(disturbance);
+        slot.engine
+            .set_disturbance(disturbance)
+            .expect("a co-residency disturbance has a positive period and region");
         if slot.dispatch_cycle.is_none() {
             slot.dispatch_cycle = Some(now);
             if let Some(s) = sink.as_deref_mut() {
@@ -403,7 +405,7 @@ fn stream_sim_impl(
 
         if status == EngineStatus::Done {
             let done = active.swap_remove(turn);
-            let metrics = done.engine.result();
+            let metrics = done.engine.result().expect("a Done engine has a result");
             if let Some(s) = sink.as_deref_mut() {
                 s.emit(TraceEvent::JobComplete {
                     t: now,

@@ -14,7 +14,7 @@
 //! parseable everywhere a workload spec string is accepted — experiments,
 //! sweep grids, job-stream mixes, bench binaries (see
 //! `examples/custom_workload.rs`).  The grammar, typed parameters and the
-//! registry itself are the generic `pdfws-spec` machinery shared by all five
+//! registry itself are the generic `pdfws-spec` machinery shared by all four
 //! spec axes.
 
 use crate::compute::ComputeKernel;

@@ -5,8 +5,8 @@
 //! tests and downstream users can depend on a single crate:
 //!
 //! * [`spec`] — the shared `name:key=value` grammar and the generic registry
-//!   every string-addressable axis (scheduler, workload, memsys, cache mode,
-//!   arrivals) is an instance of.
+//!   every string-addressable axis (scheduler, workload, memsys, arrivals) is
+//!   an instance of.
 //! * [`cmp_model`] — die-area / process-technology configuration model (the paper's
 //!   "default configurations" for 1–32 cores on a 240 mm² die).
 //! * [`cache_sim`] — private-L1 / shared-L2 cache-hierarchy simulator.

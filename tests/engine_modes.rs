@@ -1,9 +1,9 @@
 //! Byte-for-byte pin of the engine across its pricing and off-chip layers.
 //!
 //! One small merge sort runs on a shrunken hierarchy (so every cell misses,
-//! writes back and queues) under every combination of cache mode
-//! {exact, sampled, analytic} × off-chip model {bus+DRAM, legacy} ×
-//! co-runner {none, a `Disturbance`} × scheduler {pdf, ws, adaptive}.  Each
+//! writes back and queues) under every combination of off-chip model
+//! {bus+DRAM, legacy} × co-runner {none, a `Disturbance`} × scheduler
+//! {pdf, ws, adaptive}.  Each
 //! cell prints its named result fields plus the sums of the windowed trace
 //! counters; `adaptive` exercises the policy-feedback path.  Any change to
 //! how a reference is priced, how off-chip traffic queues, or how the event
@@ -35,76 +35,69 @@ fn render_grid() -> String {
         region_blocks: 256,
     };
     let mut out = String::new();
-    for mode in ["exact", "sampled:rate=8", "analytic"] {
-        for memsys in ["bus", "legacy"] {
-            for corunner in [None, Some(disturbance)] {
-                for scheduler in ["pdf", "ws", "adaptive"] {
-                    let mut config = base;
-                    if memsys == "legacy" {
-                        config.memsys = MemSysParams::legacy();
-                    }
-                    let options = SimOptions {
-                        cache_mode: mode.parse().unwrap(),
-                        disturbance: corunner,
-                    };
-                    let spec: SchedulerSpec = scheduler.parse().unwrap();
-                    let (r, events) = simulate_traced(&workload.dag, &config, &spec, &options);
-                    let (mut accesses, mut l1_misses, mut l2_misses) = (0u64, 0u64, 0u64);
-                    let (mut bus_busy, mut dram_depth) = (0u64, 0u64);
-                    for event in &events {
-                        match *event {
-                            TraceEvent::CacheWindow {
-                                accesses: a,
-                                l1_misses: l1,
-                                l2_misses: l2,
-                                ..
-                            } => {
-                                accesses += a;
-                                l1_misses += l1;
-                                l2_misses += l2;
-                            }
-                            TraceEvent::BusOccupancy { busy_cycles, .. } => bus_busy += busy_cycles,
-                            TraceEvent::DramQueueDepth { depth, .. } => dram_depth += depth,
-                            _ => {}
-                        }
-                    }
-                    let co = if corunner.is_some() {
-                        "co-runner"
-                    } else {
-                        "alone"
-                    };
-                    writeln!(
-                        out,
-                        "== cache={mode} memsys={memsys} {co} scheduler={scheduler}"
-                    )
-                    .unwrap();
-                    writeln!(
-                        out,
-                        "cycles={} instructions={} references={} tasks={}",
-                        r.cycles, r.instructions, r.memory_accesses, r.tasks
-                    )
-                    .unwrap();
-                    writeln!(out, "busy_cycles={:?}", r.busy_cycles).unwrap();
-                    writeln!(
-                        out,
-                        "queue: offchip={} bus={} dram={}",
-                        r.offchip_queue_cycles, r.bus_queue_cycles, r.dram_queue_cycles
-                    )
-                    .unwrap();
-                    writeln!(
-                        out,
-                        "migrations={} steal_cycles={}",
-                        r.migrations, r.steal_cycles
-                    )
-                    .unwrap();
-                    writeln!(out, "hierarchy={:?}", r.hierarchy).unwrap();
-                    writeln!(
-                        out,
-                        "trace sums: accesses={accesses} l1_misses={l1_misses} \
-                         l2_misses={l2_misses} bus_busy={bus_busy} dram_depth={dram_depth}"
-                    )
-                    .unwrap();
+    for memsys in ["bus", "legacy"] {
+        for corunner in [None, Some(disturbance)] {
+            for scheduler in ["pdf", "ws", "adaptive"] {
+                let mut config = base;
+                if memsys == "legacy" {
+                    config.memsys = MemSysParams::legacy();
                 }
+                let options = SimOptions {
+                    disturbance: corunner,
+                };
+                let spec: SchedulerSpec = scheduler.parse().unwrap();
+                let (r, events) = simulate_traced(&workload.dag, &config, &spec, &options);
+                let (mut accesses, mut l1_misses, mut l2_misses) = (0u64, 0u64, 0u64);
+                let (mut bus_busy, mut dram_depth) = (0u64, 0u64);
+                for event in &events {
+                    match *event {
+                        TraceEvent::CacheWindow {
+                            accesses: a,
+                            l1_misses: l1,
+                            l2_misses: l2,
+                            ..
+                        } => {
+                            accesses += a;
+                            l1_misses += l1;
+                            l2_misses += l2;
+                        }
+                        TraceEvent::BusOccupancy { busy_cycles, .. } => bus_busy += busy_cycles,
+                        TraceEvent::DramQueueDepth { depth, .. } => dram_depth += depth,
+                        _ => {}
+                    }
+                }
+                let co = if corunner.is_some() {
+                    "co-runner"
+                } else {
+                    "alone"
+                };
+                writeln!(out, "== memsys={memsys} {co} scheduler={scheduler}").unwrap();
+                writeln!(
+                    out,
+                    "cycles={} instructions={} references={} tasks={}",
+                    r.cycles, r.instructions, r.memory_accesses, r.tasks
+                )
+                .unwrap();
+                writeln!(out, "busy_cycles={:?}", r.busy_cycles).unwrap();
+                writeln!(
+                    out,
+                    "queue: offchip={} bus={} dram={}",
+                    r.offchip_queue_cycles, r.bus_queue_cycles, r.dram_queue_cycles
+                )
+                .unwrap();
+                writeln!(
+                    out,
+                    "migrations={} steal_cycles={}",
+                    r.migrations, r.steal_cycles
+                )
+                .unwrap();
+                writeln!(out, "hierarchy={:?}", r.hierarchy).unwrap();
+                writeln!(
+                    out,
+                    "trace sums: accesses={accesses} l1_misses={l1_misses} \
+                     l2_misses={l2_misses} bus_busy={bus_busy} dram_depth={dram_depth}"
+                )
+                .unwrap();
             }
         }
     }

@@ -1,8 +1,7 @@
-//! The five spec grammars as one surface: the `--list` help text is pinned
+//! The four spec grammars as one surface: the `--list` help text is pinned
 //! byte for byte under `tests/golden/`, and no input to any grammar's
 //! `FromStr` reaches a panic — it parses, or it is a typed `SpecError`.
 
-use pdfws::cache_sim::{CacheModeDomain, CacheModeSpec};
 use pdfws::cmp_model::default_config;
 use pdfws::memsys::{MemSysDomain, MemSysSpec};
 use pdfws::schedulers::{make_policy, simulate, SchedulerDomain, SchedulerSpec, SimOptions};
@@ -87,9 +86,9 @@ fn tiny_dag() -> TaskDag {
     .expect("tiny DAG")
 }
 
-/// Parse `input` in all five grammars; build every accepted spec where that
+/// Parse `input` in all four grammars; build every accepted spec where that
 /// is cheap, and run one `simulate` of a tiny DAG under every accepted memsys
-/// and cache-mode spec.  Any panic fails the calling property.
+/// spec.  Any panic fails the calling property.
 fn parse_and_build(input: &str, cores: usize, seed: u64) {
     fn typed<T>(result: Result<T, SpecError>) -> Option<T> {
         // An error must render (Display is part of the typed contract).
@@ -106,17 +105,6 @@ fn parse_and_build(input: &str, cores: usize, seed: u64) {
         let _ = cfg.resolved_memsys();
         let dag = tiny_dag();
         let r = simulate(&dag, &cfg, &SchedulerSpec::ws(), &SimOptions::default());
-        assert_eq!(r.tasks, dag.len(), "{input}");
-    }
-    if let Some(spec) = typed(input.parse::<CacheModeSpec>()) {
-        let _ = (spec.is_exact(), spec.sample_rate());
-        let cfg = default_config(2).expect("2-core default");
-        let options = SimOptions {
-            cache_mode: spec,
-            ..SimOptions::default()
-        };
-        let dag = tiny_dag();
-        let r = simulate(&dag, &cfg, &SchedulerSpec::pdf(), &options);
         assert_eq!(r.tasks, dag.len(), "{input}");
     }
     if let Some(spec) = typed(input.parse::<ArrivalSpec>()) {
@@ -174,7 +162,7 @@ proptest! {
 
     #[test]
     fn declared_names_and_keys_with_arbitrary_values_never_panic(
-        domain in 0usize..5,
+        domain in 0usize..4,
         pick in 0u64..64,
         params in prop::collection::vec((0u64..16, 0u64..40), 0..4),
         cores in 1usize..65,
@@ -184,7 +172,6 @@ proptest! {
             0 => grammar::<SchedulerDomain>(),
             1 => grammar::<WorkloadDomain>(),
             2 => grammar::<MemSysDomain>(),
-            3 => grammar::<CacheModeDomain>(),
             _ => grammar::<ArrivalDomain>(),
         };
         parse_and_build(&declared_spec(&grammar, pick, &params), cores, seed);

@@ -69,52 +69,6 @@ fn perfetto_export_is_byte_identical_across_sweep_thread_counts() {
     }
 }
 
-// The engine keeps its windowed cache samples meaningful off the exact path:
-// sampled runs scale the sampled-set counters back up and analytic runs
-// report the pro-rata credited misses, so windowed `CacheWindow` events never
-// silently flatline when a statistical cache mode is selected.
-#[test]
-fn cache_windows_carry_synthesized_counters_in_statistical_modes() {
-    let workload = WorkloadInstance::from_spec(&"mergesort:n=65536".parse().unwrap());
-    let config = default_config(GOLDEN_CORES).expect("default configuration");
-    for mode in ["sampled:rate=8", "analytic"] {
-        let options = SimOptions {
-            cache_mode: mode.parse().unwrap(),
-            ..SimOptions::default()
-        };
-        let (result, events) =
-            simulate_traced(&workload.dag, &config, &SchedulerSpec::pdf(), &options);
-        let windows: Vec<(u64, u64)> = events
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::CacheWindow {
-                    accesses,
-                    l1_misses,
-                    ..
-                } => Some((*accesses, *l1_misses)),
-                _ => None,
-            })
-            .collect();
-        assert!(
-            windows.len() > 1,
-            "{mode}: expected several CacheWindow samples"
-        );
-        let accesses: u64 = windows.iter().map(|w| w.0).sum();
-        let l1_misses: u64 = windows.iter().map(|w| w.1).sum();
-        assert!(accesses > 0, "{mode}: windows report no memory accesses");
-        assert!(
-            l1_misses > 0,
-            "{mode}: windows report no synthesized misses"
-        );
-        // Window deltas are cumulative-counter differences, so their sum can
-        // never exceed the run's end-of-run statistics.
-        assert!(
-            l1_misses <= result.hierarchy.l1.iter().map(|c| c.misses()).sum::<u64>(),
-            "{mode}: window misses exceed the run total"
-        );
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
