@@ -4,7 +4,7 @@
 //! never sees one job at a time: independent DAG jobs arrive continuously,
 //! queue for admission, share the machine, and are judged by latency
 //! percentiles, not makespan.  This crate turns the repo's single-shot
-//! simulator and runtimes into that shape:
+//! simulator into that shape:
 //!
 //! * [`source::JobMix`] — deterministic sampling of weighted
 //!   [`WorkloadSpec`](pdfws_workloads::WorkloadSpec) mixes (the paper's
@@ -20,9 +20,6 @@
 //!   [`SimEngine`](pdfws_schedulers::SimEngine) across co-resident jobs with
 //!   round-robin quanta, modelling cross-job cache pressure through the
 //!   engine's [`Disturbance`](pdfws_schedulers::Disturbance) hook.
-//! * [`thread_backend::run_stream_threads`] — serves the same stream on the
-//!   real [`WsPool`](pdfws_runtime::WsPool) / [`PdfPool`](pdfws_runtime::PdfPool)
-//!   runtimes, measuring wall-clock sojourn times.
 //! * [`record::StreamOutcome`] — the latency/throughput sink: p50/p95/p99
 //!   sojourn, queueing delay, achieved jobs-per-megacycle, per-job L2 MPKI and
 //!   SLO attainment, built on `pdfws-metrics`' [`Quantiles`](pdfws_metrics::Quantiles).
@@ -62,7 +59,6 @@ pub mod record;
 pub mod sim_backend;
 pub mod sink;
 pub mod source;
-pub mod thread_backend;
 
 pub use admission::{AdmissionPolicy, AdmissionQueue};
 pub use arrival::ArrivalGen;
@@ -76,7 +72,3 @@ pub use sim_backend::{
 };
 pub use sink::{JobSink, RecordBuffer, StreamStats, StreamingStatsSink};
 pub use source::JobMix;
-pub use thread_backend::{
-    run_stream_threads, run_stream_threads_traced, ThreadJobRecord, ThreadStreamConfig,
-    ThreadStreamOutcome,
-};

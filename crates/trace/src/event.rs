@@ -1,13 +1,11 @@
 //! Typed trace events emitted by the simulators, schedulers, and stream tiers.
 //!
-//! Every event carries an explicit timestamp: simulated cycles for the
-//! cycle-accurate engines, wall-clock nanoseconds (offsets from run start) for
-//! the real-thread stream backend.  Where an event is tied to a core or a task
-//! it carries those ids too, so downstream consumers (the Perfetto exporter,
-//! the [`timeline`](crate::timeline) summarizer) never have to guess context
-//! from ordering alone.
+//! Every event carries an explicit timestamp in simulated cycles.  Where an
+//! event is tied to a core or a task it carries those ids too, so downstream
+//! consumers (the Perfetto exporter, the [`timeline`](crate::timeline)
+//! summarizer) never have to guess context from ordering alone.
 
-/// A trace timestamp: simulated cycles, or wall nanoseconds for thread pools.
+/// A trace timestamp in simulated cycles.
 pub type TraceTime = u64;
 
 /// One structured event in a trace.

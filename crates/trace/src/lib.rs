@@ -15,7 +15,7 @@
 //!   rate, ready depth over time) as a metrics `Table` for the existing
 //!   `Figure`/`ArtifactSet` pipeline.
 //!
-//! Producers (the simulation engine, the stream backends) hold an
+//! Producers (the simulation engine, the stream and serve loops) hold an
 //! `Option<Box<dyn TraceSink>>` and emit nothing when it is `None`; the
 //! off-mode cost is one branch per emit site, guarded by the
 //! `trace_overhead` bench.  Scheduler policies buffer [`PolicyEvent`]s via

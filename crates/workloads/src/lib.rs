@@ -26,10 +26,6 @@
 //! `small()` constructor, every constructor reports its canonical spec
 //! ([`Workload::spec`]), and user workloads register through
 //! [`WorkloadFactory`] (see `examples/custom_workload.rs`).
-//!
-//! The [`threaded`] module additionally contains real-thread implementations of
-//! merge sort and map/reduce on top of `pdfws-runtime`'s pools, used by the
-//! examples and the runtime-overhead benches.
 
 pub mod compute;
 pub mod hashjoin;
@@ -43,7 +39,6 @@ pub mod scan;
 pub mod spec;
 pub mod spmv;
 pub mod synthetic;
-pub mod threaded;
 
 pub use compute::ComputeKernel;
 pub use hashjoin::HashJoin;

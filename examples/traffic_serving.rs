@@ -5,13 +5,11 @@
 //! traffic keeps arriving".  This example drives the same seeded stream of
 //! mixed-class jobs through PDF and WS twice — once open loop (Poisson
 //! arrivals that don't wait for the system) and once closed loop (a fixed
-//! client population) — and prints the dashboard numbers, then serves a small
-//! closed-loop stream on the *real-thread* pools for comparison.
+//! client population) — and prints the dashboard numbers.
 //!
 //! Run with: `cargo run --release --example traffic_serving`
 
 use pdfws::prelude::*;
-use pdfws::stream::{run_stream_threads, ThreadStreamConfig};
 
 fn print_summary(label: &str, spec: &SchedulerSpec, s: &StreamSummary) {
     println!(
@@ -46,7 +44,7 @@ fn main() {
     }
 
     println!("closed loop, 3 clients, 2k-cycle think time, SJF admission:");
-    let closed = StreamExperiment::new(mix.clone())
+    let closed = StreamExperiment::new(mix)
         .jobs(24)
         .cores(8)
         .arrivals(ArrivalSpec::closed(3, 2_000))
@@ -55,20 +53,5 @@ fn main() {
         .expect("8-core default configuration exists");
     for spec in SchedulerSpec::paper_pair() {
         print_summary("sim", &spec, &closed.summary(&spec).expect("scheduler ran"));
-    }
-    println!();
-
-    println!("real threads, closed loop, 2 clients on 2 workers:");
-    for spec in SchedulerSpec::paper_pair() {
-        let cfg = ThreadStreamConfig::new(2, spec.clone());
-        let outcome = run_stream_threads(&mix, 12, &cfg).expect("pool spawns");
-        let q = outcome.sojourn_micros();
-        println!(
-            "  thread {spec:>4}: p50 {:>8.1} us  p95 {:>8.1} us  p99 {:>8.1} us  {:.0} jobs/s",
-            q.p50,
-            q.p95,
-            q.p99,
-            outcome.jobs_per_sec(),
-        );
     }
 }

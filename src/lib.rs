@@ -16,7 +16,6 @@
 //!   `MemSysSpec` API (`--memsys bus:dram:banks=32` / `--memsys legacy`).
 //! * [`schedulers`] — the open `SchedulerSpec` API (policy registry, parameterized
 //!   PDF/WS/hybrid/static policies) and the cycle-level execution engine.
-//! * [`runtime`] — real-thread fork-join runtimes implementing both policies.
 //! * [`workloads`] — the benchmark programs (merge sort, matmul, LU, SpMV, hash
 //!   join, scan, …) as DAG generators behind the open `WorkloadSpec` API
 //!   (workload registry, typed `name:key=value` parameters).
@@ -62,7 +61,6 @@ pub use pdfws_core as core_api;
 pub use pdfws_memsys as memsys;
 pub use pdfws_metrics as metrics;
 pub use pdfws_report as report;
-pub use pdfws_runtime as runtime;
 pub use pdfws_schedulers as schedulers;
 pub use pdfws_serve as serve;
 pub use pdfws_spec as spec;

@@ -2,9 +2,7 @@
 //! umbrella crate's public API.
 
 use pdfws::prelude::*;
-use pdfws::stream::{
-    records_from_jsonl, run_stream_sim, run_stream_threads, StreamConfig, ThreadStreamConfig,
-};
+use pdfws::stream::{records_from_jsonl, run_stream_sim, StreamConfig};
 
 #[test]
 fn same_seed_reproduces_admission_order_and_sojourn_times() {
@@ -177,17 +175,5 @@ fn hybrid_and_lagged_pdf_serve_streams_end_to_end() {
         let outcome = run_stream_sim(&mix, 5, &cfg).unwrap();
         assert_eq!(outcome.records.len(), 5, "{spec}");
         assert!(outcome.summary().sojourn.p99 > 0.0, "{spec}");
-    }
-}
-
-#[test]
-fn thread_backend_serves_the_stream_on_both_pools() {
-    let mix = JobMix::class_b();
-    for spec in SchedulerSpec::paper_pair() {
-        let mut cfg = ThreadStreamConfig::new(2, spec.clone());
-        cfg.ns_per_kinstr = 5;
-        let outcome = run_stream_threads(&mix, 5, &cfg).unwrap();
-        assert_eq!(outcome.records.len(), 5, "{spec}");
-        assert!(outcome.sojourn_micros().p99 > 0.0);
     }
 }
