@@ -5,18 +5,98 @@
 //! {bus+DRAM, legacy} × co-runner {none, a `Disturbance`} × scheduler
 //! {pdf, ws, adaptive}.  Each
 //! cell prints its named result fields plus the sums of the windowed trace
-//! counters; `adaptive` exercises the policy-feedback path.  Any change to
+//! counters; `adaptive` exercises the policy-feedback path.  A second block
+//! pins the fine-grained regime: a reduced `synthetic` parallel-for at 32
+//! cores under the eight scheduler specs of simbench's `zoo-finegrain`, where
+//! every step stops at the next core's event and the priced-steal spec's
+//! backoff wakes put duplicate keys in the event queue.  Any change to
 //! how a reference is priced, how off-chip traffic queues, or how the event
 //! loop orders cores shows up as a golden diff — regenerate with
 //! `UPDATE_GOLDEN=1 cargo test --test engine_modes` and review it.
 
 use pdfws::prelude::*;
 use pdfws::schedulers::{simulate_traced, Disturbance};
+use pdfws::task_dag::TaskDag;
 use pdfws::trace::TraceEvent;
-use pdfws_cmp_model::{default_config, MemSysParams};
+use pdfws_cmp_model::{default_config, CmpConfig, MemSysParams};
 use std::fmt::Write;
 
 const CORES: usize = 4;
+
+/// Core count of the fine-grained block (simbench's `zoo-finegrain` runs 8
+/// and 32; 32 is where a step most often stops at another core's event).
+const ZOO_CORES: usize = 32;
+
+/// simbench's `zoo-finegrain` scheduler specs, `ws-random` seeded with 1.
+const ZOO_SPECS: [&str; 8] = [
+    "pdf",
+    "ws",
+    "ws:steal=half",
+    "ws:victim=random,seed=1",
+    "ws:victim=hier,cluster=4",
+    "ws:steal_cycles=64,fail_backoff=128",
+    "hybrid",
+    "adaptive",
+];
+
+/// Simulate one traced cell and append its result fields and the sums of
+/// its windowed trace counters under `== {header}`.
+fn render_cell(
+    out: &mut String,
+    header: &str,
+    dag: &TaskDag,
+    config: &CmpConfig,
+    spec: &SchedulerSpec,
+    options: &SimOptions,
+) {
+    let (r, events) = simulate_traced(dag, config, spec, options);
+    let (mut accesses, mut l1_misses, mut l2_misses) = (0u64, 0u64, 0u64);
+    let (mut bus_busy, mut dram_depth) = (0u64, 0u64);
+    for event in &events {
+        match *event {
+            TraceEvent::CacheWindow {
+                accesses: a,
+                l1_misses: l1,
+                l2_misses: l2,
+                ..
+            } => {
+                accesses += a;
+                l1_misses += l1;
+                l2_misses += l2;
+            }
+            TraceEvent::BusOccupancy { busy_cycles, .. } => bus_busy += busy_cycles,
+            TraceEvent::DramQueueDepth { depth, .. } => dram_depth += depth,
+            _ => {}
+        }
+    }
+    writeln!(out, "== {header}").unwrap();
+    writeln!(
+        out,
+        "cycles={} instructions={} references={} tasks={}",
+        r.cycles, r.instructions, r.memory_accesses, r.tasks
+    )
+    .unwrap();
+    writeln!(out, "busy_cycles={:?}", r.busy_cycles).unwrap();
+    writeln!(
+        out,
+        "queue: offchip={} bus={} dram={}",
+        r.offchip_queue_cycles, r.bus_queue_cycles, r.dram_queue_cycles
+    )
+    .unwrap();
+    writeln!(
+        out,
+        "migrations={} steal_cycles={}",
+        r.migrations, r.steal_cycles
+    )
+    .unwrap();
+    writeln!(out, "hierarchy={:?}", r.hierarchy).unwrap();
+    writeln!(
+        out,
+        "trace sums: accesses={accesses} l1_misses={l1_misses} \
+         l2_misses={l2_misses} bus_busy={bus_busy} dram_depth={dram_depth}"
+    )
+    .unwrap();
+}
 
 fn render_grid() -> String {
     let workload = WorkloadInstance::from_spec(&"mergesort:n=2048".parse().unwrap());
@@ -46,60 +126,35 @@ fn render_grid() -> String {
                     disturbance: corunner,
                 };
                 let spec: SchedulerSpec = scheduler.parse().unwrap();
-                let (r, events) = simulate_traced(&workload.dag, &config, &spec, &options);
-                let (mut accesses, mut l1_misses, mut l2_misses) = (0u64, 0u64, 0u64);
-                let (mut bus_busy, mut dram_depth) = (0u64, 0u64);
-                for event in &events {
-                    match *event {
-                        TraceEvent::CacheWindow {
-                            accesses: a,
-                            l1_misses: l1,
-                            l2_misses: l2,
-                            ..
-                        } => {
-                            accesses += a;
-                            l1_misses += l1;
-                            l2_misses += l2;
-                        }
-                        TraceEvent::BusOccupancy { busy_cycles, .. } => bus_busy += busy_cycles,
-                        TraceEvent::DramQueueDepth { depth, .. } => dram_depth += depth,
-                        _ => {}
-                    }
-                }
                 let co = if corunner.is_some() {
                     "co-runner"
                 } else {
                     "alone"
                 };
-                writeln!(out, "== memsys={memsys} {co} scheduler={scheduler}").unwrap();
-                writeln!(
-                    out,
-                    "cycles={} instructions={} references={} tasks={}",
-                    r.cycles, r.instructions, r.memory_accesses, r.tasks
-                )
-                .unwrap();
-                writeln!(out, "busy_cycles={:?}", r.busy_cycles).unwrap();
-                writeln!(
-                    out,
-                    "queue: offchip={} bus={} dram={}",
-                    r.offchip_queue_cycles, r.bus_queue_cycles, r.dram_queue_cycles
-                )
-                .unwrap();
-                writeln!(
-                    out,
-                    "migrations={} steal_cycles={}",
-                    r.migrations, r.steal_cycles
-                )
-                .unwrap();
-                writeln!(out, "hierarchy={:?}", r.hierarchy).unwrap();
-                writeln!(
-                    out,
-                    "trace sums: accesses={accesses} l1_misses={l1_misses} \
-                     l2_misses={l2_misses} bus_busy={bus_busy} dram_depth={dram_depth}"
-                )
-                .unwrap();
+                let header = format!("memsys={memsys} {co} scheduler={scheduler}");
+                render_cell(&mut out, &header, &workload.dag, &config, &spec, &options);
             }
         }
+    }
+    // The fine-grained regime (see the module docs).
+    let zoo = WorkloadInstance::from_spec(
+        &"synthetic:depth=3,fanout=16,leaf-instr=200,private-bytes=64,shared-bytes=4096,\
+          shared-fraction=0.25,passes=1"
+            .parse()
+            .unwrap(),
+    );
+    let config = default_config(ZOO_CORES).expect("32-core configuration");
+    for scheduler in ZOO_SPECS {
+        let spec: SchedulerSpec = scheduler.parse().unwrap();
+        let header = format!("zoo cores={ZOO_CORES} scheduler={scheduler}");
+        render_cell(
+            &mut out,
+            &header,
+            &zoo.dag,
+            &config,
+            &spec,
+            &SimOptions::default(),
+        );
     }
     out
 }
