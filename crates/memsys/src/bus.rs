@@ -21,7 +21,7 @@
 //!   order grants identically.
 
 use crate::component::{align_up, Component};
-use pdfws_cmp_model::memsys::transfer_cycles;
+use crate::transfer::TransferTable;
 use std::collections::{BTreeMap, VecDeque};
 
 /// One request traversing the bus.
@@ -52,8 +52,8 @@ pub struct BusGrant {
 /// The shared bus.
 #[derive(Debug)]
 pub struct SharedBus {
-    /// Width in bytes per *bus* cycle.
-    width_bytes_per_cycle: f64,
+    /// Bus cycles per transfer size, from the width in bytes per *bus* cycle.
+    transfer: TransferTable,
     /// Core cycles per bus cycle.
     clock_period: u64,
     /// Core cycle until which the bus is occupied by earlier grants.
@@ -83,7 +83,7 @@ impl SharedBus {
             "bus width must be positive (can be infinite)"
         );
         SharedBus {
-            width_bytes_per_cycle,
+            transfer: TransferTable::new(width_bytes_per_cycle),
             clock_period: clock_period.max(1),
             busy_until: 0,
             queue_cycles: 0,
@@ -98,7 +98,9 @@ impl SharedBus {
 
     /// Core cycles a request of `bytes` occupies the bus.
     pub fn occupancy_cycles(&self, bytes: u64) -> u64 {
-        transfer_cycles(bytes, self.width_bytes_per_cycle).saturating_mul(self.clock_period)
+        self.transfer
+            .cycles(bytes)
+            .saturating_mul(self.clock_period)
     }
 
     /// Synchronously resolve a grant for a requester with no other

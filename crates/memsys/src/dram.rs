@@ -24,7 +24,7 @@
 //! [`DramController::take_completed`].
 
 use crate::component::Component;
-use pdfws_cmp_model::memsys::transfer_cycles;
+use crate::transfer::TransferTable;
 use std::collections::VecDeque;
 
 /// Bytes per DRAM row (row-buffer reach): 4 KiB, the usual page size.
@@ -88,8 +88,9 @@ impl Bank {
 /// The memory controller.
 #[derive(Debug)]
 pub struct DramController {
-    /// Data bandwidth in bytes per core cycle.
-    bytes_per_cycle: f64,
+    /// Data-transfer cycles per size, from the bandwidth in bytes per core
+    /// cycle.
+    transfer: TransferTable,
     /// Open-row hit latency in cycles.
     hit_cycles: u64,
     /// Row activate+access latency in cycles.
@@ -125,7 +126,7 @@ impl DramController {
         );
         assert!(banks > 0, "at least one bank");
         DramController {
-            bytes_per_cycle,
+            transfer: TransferTable::new(bytes_per_cycle),
             hit_cycles,
             miss_cycles: miss_cycles.max(1),
             blocks_per_row: (ROW_BYTES / line_bytes.max(1)).max(1),
@@ -170,7 +171,7 @@ impl DramController {
     pub fn service(&mut self, block: u64, bytes: u64, at: u64) -> DramService {
         let row = self.row_of(block);
         let bank_idx = self.bank_of(block);
-        let transfer = transfer_cycles(bytes, self.bytes_per_cycle);
+        let transfer = self.transfer.cycles(bytes);
         let bank = &mut self.banks[bank_idx];
         let row_hit = bank.touch(row);
         let access = if row_hit {

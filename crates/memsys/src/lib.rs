@@ -12,9 +12,10 @@
 //!
 //! The crate has four layers:
 //!
-//! * the **substrate** — [`EventQueue`] (a deterministic `(time, id)`
-//!   min-heap) and the [`Component`] trait with its [`run_until`] driver,
-//!   reusable for any clocked element;
+//! * the **substrate** — [`EventQueue`] (a deterministic min-heap of
+//!   `(time, id)` events packed one `u64` each, `time << 8 | id`: ids below
+//!   256, times below 2^56 cycles) and the [`Component`] trait with its
+//!   [`run_until`] driver, reusable for any clocked element;
 //! * the **components** — [`SharedBus`] and [`DramController`], each usable
 //!   either queued (through the event loop) or synchronously (the engine's
 //!   one-outstanding-miss-per-core path); the two modes share state and are
@@ -39,6 +40,7 @@ pub mod offchip;
 pub mod queue;
 pub mod registry;
 pub mod spec;
+mod transfer;
 
 pub use bus::{BusGrant, BusRequest, SharedBus};
 pub use component::{align_up, run_until, Component};

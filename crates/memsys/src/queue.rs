@@ -6,14 +6,47 @@
 //! simulations reproducible — two components (or cores) due at the same cycle
 //! always run in id order, independent of insertion order or of how many
 //! worker threads drive independent simulations.
+//!
+//! Each event is stored as one packed `u64` key, `time << 8 | id`, so the
+//! lexicographic order is plain integer order and a heap compare is a single
+//! instruction.  The packing bounds the range: ids must be below
+//! [`ID_LIMIT`] (256) and times below [`TIME_LIMIT`] (2^56 cycles); an event
+//! outside it panics with a message naming the limit.  Equal events are
+//! identical words, so the pop order depends only on the set of keys, never
+//! on the heap's shape.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+/// Bits of a packed key that hold the event id.
+const ID_BITS: u32 = 8;
 
-/// A deterministic min-heap of `(time, id)` events.
+/// Exclusive upper bound on event ids (a core index or component index).
+pub const ID_LIMIT: usize = 1 << ID_BITS;
+
+/// Exclusive upper bound on event times, in cycles.
+pub const TIME_LIMIT: u64 = 1 << (u64::BITS - ID_BITS);
+
+/// A deterministic min-heap of `(time, id)` events, one packed word each.
 #[derive(Debug, Default, Clone)]
 pub struct EventQueue {
-    heap: BinaryHeap<Reverse<(u64, usize)>>,
+    heap: Vec<u64>,
+}
+
+/// Pack `(time, id)` into one key whose integer order is the event order.
+#[inline]
+fn pack(time: u64, id: usize) -> u64 {
+    assert!(
+        id < ID_LIMIT,
+        "event id {id} out of range: ids must be < {ID_LIMIT}"
+    );
+    assert!(
+        time < TIME_LIMIT,
+        "event time {time} out of range: times must be < 2^56 cycles"
+    );
+    time << ID_BITS | id as u64
+}
+
+#[inline]
+fn unpack(key: u64) -> (u64, usize) {
+    (key >> ID_BITS, (key & (ID_LIMIT as u64 - 1)) as usize)
 }
 
 impl EventQueue {
@@ -24,41 +57,59 @@ impl EventQueue {
 
     /// Schedule `id` to run at `time`.  Duplicate entries are allowed; each
     /// pop returns one.
+    ///
+    /// # Panics
+    ///
+    /// If `id >= ID_LIMIT` or `time >= TIME_LIMIT`.
+    #[inline]
     pub fn push(&mut self, time: u64, id: usize) {
-        self.heap.push(Reverse((time, id)));
+        let key = pack(time, id);
+        self.heap.push(key);
+        self.sift_up(self.heap.len() - 1, key);
     }
 
     /// The earliest `(time, id)` event without removing it.
+    #[inline]
     pub fn peek(&self) -> Option<(u64, usize)> {
-        self.heap.peek().map(|&Reverse(e)| e)
+        self.heap.first().map(|&key| unpack(key))
     }
 
     /// The earliest event after the top one: the smaller of the root's two
     /// children, so the top can keep its place while its owner runs up to
     /// the next event's time.
+    #[inline]
     pub fn peek_second(&self) -> Option<(u64, usize)> {
-        // `BinaryHeap` is a max-heap, so the larger `Reverse` is earlier.
-        let heap = self.heap.as_slice();
-        let earlier = match (heap.get(1), heap.get(2)) {
-            (Some(a), Some(b)) => a.max(b),
-            (Some(a), None) => a,
-            _ => return None,
+        let key = match self.heap.get(1..3) {
+            Some(&[a, b]) => a.min(b),
+            _ => *self.heap.get(1)?,
         };
-        Some(earlier.0)
+        Some(unpack(key))
     }
 
     /// Re-key the top event to `(time, id)` in place: one sift instead of a
     /// `pop` plus a `push`, with the same pop order afterwards (order depends
     /// only on the keys).  No-op on an empty queue.
+    ///
+    /// # Panics
+    ///
+    /// Like [`EventQueue::push`].
+    #[inline]
     pub fn replace_top(&mut self, time: u64, id: usize) {
-        if let Some(mut top) = self.heap.peek_mut() {
-            *top = Reverse((time, id));
+        let key = pack(time, id);
+        if !self.heap.is_empty() {
+            self.sift_from_root(key);
         }
     }
 
     /// Remove and return the earliest `(time, id)` event.
+    #[inline]
     pub fn pop(&mut self) -> Option<(u64, usize)> {
-        self.heap.pop().map(|Reverse(e)| e)
+        let last = self.heap.pop()?;
+        let Some(&top) = self.heap.first() else {
+            return Some(unpack(last));
+        };
+        self.sift_from_root(last);
+        Some(unpack(top))
     }
 
     /// Number of scheduled events.
@@ -75,11 +126,51 @@ impl EventQueue {
     pub fn clear(&mut self) {
         self.heap.clear();
     }
+
+    /// Fill the root with `key`: walk the hole from the root to a leaf along
+    /// the smaller child, then sift `key` up from there.  The child is chosen
+    /// by arithmetic on a compare, not a branch — a re-keyed core usually
+    /// lands deep in the heap, and a branch per level would mispredict about
+    /// half the time.
+    #[inline]
+    fn sift_from_root(&mut self, key: u64) {
+        let heap = &mut self.heap[..];
+        let n = heap.len();
+        let mut hole = 0;
+        let mut child = 1;
+        while child + 1 < n {
+            child += (heap[child + 1] < heap[child]) as usize;
+            heap[hole] = heap[child];
+            hole = child;
+            child = 2 * hole + 1;
+        }
+        if child < n {
+            heap[hole] = heap[child];
+            hole = child;
+        }
+        self.sift_up(hole, key);
+    }
+
+    /// Place `key` at `hole` or above it: move each larger parent down.
+    #[inline]
+    fn sift_up(&mut self, mut hole: usize, key: u64) {
+        let heap = &mut self.heap[..];
+        while hole > 0 {
+            let parent = (hole - 1) / 2;
+            if heap[parent] <= key {
+                break;
+            }
+            heap[hole] = heap[parent];
+            hole = parent;
+        }
+        heap[hole] = key;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn pops_in_time_order_with_id_tie_break() {
@@ -154,6 +245,96 @@ mod tests {
             assert_eq!(keyed.pop(), Some(e));
         }
         assert!(keyed.is_empty());
+    }
+
+    #[test]
+    fn extreme_in_range_keys_round_trip() {
+        let mut q = EventQueue::new();
+        q.push(TIME_LIMIT - 1, ID_LIMIT - 1);
+        q.push(TIME_LIMIT - 1, 0);
+        q.push(0, ID_LIMIT - 1);
+        assert_eq!(q.pop(), Some((0, ID_LIMIT - 1)));
+        assert_eq!(q.pop(), Some((TIME_LIMIT - 1, 0)));
+        assert_eq!(q.pop(), Some((TIME_LIMIT - 1, ID_LIMIT - 1)));
+    }
+
+    #[test]
+    #[should_panic(expected = "event id 256 out of range: ids must be < 256")]
+    fn an_id_past_the_packed_range_panics() {
+        EventQueue::new().push(0, ID_LIMIT);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range: times must be < 2^56 cycles")]
+    fn a_time_past_the_packed_range_panics() {
+        EventQueue::new().push(TIME_LIMIT, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range: times must be < 2^56 cycles")]
+    fn replace_top_checks_the_range_too() {
+        let mut q = EventQueue::new();
+        q.push(1, 1);
+        q.replace_top(u64::MAX, 1);
+    }
+
+    /// One queue operation of the model test.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Push(u64, usize),
+        Pop,
+        ReplaceTop(u64),
+        PeekSecond,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        // Few distinct times and ids, so equal times under different ids and
+        // fully duplicate keys are common; id 255 is the top of the range.
+        (0u8..8, 0u64..8, 0usize..5).prop_map(|(kind, t, id)| {
+            let id = if id == 4 { ID_LIMIT - 1 } else { id };
+            match kind {
+                0..=2 => Op::Push(t, id),
+                3 | 4 => Op::Pop,
+                5 | 6 => Op::ReplaceTop(t),
+                _ => Op::PeekSecond,
+            }
+        })
+    }
+
+    proptest! {
+        // The queue against a sorted `Vec` of `(time, id)` pairs: every
+        // observable result matches after every operation.
+        #[test]
+        fn matches_a_sorted_vec_model(ops in proptest::collection::vec(op(), 0..200)) {
+            let mut q = EventQueue::new();
+            let mut model: Vec<(u64, usize)> = Vec::new();
+            for op in ops {
+                match op {
+                    Op::Push(t, id) => {
+                        q.push(t, id);
+                        model.push((t, id));
+                        model.sort_unstable();
+                    }
+                    Op::Pop => {
+                        let expected = (!model.is_empty()).then(|| model.remove(0));
+                        prop_assert_eq!(q.pop(), expected);
+                    }
+                    Op::ReplaceTop(t) => {
+                        // Re-key the top, keeping its id (as the engine does).
+                        if let Some(&(_, id)) = model.first() {
+                            model[0] = (t, id);
+                            model.sort_unstable();
+                            q.replace_top(t, id);
+                        } else {
+                            q.replace_top(t, 0);
+                        }
+                    }
+                    Op::PeekSecond => prop_assert_eq!(q.peek_second(), model.get(1).copied()),
+                }
+                prop_assert_eq!(q.peek(), model.first().copied());
+                prop_assert_eq!(q.len(), model.len());
+            }
+        }
     }
 
     #[test]

@@ -263,6 +263,10 @@ pub struct SimEngine {
     pricer: RefPricer,
     /// ... and the off-chip model every L2 fill and writeback crosses.
     offchip: OffChip,
+    /// [`OffChip::needs_time_order`] of `offchip`, fixed for the run (the
+    /// model's variant never changes): whether a step is bounded by the
+    /// next event of another core.
+    needs_time_order: bool,
     cores: Vec<CoreState>,
     /// Earliest time each busy core can take its next step, plus backoff
     /// wakes (cores are the scheduled ids; the memory-system components are
@@ -358,6 +362,7 @@ impl SimEngine {
             config: *config,
             policy,
             pricer,
+            needs_time_order: offchip.needs_time_order(),
             offchip,
             cores: (0..config.cores).map(|_| CoreState::default()).collect(),
             events: EventQueue::new(),
@@ -535,10 +540,10 @@ impl SimEngine {
 
         // The stepping core's event stays at the top of the queue: a step is
         // bounded by the next event below it (`peek_second`), a yielding step
-        // re-keys the top in place (one sift; a core that stays earliest
-        // costs two compares), and only completions and backoff wakes pop.
-        // Pop order depends only on the `(time, core)` keys, so the schedule
-        // is the one a pop-then-push loop would produce.
+        // re-keys the top in place (one branch-free sift), and only
+        // completions and backoff wakes pop.  Pop order depends only on the
+        // `(time, core)` keys, so the schedule is the one a pop-then-push
+        // loop would produce.
         while let Some((time, core)) = self.events.peek() {
             if self.completed == self.dag.len() {
                 // Once every task has completed, only dangling backoff wakes
@@ -572,7 +577,7 @@ impl SimEngine {
             }
             self.now = time;
             self.inject_disturbance(time);
-            let bound = if self.offchip.needs_time_order() {
+            let bound = if self.needs_time_order {
                 self.events.peek_second().map_or(u64::MAX, |(next, _)| next)
             } else {
                 u64::MAX
@@ -698,16 +703,25 @@ impl SimEngine {
     /// occupy the bus and banks "in the future", and a core popped later at
     /// an earlier timestamp would queue behind phantom traffic.
     fn step(&mut self, core: usize, start: u64, bound: u64) -> (u64, bool) {
+        // Split the borrow: the running task and its access buffer are used
+        // in place while the pricer and the off-chip model price references.
+        let SimEngine {
+            dag,
+            pricer,
+            offchip,
+            cores,
+            instructions,
+            memory_accesses,
+            ..
+        } = self;
+        let CoreState {
+            running, buffer, ..
+        } = &mut cores[core];
+        let running = running
+            .as_mut()
+            .expect("step called on a core with no running task");
         let mut elapsed = 0u64;
         let mut accesses_this_step = 0u64;
-
-        // Take the running task and its access buffer out to avoid aliasing
-        // with `self` during accesses.
-        let mut running = self.cores[core]
-            .running
-            .take()
-            .expect("step called on a core with no running task");
-        let mut buffer = std::mem::take(&mut self.cores[core].buffer);
 
         let finished = loop {
             if running.finished() {
@@ -723,13 +737,13 @@ impl SimEngine {
                 let burn = running.pending_compute.min(TIME_SLICE_CYCLES - elapsed);
                 running.pending_compute -= burn;
                 elapsed += burn;
-                self.instructions += burn;
+                *instructions += burn;
                 continue;
             }
             // Issue the next memory reference (pattern runs are expanded into
             // the per-core buffer in chunks; see `ACCESS_BUFFER_CHUNK`).
             let acc = buffer.next().or_else(|| {
-                buffer.refill(&mut running, &self.dag);
+                buffer.refill(running, dag);
                 buffer.next()
             });
             let Some(acc) = acc else {
@@ -737,16 +751,11 @@ impl SimEngine {
                 continue;
             };
             running.note_issued();
-            elapsed += self
-                .pricer
-                .access(core, acc, start + elapsed, &mut self.offchip);
-            self.instructions += 1;
-            self.memory_accesses += 1;
+            elapsed += pricer.access(core, acc, start + elapsed, offchip);
+            *instructions += 1;
+            *memory_accesses += 1;
             accesses_this_step += 1;
         };
-
-        self.cores[core].running = Some(running);
-        self.cores[core].buffer = buffer;
         (elapsed, finished)
     }
 

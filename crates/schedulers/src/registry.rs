@@ -150,7 +150,8 @@ impl SpecFamily for WsFactory {
     }
     fn validate_spec(&self, spec: &Spec) -> Result<(), String> {
         seed_requires_random_victim(spec)?;
-        cluster_requires_hier_victim(spec)
+        cluster_requires_hier_victim(spec)?;
+        steal_prices_within_cap(spec)
     }
 }
 
@@ -165,9 +166,35 @@ impl PolicyFactory for WsFactory {
     }
 }
 
+/// Largest `steal_cycles` or `fail_backoff` a spec may set: 2^32 cycles.
+///
+/// A price is added to the simulated clock at every steal or failed probe,
+/// so an unbounded one would wrap `now + cost` and the per-core busy totals
+/// in a release build; the cap also keeps every backoff-wake time inside
+/// the event queue's packed range (`pdfws_memsys::queue::TIME_LIMIT`).
+pub const MAX_STEAL_PRICE_CYCLES: u64 = 1 << 32;
+
+/// Reject steal prices above [`MAX_STEAL_PRICE_CYCLES`] (shared by the `ws`,
+/// `hybrid` and `adaptive` factories, whose prices [`ws_options_of`]
+/// decodes).
+fn steal_prices_within_cap(spec: &Spec) -> Result<(), String> {
+    for key in ["steal_cycles", "fail_backoff"] {
+        if spec
+            .u64_param(key)
+            .is_some_and(|cycles| cycles > MAX_STEAL_PRICE_CYCLES)
+        {
+            return Err(format!(
+                "'{key}' must be at most {MAX_STEAL_PRICE_CYCLES} cycles (2^32)"
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Decode the shared work-stealing parameters (`victim` — including the
-/// hierarchical geometry — `steal`, `seed`, and the steal prices) from a
-/// validated spec (used by the `ws`, `hybrid` and `adaptive` factories).
+/// hierarchical geometry — `steal`, `seed`, and the steal prices, at most
+/// [`MAX_STEAL_PRICE_CYCLES`] each) from a validated spec (used by the `ws`,
+/// `hybrid` and `adaptive` factories).
 fn ws_options_of(spec: &Spec) -> (VictimSelect, StealGranularity, u64, u64, u64) {
     let victim = match spec.param("victim").unwrap_or("round-robin") {
         "random" => VictimSelect::Random,
@@ -286,7 +313,8 @@ impl SpecFamily for HybridFactory {
     }
     fn validate_spec(&self, spec: &Spec) -> Result<(), String> {
         seed_requires_random_victim(spec)?;
-        cluster_requires_hier_victim(spec)
+        cluster_requires_hier_victim(spec)?;
+        steal_prices_within_cap(spec)
     }
 }
 
@@ -379,6 +407,7 @@ impl SpecFamily for AdaptiveFactory {
     fn validate_spec(&self, spec: &Spec) -> Result<(), String> {
         seed_requires_random_victim(spec)?;
         cluster_requires_hier_victim(spec)?;
+        steal_prices_within_cap(spec)?;
         if spec.param("window") == Some("0") {
             return Err("the feedback 'window' must be non-zero".into());
         }

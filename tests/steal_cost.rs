@@ -124,6 +124,43 @@ fn nonzero_steal_prices_are_charged_in_quanta() {
     }
 }
 
+// Steal prices are capped at 2^32 cycles in every deque-based family: the
+// cap itself parses and runs without wrapping the clock; one cycle more is a
+// typed spec error naming the limit.
+#[test]
+fn steal_prices_above_the_cap_are_spec_errors() {
+    for family in ["ws", "hybrid", "adaptive"] {
+        for key in ["steal_cycles", "fail_backoff"] {
+            let at_cap = format!("{family}:{key}=4294967296");
+            assert!(at_cap.parse::<SchedulerSpec>().is_ok(), "{at_cap}");
+            for over in ["4294967297", "18446744073709551615"] {
+                let spec = format!("{family}:{key}={over}");
+                let err = spec.parse::<SchedulerSpec>().expect_err(&spec).to_string();
+                assert!(
+                    err.contains(&format!("'{key}' must be at most 4294967296 cycles")),
+                    "{spec}: {err}"
+                );
+            }
+        }
+    }
+    let dag = SyntheticTree::small().build_dag();
+    let priced = run_normalized(&dag, 8, "ws:steal_cycles=4294967296");
+    assert!(priced.migrations > 0, "the capped run must steal");
+    assert_eq!(priced.steal_cycles, priced.migrations * (1 << 32));
+    assert!(
+        priced.cycles > 1 << 32,
+        "makespan {} wrapped",
+        priced.cycles
+    );
+    let backoff = run_normalized(&dag, 8, "ws:fail_backoff=4294967296");
+    assert_eq!(backoff.tasks, dag.len());
+    assert!(
+        backoff.cycles >= dag.span(),
+        "makespan {} wrapped",
+        backoff.cycles
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
