@@ -172,7 +172,7 @@ impl PolicyFactory for WsFactory {
 /// so an unbounded one would wrap `now + cost` and the per-core busy totals
 /// in a release build; the cap also keeps every backoff-wake time inside
 /// the event queue's packed range (`pdfws_memsys::queue::TIME_LIMIT`).
-pub const MAX_STEAL_PRICE_CYCLES: u64 = 1 << 32;
+const MAX_STEAL_PRICE_CYCLES: u64 = 1 << 32;
 
 /// Reject steal prices above [`MAX_STEAL_PRICE_CYCLES`] (shared by the `ws`,
 /// `hybrid` and `adaptive` factories, whose prices [`ws_options_of`]
