@@ -603,7 +603,7 @@ mod tests {
         // Identify each core's leaf labels; they must not overlap.
         let leaves = |v: &Vec<TaskId>| -> Vec<String> {
             v.iter()
-                .map(|&t| dag.node(t).label.clone())
+                .map(|&t| dag.node(t).label.to_string())
                 .filter(|l| l.starts_with("leaf-"))
                 .collect()
         };

@@ -39,7 +39,7 @@ pub struct DagAnalysis {
 impl TaskDag {
     /// Total instructions across all tasks (the work, T₁).
     pub fn work(&self) -> u64 {
-        self.nodes().iter().map(|n| n.total_instructions()).sum()
+        self.nodes().map(|n| n.total_instructions()).sum()
     }
 
     /// Critical-path length in instructions (the span, T∞).
@@ -75,14 +75,9 @@ impl TaskDag {
         let work = self.work();
         let span = self.span();
         let (_, depth_tasks) = self.longest_path(|_| 1);
-        let memory_accesses = self.nodes().iter().map(|n| n.memory_accesses()).sum();
-        let footprint_upper_bound_bytes = self.nodes().iter().map(|n| n.footprint_bytes()).sum();
-        let max_task_footprint_bytes = self
-            .nodes()
-            .iter()
-            .map(|n| n.footprint_bytes())
-            .max()
-            .unwrap_or(0);
+        let memory_accesses = self.nodes().map(|n| n.memory_accesses()).sum();
+        let footprint_upper_bound_bytes = self.nodes().map(|n| n.footprint_bytes()).sum();
+        let max_task_footprint_bytes = self.nodes().map(|n| n.footprint_bytes()).max().unwrap_or(0);
         DagAnalysis {
             tasks: self.len(),
             edges: self.edge_count(),

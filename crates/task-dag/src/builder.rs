@@ -8,26 +8,51 @@
 //!   is convenient in tests and property-based generators because every `SpTree`
 //!   converts to a valid DAG by construction.
 
-use crate::graph::{DagError, TaskDag};
+use crate::graph::{check_count, DagError, Rows, TaskDag, Tasks};
 use crate::memref::AccessPattern;
-use crate::node::{TaskId, TaskNode};
+use crate::node::TaskId;
+use std::collections::HashSet;
 
 /// Incremental builder for a [`TaskDag`].
-#[derive(Debug, Default, Clone)]
+///
+/// Tasks are appended straight into the DAG's flat columns and arenas, and
+/// edges into one edge list; nothing is allocated per task or per edge.
+/// Unknown ids and self-loops are caught as the edge is added, duplicate
+/// edges when [`DagBuilder::finish`] groups the list into successor and
+/// predecessor rows.
+#[derive(Debug, Clone)]
 pub struct DagBuilder {
-    nodes: Vec<TaskNode>,
-    successors: Vec<Vec<TaskId>>,
-    predecessors: Vec<Vec<TaskId>>,
-    edge_errors: Vec<DagError>,
+    tasks: Tasks,
+    edges: Vec<(TaskId, TaskId)>,
+    /// The first edge rejected on the spot, with the number of edges
+    /// accepted before it (its place in call order).
+    first_rejected: Option<(usize, DagError)>,
+    /// The first count that went past the 32-bit limit.
+    too_large: Option<DagError>,
+}
+
+impl Default for DagBuilder {
+    fn default() -> Self {
+        DagBuilder {
+            tasks: Tasks::new(),
+            edges: Vec::new(),
+            first_rejected: None,
+            too_large: None,
+        }
+    }
 }
 
 /// Builder for one task; created by [`DagBuilder::task`].
+///
+/// Its access patterns go straight into the DAG's pattern arena; the task
+/// exists once [`TaskBuilder::build`] is called (a builder dropped without
+/// it adds nothing).
 #[derive(Debug)]
+#[must_use = "a task is only added by `build()`"]
 pub struct TaskBuilder<'a> {
     dag: &'a mut DagBuilder,
-    label: String,
+    label: &'a str,
     compute_instructions: u64,
-    accesses: Vec<AccessPattern>,
 }
 
 impl DagBuilder {
@@ -37,32 +62,27 @@ impl DagBuilder {
     }
 
     /// Start defining a task with the given label.
-    pub fn task(&mut self, label: &str) -> TaskBuilder<'_> {
+    pub fn task<'a>(&'a mut self, label: &'a str) -> TaskBuilder<'a> {
+        // Patterns left by a task builder dropped without `build()`.
+        self.tasks.accesses.discard_open_row();
         TaskBuilder {
             dag: self,
-            label: label.to_string(),
+            label,
             compute_instructions: 0,
-            accesses: Vec::new(),
         }
     }
 
     /// Add a task directly from its parts and return its id.
     pub fn add_task(
         &mut self,
-        label: String,
+        label: &str,
         compute_instructions: u64,
-        accesses: Vec<AccessPattern>,
+        accesses: impl IntoIterator<Item = AccessPattern>,
     ) -> TaskId {
-        let id = TaskId(self.nodes.len() as u32);
-        self.nodes.push(TaskNode {
-            id,
-            label,
-            compute_instructions,
-            accesses,
-        });
-        self.successors.push(Vec::new());
-        self.predecessors.push(Vec::new());
-        id
+        self.task(label)
+            .instructions(compute_instructions)
+            .accesses(accesses)
+            .build()
     }
 
     /// Add a precedence edge `from -> to`.
@@ -70,74 +90,100 @@ impl DagBuilder {
     /// Errors (unknown ids, self-loops, duplicates) are recorded and reported by
     /// [`DagBuilder::finish`], so call sites can stay assertion-free.
     pub fn edge(&mut self, from: TaskId, to: TaskId) {
-        if from.index() >= self.nodes.len() {
-            self.edge_errors.push(DagError::UnknownTask { id: from });
-            return;
-        }
-        if to.index() >= self.nodes.len() {
-            self.edge_errors.push(DagError::UnknownTask { id: to });
-            return;
-        }
-        if from == to {
-            self.edge_errors.push(DagError::InvalidEdge {
+        let tasks = self.tasks.len();
+        let rejected = if from.index() >= tasks {
+            DagError::UnknownTask { id: from }
+        } else if to.index() >= tasks {
+            DagError::UnknownTask { id: to }
+        } else if from == to {
+            DagError::InvalidEdge {
                 from,
                 to,
                 reason: "self-loop",
-            });
+            }
+        } else {
+            self.edges.push((from, to));
+            if let Err(err) = check_count("edges", self.edges.len()) {
+                self.too_large.get_or_insert(err);
+            }
             return;
-        }
-        if self.successors[from.index()].contains(&to) {
-            self.edge_errors.push(DagError::InvalidEdge {
-                from,
-                to,
-                reason: "duplicate edge",
-            });
-            return;
-        }
-        self.successors[from.index()].push(to);
-        self.predecessors[to.index()].push(from);
+        };
+        self.first_rejected
+            .get_or_insert((self.edges.len(), rejected));
     }
 
     /// Number of tasks added so far.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.tasks.len()
     }
 
     /// Whether no tasks have been added yet.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.tasks.len() == 0
     }
 
     /// Validate and freeze the DAG.
+    ///
+    /// Errors, first match wins: a count past [`crate::graph::MAX_COUNT`],
+    /// the earliest bad edge in call order (unknown id, self-loop or
+    /// duplicate), no tasks, not exactly one root, a cycle.
     pub fn finish(self) -> Result<TaskDag, DagError> {
-        if let Some(err) = self.edge_errors.into_iter().next() {
+        if let Some(err) = self.too_large {
             return Err(err);
         }
-        if self.nodes.is_empty() {
+        let n = self.tasks.len();
+        let successors = Rows::group(n, &self.edges, |&edge| edge);
+        let duplicate = successors
+            .has_repeat(n)
+            .then(|| first_duplicate(&self.edges));
+        let first_error = match (self.first_rejected, duplicate) {
+            (Some((at, _)), Some((dup_at, dup))) if dup_at < at => Some(dup),
+            (Some((_, err)), _) | (None, Some((_, err))) => Some(err),
+            (None, None) => None,
+        };
+        if let Some(err) = first_error {
+            return Err(err);
+        }
+        if n == 0 {
             return Err(DagError::Empty);
         }
-        let roots: Vec<TaskId> = self
-            .predecessors
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.is_empty())
-            .map(|(i, _)| TaskId(i as u32))
+        let predecessors = Rows::group(n, &self.edges, |&(from, to)| (to, from));
+        drop(self.edges);
+        let roots: Vec<TaskId> = (0..n as u32)
+            .map(TaskId)
+            .filter(|t| predecessors.row_len(t.index()) == 0)
             .collect();
         if roots.len() != 1 {
             return Err(DagError::MultipleRoots { roots });
         }
-        let dag = TaskDag {
-            nodes: self.nodes,
-            successors: self.successors,
-            predecessors: self.predecessors,
-            root: roots[0],
-        };
+        let dag = TaskDag::from_parts(self.tasks, successors, predecessors, roots[0]);
         // Cycle check: Kahn's algorithm must visit every node.
         if dag.topological_order_len() != dag.len() {
             return Err(DagError::Cyclic);
         }
         Ok(dag)
     }
+}
+
+/// The first edge that repeats an earlier one, with its index in `edges`
+/// (only called once a repeat is known to exist).
+fn first_duplicate(edges: &[(TaskId, TaskId)]) -> (usize, DagError) {
+    let mut seen = HashSet::with_capacity(edges.len());
+    edges
+        .iter()
+        .enumerate()
+        .find(|(_, edge)| !seen.insert(**edge))
+        .map(|(at, &(from, to))| {
+            (
+                at,
+                DagError::InvalidEdge {
+                    from,
+                    to,
+                    reason: "duplicate edge",
+                },
+            )
+        })
+        .expect("a repeated edge exists")
 }
 
 impl TaskDag {
@@ -167,26 +213,27 @@ impl TaskBuilder<'_> {
     }
 
     /// Append one memory-access pattern to the task's trace.
-    pub fn access(mut self, pattern: AccessPattern) -> Self {
-        self.accesses.push(pattern);
+    pub fn access(self, pattern: AccessPattern) -> Self {
+        self.dag.tasks.push_access(pattern);
         self
     }
 
     /// Append several access patterns to the task's trace.
-    pub fn accesses(mut self, patterns: impl IntoIterator<Item = AccessPattern>) -> Self {
-        self.accesses.extend(patterns);
+    pub fn accesses(self, patterns: impl IntoIterator<Item = AccessPattern>) -> Self {
+        for pattern in patterns {
+            self.dag.tasks.push_access(pattern);
+        }
         self
     }
 
     /// Finish the task and return its id.
     pub fn build(self) -> TaskId {
-        let TaskBuilder {
-            dag,
-            label,
-            compute_instructions,
-            accesses,
-        } = self;
-        dag.add_task(label, compute_instructions, accesses)
+        let dag = self.dag;
+        let id = dag.tasks.commit(self.label, self.compute_instructions);
+        if let Err(err) = dag.tasks.check() {
+            dag.too_large.get_or_insert(err);
+        }
+        id
     }
 }
 
@@ -261,12 +308,12 @@ impl SpTree {
                     instructions,
                     accesses,
                 } => {
-                    let id = b.add_task(label, instructions, accesses);
+                    let id = b.add_task(&label, instructions, accesses);
                     (id, id)
                 }
                 SpTree::Seq(children) => {
                     if children.is_empty() {
-                        let id = b.add_task("empty-seq".into(), SYNC_INSTRUCTIONS, vec![]);
+                        let id = b.add_task("empty-seq", SYNC_INSTRUCTIONS, []);
                         return (id, id);
                     }
                     let mut iter = children.into_iter();
@@ -279,8 +326,8 @@ impl SpTree {
                     (entry, exit)
                 }
                 SpTree::Par(children) => {
-                    let fork = b.add_task("fork".into(), SYNC_INSTRUCTIONS, vec![]);
-                    let join = b.add_task("join".into(), SYNC_INSTRUCTIONS, vec![]);
+                    let fork = b.add_task("fork", SYNC_INSTRUCTIONS, []);
+                    let join = b.add_task("join", SYNC_INSTRUCTIONS, []);
                     if children.is_empty() {
                         b.edge(fork, join);
                     } else {
@@ -411,7 +458,7 @@ mod tests {
         assert_eq!(dag.len(), 3);
         assert_eq!(dag.edge_count(), 2);
         let order = dag.one_df_order();
-        let labels: Vec<_> = order.iter().map(|&t| dag.node(t).label.as_str()).collect();
+        let labels: Vec<_> = order.iter().map(|&t| dag.node(t).label).collect();
         assert_eq!(labels, vec!["a", "b", "c"]);
     }
 

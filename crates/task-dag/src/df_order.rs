@@ -90,7 +90,7 @@ mod tests {
         ]);
         let dag = tree.into_dag().unwrap();
         let order = dag.one_df_order();
-        let labels: Vec<&str> = order.iter().map(|&t| dag.node(t).label.as_str()).collect();
+        let labels: Vec<&str> = order.iter().map(|&t| dag.node(t).label).collect();
         let pos = |l: &str| labels.iter().position(|&x| x == l).unwrap();
         assert!(pos("A") < pos("B"));
         assert!(pos("A1") < pos("B"));

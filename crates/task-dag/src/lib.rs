@@ -11,6 +11,22 @@
 //!   which byte ranges of the shared address space the task reads and writes, in
 //!   order.
 //!
+//! # Storage
+//!
+//! A [`TaskDag`] is flat.  Each task field is one column indexed by
+//! [`TaskId::index`].  All access patterns sit in one arena and all labels in
+//! one string, each with per-task `u32` offsets.  Successor and predecessor
+//! lists are compressed rows of `u32` ids, each row in edge-insertion order.
+//! No task owns a heap object: [`TaskDag::node`] returns a `Copy` view
+//! ([`TaskNode`]) of borrows into those arrays, whose `label` is a `&str` and
+//! whose `accesses` ([`Accesses`]) derefs to `[AccessPattern]`.
+//! [`DagBuilder`] appends straight into the same arrays and one edge list,
+//! with no allocation per task or per edge.
+//!
+//! The `u32` ids and offsets cap a DAG at [`MAX_COUNT`] (2³² − 1) tasks,
+//! edges, access patterns and label bytes; [`DagBuilder::finish`] returns
+//! [`DagError::TooLarge`] past any of them.
+//!
 //! The crate also computes the **1DF order** — the order in which a single
 //! processor executing the program depth-first (always following the leftmost
 //! enabled child) would run the tasks.  That order is precisely the priority the
@@ -52,6 +68,6 @@ pub mod memref;
 pub mod node;
 
 pub use builder::DagBuilder;
-pub use graph::{DagError, TaskDag};
+pub use graph::{DagError, TaskDag, MAX_COUNT};
 pub use memref::{AccessPattern, MemAccess};
-pub use node::{TaskId, TaskNode};
+pub use node::{Accesses, TaskId, TaskNode};

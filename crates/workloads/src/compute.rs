@@ -50,6 +50,12 @@ impl ComputeKernel {
     pub fn instructions_per_byte(&self) -> f64 {
         self.instr_per_item as f64 / ELEM_BYTES as f64
     }
+
+    /// Tasks [`Workload::build_dag`] creates, in closed form: fork, join
+    /// and one task per grain chunk.
+    pub fn task_count(&self) -> u64 {
+        self.items.div_ceil(self.grain).saturating_add(2)
+    }
 }
 
 impl Workload for ComputeKernel {
@@ -125,7 +131,6 @@ mod tests {
         let dag = ComputeKernel::small().build_dag(); // 2048/256 = 8
         let tasks = dag
             .nodes()
-            .iter()
             .filter(|n| n.label.starts_with("compute["))
             .count();
         assert_eq!(tasks, 8);

@@ -61,6 +61,15 @@ impl HashJoin {
             instr_per_tuple: 12,
         }
     }
+
+    /// Tasks [`Workload::build_dag`] creates, in closed form: init, two
+    /// barriers, and one task per chunk of each relation.
+    pub fn task_count(&self) -> u64 {
+        self.build_tuples
+            .div_ceil(self.tuples_per_task)
+            .saturating_add(self.probe_tuples.div_ceil(self.tuples_per_task))
+            .saturating_add(3)
+    }
 }
 
 impl Workload for HashJoin {
@@ -178,12 +187,10 @@ mod tests {
         let dag = hj.build_dag();
         let builds = dag
             .nodes()
-            .iter()
             .filter(|n| n.label.starts_with("build["))
             .count();
         let probes = dag
             .nodes()
-            .iter()
             .filter(|n| n.label.starts_with("probe["))
             .count();
         assert_eq!(builds, 4);

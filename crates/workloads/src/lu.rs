@@ -84,6 +84,17 @@ impl LuDecomposition {
             .access(AccessPattern::range_write(write.base, write.len))
             .build()
     }
+
+    /// Tasks [`Workload::build_dag`] creates, in closed form: the start task
+    /// plus, at step `k` of `nb`, `(nb - k)²` diagonal, panel and update
+    /// tasks; `1 + nb(nb + 1)(2nb + 1) / 6` in all (saturating).
+    pub fn task_count(&self) -> u64 {
+        let nb = self.nb() as u128;
+        (nb * (nb + 1))
+            .checked_mul(2 * nb + 1)
+            .and_then(|sum| u64::try_from(sum / 6 + 1).ok())
+            .unwrap_or(u64::MAX)
+    }
 }
 
 impl Workload for LuDecomposition {

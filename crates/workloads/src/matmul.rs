@@ -215,6 +215,26 @@ impl MatMul {
             .finish()
             .expect("coarse matmul DAG is valid by construction")
     }
+
+    /// Tasks [`Workload::build_dag`] creates, in closed form (saturating).
+    /// Fine-grained: the quadrant recursion halves `n` `d` times until a
+    /// block fits `grain`, giving `4^d` leaves and a fork and a join per
+    /// internal node.  Coarse: fork, join and one task per band.
+    pub fn task_count(&self) -> u64 {
+        if let Some(chunks) = self.coarse_chunks {
+            let rows_per_chunk = (self.n / chunks).max(1);
+            return chunks
+                .min(self.n.div_ceil(rows_per_chunk))
+                .saturating_add(2);
+        }
+        let mut size = self.n;
+        let mut leaves = 1u128;
+        while size > self.grain {
+            size /= 2;
+            leaves *= 4;
+        }
+        u64::try_from(leaves + 2 * (leaves - 1) / 3).unwrap_or(u64::MAX)
+    }
 }
 
 impl Workload for MatMul {
@@ -278,7 +298,6 @@ mod tests {
         let dag = mm.build_dag();
         let leaves = dag
             .nodes()
-            .iter()
             .filter(|n| n.label.starts_with("mm-leaf"))
             .count();
         assert_eq!(leaves, 16);
@@ -290,17 +309,9 @@ mod tests {
         // Two leaves in the same block-row read overlapping parts of A.
         let mm = MatMul::small();
         let dag = mm.build_dag();
-        let leaf_a = dag
-            .nodes()
-            .iter()
-            .find(|n| n.label == "mm-leaf[0,0]x8")
-            .unwrap();
-        let leaf_b = dag
-            .nodes()
-            .iter()
-            .find(|n| n.label == "mm-leaf[0,8]x8")
-            .unwrap();
-        let reads = |n: &pdfws_task_dag::TaskNode| -> Vec<(u64, u64)> {
+        let leaf_a = dag.nodes().find(|n| n.label == "mm-leaf[0,0]x8").unwrap();
+        let leaf_b = dag.nodes().find(|n| n.label == "mm-leaf[0,8]x8").unwrap();
+        let reads = |n: pdfws_task_dag::TaskNode| -> Vec<(u64, u64)> {
             n.accesses
                 .iter()
                 .filter_map(|p| match p {

@@ -194,6 +194,41 @@ impl MergeSort {
         b.finish()
             .expect("coarse merge sort DAG is valid by construction")
     }
+
+    /// Tasks [`Workload::build_dag`] creates, in closed form (saturating).
+    ///
+    /// Fine-grained: halving `n` keys until a range fits `grain` leaves
+    /// ranges of only two lengths per depth, `k` and `k + 1`, so counting
+    /// how many of each takes one step per depth; `L` leaves come with
+    /// `L - 1` forks and as many merges.  Coarse: the fork, at most one task
+    /// per chunk, and the final merge.
+    pub fn task_count(&self) -> u64 {
+        if let Some(chunks) = self.coarse_chunks {
+            return chunks.saturating_add(2);
+        }
+        // `short` ranges of `k` keys and `long` ranges of `k + 1` keys.
+        let (mut k, mut short, mut long) = (self.n_keys, 1u128, 0u128);
+        let mut leaves = 0u128;
+        loop {
+            if k < self.grain_keys {
+                leaves += short + long;
+                break;
+            }
+            if k == self.grain_keys {
+                leaves += short;
+                short = 0;
+            }
+            // Halves: k even -> k/2, k/2 and k/2, k/2 + 1; k odd ->
+            // (k-1)/2, (k+1)/2 and (k+1)/2, (k+1)/2.
+            (short, long) = if k % 2 == 0 {
+                (2 * short + long, long)
+            } else {
+                (short, short + 2 * long)
+            };
+            k /= 2;
+        }
+        u64::try_from(3 * leaves - 2).unwrap_or(u64::MAX)
+    }
 }
 
 impl Workload for MergeSort {
@@ -254,21 +289,12 @@ mod tests {
     fn fine_grained_dag_shape() {
         let ms = MergeSort::small(); // 256 keys, 32-key leaves -> 8 leaves
         let dag = ms.build_dag();
-        let leaves = dag
-            .nodes()
-            .iter()
-            .filter(|n| n.label.starts_with("sort["))
-            .count();
+        let leaves = dag.nodes().filter(|n| n.label.starts_with("sort[")).count();
         let merges = dag
             .nodes()
-            .iter()
             .filter(|n| n.label.starts_with("merge["))
             .count();
-        let forks = dag
-            .nodes()
-            .iter()
-            .filter(|n| n.label.starts_with("fork["))
-            .count();
+        let forks = dag.nodes().filter(|n| n.label.starts_with("fork[")).count();
         assert_eq!(leaves, 8);
         assert_eq!(merges, 7);
         assert_eq!(forks, 7);
@@ -282,7 +308,6 @@ mod tests {
         let dag = ms.build_dag();
         let top = dag
             .nodes()
-            .iter()
             .find(|n| n.label == "merge[0..256]")
             .expect("top merge exists");
         // Reads both halves (256 keys total) and writes 256 keys.
@@ -296,11 +321,7 @@ mod tests {
         let dag = ms.build_dag();
         // Leaves (depth 0) write buffer A; first-level merges read A and write B;
         // second-level merges read B and write A.
-        let first_level = dag
-            .nodes()
-            .iter()
-            .find(|n| n.label == "merge[0..64]")
-            .unwrap();
+        let first_level = dag.nodes().find(|n| n.label == "merge[0..64]").unwrap();
         let reads_a = first_level.accesses.iter().any(|p| match p {
             AccessPattern::Range { base, write, .. } => {
                 !write && *base >= buf_a.base && *base < buf_a.end()
@@ -315,11 +336,7 @@ mod tests {
         });
         assert!(reads_a && writes_b);
 
-        let second_level = dag
-            .nodes()
-            .iter()
-            .find(|n| n.label == "merge[0..128]")
-            .unwrap();
+        let second_level = dag.nodes().find(|n| n.label == "merge[0..128]").unwrap();
         let reads_b = second_level.accesses.iter().any(|p| match p {
             AccessPattern::Range { base, write, .. } => {
                 !write && *base >= buf_b.base && *base < buf_b.end()

@@ -96,6 +96,19 @@ impl QuickSort {
         b.edge(rx, join);
         (partition, join)
     }
+
+    /// An upper bound on the tasks [`Workload::build_dag`] creates, in
+    /// closed form.  A partition of `len > grain` keys hands its smaller side
+    /// at least `max(1, 45 % of (grain + 1))` keys, so no leaf is shorter;
+    /// with `L` leaves there are `L - 1` partitions and as many joins.
+    pub fn task_count(&self) -> u64 {
+        if self.n_keys <= self.grain_keys {
+            return 1;
+        }
+        let shortest_leaf = ((self.grain_keys as u128 + 1) * 45 / 100).max(1);
+        let leaves = self.n_keys as u128 / shortest_leaf;
+        u64::try_from(3 * leaves - 2).unwrap_or(u64::MAX)
+    }
 }
 
 impl Workload for QuickSort {

@@ -29,6 +29,7 @@ use crate::spmv::SpMv;
 use crate::synthetic::SyntheticTree;
 use crate::Workload;
 use pdfws_spec::{Domain, Spec, SpecFamily, Vocab};
+use pdfws_task_dag::MAX_COUNT;
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
@@ -153,16 +154,18 @@ impl SpecFamily for MergeSortFactory {
             return Err("'n' must be at least 2 (need two keys to sort)".into());
         }
         require_nonzero(spec, "coarse")?;
-        require_nonzero(spec, "grain")
+        require_nonzero(spec, "grain")?;
+        require_task_ids(Self::instance(spec).task_count())
     }
 }
 
-impl WorkloadFactory for MergeSortFactory {
-    fn build(&self, spec: &WorkloadSpec) -> Box<dyn Workload> {
+impl MergeSortFactory {
+    /// The instance `spec` describes (defaults from `small()`).
+    fn instance(spec: &Spec) -> MergeSort {
         // Defaults come from `small()` itself, so the bare name reproduces the
         // test-size instance by construction (pinned by the bit-for-bit test).
         let d = MergeSort::small();
-        Box::new(MergeSort {
+        MergeSort {
             n_keys: spec.u64_param("n").unwrap_or(d.n_keys),
             grain_keys: spec.u64_param("grain").unwrap_or(d.grain_keys),
             leaf_instr_per_key: spec.u64_param("leaf-instr").unwrap_or(d.leaf_instr_per_key),
@@ -170,7 +173,13 @@ impl WorkloadFactory for MergeSortFactory {
                 .u64_param("merge-instr")
                 .unwrap_or(d.merge_instr_per_key),
             coarse_chunks: spec.u64_param("coarse"),
-        })
+        }
+    }
+}
+
+impl WorkloadFactory for MergeSortFactory {
+    fn build(&self, spec: &WorkloadSpec) -> Box<dyn Workload> {
+        Box::new(Self::instance(spec))
     }
     fn scale(&self, spec: &WorkloadSpec, factor: u64) -> WorkloadSpec {
         let d = MergeSort::small();
@@ -219,21 +228,29 @@ impl SpecFamily for QuickSortFactory {
         if spec.u64_param("n").unwrap_or(QuickSort::small().n_keys) < 2 {
             return Err("'n' must be at least 2 (need two keys to sort)".into());
         }
-        require_nonzero(spec, "grain")
+        require_nonzero(spec, "grain")?;
+        require_task_ids(Self::instance(spec).task_count())
     }
 }
 
-impl WorkloadFactory for QuickSortFactory {
-    fn build(&self, spec: &WorkloadSpec) -> Box<dyn Workload> {
+impl QuickSortFactory {
+    /// The instance `spec` describes (defaults from `small()`).
+    fn instance(spec: &Spec) -> QuickSort {
         let d = QuickSort::small();
-        Box::new(QuickSort {
+        QuickSort {
             n_keys: spec.u64_param("n").unwrap_or(d.n_keys),
             grain_keys: spec.u64_param("grain").unwrap_or(d.grain_keys),
             partition_instr_per_key: spec
                 .u64_param("partition-instr")
                 .unwrap_or(d.partition_instr_per_key),
             leaf_instr_per_key: spec.u64_param("leaf-instr").unwrap_or(d.leaf_instr_per_key),
-        })
+        }
+    }
+}
+
+impl WorkloadFactory for QuickSortFactory {
+    fn build(&self, spec: &WorkloadSpec) -> Box<dyn Workload> {
+        Box::new(Self::instance(spec))
     }
     fn scale(&self, spec: &WorkloadSpec, factor: u64) -> WorkloadSpec {
         let d = QuickSort::small();
@@ -285,19 +302,27 @@ impl SpecFamily for MatMulFactory {
             return Err(format!("'n' must be a power of two >= 2, got {n}"));
         }
         require_nonzero(spec, "coarse")?;
-        require_nonzero(spec, "grain")
+        require_nonzero(spec, "grain")?;
+        require_task_ids(Self::instance(spec).task_count())
+    }
+}
+
+impl MatMulFactory {
+    /// The instance `spec` describes (defaults from `small()`).
+    fn instance(spec: &Spec) -> MatMul {
+        let d = MatMul::small();
+        MatMul {
+            n: spec.u64_param("n").unwrap_or(d.n),
+            grain: spec.u64_param("grain").unwrap_or(d.grain),
+            instr_per_madd: spec.u64_param("instr-per-madd").unwrap_or(d.instr_per_madd),
+            coarse_chunks: spec.u64_param("coarse"),
+        }
     }
 }
 
 impl WorkloadFactory for MatMulFactory {
     fn build(&self, spec: &WorkloadSpec) -> Box<dyn Workload> {
-        let d = MatMul::small();
-        Box::new(MatMul {
-            n: spec.u64_param("n").unwrap_or(d.n),
-            grain: spec.u64_param("grain").unwrap_or(d.grain),
-            instr_per_madd: spec.u64_param("instr-per-madd").unwrap_or(d.instr_per_madd),
-            coarse_chunks: spec.u64_param("coarse"),
-        })
+        Box::new(Self::instance(spec))
     }
     fn scale(&self, spec: &WorkloadSpec, factor: u64) -> WorkloadSpec {
         // The dimension must stay a power of two: round the factor up.
@@ -347,18 +372,25 @@ impl SpecFamily for LuFactory {
                 "'n' ({n}) must be a multiple of 'block' ({block}) with at least 2 blocks per side"
             ));
         }
-        Ok(())
+        require_task_ids(Self::instance(spec).task_count())
+    }
+}
+
+impl LuFactory {
+    /// The instance `spec` describes (defaults from `small()`).
+    fn instance(spec: &Spec) -> LuDecomposition {
+        let d = LuDecomposition::small();
+        LuDecomposition {
+            n: spec.u64_param("n").unwrap_or(d.n),
+            block: spec.u64_param("block").unwrap_or(d.block),
+            instr_per_elem: spec.u64_param("instr-per-elem").unwrap_or(d.instr_per_elem),
+        }
     }
 }
 
 impl WorkloadFactory for LuFactory {
     fn build(&self, spec: &WorkloadSpec) -> Box<dyn Workload> {
-        let d = LuDecomposition::small();
-        Box::new(LuDecomposition {
-            n: spec.u64_param("n").unwrap_or(d.n),
-            block: spec.u64_param("block").unwrap_or(d.block),
-            instr_per_elem: spec.u64_param("instr-per-elem").unwrap_or(d.instr_per_elem),
-        })
+        Box::new(Self::instance(spec))
     }
     fn scale(&self, spec: &WorkloadSpec, factor: u64) -> WorkloadSpec {
         let d = LuDecomposition::small();
@@ -421,14 +453,16 @@ impl SpecFamily for SpMvFactory {
     fn validate_spec(&self, spec: &Spec) -> Result<(), String> {
         require_nonzero(spec, "rows")?;
         require_nonzero(spec, "rows-per-task")?;
-        require_u32(spec, "iterations")
+        require_u32(spec, "iterations")?;
+        require_task_ids(Self::instance(spec).task_count())
     }
 }
 
-impl WorkloadFactory for SpMvFactory {
-    fn build(&self, spec: &WorkloadSpec) -> Box<dyn Workload> {
+impl SpMvFactory {
+    /// The instance `spec` describes (defaults from `small()`).
+    fn instance(spec: &Spec) -> SpMv {
         let d = SpMv::small();
-        Box::new(SpMv {
+        SpMv {
             rows: spec.u64_param("rows").unwrap_or(d.rows),
             nnz_per_row: spec.u64_param("nnz-per-row").unwrap_or(d.nnz_per_row),
             rows_per_task: spec.u64_param("rows-per-task").unwrap_or(d.rows_per_task),
@@ -438,7 +472,13 @@ impl WorkloadFactory for SpMvFactory {
                 .unwrap_or(d.locality_window),
             seed: spec.u64_param("seed").unwrap_or(d.seed),
             instr_per_nnz: spec.u64_param("instr-per-nnz").unwrap_or(d.instr_per_nnz),
-        })
+        }
+    }
+}
+
+impl WorkloadFactory for SpMvFactory {
+    fn build(&self, spec: &WorkloadSpec) -> Box<dyn Workload> {
+        Box::new(Self::instance(spec))
     }
     fn scale(&self, spec: &WorkloadSpec, factor: u64) -> WorkloadSpec {
         let d = SpMv::small();
@@ -498,14 +538,16 @@ impl SpecFamily for HashJoinFactory {
     }
     fn validate_spec(&self, spec: &Spec) -> Result<(), String> {
         require_nonzero(spec, "tuples-per-task")?;
-        require_nonzero(spec, "buckets")
+        require_nonzero(spec, "buckets")?;
+        require_task_ids(Self::instance(spec).task_count())
     }
 }
 
-impl WorkloadFactory for HashJoinFactory {
-    fn build(&self, spec: &WorkloadSpec) -> Box<dyn Workload> {
+impl HashJoinFactory {
+    /// The instance `spec` describes (defaults from `small()`).
+    fn instance(spec: &Spec) -> HashJoin {
         let d = HashJoin::small();
-        Box::new(HashJoin {
+        HashJoin {
             build_tuples: spec.u64_param("build-tuples").unwrap_or(d.build_tuples),
             probe_tuples: spec.u64_param("probe-tuples").unwrap_or(d.probe_tuples),
             tuples_per_task: spec
@@ -516,7 +558,13 @@ impl WorkloadFactory for HashJoinFactory {
             instr_per_tuple: spec
                 .u64_param("instr-per-tuple")
                 .unwrap_or(d.instr_per_tuple),
-        })
+        }
+    }
+}
+
+impl WorkloadFactory for HashJoinFactory {
+    fn build(&self, spec: &WorkloadSpec) -> Box<dyn Workload> {
+        Box::new(Self::instance(spec))
     }
     fn scale(&self, spec: &WorkloadSpec, factor: u64) -> WorkloadSpec {
         let d = HashJoin::small();
@@ -567,18 +615,26 @@ impl SpecFamily for ScanFactory {
     }
     fn validate_spec(&self, spec: &Spec) -> Result<(), String> {
         require_nonzero(spec, "n")?;
-        require_nonzero(spec, "grain")
+        require_nonzero(spec, "grain")?;
+        require_task_ids(Self::instance(spec).task_count())
+    }
+}
+
+impl ScanFactory {
+    /// The instance `spec` describes (defaults from `small()`).
+    fn instance(spec: &Spec) -> ParallelScan {
+        let d = ParallelScan::small();
+        ParallelScan {
+            n: spec.u64_param("n").unwrap_or(d.n),
+            grain: spec.u64_param("grain").unwrap_or(d.grain),
+            instr_per_elem: spec.u64_param("instr-per-elem").unwrap_or(d.instr_per_elem),
+        }
     }
 }
 
 impl WorkloadFactory for ScanFactory {
     fn build(&self, spec: &WorkloadSpec) -> Box<dyn Workload> {
-        let d = ParallelScan::small();
-        Box::new(ParallelScan {
-            n: spec.u64_param("n").unwrap_or(d.n),
-            grain: spec.u64_param("grain").unwrap_or(d.grain),
-            instr_per_elem: spec.u64_param("instr-per-elem").unwrap_or(d.instr_per_elem),
-        })
+        Box::new(Self::instance(spec))
     }
     fn scale(&self, spec: &WorkloadSpec, factor: u64) -> WorkloadSpec {
         let d = ParallelScan::small();
@@ -620,18 +676,26 @@ impl SpecFamily for ComputeFactory {
     }
     fn validate_spec(&self, spec: &Spec) -> Result<(), String> {
         require_nonzero(spec, "items")?;
-        require_nonzero(spec, "grain")
+        require_nonzero(spec, "grain")?;
+        require_task_ids(Self::instance(spec).task_count())
+    }
+}
+
+impl ComputeFactory {
+    /// The instance `spec` describes (defaults from `small()`).
+    fn instance(spec: &Spec) -> ComputeKernel {
+        let d = ComputeKernel::small();
+        ComputeKernel {
+            items: spec.u64_param("items").unwrap_or(d.items),
+            grain: spec.u64_param("grain").unwrap_or(d.grain),
+            instr_per_item: spec.u64_param("instr-per-item").unwrap_or(d.instr_per_item),
+        }
     }
 }
 
 impl WorkloadFactory for ComputeFactory {
     fn build(&self, spec: &WorkloadSpec) -> Box<dyn Workload> {
-        let d = ComputeKernel::small();
-        Box::new(ComputeKernel {
-            items: spec.u64_param("items").unwrap_or(d.items),
-            grain: spec.u64_param("grain").unwrap_or(d.grain),
-            instr_per_item: spec.u64_param("instr-per-item").unwrap_or(d.instr_per_item),
-        })
+        Box::new(Self::instance(spec))
     }
     fn scale(&self, spec: &WorkloadSpec, factor: u64) -> WorkloadSpec {
         let d = ComputeKernel::small();
@@ -695,14 +759,16 @@ impl SpecFamily for SyntheticFactory {
         require_nonzero(spec, "fanout")?;
         require_u32(spec, "depth")?;
         require_u32(spec, "fanout")?;
-        require_u32(spec, "passes")
+        require_u32(spec, "passes")?;
+        require_task_ids(Self::instance(spec).task_count())
     }
 }
 
-impl WorkloadFactory for SyntheticFactory {
-    fn build(&self, spec: &WorkloadSpec) -> Box<dyn Workload> {
+impl SyntheticFactory {
+    /// The instance `spec` describes (defaults from `small()`).
+    fn instance(spec: &Spec) -> SyntheticTree {
         let d = SyntheticTree::small();
-        Box::new(SyntheticTree {
+        SyntheticTree {
             depth: spec.u64_param("depth").unwrap_or(d.depth as u64) as u32,
             fanout: spec.u64_param("fanout").unwrap_or(d.fanout as u64) as u32,
             leaf_instructions: spec.u64_param("leaf-instr").unwrap_or(d.leaf_instructions),
@@ -714,7 +780,13 @@ impl WorkloadFactory for SyntheticFactory {
                 .f64_param("shared-fraction")
                 .unwrap_or(d.shared_fraction),
             passes: spec.u64_param("passes").unwrap_or(d.passes as u64) as u32,
-        })
+        }
+    }
+}
+
+impl WorkloadFactory for SyntheticFactory {
+    fn build(&self, spec: &WorkloadSpec) -> Box<dyn Workload> {
+        Box::new(Self::instance(spec))
     }
     fn scale(&self, spec: &WorkloadSpec, factor: u64) -> WorkloadSpec {
         let d = SyntheticTree::small();
@@ -731,6 +803,18 @@ impl WorkloadFactory for SyntheticFactory {
 fn require_nonzero(spec: &Spec, key: &str) -> Result<(), String> {
     if spec.param(key) == Some("0") {
         return Err(format!("'{key}' must be at least 1"));
+    }
+    Ok(())
+}
+
+/// Shared constraint: the DAG must fit its 32-bit task ids.  `tasks` is the
+/// workload's closed-form task count (or an upper bound on it), computed
+/// before anything is allocated.
+fn require_task_ids(tasks: u64) -> Result<(), String> {
+    if tasks > MAX_COUNT as u64 {
+        return Err(format!(
+            "the DAG would have more than {MAX_COUNT} tasks, the most 32-bit task ids can address"
+        ));
     }
     Ok(())
 }
@@ -808,10 +892,103 @@ mod tests {
             let err = raw.parse::<WorkloadSpec>().unwrap_err();
             assert!(err.to_string().contains("fit in 32 bits"), "{raw}: {err}");
         }
-        // The full 32-bit range itself stays valid.
-        assert!("spmv:iterations=4294967295,rows=64"
+        // The full 32-bit range itself stays valid where the DAG fits its
+        // 32-bit task ids: `passes` does not change the task count, and
+        // `iterations` may go up to exactly 2^32 - 1 tasks (two per
+        // iteration plus the init task).
+        assert!("synthetic:passes=4294967295"
             .parse::<WorkloadSpec>()
             .is_ok());
+        assert!("spmv:iterations=2147483647,rows=64"
+            .parse::<WorkloadSpec>()
+            .is_ok());
+        let err = "spmv:iterations=4294967295,rows=64"
+            .parse::<WorkloadSpec>()
+            .unwrap_err();
+        assert!(err.to_string().contains("4294967295 tasks"), "{err}");
+    }
+
+    #[test]
+    fn closed_form_task_counts_match_the_built_dags() {
+        let predicted = |spec: &Spec| match spec.name() {
+            "mergesort" => MergeSortFactory::instance(spec).task_count(),
+            "quicksort" => QuickSortFactory::instance(spec).task_count(),
+            "matmul" => MatMulFactory::instance(spec).task_count(),
+            "lu" => LuFactory::instance(spec).task_count(),
+            "spmv" => SpMvFactory::instance(spec).task_count(),
+            "hashjoin" => HashJoinFactory::instance(spec).task_count(),
+            "scan" => ScanFactory::instance(spec).task_count(),
+            "compute-kernel" => ComputeFactory::instance(spec).task_count(),
+            "synthetic" => SyntheticFactory::instance(spec).task_count(),
+            other => unreachable!("no task count for {other}"),
+        };
+        for text in [
+            "mergesort:n=1000,grain=7",
+            "mergesort:n=4099,grain=1",
+            "mergesort:n=2,grain=2",
+            "mergesort:n=100,coarse=7",
+            "quicksort:n=1000,grain=1",
+            "quicksort:n=100000,grain=32",
+            "quicksort",
+            "matmul:n=64,grain=4",
+            "matmul:n=64,grain=64",
+            "matmul:n=64,coarse=5",
+            "matmul:n=8,coarse=100",
+            "lu:n=64,block=8",
+            "spmv:rows=1000,rows-per-task=7,iterations=3",
+            "hashjoin:build-tuples=100,probe-tuples=333,tuples-per-task=9",
+            "scan:n=1000,grain=7",
+            "compute-kernel:items=1000,grain=7",
+            "synthetic:depth=3,fanout=5",
+            "synthetic:depth=4,fanout=1",
+            "synthetic:depth=0",
+            "synthetic",
+        ] {
+            let spec: WorkloadSpec = text.parse().unwrap();
+            let (predicted, actual) = (predicted(&spec), spec.build().build_dag().len() as u64);
+            if spec.name() == "quicksort" {
+                // An upper bound, exact at grain 1.
+                assert!(
+                    predicted >= actual && predicted <= 2 * actual,
+                    "{text}: {predicted} vs {actual}"
+                );
+            } else {
+                assert_eq!(predicted, actual, "{text}");
+            }
+        }
+    }
+
+    #[test]
+    fn dags_past_the_task_id_range_are_rejected_before_building() {
+        for text in [
+            "mergesort:n=18446744073709551615",
+            "quicksort:n=18446744073709551615",
+            "synthetic:depth=40",
+            "synthetic:depth=4294967295,fanout=4294967295",
+            "matmul:n=9223372036854775808,grain=1",
+            "lu:n=18446744073709551615,block=1",
+            "spmv:rows=18446744073709551615,rows-per-task=1",
+            "hashjoin:probe-tuples=18446744073709551615,tuples-per-task=1",
+            "scan:n=18446744073709551615,grain=1",
+            "compute-kernel:items=18446744073709551615,grain=1",
+            "mergesort:n=4,coarse=18446744073709551615",
+        ] {
+            let err = text.parse::<WorkloadSpec>().unwrap_err();
+            assert!(
+                matches!(err.kind, SpecErrorKind::InvalidCombination { .. }),
+                "{text}: {err}"
+            );
+            assert!(
+                err.to_string().contains("4294967295 tasks"),
+                "{text}: {err}"
+            );
+        }
+        // Exactly at the limit still parses: fork, join and 2^32 - 3 item tasks.
+        let edge = "compute-kernel:items=4294967293,grain=1";
+        assert!(edge.parse::<WorkloadSpec>().is_ok(), "{edge}");
+        assert!("compute-kernel:items=4294967294,grain=1"
+            .parse::<WorkloadSpec>()
+            .is_err());
     }
 
     #[test]

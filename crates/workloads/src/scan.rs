@@ -45,6 +45,15 @@ impl ParallelScan {
             instr_per_elem: 2,
         }
     }
+
+    /// Tasks [`Workload::build_dag`] creates, in closed form: start,
+    /// combine, done, and an up-sweep and a down-sweep task per chunk.
+    pub fn task_count(&self) -> u64 {
+        self.n
+            .div_ceil(self.grain)
+            .saturating_mul(2)
+            .saturating_add(3)
+    }
 }
 
 impl Workload for ParallelScan {
@@ -149,12 +158,10 @@ mod tests {
         let dag = ParallelScan::small().build_dag(); // 1024/128 = 8 chunks
         let ups = dag
             .nodes()
-            .iter()
             .filter(|n| n.label.starts_with("upsweep"))
             .count();
         let downs = dag
             .nodes()
-            .iter()
             .filter(|n| n.label.starts_with("downsweep"))
             .count();
         assert_eq!(ups, 8);

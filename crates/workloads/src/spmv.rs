@@ -66,6 +66,15 @@ impl SpMv {
             instr_per_nnz: 4,
         }
     }
+
+    /// Tasks [`Workload::build_dag`] creates, in closed form: the init task,
+    /// then per iteration one join and one task per row block (saturating).
+    pub fn task_count(&self) -> u64 {
+        let per_iteration = self.rows.div_ceil(self.rows_per_task).saturating_add(1);
+        (self.iterations as u64)
+            .saturating_mul(per_iteration)
+            .saturating_add(1)
+    }
 }
 
 impl Workload for SpMv {
@@ -173,11 +182,7 @@ mod tests {
     fn task_count_matches_iterations_and_blocks() {
         let s = SpMv::small(); // 512 rows / 64 per task = 8 tasks, 2 iterations
         let dag = s.build_dag();
-        let work_tasks = dag
-            .nodes()
-            .iter()
-            .filter(|n| n.label.starts_with("spmv["))
-            .count();
+        let work_tasks = dag.nodes().filter(|n| n.label.starts_with("spmv[")).count();
         assert_eq!(work_tasks, 16);
         // init + 2 joins + 16 work tasks
         assert_eq!(dag.len(), 19);

@@ -111,6 +111,23 @@ impl SyntheticTree {
         }
         (fork, join)
     }
+
+    /// Tasks [`Workload::build_dag`] creates, in closed form: `fanout^depth`
+    /// leaves plus a fork and a join per internal node (saturating).
+    pub fn task_count(&self) -> u64 {
+        if self.fanout <= 1 {
+            return 2 * self.depth as u64 + 1;
+        }
+        let (mut level, mut internal) = (1u64, 0u64);
+        for _ in 0..self.depth {
+            if level == u64::MAX {
+                break;
+            }
+            internal = internal.saturating_add(level);
+            level = level.saturating_mul(self.fanout as u64);
+        }
+        level.saturating_add(internal.saturating_mul(2))
+    }
 }
 
 impl Workload for SyntheticTree {
@@ -169,7 +186,6 @@ mod tests {
         let dag = t.build_dag();
         let leaves = dag
             .nodes()
-            .iter()
             .filter(|n| n.label.starts_with("syn-leaf"))
             .count();
         assert_eq!(leaves, 8);
@@ -207,6 +223,26 @@ mod tests {
         let mut t = SyntheticTree::small();
         t.shared_fraction = 1.5;
         let _ = t.build_dag();
+    }
+
+    #[test]
+    fn flat_dag_heap_stays_small_per_task() {
+        // The zoo's nested parallel-for one level shallower: 4,226 tasks,
+        // one pattern per leaf.  Flat storage holds 84 bytes a task; the
+        // per-task objects it replaced held over 300.
+        let t = SyntheticTree {
+            depth: 2,
+            fanout: 64,
+            leaf_instructions: 200,
+            leaf_private_bytes: 64,
+            shared_bytes: 4096,
+            shared_fraction: 0.25,
+            passes: 1,
+        };
+        let dag = t.build_dag();
+        assert_eq!(dag.len() as u64, t.task_count());
+        let per_task = dag.heap_bytes() / dag.len();
+        assert!(per_task <= 96, "{per_task} heap bytes per task");
     }
 
     #[test]
