@@ -1,9 +1,10 @@
 //! Criterion bench: raw throughput of the simulation substrates.
 //!
 //! Tracks how many simulated memory references per second the cache hierarchy and
-//! the execution engine sustain.  The hierarchy has two shapes: random 8-core
-//! traffic, and a 32-core line-stepped stream that misses the L1 on nearly
-//! every reference, like the L2-exceeding Figure-1 merge sort.  These are not paper results; they bound how
+//! the execution engine sustain.  The hierarchy has three shapes: random 8-core
+//! traffic, a 32-core line-stepped stream that misses the L1 on nearly every
+//! reference, and a 32-core stream over four times the L2 that misses both
+//! levels, like the L2-exceeding Figure-1 merge sort.  These are not paper results; they bound how
 //! large the paper-scale experiments can be, so regressions here matter to every
 //! other bench.
 
@@ -101,6 +102,46 @@ fn bench_hierarchy_stream(c: &mut Criterion) {
     group.finish();
 }
 
+/// Merge-sort-shaped traffic over a region of `region` lines: each core
+/// steps one line per reference through its own slice, reading two lines for
+/// every one it writes, and `cursor` carries each core's position from one
+/// call to the next.  Over a region four times the L2, every slice wraps
+/// only after the whole region has been swept, so nearly every reference
+/// misses both levels and every L2 fill evicts.
+fn l2_miss_pass(hier: &mut CmpCacheHierarchy, cursor: &mut u64, region: u64, accesses: u64) -> u64 {
+    let cores = hier.cores() as u64;
+    let line = hier.line_bytes();
+    let per_core = region / cores;
+    let mut offchip = 0;
+    for i in 0..accesses {
+        let core = i % cores;
+        let step = *cursor + i / cores;
+        let block = core * per_core + step % per_core;
+        offchip += hier
+            .access(core as usize, block * line, step % 3 == 2)
+            .offchip_bytes;
+    }
+    *cursor += accesses / cores;
+    offchip
+}
+
+fn bench_hierarchy_l2_misses(c: &mut Criterion) {
+    const ACCESSES: u64 = 100_000;
+    let cfg = default_config(32).expect("default configuration");
+    let mut hier = CmpCacheHierarchy::new(&cfg);
+    let region = 4 * (cfg.l2.capacity_bytes / cfg.l2.line_bytes) as u64;
+    // One full sweep first, so the timed passes run with a full L2.
+    let mut cursor = 0;
+    l2_miss_pass(&mut hier, &mut cursor, region, region);
+    let mut group = c.benchmark_group("cache_hierarchy");
+    group.throughput(Throughput::Elements(ACCESSES));
+    group.sample_size(20);
+    group.bench_function("l2_miss_stream_32core", |b| {
+        b.iter(|| black_box(l2_miss_pass(&mut hier, &mut cursor, region, ACCESSES)))
+    });
+    group.finish();
+}
+
 fn bench_engine_throughput(c: &mut Criterion) {
     let workload = SyntheticTree {
         depth: 6,
@@ -138,6 +179,7 @@ criterion_group!(
     benches,
     bench_hierarchy_accesses,
     bench_hierarchy_stream,
+    bench_hierarchy_l2_misses,
     bench_engine_throughput
 );
 criterion_main!(benches);

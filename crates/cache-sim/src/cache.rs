@@ -44,6 +44,22 @@ const DIRTY: u64 = 1 << 63;
 /// `DIRTY - 1`, so no resident block's tag, dirty or clean, can equal it.
 const INVALID: u64 = u64::MAX;
 
+/// Bytes per host cache line, the alignment of the first set's words.
+const HOST_LINE_BYTES: usize = 64;
+
+/// `len` words of `fill` in a buffer padded so that word `start` — the
+/// first of the `len` — sits on a host cache-line boundary.  A 16-way set's
+/// tags then span two host lines and its stamps one, instead of straddling
+/// one more: large heap blocks come back 16 bytes past a page boundary.
+/// Results never depend on the alignment (a clone may lose it); only the
+/// host lines a lookup touches do.
+fn aligned_words<T: Copy>(len: usize, fill: T) -> (Box<[T]>, usize) {
+    let word = std::mem::size_of::<T>();
+    let buf = vec![fill; len + HOST_LINE_BYTES / word - 1].into_boxed_slice();
+    let start = (buf.as_ptr() as usize).wrapping_neg() % HOST_LINE_BYTES / word;
+    (buf, start)
+}
+
 /// A set-associative cache with write-back, write-allocate semantics.
 ///
 /// The cache stores block addresses only (no data): the simulator cares about
@@ -54,21 +70,28 @@ const INVALID: u64 = u64::MAX;
 /// `u64::MAX` for an empty line — with a parallel stamp array for the
 /// replacement order and one RNG word per set for the Random policy.  An
 /// access therefore touches exactly one contiguous `associativity`-word
-/// window — no per-set heap structures on the hot path.
+/// window — no per-set heap structures on the hot path.  Both line arrays
+/// start on a host cache-line boundary (see [`aligned_words`]).
 #[derive(Debug, Clone)]
 pub struct Cache {
     geometry: CacheGeometry,
     policy: ReplacementPolicy,
-    /// All tag words, set-major: set `s` owns `lines[s*assoc .. (s+1)*assoc]`.
+    /// All tag words, set-major from word `line0`: slot `i` is
+    /// `lines[line0 + i]`, and set `s` owns slots `s*assoc .. (s+1)*assoc`.
     lines: Box<[u64]>,
-    /// Replacement stamps parallel to `lines` (recency for LRU, fill time for
-    /// FIFO; unused for Random).
-    stamps: Box<[u64]>,
+    line0: usize,
+    /// Replacement stamps parallel to the tags, slot `i` at
+    /// `stamps[stamp0 + i]` (recency for LRU, fill time for FIFO; unused for
+    /// Random).
+    stamps: Box<[u32]>,
+    stamp0: usize,
     /// Per-set xorshift state for the Random policy.
     rng: Box<[u64]>,
     /// Cache-global monotone stamp counter (ordering is only compared within a
-    /// set, so one clock serves every set).
-    clock: u64,
+    /// set, so one clock serves every set).  Stamps are 32 bits, half the
+    /// bytes a victim choice reads; when the clock would wrap, every set's
+    /// stamps are renumbered by rank first (see `renumber_stamps`).
+    clock: u32,
     stats: CacheStats,
     set_mask: u64,
     assoc: usize,
@@ -79,19 +102,28 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry does not validate; configurations coming from
-    /// `pdfws-cmp-model` always do.
+    /// Panics if the geometry does not validate (configurations coming from
+    /// `pdfws-cmp-model` always do), or if a set has `2^32` ways or more,
+    /// past what a 32-bit stamp can rank.
     pub fn new(geometry: CacheGeometry, policy: ReplacementPolicy) -> Self {
         geometry
             .validate()
             .expect("cache geometry must be valid (validated by pdfws-cmp-model)");
         let num_sets = geometry.sets();
         let assoc = geometry.associativity;
+        assert!(
+            u32::try_from(assoc).is_ok(),
+            "associativity {assoc} does not fit the 32-bit replacement stamps"
+        );
+        let (lines, line0) = aligned_words(num_sets * assoc, INVALID);
+        let (stamps, stamp0) = aligned_words(num_sets * assoc, 0u32);
         Cache {
             geometry,
             policy,
-            lines: vec![INVALID; num_sets * assoc].into_boxed_slice(),
-            stamps: vec![0; num_sets * assoc].into_boxed_slice(),
+            lines,
+            line0,
+            stamps,
+            stamp0,
             rng: (0..num_sets).map(set_rng_seed).collect(),
             clock: 0,
             stats: CacheStats::default(),
@@ -120,17 +152,36 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
-    /// First line index of the set `block` maps to.
+    /// First slot of the set `block` maps to.
     #[inline]
     fn set_base(&self, block: BlockAddr) -> usize {
         (block & self.set_mask) as usize * self.assoc
+    }
+
+    /// Number of slots (`sets × ways`).
+    #[inline]
+    fn slots(&self) -> usize {
+        (self.set_mask as usize + 1) * self.assoc
+    }
+
+    /// The tag words of every slot.
+    #[inline]
+    fn tags(&self) -> &[u64] {
+        &self.lines[self.line0..][..self.slots()]
+    }
+
+    /// The tag words of every slot, to update in place.
+    #[inline]
+    fn tags_mut(&mut self) -> &mut [u64] {
+        let slots = self.slots();
+        &mut self.lines[self.line0..][..slots]
     }
 
     /// Slot holding `block`, if it is resident.
     #[inline]
     fn find(&self, block: BlockAddr) -> Option<usize> {
         let base = self.set_base(block);
-        self.lines[base..base + self.assoc]
+        self.lines[self.line0 + base..][..self.assoc]
             .iter()
             .position(|&tag| tag & !DIRTY == block)
             .map(|way| base + way)
@@ -148,8 +199,11 @@ impl Cache {
             block < DIRTY - 1,
             "block {block:#x} collides with the tag flags"
         );
+        if self.clock == u32::MAX {
+            self.renumber_stamps();
+        }
         let base = self.set_base(block);
-        let set = &mut self.lines[base..base + self.assoc];
+        let set = &mut self.lines[self.line0 + base..][..self.assoc];
 
         // One scan finds both the hit way and the first free way.  An empty
         // line's tag never matches a block, so the hit test needs no validity
@@ -176,7 +230,7 @@ impl Cache {
                 self.stats.read_hits += 1;
             }
             if self.policy == ReplacementPolicy::Lru {
-                self.stamps[base + hit_way] = self.clock;
+                self.stamps[self.stamp0 + base + hit_way] = self.clock;
             }
             return CacheAccessResult {
                 hit: true,
@@ -198,7 +252,7 @@ impl Cache {
         } else {
             let way = match self.policy {
                 ReplacementPolicy::Lru | ReplacementPolicy::Fifo => {
-                    oldest_way(&self.stamps[base..base + self.assoc])
+                    oldest_way(&self.stamps[self.stamp0 + base..][..self.assoc])
                 }
                 ReplacementPolicy::Random => {
                     let set_idx = base / self.assoc;
@@ -226,7 +280,7 @@ impl Cache {
             block
         };
         if self.policy != ReplacementPolicy::Random {
-            self.stamps[base + way] = self.clock;
+            self.stamps[self.stamp0 + base + way] = self.clock;
         }
 
         CacheAccessResult {
@@ -234,6 +288,25 @@ impl Cache {
             slot: base + way,
             evicted,
         }
+    }
+
+    /// Replace every set's stamps by their ranks within the set (ties by
+    /// way), and restart the clock just above the largest rank.  Victim
+    /// choice compares stamps only within a set, so renumbering keeps every
+    /// future choice the one unbounded stamps would make.
+    #[cold]
+    fn renumber_stamps(&mut self) {
+        let mut order: Vec<usize> = Vec::with_capacity(self.assoc);
+        let slots = self.slots();
+        for stamps in self.stamps[self.stamp0..][..slots].chunks_exact_mut(self.assoc) {
+            order.clear();
+            order.extend(0..self.assoc);
+            order.sort_by_key(|&way| (stamps[way], way));
+            for (rank, &way) in order.iter().enumerate() {
+                stamps[way] = rank as u32;
+            }
+        }
+        self.clock = self.assoc as u32 - 1;
     }
 
     /// Check whether `block` is present without disturbing replacement state or
@@ -244,7 +317,7 @@ impl Cache {
 
     /// The block held in `slot`, or `None` if the slot is empty.
     pub fn block_at(&self, slot: usize) -> Option<BlockAddr> {
-        let tag = self.lines[slot];
+        let tag = self.tags()[slot];
         (tag != INVALID).then_some(tag & !DIRTY)
     }
 
@@ -252,29 +325,31 @@ impl Cache {
     /// replacement order.  Used to sink write-backs from an upper level into
     /// this one; the slot must hold a block.
     pub fn set_dirty(&mut self, slot: usize) {
-        debug_assert_ne!(self.lines[slot], INVALID, "set_dirty on an empty slot");
-        self.lines[slot] |= DIRTY;
+        let tag = &mut self.tags_mut()[slot];
+        debug_assert_ne!(*tag, INVALID, "set_dirty on an empty slot");
+        *tag |= DIRTY;
     }
 
     /// Invalidate `block` if present.  Returns `Some(dirty)` if a line was
     /// invalidated, `None` if the block was not cached.
     pub fn invalidate(&mut self, block: BlockAddr) -> Option<bool> {
         let slot = self.find(block)?;
-        let dirty = self.lines[slot] & DIRTY != 0;
-        self.lines[slot] = INVALID;
+        let tag = &mut self.tags_mut()[slot];
+        let dirty = *tag & DIRTY != 0;
+        *tag = INVALID;
         self.stats.invalidations += 1;
         Some(dirty)
     }
 
     /// Number of valid lines currently resident.
     pub fn occupancy(&self) -> usize {
-        self.lines.iter().filter(|&&tag| tag != INVALID).count()
+        self.tags().iter().filter(|&&tag| tag != INVALID).count()
     }
 
     /// Iterate over all resident block addresses (used by tests and the working-set
     /// profiler; order is unspecified).
     pub fn resident_blocks(&self) -> impl Iterator<Item = BlockAddr> + '_ {
-        (0..self.lines.len()).filter_map(|slot| self.block_at(slot))
+        (0..self.slots()).filter_map(|slot| self.block_at(slot))
     }
 
     /// Drop every line (contents and replacement state), keeping statistics.
@@ -510,6 +585,274 @@ mod tests {
     #[should_panic(expected = "collides with the tag flags")]
     fn blocks_that_collide_with_the_tag_flags_are_rejected() {
         tiny_cache(4096, 4).access(u64::MAX >> 1, AccessKind::Read);
+    }
+
+    /// The lookup and victim choice as first written, kept as the reference
+    /// the cache must match access for access: one tag scan, with a branch
+    /// per way, finds the hit way and the first free way, and the LRU/FIFO
+    /// victim is the first way with the smallest stamp.
+    struct Reference {
+        policy: ReplacementPolicy,
+        lines: Vec<u64>,
+        stamps: Vec<u64>,
+        rng: Vec<u64>,
+        clock: u64,
+        stats: CacheStats,
+        set_mask: u64,
+        assoc: usize,
+    }
+
+    impl Reference {
+        fn new(geometry: CacheGeometry, policy: ReplacementPolicy) -> Self {
+            let (sets, assoc) = (geometry.sets(), geometry.associativity);
+            Reference {
+                policy,
+                lines: vec![INVALID; sets * assoc],
+                stamps: vec![0; sets * assoc],
+                rng: (0..sets).map(set_rng_seed).collect(),
+                clock: 0,
+                stats: CacheStats::default(),
+                set_mask: (sets - 1) as u64,
+                assoc,
+            }
+        }
+
+        fn find(&self, block: BlockAddr) -> Option<usize> {
+            let base = (block & self.set_mask) as usize * self.assoc;
+            (base..base + self.assoc).find(|&slot| self.lines[slot] & !DIRTY == block)
+        }
+
+        fn access(&mut self, block: BlockAddr, kind: AccessKind) -> CacheAccessResult {
+            let base = (block & self.set_mask) as usize * self.assoc;
+            let (mut free_way, mut hit_way) = (usize::MAX, usize::MAX);
+            for way in 0..self.assoc {
+                let tag = self.lines[base + way];
+                if tag & !DIRTY == block {
+                    hit_way = way;
+                    break;
+                }
+                if tag == INVALID && free_way == usize::MAX {
+                    free_way = way;
+                }
+            }
+            self.clock += 1;
+            let write = kind == AccessKind::Write;
+            if hit_way != usize::MAX {
+                let slot = base + hit_way;
+                if write {
+                    self.lines[slot] |= DIRTY;
+                    self.stats.write_hits += 1;
+                } else {
+                    self.stats.read_hits += 1;
+                }
+                if self.policy == ReplacementPolicy::Lru {
+                    self.stamps[slot] = self.clock;
+                }
+                return CacheAccessResult {
+                    hit: true,
+                    slot,
+                    evicted: None,
+                };
+            }
+            if write {
+                self.stats.write_misses += 1;
+            } else {
+                self.stats.read_misses += 1;
+            }
+            let (way, evicted) = if free_way != usize::MAX {
+                (free_way, None)
+            } else {
+                let way = match self.policy {
+                    ReplacementPolicy::Lru | ReplacementPolicy::Fifo => {
+                        let stamps = &self.stamps[base..base + self.assoc];
+                        let mut way = 0;
+                        for w in 1..self.assoc {
+                            if stamps[w] < stamps[way] {
+                                way = w;
+                            }
+                        }
+                        way
+                    }
+                    ReplacementPolicy::Random => {
+                        let set = base / self.assoc;
+                        (next_random(&mut self.rng[set]) % self.assoc as u64) as usize
+                    }
+                };
+                let old = self.lines[base + way];
+                let dirty = old & DIRTY != 0;
+                self.stats.evictions += 1;
+                if dirty {
+                    self.stats.writebacks += 1;
+                }
+                let block = old & !DIRTY;
+                (way, Some(EvictedBlock { block, dirty }))
+            };
+            self.lines[base + way] = if write { block | DIRTY } else { block };
+            if self.policy != ReplacementPolicy::Random {
+                self.stamps[base + way] = self.clock;
+            }
+            CacheAccessResult {
+                hit: false,
+                slot: base + way,
+                evicted,
+            }
+        }
+
+        fn block_at(&self, slot: usize) -> Option<BlockAddr> {
+            let tag = self.lines[slot];
+            (tag != INVALID).then_some(tag & !DIRTY)
+        }
+
+        fn invalidate(&mut self, block: BlockAddr) -> Option<bool> {
+            let slot = self.find(block)?;
+            let dirty = self.lines[slot] & DIRTY != 0;
+            self.lines[slot] = INVALID;
+            self.stats.invalidations += 1;
+            Some(dirty)
+        }
+
+        fn flush(&mut self) {
+            self.lines.fill(INVALID);
+            self.stamps.fill(0);
+            for (set, state) in self.rng.iter_mut().enumerate() {
+                *state = set_rng_seed(set);
+            }
+            self.clock = 0;
+        }
+    }
+
+    /// Drive the cache and the reference with the same random reads, writes,
+    /// invalidations, dirty marks, probes and (if `flushes`) flushes, the
+    /// cache's stamp clock starting at `clock`.
+    fn check_against_reference(
+        sets: usize,
+        assoc: usize,
+        policy: ReplacementPolicy,
+        seed: u64,
+        clock: u32,
+        flushes: bool,
+    ) -> Cache {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let g = CacheGeometry {
+            capacity_bytes: sets * assoc * 64,
+            line_bytes: 64,
+            associativity: assoc,
+            latency_cycles: 1,
+        };
+        let mut cache = Cache::new(g, policy);
+        cache.clock = clock;
+        let mut reference = Reference::new(g, policy);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let lines = (sets * assoc) as u64;
+        // Mostly a pool of three times the capacity (hits, misses and
+        // evictions), sometimes a block near the top of the admitted range.
+        let pick_block = |rng: &mut StdRng| match rng.gen_range(0..16u32) {
+            0 => DIRTY - 2 - rng.gen_range(0..4 * lines),
+            _ => rng.gen_range(0..3 * lines),
+        };
+        let what = format!("{sets} sets x {assoc} ways, {policy:?}");
+        for op in 0..6_000 {
+            match rng.gen_range(0..100u32) {
+                98.. if flushes => {
+                    cache.flush();
+                    reference.flush();
+                }
+                0..=79 | 98.. => {
+                    let block = pick_block(&mut rng);
+                    let kind = if rng.gen_bool(0.3) {
+                        AccessKind::Write
+                    } else {
+                        AccessKind::Read
+                    };
+                    let got = cache.access(block, kind);
+                    assert_eq!(got, reference.access(block, kind), "{what}: op {op}");
+                    assert_eq!(cache.block_at(got.slot), Some(block), "{what}: op {op}");
+                }
+                80..=89 => {
+                    let block = pick_block(&mut rng);
+                    assert_eq!(
+                        cache.invalidate(block),
+                        reference.invalidate(block),
+                        "{what}: op {op}"
+                    );
+                }
+                90..=96 => {
+                    let slot = rng.gen_range(0..lines as usize);
+                    if reference.block_at(slot).is_some() {
+                        cache.set_dirty(slot);
+                        reference.lines[slot] |= DIRTY;
+                    }
+                }
+                _ => {
+                    let block = pick_block(&mut rng);
+                    assert_eq!(cache.probe(block), reference.find(block).is_some());
+                }
+            }
+        }
+        for slot in 0..lines as usize {
+            assert_eq!(
+                cache.block_at(slot),
+                reference.block_at(slot),
+                "{what}: slot {slot}"
+            );
+        }
+        assert_eq!(*cache.stats(), reference.stats, "{what}");
+        assert!(
+            reference.stats.evictions > 0 && reference.stats.hits() > 0,
+            "{what}"
+        );
+        cache
+    }
+
+    #[test]
+    fn lookup_and_victim_choice_match_the_reference_scan() {
+        let policies = [
+            ReplacementPolicy::Lru,
+            ReplacementPolicy::Fifo,
+            ReplacementPolicy::Random,
+        ];
+        // Set-associative shapes of 1 to 32 ways, then fully associative
+        // caches (one set) whose way count is not a multiple of 8.
+        let shapes = [
+            (8, 1),
+            (8, 2),
+            (8, 3),
+            (8, 4),
+            (4, 12),
+            (4, 16),
+            (2, 32),
+            (1, 40),
+            (1, 5),
+        ];
+        for (i, &(sets, assoc)) in shapes.iter().enumerate() {
+            for (j, &policy) in policies.iter().enumerate() {
+                check_against_reference(sets, assoc, policy, (i * 3 + j) as u64, 0, true);
+            }
+        }
+    }
+
+    #[test]
+    fn renumbering_the_stamps_keeps_every_victim_choice() {
+        // Start the 32-bit clock a few thousand accesses short of wrapping:
+        // the run renumbers every set's stamps and must still choose the
+        // victims the reference's unbounded stamps choose.
+        for (i, &(sets, assoc)) in [(8, 4), (4, 16), (1, 40)].iter().enumerate() {
+            for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Fifo] {
+                let cache = check_against_reference(
+                    sets,
+                    assoc,
+                    policy,
+                    100 + i as u64,
+                    u32::MAX - 3_000,
+                    false,
+                );
+                assert!(
+                    cache.clock < 10_000,
+                    "{sets}x{assoc} {policy:?}: no renumbering"
+                );
+            }
+        }
     }
 
     #[test]

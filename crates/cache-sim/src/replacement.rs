@@ -46,7 +46,7 @@ pub(crate) fn next_random(state: &mut u64) -> u64 {
 /// for a victim once every way has been filled, and the stamp clock is a
 /// monotone counter, so the stamps are distinct.
 #[inline]
-pub(crate) fn oldest_way(stamps: &[u64]) -> usize {
+pub(crate) fn oldest_way(stamps: &[u32]) -> usize {
     debug_assert!(!stamps.is_empty(), "sets have at least one way");
     let mut way = 0;
     let mut best = stamps[0];

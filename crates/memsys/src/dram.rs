@@ -63,25 +63,71 @@ pub struct DramService {
 /// each other's on every access; it takes three streams to thrash.
 pub const ROW_BUFFERS_PER_BANK: usize = 2;
 
-#[derive(Debug, Clone, Default)]
+/// Open-row slot of a bank that holds no row yet.  A row is a block number
+/// shifted right, and blocks reach the controller from caches whose tags stay
+/// below `2^63`, so no real row equals it.
+const NO_ROW: u64 = u64::MAX;
+
+#[derive(Debug, Clone)]
 struct Bank {
     busy_until: u64,
-    /// Most recently used first, at most [`ROW_BUFFERS_PER_BANK`] entries.
-    open_rows: Vec<u64>,
+    /// Open rows, most recently used first ([`NO_ROW`] for an empty buffer).
+    open_rows: [u64; ROW_BUFFERS_PER_BANK],
+}
+
+impl Default for Bank {
+    fn default() -> Self {
+        Bank {
+            busy_until: 0,
+            open_rows: [NO_ROW; ROW_BUFFERS_PER_BANK],
+        }
+    }
 }
 
 impl Bank {
     /// Record an access to `row`: true if it hit an open row buffer.  Updates
-    /// LRU order, evicting the least recently used row on a miss.
+    /// LRU order, evicting the least recently used row on a miss: the rows
+    /// before the hit (every row, on a miss) move back one place and `row`
+    /// takes the front.
+    #[inline]
     fn touch(&mut self, row: u64) -> bool {
-        if let Some(pos) = self.open_rows.iter().position(|&r| r == row) {
-            self.open_rows.remove(pos);
-            self.open_rows.insert(0, row);
-            return true;
+        debug_assert_ne!(row, NO_ROW, "row id collides with the empty marker");
+        let hit = self.open_rows.iter().position(|&r| r == row);
+        let moved = hit.unwrap_or(ROW_BUFFERS_PER_BANK - 1);
+        self.open_rows.copy_within(..moved, 1);
+        self.open_rows[0] = row;
+        hit.is_some()
+    }
+}
+
+/// `x % d` for one fixed divisor `d`, without a division: Lemire, Kaser and
+/// Kurz, "Faster Remainder by Direct Computation" (2019).  With the 128-bit
+/// magic `ceil(2^128 / d)` the remainder is the high 64 bits of
+/// `(magic * x mod 2^128) * d`, exact for every 64-bit `x` and every `d >= 1`
+/// (for `d = 1` the magic wraps to 0 and so does the remainder).
+#[derive(Debug, Clone, Copy)]
+struct FastMod {
+    magic: u128,
+    divisor: u64,
+}
+
+impl FastMod {
+    fn new(divisor: u64) -> Self {
+        assert!(divisor > 0, "the divisor must be positive");
+        FastMod {
+            magic: (u128::MAX / u128::from(divisor)).wrapping_add(1),
+            divisor,
         }
-        self.open_rows.insert(0, row);
-        self.open_rows.truncate(ROW_BUFFERS_PER_BANK);
-        false
+    }
+
+    /// `x % divisor`.
+    #[inline]
+    fn rem(self, x: u64) -> u64 {
+        let low = self.magic.wrapping_mul(u128::from(x));
+        let d = u128::from(self.divisor);
+        let bottom = (u128::from(low as u64) * d) >> 64;
+        let top = (low >> 64) * d;
+        ((bottom + top) >> 64) as u64
     }
 }
 
@@ -95,8 +141,10 @@ pub struct DramController {
     hit_cycles: u64,
     /// Row activate+access latency in cycles.
     miss_cycles: u64,
-    /// Line size, fixing how many blocks share a row.
-    blocks_per_row: u64,
+    /// `log2` of the blocks per row: a block's row is `block >> row_shift`.
+    row_shift: u32,
+    /// Reduces a row hash to a bank index.
+    bank_of_hash: FastMod,
     banks: Vec<Bank>,
     /// Core cycle until which the shared data resource is occupied.
     data_busy_until: u64,
@@ -112,7 +160,13 @@ pub struct DramController {
 impl DramController {
     /// A controller with the given data bandwidth (bytes per core cycle),
     /// bank count, open-row hit latency, and row-miss latency, serving lines
-    /// of `line_bytes`.
+    /// of `line_bytes`.  A row holds `ROW_BYTES / line_bytes` blocks, or one
+    /// block if lines are at least a row long.
+    ///
+    /// # Panics
+    ///
+    /// If the bandwidth is not positive, `banks` is 0, or `line_bytes` is not
+    /// a power of two (cache geometry validation guarantees one).
     pub fn new(
         bytes_per_cycle: f64,
         banks: u64,
@@ -125,11 +179,17 @@ impl DramController {
             "DRAM bandwidth must be positive (can be infinite)"
         );
         assert!(banks > 0, "at least one bank");
+        assert!(
+            line_bytes.is_power_of_two(),
+            "line size {line_bytes} must be a power of two"
+        );
+        let blocks_per_row = (ROW_BYTES / line_bytes).max(1);
         DramController {
             transfer: TransferTable::new(bytes_per_cycle),
             hit_cycles,
             miss_cycles: miss_cycles.max(1),
-            blocks_per_row: (ROW_BYTES / line_bytes.max(1)).max(1),
+            row_shift: blocks_per_row.trailing_zeros(),
+            bank_of_hash: FastMod::new(banks),
             banks: vec![Bank::default(); banks as usize],
             data_busy_until: 0,
             queue_cycles: 0,
@@ -141,8 +201,9 @@ impl DramController {
     }
 
     /// The row a block lives in.
+    #[inline]
     pub fn row_of(&self, block: u64) -> u64 {
-        block / self.blocks_per_row
+        block >> self.row_shift
     }
 
     /// The bank a block maps to.
@@ -159,18 +220,24 @@ impl DramController {
     /// that collides once then collides on every row for the rest of the
     /// run.  The xor-shift-multiply mix makes successive rows' banks
     /// effectively independent, so collisions last one row and move on.
+    #[inline]
     pub fn bank_of(&self, block: u64) -> usize {
-        let banks = self.banks.len() as u64;
-        let mut z = self.row_of(block).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.bank_of_row(self.row_of(block))
+    }
+
+    /// The bank `row` lives on (see [`DramController::bank_of`]).
+    #[inline]
+    fn bank_of_row(&self, row: u64) -> usize {
+        let mut z = row.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        ((z ^ (z >> 31)) % banks) as usize
+        self.bank_of_hash.rem(z ^ (z >> 31)) as usize
     }
 
     /// Synchronously service a request arriving at `at` (the engine path).
     pub fn service(&mut self, block: u64, bytes: u64, at: u64) -> DramService {
         let row = self.row_of(block);
-        let bank_idx = self.bank_of(block);
+        let bank_idx = self.bank_of_row(row);
         let transfer = self.transfer.cycles(bytes);
         let bank = &mut self.banks[bank_idx];
         let row_hit = bank.touch(row);
@@ -277,6 +344,160 @@ impl Component for DramController {
 mod tests {
     use super::*;
     use crate::component::run_until;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The controller's arithmetic as first written — a division for the
+    /// row, `%` for the bank, a `Vec` of open rows — kept as the reference
+    /// the division-free path must match service for service.
+    struct Reference {
+        transfer: TransferTable,
+        hit_cycles: u64,
+        miss_cycles: u64,
+        blocks_per_row: u64,
+        banks: Vec<(u64, Vec<u64>)>,
+        data_busy_until: u64,
+        queue_cycles: u64,
+        row_hits: u64,
+        row_misses: u64,
+    }
+
+    impl Reference {
+        fn new(bw: f64, banks: u64, hit: u64, miss: u64, line: u64) -> Self {
+            Reference {
+                transfer: TransferTable::new(bw),
+                hit_cycles: hit,
+                miss_cycles: miss.max(1),
+                blocks_per_row: (ROW_BYTES / line.max(1)).max(1),
+                banks: vec![(0, Vec::new()); banks as usize],
+                data_busy_until: 0,
+                queue_cycles: 0,
+                row_hits: 0,
+                row_misses: 0,
+            }
+        }
+
+        fn service(&mut self, block: u64, bytes: u64, at: u64) -> DramService {
+            let row = block / self.blocks_per_row;
+            let mut z = row.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            let bank_idx = ((z ^ (z >> 31)) % self.banks.len() as u64) as usize;
+            let transfer = self.transfer.cycles(bytes);
+            let (busy_until, open_rows) = &mut self.banks[bank_idx];
+            let row_hit = match open_rows.iter().position(|&r| r == row) {
+                Some(pos) => {
+                    open_rows.remove(pos);
+                    open_rows.insert(0, row);
+                    true
+                }
+                None => {
+                    open_rows.insert(0, row);
+                    open_rows.truncate(ROW_BUFFERS_PER_BANK);
+                    false
+                }
+            };
+            let access = if row_hit {
+                self.row_hits += 1;
+                self.hit_cycles
+            } else {
+                self.row_misses += 1;
+                self.miss_cycles
+            };
+            if transfer == 0 {
+                return DramService {
+                    start: at,
+                    done: at.saturating_add(access),
+                    queue_cycles: 0,
+                    row_hit,
+                };
+            }
+            let start = at.max(*busy_until);
+            let ready = start.saturating_add(access);
+            let data_start = ready.max(self.data_busy_until);
+            let done = data_start.saturating_add(transfer);
+            self.data_busy_until = done;
+            *busy_until = if row_hit {
+                start.saturating_add(transfer)
+            } else {
+                done.min(start.saturating_add(2 * self.miss_cycles / 3 + transfer))
+            };
+            let queue_cycles = (start - at) + (data_start - ready);
+            self.queue_cycles += queue_cycles;
+            DramService {
+                start,
+                done,
+                queue_cycles,
+                row_hit,
+            }
+        }
+    }
+
+    #[test]
+    fn service_matches_the_reference_arithmetic() {
+        for banks in [1u64, 3, 16, 4096] {
+            for line in [32u64, 64, 128, 8192] {
+                for bw in [8.0, 16.0 / 3.0, f64::INFINITY] {
+                    let mut rng = StdRng::seed_from_u64(banks * 10_007 + line);
+                    let mut fast = DramController::new(bw, banks, 10, 40, line);
+                    let mut reference = Reference::new(bw, banks, 10, 40, line);
+                    // Streams over a few rows (row hits and bank conflicts),
+                    // scattered blocks (row misses) and wide blocks.
+                    let mut at = 0u64;
+                    let mut stream = 0u64;
+                    for i in 0..4_000u64 {
+                        at += rng.gen_range(0..60);
+                        let block = match i % 4 {
+                            0 => rng.gen_range(0..1u64 << 40),
+                            1 => rng.gen::<u64>() >> 1,
+                            _ => {
+                                stream += rng.gen_range(0..3);
+                                stream
+                            }
+                        };
+                        let bytes = [line, 2 * line, 1, 700][rng.gen_range(0..4)];
+                        assert_eq!(
+                            fast.service(block, bytes, at),
+                            reference.service(block, bytes, at),
+                            "banks {banks}, line {line}, bw {bw}, request {i}"
+                        );
+                    }
+                    assert_eq!(fast.row_hits(), reference.row_hits);
+                    assert_eq!(fast.row_misses(), reference.row_misses);
+                    assert_eq!(fast.queue_cycles(), reference.queue_cycles);
+                    assert!(fast.row_hits() > 0 && fast.row_misses() > 0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fast_remainder_equals_the_modulo() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut divisors = vec![
+            1u64,
+            2,
+            3,
+            7,
+            16,
+            1000,
+            4095,
+            4096,
+            u32::MAX as u64,
+            u64::MAX,
+        ];
+        divisors.extend((0..200).map(|_| rng.gen_range(1..=u64::MAX)));
+        for d in divisors {
+            let fast = FastMod::new(d);
+            for x in [0, 1, d - 1, d, d.wrapping_add(1), u64::MAX, u64::MAX - 1] {
+                assert_eq!(fast.rem(x), x % d, "{x} % {d}");
+            }
+            for _ in 0..200 {
+                let x = rng.gen::<u64>();
+                assert_eq!(fast.rem(x), x % d, "{x} % {d}");
+            }
+        }
+    }
 
     fn ctrl() -> DramController {
         // 8 B/cyc, 4 banks, hit 10, miss 40, 64-byte lines (64 blocks/row).

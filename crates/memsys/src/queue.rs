@@ -131,8 +131,10 @@ impl EventQueue {
     /// the smaller child, then sift `key` up from there.  The child is chosen
     /// by arithmetic on a compare, not a branch — a re-keyed core usually
     /// lands deep in the heap, and a branch per level would mispredict about
-    /// half the time.
-    #[inline]
+    /// half the time.  Always inlined, into `pop` and into the engine's step
+    /// loop through `replace_top`: the engine re-keys once per step, and the
+    /// call was a measurable share of a step's host time.
+    #[inline(always)]
     fn sift_from_root(&mut self, key: u64) {
         let heap = &mut self.heap[..];
         let n = heap.len();

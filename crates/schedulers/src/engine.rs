@@ -114,6 +114,23 @@ pub struct SimOptions {
     pub disturbance: Option<Disturbance>,
 }
 
+/// Host-side work counters of one engine run (see [`SimEngine::counters`]).
+///
+/// They count what the event loop did, not what the simulated machine did,
+/// so they are kept out of [`SimResult`]: a change to the loop may move them
+/// without moving a simulated number.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineCounters {
+    /// Steps taken: one per step event of a running core.
+    pub steps: u64,
+    /// Steps that issued no memory reference (compute only, or a task's
+    /// last, empty step).
+    pub empty_steps: u64,
+    /// Events popped from the event queue: completions, backoff wakes and
+    /// dangling wakes dropped after the last task.
+    pub queue_pops: u64,
+}
+
 /// Per-task execution progress.
 #[derive(Debug, Clone)]
 struct RunningTask {
@@ -199,8 +216,10 @@ impl RunningTask {
 /// ([`AccessPattern::expand_into`](pdfws_task_dag::AccessPattern::expand_into));
 /// the step loop still consumes one reference at a time, so slice/step bounds
 /// and memory-system event ordering — and with them exact-mode results — are
-/// untouched.
-const ACCESS_BUFFER_CHUNK: u64 = 1024;
+/// untouched.  A chunk is 2 KiB, so 32 cores' buffers stay in the host's
+/// caches next to the hierarchy's arrays; at 1024 references (16 KiB each)
+/// a core's next reference had usually been evicted by the time it ran.
+const ACCESS_BUFFER_CHUNK: u64 = 128;
 
 /// A reusable per-core buffer of expanded upcoming references.
 #[derive(Debug, Default)]
@@ -324,6 +343,7 @@ pub struct SimEngine {
     /// (cycles, instructions, l2 misses, migrations) totals at the previous
     /// feedback sample, so windows report deltas.
     feedback_base: (u64, u64, u64, u64),
+    counters: EngineCounters,
 }
 
 impl SimEngine {
@@ -389,6 +409,7 @@ impl SimEngine {
             feedback_window,
             next_feedback_at: feedback_window,
             feedback_base: (0, 0, 0, 0),
+            counters: EngineCounters::default(),
         };
         engine
             .set_disturbance(options.disturbance)
@@ -550,6 +571,7 @@ impl SimEngine {
                 // (see `arm_wake`) can remain; drop them without advancing
                 // the clock so they cannot inflate the makespan.
                 self.events.pop();
+                self.counters.queue_pops += 1;
                 continue;
             }
             if time > deadline {
@@ -564,6 +586,7 @@ impl SimEngine {
                 // a second `(time, core)` entry for the actual step — consume
                 // this one as the (now stale) wake and let the other proceed.
                 self.events.pop();
+                self.counters.queue_pops += 1;
                 self.wake_at[core] = u64::MAX;
                 if self.cores[core].running.is_some() {
                     continue;
@@ -582,7 +605,10 @@ impl SimEngine {
             } else {
                 u64::MAX
             };
+            let issued_before = self.memory_accesses;
             let (elapsed, finished) = self.step(core, time, bound);
+            self.counters.steps += 1;
+            self.counters.empty_steps += (self.memory_accesses == issued_before) as u64;
             self.cores[core].busy_cycles += elapsed;
             let end = time + elapsed;
             // `now` must track step *ends*, not just event pop times, or the
@@ -594,6 +620,7 @@ impl SimEngine {
             self.sample_feedback(self.now);
             if finished {
                 let popped = self.events.pop();
+                self.counters.queue_pops += 1;
                 debug_assert_eq!(popped, Some((time, core)), "the stepping core is on top");
                 let task = self.cores[core]
                     .running
@@ -620,6 +647,12 @@ impl SimEngine {
             self.dag.len()
         );
         EngineStatus::Done
+    }
+
+    /// The event loop's work so far: steps, steps that issued no reference,
+    /// and queue pops.
+    pub fn counters(&self) -> EngineCounters {
+        self.counters
     }
 
     /// Whether every task of the DAG has completed.

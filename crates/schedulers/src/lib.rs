@@ -101,7 +101,7 @@ pub mod static_partition;
 pub mod ws;
 
 pub use adaptive::{tuned_threshold, window_pressure, AdaptiveConfig, AdaptivePolicy};
-pub use engine::{Disturbance, EngineError, EngineStatus, SimEngine, SimOptions};
+pub use engine::{Disturbance, EngineCounters, EngineError, EngineStatus, SimEngine, SimOptions};
 pub use hybrid::HybridPolicy;
 pub use pdf::PdfPolicy;
 pub use policy::{SchedulerPolicy, WindowFeedback};
