@@ -10,10 +10,18 @@
 //! dispatch order, fluid progress, rescaling or admission shows up as a
 //! golden diff — regenerate with
 //! `UPDATE_GOLDEN=1 cargo test --test serve_golden` and review it.
+//!
+//! A second block, after the traced run, pins the paths of the loop's quiet
+//! autoscale ticks (ticks that cannot change the level, taken in one tight
+//! loop): long idle gaps at the bottom rung, quiet stretches with jobs in
+//! flight that end at a completion, at an arrival or at the end of a
+//! cooldown, ticks that tie with completions, a one-rung ladder, and a clock
+//! past 2^53 cycles, where tick times stop being exact as `f64`.
 
 use pdfws::prelude::*;
 use pdfws::serve::{
-    parse_tenants, run_serve, run_serve_traced, ArrivalSpec, ServeConfig, ServeReport,
+    parse_tenants, run_serve, run_serve_traced, ArrivalSpec, AutoscalePolicy, ServeConfig,
+    ServeReport,
 };
 use pdfws::trace::EventTrace;
 use std::fmt::Write;
@@ -78,7 +86,61 @@ fn render() -> String {
     for event in trace.events() {
         writeln!(out, "{event:?}").unwrap();
     }
+
+    for (name, cfg) in &quiet_tick_runs() {
+        let report = run_serve(cfg).expect("serve run");
+        assert_covers_its_path(name, cfg, &report);
+        writeln!(out, "== {name} arrivals={} jobs={}", cfg.arrivals, cfg.jobs).unwrap();
+        writeln!(out, "{report:?}").unwrap();
+    }
     out
+}
+
+/// The 4-core tier's ladder (1/2/4 cores) under a custom evaluation interval
+/// and cooldown.
+fn ladder(interval_cycles: u64, cooldown_cycles: u64) -> Option<AutoscalePolicy> {
+    Some(AutoscalePolicy {
+        interval_cycles,
+        cooldown_cycles,
+        ..AutoscalePolicy::for_cores(4)
+    })
+}
+
+/// Runs whose autoscale ticks mostly change nothing, each shaped so one way
+/// a stretch of such ticks can end is common.
+fn quiet_tick_runs() -> Vec<(&'static str, ServeConfig)> {
+    // Gaps of ~400 ticks with the tier idle on its bottom rung.
+    let idle = cfg("poisson:rate=0.05", 200);
+    // A 5k-cycle interval under a 2M-cycle cooldown: long quiet stretches
+    // with jobs in flight, ended by completions, arrivals and cooldowns.
+    let mut in_flight = cfg("poisson:rate=6", 1_500);
+    in_flight.autoscale = ladder(5_000, 2_000_000);
+    // One tenant's head runs at rate 1, so a job admitted at a whole cycle
+    // with no rescale in flight finishes on a whole cycle, and a 1-cycle
+    // interval puts a tick there; some of those ticks change the level.
+    let mut ties = cfg("poisson:rate=10", 80);
+    ties.tenants = parse_tenants("solo").expect("one-tenant spec");
+    ties.autoscale = ladder(1, 300_000);
+    // Nowhere to step: every tick is quiet.
+    let mut one_rung = cfg("poisson:rate=10", 1_000);
+    one_rung.autoscale = Some(AutoscalePolicy {
+        levels: vec![4],
+        ..AutoscalePolicy::for_cores(4)
+    });
+    // Arrivals 2^51 cycles apart pass 2^53 from the fifth job on.  There an
+    // odd tick time is not an `f64`: with a 2^40 - 1 cycle interval each one
+    // rounds up a cycle and the schedule drifts with it (the large interval
+    // keeps the tick count small).  The cooldown holds the tier at two cores
+    // until 2^53 + 2^45 cycles, so the step down lands on a drifted tick.
+    let mut past_2_53 = cfg("uniform:gap=2251799813685248", 8);
+    past_2_53.autoscale = ladder((1 << 40) - 1, (1 << 53) + (1 << 45));
+    vec![
+        ("idle-gaps-bottom-rung", idle),
+        ("quiet-while-busy", in_flight),
+        ("ticks-tie-completions", ties),
+        ("one-rung", one_rung),
+        ("past-2^53-cycles", past_2_53),
+    ]
 }
 
 /// Each run must exercise the path its name promises, or the golden would
@@ -98,7 +160,7 @@ fn assert_covers_its_path(name: &str, cfg: &ServeConfig, report: &ServeReport) {
     if SHEDDING.contains(&name) {
         assert!(report.shed > 0, "{name}: the run never sheds");
     }
-    if cfg.autoscale.is_some() {
+    if cfg.autoscale.as_ref().is_some_and(|p| p.levels.len() > 1) {
         assert!(report.scale_events > 0, "{name}: the autoscaler never acts");
     }
 }
