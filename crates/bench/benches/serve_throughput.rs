@@ -12,8 +12,9 @@
 //! The 2000-job serve row pins the tier at full capacity, so it takes no
 //! autoscale tick.  `serve_light_autoscale_exact` is the serving loop's
 //! tick path: a light load on the default ladder, where ticks outnumber
-//! arrivals and completions about five to one and most of them find the
-//! tier idle.
+//! arrivals and completions about five to one.  Most of those ticks cannot
+//! change the level, idle or not, and the loop takes them in one tight run
+//! up to the next arrival or completion; CI records this row with `--json`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pdfws_schedulers::SchedulerSpec;

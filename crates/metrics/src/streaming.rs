@@ -90,19 +90,16 @@ impl P2Quantile {
             self.heights[4] = x;
             3
         } else {
-            // One of the three interior cells.
-            let mut cell = 0;
-            for i in 0..4 {
-                if x >= self.heights[i] && x < self.heights[i + 1] {
-                    cell = i;
-                    break;
-                }
-            }
-            cell
+            // One of the three interior cells.  The heights stay sorted, so
+            // the cell is the number of interior markers at or below `x`.
+            let h = &self.heights;
+            (x >= h[1]) as usize + (x >= h[2]) as usize + (x >= h[3]) as usize
         };
 
-        for i in (k + 1)..5 {
-            self.positions[i] += 1.0;
+        // Markers above the cell move up a rank (adding 0.0 leaves the
+        // others' bits alone).
+        for i in 0..5 {
+            self.positions[i] += if i > k { 1.0 } else { 0.0 };
         }
         for i in 0..5 {
             self.desired[i] += self.rates[i];
@@ -354,6 +351,80 @@ mod tests {
         let exact = percentile(&values, 95.0);
         let rel = (q.estimate() - exact).abs() / exact;
         assert!(rel < 0.05, "p95 {} vs exact {exact}", q.estimate());
+    }
+
+    /// `observe` as first written: the cell by a first-match scan and the
+    /// rank update by a branch per marker.
+    fn observe_by_scan(q: &mut P2Quantile, x: f64) {
+        q.count += 1;
+        if q.count <= 5 {
+            let n = q.count as usize;
+            q.heights[n - 1] = x;
+            q.heights[..n].sort_by(f64::total_cmp);
+            return;
+        }
+        let k = if x < q.heights[0] {
+            q.heights[0] = x;
+            0
+        } else if x >= q.heights[4] {
+            q.heights[4] = x;
+            3
+        } else {
+            (0..4)
+                .find(|&i| x >= q.heights[i] && x < q.heights[i + 1])
+                .unwrap_or(0)
+        };
+        for i in (k + 1)..5 {
+            q.positions[i] += 1.0;
+        }
+        for i in 0..5 {
+            q.desired[i] += q.rates[i];
+        }
+        for i in 1..4 {
+            let d = q.desired[i] - q.positions[i];
+            let step_up = q.positions[i + 1] - q.positions[i] > 1.0;
+            let step_down = q.positions[i - 1] - q.positions[i] < -1.0;
+            if (d >= 1.0 && step_up) || (d <= -1.0 && step_down) {
+                let d = d.signum();
+                let parabolic = q.parabolic(i, d);
+                q.heights[i] = if q.heights[i - 1] < parabolic && parabolic < q.heights[i + 1] {
+                    parabolic
+                } else {
+                    q.linear(i, d)
+                };
+                q.positions[i] += d;
+            }
+        }
+    }
+
+    #[test]
+    fn p2_marker_state_matches_a_first_match_scan_bit_for_bit() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let streams: Vec<Vec<f64>> = vec![
+            (0..20_000)
+                .map(|_| -(1.0 - rng.gen::<f64>()).ln() * 1e5)
+                .collect(),
+            (0..20_000).map(|_| rng.gen_range(0..4u64) as f64).collect(),
+            (0..5_000).map(|i| i as f64).collect(),
+            (0..5_000).map(|i| -(i as f64)).collect(),
+            vec![7.0; 1_000],
+        ];
+        let bits = |q: &P2Quantile| {
+            let mut v: Vec<u64> = q.heights.iter().map(|h| h.to_bits()).collect();
+            v.extend(q.positions.iter().chain(&q.desired).map(|h| h.to_bits()));
+            v
+        };
+        for stream in &streams {
+            for p in [0.5, 0.95, 0.99] {
+                let (mut fast, mut reference) = (P2Quantile::new(p), P2Quantile::new(p));
+                for &x in stream {
+                    fast.observe(x);
+                    observe_by_scan(&mut reference, x);
+                    assert_eq!(bits(&fast), bits(&reference), "p={p} after {x}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -37,19 +37,26 @@
 //!
 //! # Cost per event
 //!
-//! The loop's events are arrivals, completions and autoscale ticks, and each
-//! does only the work its change calls for.  An arrival or a completion
-//! costs O(active + tenants): the admission estimate sums the tenant's
-//! active work, a completion scans the active set, and either one may run a
-//! dispatch pass and rebuild the cached GPS state (each tenant's head job
-//! and its two rate factors).  A tick costs O(tenants) while jobs are
-//! active and O(1) while the tier is idle: idle ticks step in a tight loop
-//! up to the next arrival, and a shed arrival or a tick changes neither a
-//! queue nor the active set, so neither runs a dispatch pass.  Nothing is
+//! The loop pays per job, not per autoscale tick.  An arrival costs
+//! O(its tenant's active jobs): the admission estimate walks that tenant's
+//! jobs in active-set order.  A completion costs O(active + tenants): only
+//! head jobs progress, so only heads are checked, and the GPS state (each
+//! tenant's head job and its two rate factors) is re-derived, the rates only
+//! when the set of busy tenants changed.  Either may run a dispatch pass,
+//! which skips in closed form the deficit-round-robin rounds that would
+//! admit nothing.  A tick that cannot change the level (the scaler's quiet
+//! time for the current load has not come, or never comes inside the
+//! hysteresis band) only moves the fluid progress, the core-cycle integral
+//! and the schedule, so runs of them are taken in one tight loop up to the
+//! next arrival or completion; a tick at the same cycle as either stays in
+//! the main loop, and so does every tick from 2^53 cycles on, where tick
+//! times round as `f64`.  A shed arrival or a tick changes neither a queue
+//! nor the active set, so neither runs a dispatch pass.  Nothing is
 //! allocated inside the loop.  The floating-point operations are the same,
-//! in the same order, as a loop that re-derives all of that state at every
-//! event: each event decrements `remaining` and adds to the core-cycle
-//! integral once, and the admission estimate sums in active-set order.
+//! in the same order, as a loop that takes every tick as an event and
+//! re-derives all of that state at every event: each event decrements
+//! `remaining` and adds to the core-cycle integral once, and the admission
+//! estimate sums in active-set order.
 
 use crate::autoscale::{AutoscalePolicy, Autoscaler};
 use crate::tenant::TenantSpec;
@@ -70,6 +77,9 @@ const SCALES: u64 = 4;
 
 /// Sub-cycle slack when deciding a fluid job has finished.
 const REMAINING_EPS: f64 = 1e-3;
+
+/// Tick times from here on are not all exact as `f64`, so quiet ticks stop.
+const EXACT_TICKS: u64 = 1 << 53;
 
 /// Most scale decisions kept verbatim in the report (the count is always
 /// exact; the log is capped so sustained runs stay constant-memory).
@@ -337,8 +347,14 @@ struct TenantStats {
 struct Gps {
     /// Active jobs per tenant.
     n_active: Vec<usize>,
-    /// Index into the active set of each tenant's oldest job.
-    head: Vec<Option<usize>>,
+    /// Index into the active set of each busy tenant's oldest job (stale for
+    /// idle tenants).
+    head: Vec<usize>,
+    /// Scratch for the head search: the smallest job id seen per tenant.
+    head_id: Vec<u64>,
+    /// The busy tenants (`n_active > 0`), ascending; `rate` and `stretch`
+    /// run parallel to it.
+    busy: Vec<usize>,
     /// `weights[t] / w_busy`: alone-cycles per cycle for tenant `t`'s head.
     rate: Vec<f64>,
     /// `w_busy / weights[t]`: cycles per alone-cycle for tenant `t`'s head.
@@ -349,29 +365,71 @@ impl Gps {
     fn new(tenants: usize) -> Self {
         Gps {
             n_active: vec![0; tenants],
-            head: vec![None; tenants],
-            rate: vec![0.0; tenants],
-            stretch: vec![0.0; tenants],
+            head: vec![0; tenants],
+            head_id: vec![u64::MAX; tenants],
+            busy: Vec::with_capacity(tenants),
+            rate: Vec::with_capacity(tenants),
+            stretch: Vec::with_capacity(tenants),
         }
     }
 
+    /// Note job `index` of the active set joining tenant `t`.  Jobs leave a
+    /// tenant's queue in id order, so only the first active job of a tenant
+    /// becomes its head; call [`settle`](Self::settle) after the last one.
+    fn admit(&mut self, t: usize, index: usize) {
+        if self.n_active[t] == 0 {
+            self.head[t] = index;
+        }
+        self.n_active[t] += 1;
+    }
+
+    /// Re-derive every tenant's count and head from the active set, then
+    /// [`settle`](Self::settle).
     fn rebuild(&mut self, active: &[ActiveJob], weights: &[f64]) {
         self.n_active.fill(0);
-        self.head.fill(None);
+        self.head_id.fill(u64::MAX);
         for (i, job) in active.iter().enumerate() {
-            self.n_active[job.tenant] += 1;
-            match self.head[job.tenant] {
-                Some(h) if active[h].id <= job.id => {}
-                _ => self.head[job.tenant] = Some(i),
-            }
+            let t = job.tenant;
+            self.n_active[t] += 1;
+            // Selects, not branches: which job heads its tenant is data.
+            let older = job.id < self.head_id[t];
+            self.head_id[t] = if older { job.id } else { self.head_id[t] };
+            self.head[t] = if older { i } else { self.head[t] };
         }
-        let w_busy: f64 = (0..weights.len())
-            .filter(|&t| self.n_active[t] > 0)
-            .map(|t| weights[t])
-            .sum();
-        for (t, &w) in weights.iter().enumerate() {
-            self.rate[t] = w / w_busy;
-            self.stretch[t] = w_busy / w;
+        self.settle(weights);
+    }
+
+    /// Recompute the rates if the set of busy tenants changed.  They depend
+    /// on nothing else, so the same set gives the same bits.
+    fn settle(&mut self, weights: &[f64]) {
+        let busy = (0..self.n_active.len()).filter(|&t| self.n_active[t] > 0);
+        if busy.clone().eq(self.busy.iter().copied()) {
+            return;
+        }
+        self.busy.clear();
+        self.busy.extend(busy);
+        let w_busy: f64 = self.busy.iter().map(|&t| weights[t]).sum();
+        self.rate.clear();
+        self.rate
+            .extend(self.busy.iter().map(|&t| weights[t] / w_busy));
+        self.stretch.clear();
+        self.stretch
+            .extend(self.busy.iter().map(|&t| w_busy / weights[t]));
+    }
+
+    /// Cycles until the first head job finishes at the current rates.
+    fn horizon(&self, active: &[ActiveJob]) -> f64 {
+        self.busy
+            .iter()
+            .zip(&self.stretch)
+            .map(|(&t, stretch)| active[self.head[t]].remaining.max(0.0) * stretch)
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    /// Progress every head job by `dt` cycles of fluid service.
+    fn progress(&self, active: &mut [ActiveJob], dt: f64) {
+        for (&t, rate) in self.busy.iter().zip(&self.rate) {
+            active[self.head[t]].remaining -= dt * rate;
         }
     }
 }
@@ -427,6 +485,9 @@ struct Tier<'a> {
     deficits: Vec<f64>,
     drr_cursor: usize,
     active: Vec<ActiveJob>,
+    /// Each tenant's jobs as ascending indices into the active set, so the
+    /// admission estimate walks one tenant's jobs in active-set order.
+    members: Vec<Vec<usize>>,
     gps: Gps,
     level_idx: usize,
     now: f64,
@@ -478,6 +539,7 @@ impl<'a> Tier<'a> {
             .map(|w| ((cfg.max_active as f64 * w / w_all).floor() as usize).max(1))
             .collect();
         let slots: usize = quotas.iter().sum();
+        let members = quotas.iter().map(|&q| Vec::with_capacity(q)).collect();
         let level_idx = calib.level_idx(scaler.as_ref().map_or(cfg.cores, Autoscaler::cores));
         Tier {
             cfg,
@@ -495,6 +557,7 @@ impl<'a> Tier<'a> {
             deficits: vec![0.0; n_tenants],
             drr_cursor: 0,
             active: Vec::with_capacity(slots),
+            members,
             gps: Gps::new(n_tenants),
             level_idx,
             now: 0.0,
@@ -553,18 +616,12 @@ impl<'a> Tier<'a> {
             }
             self.peak_active = self.peak_active.max(self.active.len());
             self.note_outstanding();
-            if self.active.is_empty() && self.queued_total == 0 && self.offered < self.cfg.jobs {
-                self.idle_ticks();
-            }
+            self.quiet_ticks();
 
             // The next event: completion, autoscale tick, or arrival.
             let t_complete = self.next_completion();
             let t_tick = self.next_tick();
-            let t_arrival = if self.offered < self.cfg.jobs {
-                self.next_arrival.max(self.now)
-            } else {
-                f64::INFINITY
-            };
+            let t_arrival = self.t_arrival();
             let t_event = t_complete.min(t_tick).min(t_arrival);
             assert!(
                 t_event.is_finite(),
@@ -587,18 +644,43 @@ impl<'a> Tier<'a> {
         }
     }
 
-    /// Step an idle tier (nothing active, nothing queued) through the
-    /// autoscale ticks strictly before the next arrival.  Each is the event
-    /// the main loop would take, minus the work an idle tier skips.
-    fn idle_ticks(&mut self) {
-        let t_arrival = self.next_arrival.max(self.now);
-        loop {
-            let t_tick = self.next_tick();
-            if t_tick >= t_arrival {
-                return;
+    /// Take, in one tight loop, the autoscale ticks that cannot change
+    /// anything: those before the scaler's quiet time for the current load,
+    /// before the next arrival and strictly before the next completion (a
+    /// tick that ties with either stays with the main loop, which completes,
+    /// then ticks, then admits).  Each one is the main loop's `advance` plus
+    /// the step of the schedule that `observe` makes when it changes nothing.
+    /// Tick times are exact as `f64` only below 2^53 cycles, so from there on
+    /// the main loop takes them one at a time.
+    fn quiet_ticks(&mut self) {
+        let t_arrival = self.t_arrival();
+        let load = self.active.len() + self.queued_total;
+        let Some(mut scaler) = self.scaler.take() else {
+            return;
+        };
+        if (scaler.next_eval() as f64) < t_arrival {
+            let end = scaler
+                .quiet_until(load)
+                .map_or(EXACT_TICKS, |t| t.min(EXACT_TICKS));
+            loop {
+                let next = scaler.next_eval();
+                let t_tick = next as f64;
+                if next >= end || t_tick >= t_arrival || t_tick >= self.next_completion() {
+                    break;
+                }
+                self.advance(t_tick);
+                scaler.pass();
             }
-            self.advance(t_tick);
-            self.tick();
+        }
+        self.scaler = Some(scaler);
+    }
+
+    /// When the next arrival is due (never once every job was offered).
+    fn t_arrival(&self) -> f64 {
+        if self.offered < self.cfg.jobs {
+            self.next_arrival.max(self.now)
+        } else {
+            f64::INFINITY
         }
     }
 
@@ -607,25 +689,13 @@ impl<'a> Tier<'a> {
         if self.active.is_empty() {
             return f64::INFINITY;
         }
-        let horizon = self
-            .gps
-            .head
-            .iter()
-            .zip(&self.gps.stretch)
-            .filter_map(|(h, stretch)| h.map(|h| self.active[h].remaining.max(0.0) * stretch))
-            .fold(f64::INFINITY, f64::min);
-        self.now + horizon
+        self.now + self.gps.horizon(&self.active)
     }
 
     /// Advance the fluid shares and the core-cycle integral to `t_event`.
     fn advance(&mut self, t_event: f64) {
         if !self.active.is_empty() && t_event > self.now {
-            let dt = t_event - self.now;
-            for (h, rate) in self.gps.head.iter().zip(&self.gps.rate) {
-                if let Some(h) = *h {
-                    self.active[h].remaining -= dt * rate;
-                }
-            }
+            self.gps.progress(&mut self.active, t_event - self.now);
         }
         self.core_cycles += (t_event - self.now) * self.calib.levels[self.level_idx] as f64;
         self.now = t_event;
@@ -645,9 +715,13 @@ impl<'a> Tier<'a> {
             if !(0..n_tenants).any(dispatchable) {
                 break;
             }
+            self.bank_idle_rounds();
             for _ in 0..n_tenants {
                 let t = self.drr_cursor;
-                self.drr_cursor = (self.drr_cursor + 1) % n_tenants;
+                self.drr_cursor += 1;
+                if self.drr_cursor == n_tenants {
+                    self.drr_cursor = 0;
+                }
                 if self.queues[t].is_empty() {
                     // An idle tenant banks no credit (classic DRR).
                     self.deficits[t] = 0.0;
@@ -681,50 +755,118 @@ impl<'a> Tier<'a> {
                         remaining: est,
                         raw_prediction: job.raw_prediction,
                     });
-                    self.gps.n_active[t] += 1;
+                    self.members[t].push(self.active.len() - 1);
+                    self.gps.admit(t, self.active.len() - 1);
                 }
             }
             // Un-dispatchable heads only grow their deficits; loop again.
         }
         if self.active.len() > before {
-            self.gps.rebuild(&self.active, &self.weights);
+            self.gps.settle(&self.weights);
+        }
+    }
+
+    /// Skip, in closed form, the full DRR rounds that would admit nothing.
+    /// In such a round every dispatchable tenant (queued work, a free slot)
+    /// only banks its quantum and the cursor comes back where it started, so
+    /// `k` rounds are `k` quanta on each of those deficits.
+    fn bank_idle_rounds(&mut self) {
+        let mut rounds = u64::MAX;
+        for t in 0..self.queues.len() {
+            let Some(head) = self.queues[t].front() else {
+                continue;
+            };
+            if self.gps.n_active[t] >= self.quotas[t] {
+                continue;
+            }
+            let est = self.calib.service(head.shape, self.level_idx) as f64;
+            let quantum = self.cfg.drr_quantum_cycles as f64 * self.weights[t];
+            match waiting_rounds(est, self.deficits[t], quantum) {
+                Some(r) if r > 0 => rounds = rounds.min(r),
+                _ => return,
+            }
+        }
+        if rounds == u64::MAX {
+            return;
+        }
+        for t in 0..self.queues.len() {
+            if !self.queues[t].is_empty() && self.gps.n_active[t] < self.quotas[t] {
+                let quantum = self.cfg.drr_quantum_cycles as f64 * self.weights[t];
+                self.deficits[t] += (rounds * quantum as u64) as f64;
+            }
         }
     }
 
     /// Retire every finished job; returns whether any was.
+    ///
+    /// Only head jobs progress, so only a head can have finished.  A single
+    /// finished head is retired where it stands; two or more go through a
+    /// scan of the active set, whose swap-removes fix the order they are
+    /// retired in.
     fn complete(&mut self) -> bool {
-        let before = self.active.len();
-        let mut i = 0;
-        while i < self.active.len() {
-            if self.active[i].remaining > REMAINING_EPS {
-                i += 1;
-                continue;
+        let mut finished = 0;
+        let mut at = 0;
+        for &t in &self.gps.busy {
+            let h = self.gps.head[t];
+            if self.active[h].remaining <= REMAINING_EPS {
+                finished += 1;
+                at = h;
             }
-            let done = self.active.swap_remove(i);
-            let sojourn = (self.now - done.arrival).max(0.0);
-            let st = &mut self.stats[done.tenant];
-            st.completed += 1;
-            st.sojourn.observe(sojourn);
-            if sojourn <= self.cfg.tenants[done.tenant].p99_target_cycles() as f64 {
-                st.slo_met += 1;
-            }
-            // Fold the realised sojourn into the tenant's estimator.
-            if done.raw_prediction > 0.0 {
-                let ratio = (sojourn / done.raw_prediction).clamp(0.1, 20.0);
-                self.error_tail[done.tenant].observe(ratio);
-            }
-            self.resolved += 1;
-            self.emit(TraceEvent::JobComplete {
-                t: self.now as u64,
-                job: done.id,
-            });
-            self.note_outstanding();
         }
-        if self.active.len() == before {
-            return false;
+        match finished {
+            0 => return false,
+            1 => self.retire(at),
+            _ => {
+                let mut i = 0;
+                while i < self.active.len() {
+                    if self.active[i].remaining > REMAINING_EPS {
+                        i += 1;
+                    } else {
+                        self.retire(i);
+                    }
+                }
+            }
         }
         self.gps.rebuild(&self.active, &self.weights);
         true
+    }
+
+    /// Remove finished job `i` from the active set and fold it into the stats.
+    fn retire(&mut self, i: usize) {
+        // `swap_remove` moves the last job into slot `i`: drop `i` from its
+        // tenant's indices and renumber the moved job's.
+        let last = self.active.len() - 1;
+        let own = &mut self.members[self.active[i].tenant];
+        let at = own
+            .iter()
+            .position(|&j| j == i)
+            .expect("active job is a member");
+        own.remove(at);
+        if i != last {
+            let moved = &mut self.members[self.active[last].tenant];
+            moved.pop();
+            let at = moved.partition_point(|&j| j < i);
+            moved.insert(at, i);
+        }
+        let done = self.active.swap_remove(i);
+        let sojourn = (self.now - done.arrival).max(0.0);
+        let st = &mut self.stats[done.tenant];
+        st.completed += 1;
+        st.sojourn.observe(sojourn);
+        if sojourn <= self.cfg.tenants[done.tenant].p99_target_cycles() as f64 {
+            st.slo_met += 1;
+        }
+        // Fold the realised sojourn into the tenant's estimator.
+        if done.raw_prediction > 0.0 {
+            let ratio = (sojourn / done.raw_prediction).clamp(0.1, 20.0);
+            self.error_tail[done.tenant].observe(ratio);
+        }
+        self.resolved += 1;
+        self.emit(TraceEvent::JobComplete {
+            t: self.now as u64,
+            job: done.id,
+        });
+        self.note_outstanding();
     }
 
     /// An autoscale tick: evaluate the load, and on a level change rescale
@@ -793,11 +935,9 @@ impl<'a> Tier<'a> {
         // most that many cycles — other tenants' traffic cannot stretch it,
         // which is what makes the bound usable.  The tail correction folds
         // realised error back in.
-        let tenant_active: f64 = self
-            .active
+        let tenant_active: f64 = self.members[tenant]
             .iter()
-            .filter(|j| j.tenant == tenant)
-            .map(|j| j.remaining.max(0.0))
+            .map(|&i| self.active[i].remaining.max(0.0))
             .sum();
         let raw_prediction = (tenant_active + self.queued_backlog[tenant] + est)
             * (self.w_all / self.weights[tenant]);
@@ -880,6 +1020,23 @@ impl<'a> Tier<'a> {
             tenants,
         }
     }
+}
+
+/// How many DRR rounds leave a head of `est` cycles waiting on `deficit`
+/// when each round banks `quantum` first: the `r` with
+/// `deficit + r * quantum < est`.  `None` unless all three are whole cycles
+/// below 2^53; then adding `r` quanta at once gives the same bits as `r`
+/// additions.
+fn waiting_rounds(est: f64, deficit: f64, quantum: f64) -> Option<u64> {
+    const EXACT: f64 = (1u64 << 53) as f64;
+    let whole = |x: f64| (0.0..EXACT).contains(&x) && x.fract() == 0.0;
+    if !(whole(est) && whole(deficit) && whole(quantum)) || quantum == 0.0 {
+        return None;
+    }
+    if est <= deficit + quantum {
+        return Some(0);
+    }
+    Some((est - deficit - 1.0) as u64 / quantum as u64)
 }
 
 /// One tenant's share of a [`ServeReport`].
@@ -1172,6 +1329,38 @@ mod tests {
         cfg.drr_quantum_cycles = 50_000;
         cfg.tenants.clear();
         assert!(config_error(&cfg).contains("tenant"));
+    }
+
+    proptest::proptest! {
+        // Against banking one quantum at a time: the closed form counts the
+        // rounds that leave the head waiting, and the deficit it banks has
+        // the same bits.
+        #[test]
+        fn waiting_rounds_match_round_by_round_banking(
+            gap in 0u64..200_000,
+            deficit in 0u64..400_000,
+            quantum in 1u64..50_000,
+            base in 0u64..4,
+        ) {
+            // Deficits near 2^52, just under and just past 2^53 too.
+            let base = [0, 1 << 52, (1 << 53) - 300_000, 1 << 53][base as usize];
+            let deficit = (base + deficit) as f64;
+            let (est, quantum) = (deficit + gap as f64, quantum as f64);
+            let Some(rounds) = waiting_rounds(est, deficit, quantum) else {
+                assert!(est >= (1u64 << 53) as f64);
+                continue;
+            };
+            let (mut banked, mut waited) = (deficit, 0u64);
+            while banked + quantum < est {
+                banked += quantum;
+                waited += 1;
+            }
+            assert_eq!(rounds, waited);
+            assert_eq!(
+                (deficit + (rounds * quantum as u64) as f64).to_bits(),
+                banked.to_bits()
+            );
+        }
     }
 
     #[test]
