@@ -17,13 +17,16 @@
 //! flight that end at a completion, at an arrival or at the end of a
 //! cooldown, ticks that tie with completions, a one-rung ladder, and a clock
 //! past 2^53 cycles, where tick times stop being exact as `f64`.
+//!
+//! A last traced run pins two tenants' head jobs finishing on the same
+//! cycle, which one completion event retires together.
 
 use pdfws::prelude::*;
 use pdfws::serve::{
     parse_tenants, run_serve, run_serve_traced, ArrivalSpec, AutoscalePolicy, ServeConfig,
     ServeReport,
 };
-use pdfws::trace::EventTrace;
+use pdfws::trace::{EventTrace, TraceEvent};
 use std::fmt::Write;
 
 const TRIO: &str =
@@ -93,7 +96,46 @@ fn render() -> String {
         writeln!(out, "== {name} arrivals={} jobs={}", cfg.arrivals, cfg.jobs).unwrap();
         writeln!(out, "{report:?}").unwrap();
     }
+
+    let pair_cfg = simultaneous_completions();
+    let mut trace = EventTrace::new();
+    let report = run_serve_traced(&pair_cfg, &mut trace).expect("traced serve run");
+    assert_covers_its_path("simultaneous completions", &pair_cfg, &report);
+    let completions: Vec<u64> = trace
+        .events()
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::JobComplete { t, .. } => Some(*t),
+            _ => None,
+        })
+        .collect();
+    assert!(
+        completions.windows(2).any(|w| w[0] == w[1]),
+        "simultaneous completions: no two jobs finish on one cycle"
+    );
+    writeln!(
+        out,
+        "== simultaneous-completions arrivals={} jobs={} seed={}",
+        pair_cfg.arrivals, pair_cfg.jobs, pair_cfg.seed
+    )
+    .unwrap();
+    writeln!(out, "{report:?}").unwrap();
+    for event in trace.events() {
+        writeln!(out, "{event:?}").unwrap();
+    }
     out
+}
+
+/// Two equal-weight tenants on the same mix (whose calibrated shapes match
+/// across tenants), every job queued on cycle 0 and none shed: when both
+/// heads start together on the same shape they run at the same rate and
+/// finish on the same cycle.  The seed is one where that happens three times.
+fn simultaneous_completions() -> ServeConfig {
+    let mut pair = cfg("poisson:rate=100000000", 40);
+    pair.tenants = parse_tenants("a:mix=class-b+b:mix=class-b").expect("two-tenant spec");
+    pair.shedding = false;
+    pair.seed = 248;
+    pair
 }
 
 /// The 4-core tier's ladder (1/2/4 cores) under a custom evaluation interval
