@@ -39,8 +39,8 @@
 //!
 //! The loop pays per job, not per autoscale tick.  An arrival costs
 //! O(its tenant's active jobs): the admission estimate walks that tenant's
-//! jobs in active-set order.  A completion costs O(active + tenants): only
-//! head jobs progress, so only heads are checked, and the GPS state (each
+//! jobs in active-set order.  A completion costs O(active + tenants): one
+//! scan of the active set retires the finished jobs, and the GPS state (each
 //! tenant's head job and its two rate factors) is re-derived, the rates only
 //! when the set of busy tenants changed.  Either may run a dispatch pass,
 //! which skips in closed form the deficit-round-robin rounds that would
@@ -78,8 +78,10 @@ const SCALES: u64 = 4;
 /// Sub-cycle slack when deciding a fluid job has finished.
 const REMAINING_EPS: f64 = 1e-3;
 
-/// Tick times from here on are not all exact as `f64`, so quiet ticks stop.
-const EXACT_TICKS: u64 = 1 << 53;
+/// Whole cycles from here on are not all exact as `f64`: tick times round,
+/// so quiet ticks stop, and so do sums of whole-cycle deficits, so idle DRR
+/// rounds are no longer banked in closed form.
+const EXACT_CYCLES: u64 = 1 << 53;
 
 /// Most scale decisions kept verbatim in the report (the count is always
 /// exact; the log is capped so sustained runs stay constant-memory).
@@ -658,19 +660,17 @@ impl<'a> Tier<'a> {
         let Some(mut scaler) = self.scaler.take() else {
             return;
         };
-        if (scaler.next_eval() as f64) < t_arrival {
-            let end = scaler
-                .quiet_until(load)
-                .map_or(EXACT_TICKS, |t| t.min(EXACT_TICKS));
-            loop {
-                let next = scaler.next_eval();
-                let t_tick = next as f64;
-                if next >= end || t_tick >= t_arrival || t_tick >= self.next_completion() {
-                    break;
-                }
-                self.advance(t_tick);
-                scaler.pass();
+        let end = scaler
+            .quiet_until(load)
+            .map_or(EXACT_CYCLES, |t| t.min(EXACT_CYCLES));
+        loop {
+            let next = scaler.next_eval();
+            let t_tick = next as f64;
+            if next >= end || t_tick >= t_arrival || t_tick >= self.next_completion() {
+                break;
             }
+            self.advance(t_tick);
+            scaler.pass();
         }
         self.scaler = Some(scaler);
     }
@@ -707,62 +707,69 @@ impl<'a> Tier<'a> {
     /// larger than one quantum still dispatches after enough rounds — large
     /// jobs are delayed proportionally to their size, never starved.
     fn dispatch(&mut self) {
-        let n_tenants = self.queues.len();
         let before = self.active.len();
-        loop {
-            let dispatchable =
-                |t: usize| !self.queues[t].is_empty() && self.gps.n_active[t] < self.quotas[t];
-            if !(0..n_tenants).any(dispatchable) {
-                break;
-            }
+        while (0..self.queues.len()).any(|t| self.can_admit(t)) {
             self.bank_idle_rounds();
-            for _ in 0..n_tenants {
-                let t = self.drr_cursor;
-                self.drr_cursor += 1;
-                if self.drr_cursor == n_tenants {
-                    self.drr_cursor = 0;
-                }
-                if self.queues[t].is_empty() {
-                    // An idle tenant banks no credit (classic DRR).
-                    self.deficits[t] = 0.0;
-                    continue;
-                }
-                if self.gps.n_active[t] >= self.quotas[t] {
-                    continue;
-                }
-                self.deficits[t] += self.cfg.drr_quantum_cycles as f64 * self.weights[t];
-                while self.gps.n_active[t] < self.quotas[t] {
-                    let Some(head) = self.queues[t].front() else {
-                        break;
-                    };
-                    let est = self.calib.service(head.shape, self.level_idx) as f64;
-                    if est > self.deficits[t] {
-                        break;
-                    }
-                    self.deficits[t] -= est;
-                    let job = self.queues[t].pop_front().expect("head exists");
-                    self.queued_total -= 1;
-                    self.queued_backlog[t] = (self.queued_backlog[t] - est).max(0.0);
-                    self.emit(TraceEvent::JobAdmit {
-                        t: self.now as u64,
-                        job: job.id,
-                    });
-                    self.active.push(ActiveJob {
-                        id: job.id,
-                        tenant: t,
-                        shape: job.shape,
-                        arrival: job.arrival,
-                        remaining: est,
-                        raw_prediction: job.raw_prediction,
-                    });
-                    self.members[t].push(self.active.len() - 1);
-                    self.gps.admit(t, self.active.len() - 1);
-                }
-            }
+            self.drr_round();
             // Un-dispatchable heads only grow their deficits; loop again.
         }
         if self.active.len() > before {
             self.gps.settle(&self.weights);
+        }
+    }
+
+    /// Whether tenant `t` has queued work and a free slot.
+    fn can_admit(&self, t: usize) -> bool {
+        !self.queues[t].is_empty() && self.gps.n_active[t] < self.quotas[t]
+    }
+
+    /// One DRR round: from the cursor, each tenant with queued work and a
+    /// free slot banks its quantum and admits head jobs while the deficit
+    /// covers them.
+    fn drr_round(&mut self) {
+        let n_tenants = self.queues.len();
+        for _ in 0..n_tenants {
+            let t = self.drr_cursor;
+            self.drr_cursor += 1;
+            if self.drr_cursor == n_tenants {
+                self.drr_cursor = 0;
+            }
+            if self.queues[t].is_empty() {
+                // An idle tenant banks no credit (classic DRR).
+                self.deficits[t] = 0.0;
+                continue;
+            }
+            if self.gps.n_active[t] >= self.quotas[t] {
+                continue;
+            }
+            self.deficits[t] += self.cfg.drr_quantum_cycles as f64 * self.weights[t];
+            while self.gps.n_active[t] < self.quotas[t] {
+                let Some(head) = self.queues[t].front() else {
+                    break;
+                };
+                let est = self.calib.service(head.shape, self.level_idx) as f64;
+                if est > self.deficits[t] {
+                    break;
+                }
+                self.deficits[t] -= est;
+                let job = self.queues[t].pop_front().expect("head exists");
+                self.queued_total -= 1;
+                self.queued_backlog[t] = (self.queued_backlog[t] - est).max(0.0);
+                self.emit(TraceEvent::JobAdmit {
+                    t: self.now as u64,
+                    job: job.id,
+                });
+                self.active.push(ActiveJob {
+                    id: job.id,
+                    tenant: t,
+                    shape: job.shape,
+                    arrival: job.arrival,
+                    remaining: est,
+                    raw_prediction: job.raw_prediction,
+                });
+                self.members[t].push(self.active.len() - 1);
+                self.gps.admit(t, self.active.len() - 1);
+            }
         }
     }
 
@@ -773,12 +780,10 @@ impl<'a> Tier<'a> {
     fn bank_idle_rounds(&mut self) {
         let mut rounds = u64::MAX;
         for t in 0..self.queues.len() {
-            let Some(head) = self.queues[t].front() else {
-                continue;
-            };
-            if self.gps.n_active[t] >= self.quotas[t] {
+            if !self.can_admit(t) {
                 continue;
             }
+            let head = self.queues[t].front().expect("queued work");
             let est = self.calib.service(head.shape, self.level_idx) as f64;
             let quantum = self.cfg.drr_quantum_cycles as f64 * self.weights[t];
             match waiting_rounds(est, self.deficits[t], quantum) {
@@ -790,42 +795,28 @@ impl<'a> Tier<'a> {
             return;
         }
         for t in 0..self.queues.len() {
-            if !self.queues[t].is_empty() && self.gps.n_active[t] < self.quotas[t] {
+            if self.can_admit(t) {
                 let quantum = self.cfg.drr_quantum_cycles as f64 * self.weights[t];
                 self.deficits[t] += (rounds * quantum as u64) as f64;
             }
         }
     }
 
-    /// Retire every finished job; returns whether any was.
-    ///
-    /// Only head jobs progress, so only a head can have finished.  A single
-    /// finished head is retired where it stands; two or more go through a
-    /// scan of the active set, whose swap-removes fix the order they are
-    /// retired in.
+    /// Retire every finished job; returns whether any was.  The scan's
+    /// swap-removes fix the order in which heads finishing on the same cycle
+    /// retire.
     fn complete(&mut self) -> bool {
-        let mut finished = 0;
-        let mut at = 0;
-        for &t in &self.gps.busy {
-            let h = self.gps.head[t];
-            if self.active[h].remaining <= REMAINING_EPS {
-                finished += 1;
-                at = h;
+        let before = self.active.len();
+        let mut i = 0;
+        while i < self.active.len() {
+            if self.active[i].remaining > REMAINING_EPS {
+                i += 1;
+            } else {
+                self.retire(i);
             }
         }
-        match finished {
-            0 => return false,
-            1 => self.retire(at),
-            _ => {
-                let mut i = 0;
-                while i < self.active.len() {
-                    if self.active[i].remaining > REMAINING_EPS {
-                        i += 1;
-                    } else {
-                        self.retire(i);
-                    }
-                }
-            }
+        if self.active.len() == before {
+            return false;
         }
         self.gps.rebuild(&self.active, &self.weights);
         true
@@ -1028,8 +1019,7 @@ impl<'a> Tier<'a> {
 /// below 2^53; then adding `r` quanta at once gives the same bits as `r`
 /// additions.
 fn waiting_rounds(est: f64, deficit: f64, quantum: f64) -> Option<u64> {
-    const EXACT: f64 = (1u64 << 53) as f64;
-    let whole = |x: f64| (0.0..EXACT).contains(&x) && x.fract() == 0.0;
+    let whole = |x: f64| (0.0..EXACT_CYCLES as f64).contains(&x) && x.fract() == 0.0;
     if !(whole(est) && whole(deficit) && whole(quantum)) || quantum == 0.0 {
         return None;
     }
@@ -1361,6 +1351,119 @@ mod tests {
                 banked.to_bits()
             );
         }
+
+        // `dispatch` banks the DRR rounds that admit nothing in closed form;
+        // taking every round one at a time must leave the same deficits,
+        // cursor, queues and admission order, bit for bit.  Each tenant has
+        // an integer or fractional weight and a whole or fractional starting
+        // deficit (banking needs whole quanta and deficits), a full or free
+        // quota and an empty or non-empty queue.
+        #[test]
+        fn dispatch_matches_round_by_round_drr(
+            tenants in proptest::collection::vec(
+                (
+                    (1u32..5, rarely()),
+                    (1usize..4, 0usize..4),
+                    proptest::collection::vec(0usize..SERVICES.len(), 0..5),
+                    (0u64..200_000, rarely()),
+                ),
+                1..6,
+            ),
+            quantum in 5_000u64..60_000,
+            cursor in 0usize..6,
+        ) {
+            let spec = (0..tenants.len())
+                .map(|t| format!("t{t}"))
+                .collect::<Vec<_>>()
+                .join("+");
+            let mut cfg = quick_cfg(1, 1.0);
+            cfg.tenants = crate::tenant::parse_tenants(&spec).unwrap();
+            cfg.drr_quantum_cycles = quantum;
+            let mut banked = drr_tier(&cfg, &tenants, cursor);
+            banked.dispatch();
+            let mut stepped = drr_tier(&cfg, &tenants, cursor);
+            while (0..tenants.len()).any(|t| stepped.can_admit(t)) {
+                stepped.drr_round();
+            }
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let admitted = |tier: &Tier| {
+                tier.active
+                    .iter()
+                    .map(|j| (j.id, j.tenant, j.remaining.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            let queued = |tier: &Tier| {
+                tier.queues
+                    .iter()
+                    .map(|q| q.iter().map(|j| j.id).collect::<Vec<_>>())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&banked.deficits), bits(&stepped.deficits));
+            assert_eq!(banked.drr_cursor, stepped.drr_cursor);
+            assert_eq!(admitted(&banked), admitted(&stepped));
+            assert_eq!(queued(&banked), queued(&stepped));
+            assert_eq!(bits(&banked.queued_backlog), bits(&stepped.queued_backlog));
+        }
+    }
+
+    /// Alone-run cycles of the job shapes in [`drr_tier`]'s calibration.
+    const SERVICES: [u64; 6] = [1, 60_000, 123_457, 500_000, 1_000_003, 2_000_000];
+
+    /// `true` one time in four: most tenants bank, so most cases bank.
+    fn rarely() -> proptest::strategy::SelectStrategy<bool> {
+        proptest::sample::select(vec![false, false, false, true])
+    }
+
+    /// One tenant's DRR state: `((weight, half more), (quota, active jobs),
+    /// queued shapes, (deficit, half more))`.
+    type DrrState = ((u32, bool), (usize, usize), Vec<usize>, (u64, bool));
+
+    /// A one-level tier over [`SERVICES`] with each tenant's DRR state set
+    /// as given; no arrival is drawn and no job runs.
+    fn drr_tier<'a>(cfg: &'a ServeConfig, tenants: &[DrrState], cursor: usize) -> Tier<'a> {
+        let calib = Calibration {
+            levels: vec![cfg.cores],
+            tenants: Vec::new(),
+            service: SERVICES.to_vec(),
+        };
+        let mut tier = Tier::new(cfg, calib, None);
+        tier.drr_cursor = cursor % tenants.len();
+        let half = |frac: bool| if frac { 0.5 } else { 0.0 };
+        let mut id = 0;
+        for (t, ((weight, frac_weight), (quota, busy), queue, (deficit, frac_deficit))) in
+            tenants.iter().enumerate()
+        {
+            tier.weights[t] = *weight as f64 + half(*frac_weight);
+            tier.quotas[t] = *quota;
+            tier.deficits[t] = *deficit as f64 + half(*frac_deficit);
+            // Active jobs are older than queued ones, as in a run.
+            for _ in 0..*busy.min(quota) {
+                tier.active.push(ActiveJob {
+                    id,
+                    tenant: t,
+                    shape: 0,
+                    arrival: 0.0,
+                    remaining: 1.0,
+                    raw_prediction: 0.0,
+                });
+                tier.members[t].push(tier.active.len() - 1);
+                tier.gps.admit(t, tier.active.len() - 1);
+                id += 1;
+            }
+            for &shape in queue {
+                tier.queues[t].push_back(QueuedJob {
+                    id,
+                    shape,
+                    arrival: 0.0,
+                    raw_prediction: 0.0,
+                });
+                tier.queued_total += 1;
+                tier.queued_backlog[t] += SERVICES[shape] as f64;
+                id += 1;
+            }
+        }
+        tier.gps.settle(&tier.weights);
+        tier
     }
 
     #[test]
