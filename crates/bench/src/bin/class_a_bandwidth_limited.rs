@@ -7,15 +7,14 @@
 //! cargo run --release -p pdfws-bench --bin class_a_bandwidth_limited -- --workload spmv:rows=65536
 //! ```
 //!
-//! `--workload <spec>` (repeatable) replaces the default six-workload axis;
-//! `--list` prints the spec grammars.
+//! The workloads and core axis are the `CLASS_A` setup of
+//! `pdfws_report::experiments`; claim C3 reads its SpMV.  `--workload <spec>`
+//! (repeatable) replaces the default six-workload axis; `--list` prints the
+//! spec grammars.
 
-use pdfws_bench::{
-    compare_pdf_ws_all, comparison_table, emit_tables, emit_trace, outln, scaled, sizes, Cli,
-    ComparisonRow,
-};
-use pdfws_core::prelude::*;
-use pdfws_workloads::{HashJoin, LuDecomposition, MatMul, MergeSort, QuickSort, SpMv};
+use pdfws_bench::{comparison_table, emit_tables, emit_trace, outln, sweep_reports, Cli};
+use pdfws_core::ExperimentReport;
+use pdfws_report::experiments::CLASS_A;
 
 fn main() {
     let cli = Cli::parse(
@@ -23,18 +22,9 @@ fn main() {
         "Class A: divide-and-conquer + bandwidth-limited irregular programs, PDF vs WS (the paper's 1.3-1.6x / 13-41% claims)",
         &[],
     );
-    let cores = [8usize, 16, 32];
-
-    let workloads = cli.workloads_or(|| {
-        vec![
-            MergeSort::new(scaled(sizes::MERGESORT_KEYS, cli.quick)).into_instance(),
-            QuickSort::new(scaled(sizes::MERGESORT_KEYS, cli.quick)).into_instance(),
-            MatMul::new(if cli.quick { 128 } else { sizes::MATRIX_N }).into_instance(),
-            LuDecomposition::new(if cli.quick { 128 } else { sizes::MATRIX_N }).into_instance(),
-            SpMv::new(scaled(sizes::SPMV_ROWS, cli.quick)).into_instance(),
-            HashJoin::new(scaled(sizes::HASHJOIN_BUILD, cli.quick)).into_instance(),
-        ]
-    });
+    let setup = CLASS_A.at(cli.quick);
+    let (cores, top, specs) = (setup.cores, setup.top_cores(), setup.specs());
+    let workloads = cli.workloads_or(|| setup.instances());
     eprintln!(
         "# running {} workloads x {:?} cores on {} threads ...",
         workloads.len(),
@@ -43,33 +33,34 @@ fn main() {
     );
     // One grid: all (workload x cores x scheduler) cells execute on the shared
     // worker pool, each workload's DAG built once.
-    let rows: Vec<ComparisonRow> = compare_pdf_ws_all(&cli, &workloads, &cores);
-
+    let reports = sweep_reports(&cli, &workloads, cores, &specs);
     let table = comparison_table(
         "Class A: divide-and-conquer + bandwidth-limited irregular (PDF vs WS)",
-        &rows,
+        &reports,
+        cores,
     );
     emit_tables(&cli, &[&table]);
 
-    // Summary against the paper's headline numbers (at 32 cores) — prose, so
-    // text mode only (--csv/--json stdout stays machine-parseable).
-    let at32: Vec<&ComparisonRow> = rows.iter().filter(|r| r.cores == 32).collect();
-    if cli.text_output() && !at32.is_empty() {
-        let speedups: Vec<f64> = at32.iter().map(|r| r.relative_speedup).collect();
-        let reductions: Vec<f64> = at32.iter().map(|r| r.traffic_reduction_percent).collect();
+    // Summary against the paper's headline numbers (at the top core count) —
+    // prose, so text mode only (--csv/--json stdout stays machine-parseable).
+    if cli.text_output() {
+        let range = |f: fn(&ExperimentReport, usize) -> Option<f64>| {
+            let (lo, hi) = (f64::INFINITY, f64::NEG_INFINITY);
+            let values = reports.iter().map(|r| f(r, top).unwrap());
+            values.fold((lo, hi), |(lo, hi), v| (lo.min(v), hi.max(v)))
+        };
+        let (speedup_lo, speedup_hi) = range(ExperimentReport::pdf_over_ws_speedup);
+        let (traffic_lo, traffic_hi) = range(ExperimentReport::pdf_traffic_reduction_percent);
         outln!(
-            "At 32 cores: relative speedup (pdf/ws) range {:.2}-{:.2} (paper: 1.3-1.6), \
-             off-chip traffic reduction range {:.0}%-{:.0}% (paper: 13-41%)",
-            speedups.iter().cloned().fold(f64::INFINITY, f64::min),
-            speedups.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
-            reductions.iter().cloned().fold(f64::INFINITY, f64::min),
-            reductions.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
+            "At {top} cores: relative speedup (pdf/ws) range {speedup_lo:.2}-{speedup_hi:.2} \
+             (paper: 1.3-1.6), off-chip traffic reduction range {traffic_lo:.0}%-{traffic_hi:.0}% \
+             (paper: 13-41%)"
         );
     }
 
     // --trace / --trace-summary: a PDF-vs-WS timeline of the first workload at
     // the headline core count.
     if let Some(workload) = workloads.first() {
-        emit_trace(&cli, workload, 32, &SchedulerSpec::paper_pair());
+        emit_trace(&cli, workload, top, &specs);
     }
 }

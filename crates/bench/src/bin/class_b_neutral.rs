@@ -9,15 +9,13 @@
 //! cargo run --release -p pdfws-bench --bin class_b_neutral -- --workload scan:n=1048576
 //! ```
 //!
-//! `--workload <spec>` (repeatable) replaces the default two-workload axis;
-//! `--list` prints the spec grammars.
+//! The workloads and core axis are the `CLASS_B` setup of
+//! `pdfws_report::experiments`, which claim C4 reads too.  `--workload
+//! <spec>` (repeatable) replaces the default two-workload axis; `--list`
+//! prints the spec grammars.
 
-use pdfws_bench::{
-    compare_pdf_ws_all, comparison_table, emit_tables, emit_trace, outln, scaled, sizes, Cli,
-    ComparisonRow,
-};
-use pdfws_core::prelude::*;
-use pdfws_workloads::{ComputeKernel, ParallelScan};
+use pdfws_bench::{comparison_table, emit_tables, emit_trace, outln, sweep_reports, Cli};
+use pdfws_report::experiments::CLASS_B;
 
 fn main() {
     let cli = Cli::parse(
@@ -25,31 +23,28 @@ fn main() {
         "Class B: limited-reuse and compute-bound programs where PDF and WS are expected to tie",
         &[],
     );
-    let cores = [8usize, 16, 32];
-
-    let workloads = cli.workloads_or(|| {
-        vec![
-            ParallelScan::new(scaled(sizes::SCAN_N, cli.quick)).into_instance(),
-            ComputeKernel::new(scaled(sizes::COMPUTE_ITEMS, cli.quick)).into_instance(),
-        ]
-    });
+    let setup = CLASS_B.at(cli.quick);
+    let (cores, specs) = (setup.cores, setup.specs());
+    let workloads = cli.workloads_or(|| setup.instances());
     eprintln!(
         "# running {} workloads x {:?} cores on {} threads ...",
         workloads.len(),
         cores,
         cli.threads
     );
-    let rows: Vec<ComparisonRow> = compare_pdf_ws_all(&cli, &workloads, &cores);
-
+    let reports = sweep_reports(&cli, &workloads, cores, &specs);
     let table = comparison_table(
         "Class B: limited reuse / not bandwidth-bound (PDF vs WS, expected to tie)",
-        &rows,
+        &reports,
+        cores,
     );
     emit_tables(&cli, &[&table]);
 
-    let max_gap = rows
+    // The first column is the relative speedup of every cell.
+    let max_gap = table.series[0]
+        .values
         .iter()
-        .map(|r| (r.relative_speedup - 1.0).abs())
+        .map(|rel| (rel - 1.0).abs())
         .fold(0.0f64, f64::max);
     if cli.text_output() {
         outln!(
@@ -61,6 +56,6 @@ fn main() {
     // --trace / --trace-summary: a PDF-vs-WS timeline of the first workload at
     // the headline core count.
     if let Some(workload) = workloads.first() {
-        emit_trace(&cli, workload, 32, &SchedulerSpec::paper_pair());
+        emit_trace(&cli, workload, setup.top_cores(), &specs);
     }
 }

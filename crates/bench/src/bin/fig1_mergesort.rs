@@ -14,16 +14,15 @@
 //! cargo run --release -p pdfws-bench --bin fig1_mergesort -- --list    # spec grammars
 //! ```
 //!
+//! The workload, core axis and scheduler specs are the `FIG1` setup of
+//! `pdfws_report::experiments`, which claims C1 and C2 read too.
 //! `--workload <spec>` (repeatable) replaces the default merge sort with any
 //! registered workload spec, so the same harness draws Figure-1-shaped panels
 //! for arbitrary programs.
 
-use pdfws_bench::{
-    emit_tables, emit_trace, figure1_tables_from, paper_core_counts, scaled, sizes, sweep_reports,
-    Cli,
-};
+use pdfws_bench::{emit_tables, emit_trace, sweep_reports, Cli};
 use pdfws_core::prelude::*;
-use pdfws_workloads::MergeSort;
+use pdfws_report::experiments::FIG1;
 
 fn main() {
     let cli = Cli::parse(
@@ -31,13 +30,9 @@ fn main() {
         "Figure 1: merge sort L2 MPKI + speedup under PDF vs WS (plus the per-spec work-migration table), 1-32 cores",
         &[],
     );
-    let n_keys = scaled(sizes::MERGESORT_KEYS, cli.quick);
-    let workloads = cli.workloads_or(|| vec![MergeSort::new(n_keys).into_instance()]);
-    let specs: Vec<SchedulerSpec> = ["pdf", "ws", "ws:steal=half", "hybrid", "static"]
-        .iter()
-        .map(|s| s.parse().expect("built-in specs parse"))
-        .collect();
-    let cores = paper_core_counts();
+    let setup = FIG1.at(cli.quick);
+    let (cores, specs) = (setup.cores, setup.specs());
+    let workloads = cli.workloads_or(|| setup.instances());
     for workload in &workloads {
         eprintln!(
             "# {}: {:.1} MiB of data{}, {} sweep threads",
@@ -51,22 +46,19 @@ fn main() {
     // migrations table for every requested workload — no cell is simulated
     // twice, each DAG is built once, and all (workload × cores × spec) cells
     // execute on the shared worker pool.
-    let reports = sweep_reports(&cli, &workloads, &cores, &specs);
+    let reports = sweep_reports(&cli, &workloads, cores, &specs);
+    let pair = SchedulerSpec::paper_pair();
     for report in &reports {
-        let (mpki, speedup) = figure1_tables_from(report, &cores);
+        let mpki = report.mpki_table(cores, &pair);
+        let speedup = report.speedup_table(cores, &pair);
         // Work migrations per scheduler spec (steal events / cross-core
         // placements), including two parameterized variants of the same policy.
-        let migrations = report.migrations_table(&cores, &specs);
+        let migrations = report.migrations_table(cores, &specs);
         emit_tables(&cli, &[&mpki, &speedup, &migrations]);
     }
     // --trace / --trace-summary: one representative timeline per spec at the
     // largest swept core count.
     for workload in &workloads {
-        emit_trace(
-            &cli,
-            workload,
-            *cores.last().expect("core axis nonempty"),
-            &specs,
-        );
+        emit_trace(&cli, workload, setup.top_cores(), &specs);
     }
 }

@@ -16,17 +16,18 @@
 //! cargo run --release -p pdfws-bench --bin power_and_multiprogramming -- --workload spmv:rows=65536
 //! ```
 //!
-//! `--workload <spec>` replaces the default merge sort (the first spec is
-//! used; both parts study one program); `--list` prints the spec grammars.
+//! The workload, core count, scheduler pair and powered-L2 fractions are the
+//! `POWER` setup of `pdfws_report::experiments`; claim C6 reads its first and
+//! last fraction.  `--workload <spec>` replaces the default merge sort (both
+//! parts study one program, so only the first spec is used and the others
+//! are noted on stderr as ignored); `--list` prints the spec grammars.
 
-use pdfws_bench::{emit_tables, emit_trace, outln, scaled, sizes, Cli};
+use pdfws_bench::{emit_tables, emit_trace, outln, Cli};
 use pdfws_cache_sim::power::{estimate_energy, EnergyModel};
 use pdfws_cmp_model::{default_config, sweep::sweep_l2_fraction};
 use pdfws_core::prelude::*;
 use pdfws_metrics::{Series, Table};
-use pdfws_workloads::MergeSort;
-
-const CORES: usize = 8;
+use pdfws_report::experiments::POWER;
 
 fn main() {
     let cli = Cli::parse(
@@ -34,25 +35,26 @@ fn main() {
         "PDF's smaller working set: L2 power-down slowdown/energy and co-runner (multiprogramming) slowdown",
         &[],
     );
-    let n_keys = scaled(sizes::MERGESORT_KEYS, cli.quick);
+    let setup = POWER.at(cli.quick);
+    let (cores, fractions, specs) = (setup.top_cores(), setup.l2_fractions, setup.specs());
     // Both parts study one program: instantiate only the first --workload
     // spec (or the default merge sort).
+    cli.ignore_workloads(1, "both parts study one program");
     let workload = match cli.workloads.first() {
         Some(spec) => WorkloadInstance::from_spec(spec),
-        None => MergeSort::new(n_keys).into_instance(),
+        None => setup.instances().remove(0),
     };
     eprintln!("# workload: {}", workload.spec.canonical());
-    let base_cfg = default_config(CORES).expect("8-core default configuration exists");
+    let base_cfg = default_config(cores).expect("default configuration exists");
 
     // --- Part 1: powering down L2 segments -----------------------------------
-    let fractions = [1.0, 0.5, 0.25];
-    let configs = sweep_l2_fraction(&base_cfg, &fractions).expect("valid L2 fractions");
+    let configs = sweep_l2_fraction(&base_cfg, fractions).expect("valid L2 fractions");
     let x: Vec<String> = fractions
         .iter()
         .map(|f| format!("{:.0}%", f * 100.0))
         .collect();
     let mut slowdown_table = Table::new(
-        "Cache power-down: run time relative to the fully-powered L2 (8 cores, merge sort)",
+        format!("Cache power-down: run time relative to the fully-powered L2 ({cores} cores, merge sort)"),
         "powered_l2",
         x.clone(),
     );
@@ -64,7 +66,7 @@ fn main() {
 
     // One experiment per powered fraction, both schedulers as sweep cells, and
     // the powered-fraction axis itself fanned out as runner cells — all
-    // 5 configs × (baseline + 2 schedulers) simulations are independent, so
+    // fractions × (baseline + 2 schedulers) simulations are independent, so
     // the whole part-1 table parallelizes (the DAG is built once up front and
     // shared by every cell).
     let threads = cli.threads;
@@ -72,29 +74,29 @@ fn main() {
     let reports: Vec<ExperimentReport> = cli.runner().run_cells(configs.len(), |i| {
         cli.experiment(
             Experiment::new(workload.clone())
-                .cores(CORES)
+                .cores(cores)
                 .with_config(configs[i])
-                .schedulers(&SchedulerSpec::paper_pair())
+                .schedulers(&specs)
                 .threads(1), // the outer run_cells already owns the worker pool
         )
         .run()
         .expect("experiment runs")
     });
-    for spec in SchedulerSpec::paper_pair() {
-        let mut cycles = Vec::new();
-        let mut energies = Vec::new();
-        for ((report, cfg), &fraction) in reports.iter().zip(&configs).zip(&fractions) {
-            let run = report.find(CORES, &spec).unwrap();
-            let energy = estimate_energy(
-                &run.metrics.hierarchy,
-                cfg,
-                run.metrics.cycles,
-                fraction,
-                &EnergyModel::default(),
-            );
-            cycles.push(run.metrics.cycles as f64);
-            energies.push(energy.total_mj());
-        }
+    for spec in &specs {
+        let cells = reports.iter().zip(&configs).zip(fractions);
+        let (cycles, energies): (Vec<f64>, Vec<f64>) = cells
+            .map(|((report, cfg), &fraction)| {
+                let m = &report.find(cores, spec).unwrap().metrics;
+                let energy = estimate_energy(
+                    &m.hierarchy,
+                    cfg,
+                    m.cycles,
+                    fraction,
+                    &EnergyModel::default(),
+                );
+                (m.cycles as f64, energy.total_mj())
+            })
+            .unzip();
         let baseline = cycles[0];
         slowdown_table.push_series(Series::new(
             spec.canonical(),
@@ -112,36 +114,24 @@ fn main() {
         region_blocks: 1 << 16,
     };
     let mut mp_table = Table::new(
-        "Multiprogramming: slowdown when a co-runner periodically sweeps the shared L2 (8 cores)",
+        format!("Multiprogramming: slowdown when a co-runner periodically sweeps the shared L2 ({cores} cores)"),
         "scenario",
         vec!["alone".to_string(), "with co-runner".to_string()],
     );
     // One experiment per scenario, both schedulers as cells of the same sweep.
     eprintln!("# multiprogramming sweep on {threads} threads ...");
-    let alone = cli
-        .experiment(
-            Experiment::new(workload.clone())
-                .cores(CORES)
-                .schedulers(&SchedulerSpec::paper_pair())
-                .threads(threads),
-        )
-        .run()
-        .expect("experiment runs");
-    let noisy = cli
-        .experiment(
-            Experiment::new(workload.clone())
-                .cores(CORES)
-                .schedulers(&SchedulerSpec::paper_pair())
-                .options(SimOptions {
-                    disturbance: Some(disturbance),
-                })
-                .threads(threads),
-        )
-        .run()
-        .expect("experiment runs");
-    for spec in SchedulerSpec::paper_pair() {
-        let alone_cycles = alone.find(CORES, &spec).unwrap().metrics.cycles as f64;
-        let noisy_cycles = noisy.find(CORES, &spec).unwrap().metrics.cycles as f64;
+    let scenario = |disturbance| {
+        let experiment = Experiment::new(workload.clone())
+            .cores(cores)
+            .schedulers(&specs)
+            .options(SimOptions { disturbance })
+            .threads(threads);
+        cli.experiment(experiment).run().expect("experiment runs")
+    };
+    let (alone, noisy) = (scenario(None), scenario(Some(disturbance)));
+    for spec in &specs {
+        let alone_cycles = alone.find(cores, spec).unwrap().metrics.cycles as f64;
+        let noisy_cycles = noisy.find(cores, spec).unwrap().metrics.cycles as f64;
         mp_table.push_series(Series::new(
             spec.canonical(),
             vec![1.0, noisy_cycles / alone_cycles],
@@ -157,5 +147,5 @@ fn main() {
 
     // --trace / --trace-summary: a PDF-vs-WS timeline of the studied workload
     // at the experiment's core count (the "alone" scenario).
-    emit_trace(&cli, &workload, CORES, &SchedulerSpec::paper_pair());
+    emit_trace(&cli, &workload, cores, &specs);
 }

@@ -40,7 +40,7 @@ fn main() {
     let out_dir = cli.value("--out").map(PathBuf::from);
     // The claims pin their own spec strings; --workload is validated (a typo
     // must still abort with the registry's message) and then ignored.
-    cli.ignore_workloads("the replication claims pin their own workload specs");
+    cli.ignore_workloads(0, "the replication claims pin their own workload specs");
 
     let mut suite = ReplicationSuite::paper();
     if cli.has("--list-claims") {

@@ -63,7 +63,7 @@ fn main() {
             ("--jobs N", "jobs offered per run (default 4000, quick 400)"),
         ],
     );
-    cli.ignore_workloads("the serving tier draws its jobs from the tenants' mixes");
+    cli.ignore_workloads(0, "the serving tier draws its jobs from the tenants' mixes");
     let cores = 8;
     let jobs = match cli.value("--jobs") {
         Some(v) => v.parse::<usize>().unwrap_or_else(|_| {

@@ -11,7 +11,8 @@
 //! `--workload <spec>` are validated but no-ops here — the table is derived
 //! analytically, nothing is simulated.
 
-use pdfws_bench::{config_table, emit_tables, paper_core_counts, Cli};
+use pdfws_bench::{config_table, emit_tables, Cli};
+use pdfws_report::experiments::CONFIGS;
 
 fn main() {
     let cli = Cli::parse(
@@ -19,7 +20,7 @@ fn main() {
         "The paper's 'CMP configurations studied' table (240 mm2 die, 1-32 cores) — analytic, nothing is simulated",
         &[],
     );
-    cli.ignore_workloads("this table is configuration-only");
+    cli.ignore_workloads(0, "this table is configuration-only");
     if let Some(spec) = &cli.memsys {
         eprintln!(
             "note: this table lists the baseline channel parameters; --memsys {} changes \
@@ -33,6 +34,6 @@ fn main() {
              --trace/--trace-summary produce no timeline here"
         );
     }
-    let table = config_table(&paper_core_counts());
+    let table = config_table(CONFIGS.at(cli.quick).cores);
     emit_tables(&cli, &[&table]);
 }

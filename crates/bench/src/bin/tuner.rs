@@ -16,7 +16,7 @@
 use pdfws_bench::tuner::{
     pareto_csv, quick_workloads, rows_from_reports, tuner_figures, tuner_specs, TUNER_CORES,
 };
-use pdfws_bench::{emit_figures, emit_trace, outln, sizes, sweep_reports, Cli};
+use pdfws_bench::{emit_figures, emit_trace, outln, sweep_reports, Cli};
 use pdfws_core::prelude::*;
 use std::path::PathBuf;
 
@@ -36,9 +36,9 @@ fn main() {
             quick_workloads()
         } else {
             vec![
-                MergeSort::new(sizes::MERGESORT_KEYS).into_instance(),
-                SpMv::new(sizes::SPMV_ROWS).into_instance(),
-                ParallelScan::new(sizes::SCAN_N).into_instance(),
+                MergeSort::new(1 << 20).into_instance(),
+                SpMv::new(1 << 17).into_instance(),
+                ParallelScan::new(1 << 21).into_instance(),
             ]
         }
     });

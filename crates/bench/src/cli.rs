@@ -280,11 +280,12 @@ impl Cli {
         }
     }
 
-    /// For binaries whose workloads are fixed: note on stderr that the
-    /// (already validated) `--workload` specs are ignored, and why.
-    pub fn ignore_workloads(&self, why: &str) {
-        if !self.workloads.is_empty() {
-            let specs: Vec<String> = self.workloads.iter().map(|s| s.canonical()).collect();
+    /// Note on stderr that the (already validated) `--workload` specs after
+    /// the first `keep` are ignored, and why: `keep` is 0 in binaries whose
+    /// workloads are fixed and 1 in binaries that study one program.
+    pub fn ignore_workloads(&self, keep: usize, why: &str) {
+        if let Some(ignored @ [_, ..]) = self.workloads.get(keep..) {
+            let specs: Vec<String> = ignored.iter().map(|s| s.canonical()).collect();
             eprintln!("note: {why}; ignoring --workload {}", specs.join(", "));
         }
     }

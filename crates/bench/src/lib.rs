@@ -1,8 +1,9 @@
-//! Shared harness code for the experiment binaries and Criterion benches.
+//! Shared harness code for the experiment binaries.
 //!
-//! Every figure and finding of the paper has a binary in `src/bin/` that prints
-//! the corresponding table (text + CSV); the functions here build those tables so
-//! the Criterion benches and the binaries measure exactly the same thing.
+//! Every figure and finding of the paper has a binary in `src/bin/` that
+//! renders its experiment's setup — the workload specs, core axis, scheduler
+//! specs and L2 fractions of `pdfws_report::experiments`, the grid the
+//! replication claims read too — as tables; the functions here build them.
 //! See `DESIGN.md` in this crate's directory (§3) for the experiment index
 //! and `EXPERIMENTS.md` next to it for recorded results.
 //!
@@ -38,32 +39,9 @@ use pdfws_metrics::{Series, Table};
 use pdfws_report::Figure;
 use pdfws_schedulers::{simulate_traced, SimOptions};
 use pdfws_stream::{run_stream_sim_traced, ArrivalRegistry, JobMix, StreamConfig};
-use pdfws_trace::{chrome_trace_json, timeline_table, EventTrace, TraceTrack};
+use pdfws_trace::{chrome_trace_json, timeline_table, EventTrace, TraceEvent, TraceTrack};
 use std::io::Write;
 use std::path::Path;
-
-/// The core counts on the x-axis of Figure 1.
-pub fn paper_core_counts() -> Vec<usize> {
-    vec![1, 2, 4, 8, 16, 32]
-}
-
-/// Default problem sizes used by the experiment binaries.  They are chosen so the
-/// dataset exceeds the shared L2 of the larger default configurations (the regime
-/// the paper studies); `--quick` in the binaries divides them down for smoke runs.
-pub mod sizes {
-    /// Keys sorted by the Figure 1 merge sort.
-    pub const MERGESORT_KEYS: u64 = 1 << 20;
-    /// Matrix dimension for matmul / LU.
-    pub const MATRIX_N: u64 = 512;
-    /// Rows for SpMV.
-    pub const SPMV_ROWS: u64 = 1 << 17;
-    /// Build-side tuples for the hash join.
-    pub const HASHJOIN_BUILD: u64 = 1 << 16;
-    /// Elements for the scan.
-    pub const SCAN_N: u64 = 1 << 21;
-    /// Items for the compute-bound kernel.
-    pub const COMPUTE_ITEMS: u64 = 1 << 17;
-}
 
 pub mod cli;
 pub mod tuner;
@@ -166,89 +144,36 @@ pub fn sweep_reports(
         .into_reports()
 }
 
-/// The two Figure-1 panels (L2 misses per 1000 instructions, speedup over the
-/// one-core run) for PDF and WS, derived from an existing report that must
-/// contain those cells.  Thin veneer over the report's own table emission
-/// ([`ExperimentReport::mpki_table`] / [`ExperimentReport::speedup_table`]).
-pub fn figure1_tables_from(report: &ExperimentReport, core_counts: &[usize]) -> (Table, Table) {
-    let pair = SchedulerSpec::paper_pair();
-    (
-        report.mpki_table(core_counts, &pair),
-        report.speedup_table(core_counts, &pair),
-    )
-}
+/// A named table column, computed from each row's item.
+type Column<T> = (&'static str, fn(&T) -> f64);
 
-/// One row of the per-class comparison tables: the PDF-vs-WS comparison for one
-/// workload at one core count.
-#[derive(Debug, Clone)]
-pub struct ComparisonRow {
-    /// Canonical workload spec string.
-    pub workload: String,
-    /// Application class.
-    pub class: String,
-    /// Core count.
-    pub cores: usize,
-    /// WS makespan / PDF makespan (> 1 means PDF faster).
-    pub relative_speedup: f64,
-    /// Percent reduction in off-chip traffic under PDF.
-    pub traffic_reduction_percent: f64,
-    /// PDF L2 misses per 1000 instructions.
-    pub pdf_mpki: f64,
-    /// WS L2 misses per 1000 instructions.
-    pub ws_mpki: f64,
-}
-
-/// Compare PDF against WS for several workloads at the given core counts, as
-/// one grid: every (workload × cores × spec) cell is an independent runner
-/// cell, so the whole comparison parallelizes across workloads too.
-pub fn compare_pdf_ws_all(
-    cli: &Cli,
-    workloads: &[WorkloadInstance],
-    core_counts: &[usize],
-) -> Vec<ComparisonRow> {
-    let reports = sweep_reports(cli, workloads, core_counts, &SchedulerSpec::paper_pair());
-    let mut rows = Vec::with_capacity(workloads.len() * core_counts.len());
-    for (workload, report) in workloads.iter().zip(&reports) {
-        for &cores in core_counts {
-            let pdf = report.find(cores, &SchedulerSpec::pdf()).unwrap();
-            let ws = report.find(cores, &SchedulerSpec::ws()).unwrap();
-            rows.push(ComparisonRow {
-                workload: workload.spec.canonical(),
-                class: workload.class.to_string(),
-                cores,
-                relative_speedup: report.pdf_over_ws_speedup(cores).unwrap(),
-                traffic_reduction_percent: report.pdf_traffic_reduction_percent(cores).unwrap(),
-                pdf_mpki: pdf.metrics.l2_mpki(),
-                ws_mpki: ws.metrics.l2_mpki(),
-            });
-        }
-    }
-    rows
-}
-
-/// Render comparison rows as a table over "workload@cores".
-pub fn comparison_table(title: &str, rows: &[ComparisonRow]) -> Table {
-    let x: Vec<String> = rows
+/// The per-class PDF-vs-WS comparison of every (workload × core count)
+/// cell of `reports`, as one table over "workload@cores": relative speedup
+/// (WS makespan / PDF makespan, > 1 means PDF faster), percent reduction in
+/// off-chip traffic under PDF, and both L2 MPKIs.
+pub fn comparison_table(title: &str, reports: &[ExperimentReport], cores: &[usize]) -> Table {
+    let cells: Vec<(&ExperimentReport, usize)> = reports
         .iter()
-        .map(|r| format!("{}@{}", r.workload, r.cores))
+        .flat_map(|r| cores.iter().map(move |&c| (r, c)))
         .collect();
-    let mut t = Table::new(title, "workload@cores", x);
-    t.push_series(Series::new(
-        "rel_speedup(pdf/ws)",
-        rows.iter().map(|r| r.relative_speedup).collect(),
-    ));
-    t.push_series(Series::new(
-        "traffic_reduction_%",
-        rows.iter().map(|r| r.traffic_reduction_percent).collect(),
-    ));
-    t.push_series(Series::new(
-        "pdf_mpki",
-        rows.iter().map(|r| r.pdf_mpki).collect(),
-    ));
-    t.push_series(Series::new(
-        "ws_mpki",
-        rows.iter().map(|r| r.ws_mpki).collect(),
-    ));
+    let x = cells.iter().map(|(r, c)| format!("{}@{c}", r.workload));
+    let mut t = Table::new(title, "workload@cores", x.collect());
+    fn mpki(&(r, c): &(&ExperimentReport, usize), spec: SchedulerSpec) -> f64 {
+        r.find(c, &spec).unwrap().metrics.l2_mpki()
+    }
+    let columns: [Column<(&ExperimentReport, usize)>; 4] = [
+        ("rel_speedup(pdf/ws)", |&(r, c)| {
+            r.pdf_over_ws_speedup(c).unwrap()
+        }),
+        ("traffic_reduction_%", |&(r, c)| {
+            r.pdf_traffic_reduction_percent(c).unwrap()
+        }),
+        ("pdf_mpki", |cell| mpki(cell, SchedulerSpec::pdf())),
+        ("ws_mpki", |cell| mpki(cell, SchedulerSpec::ws())),
+    ];
+    for (name, column) in columns {
+        t.push_series(Series::new(name, cells.iter().map(column).collect()));
+    }
     t
 }
 
@@ -264,32 +189,16 @@ pub fn config_table(core_counts: &[usize]) -> Table {
         .iter()
         .map(|&c| default_config(c).expect("study range"))
         .collect();
-    t.push_series(Series::new(
-        "feature_nm",
-        configs.iter().map(|c| c.node.feature_nm()).collect(),
-    ));
-    t.push_series(Series::new(
-        "l2_mib",
-        configs
-            .iter()
-            .map(|c| c.l2.capacity_bytes as f64 / (1024.0 * 1024.0))
-            .collect(),
-    ));
-    t.push_series(Series::new(
-        "l2_latency_cyc",
-        configs.iter().map(|c| c.l2.latency_cycles as f64).collect(),
-    ));
-    t.push_series(Series::new(
-        "mem_latency_cyc",
-        configs
-            .iter()
-            .map(|c| c.memory_latency_cycles as f64)
-            .collect(),
-    ));
-    t.push_series(Series::new(
-        "offchip_B_per_cyc",
-        configs.iter().map(|c| c.offchip_bytes_per_cycle).collect(),
-    ));
+    let columns: [Column<CmpConfig>; 5] = [
+        ("feature_nm", |c| c.node.feature_nm()),
+        ("l2_mib", |c| c.l2.capacity_bytes as f64 / (1024.0 * 1024.0)),
+        ("l2_latency_cyc", |c| c.l2.latency_cycles as f64),
+        ("mem_latency_cyc", |c| c.memory_latency_cycles as f64),
+        ("offchip_B_per_cyc", |c| c.offchip_bytes_per_cycle),
+    ];
+    for (name, column) in columns {
+        t.push_series(Series::new(name, configs.iter().map(column).collect()));
+    }
     t
 }
 
@@ -321,46 +230,17 @@ pub fn emit_trace(cli: &Cli, workload: &WorkloadInstance, cores: usize, specs: &
             .expect("validated memsys spec stays valid");
     }
     let (cells, profile) = cli.runner().run_cells_profiled(specs.len(), |i| {
-        simulate_traced(&workload.dag, &config, &specs[i], &SimOptions::default())
+        simulate_traced(&workload.dag, &config, &specs[i], &SimOptions::default()).1
     });
-
-    if let Some(path) = &cli.trace.path {
-        let tracks: Vec<TraceTrack> = specs
-            .iter()
-            .zip(&cells)
-            .enumerate()
-            .map(|(i, (spec, (_, events)))| {
-                TraceTrack::new(
-                    (i + 1) as u64,
-                    format!("{spec} · {} @ {cores} cores", workload.spec.canonical()),
-                    cores,
-                    events.clone(),
-                )
-            })
-            .collect();
-        write_trace(path, &tracks);
-    }
-
-    if cli.trace.summary {
-        let tables: Vec<Table> = specs
-            .iter()
-            .zip(&cells)
-            .map(|(spec, (_, events))| {
-                timeline_table(
-                    &format!(
-                        "{}: timeline under {spec} @ {cores} cores",
-                        workload.spec.canonical()
-                    ),
-                    events,
-                    cores,
-                    TRACE_SUMMARY_BINS,
-                )
-            })
-            .chain(std::iter::once(profile.to_table()))
-            .collect();
-        let refs: Vec<&Table> = tables.iter().collect();
-        emit_tables(cli, &refs);
-    }
+    let subject = workload.spec.canonical();
+    emit_timelines(
+        cli,
+        &subject,
+        cores,
+        specs,
+        &cells,
+        Some(profile.to_table()),
+    );
 }
 
 /// Honor the uniform `--trace` / `--trace-summary` flags for a job-stream
@@ -387,7 +267,7 @@ pub fn emit_stream_trace(
     if let Some(spec) = &cli.memsys {
         cfg.memsys = Some(spec.memsys_params());
     }
-    let cells: Vec<Vec<pdfws_trace::TraceEvent>> = specs
+    let cells: Vec<Vec<TraceEvent>> = specs
         .iter()
         .map(|spec| {
             let mut cell_cfg = cfg.clone();
@@ -398,39 +278,43 @@ pub fn emit_stream_trace(
             trace.into_events()
         })
         .collect();
+    let subject = format!("stream {}", mix.name);
+    emit_timelines(cli, &subject, cfg.cores, specs, &cells, None);
+}
 
+/// Export and/or summarize one traced cell per scheduler spec of `subject`
+/// (a workload spec or a stream): `--trace` writes one Perfetto process
+/// track per spec, `--trace-summary` prints one binned timeline table per
+/// spec, then `extra`.
+fn emit_timelines(
+    cli: &Cli,
+    subject: &str,
+    cores: usize,
+    specs: &[SchedulerSpec],
+    cells: &[Vec<TraceEvent>],
+    extra: Option<Table>,
+) {
     if let Some(path) = &cli.trace.path {
         let tracks: Vec<TraceTrack> = specs
             .iter()
-            .zip(&cells)
+            .zip(cells)
             .enumerate()
             .map(|(i, (spec, events))| {
-                TraceTrack::new(
-                    (i + 1) as u64,
-                    format!("{spec} · stream {} @ {} cores", mix.name, cfg.cores),
-                    cfg.cores,
-                    events.clone(),
-                )
+                let name = format!("{spec} · {subject} @ {cores} cores");
+                TraceTrack::new((i + 1) as u64, name, cores, events.clone())
             })
             .collect();
         write_trace(path, &tracks);
     }
-
     if cli.trace.summary {
         let tables: Vec<Table> = specs
             .iter()
-            .zip(&cells)
+            .zip(cells)
             .map(|(spec, events)| {
-                timeline_table(
-                    &format!(
-                        "stream {}: timeline under {spec} @ {} cores",
-                        mix.name, cfg.cores
-                    ),
-                    events,
-                    cfg.cores,
-                    TRACE_SUMMARY_BINS,
-                )
+                let title = format!("{subject}: timeline under {spec} @ {cores} cores");
+                timeline_table(&title, events, cores, TRACE_SUMMARY_BINS)
             })
+            .chain(extra)
             .collect();
         let refs: Vec<&Table> = tables.iter().collect();
         emit_tables(cli, &refs);
@@ -455,18 +339,10 @@ pub fn write_trace(path: &Path, tracks: &[TraceTrack]) {
 /// Bins of the `--trace-summary` timeline tables.
 pub const TRACE_SUMMARY_BINS: usize = 24;
 
-/// Divide a problem size down in quick mode.
-pub fn scaled(size: u64, quick: bool) -> u64 {
-    if quick {
-        (size / 16).max(1024)
-    } else {
-        size
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pdfws_report::experiments::CONFIGS;
     use pdfws_workloads::{MergeSort, ParallelScan};
 
     /// A command line with no flags.
@@ -482,7 +358,11 @@ mod tests {
             &[1, 2],
             &SchedulerSpec::paper_pair(),
         );
-        let (mpki, speedup) = figure1_tables_from(&reports[0], &[1, 2]);
+        let pair = SchedulerSpec::paper_pair();
+        let (mpki, speedup) = (
+            reports[0].mpki_table(&[1, 2], &pair),
+            reports[0].speedup_table(&[1, 2], &pair),
+        );
         assert_eq!(mpki.series.len(), 2);
         assert_eq!(speedup.series.len(), 2);
         assert_eq!(mpki.rows(), 2);
@@ -491,26 +371,17 @@ mod tests {
 
     #[test]
     fn comparison_rows_cover_requested_cores() {
-        let rows = compare_pdf_ws_all(&cli(), &[ParallelScan::small().into_instance()], &[2, 4]);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].cores, 2);
-        assert_eq!(rows[1].cores, 4);
-        let t = comparison_table("test", &rows);
-        assert_eq!(t.rows(), 2);
+        let workloads = [ParallelScan::small().into_instance()];
+        let reports = sweep_reports(&cli(), &workloads, &[2, 4], &SchedulerSpec::paper_pair());
+        let t = comparison_table("test", &reports, &[2, 4]);
+        assert_eq!(t.x_values, ["scan@2", "scan@4"]);
         assert_eq!(t.series.len(), 4);
     }
 
     #[test]
     fn config_table_covers_the_paper_sweep() {
-        let t = config_table(&paper_core_counts());
+        let t = config_table(CONFIGS.paper.cores);
         assert_eq!(t.rows(), 6);
         assert_eq!(t.series.len(), 5);
-    }
-
-    #[test]
-    fn scaled_respects_quick_mode() {
-        assert_eq!(scaled(1 << 20, false), 1 << 20);
-        assert_eq!(scaled(1 << 20, true), 1 << 16);
-        assert_eq!(scaled(100, true), 1024);
     }
 }

@@ -268,3 +268,28 @@ fn a_closed_stdout_pipe_ends_the_process_quietly() {
         assert!(out.status.success(), "{bin} {args:?} exited {}", out.status);
     }
 }
+
+#[test]
+fn a_single_program_study_notes_the_workloads_it_ignores() {
+    let exe = exe("power_and_multiprogramming");
+    let one = run(exe, &["--quick", "--workload", "mergesort:n=4096"]);
+    let two = run(
+        exe,
+        &[
+            "--quick",
+            "--workload",
+            "mergesort:n=4096",
+            "--workload",
+            "spmv:rows=512",
+        ],
+    );
+    assert!(one.status.success() && two.status.success());
+    assert_eq!(one.stdout, two.stdout, "the second spec changed the study");
+    let note = "note: both parts study one program; ignoring --workload spmv:rows=512\n";
+    let (one_err, two_err) = (
+        String::from_utf8_lossy(&one.stderr),
+        String::from_utf8_lossy(&two.stderr),
+    );
+    assert!(!one_err.contains("ignoring"), "{one_err}");
+    assert!(two_err.contains(note), "{two_err}");
+}

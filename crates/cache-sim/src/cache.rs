@@ -71,7 +71,7 @@ fn aligned_words<T: Copy>(len: usize, fill: T) -> (Box<[T]>, usize) {
 /// replacement order and one RNG word per set for the Random policy.  An
 /// access therefore touches exactly one contiguous `associativity`-word
 /// window — no per-set heap structures on the hot path.  Both line arrays
-/// start on a host cache-line boundary (see [`aligned_words`]).
+/// start on a host cache-line boundary (see `aligned_words`).
 #[derive(Debug, Clone)]
 pub struct Cache {
     geometry: CacheGeometry,

@@ -42,6 +42,7 @@
 //! ```
 
 pub mod artifact;
+pub mod experiments;
 pub mod figure;
 mod paper;
 pub mod replication;

@@ -18,6 +18,7 @@
 //! to end.
 
 use crate::artifact::ArtifactSet;
+use crate::experiments::Setup;
 use crate::figure::{json_string, slug, Figure};
 use pdfws_cmp_model::default_config;
 use pdfws_core::prelude::*;
@@ -219,29 +220,20 @@ impl EvalCtx {
     }
 
     /// Run (or fetch from this run's cache) the (workloads × cores ×
-    /// schedulers) grid given by exact spec strings, returning one report per
-    /// workload.  Cells execute on `cfg.threads` workers; equal axes hit the
-    /// cache, so several claims can share one simulation.
-    pub fn sweep(
-        &self,
-        workloads: &[&str],
-        cores: &[usize],
-        schedulers: &[&str],
-    ) -> Result<Rc<Vec<ExperimentReport>>, ExperimentError> {
-        let key = format!(
-            "w={workloads:?};c={cores:?};s={schedulers:?};m={:?}",
-            self.cfg.memsys
-        );
+    /// schedulers) grid of `cells`, given by exact spec strings, returning
+    /// one report per workload (its L2 fractions are not an axis of a sweep).
+    /// Cells execute on `cfg.threads` workers; equal grids hit the cache, so
+    /// several claims can share one simulation.
+    pub fn sweep(&self, cells: &Setup) -> Result<Rc<Vec<ExperimentReport>>, ExperimentError> {
+        let key = format!("{cells:?};m={:?}", self.cfg.memsys);
         if let Some(hit) = self.cache.borrow().get(&key) {
             return Ok(hit.clone());
         }
-        let mut grid = SweepGrid::new()
-            .cores(cores)
-            .specs(&parse_schedulers(schedulers));
+        let mut grid = SweepGrid::new().cores(cells.cores).specs(&cells.specs());
         if let Some(spec) = &self.cfg.memsys {
             grid = grid.memsys(spec.clone());
         }
-        for w in workloads {
+        for w in cells.workloads {
             grid = grid.workload_str(w)?;
         }
         let reports = Rc::new(
@@ -252,15 +244,6 @@ impl EvalCtx {
         self.cache.borrow_mut().insert(key, reports.clone());
         Ok(reports)
     }
-}
-
-/// Parse built-in scheduler spec strings (claims are authored against the
-/// registry vocabulary, so a failure here is a programming error).
-fn parse_schedulers(specs: &[&str]) -> Vec<SchedulerSpec> {
-    specs
-        .iter()
-        .map(|s| s.parse().expect("claim scheduler specs parse"))
-        .collect()
 }
 
 type EvalFn = Box<dyn Fn(&EvalCtx) -> Result<Evaluation, ExperimentError>>;

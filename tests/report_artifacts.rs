@@ -5,6 +5,7 @@
 //! replication-suite smoke over a real (small) simulation.
 
 use pdfws::prelude::*;
+use pdfws::report::experiments::Setup;
 use pdfws::report::{
     ArtifactSet, Claim, Evaluation, Expectation, Figure, Observation, ReplicationSuite, SuiteConfig,
 };
@@ -149,7 +150,12 @@ fn replication_suite_runs_a_real_claim_end_to_end() {
         "c1-constructive-cache-sharing-cuts-l2-misses",
         Expectation::at_most("l2_mpki(pdf)", "l2_mpki(ws)", 0.05),
         |ctx| {
-            let reports = ctx.sweep(&["mergesort:n=4096"], &[1, 2], &["pdf", "ws"])?;
+            let reports = ctx.sweep(&Setup {
+                workloads: &["mergesort:n=4096"],
+                cores: &[1, 2],
+                schedulers: &["pdf", "ws"],
+                l2_fractions: &[],
+            })?;
             let report = &reports[0];
             let mpki = |spec: &SchedulerSpec| {
                 report
