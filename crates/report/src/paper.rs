@@ -47,11 +47,12 @@ impl ReplicationSuite {
 impl Setup {
     /// Only the workloads registered as `name` (listed together).
     fn named(self, name: &str) -> Setup {
+        let all = self.workloads;
         let is = |w: &&str| w.split(':').next() == Some(name);
-        let first = self.workloads.iter().position(is).unwrap_or(0);
-        let len = self.workloads[first..].iter().take_while(|w| is(w)).count();
+        let first = all.iter().position(is).unwrap_or(all.len());
+        let len = all[first..].iter().take_while(|w| is(w)).count();
         Setup {
-            workloads: &self.workloads[first..first + len],
+            workloads: &all[first..first + len],
             ..self
         }
     }
