@@ -2,14 +2,15 @@
 //!
 //! Tracks (1) how many transactions per second the bus + DRAM-controller
 //! model sustains on its own, on mixed traffic and on the L2-miss stream of
-//! a 32-core merge sort, and (2) what the component model costs the
-//! execution engine relative to the legacy serializing-channel formula.  The
-//! memory system sits on every simulated L2 miss, so a regression here slows
-//! every paper-scale experiment.
+//! a 32-core merge sort, (2) what the component model costs the execution
+//! engine relative to the legacy serializing-channel formula, and (3) how
+//! fast the event queue re-keys a yielding core among 32.  The memory system
+//! sits on every simulated L2 miss, and the engine re-keys the queue once
+//! per step, so a regression here slows every paper-scale experiment.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pdfws_cmp_model::{default_config, MemSysParams};
-use pdfws_memsys::MemSystem;
+use pdfws_memsys::{EventQueue, MemSystem};
 use pdfws_schedulers::{simulate, SchedulerSpec, SimOptions};
 use pdfws_workloads::{SyntheticTree, Workload};
 use rand::rngs::StdRng;
@@ -95,6 +96,87 @@ fn bench_fig1_miss_replay(c: &mut Criterion) {
     group.finish();
 }
 
+/// Re-keys per iteration of the event-queue rows.
+const REKEYS: usize = 65_536;
+
+/// The engine's per-step queue pattern at 32 cores: the top core is re-keyed
+/// to the end of its step.  `round_robin_32` sends every re-key behind all
+/// 31 other cores, as the fine-grain scheduler zoo does.  `mixed_32` draws
+/// the rank the key lands at from the shape of the Figure-1 `pdf` cell at
+/// 32 cores: 7 % go behind every other core and the rest land behind 0 to 9
+/// of them, a mean rank of about 6.4 and a mean distance to the nearer end
+/// of about 4.1.
+fn bench_event_queue_rekey(c: &mut Criterion) {
+    const CORES: usize = 32;
+    let mut start = EventQueue::new();
+    for core in 0..CORES {
+        start.push(core as u64, core);
+    }
+    let mixed = mixed_rekey_times(CORES);
+    let mut group = c.benchmark_group("memsys");
+    group.throughput(Throughput::Elements(REKEYS as u64));
+    group.sample_size(100);
+    group.bench_function("event_queue_rekey_round_robin_32", |b| {
+        b.iter(|| {
+            let mut q = start.clone();
+            for _ in 0..REKEYS {
+                let (time, core) = q.peek().expect("32 cores queued");
+                q.replace_top(time + CORES as u64, core);
+            }
+            black_box(q.peek())
+        })
+    });
+    let mut start = EventQueue::new();
+    for core in 0..CORES {
+        start.push(core as u64 * MIXED_SPACING, core);
+    }
+    group.bench_function("event_queue_rekey_mixed_32", |b| {
+        b.iter(|| {
+            let mut q = start.clone();
+            for &time in &mixed {
+                let (_, core) = q.peek().expect("32 cores queued");
+                q.replace_top(time, core);
+            }
+            black_box(q.peek())
+        })
+    });
+    group.finish();
+}
+
+/// Time between the initial cores of the mixed row, and the delay of a
+/// re-key that goes behind every other core.
+const MIXED_SPACING: u64 = 1 << 36;
+
+/// The re-key times of the mixed row, found on a sorted model of the queue:
+/// a key at rank `r` takes the midpoint of the times it lands between.
+fn mixed_rekey_times(cores: usize) -> Vec<u64> {
+    let mut rng = StdRng::seed_from_u64(13);
+    let mut model: Vec<(u64, usize)> = (0..cores)
+        .map(|core| (core as u64 * MIXED_SPACING, core))
+        .collect();
+    (0..REKEYS)
+        .map(|_| {
+            let (top, core) = model.remove(0);
+            let rank = if rng.gen_range(0..100u32) < 7 {
+                cores - 1
+            } else {
+                rng.gen_range(0..10usize)
+            };
+            let after = if rank == 0 { top } else { model[rank - 1].0 };
+            let time = match model.get(rank) {
+                Some(&(before, _)) => after + (before - after) / 2,
+                None => after + MIXED_SPACING,
+            };
+            assert!(
+                time > after && model.get(rank).is_none_or(|&(before, _)| time < before),
+                "rank {rank} has no room left between its neighbours"
+            );
+            model.insert(rank, (time, core));
+            time
+        })
+        .collect()
+}
+
 fn bench_engine_under_each_model(c: &mut Criterion) {
     let workload = SyntheticTree {
         depth: 6,
@@ -132,6 +214,7 @@ criterion_group!(
     benches,
     bench_transact_throughput,
     bench_fig1_miss_replay,
+    bench_event_queue_rekey,
     bench_engine_under_each_model
 );
 criterion_main!(benches);

@@ -54,7 +54,10 @@ fn main() {
         .map(|f| format!("{:.0}%", f * 100.0))
         .collect();
     let mut slowdown_table = Table::new(
-        format!("Cache power-down: run time relative to the fully-powered L2 ({cores} cores, merge sort)"),
+        format!(
+            "Cache power-down: run time relative to the fully-powered L2 ({cores} cores, {})",
+            workload.spec.canonical()
+        ),
         "powered_l2",
         x.clone(),
     );

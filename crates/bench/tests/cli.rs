@@ -293,3 +293,67 @@ fn a_single_program_study_notes_the_workloads_it_ignores() {
     assert!(!one_err.contains("ignoring"), "{one_err}");
     assert!(two_err.contains(note), "{two_err}");
 }
+
+#[test]
+fn the_power_down_title_names_the_program_studied() {
+    let out = run(
+        exe("power_and_multiprogramming"),
+        &["--quick", "--threads", "2", "--workload", "spmv:rows=512"],
+    );
+    assert!(out.status.success(), "exited {}", out.status);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let title = stdout.lines().next().expect("a title line");
+    assert_eq!(
+        title,
+        "# Cache power-down: run time relative to the fully-powered L2 (8 cores, spmv:rows=512)"
+    );
+}
+
+/// Every file under `dir`, as (path relative to `dir`, contents), sorted.
+fn files_under(dir: &std::path::Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut files = Vec::new();
+    let mut stack = vec![dir.to_path_buf()];
+    while let Some(at) = stack.pop() {
+        for entry in std::fs::read_dir(&at).expect("read dir") {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() {
+                stack.push(path);
+            } else {
+                let contents = std::fs::read(&path).expect("read file");
+                files.push((path.strip_prefix(dir).unwrap().to_path_buf(), contents));
+            }
+        }
+    }
+    files.sort();
+    files
+}
+
+#[test]
+fn replicate_traces_run_on_the_suites_memory_system() {
+    let root = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("replicate-memsys-traces");
+    let traces = |name: &str, extra: &[&str]| {
+        let dir = root.join(name);
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut args = vec!["--quick", "--threads", "2", "--out", dir.to_str().unwrap()];
+        args.extend_from_slice(extra);
+        let out = run(exe("replicate"), &args);
+        assert!(
+            out.status.success(),
+            "replicate {args:?} exited {}",
+            out.status
+        );
+        files_under(&dir.join("traces"))
+    };
+    let (default, legacy) = (
+        traces("default", &[]),
+        traces("legacy", &["--memsys", "legacy"]),
+    );
+    assert!(!default.is_empty(), "no traces written");
+    let names =
+        |files: &[(PathBuf, Vec<u8>)]| files.iter().map(|f| f.0.clone()).collect::<Vec<_>>();
+    assert_eq!(names(&default), names(&legacy));
+    // Every claim's traced cell runs on the model, so each timeline differs.
+    for (d, l) in default.iter().zip(&legacy) {
+        assert!(d.1 != l.1, "{} ignores --memsys", d.0.display());
+    }
+}

@@ -12,10 +12,12 @@
 //!
 //! The crate has four layers:
 //!
-//! * the **substrate** — [`EventQueue`] (a deterministic min-heap of
+//! * the **substrate** — [`EventQueue`] (a deterministic sorted ring of
 //!   `(time, id)` events packed one `u64` each, `time << 8 | id`: ids below
-//!   256, times below 2^56 cycles) and the [`Component`] trait with its
-//!   [`run_until`] driver, reusable for any clocked element;
+//!   256, times below 2^56 cycles; O(1) pop, a re-key of the top from the
+//!   nearer end, meant for one or two entries per core or component) and
+//!   the [`Component`] trait with its [`run_until`] driver, reusable for any
+//!   clocked element;
 //! * the **components** — [`SharedBus`] and [`DramController`], each usable
 //!   either queued (through the event loop) or synchronously (the engine's
 //!   one-outstanding-miss-per-core path); the two modes share state and are

@@ -8,12 +8,23 @@
 //! worker threads drive independent simulations.
 //!
 //! Each event is stored as one packed `u64` key, `time << 8 | id`, so the
-//! lexicographic order is plain integer order and a heap compare is a single
+//! lexicographic order is plain integer order and a compare is a single
 //! instruction.  The packing bounds the range: ids must be below
 //! [`ID_LIMIT`] (256) and times below [`TIME_LIMIT`] (2^56 cycles); an event
 //! outside it panics with a message naming the limit.  Equal events are
-//! identical words, so the pop order depends only on the set of keys, never
-//! on the heap's shape.
+//! identical words, so the pop order depends only on the set of keys.
+//!
+//! The keys live in a sorted ring: a power-of-two buffer whose live entries
+//! run in ascending order from a head index, wrapping at the end.  `pop` and
+//! `peek` are O(1) and `peek_second` reads the slot after the head.
+//! `replace_top` drops the head and inserts the new key from whichever end of
+//! the ring is nearer — one compare against the middle entry picks the end —
+//! so it shifts O(min(rank, n − rank)) entries, where `rank` is how many
+//! entries the key lands behind.  `push` inserts the same way and is O(n).
+//! The queue is meant for one or two entries per core or component: there a
+//! shift is one sequential load and store, cheaper than a heap level's two
+//! dependent loads, and a core that yields to the back of a round-robin
+//! lands in place with no shift at all.
 
 /// Bits of a packed key that hold the event id.
 const ID_BITS: u32 = 8;
@@ -24,10 +35,18 @@ pub const ID_LIMIT: usize = 1 << ID_BITS;
 /// Exclusive upper bound on event times, in cycles.
 pub const TIME_LIMIT: u64 = 1 << (u64::BITS - ID_BITS);
 
-/// A deterministic min-heap of `(time, id)` events, one packed word each.
-#[derive(Debug, Default, Clone)]
+/// Buffer size of the first allocation; later growth doubles it.
+const INITIAL_CAPACITY: usize = 64;
+
+/// A deterministic queue of `(time, id)` events, one packed word each, kept
+/// as a sorted ring.
+#[derive(Default, Clone)]
 pub struct EventQueue {
-    heap: Vec<u64>,
+    /// Power-of-two buffer (or empty before the first push); live entries
+    /// are `ring[(head + i) & mask]` for `i < len`, ascending.
+    ring: Vec<u64>,
+    head: usize,
+    len: usize,
 }
 
 /// Pack `(time, id)` into one key whose integer order is the event order.
@@ -64,31 +83,29 @@ impl EventQueue {
     #[inline]
     pub fn push(&mut self, time: u64, id: usize) {
         let key = pack(time, id);
-        self.heap.push(key);
-        self.sift_up(self.heap.len() - 1, key);
+        if self.len == self.ring.len() {
+            self.grow();
+        }
+        self.insert(self.head, self.len, key);
     }
 
     /// The earliest `(time, id)` event without removing it.
     #[inline]
     pub fn peek(&self) -> Option<(u64, usize)> {
-        self.heap.first().map(|&key| unpack(key))
+        self.nth(0)
     }
 
-    /// The earliest event after the top one: the smaller of the root's two
-    /// children, so the top can keep its place while its owner runs up to
-    /// the next event's time.
+    /// The earliest event after the top one, so the top can keep its place
+    /// while its owner runs up to the next event's time.
     #[inline]
     pub fn peek_second(&self) -> Option<(u64, usize)> {
-        let key = match self.heap.get(1..3) {
-            Some(&[a, b]) => a.min(b),
-            _ => *self.heap.get(1)?,
-        };
-        Some(unpack(key))
+        self.nth(1)
     }
 
-    /// Re-key the top event to `(time, id)` in place: one sift instead of a
-    /// `pop` plus a `push`, with the same pop order afterwards (order depends
-    /// only on the keys).  No-op on an empty queue.
+    /// Re-key the top event to `(time, id)` in place: the head is dropped
+    /// and the key inserted from the nearer end, with the same pop order
+    /// afterwards as a `pop` plus a `push` (order depends only on the keys).
+    /// No-op on an empty queue.
     ///
     /// # Panics
     ///
@@ -96,76 +113,119 @@ impl EventQueue {
     #[inline]
     pub fn replace_top(&mut self, time: u64, id: usize) {
         let key = pack(time, id);
-        if !self.heap.is_empty() {
-            self.sift_from_root(key);
+        if self.len > 0 {
+            // The dropped head's slot is free in front of the rest and, on
+            // a full ring, is also the free slot behind it.
+            self.insert(self.head + 1, self.len - 1, key);
         }
     }
 
     /// Remove and return the earliest `(time, id)` event.
     #[inline]
     pub fn pop(&mut self) -> Option<(u64, usize)> {
-        let last = self.heap.pop()?;
-        let Some(&top) = self.heap.first() else {
-            return Some(unpack(last));
-        };
-        self.sift_from_root(last);
-        Some(unpack(top))
+        let top = self.nth(0)?;
+        self.head = (self.head + 1) & self.mask();
+        self.len -= 1;
+        Some(top)
     }
 
     /// Number of scheduled events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
     /// Whether no events are scheduled.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len == 0
     }
 
     /// Drop every scheduled event.
     pub fn clear(&mut self) {
-        self.heap.clear();
+        self.head = 0;
+        self.len = 0;
     }
 
-    /// Fill the root with `key`: walk the hole from the root to a leaf along
-    /// the smaller child, then sift `key` up from there.  The child is chosen
-    /// by arithmetic on a compare, not a branch — a re-keyed core usually
-    /// lands deep in the heap, and a branch per level would mispredict about
-    /// half the time.  Always inlined, into `pop` and into the engine's step
-    /// loop through `replace_top`: the engine re-keys once per step, and the
-    /// call was a measurable share of a step's host time.
-    #[inline(always)]
-    fn sift_from_root(&mut self, key: u64) {
-        let heap = &mut self.heap[..];
-        let n = heap.len();
-        let mut hole = 0;
-        let mut child = 1;
-        while child + 1 < n {
-            child += (heap[child + 1] < heap[child]) as usize;
-            heap[hole] = heap[child];
-            hole = child;
-            child = 2 * hole + 1;
-        }
-        if child < n {
-            heap[hole] = heap[child];
-            hole = child;
-        }
-        self.sift_up(hole, key);
-    }
-
-    /// Place `key` at `hole` or above it: move each larger parent down.
+    /// Index mask of the buffer (a power of two in size once allocated).
     #[inline]
-    fn sift_up(&mut self, mut hole: usize, key: u64) {
-        let heap = &mut self.heap[..];
-        while hole > 0 {
-            let parent = (hole - 1) / 2;
-            if heap[parent] <= key {
-                break;
-            }
-            heap[hole] = heap[parent];
-            hole = parent;
+    fn mask(&self) -> usize {
+        self.ring.len().wrapping_sub(1)
+    }
+
+    /// The `i`-th earliest event, if there are more than `i`.
+    #[inline]
+    fn nth(&self, i: usize) -> Option<(u64, usize)> {
+        (i < self.len).then(|| unpack(self.ring[(self.head + i) & self.mask()]))
+    }
+
+    /// Double the buffer (or allocate the first one), copying the live
+    /// entries to its start in order.
+    #[cold]
+    fn grow(&mut self) {
+        let mask = self.mask();
+        let mut ring = vec![0; (2 * self.ring.len()).max(INITIAL_CAPACITY)];
+        for (i, slot) in ring[..self.len].iter_mut().enumerate() {
+            *slot = self.ring[(self.head + i) & mask];
         }
-        heap[hole] = key;
+        self.ring = ring;
+        self.head = 0;
+    }
+
+    /// Insert `key` among the `live` sorted entries starting at slot
+    /// `first`, whose neighbouring slots on both sides are free; the queue
+    /// becomes those entries plus `key`.  The key lands behind every entry
+    /// not greater than it, from whichever end the middle entry says is
+    /// nearer: a key below the middle shifts the entries in front of it one
+    /// slot toward the front, any other key shifts the entries behind it one
+    /// slot toward the back.  The middle entry bounds either scan, so neither
+    /// checks the count.  Always inlined: the engine re-keys once per step.
+    #[inline(always)]
+    fn insert(&mut self, first: usize, live: usize, key: u64) {
+        let mask = self.mask();
+        let ring = &mut self.ring[..=mask];
+        self.len = live + 1;
+        if live == 0 {
+            self.head = first & mask;
+            ring[self.head] = key;
+            return;
+        }
+        if key < ring[(first + live / 2) & mask] {
+            // The middle entry is greater than `key`, so the scan stops
+            // there at the latest.  `first + mask` is the slot before
+            // `first`, without underflow.
+            let mut at = first + mask;
+            self.head = at & mask;
+            loop {
+                let next = ring[(at + 1) & mask];
+                if next > key {
+                    break;
+                }
+                ring[at & mask] = next;
+                at += 1;
+            }
+            ring[at & mask] = key;
+        } else {
+            // The middle entry is not greater than `key`, so the scan stops
+            // there at the latest.
+            let mut at = first + live;
+            self.head = first & mask;
+            loop {
+                let prev = ring[(at - 1) & mask];
+                if prev <= key {
+                    break;
+                }
+                ring[at & mask] = prev;
+                at -= 1;
+            }
+            ring[at & mask] = key;
+        }
+    }
+}
+
+impl std::fmt::Debug for EventQueue {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list()
+            .entries((0..self.len).filter_map(|i| self.nth(i)))
+            .finish()
     }
 }
 
@@ -281,61 +341,148 @@ mod tests {
     }
 
     /// One queue operation of the model test.
-    #[derive(Debug, Clone)]
+    #[derive(Debug, Clone, Copy)]
     enum Op {
+        /// Push at the top's time plus a delay.
         Push(u64, usize),
         Pop,
+        /// Re-key the top to its own time plus a delay, as a yielding core
+        /// does: lands in either half of the ring.
         ReplaceTop(u64),
+        /// Re-key the top to the last entry's time plus a delay: lands
+        /// behind every other entry, as in a round robin.
+        ReplaceTopLast(u64),
         PeekSecond,
+        Clear,
     }
 
-    fn op() -> impl Strategy<Value = Op> {
+    /// Operation mix of one phase of a model-test case.
+    #[derive(Clone, Copy)]
+    enum Phase {
+        /// Pushes balance pops: a small population whose head wraps the
+        /// first buffer many times.
+        Churn,
+        /// Mostly pushes: the ring grows past its first buffer while the
+        /// head sits mid-buffer.
+        Grow,
+        /// Mostly pops, with an occasional clear.
+        Drain,
+    }
+
+    fn op(phase: Phase) -> impl Strategy<Value = Op> {
         // Few distinct times and ids, so equal times under different ids and
         // fully duplicate keys are common; id 255 is the top of the range.
-        (0u8..8, 0u64..8, 0usize..5).prop_map(|(kind, t, id)| {
+        (0u8..64, 0u64..8, 0usize..5).prop_map(move |(roll, t, id)| {
             let id = if id == 4 { ID_LIMIT - 1 } else { id };
-            match kind {
-                0..=2 => Op::Push(t, id),
-                3 | 4 => Op::Pop,
-                5 | 6 => Op::ReplaceTop(t),
-                _ => Op::PeekSecond,
+            // Cumulative weights out of 64 of push, pop, the two re-keys and
+            // peek_second; the rest is clear.
+            let weights = match phase {
+                Phase::Churn => [16, 32, 40, 56, 64],
+                Phase::Grow => [48, 52, 56, 60, 64],
+                Phase::Drain => [8, 40, 48, 56, 63],
+            };
+            match weights.iter().position(|&w| roll < w) {
+                Some(0) => Op::Push(t, id),
+                Some(1) => Op::Pop,
+                Some(2) => Op::ReplaceTop(t),
+                Some(3) => Op::ReplaceTopLast(t),
+                Some(_) => Op::PeekSecond,
+                None => Op::Clear,
             }
         })
     }
 
+    /// The live entries of `q` in pop order.
+    fn contents(q: &EventQueue) -> Vec<(u64, usize)> {
+        (0..q.len()).map(|i| q.nth(i).unwrap()).collect()
+    }
+
     proptest! {
         // The queue against a sorted `Vec` of `(time, id)` pairs: every
-        // observable result matches after every operation.
+        // observable result matches after every operation, and the whole
+        // contents match after every phase.  Each case churns a small
+        // population, grows past 300 entries, then drains; it must wrap the
+        // head around the buffer and re-key into both halves of the ring.
         #[test]
-        fn matches_a_sorted_vec_model(ops in proptest::collection::vec(op(), 0..200)) {
+        fn matches_a_sorted_vec_model(
+            churn in proptest::collection::vec(op(Phase::Churn), 1500..2000),
+            grow in proptest::collection::vec(op(Phase::Grow), 500..700),
+            drain in proptest::collection::vec(op(Phase::Drain), 800..1500),
+        ) {
             let mut q = EventQueue::new();
             let mut model: Vec<(u64, usize)> = Vec::new();
-            for op in ops {
-                match op {
-                    Op::Push(t, id) => {
-                        q.push(t, id);
-                        model.push((t, id));
-                        model.sort_unstable();
-                    }
-                    Op::Pop => {
-                        let expected = (!model.is_empty()).then(|| model.remove(0));
-                        prop_assert_eq!(q.pop(), expected);
-                    }
-                    Op::ReplaceTop(t) => {
+            let (mut peak, mut wraps, mut front, mut back) = (0, 0, 0, 0);
+            for phase in [churn, grow, drain] {
+                for op in phase {
+                    let head = q.head;
+                    let rekey = |t: u64, model: &mut Vec<(u64, usize)>| {
                         // Re-key the top, keeping its id (as the engine does).
-                        if let Some(&(_, id)) = model.first() {
-                            model[0] = (t, id);
-                            model.sort_unstable();
+                        let (_, id) = model.remove(0);
+                        let at = model.partition_point(|&e| e <= (t, id));
+                        model.insert(at, (t, id));
+                        id
+                    };
+                    match op {
+                        Op::Push(t, id) => {
+                            // Scheduled at or after the top's time, as events are.
+                            let t = model.first().map_or(t, |&(top, _)| top + t);
+                            q.push(t, id);
+                            let at = model.partition_point(|&e| e <= (t, id));
+                            model.insert(at, (t, id));
+                        }
+                        Op::Pop => {
+                            let expected = (!model.is_empty()).then(|| model.remove(0));
+                            prop_assert_eq!(q.pop(), expected);
+                        }
+                        Op::ReplaceTop(t) | Op::ReplaceTopLast(t) => {
+                            let Some(&(top, _)) = model.first() else {
+                                q.replace_top(t, 0);
+                                continue;
+                            };
+                            let base = match op {
+                                Op::ReplaceTopLast(_) => model[model.len() - 1].0,
+                                _ => top,
+                            };
+                            let t = base + t;
+                            // The end the ring inserts from: front for a key
+                            // below the middle of the entries behind the top.
+                            if let Some(&mid) = model.get(1 + (model.len() - 1) / 2) {
+                                if (t, model[0].1) < mid {
+                                    front += 1;
+                                } else {
+                                    back += 1;
+                                }
+                            }
+                            let id = rekey(t, &mut model);
                             q.replace_top(t, id);
-                        } else {
-                            q.replace_top(t, 0);
+                        }
+                        Op::PeekSecond => prop_assert_eq!(q.peek_second(), model.get(1).copied()),
+                        Op::Clear => {
+                            q.clear();
+                            model.clear();
                         }
                     }
-                    Op::PeekSecond => prop_assert_eq!(q.peek_second(), model.get(1).copied()),
+                    prop_assert_eq!(q.peek(), model.first().copied());
+                    prop_assert_eq!(q.len(), model.len());
+                    peak = peak.max(model.len());
+                    // The head crosses the end of the buffer forward on a
+                    // pop or back-end re-key, backward on a front-end push.
+                    wraps += match op {
+                        Op::Pop | Op::ReplaceTop(_) | Op::ReplaceTopLast(_) => q.head < head,
+                        Op::Push(..) => q.head > head,
+                        _ => false,
+                    } as usize;
                 }
-                prop_assert_eq!(q.peek(), model.first().copied());
-                prop_assert_eq!(q.len(), model.len());
+                prop_assert_eq!(contents(&q), model.clone());
             }
+            while let Some(e) = model.first().copied() {
+                model.remove(0);
+                prop_assert_eq!(q.pop(), Some(e));
+            }
+            prop_assert_eq!(q.pop(), None);
+            prop_assert!(peak >= 300, "peak {peak}: the ring never grew past 300 entries");
+            prop_assert!(wraps >= 8, "the head wrapped only {wraps} times");
+            prop_assert!(front > 0 && back > 0, "re-keys from the front {front}, back {back}");
         }
     }
 

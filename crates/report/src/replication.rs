@@ -368,7 +368,7 @@ impl ReplicationSuite {
         cfg: SuiteConfig,
         mut progress: impl FnMut(&Claim),
     ) -> Result<ReplicationReport, ExperimentError> {
-        let quick = cfg.quick;
+        let (quick, memsys) = (cfg.quick, cfg.memsys.clone());
         let ctx = EvalCtx::new(cfg);
         let mut results = Vec::with_capacity(self.claims.len());
         for claim in &self.claims {
@@ -390,7 +390,11 @@ impl ReplicationSuite {
                 timeline: None,
             });
         }
-        Ok(ReplicationReport { quick, results })
+        Ok(ReplicationReport {
+            quick,
+            memsys,
+            results,
+        })
     }
 }
 
@@ -399,6 +403,9 @@ impl ReplicationSuite {
 pub struct ReplicationReport {
     /// Whether this was a quick (CI-sized) run.
     pub quick: bool,
+    /// The memory-system model the claims ran under
+    /// ([`SuiteConfig::memsys`]); their traced cells run under it too.
+    pub memsys: Option<MemSysSpec>,
     /// Per-claim results, in suite order.
     pub results: Vec<ClaimResult>,
 }
@@ -452,8 +459,11 @@ impl ReplicationReport {
 
     /// Attach a summarized execution timeline to every claim: re-simulate one
     /// representative cell per claim — its first workload spec at its largest
-    /// core count under its first scheduler spec — with event tracing on, and
-    /// bin the stream into a [`timeline_table`] figure.  The figures land
+    /// core count under its first scheduler spec — with event tracing on, on
+    /// the machine the claim's sweep ran (the default configuration at that
+    /// core count under the suite's memory-system model; the power claim's
+    /// first L2 fraction is the fully powered default), and bin the stream
+    /// into a [`timeline_table`] figure.  The figures land
     /// under `traces/<id>/` in [`ReplicationReport::artifacts_in`] and are
     /// linked from the claim's `REPLICATION.md` section.
     ///
@@ -463,7 +473,7 @@ impl ReplicationReport {
     /// suite runs stay trace-free.
     pub fn attach_traces(&mut self) {
         for r in &mut self.results {
-            r.timeline = timeline_figure_for(r);
+            r.timeline = timeline_figure_for(r, self.memsys.as_ref());
         }
     }
 
@@ -622,16 +632,19 @@ impl ReplicationReport {
 /// Bins of the per-claim timeline figures.
 const TRACE_FIGURE_BINS: usize = 24;
 
-/// The representative-cell timeline of one claim (see
-/// [`ReplicationReport::attach_traces`]), or `None` when the claim's recorded
-/// axes cannot be re-instantiated.
-fn timeline_figure_for(r: &ClaimResult) -> Option<Figure> {
+/// The representative-cell timeline of one claim under the `memsys` model
+/// (see [`ReplicationReport::attach_traces`]), or `None` when the claim's
+/// recorded axes cannot be re-instantiated.
+fn timeline_figure_for(r: &ClaimResult, memsys: Option<&MemSysSpec>) -> Option<Figure> {
     let workload = r.workloads.first()?;
     let scheduler = r.schedulers.first()?;
     let cores = r.cores.iter().copied().max()?;
     let wspec = workload.parse::<pdfws_workloads::WorkloadSpec>().ok()?;
     let sspec = scheduler.parse::<SchedulerSpec>().ok()?;
-    let config = default_config(cores).ok()?;
+    let mut config = default_config(cores).ok()?;
+    if let Some(spec) = memsys {
+        config.memsys = spec.memsys_params();
+    }
     let instance = WorkloadInstance::from_spec(&wspec);
     let (_, events) = simulate_traced(&instance.dag, &config, &sspec, &SimOptions::default());
     let table = timeline_table(

@@ -561,10 +561,11 @@ impl SimEngine {
 
         // The stepping core's event stays at the top of the queue: a step is
         // bounded by the next event below it (`peek_second`), a yielding step
-        // re-keys the top in place (one branch-free sift), and only
-        // completions and backoff wakes pop.  Pop order depends only on the
-        // `(time, core)` keys, so the schedule is the one a pop-then-push
-        // loop would produce.
+        // re-keys the top in place (the sorted ring shifts only the entries
+        // between the new key and its nearer end, none when the core goes
+        // behind every other), and only completions and backoff wakes pop.
+        // Pop order depends only on the `(time, core)` keys, so the schedule
+        // is the one a pop-then-push loop would produce.
         while let Some((time, core)) = self.events.peek() {
             if self.completed == self.dag.len() {
                 // Once every task has completed, only dangling backoff wakes
