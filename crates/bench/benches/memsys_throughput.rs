@@ -108,14 +108,18 @@ const REKEYS: usize = 65_536;
 /// of about 4.1.
 fn bench_event_queue_rekey(c: &mut Criterion) {
     const CORES: usize = 32;
-    let mut start = EventQueue::new();
-    for core in 0..CORES {
-        start.push(core as u64, core);
-    }
+    let queue_at = |spacing: u64| {
+        let mut q = EventQueue::new();
+        for core in 0..CORES {
+            q.push(core as u64 * spacing, core);
+        }
+        q
+    };
     let mixed = mixed_rekey_times(CORES);
     let mut group = c.benchmark_group("memsys");
     group.throughput(Throughput::Elements(REKEYS as u64));
     group.sample_size(100);
+    let start = queue_at(1);
     group.bench_function("event_queue_rekey_round_robin_32", |b| {
         b.iter(|| {
             let mut q = start.clone();
@@ -126,10 +130,7 @@ fn bench_event_queue_rekey(c: &mut Criterion) {
             black_box(q.peek())
         })
     });
-    let mut start = EventQueue::new();
-    for core in 0..CORES {
-        start.push(core as u64 * MIXED_SPACING, core);
-    }
+    let start = queue_at(MIXED_SPACING);
     group.bench_function("event_queue_rekey_mixed_32", |b| {
         b.iter(|| {
             let mut q = start.clone();

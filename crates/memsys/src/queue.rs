@@ -411,50 +411,45 @@ mod tests {
         ) {
             let mut q = EventQueue::new();
             let mut model: Vec<(u64, usize)> = Vec::new();
+            let insert = |model: &mut Vec<(u64, usize)>, e| {
+                let at = model.partition_point(|&m| m <= e);
+                model.insert(at, e);
+            };
             let (mut peak, mut wraps, mut front, mut back) = (0, 0, 0, 0);
             for phase in [churn, grow, drain] {
                 for op in phase {
                     let head = q.head;
-                    let rekey = |t: u64, model: &mut Vec<(u64, usize)>| {
-                        // Re-key the top, keeping its id (as the engine does).
-                        let (_, id) = model.remove(0);
-                        let at = model.partition_point(|&e| e <= (t, id));
-                        model.insert(at, (t, id));
-                        id
-                    };
                     match op {
-                        Op::Push(t, id) => {
+                        Op::Push(dt, id) => {
                             // Scheduled at or after the top's time, as events are.
-                            let t = model.first().map_or(t, |&(top, _)| top + t);
+                            let t = model.first().map_or(dt, |&(top, _)| top + dt);
                             q.push(t, id);
-                            let at = model.partition_point(|&e| e <= (t, id));
-                            model.insert(at, (t, id));
+                            insert(&mut model, (t, id));
                         }
                         Op::Pop => {
                             let expected = (!model.is_empty()).then(|| model.remove(0));
                             prop_assert_eq!(q.pop(), expected);
                         }
-                        Op::ReplaceTop(t) | Op::ReplaceTopLast(t) => {
-                            let Some(&(top, _)) = model.first() else {
-                                q.replace_top(t, 0);
-                                continue;
-                            };
+                        Op::ReplaceTop(dt) | Op::ReplaceTopLast(dt) if model.is_empty() => {
+                            q.replace_top(dt, 0);
+                        }
+                        Op::ReplaceTop(dt) | Op::ReplaceTopLast(dt) => {
+                            // Re-key the top, keeping its id (as the engine does).
+                            let (top, id) = model.remove(0);
                             let base = match op {
-                                Op::ReplaceTopLast(_) => model[model.len() - 1].0,
+                                Op::ReplaceTopLast(_) => model.last().map_or(top, |e| e.0),
                                 _ => top,
                             };
-                            let t = base + t;
-                            // The end the ring inserts from: front for a key
-                            // below the middle of the entries behind the top.
-                            if let Some(&mid) = model.get(1 + (model.len() - 1) / 2) {
-                                if (t, model[0].1) < mid {
-                                    front += 1;
-                                } else {
-                                    back += 1;
-                                }
+                            let key = (base + dt, id);
+                            // The end the ring inserts from: the front for a
+                            // key below the middle entry.
+                            match model.get(model.len() / 2) {
+                                Some(&mid) if key < mid => front += 1,
+                                Some(_) => back += 1,
+                                None => {}
                             }
-                            let id = rekey(t, &mut model);
-                            q.replace_top(t, id);
+                            insert(&mut model, key);
+                            q.replace_top(key.0, id);
                         }
                         Op::PeekSecond => prop_assert_eq!(q.peek_second(), model.get(1).copied()),
                         Op::Clear => {

@@ -463,9 +463,9 @@ impl ReplicationReport {
     /// the machine the claim's sweep ran (the default configuration at that
     /// core count under the suite's memory-system model; the power claim's
     /// first L2 fraction is the fully powered default), and bin the stream
-    /// into a [`timeline_table`] figure.  The figures land
-    /// under `traces/<id>/` in [`ReplicationReport::artifacts_in`] and are
-    /// linked from the claim's `REPLICATION.md` section.
+    /// into a [`timeline_table`] figure.  The figures land under
+    /// `traces/<id>/` in [`ReplicationReport::artifacts_in`] and are linked
+    /// from the claim's `REPLICATION.md` section.
     ///
     /// Claims whose recorded axes cannot be re-instantiated (no workloads, an
     /// unparseable spec, or a core count without a default configuration) are
