@@ -44,7 +44,6 @@ use std::io::Write;
 use std::path::Path;
 
 pub mod cli;
-pub mod tuner;
 
 pub use cli::{Cli, CliError, OutputMode, TraceArgs, UNIFORM_FLAGS};
 

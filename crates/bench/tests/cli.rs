@@ -26,7 +26,6 @@ const BINS: &[(&str, &str)] = &[
     ("replicate", env!("CARGO_BIN_EXE_replicate")),
     ("serve", env!("CARGO_BIN_EXE_serve")),
     ("table_configs", env!("CARGO_BIN_EXE_table_configs")),
-    ("tuner", env!("CARGO_BIN_EXE_tuner")),
 ];
 
 fn run(exe: &str, args: &[&str]) -> Output {
@@ -221,7 +220,6 @@ fn malformed_command_lines_exit_2_with_a_message() {
         // Well-formed flags the serving tier rejects as a configuration.
         ("serve", &["--jobs", "0"][..]),
         ("serve", &["--arrivals", "closed"][..]),
-        ("tuner", &["--claim", "c1"][..]),
         // Flags of the removed cache-mode axis.
         ("fig1_mergesort", &["--cache", "exact", "--quick"][..]),
         ("replicate", &["--validate-cache", "--list-claims"][..]),

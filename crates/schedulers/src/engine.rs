@@ -801,8 +801,8 @@ impl SimEngine {
             core,
             task: task.index() as u64,
         });
-        // Announce the completion first so frontier-tracking policies (e.g.
-        // pdf:lag=N) see a fresh window before being asked for work.
+        // Announce the completion first so a policy that tracks completions
+        // sees it before being asked for work.
         self.policy.task_complete(task, core);
         // Enable successors in reverse listing order (see module docs).
         for &s in self.dag.successors(task).iter().rev() {

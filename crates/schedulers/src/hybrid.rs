@@ -336,7 +336,7 @@ mod tests {
         for victim in [
             VictimSelect::RoundRobin,
             VictimSelect::Random,
-            VictimSelect::Nearest,
+            VictimSelect::Hier { cluster: 1 },
             VictimSelect::Hier { cluster: 2 },
             VictimSelect::Hier { cluster: 3 },
         ] {

@@ -9,7 +9,6 @@
 //!
 //! ```text
 //! pdf                                  classic Parallel Depth First
-//! pdf:lag=4                            PDF with a bounded priority-lag window
 //! ws                                   classic work stealing
 //! ws:victim=random,steal=half,seed=7   parameterized work stealing
 //! ws:steal_cycles=64,fail_backoff=128  priced stealing (cycles charged to the thief)
@@ -32,15 +31,14 @@
 //!   `pdfws-task-dag`).  A free core always receives the highest-priority ready
 //!   task.  Because co-scheduled tasks are adjacent in the sequential order, their
 //!   aggregate working set stays close to the sequential working set — the
-//!   *constructive cache sharing* the paper is about.  `lag=N` bounds how far
-//!   past the sequential frontier the policy will run.
+//!   *constructive cache sharing* the paper is about.
 //! * [`ws::WorkStealingPolicy`] — each core owns a deque of ready tasks.  Tasks a
 //!   core enables are pushed onto its own deque; the owner pops from the top
 //!   (LIFO, depth-first locally), and a core whose deque is empty steals from the
 //!   *bottom* of a victim's deque.  `victim=` picks the scan strategy
-//!   (round-robin / seeded-random / nearest-neighbour / hierarchical), `steal=`
-//!   the granularity (one task or half the deque), and `steal_cycles=` /
-//!   `fail_backoff=` price the steal protocol in real simulated cycles.
+//!   (round-robin / seeded-random / hierarchical), `steal=` the granularity
+//!   (one task or half the deque), and `steal_cycles=` / `fail_backoff=`
+//!   price the steal protocol in real simulated cycles.
 //! * [`hybrid::HybridPolicy`] — PDF while the ready queue is shallow, per-core
 //!   deques once its depth exceeds `threshold`.
 //! * [`adaptive::AdaptivePolicy`] — a hybrid whose threshold is tuned *online*
@@ -197,10 +195,10 @@ mod tests {
             make_policy(&SchedulerSpec::static_partition(), 4).name(),
             "static"
         );
-        let parameterized: SchedulerSpec = "ws:steal=half,victim=nearest".parse().unwrap();
+        let parameterized: SchedulerSpec = "ws:steal=half,victim=hier,cluster=1".parse().unwrap();
         assert_eq!(
             make_policy(&parameterized, 4).name(),
-            "ws:steal=half,victim=nearest"
+            "ws:cluster=1,steal=half,victim=hier"
         );
     }
 

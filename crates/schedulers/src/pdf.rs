@@ -1,5 +1,4 @@
-//! The Parallel Depth First (PDF) scheduler, with an optional bounded
-//! priority-lag window.
+//! The Parallel Depth First (PDF) scheduler.
 //!
 //! "Processing cores are allocated ready-to-execute program tasks such that higher
 //! scheduling priority is given to those tasks the sequential program would have
@@ -11,19 +10,6 @@
 //! the lowest-rank ready task to whichever core asks.  Co-scheduled tasks are
 //! therefore adjacent in the sequential order, which is what keeps the aggregate
 //! working set close to the sequential working set [Blelloch–Gibbons, SPAA 2004].
-//!
-//! # The `lag` window (`pdf:lag=N`)
-//!
-//! Classic PDF is greedy: any ready task may start, however far ahead of the
-//! sequential frontier it sits.  With a lag window of `N`, a ready task may
-//! only start while its rank is at most `N` ranks ahead of the *frontier* (the
-//! smallest rank not yet completed), so at most `N + 1` tasks are ever in
-//! flight beyond the frontier.  A tighter window keeps the co-scheduled
-//! working set even closer to sequential at the cost of idling cores when the
-//! window is exhausted; `lag=0` degenerates to fully serialised frontier
-//! chasing.  The window can never deadlock: the frontier task's predecessors
-//! all have smaller ranks and are therefore complete, so the frontier task is
-//! always ready and always inside the window.
 
 use crate::policy::SchedulerPolicy;
 use pdfws_task_dag::{TaskDag, TaskId};
@@ -38,15 +24,6 @@ pub struct PdfPolicy {
     ranks: Vec<u64>,
     /// Ready tasks, ordered by ascending rank.
     ready: BinaryHeap<Reverse<(u64, TaskId)>>,
-    /// Priority-lag window; `None` is the classic unbounded policy.
-    lag: Option<u64>,
-    /// Tasks in 1DF order (`by_rank[r]` is the task with rank `r`); only
-    /// populated when a lag window is active.
-    by_rank: Vec<TaskId>,
-    /// Completion flags, indexed by task id; only maintained under a window.
-    completed: Vec<bool>,
-    /// The frontier: smallest rank whose task has not completed.
-    frontier: u64,
 }
 
 impl Default for PdfPolicy {
@@ -56,25 +33,12 @@ impl Default for PdfPolicy {
 }
 
 impl PdfPolicy {
-    /// Create the classic (unbounded) PDF policy.
+    /// Create the PDF policy.
     pub fn new() -> Self {
         PdfPolicy {
             name: "pdf".to_string(),
             ranks: Vec::new(),
             ready: BinaryHeap::new(),
-            lag: None,
-            by_rank: Vec::new(),
-            completed: Vec::new(),
-            frontier: 0,
-        }
-    }
-
-    /// Create a PDF policy with a bounded priority-lag window of `lag` ranks.
-    pub fn with_lag(lag: u64) -> Self {
-        PdfPolicy {
-            name: format!("pdf:lag={lag}"),
-            lag: Some(lag),
-            ..Self::new()
         }
     }
 
@@ -88,12 +52,6 @@ impl PdfPolicy {
     pub fn rank(&self, task: TaskId) -> u64 {
         self.ranks[task.index()]
     }
-
-    /// The current frontier rank (smallest incomplete rank); only meaningful
-    /// under a lag window.
-    pub fn frontier(&self) -> u64 {
-        self.frontier
-    }
 }
 
 impl SchedulerPolicy for PdfPolicy {
@@ -104,11 +62,6 @@ impl SchedulerPolicy for PdfPolicy {
     fn init(&mut self, dag: &TaskDag) {
         self.ranks = dag.one_df_ranks();
         self.ready.clear();
-        self.frontier = 0;
-        if self.lag.is_some() {
-            self.by_rank = dag.one_df_order();
-            self.completed = vec![false; dag.len()];
-        }
     }
 
     fn task_ready(&mut self, task: TaskId, _enabling_core: Option<usize>) {
@@ -117,28 +70,7 @@ impl SchedulerPolicy for PdfPolicy {
     }
 
     fn next_task(&mut self, _core: usize) -> Option<TaskId> {
-        if let Some(lag) = self.lag {
-            // The minimum-rank ready task is the only candidate; if even it
-            // sits past the window, the core stays idle until a completion
-            // advances the frontier.
-            let &Reverse((rank, _)) = self.ready.peek()?;
-            if rank > self.frontier.saturating_add(lag) {
-                return None;
-            }
-        }
         self.ready.pop().map(|Reverse((_, task))| task)
-    }
-
-    fn task_complete(&mut self, task: TaskId, _core: usize) {
-        if self.lag.is_none() {
-            return;
-        }
-        self.completed[task.index()] = true;
-        while (self.frontier as usize) < self.by_rank.len()
-            && self.completed[self.by_rank[self.frontier as usize].index()]
-        {
-            self.frontier += 1;
-        }
     }
 
     fn ready_count(&self) -> usize {
@@ -240,79 +172,7 @@ mod tests {
     }
 
     #[test]
-    fn lag_window_bounds_the_tasks_in_flight_past_the_frontier() {
-        // Root then 8 independent children; with lag=1 only 2 children may run
-        // concurrently (the frontier child plus one), while unbounded PDF hands
-        // out as many as there are cores.
-        let (dag, kids) = star_dag(8);
-        let mut lagged = PdfPolicy::with_lag(1);
-        lagged.init(&dag);
-        lagged.task_ready(dag.root(), None);
-        assert_eq!(lagged.next_task(0), Some(dag.root()));
-        lagged.task_complete(dag.root(), 0);
-        for &k in &kids {
-            lagged.task_ready(k, Some(0));
-        }
-        // Window = frontier (kids[0]'s rank) + 1: exactly two handouts.
-        assert_eq!(lagged.next_task(0), Some(kids[0]));
-        assert_eq!(lagged.next_task(1), Some(kids[1]));
-        assert_eq!(lagged.next_task(2), None, "third task is past the window");
-        assert_eq!(lagged.next_task(3), None);
-        // Completing the frontier task slides the window forward by one.
-        lagged.task_complete(kids[0], 0);
-        assert_eq!(lagged.next_task(2), Some(kids[2]));
-        assert_eq!(lagged.next_task(3), None);
-
-        // The unbounded policy would have handed out all four immediately.
-        let mut classic = PdfPolicy::new();
-        classic.init(&dag);
-        classic.task_ready(dag.root(), None);
-        assert_eq!(classic.next_task(0), Some(dag.root()));
-        classic.task_complete(dag.root(), 0);
-        for &k in &kids {
-            classic.task_ready(k, Some(0));
-        }
-        for core in 0..4 {
-            assert!(classic.next_task(core).is_some(), "core {core}");
-        }
-    }
-
-    #[test]
-    fn lag_zero_serialises_on_the_frontier_but_still_drains() {
-        let dag = binary_tree(4, 10);
-        let mut pdf = PdfPolicy::with_lag(0);
-        let started = drain_policy(&dag, &mut pdf, 4);
-        assert_eq!(started.len(), dag.len());
-        // Serialised frontier chasing reproduces the sequential order exactly.
-        assert_eq!(started, dag.one_df_order());
-    }
-
-    #[test]
-    fn frontier_advances_over_completed_ranks() {
-        let (dag, kids) = star_dag(3);
-        let mut pdf = PdfPolicy::with_lag(2);
-        pdf.init(&dag);
-        assert_eq!(pdf.frontier(), 0);
-        pdf.task_ready(dag.root(), None);
-        assert_eq!(pdf.next_task(0), Some(dag.root()));
-        pdf.task_complete(dag.root(), 0);
-        assert_eq!(pdf.frontier(), 1, "root (rank 0) completed");
-        for &k in &kids {
-            pdf.task_ready(k, Some(0));
-        }
-        // Complete out of order: kids[1] first does not move the frontier past
-        // kids[0].
-        assert_eq!(pdf.next_task(0), Some(kids[0]));
-        assert_eq!(pdf.next_task(1), Some(kids[1]));
-        pdf.task_complete(kids[1], 1);
-        assert_eq!(pdf.frontier(), 1);
-        pdf.task_complete(kids[0], 0);
-        assert_eq!(pdf.frontier(), 3, "both ranks 1 and 2 are now complete");
-    }
-
-    #[test]
     fn names_reflect_the_parameterization() {
         assert_eq!(PdfPolicy::new().name(), "pdf");
-        assert_eq!(PdfPolicy::with_lag(4).name(), "pdf:lag=4");
     }
 }

@@ -74,9 +74,10 @@ pub trait SchedulerPolicy {
     /// idle until the next `task_ready` or `task_complete` event.
     fn next_task(&mut self, core: usize) -> Option<TaskId>;
 
-    /// `task` has finished executing on `core`.  Policies that track the
-    /// execution frontier (e.g. `pdf:lag=N`) override this; the default is a
-    /// no-op.
+    /// `task` has finished executing on `core`.  The default is a no-op and
+    /// no built-in policy overrides it; the hook stays so that policies
+    /// registered from outside the crate (and trace replays that drive a
+    /// policy directly) can track completions.
     fn task_complete(&mut self, _task: TaskId, _core: usize) {}
 
     /// Number of ready tasks currently queued (all cores combined).
@@ -226,7 +227,6 @@ mod tests {
             let dag = binary_tree(4, 100);
             for policy in [
                 &mut PdfPolicy::new() as &mut dyn super::SchedulerPolicy,
-                &mut PdfPolicy::with_lag(2),
                 &mut WorkStealingPolicy::new(cores),
                 &mut StaticPartitionPolicy::new(cores),
                 &mut HybridPolicy::new(cores, 3),
@@ -259,7 +259,6 @@ mod tests {
         for cores in [1usize, 3] {
             for policy in [
                 &mut PdfPolicy::new() as &mut dyn super::SchedulerPolicy,
-                &mut PdfPolicy::with_lag(1),
                 &mut WorkStealingPolicy::new(cores),
                 &mut StaticPartitionPolicy::new(cores),
                 &mut HybridPolicy::new(cores, 2),

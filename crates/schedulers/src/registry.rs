@@ -81,22 +81,13 @@ impl SpecFamily for PdfFactory {
         "Parallel Depth First: global ready queue prioritised by sequential (1DF) rank"
     }
     fn params(&self) -> &'static [ParamSpec] {
-        &[ParamSpec {
-            key: "lag",
-            kind: ParamKind::U64,
-            doc: "bounded priority-lag window: at most lag+1 tasks in flight past the \
-                  sequential frontier (omit for the classic unbounded policy)",
-        }]
+        &[]
     }
 }
 
 impl PolicyFactory for PdfFactory {
     fn build(&self, spec: &SchedulerSpec, _cores: usize) -> Box<dyn SchedulerPolicy> {
-        let pdf = match spec.u64_param("lag") {
-            Some(lag) => PdfPolicy::with_lag(lag),
-            None => PdfPolicy::new(),
-        };
-        Box::new(pdf.named(spec.canonical()))
+        Box::new(PdfPolicy::new().named(spec.canonical()))
     }
 }
 
@@ -113,10 +104,10 @@ impl SpecFamily for WsFactory {
         &[
             ParamSpec {
                 key: "victim",
-                kind: ParamKind::Choice(&["round-robin", "random", "nearest", "hier"]),
+                kind: ParamKind::Choice(&["round-robin", "random", "hier"]),
                 doc: "victim selection: scan round-robin from the thief (default), \
-                      seeded-random start, nearest-neighbour by core distance, or \
-                      hierarchical (same cluster first, then spill outward)",
+                      seeded-random start, or hierarchical (same cluster first, then \
+                      spill outward)",
             },
             ParamSpec {
                 key: "steal",
@@ -198,7 +189,6 @@ fn steal_prices_within_cap(spec: &Spec) -> Result<(), String> {
 fn ws_options_of(spec: &Spec) -> (VictimSelect, StealGranularity, u64, u64, u64) {
     let victim = match spec.param("victim").unwrap_or("round-robin") {
         "random" => VictimSelect::Random,
-        "nearest" => VictimSelect::Nearest,
         "hier" => VictimSelect::Hier {
             cluster: spec
                 .u64_param("cluster")
@@ -280,7 +270,7 @@ impl SpecFamily for HybridFactory {
             },
             ParamSpec {
                 key: "victim",
-                kind: ParamKind::Choice(&["round-robin", "random", "nearest", "hier"]),
+                kind: ParamKind::Choice(&["round-robin", "random", "hier"]),
                 doc: "victim selection for the post-switch deque mode (as in ws)",
             },
             ParamSpec {
@@ -373,7 +363,7 @@ impl SpecFamily for AdaptiveFactory {
             },
             ParamSpec {
                 key: "victim",
-                kind: ParamKind::Choice(&["round-robin", "random", "nearest", "hier"]),
+                kind: ParamKind::Choice(&["round-robin", "random", "hier"]),
                 doc: "victim selection for the deque mode (as in ws)",
             },
             ParamSpec {
@@ -462,7 +452,6 @@ mod tests {
     fn build_resolves_each_builtin_spec() {
         for s in [
             "pdf",
-            "pdf:lag=2",
             "ws",
             "ws:steal=half",
             "ws:steal_cycles=64,fail_backoff=128",
@@ -484,10 +473,7 @@ mod tests {
     fn help_lists_policies_and_parameters() {
         let help = Registry::global().help();
         assert!(help.contains("pdf"), "{help}");
-        assert!(
-            help.contains("victim=<round-robin|random|nearest|hier>"),
-            "{help}"
-        );
+        assert!(help.contains("victim=<round-robin|random|hier>"), "{help}");
         assert!(help.contains("threshold=<u64>"), "{help}");
         assert!(help.contains("steal_cycles=<u64>"), "{help}");
         assert!(help.contains("fail_backoff=<u64>"), "{help}");

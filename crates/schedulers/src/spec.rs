@@ -6,7 +6,6 @@
 //!
 //! ```text
 //! pdf                                  the classic Parallel Depth First policy
-//! pdf:lag=4                            PDF with a bounded priority-lag window
 //! ws                                   work stealing, round-robin victims
 //! ws:seed=7,steal=half,victim=random   parameterized work stealing
 //! static                               static round-robin partitioning
@@ -51,14 +50,6 @@ impl SchedulerSpec {
     /// The classic Parallel Depth First policy (no parameters).
     pub fn pdf() -> Self {
         Self::known_valid("pdf", BTreeMap::new())
-    }
-
-    /// PDF with a bounded priority-lag window: at most `lag + 1` tasks may be
-    /// in flight beyond the sequential frontier (see `pdf::PdfPolicy`).
-    pub fn pdf_with_lag(lag: u64) -> Self {
-        let mut params = BTreeMap::new();
-        params.insert("lag".to_string(), lag.to_string());
-        Self::known_valid("pdf", params)
     }
 
     /// Classic work stealing: round-robin victim scan, steal-one (no parameters).
@@ -115,11 +106,11 @@ mod tests {
 
     #[test]
     fn numeric_values_are_normalised() {
-        let a: SchedulerSpec = "pdf:lag=007".parse().unwrap();
-        let b: SchedulerSpec = "pdf:lag=7".parse().unwrap();
+        let a: SchedulerSpec = "hybrid:threshold=007".parse().unwrap();
+        let b: SchedulerSpec = "hybrid:threshold=7".parse().unwrap();
         assert_eq!(a, b);
-        assert_eq!(a.to_string(), "pdf:lag=7");
-        assert_eq!(a.u64_param("lag"), Some(7));
+        assert_eq!(a.to_string(), "hybrid:threshold=7");
+        assert_eq!(a.u64_param("threshold"), Some(7));
     }
 
     #[test]
@@ -150,8 +141,14 @@ mod tests {
 
     #[test]
     fn parameterless_policies_reject_any_key() {
-        let err = "static:chunk=4".parse::<SchedulerSpec>().unwrap_err();
-        assert!(err.to_string().contains("takes no parameters"), "{err}");
+        for raw in ["static:chunk=4", "pdf:lag=4"] {
+            let err = raw.parse::<SchedulerSpec>().unwrap_err();
+            assert!(
+                matches!(err.kind, SpecErrorKind::UnknownParam { .. }),
+                "{err}"
+            );
+            assert!(err.to_string().contains("takes no parameters"), "{err}");
+        }
     }
 
     #[test]
@@ -171,14 +168,26 @@ mod tests {
 
     #[test]
     fn typed_values_are_checked() {
-        let err = "pdf:lag=soon".parse::<SchedulerSpec>().unwrap_err();
+        let err = "hybrid:threshold=soon"
+            .parse::<SchedulerSpec>()
+            .unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("invalid value 'soon'"), "{msg}");
         assert!(msg.contains("unsigned integer"), "{msg}");
-        let err = "ws:victim=closest".parse::<SchedulerSpec>().unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("one of"), "{msg}");
-        assert!(msg.contains("nearest"), "{msg}");
+        for raw in [
+            "ws:victim=closest",
+            "ws:victim=nearest",
+            "hybrid:victim=nearest",
+            "adaptive:victim=nearest",
+        ] {
+            let err = raw.parse::<SchedulerSpec>().unwrap_err();
+            assert!(
+                matches!(err.kind, SpecErrorKind::InvalidValue { .. }),
+                "{err}"
+            );
+            let msg = err.to_string();
+            assert!(msg.contains("one of round-robin, random, hier"), "{msg}");
+        }
     }
 
     #[test]
@@ -202,7 +211,7 @@ mod tests {
 
     #[test]
     fn empty_specs_are_rejected() {
-        for raw in ["", "  ", ":lag=1"] {
+        for raw in ["", "  ", ":threshold=1"] {
             let err = raw.parse::<SchedulerSpec>().unwrap_err();
             assert_eq!(err.kind, SpecErrorKind::Empty, "{raw:?}");
             assert_eq!(err.to_string(), "empty scheduler spec");
@@ -226,7 +235,6 @@ mod tests {
             SchedulerSpec::hybrid(2),
             "hybrid:threshold=2".parse().unwrap()
         );
-        assert_eq!(SchedulerSpec::pdf_with_lag(4), "pdf:lag=4".parse().unwrap());
         assert_eq!(SchedulerSpec::sequential_baseline(), SchedulerSpec::pdf());
         assert_eq!(SchedulerSpec::paper_pair().len(), 2);
     }

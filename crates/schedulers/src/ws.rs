@@ -18,12 +18,12 @@
 //!
 //! * `victim=random` — the scan *starts* at a seeded-random victim (the
 //!   Blumofe–Leiserson randomized strategy, made deterministic for simulation);
-//! * `victim=nearest` — victims are tried in order of core distance, so steals
-//!   prefer the neighbour whose L1 is topologically closest;
 //! * `victim=hier` (+ `cluster=N`) — hierarchical/NUMA-aware selection: cores
 //!   are grouped into clusters of `N` consecutive ids, same-cluster victims
 //!   are probed first (round-robin within the cluster), then the scan spills
-//!   outward cluster by cluster in distance order;
+//!   outward cluster by cluster in distance order.  `victim=hier,cluster=1`
+//!   is the plain distance-ordered scan (`core+1`, `core-1`, `core+2`, ...,
+//!   clamped to the chip), so steals prefer the topologically closest core;
 //! * `steal=half` — a successful steal transfers half of the victim's deque
 //!   (oldest entries) instead of a single task, amortising steal overhead at
 //!   the cost of coarser load balancing.
@@ -51,8 +51,6 @@ pub enum VictimSelect {
     RoundRobin,
     /// Scan from a seeded-random starting core (deterministic for a fixed seed).
     Random,
-    /// Try victims in order of increasing core distance (`core±1`, `core±2`, ...).
-    Nearest,
     /// Hierarchical/NUMA-aware: cores `[k·cluster, (k+1)·cluster)` form cluster
     /// `k`; same-cluster victims are probed first (round-robin within the
     /// cluster, starting after the thief), then whole clusters in distance
@@ -226,25 +224,6 @@ impl WorkStealingPolicy {
                     seen += 1;
                     if seen == offset {
                         return v;
-                    }
-                }
-                unreachable!("offset {offset} out of range for {n} cores")
-            }
-            VictimSelect::Nearest => {
-                // Distance order: +1, -1, +2, -2, ... clamped to the chip.
-                let mut seen = 0usize;
-                for d in 1..n {
-                    if core + d < n {
-                        seen += 1;
-                        if seen == offset {
-                            return core + d;
-                        }
-                    }
-                    if core >= d {
-                        seen += 1;
-                        if seen == offset {
-                            return core - d;
-                        }
                     }
                 }
                 unreachable!("offset {offset} out of range for {n} cores")
@@ -445,9 +424,6 @@ pub(crate) fn ws_spec_params(
             if seed != 0 {
                 params.insert("seed".to_string(), seed.to_string());
             }
-        }
-        VictimSelect::Nearest => {
-            params.insert("victim".to_string(), "nearest".to_string());
         }
         VictimSelect::Hier { cluster } => {
             params.insert("victim".to_string(), "hier".to_string());
@@ -698,18 +674,32 @@ mod tests {
 
     #[test]
     fn nearest_victim_prefers_the_closest_core() {
+        let nearest = VictimSelect::Hier { cluster: 1 };
         let (dag, kids) = star_dag(2);
-        let mut ws =
-            WorkStealingPolicy::with_options(4, VictimSelect::Nearest, StealGranularity::One, 0);
+        let mut ws = WorkStealingPolicy::with_options(4, nearest, StealGranularity::One, 0);
         ws.init(&dag);
         // Work on deques 0 and 2; the thief is core 3.
         ws.task_ready(kids[0], Some(0));
         ws.task_ready(kids[1], Some(2));
-        // Round-robin from core 3 would scan 0 first; nearest scans 2 first
-        // (distance 1 vs distance 3).
+        // Round-robin from core 3 would scan 0 first; the distance-ordered
+        // scan tries 2 first (distance 1 vs distance 3).
         assert_eq!(ws.next_task(3), Some(kids[1]));
         assert_eq!(ws.next_task(3), Some(kids[0]));
         assert_eq!(ws.migrations(), 2);
+
+        // The full probe order is +1, -1, +2, -2, ..., clamped to the chip.
+        for n in [1usize, 2, 5, 8, 32] {
+            let mut ws = WorkStealingPolicy::with_options(n, nearest, StealGranularity::One, 0);
+            for core in 0..n {
+                let expect: Vec<usize> = (1..n)
+                    .flat_map(|d| [core.checked_add(d), core.checked_sub(d)])
+                    .flatten()
+                    .filter(|&v| v < n)
+                    .collect();
+                let order: Vec<usize> = (1..n).map(|o| ws.victim_at(core, o)).collect();
+                assert_eq!(order, expect, "n={n} thief={core}");
+            }
+        }
     }
 
     #[test]
@@ -862,7 +852,7 @@ mod tests {
         for victim in [
             VictimSelect::RoundRobin,
             VictimSelect::Random,
-            VictimSelect::Nearest,
+            VictimSelect::Hier { cluster: 1 },
             VictimSelect::Hier { cluster: 2 },
             VictimSelect::Hier { cluster: 4 },
         ] {
@@ -885,9 +875,13 @@ mod tests {
             }
         }
         // The inert seed is dropped, not round-tripped into an invalid spec.
-        let inert =
-            WorkStealingPolicy::with_options(2, VictimSelect::Nearest, StealGranularity::One, 7);
-        assert_eq!(inert.name(), "ws:victim=nearest");
+        let inert = WorkStealingPolicy::with_options(
+            2,
+            VictimSelect::Hier { cluster: 1 },
+            StealGranularity::One,
+            7,
+        );
+        assert_eq!(inert.name(), "ws:cluster=1,victim=hier");
     }
 
     #[test]

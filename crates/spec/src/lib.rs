@@ -14,7 +14,7 @@
 //!   domain spec type;
 //! * **typed parameters** — [`ParamSpec`] declares one parameter's key, value
 //!   type ([`ParamKind`]) and help line, so registries can type-check values
-//!   (and normalise them: `lag=007` → `lag=7`) before anything is built;
+//!   (and normalise them: `threshold=007` → `threshold=7`) before anything is built;
 //! * the **spec value** — [`Spec`]: a validated name plus canonical
 //!   parameters, with typed accessors and the canonical `Display`;
 //! * the **registry** — [`Registry<D>`] maps names to factories for one
@@ -513,7 +513,7 @@ impl<D: Domain> Registry<D> {
 
     /// Validate a raw `(name, params)` pair into a canonical [`Spec`]: the
     /// name must be registered, every key declared, every value well-typed
-    /// (values are canonicalised, e.g. `lag=007` becomes `lag=7`), and the
+    /// (values are canonicalised, e.g. `threshold=007` becomes `threshold=7`), and the
     /// factory's [`SpecFamily::validate_spec`] must accept the result.
     pub fn validate(
         &self,

@@ -164,11 +164,11 @@ fn tenant_and_slo_class_thread_through_records_and_jsonl() {
 }
 
 #[test]
-fn hybrid_and_lagged_pdf_serve_streams_end_to_end() {
-    // The new registered policies are first-class citizens of the stream
+fn hybrid_and_hier_ws_serve_streams_end_to_end() {
+    // The parameterized policies are first-class citizens of the stream
     // subsystem, not just the single-DAG simulator.
     let mix = JobMix::class_b();
-    for spec in ["hybrid:threshold=2", "pdf:lag=8"] {
+    for spec in ["hybrid:threshold=2", "ws:victim=hier,cluster=1"] {
         let spec: SchedulerSpec = spec.parse().unwrap();
         let mut cfg = StreamConfig::new(4, spec.clone());
         cfg.quantum_cycles = 8_000;

@@ -20,7 +20,7 @@ fn spec_string(policy: usize, mask: u8, a: u64, b: u64, order: bool) -> String {
     // granularity, and the steal prices.
     let ws_params = |params: &mut Vec<String>, mask: u8| {
         if mask & 1 != 0 {
-            let victim = ["round-robin", "random", "nearest", "hier"][(a % 4) as usize];
+            let victim = ["round-robin", "random", "hier"][(a % 3) as usize];
             params.push(format!("victim={victim}"));
             // `seed` requires victim=random, `cluster` requires victim=hier.
             if mask & 4 != 0 && victim == "random" {
@@ -42,12 +42,7 @@ fn spec_string(policy: usize, mask: u8, a: u64, b: u64, order: bool) -> String {
         }
     };
     let name = match policy % 5 {
-        0 => {
-            if mask & 1 != 0 {
-                params.push(format!("lag={}", a % 64));
-            }
-            "pdf"
-        }
+        0 => "pdf",
         1 => {
             ws_params(&mut params, mask);
             "ws"
@@ -123,10 +118,10 @@ fn unknown_policy_errors_name_the_alternatives() {
 
 #[test]
 fn unknown_and_malformed_parameter_errors_are_helpful() {
-    let err = "pdf:window=4".parse::<SchedulerSpec>().unwrap_err();
+    let err = "ws:window=4".parse::<SchedulerSpec>().unwrap_err();
     let msg = err.to_string();
-    assert!(msg.contains("'pdf' has no parameter 'window'"), "{msg}");
-    assert!(msg.contains("lag"), "{msg} should list the known key");
+    assert!(msg.contains("'ws' has no parameter 'window'"), "{msg}");
+    assert!(msg.contains("victim"), "{msg} should list the known keys");
 
     let err = "ws:victim".parse::<SchedulerSpec>().unwrap_err();
     assert!(err.to_string().contains("expected key=value"), "{err}");
@@ -175,7 +170,6 @@ fn every_registered_policy_matches_the_sequential_baseline_on_one_core() {
         "static",
         "hybrid",
         "adaptive",
-        "pdf:lag=1",
         "ws:victim=random,steal=half,seed=3",
         "ws:victim=hier,cluster=2",
         // On one core there is no victim to steal from, so even non-zero

@@ -44,8 +44,7 @@ proptest! {
             SchedulerSpec::ws(),
             SchedulerSpec::static_partition(),
             "hybrid:threshold=4".parse().unwrap(),
-            "pdf:lag=6".parse().unwrap(),
-            "ws:steal=half,victim=nearest".parse().unwrap(),
+            "ws:steal=half,victim=hier,cluster=1".parse().unwrap(),
         ] {
             let r = simulate(&dag, &cfg, &spec, &SimOptions::default());
             prop_assert_eq!(r.tasks, dag.len());

@@ -58,7 +58,6 @@ proptest! {
             _ => vec![
                 "ws:victim=random,seed=7".parse().unwrap(),
                 "hybrid:threshold=3".parse().unwrap(),
-                "pdf:lag=4".parse().unwrap(),
             ],
         };
         let grid = SweepGrid::new()
