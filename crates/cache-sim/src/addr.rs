@@ -1,112 +1,11 @@
-//! Address and cache-block arithmetic.
+//! Address types.
 //!
 //! The simulated programs live in a single flat byte-addressed address space.
-//! Caches operate on aligned blocks (lines); these helpers convert between the
-//! two and expand byte ranges into the blocks they touch.
+//! Caches operate on aligned blocks (lines): a byte address shifted right by
+//! `log2(line bytes)`.
 
 /// A byte address in the simulated program's address space.
 pub type Addr = u64;
 
 /// A cache-block (line) number: the byte address divided by the line size.
 pub type BlockAddr = u64;
-
-/// The block containing byte address `addr` for `line_bytes`-byte lines.
-///
-/// `line_bytes` must be a power of two (guaranteed by
-/// [`pdfws_cmp_model::CacheGeometry::validate`]).
-#[inline]
-pub fn block_of(addr: Addr, line_bytes: usize) -> BlockAddr {
-    debug_assert!(line_bytes.is_power_of_two());
-    addr >> line_bytes.trailing_zeros()
-}
-
-/// First byte address of a block.
-#[inline]
-pub fn block_base(block: BlockAddr, line_bytes: usize) -> Addr {
-    debug_assert!(line_bytes.is_power_of_two());
-    block << line_bytes.trailing_zeros()
-}
-
-/// Iterate over every block touched by the byte range `[start, start + len)`.
-///
-/// An empty range yields no blocks.
-pub fn blocks_in_range(
-    start: Addr,
-    len: u64,
-    line_bytes: usize,
-) -> impl Iterator<Item = BlockAddr> {
-    let (first, last) = if len == 0 {
-        (1, 0) // empty iterator
-    } else {
-        (
-            block_of(start, line_bytes),
-            block_of(start + len - 1, line_bytes),
-        )
-    };
-    first..=last
-}
-
-/// Number of distinct blocks touched by the byte range `[start, start + len)`.
-pub fn block_count_in_range(start: Addr, len: u64, line_bytes: usize) -> u64 {
-    if len == 0 {
-        return 0;
-    }
-    block_of(start + len - 1, line_bytes) - block_of(start, line_bytes) + 1
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn block_of_is_floor_division() {
-        assert_eq!(block_of(0, 64), 0);
-        assert_eq!(block_of(63, 64), 0);
-        assert_eq!(block_of(64, 64), 1);
-        assert_eq!(block_of(6400, 64), 100);
-    }
-
-    #[test]
-    fn block_base_round_trips() {
-        for addr in [0u64, 1, 63, 64, 65, 4096, 123_456_789] {
-            let b = block_of(addr, 64);
-            let base = block_base(b, 64);
-            assert!(base <= addr && addr < base + 64);
-        }
-    }
-
-    #[test]
-    fn blocks_in_range_covers_boundaries() {
-        let blocks: Vec<_> = blocks_in_range(60, 10, 64).collect();
-        assert_eq!(blocks, vec![0, 1]);
-        let blocks: Vec<_> = blocks_in_range(0, 64, 64).collect();
-        assert_eq!(blocks, vec![0]);
-        let blocks: Vec<_> = blocks_in_range(0, 65, 64).collect();
-        assert_eq!(blocks, vec![0, 1]);
-    }
-
-    #[test]
-    fn empty_range_has_no_blocks() {
-        assert_eq!(blocks_in_range(100, 0, 64).count(), 0);
-        assert_eq!(block_count_in_range(100, 0, 64), 0);
-    }
-
-    #[test]
-    fn block_count_matches_iterator() {
-        for (start, len) in [(0u64, 1u64), (63, 2), (10, 1000), (4090, 10), (0, 64 * 17)] {
-            assert_eq!(
-                block_count_in_range(start, len, 64),
-                blocks_in_range(start, len, 64).count() as u64,
-                "start={start} len={len}"
-            );
-        }
-    }
-
-    #[test]
-    fn different_line_sizes() {
-        assert_eq!(block_of(255, 32), 7);
-        assert_eq!(block_of(255, 128), 1);
-        assert_eq!(block_count_in_range(0, 256, 32), 8);
-        assert_eq!(block_count_in_range(0, 256, 128), 2);
-    }
-}

@@ -1,7 +1,6 @@
 //! One set-associative, write-back / write-allocate cache level.
 
 use crate::addr::BlockAddr;
-use crate::replacement::{next_random, oldest_way, set_rng_seed, ReplacementPolicy};
 use crate::stats::CacheStats;
 use pdfws_cmp_model::CacheGeometry;
 
@@ -60,33 +59,45 @@ fn aligned_words<T: Copy>(len: usize, fill: T) -> (Box<[T]>, usize) {
     (buf, start)
 }
 
-/// A set-associative cache with write-back, write-allocate semantics.
+/// The way with the smallest stamp: the LRU way, since stamps are recency
+/// timestamps.  Callers only ask for a victim once every way has been
+/// filled, and the stamp clock is a monotone counter, so the stamps are
+/// distinct.
+#[inline]
+fn oldest_way(stamps: &[u32]) -> usize {
+    debug_assert!(!stamps.is_empty(), "sets have at least one way");
+    let mut way = 0;
+    let mut best = stamps[0];
+    for (w, &stamp) in stamps.iter().enumerate().skip(1) {
+        if stamp < best {
+            best = stamp;
+            way = w;
+        }
+    }
+    way
+}
+
+/// A set-associative LRU cache with write-back, write-allocate semantics.
 ///
 /// The cache stores block addresses only (no data): the simulator cares about
 /// hits, misses, evictions and write-backs, not values.
 ///
 /// Storage is flat: all lines live in one set-major array (`sets × ways`) of
 /// one-word tags — the block number, with bit 63 as the dirty flag and
-/// `u64::MAX` for an empty line — with a parallel stamp array for the
-/// replacement order and one RNG word per set for the Random policy.  An
+/// `u64::MAX` for an empty line — with a parallel array of LRU stamps.  An
 /// access therefore touches exactly one contiguous `associativity`-word
 /// window — no per-set heap structures on the hot path.  Both line arrays
 /// start on a host cache-line boundary (see `aligned_words`).
 #[derive(Debug, Clone)]
 pub struct Cache {
     geometry: CacheGeometry,
-    policy: ReplacementPolicy,
     /// All tag words, set-major from word `line0`: slot `i` is
     /// `lines[line0 + i]`, and set `s` owns slots `s*assoc .. (s+1)*assoc`.
     lines: Box<[u64]>,
     line0: usize,
-    /// Replacement stamps parallel to the tags, slot `i` at
-    /// `stamps[stamp0 + i]` (recency for LRU, fill time for FIFO; unused for
-    /// Random).
+    /// Recency stamps parallel to the tags, slot `i` at `stamps[stamp0 + i]`.
     stamps: Box<[u32]>,
     stamp0: usize,
-    /// Per-set xorshift state for the Random policy.
-    rng: Box<[u64]>,
     /// Cache-global monotone stamp counter (ordering is only compared within a
     /// set, so one clock serves every set).  Stamps are 32 bits, half the
     /// bytes a victim choice reads; when the clock would wrap, every set's
@@ -98,14 +109,14 @@ pub struct Cache {
 }
 
 impl Cache {
-    /// Build a cache with the given geometry and replacement policy.
+    /// Build an empty cache with the given geometry.
     ///
     /// # Panics
     ///
     /// Panics if the geometry does not validate (configurations coming from
     /// `pdfws-cmp-model` always do), or if a set has `2^32` ways or more,
     /// past what a 32-bit stamp can rank.
-    pub fn new(geometry: CacheGeometry, policy: ReplacementPolicy) -> Self {
+    pub fn new(geometry: CacheGeometry) -> Self {
         geometry
             .validate()
             .expect("cache geometry must be valid (validated by pdfws-cmp-model)");
@@ -119,12 +130,10 @@ impl Cache {
         let (stamps, stamp0) = aligned_words(num_sets * assoc, 0u32);
         Cache {
             geometry,
-            policy,
             lines,
             line0,
             stamps,
             stamp0,
-            rng: (0..num_sets).map(set_rng_seed).collect(),
             clock: 0,
             stats: CacheStats::default(),
             set_mask: (num_sets - 1) as u64,
@@ -135,11 +144,6 @@ impl Cache {
     /// The cache's geometry.
     pub fn geometry(&self) -> &CacheGeometry {
         &self.geometry
-    }
-
-    /// The replacement policy in use.
-    pub fn policy(&self) -> ReplacementPolicy {
-        self.policy
     }
 
     /// Accumulated statistics.
@@ -229,9 +233,7 @@ impl Cache {
             } else {
                 self.stats.read_hits += 1;
             }
-            if self.policy == ReplacementPolicy::Lru {
-                self.stamps[self.stamp0 + base + hit_way] = self.clock;
-            }
+            self.stamps[self.stamp0 + base + hit_way] = self.clock;
             return CacheAccessResult {
                 hit: true,
                 slot: base + hit_way,
@@ -240,7 +242,7 @@ impl Cache {
         }
 
         // Miss: count it, then fill — a free way if one exists, else the
-        // policy's victim.
+        // LRU way.
         if kind == AccessKind::Write {
             self.stats.write_misses += 1;
         } else {
@@ -250,15 +252,7 @@ impl Cache {
         let (way, evicted) = if free_way != usize::MAX {
             (free_way, None)
         } else {
-            let way = match self.policy {
-                ReplacementPolicy::Lru | ReplacementPolicy::Fifo => {
-                    oldest_way(&self.stamps[self.stamp0 + base..][..self.assoc])
-                }
-                ReplacementPolicy::Random => {
-                    let set_idx = base / self.assoc;
-                    (next_random(&mut self.rng[set_idx]) % self.assoc as u64) as usize
-                }
-            };
+            let way = oldest_way(&self.stamps[self.stamp0 + base..][..self.assoc]);
             let old = set[way];
             let dirty = old & DIRTY != 0;
             self.stats.evictions += 1;
@@ -279,9 +273,7 @@ impl Cache {
         } else {
             block
         };
-        if self.policy != ReplacementPolicy::Random {
-            self.stamps[self.stamp0 + base + way] = self.clock;
-        }
+        self.stamps[self.stamp0 + base + way] = self.clock;
 
         CacheAccessResult {
             hit: false,
@@ -356,9 +348,6 @@ impl Cache {
     pub fn flush(&mut self) {
         self.lines.fill(INVALID);
         self.stamps.fill(0);
-        for (set_idx, state) in self.rng.iter_mut().enumerate() {
-            *state = set_rng_seed(set_idx);
-        }
         self.clock = 0;
     }
 }
@@ -368,17 +357,22 @@ mod tests {
     use super::*;
 
     fn tiny_cache(capacity: usize, assoc: usize) -> Cache {
-        tiny_cache_with(capacity, assoc, ReplacementPolicy::Lru)
-    }
-
-    fn tiny_cache_with(capacity: usize, assoc: usize, policy: ReplacementPolicy) -> Cache {
         let g = CacheGeometry {
             capacity_bytes: capacity,
             line_bytes: 64,
             associativity: assoc,
             latency_cycles: 1,
         };
-        Cache::new(g, policy)
+        Cache::new(g)
+    }
+
+    #[test]
+    fn oldest_way_picks_the_smallest_stamp() {
+        assert_eq!(oldest_way(&[5, 3, 9, 4]), 1);
+        assert_eq!(oldest_way(&[1]), 0);
+        // First way wins a (theoretical) tie, matching the previous
+        // `min_by_key` behavior.
+        assert_eq!(oldest_way(&[2, 2, 2]), 0);
     }
 
     #[test]
@@ -429,31 +423,6 @@ mod tests {
         assert_eq!(r.evicted.unwrap().block, 2);
         assert!(c.probe(0));
         assert!(!c.probe(2));
-    }
-
-    #[test]
-    fn fifo_ignores_hits() {
-        // One set, 2 ways under FIFO: re-touching block 0 must not save it.
-        let mut c = tiny_cache_with(256, 2, ReplacementPolicy::Fifo);
-        c.access(0, AccessKind::Read);
-        c.access(2, AccessKind::Read);
-        c.access(0, AccessKind::Read); // hit; FIFO order unchanged
-        let r = c.access(4, AccessKind::Read); // evicts 0, the earliest fill
-        assert_eq!(r.evicted.unwrap().block, 0);
-        assert!(c.probe(2));
-        assert!(!c.probe(0));
-    }
-
-    #[test]
-    fn random_policy_is_deterministic_across_identical_caches() {
-        let run = || {
-            let mut c = tiny_cache_with(4096, 4, ReplacementPolicy::Random);
-            for b in 0..10_000u64 {
-                c.access(b % 509, AccessKind::Read);
-            }
-            (*c.stats(), c.resident_blocks().collect::<Vec<_>>())
-        };
-        assert_eq!(run(), run());
     }
 
     #[test]
@@ -589,13 +558,11 @@ mod tests {
 
     /// The lookup and victim choice as first written, kept as the reference
     /// the cache must match access for access: one tag scan, with a branch
-    /// per way, finds the hit way and the first free way, and the LRU/FIFO
-    /// victim is the first way with the smallest stamp.
+    /// per way, finds the hit way and the first free way, and the LRU victim
+    /// is the first way with the smallest stamp.
     struct Reference {
-        policy: ReplacementPolicy,
         lines: Vec<u64>,
         stamps: Vec<u64>,
-        rng: Vec<u64>,
         clock: u64,
         stats: CacheStats,
         set_mask: u64,
@@ -603,13 +570,11 @@ mod tests {
     }
 
     impl Reference {
-        fn new(geometry: CacheGeometry, policy: ReplacementPolicy) -> Self {
+        fn new(geometry: CacheGeometry) -> Self {
             let (sets, assoc) = (geometry.sets(), geometry.associativity);
             Reference {
-                policy,
                 lines: vec![INVALID; sets * assoc],
                 stamps: vec![0; sets * assoc],
-                rng: (0..sets).map(set_rng_seed).collect(),
                 clock: 0,
                 stats: CacheStats::default(),
                 set_mask: (sets - 1) as u64,
@@ -645,9 +610,7 @@ mod tests {
                 } else {
                     self.stats.read_hits += 1;
                 }
-                if self.policy == ReplacementPolicy::Lru {
-                    self.stamps[slot] = self.clock;
-                }
+                self.stamps[slot] = self.clock;
                 return CacheAccessResult {
                     hit: true,
                     slot,
@@ -662,22 +625,13 @@ mod tests {
             let (way, evicted) = if free_way != usize::MAX {
                 (free_way, None)
             } else {
-                let way = match self.policy {
-                    ReplacementPolicy::Lru | ReplacementPolicy::Fifo => {
-                        let stamps = &self.stamps[base..base + self.assoc];
-                        let mut way = 0;
-                        for w in 1..self.assoc {
-                            if stamps[w] < stamps[way] {
-                                way = w;
-                            }
-                        }
-                        way
+                let stamps = &self.stamps[base..base + self.assoc];
+                let mut way = 0;
+                for w in 1..self.assoc {
+                    if stamps[w] < stamps[way] {
+                        way = w;
                     }
-                    ReplacementPolicy::Random => {
-                        let set = base / self.assoc;
-                        (next_random(&mut self.rng[set]) % self.assoc as u64) as usize
-                    }
-                };
+                }
                 let old = self.lines[base + way];
                 let dirty = old & DIRTY != 0;
                 self.stats.evictions += 1;
@@ -688,9 +642,7 @@ mod tests {
                 (way, Some(EvictedBlock { block, dirty }))
             };
             self.lines[base + way] = if write { block | DIRTY } else { block };
-            if self.policy != ReplacementPolicy::Random {
-                self.stamps[base + way] = self.clock;
-            }
+            self.stamps[base + way] = self.clock;
             CacheAccessResult {
                 hit: false,
                 slot: base + way,
@@ -714,9 +666,6 @@ mod tests {
         fn flush(&mut self) {
             self.lines.fill(INVALID);
             self.stamps.fill(0);
-            for (set, state) in self.rng.iter_mut().enumerate() {
-                *state = set_rng_seed(set);
-            }
             self.clock = 0;
         }
     }
@@ -727,7 +676,6 @@ mod tests {
     fn check_against_reference(
         sets: usize,
         assoc: usize,
-        policy: ReplacementPolicy,
         seed: u64,
         clock: u32,
         flushes: bool,
@@ -740,9 +688,9 @@ mod tests {
             associativity: assoc,
             latency_cycles: 1,
         };
-        let mut cache = Cache::new(g, policy);
+        let mut cache = Cache::new(g);
         cache.clock = clock;
-        let mut reference = Reference::new(g, policy);
+        let mut reference = Reference::new(g);
         let mut rng = StdRng::seed_from_u64(seed);
         let lines = (sets * assoc) as u64;
         // Mostly a pool of three times the capacity (hits, misses and
@@ -751,7 +699,7 @@ mod tests {
             0 => DIRTY - 2 - rng.gen_range(0..4 * lines),
             _ => rng.gen_range(0..3 * lines),
         };
-        let what = format!("{sets} sets x {assoc} ways, {policy:?}");
+        let what = format!("{sets} sets x {assoc} ways, seed {seed}");
         for op in 0..6_000 {
             match rng.gen_range(0..100u32) {
                 98.. if flushes => {
@@ -807,11 +755,6 @@ mod tests {
 
     #[test]
     fn lookup_and_victim_choice_match_the_reference_scan() {
-        let policies = [
-            ReplacementPolicy::Lru,
-            ReplacementPolicy::Fifo,
-            ReplacementPolicy::Random,
-        ];
         // Set-associative shapes of 1 to 32 ways, then fully associative
         // caches (one set) whose way count is not a multiple of 8.
         let shapes = [
@@ -825,9 +768,10 @@ mod tests {
             (1, 40),
             (1, 5),
         ];
+        // Three random sequences per shape.
         for (i, &(sets, assoc)) in shapes.iter().enumerate() {
-            for (j, &policy) in policies.iter().enumerate() {
-                check_against_reference(sets, assoc, policy, (i * 3 + j) as u64, 0, true);
+            for j in 0..3 {
+                check_against_reference(sets, assoc, (i * 3 + j) as u64, 0, true);
             }
         }
     }
@@ -838,18 +782,12 @@ mod tests {
         // the run renumbers every set's stamps and must still choose the
         // victims the reference's unbounded stamps choose.
         for (i, &(sets, assoc)) in [(8, 4), (4, 16), (1, 40)].iter().enumerate() {
-            for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Fifo] {
-                let cache = check_against_reference(
-                    sets,
-                    assoc,
-                    policy,
-                    100 + i as u64,
-                    u32::MAX - 3_000,
-                    false,
-                );
+            for j in 0..2 {
+                let seed = 100 + (i * 2 + j) as u64;
+                let cache = check_against_reference(sets, assoc, seed, u32::MAX - 3_000, false);
                 assert!(
                     cache.clock < 10_000,
-                    "{sets}x{assoc} {policy:?}: no renumbering"
+                    "{sets}x{assoc} seed {seed}: no renumbering"
                 );
             }
         }

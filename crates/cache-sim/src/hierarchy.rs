@@ -11,7 +11,6 @@
 
 use crate::addr::{Addr, BlockAddr};
 use crate::cache::{AccessKind, Cache};
-use crate::replacement::ReplacementPolicy;
 use crate::stats::HierarchyStats;
 use pdfws_cmp_model::{CmpConfig, MAX_CORES};
 
@@ -88,18 +87,12 @@ pub struct CmpCacheHierarchy {
 impl CmpCacheHierarchy {
     /// Build the hierarchy described by a CMP configuration, with LRU replacement
     /// everywhere (the paper's setting).
-    pub fn new(config: &CmpConfig) -> Self {
-        Self::with_policy(config, ReplacementPolicy::Lru)
-    }
-
-    /// Build the hierarchy with an explicit replacement policy (sensitivity
-    /// studies).
     ///
     /// # Panics
     ///
     /// Panics above 64 cores, the sharer-mask width; `CmpConfig::validate`
     /// rejects such configurations.
-    pub fn with_policy(config: &CmpConfig, policy: ReplacementPolicy) -> Self {
+    pub fn new(config: &CmpConfig) -> Self {
         assert!(
             config.cores <= MAX_CORES,
             "the sharer masks are 64 bits wide"
@@ -109,10 +102,8 @@ impl CmpCacheHierarchy {
             "L2 slots must fit the 32-bit L1-to-L2 map"
         );
         CmpCacheHierarchy {
-            l1s: (0..config.cores)
-                .map(|_| Cache::new(config.l1, policy))
-                .collect(),
-            l2: Cache::new(config.l2, policy),
+            l1s: (0..config.cores).map(|_| Cache::new(config.l1)).collect(),
+            l2: Cache::new(config.l2),
             sharers: vec![0; config.l2.lines()].into_boxed_slice(),
             l2_slot_of: (0..config.cores)
                 .map(|_| vec![0; config.l1.lines()].into_boxed_slice())

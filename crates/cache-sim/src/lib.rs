@@ -6,9 +6,8 @@
 //! function of how the schedulers interleave the program's memory references on
 //! that hierarchy.  This crate provides that hierarchy:
 //!
-//! * [`cache::Cache`] — one set-associative cache level with pluggable replacement
-//!   ([`replacement::ReplacementPolicy`]), write-back/write-allocate behaviour and
-//!   full hit/miss/eviction statistics.
+//! * [`cache::Cache`] — one set-associative cache level with LRU replacement,
+//!   write-back/write-allocate behaviour and full hit/miss/eviction statistics.
 //! * [`hierarchy::CmpCacheHierarchy`] — per-core private L1s in front of one shared,
 //!   inclusive L2 with a directory of L1 sharers (a core mask per L2 slot),
 //!   MSI-style invalidations and back-invalidation on L2 eviction.
@@ -40,11 +39,9 @@ pub mod addr;
 pub mod cache;
 pub mod hierarchy;
 pub mod power;
-pub mod replacement;
 pub mod stats;
 
-pub use addr::{block_of, Addr, BlockAddr};
+pub use addr::{Addr, BlockAddr};
 pub use cache::{AccessKind, Cache, CacheAccessResult};
 pub use hierarchy::{AccessOutcome, CmpCacheHierarchy, Level};
-pub use replacement::ReplacementPolicy;
 pub use stats::{CacheStats, HierarchyStats};

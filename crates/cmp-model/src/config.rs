@@ -420,6 +420,21 @@ mod tests {
     }
 
     #[test]
+    fn config_for_at_a_fixed_node_does_not_grow_the_l2_with_cores() {
+        let area = AreaModel::default();
+        let configs: Vec<CmpConfig> = [1, 2, 4, 8]
+            .iter()
+            .map(|&cores| config_for(cores, ProcessNode::Nm32, &area).unwrap())
+            .collect();
+        for cfg in &configs {
+            assert_eq!(cfg.node, ProcessNode::Nm32);
+        }
+        for w in configs.windows(2) {
+            assert!(w[1].l2.capacity_bytes <= w[0].l2.capacity_bytes);
+        }
+    }
+
+    #[test]
     fn round_to_power_of_two_sets_behaviour() {
         // 3 MiB with 64 B lines and 16 ways: 3072 sets -> rounds down to 2048 sets = 2 MiB.
         let r = round_to_power_of_two_sets(3 * 1024 * 1024, 64, 16);

@@ -1,33 +1,9 @@
-//! Parameter sweeps over CMP configurations.
-//!
-//! The headline figure sweeps core count at the default configuration, but the
-//! study's other findings need controlled variations: shrinking the effective L2
-//! (cache power-down), varying off-chip bandwidth (to show when programs stop
-//! being bandwidth-bound), and fixing the process node while varying cores.
+//! The cache power-down axis: variants of one CMP configuration whose shared
+//! L2 is scaled down, modelling powered-off cache segments.  The power-down
+//! experiment and claim C6 run it.
 
-use crate::area::AreaModel;
-use crate::config::{config_for, default_config, CmpConfig};
+use crate::config::CmpConfig;
 use crate::error::ModelError;
-use crate::latency;
-use crate::tech::ProcessNode;
-
-/// Sweep core counts at each count's default process node (the Figure 1 x-axis).
-pub fn sweep_default_cores(core_counts: &[usize]) -> Result<Vec<CmpConfig>, ModelError> {
-    core_counts.iter().map(|&c| default_config(c)).collect()
-}
-
-/// Sweep core counts at a *fixed* process node (isolates the area trade-off from
-/// technology scaling).
-pub fn sweep_cores_at_node(
-    core_counts: &[usize],
-    node: ProcessNode,
-) -> Result<Vec<CmpConfig>, ModelError> {
-    let area = AreaModel::default();
-    core_counts
-        .iter()
-        .map(|&c| config_for(c, node, &area))
-        .collect()
-}
 
 /// Produce variants of `base` whose shared L2 is scaled by each factor in
 /// `fractions` (e.g. `[1.0, 0.75, 0.5, 0.25]`), modelling powering down segments
@@ -62,63 +38,10 @@ pub fn sweep_l2_fraction(
         .collect()
 }
 
-/// Produce variants of `base` with the off-chip bandwidth scaled by each factor in
-/// `factors` (e.g. `[0.5, 1.0, 2.0, 4.0]`).
-pub fn sweep_bandwidth(base: &CmpConfig, factors: &[f64]) -> Result<Vec<CmpConfig>, ModelError> {
-    factors
-        .iter()
-        .map(|&f| {
-            if f <= 0.0 {
-                return Err(ModelError::InvalidSweepParameter {
-                    reason: format!("bandwidth factor {f} must be positive"),
-                });
-            }
-            let mut cfg = *base;
-            cfg.offchip_bytes_per_cycle *= f;
-            cfg.validate()?;
-            Ok(cfg)
-        })
-        .collect()
-}
-
-/// Produce a variant of `base` with an explicit L2 capacity (bytes), re-deriving
-/// the L2 latency for the new size.
-pub fn with_l2_capacity(base: &CmpConfig, capacity_bytes: usize) -> Result<CmpConfig, ModelError> {
-    let mut cfg = *base;
-    cfg.l2.capacity_bytes = capacity_bytes;
-    cfg.l2.latency_cycles = latency::l2_latency_cycles(capacity_bytes, cfg.node);
-    cfg.l2.validate()?;
-    cfg.validate()?;
-    Ok(cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::default_core_counts;
-
-    #[test]
-    fn default_core_sweep_matches_individual_configs() {
-        let counts = default_core_counts();
-        let sweep = sweep_default_cores(&counts).unwrap();
-        assert_eq!(sweep.len(), counts.len());
-        for (cfg, &c) in sweep.iter().zip(&counts) {
-            assert_eq!(cfg.cores, c);
-            assert_eq!(*cfg, default_config(c).unwrap());
-        }
-    }
-
-    #[test]
-    fn fixed_node_sweep_holds_node_constant() {
-        let sweep = sweep_cores_at_node(&[1, 2, 4, 8], ProcessNode::Nm32).unwrap();
-        for cfg in &sweep {
-            assert_eq!(cfg.node, ProcessNode::Nm32);
-        }
-        // Monotone L2 shrink holds within a node, too.
-        for w in sweep.windows(2) {
-            assert!(w[1].l2.capacity_bytes <= w[0].l2.capacity_bytes);
-        }
-    }
+    use crate::config::default_config;
 
     #[test]
     fn l2_fraction_sweep_shrinks_capacity_monotonically() {
@@ -143,29 +66,5 @@ mod tests {
         let base = default_config(4).unwrap();
         assert!(sweep_l2_fraction(&base, &[0.0]).is_err());
         assert!(sweep_l2_fraction(&base, &[1.5]).is_err());
-    }
-
-    #[test]
-    fn bandwidth_sweep_scales_bandwidth() {
-        let base = default_config(16).unwrap();
-        let sweep = sweep_bandwidth(&base, &[0.5, 1.0, 2.0]).unwrap();
-        assert!(
-            (sweep[0].offchip_bytes_per_cycle - base.offchip_bytes_per_cycle * 0.5).abs() < 1e-9
-        );
-        assert!(
-            (sweep[2].offchip_bytes_per_cycle - base.offchip_bytes_per_cycle * 2.0).abs() < 1e-9
-        );
-        assert!(sweep_bandwidth(&base, &[0.0]).is_err());
-        assert!(sweep_bandwidth(&base, &[-1.0]).is_err());
-    }
-
-    #[test]
-    fn with_l2_capacity_rederives_latency() {
-        let base = default_config(8).unwrap();
-        let small = with_l2_capacity(&base, 1024 * 1024).unwrap();
-        assert_eq!(small.l2.capacity_bytes, 1024 * 1024);
-        assert!(small.l2.latency_cycles <= base.l2.latency_cycles);
-        // Invalid capacity (not a power-of-two set count) is rejected.
-        assert!(with_l2_capacity(&base, 3 * 1024 * 1024 + 64).is_err());
     }
 }

@@ -20,10 +20,11 @@
 //!   [`SimEngine`](pdfws_schedulers::SimEngine) across co-resident jobs with
 //!   round-robin quanta, modelling cross-job cache pressure through the
 //!   engine's [`Disturbance`](pdfws_schedulers::Disturbance) hook.
-//! * [`record::StreamOutcome`] — the latency/throughput sink: p50/p95/p99
-//!   sojourn, queueing delay, achieved jobs-per-megacycle, per-job L2 MPKI and
-//!   SLO attainment, built on `pdfws-metrics`' [`Quantiles`](pdfws_metrics::Quantiles).
-//!   Per-job [`JobRecord`]s carry the full
+//! * [`record::StreamOutcome`] — what a run returns: every job's
+//!   [`JobRecord`] in completion order and the admission order, summarised
+//!   as p50/p95/p99 sojourn, queueing delay, achieved jobs-per-megacycle,
+//!   per-job L2 MPKI and SLO attainment, built on `pdfws-metrics`'
+//!   [`Quantiles`](pdfws_metrics::Quantiles).  Per-job [`JobRecord`]s carry the full
 //!   [`SchedulerSpec`](pdfws_schedulers::SchedulerSpec) *and*
 //!   [`WorkloadSpec`](pdfws_workloads::WorkloadSpec) strings and round-trip
 //!   through JSONL ([`StreamOutcome::to_jsonl`](record::StreamOutcome::to_jsonl) /
@@ -57,7 +58,6 @@ pub mod arrival_spec;
 pub mod job;
 pub mod record;
 pub mod sim_backend;
-pub mod sink;
 pub mod source;
 
 pub use admission::{AdmissionPolicy, AdmissionQueue};
@@ -66,9 +66,7 @@ pub use arrival_spec::{ArrivalDomain, ArrivalFactory, ArrivalRegistry, ArrivalSp
 pub use job::StreamJob;
 pub use record::{records_from_jsonl, JobRecord, StreamOutcome, StreamSummary};
 pub use sim_backend::{
-    run_stream_sim, run_stream_sim_traced, run_stream_sim_traced_with_jobs,
-    run_stream_sim_with_jobs, run_stream_sim_with_jobs_and_sink, run_stream_sim_with_sink,
-    validate_stream_cfg, StreamConfig,
+    run_stream_sim, run_stream_sim_traced, run_stream_sim_with_jobs, validate_stream_cfg,
+    StreamConfig,
 };
-pub use sink::{JobSink, RecordBuffer, StreamStats, StreamingStatsSink};
 pub use source::JobMix;

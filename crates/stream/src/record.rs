@@ -1,4 +1,4 @@
-//! The latency/throughput metrics sink: per-job records, stream summaries, and
+//! The latency/throughput metrics: per-job records, stream summaries, and
 //! the JSONL record serialization.
 //!
 //! Every [`JobRecord`] carries the full [`SchedulerSpec`] that served it *and*

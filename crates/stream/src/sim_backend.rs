@@ -13,12 +13,17 @@
 //!
 //! Everything is deterministic for a fixed seed: job sampling, arrival times,
 //! admission order and per-job sojourn times are pure functions of the inputs.
+//!
+//! Three entry points share one supervisor loop, and each returns a
+//! [`StreamOutcome`] holding every job's [`JobRecord`] and the admission
+//! order: [`run_stream_sim`] samples the jobs, [`run_stream_sim_with_jobs`]
+//! takes jobs already sampled, and [`run_stream_sim_traced`] also emits
+//! job-lifecycle trace events.
 
 use crate::admission::{AdmissionPolicy, AdmissionQueue};
 use crate::arrival_spec::ArrivalSpec;
 use crate::job::StreamJob;
 use crate::record::{JobRecord, StreamOutcome};
-use crate::sink::{JobSink, RecordBuffer, StreamStats};
 use crate::source::JobMix;
 use pdfws_cmp_model::{default_config, CmpConfig, MemSysParams, ModelError};
 use pdfws_schedulers::{
@@ -138,57 +143,7 @@ pub fn run_stream_sim_with_jobs(
     tenants: usize,
     cfg: &StreamConfig,
 ) -> Result<StreamOutcome, ModelError> {
-    let mut buffer = RecordBuffer::new();
-    let stats = stream_sim_impl(jobs, tenants, cfg, None, &mut buffer)?;
-    Ok(outcome_from_buffer(cfg, buffer, stats))
-}
-
-/// Run the stream with a caller-supplied [`JobSink`] instead of buffering.
-///
-/// This is the constant-record-memory path: per-job results go straight to
-/// `records` (e.g. a [`StreamingStatsSink`](crate::StreamingStatsSink)) and
-/// only the aggregate [`StreamStats`] come back.  The buffered
-/// [`run_stream_sim`] is exactly this with a [`RecordBuffer`] installed.
-pub fn run_stream_sim_with_sink(
-    mix: &JobMix,
-    n_jobs: usize,
-    cfg: &StreamConfig,
-    records: &mut dyn JobSink,
-) -> Result<StreamStats, ModelError> {
-    validate_stream_cfg(cfg);
-    stream_sim_impl(
-        mix.generate(n_jobs, cfg.seed),
-        mix.tenants(),
-        cfg,
-        None,
-        records,
-    )
-}
-
-/// [`run_stream_sim_with_sink`] over already-sampled jobs.
-pub fn run_stream_sim_with_jobs_and_sink(
-    jobs: Vec<StreamJob>,
-    tenants: usize,
-    cfg: &StreamConfig,
-    records: &mut dyn JobSink,
-) -> Result<StreamStats, ModelError> {
-    stream_sim_impl(jobs, tenants, cfg, None, records)
-}
-
-/// Rebuild the buffered-path `StreamOutcome` from the opt-in buffer.
-fn outcome_from_buffer(
-    cfg: &StreamConfig,
-    buffer: RecordBuffer,
-    stats: StreamStats,
-) -> StreamOutcome {
-    StreamOutcome {
-        scheduler: cfg.scheduler.clone(),
-        cores: cfg.cores,
-        records: buffer.records,
-        admission_order: buffer.admission_order,
-        peak_concurrency: stats.peak_concurrency,
-        makespan_cycles: stats.makespan_cycles,
-    }
+    stream_sim_impl(jobs, tenants, cfg, None)
 }
 
 /// [`run_stream_sim`] with a trace sink: the supervisor additionally emits
@@ -206,40 +161,22 @@ pub fn run_stream_sim_traced(
     sink: &mut dyn TraceSink,
 ) -> Result<StreamOutcome, ModelError> {
     validate_stream_cfg(cfg);
-    let mut buffer = RecordBuffer::new();
-    let stats = stream_sim_impl(
+    stream_sim_impl(
         mix.generate(n_jobs, cfg.seed),
         mix.tenants(),
         cfg,
         Some(sink),
-        &mut buffer,
-    )?;
-    Ok(outcome_from_buffer(cfg, buffer, stats))
+    )
 }
 
-/// [`run_stream_sim_traced`] over already-sampled jobs (see
-/// [`run_stream_sim_with_jobs`] for the sharing rationale).
-pub fn run_stream_sim_traced_with_jobs(
-    jobs: Vec<StreamJob>,
-    tenants: usize,
-    cfg: &StreamConfig,
-    sink: &mut dyn TraceSink,
-) -> Result<StreamOutcome, ModelError> {
-    let mut buffer = RecordBuffer::new();
-    let stats = stream_sim_impl(jobs, tenants, cfg, Some(sink), &mut buffer)?;
-    Ok(outcome_from_buffer(cfg, buffer, stats))
-}
-
-/// The supervisor loop shared by every entry point: per-job results stream
-/// into `records` (buffered or constant-memory, the caller's choice) and only
-/// aggregate [`StreamStats`] come back.
+/// The supervisor loop shared by every entry point: it records each job's
+/// admission and completion in the [`StreamOutcome`] it returns.
 fn stream_sim_impl(
     jobs: Vec<StreamJob>,
     tenants: usize,
     cfg: &StreamConfig,
     mut sink: Option<&mut dyn TraceSink>,
-    records: &mut dyn JobSink,
-) -> Result<StreamStats, ModelError> {
+) -> Result<StreamOutcome, ModelError> {
     validate_stream_cfg(cfg);
     let mut machine: CmpConfig = default_config(cfg.cores)?;
     if let Some(memsys) = cfg.memsys {
@@ -287,14 +224,20 @@ fn stream_sim_impl(
 
     let mut queue = AdmissionQueue::new(cfg.admission, tenants);
     let mut active: Vec<ActiveJob> = Vec::new();
-    let mut completed = 0usize;
+    let mut outcome = StreamOutcome {
+        scheduler: cfg.scheduler.clone(),
+        cores: cfg.cores,
+        records: Vec::new(),
+        admission_order: Vec::new(),
+        peak_concurrency: 0,
+        makespan_cycles: 0,
+    };
     let mut last_outstanding: Option<u64> = None;
-    let mut peak_concurrency = 0usize;
     let mut now: u64 = 0;
     let mut turn = 0usize;
     let think = closed_loop.map_or(0, |(_, think)| think);
 
-    while completed < n_jobs {
+    while outcome.records.len() < n_jobs {
         // 1. Move every job that has arrived by `now` into the admission queue.
         while let Some(&Reverse((t, id))) = future.peek() {
             if t > now {
@@ -313,7 +256,7 @@ fn stream_sim_impl(
         // 2. Fill free slots according to the admission policy.
         while active.len() < cfg.max_concurrent {
             let Some(job) = queue.pop() else { break };
-            records.on_admit(job.id);
+            outcome.admission_order.push(job.id);
             let StreamJob {
                 id,
                 tenant,
@@ -345,7 +288,7 @@ fn stream_sim_impl(
                 engine,
             });
         }
-        peak_concurrency = peak_concurrency.max(active.len());
+        outcome.peak_concurrency = outcome.peak_concurrency.max(active.len());
         if let Some(s) = sink.as_deref_mut() {
             let jobs_now = active.len() as u64;
             if last_outstanding != Some(jobs_now) {
@@ -361,8 +304,9 @@ fn stream_sim_impl(
         if active.is_empty() {
             let Some(&Reverse((t, _))) = future.peek() else {
                 panic!(
-                    "stream deadlocked: {completed} of {n_jobs} jobs complete, queue {} deep, \
+                    "stream deadlocked: {} of {n_jobs} jobs complete, queue {} deep, \
                      no future arrivals",
+                    outcome.records.len(),
                     queue.len()
                 );
             };
@@ -418,8 +362,7 @@ fn stream_sim_impl(
                     jobs: jobs_now,
                 });
             }
-            completed += 1;
-            records.on_complete(JobRecord {
+            outcome.records.push(JobRecord {
                 id: done.id,
                 tenant: done.tenant,
                 slo_class: done.slo_class,
@@ -451,11 +394,8 @@ fn stream_sim_impl(
         }
     }
 
-    Ok(StreamStats {
-        completed,
-        peak_concurrency,
-        makespan_cycles: now,
-    })
+    outcome.makespan_cycles = now;
+    Ok(outcome)
 }
 
 #[cfg(test)]
