@@ -48,11 +48,6 @@ impl AccessOutcome {
     pub fn hit_in_l2(&self) -> bool {
         self.level == Level::L2
     }
-
-    /// Whether the access was satisfied by the core's private L1.
-    pub fn hit_in_l1(&self) -> bool {
-        self.level == Level::L1
-    }
 }
 
 /// Private-L1s + shared-L2 hierarchy for one simulated CMP.
@@ -250,15 +245,6 @@ impl CmpCacheHierarchy {
         any_dirty
     }
 
-    /// Hit latency of the given level, in cycles.
-    pub fn latency_of(&self, level: Level) -> u64 {
-        match level {
-            Level::L1 => self.l1_latency,
-            Level::L2 => self.l2_latency,
-            Level::Memory => self.memory_latency,
-        }
-    }
-
     /// Snapshot of all statistics.
     pub fn stats(&self) -> HierarchyStats {
         HierarchyStats {
@@ -289,11 +275,6 @@ impl CmpCacheHierarchy {
         }
         self.l2.flush();
         self.sharers.fill(0);
-    }
-
-    /// Number of distinct blocks currently resident in the shared L2.
-    pub fn l2_occupancy(&self) -> usize {
-        self.l2.occupancy()
     }
 
     /// Direct read-only access to the shared L2 (tests, working-set analysis).

@@ -134,11 +134,6 @@ impl CmpConfig {
         )
     }
 
-    /// Total private L1 capacity across all cores, in bytes.
-    pub fn total_l1_bytes(&self) -> usize {
-        self.cores * self.l1.capacity_bytes
-    }
-
     /// Shared L2 capacity per core, in bytes.
     pub fn l2_bytes_per_core(&self) -> usize {
         self.l2.capacity_bytes / self.cores

@@ -52,7 +52,6 @@ use pdfws_memsys::MemSysSpec;
 use pdfws_metrics::{Series, Table};
 use pdfws_schedulers::{simulate_shared, SchedulerSpec, SimOptions, SimResult};
 use pdfws_task_dag::TaskDag;
-use pdfws_workloads::WorkloadSpec;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -128,12 +127,6 @@ impl SweepGrid {
     pub fn workloads(mut self, instances: &[WorkloadInstance]) -> Self {
         self.workloads.extend_from_slice(instances);
         self
-    }
-
-    /// Add one workload by validated spec (instantiates it, building the DAG
-    /// once).
-    pub fn workload_spec(self, spec: &WorkloadSpec) -> Self {
-        self.workload(WorkloadInstance::from_spec(spec))
     }
 
     /// Add one workload by spec string (`"mergesort:n=4096"`), resolved
@@ -360,27 +353,18 @@ impl SweepRunner {
     /// workload (in the grid's insertion order).
     ///
     /// All configuration errors are raised before any simulation starts.
+    /// This is [`SweepRunner::run_profiled`] with the profile dropped.
     pub fn run(&self, grid: &SweepGrid) -> Result<SweepReport, ExperimentError> {
-        let plan = Plan::build(grid)?;
-        let order = plan.lpt_order();
-        let options = &grid.options;
-        let permuted = self.run_cells(order.len(), |pos| {
-            let cell = &plan.cells[order[pos]];
-            simulate_shared(cell.dag.clone(), &cell.config, &cell.spec, options)
-        });
-        let results = unpermute(&order, permuted);
-        Ok(assemble_reports(grid, &plan, &results))
+        Ok(self.run_profiled(grid)?.0)
     }
 
     /// [`SweepRunner::run`] plus a wall-clock [`SweepProfile`] of the
     /// execution: per-cell wall time, which worker ran each cell, and overall
     /// worker utilization.
     ///
-    /// The report half is **bit-identical** to [`SweepRunner::run`] — wall
-    /// clocks are observed, never fed back into any simulated quantity — so
-    /// profiled runs stay safe to use for deterministic artifacts.  The
-    /// profile half is host- and scheduling-dependent by nature; keep it out
-    /// of golden files.
+    /// Wall clocks are observed, never fed back into any simulated quantity,
+    /// so the report half is deterministic.  The profile half is host- and
+    /// scheduling-dependent by nature; keep it out of golden files.
     pub fn run_profiled(
         &self,
         grid: &SweepGrid,
@@ -401,58 +385,23 @@ impl SweepRunner {
 
     /// The generic parallel substrate under [`SweepRunner::run`]: evaluate
     /// `run_cell` for every index in `0..count` and return the results in
-    /// index order.
-    ///
-    /// With one thread (or one cell) this degenerates to a plain sequential
-    /// map on the calling thread — no pool, no locks.  A panicking cell
-    /// propagates the panic to the caller.
+    /// index order.  This is [`SweepRunner::run_cells_profiled`] with the
+    /// profile dropped.
     pub fn run_cells<T, F>(&self, count: usize, run_cell: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        if self.threads == 1 || count <= 1 {
-            return (0..count).map(run_cell).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..self.threads.min(count))
-                .map(|_| {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= count {
-                            break;
-                        }
-                        let result = run_cell(i);
-                        *slots[i].lock().expect("no other holder of this slot") = Some(result);
-                    })
-                })
-                .collect();
-            // Join explicitly and re-raise the first worker's payload: the
-            // scope's automatic join would swallow the original panic message
-            // behind a generic "a scoped thread panicked".
-            for worker in workers {
-                if let Err(payload) = worker.join() {
-                    std::panic::resume_unwind(payload);
-                }
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("workers released every slot")
-                    .expect("every cell index was claimed and run")
-            })
-            .collect()
+        self.run_cells_profiled(count, run_cell).0
     }
 
     /// [`SweepRunner::run_cells`] plus a wall-clock [`SweepProfile`]: each
     /// cell is timed and attributed to the worker that ran it.
     ///
-    /// Results are returned in index order exactly as `run_cells` would; the
-    /// timing is purely observational.
+    /// Results are returned in index order; the timing is purely
+    /// observational.  With one thread (or one cell) this degenerates to a
+    /// plain sequential map on the calling thread — no pool, no locks.  A
+    /// panicking cell propagates the panic to the caller.
     pub fn run_cells_profiled<T, F>(&self, count: usize, run_cell: F) -> (Vec<T>, SweepProfile)
     where
         T: Send,
@@ -860,30 +809,6 @@ mod tests {
     }
 
     #[test]
-    fn profiled_run_matches_plain_run_bit_for_bit() {
-        let grid = small_grid();
-        let plain = SweepRunner::sequential().run(&grid).unwrap();
-        for threads in [1usize, 3] {
-            let (report, profile) = SweepRunner::new(threads).run_profiled(&grid).unwrap();
-            assert_eq!(
-                report, plain,
-                "{threads} threads: profiling changed results"
-            );
-            // 1 shared... actually 2 distinct DAGs: 2 baselines + 2×(2 cores × 2 specs).
-            assert_eq!(profile.cell_count(), 10);
-            assert!(profile.threads() >= 1 && profile.threads() <= threads);
-            assert!(profile.wall() > Duration::ZERO);
-            let busy: Duration = profile.worker_busy().iter().sum();
-            assert!(busy > Duration::ZERO);
-            let u = profile.utilization();
-            assert!(
-                (0.0..=1.0 + 1e-9).contains(&u),
-                "utilization {u} out of range"
-            );
-        }
-    }
-
-    #[test]
     fn run_cells_profiled_attributes_every_cell_to_a_worker() {
         let runner = SweepRunner::new(4);
         let (out, profile) = runner.run_cells_profiled(32, |i| i * 2);
@@ -892,6 +817,12 @@ mod tests {
         for i in 0..32 {
             assert!(profile.cell_worker(i) < profile.threads());
         }
+        assert!(profile.wall() > Duration::ZERO);
+        let u = profile.utilization();
+        assert!(
+            (0.0..=1.0 + 1e-9).contains(&u),
+            "utilization {u} out of range"
+        );
         let table = profile.to_table();
         assert!(table.title.contains("32 cells"));
     }

@@ -18,30 +18,14 @@
 //! their data burst (back-to-back CAS commands to an open row pipeline, the
 //! hit latency being pipeline delay rather than bank occupancy).
 //!
-//! Like the bus, the controller supports a synchronous [`DramController::service`]
-//! path (the execution engine) and a queued [`Component`] path where requests
-//! arrive from the bus and completions are collected with
-//! [`DramController::take_completed`].
+//! Like the bus, the controller resolves each request as it arrives
+//! ([`DramController::service`]); requests reach it in the order the bus
+//! granted them.
 
-use crate::component::Component;
 use crate::transfer::TransferTable;
-use std::collections::VecDeque;
 
 /// Bytes per DRAM row (row-buffer reach): 4 KiB, the usual page size.
 pub const ROW_BYTES: u64 = 4096;
-
-/// One request at the controller (as delivered by the bus).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DramRequest {
-    /// Requester id, carried through for the response path.
-    pub requester: usize,
-    /// The block (line index) being accessed.
-    pub block: u64,
-    /// Bytes to move over the data pins.
-    pub bytes: u64,
-    /// Core cycle the request arrived at the controller.
-    pub arrived_at: u64,
-}
 
 /// The outcome of servicing one request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,10 +135,6 @@ pub struct DramController {
     queue_cycles: u64,
     row_hits: u64,
     row_misses: u64,
-    /// Queued mode: arrivals from the bus, in delivery order.
-    pending: VecDeque<DramRequest>,
-    /// Queued mode: completed requests with their service records.
-    completed: Vec<(DramRequest, DramService)>,
 }
 
 impl DramController {
@@ -195,8 +175,6 @@ impl DramController {
             queue_cycles: 0,
             row_hits: 0,
             row_misses: 0,
-            pending: VecDeque::new(),
-            completed: Vec::new(),
         }
     }
 
@@ -234,7 +212,7 @@ impl DramController {
         self.bank_of_hash.rem(z ^ (z >> 31)) as usize
     }
 
-    /// Synchronously service a request arriving at `at` (the engine path).
+    /// Service a request of `bytes` for `block` arriving at `at`.
     pub fn service(&mut self, block: u64, bytes: u64, at: u64) -> DramService {
         let row = self.row_of(block);
         let bank_idx = self.bank_of_row(row);
@@ -290,17 +268,6 @@ impl DramController {
         }
     }
 
-    /// Queued mode: accept a request delivered by the bus.
-    pub fn push(&mut self, request: DramRequest) {
-        self.pending.push_back(request);
-    }
-
-    /// Queued mode: take completed requests with their service records, in
-    /// arrival order.
-    pub fn take_completed(&mut self) -> Vec<(DramRequest, DramService)> {
-        std::mem::take(&mut self.completed)
-    }
-
     /// Total queuing delay (bank + data-resource waits) across all services.
     pub fn queue_cycles(&self) -> u64 {
         self.queue_cycles
@@ -322,28 +289,9 @@ impl DramController {
     }
 }
 
-impl Component for DramController {
-    fn name(&self) -> &'static str {
-        "dram"
-    }
-
-    fn next_tick(&self) -> Option<u64> {
-        self.pending.front().map(|r| r.arrived_at)
-    }
-
-    fn tick(&mut self, now: u64) {
-        while self.pending.front().is_some_and(|r| r.arrived_at <= now) {
-            let request = self.pending.pop_front().expect("front checked above");
-            let service = self.service(request.block, request.bytes, request.arrived_at);
-            self.completed.push((request, service));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::component::run_until;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -613,32 +561,5 @@ mod tests {
         let mut dram = DramController::new(f64::INFINITY, 4, 10, 40, 64);
         let a = dram.service(0, 1 << 20, 0);
         assert_eq!(a.done, 40); // miss latency only
-    }
-
-    #[test]
-    fn queued_mode_matches_synchronous_service() {
-        let arrivals = [(0u64, 0u64), (64, 5), (0, 30), (512, 31)];
-        let mut sync = ctrl();
-        let sync_done: Vec<u64> = arrivals
-            .iter()
-            .map(|&(block, at)| sync.service(block, 64, at).done)
-            .collect();
-        let mut queued = ctrl();
-        for &(block, at) in &arrivals {
-            queued.push(DramRequest {
-                requester: 0,
-                block,
-                bytes: 64,
-                arrived_at: at,
-            });
-        }
-        run_until(&mut [&mut queued], u64::MAX, |_| {});
-        let queued_done: Vec<u64> = queued
-            .take_completed()
-            .iter()
-            .map(|(_, s)| s.done)
-            .collect();
-        assert_eq!(sync_done, queued_done);
-        assert_eq!(sync.queue_cycles(), queued.queue_cycles());
     }
 }

@@ -3,25 +3,19 @@
 //! The execution engine used to price off-chip traffic with a closed-form
 //! per-miss formula (a single serializing channel with one busy window).
 //! This crate replaces that formula with *components*: a shared
-//! split-transaction [bus](bus::SharedBus) with round-robin arbitration and a
-//! banked [DRAM controller](dram::DramController) with open-row state and
-//! finite data bandwidth, assembled into a [`MemSystem`] the engine drives
-//! one L2 miss at a time.  Bandwidth contention — the mechanism behind the
-//! paper's claim that constructive cache sharing reduces off-chip pressure —
-//! is then an *observed* queuing delay, not a computed one.
+//! split-transaction [bus](bus::SharedBus) that grants requests in issue
+//! order and a banked [DRAM controller](dram::DramController) with open-row
+//! state and finite data bandwidth, assembled into a [`MemSystem`] the engine
+//! drives one L2 miss at a time, in simulated-time order.  Bandwidth
+//! contention — the mechanism behind the paper's claim that constructive
+//! cache sharing reduces off-chip pressure — is then an *observed* queuing
+//! delay, not a computed one.
 //!
-//! The crate has four layers:
+//! The crate has three layers:
 //!
-//! * the **substrate** — [`EventQueue`] (a deterministic sorted ring of
-//!   `(time, id)` events packed one `u64` each, `time << 8 | id`: ids below
-//!   256, times below 2^56 cycles; O(1) pop, a re-key of the top from the
-//!   nearer end, meant for one or two entries per core or component) and
-//!   the [`Component`] trait with its [`run_until`] driver, reusable for any
-//!   clocked element;
-//! * the **components** — [`SharedBus`] and [`DramController`], each usable
-//!   either queued (through the event loop) or synchronously (the engine's
-//!   one-outstanding-miss-per-core path); the two modes share state and are
-//!   tested equivalent on in-order traffic;
+//! * the **components** — [`SharedBus`] and [`DramController`], each
+//!   resolving a request as it is issued, so every transfer is priced by the
+//!   traffic issued before it in simulated time;
 //! * the **off-chip model** — [`OffChip`], what the execution engine drives:
 //!   the component [`MemSystem`] or the closed-form [`LegacyChannel`];
 //! * the **grammar** — [`MemSysSpec`] / [`Registry`], making the model
@@ -29,13 +23,17 @@
 //!   legacy`) through the same `pdfws-spec` machinery as schedulers and
 //!   workloads.
 //!
+//! Next to them sits the engine's [`EventQueue`]: a deterministic sorted
+//! ring of `(time, id)` events packed one `u64` each, `time << 8 | id` (ids
+//! below 256, times below 2^56 cycles; O(1) pop, a re-key of the top from
+//! the nearer end, meant for one or two entries per core).
+//!
 //! Parameter *resolution* (deriving unset bus/DRAM parameters from a
 //! `CmpConfig`'s off-chip channel so the unloaded model reproduces the legacy
 //! memory latency) lives in `pdfws-cmp-model`'s `memsys` module; this crate
 //! consumes the resolved form.
 
 pub mod bus;
-pub mod component;
 pub mod dram;
 pub mod model;
 pub mod offchip;
@@ -44,9 +42,8 @@ pub mod registry;
 pub mod spec;
 mod transfer;
 
-pub use bus::{BusGrant, BusRequest, SharedBus};
-pub use component::{align_up, run_until, Component};
-pub use dram::{DramController, DramRequest, DramService, ROW_BYTES};
+pub use bus::{BusGrant, SharedBus};
+pub use dram::{DramController, DramService, ROW_BYTES};
 pub use model::{MemSystem, Transaction};
 pub use offchip::{Carry, LegacyChannel, OffChip};
 pub use queue::EventQueue;

@@ -1,10 +1,11 @@
 //! The [`MemSystem`] facade: one shared bus in front of one DRAM controller,
-//! driven synchronously by the execution engine.
+//! driven by the execution engine one transfer at a time, in simulated-time
+//! order.
 //!
 //! Every L2 miss becomes a [`MemSystem::transact`] call: the request is
-//! granted the bus (queuing behind earlier transfers under round-robin
-//! arbitration), delivered to the controller, serviced by a bank (open-row
-//! hit or miss), and its data serialized over the controller's pins.  The
+//! granted the bus (queuing behind the transfers issued before it),
+//! delivered to the controller, serviced by a bank (open-row hit or miss),
+//! and its data serialized over the controller's pins.  The
 //! returned [`Transaction`] carries the end-to-end latency and the split of
 //! queuing delay between bus and DRAM, so contention cost is *observed*, not
 //! computed from a formula.
@@ -31,7 +32,6 @@ pub struct Transaction {
 pub struct MemSystem {
     bus: SharedBus,
     dram: DramController,
-    contention_free: bool,
 }
 
 impl MemSystem {
@@ -46,28 +46,15 @@ impl MemSystem {
                 resolved.dram_miss_cycles,
                 resolved.line_bytes,
             ),
-            contention_free: resolved.bus_bytes_per_cycle.is_infinite()
-                && resolved.dram_bytes_per_cycle.is_infinite()
-                && resolved.dram_hit_cycles == resolved.dram_miss_cycles,
         }
     }
 
-    /// Whether transaction cost is provably independent of transaction order:
-    /// an infinite-width bus and infinite-bandwidth controller move data in
-    /// zero cycles (nothing is ever occupied, so nothing can queue), and with
-    /// the open-row hit latency pinned to the miss latency the bank row state
-    /// cannot change a cost either.  A driver may then batch cores freely —
-    /// the temporal coherence that stateful components normally demand buys
-    /// nothing — which is what makes the legacy model an *exact* limiting
-    /// case rather than an approximate one.
-    pub fn contention_free(&self) -> bool {
-        self.contention_free
-    }
-
     /// Push one transaction of `bytes` for `block` through bus and DRAM,
-    /// issued by `requester` at cycle `at`.
-    pub fn transact(&mut self, requester: usize, block: u64, bytes: u64, at: u64) -> Transaction {
-        let grant = self.bus.transact(requester, bytes, at);
+    /// issued by a requester at cycle `at`.  The bus serves requests in issue
+    /// order, whoever issued them, so the requester does not change the
+    /// price.
+    pub fn transact(&mut self, _requester: usize, block: u64, bytes: u64, at: u64) -> Transaction {
+        let grant = self.bus.transact(bytes, at);
         let service = self.dram.service(block, bytes, grant.delivered_at);
         Transaction {
             total_cycles: service.done - at,

@@ -5,6 +5,8 @@
 //! [`MemSystem`] (shared bus in front of a banked DRAM controller, queuing
 //! emergent), or the closed-form [`LegacyChannel`] (one serialising channel
 //! with a single busy window, `ceil(bytes / bandwidth)` cycles a transfer).
+//! Both price a transfer by what was issued before it, so the caller issues
+//! every transfer in simulated-time order.
 
 use crate::model::{MemSystem, Transaction};
 use pdfws_cmp_model::{MemSysMode, ResolvedMemSys};
@@ -73,17 +75,6 @@ impl OffChip {
             },
             MemSysMode::BusDram => OffChip::BusDram(Box::new(MemSystem::new(resolved))),
         }
-    }
-
-    /// Whether the caller must issue transfers in global time order.  The
-    /// stateful components price a transfer by what is already queued, so
-    /// no requester may run ahead of the others; the legacy channel and a
-    /// [contention-free](MemSystem::contention_free) component system price
-    /// traffic independently of issue order, so the caller may batch freely —
-    /// which is what lets the infinite-capacity component system reproduce
-    /// legacy schedules bit for bit.
-    pub fn needs_time_order(&self) -> bool {
-        matches!(self, OffChip::BusDram(mem) if !mem.contention_free())
     }
 
     /// Carry `bytes` of the measured program's traffic for `block`, issued
@@ -175,7 +166,6 @@ mod tests {
     fn only_program_traffic_counts_as_legacy_queuing() {
         let resolved = MemSysParams::legacy().resolve(1.0, 240, 64);
         let mut off = OffChip::new(&resolved, 1.0);
-        assert!(!off.needs_time_order());
         off.background(9, 0, 64, 0);
         assert_eq!(off.carry(0, 1, 64, 0), Carry::Queued(64));
         assert_eq!(off.backlog_until(), 128);
@@ -187,7 +177,6 @@ mod tests {
     fn bus_dram_carries_through_the_components() {
         let resolved = MemSysParams::bus_dram().resolve(2.67, 240, 64);
         let mut off = OffChip::new(&resolved, 2.67);
-        assert!(off.needs_time_order());
         let Carry::Transaction(tx) = off.carry(0, 1 << 20, 64, 0) else {
             panic!("the component model reports transactions");
         };

@@ -1,10 +1,9 @@
-//! The deterministic event queue every component (and the execution engine's
-//! cores) schedules on.
+//! The deterministic event queue the execution engine's cores schedule on.
 //!
 //! Events are `(time, id)` pairs ordered lexicographically: earliest time
 //! first, ties broken by the smaller id.  The tie-break is what makes whole
-//! simulations reproducible — two components (or cores) due at the same cycle
-//! always run in id order, independent of insertion order or of how many
+//! simulations reproducible — two cores due at the same cycle always run in
+//! id order, independent of insertion order or of how many
 //! worker threads drive independent simulations.
 //!
 //! Each event is stored as one packed `u64` key, `time << 8 | id`, so the
@@ -21,7 +20,7 @@
 //! the ring is nearer — one compare against the middle entry picks the end —
 //! so it shifts O(min(rank, n − rank)) entries, where `rank` is how many
 //! entries the key lands behind.  `push` inserts the same way and is O(n).
-//! The queue is meant for one or two entries per core or component: there a
+//! The queue is meant for one or two entries per core: there a
 //! shift is one sequential load and store, cheaper than a heap level's two
 //! dependent loads, and a core that yields to the back of a round-robin
 //! lands in place with no shift at all.
@@ -29,7 +28,7 @@
 /// Bits of a packed key that hold the event id.
 const ID_BITS: u32 = 8;
 
-/// Exclusive upper bound on event ids (a core index or component index).
+/// Exclusive upper bound on event ids (a core index).
 pub const ID_LIMIT: usize = 1 << ID_BITS;
 
 /// Exclusive upper bound on event times, in cycles.
@@ -137,12 +136,6 @@ impl EventQueue {
     /// Whether no events are scheduled.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Drop every scheduled event.
-    pub fn clear(&mut self) {
-        self.head = 0;
-        self.len = 0;
     }
 
     /// Index mask of the buffer (a power of two in size once allocated).
@@ -353,7 +346,6 @@ mod tests {
         /// behind every other entry, as in a round robin.
         ReplaceTopLast(u64),
         PeekSecond,
-        Clear,
     }
 
     /// Operation mix of one phase of a model-test case.
@@ -365,7 +357,7 @@ mod tests {
         /// Mostly pushes: the ring grows past its first buffer while the
         /// head sits mid-buffer.
         Grow,
-        /// Mostly pops, with an occasional clear.
+        /// Mostly pops.
         Drain,
     }
 
@@ -374,20 +366,19 @@ mod tests {
         // fully duplicate keys are common; id 255 is the top of the range.
         (0u8..64, 0u64..8, 0usize..5).prop_map(move |(roll, t, id)| {
             let id = if id == 4 { ID_LIMIT - 1 } else { id };
-            // Cumulative weights out of 64 of push, pop, the two re-keys and
-            // peek_second; the rest is clear.
+            // Cumulative weights out of 64 of push, pop and the two re-keys;
+            // the rest is peek_second.
             let weights = match phase {
-                Phase::Churn => [16, 32, 40, 56, 64],
-                Phase::Grow => [48, 52, 56, 60, 64],
-                Phase::Drain => [8, 40, 48, 56, 63],
+                Phase::Churn => [16, 32, 40, 56],
+                Phase::Grow => [48, 52, 56, 60],
+                Phase::Drain => [8, 40, 48, 56],
             };
             match weights.iter().position(|&w| roll < w) {
                 Some(0) => Op::Push(t, id),
                 Some(1) => Op::Pop,
                 Some(2) => Op::ReplaceTop(t),
                 Some(3) => Op::ReplaceTopLast(t),
-                Some(_) => Op::PeekSecond,
-                None => Op::Clear,
+                _ => Op::PeekSecond,
             }
         })
     }
@@ -452,10 +443,6 @@ mod tests {
                             q.replace_top(key.0, id);
                         }
                         Op::PeekSecond => prop_assert_eq!(q.peek_second(), model.get(1).copied()),
-                        Op::Clear => {
-                            q.clear();
-                            model.clear();
-                        }
                     }
                     prop_assert_eq!(q.peek(), model.first().copied());
                     prop_assert_eq!(q.len(), model.len());
@@ -479,14 +466,5 @@ mod tests {
             prop_assert!(wraps >= 8, "the head wrapped only {wraps} times");
             prop_assert!(front > 0 && back > 0, "re-keys from the front {front}, back {back}");
         }
-    }
-
-    #[test]
-    fn clear_empties_the_queue() {
-        let mut q = EventQueue::new();
-        q.push(1, 1);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
     }
 }

@@ -282,10 +282,6 @@ pub struct SimEngine {
     pricer: RefPricer,
     /// ... and the off-chip model every L2 fill and writeback crosses.
     offchip: OffChip,
-    /// [`OffChip::needs_time_order`] of `offchip`, fixed for the run (the
-    /// model's variant never changes): whether a step is bounded by the
-    /// next event of another core.
-    needs_time_order: bool,
     cores: Vec<CoreState>,
     /// Earliest time each busy core can take its next step, plus backoff
     /// wakes (cores are the scheduled ids; the memory-system components are
@@ -382,7 +378,6 @@ impl SimEngine {
             config: *config,
             policy,
             pricer,
-            needs_time_order: offchip.needs_time_order(),
             offchip,
             cores: (0..config.cores).map(|_| CoreState::default()).collect(),
             events: EventQueue::new(),
@@ -601,11 +596,7 @@ impl SimEngine {
             }
             self.now = time;
             self.inject_disturbance(time);
-            let bound = if self.needs_time_order {
-                self.events.peek_second().map_or(u64::MAX, |(next, _)| next)
-            } else {
-                u64::MAX
-            };
+            let bound = self.events.peek_second().map_or(u64::MAX, |(next, _)| next);
             let issued_before = self.memory_accesses;
             let (elapsed, finished) = self.step(core, time, bound);
             self.counters.steps += 1;
@@ -726,16 +717,16 @@ impl SimEngine {
     /// Simulate one bounded step of `core`'s running task starting at `start`.
     /// Returns the elapsed cycles and whether the task finished.
     ///
-    /// `bound` is the next pending event time of any *other* core when the
-    /// off-chip model needs time-ordered transfers (see
-    /// [`OffChip::needs_time_order`]), else `u64::MAX`: the step yields
-    /// before issuing work at or past it, so every bus/DRAM transaction is
-    /// made in global time order.  (The first access or burn always runs —
-    /// the event queue already decided this core goes first at `start` —
-    /// which guarantees progress.)  The stateful components require this
-    /// temporal coherence: a core simulated thousands of cycles ahead would
-    /// occupy the bus and banks "in the future", and a core popped later at
-    /// an earlier timestamp would queue behind phantom traffic.
+    /// `bound` is the next pending event time of any *other* core (or
+    /// `u64::MAX` when there is none): the step yields before issuing work at
+    /// or past it, so every off-chip transfer is issued in simulated-time
+    /// order.  (The first access or burn always runs — the event queue
+    /// already decided this core goes first at `start` — which guarantees
+    /// progress.)  Every off-chip model, the legacy channel included, prices
+    /// a transfer by what was issued before it: a core simulated thousands of
+    /// cycles ahead would occupy the channel "in the future", and a core
+    /// popped later at an earlier timestamp would queue behind phantom
+    /// traffic.
     fn step(&mut self, core: usize, start: u64, bound: u64) -> (u64, bool) {
         // Split the borrow: the running task and its access buffer are used
         // in place while the pricer and the off-chip model price references.
@@ -1149,6 +1140,30 @@ mod tests {
             assert_eq!(legacy.offchip_queue_cycles, 0, "{spec}");
             assert_eq!(pinned.offchip_queue_cycles, 0, "{spec}");
             assert_eq!(legacy.busy_cycles, pinned.busy_cycles, "{spec}");
+        }
+    }
+
+    #[test]
+    fn legacy_transfers_are_priced_in_simulated_time_order() {
+        // Two leaves on two cores over a 1 B/cycle legacy channel: the left
+        // computes 100 cycles, reads one cold line and computes 100 more; the
+        // right reads one cold line at once.  The right leaf's transfer (at
+        // cycle 0) is done long before the left's (at cycle 100), so neither
+        // queues.  Letting the left core run ahead and issue first would
+        // charge the right leaf 164 cycles behind traffic from its future.
+        let dag = SpTree::Par(vec![
+            SpTree::leaf_with_accesses("left", 200, vec![AccessPattern::range_read(0, 64)]),
+            SpTree::leaf_with_accesses("right", 0, vec![AccessPattern::range_read(1 << 22, 64)]),
+        ])
+        .into_dag()
+        .unwrap();
+        let mut cfg = default_config(2).unwrap();
+        cfg.offchip_bytes_per_cycle = 1.0;
+        cfg.memsys = MemSysParams::legacy();
+        for spec in SchedulerSpec::paper_pair() {
+            let r = simulate(&dag, &cfg, &spec, &SimOptions::default());
+            assert_eq!(r.offchip_queue_cycles, 0, "{spec}");
+            assert_eq!(r.busy_cycles, vec![480, 240], "{spec}");
         }
     }
 

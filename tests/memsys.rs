@@ -5,11 +5,13 @@
 //!    infinite-width bus in front of an infinite-bandwidth DRAM controller
 //!    whose open-row hit and row-miss latencies are both pinned to the flat
 //!    memory latency must reproduce the legacy serializing-channel completion
-//!    times *exactly*, on every workload the registry knows.  This pins the
-//!    refactor: the component model adds contention, it does not re-price
-//!    uncontended misses.
+//!    times *exactly*, on every workload the registry knows.  The engine
+//!    drives both models down one path, issuing every transfer in
+//!    simulated-time order, so the comparison is of prices alone.  This pins
+//!    the refactor: the component model adds contention, it does not
+//!    re-price uncontended misses.
 //! 2. **Determinism across sweep parallelism.**  The discrete-event queue is
-//!    ordered by `(time, sequence id)`, so a sweep's results are bit-identical
+//!    ordered by `(time, core id)`, so a sweep's results are bit-identical
 //!    whatever `--threads` value drives it.
 
 use pdfws::cmp_model::MemSysParams;
