@@ -3,9 +3,12 @@
 //! One small merge sort runs on a shrunken hierarchy (so every cell misses,
 //! writes back and queues) under every combination of off-chip model
 //! {bus+DRAM, legacy} × co-runner {none, a `Disturbance`} × scheduler
-//! {pdf, ws, adaptive}.  Each
-//! cell prints its named result fields plus the sums of the windowed trace
-//! counters; `adaptive` exercises the policy-feedback path.  A second block
+//! {pdf, ws, adaptive, static}.  Each
+//! cell prints its named result fields, the sums of the windowed trace
+//! counters, the count of each event kind and a 64-bit FNV-1a hash of the
+//! `{:?}` rendering of its whole event sequence, so every emitted event is
+//! pinned; `adaptive` exercises the policy-feedback path and `static` the
+//! migration events.  A second block
 //! pins the fine-grained regime: a reduced `synthetic` parallel-for at 32
 //! cores under the eight scheduler specs of simbench's `zoo-finegrain`, where
 //! every step stops at the next core's event and the priced-steal spec's
@@ -19,6 +22,7 @@ use pdfws::schedulers::{simulate_traced, Disturbance};
 use pdfws::task_dag::TaskDag;
 use pdfws::trace::TraceEvent;
 use pdfws_cmp_model::{default_config, CmpConfig, MemSysParams};
+use std::collections::BTreeMap;
 use std::fmt::Write;
 
 const CORES: usize = 4;
@@ -39,8 +43,15 @@ const ZOO_SPECS: [&str; 8] = [
     "adaptive",
 ];
 
-/// Simulate one traced cell and append its result fields and the sums of
-/// its windowed trace counters under `== {header}`.
+/// 64-bit FNV-1a of `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Simulate one traced cell and append its result fields, the sums of its
+/// windowed trace counters and its event fingerprint under `== {header}`.
 fn render_cell(
     out: &mut String,
     header: &str,
@@ -52,7 +63,9 @@ fn render_cell(
     let (r, events) = simulate_traced(dag, config, spec, options);
     let (mut accesses, mut l1_misses, mut l2_misses) = (0u64, 0u64, 0u64);
     let (mut bus_busy, mut dram_depth) = (0u64, 0u64);
+    let mut kinds = BTreeMap::new();
     for event in &events {
+        *kinds.entry(event.kind()).or_insert(0u64) += 1;
         match *event {
             TraceEvent::CacheWindow {
                 accesses: a,
@@ -96,6 +109,14 @@ fn render_cell(
          l2_misses={l2_misses} bus_busy={bus_busy} dram_depth={dram_depth}"
     )
     .unwrap();
+    let counts: Vec<String> = kinds.iter().map(|(k, n)| format!("{k}={n}")).collect();
+    writeln!(out, "events: {}", counts.join(" ")).unwrap();
+    writeln!(
+        out,
+        "events fnv1a={:016x}",
+        fnv1a(format!("{events:?}").as_bytes())
+    )
+    .unwrap();
 }
 
 fn render_grid() -> String {
@@ -117,7 +138,7 @@ fn render_grid() -> String {
     let mut out = String::new();
     for memsys in ["bus", "legacy"] {
         for corunner in [None, Some(disturbance)] {
-            for scheduler in ["pdf", "ws", "adaptive"] {
+            for scheduler in ["pdf", "ws", "adaptive", "static"] {
                 let mut config = base;
                 if memsys == "legacy" {
                     config.memsys = MemSysParams::legacy();
