@@ -9,7 +9,8 @@
 //!
 //! Besides the Criterion numbers, this bench *asserts* the observability
 //! budget: attaching a `NullSink` may cost at most 2 % of wall clock over the
-//! untraced engine (min-of-N, which is robust to scheduler noise).  Smoke runs
+//! untraced engine (min-of-N over alternating rounds, so a slow phase of the
+//! host lands on both sides rather than on one).  Smoke runs
 //! (`cargo bench -- --test`) skip the assertion — single unwarmed iterations
 //! are pure noise.
 //!
@@ -57,18 +58,11 @@ fn run_event(dag: &TaskDag, cfg: &CmpConfig, spec: &SchedulerSpec, options: &Sim
     simulate_traced(dag, cfg, spec, options).0.cycles
 }
 
-/// Minimum wall clock over `n` calls — the estimator the overhead assertion
-/// uses (the minimum discards scheduler preemptions and cache warm-up, which
-/// only ever inflate a sample).
-fn min_wall(n: usize, mut f: impl FnMut() -> u64) -> Duration {
-    (0..n)
-        .map(|_| {
-            let start = Instant::now();
-            black_box(f());
-            start.elapsed()
-        })
-        .min()
-        .expect("n > 0")
+/// Wall clock of one call.
+fn wall(f: impl FnOnce() -> u64) -> Duration {
+    let start = Instant::now();
+    black_box(f());
+    start.elapsed()
 }
 
 fn bench_trace_overhead(c: &mut Criterion) {
@@ -101,8 +95,14 @@ fn bench_trace_overhead(c: &mut Criterion) {
     // Warm both paths once before timing.
     black_box(run_off(&dag, &cfg, &spec, &options));
     black_box(run_null(&dag, &cfg, &spec, &options));
-    let off = min_wall(rounds, || run_off(&dag, &cfg, &spec, &options));
-    let null = min_wall(rounds, || run_null(&dag, &cfg, &spec, &options));
+    // Minimum wall clock over alternating rounds (off, null, off, null, …):
+    // the minimum discards preemptions and cache warm-up, which only ever
+    // inflate a sample.
+    let (mut off, mut null) = (Duration::MAX, Duration::MAX);
+    for _ in 0..rounds {
+        off = off.min(wall(|| run_off(&dag, &cfg, &spec, &options)));
+        null = null.min(wall(|| run_null(&dag, &cfg, &spec, &options)));
+    }
     let ratio = null.as_secs_f64() / off.as_secs_f64();
     eprintln!("# trace overhead: off {off:?} vs null sink {null:?} ({ratio:.4}x)");
     assert!(
