@@ -10,7 +10,10 @@
 //! successors (in reverse listing order, so LIFO policies descend
 //! leftmost-first like the sequential program) and wake idle cores.  The
 //! core also owns dispatch (priced steals, backoff wakes), the co-runner's
-//! bursts, the policy's feedback windows and every trace emit point.
+//! bursts and the policy's feedback windows.  It observes nothing itself:
+//! while a trace sink is installed it calls the hooks of a [`Tracer`] at
+//! task start and completion, idle cores, dispatch rounds and step ends,
+//! and the tracer decides what each emits.
 //!
 //! The **memory layer** prices what the tasks touch, the same way for every
 //! policy: the reference pricer (`pricing.rs`) owns the cache hierarchy and
@@ -23,17 +26,12 @@
 use crate::policy::{SchedulerPolicy, WindowFeedback};
 use crate::pricing::RefPricer;
 use crate::result::SimResult;
+use crate::tracer::Tracer;
 use pdfws_cmp_model::CmpConfig;
 use pdfws_memsys::{EventQueue, OffChip};
 use pdfws_task_dag::{MemAccess, TaskDag, TaskId};
-use pdfws_trace::{PolicyEvent, TraceEvent, TraceSink};
+use pdfws_trace::TraceSink;
 use std::sync::Arc;
-
-/// Period, in simulated cycles, of the windowed cache-counter samples
-/// emitted while a trace sink is installed.  Counters are snapshotted once
-/// per window and emitted as deltas — per-access events would dwarf
-/// everything else in the trace.
-pub const TRACE_CACHE_WINDOW: u64 = 8_192;
 
 /// Upper bound on the simulated cycles one engine step may cover.
 pub const TIME_SLICE_CYCLES: u64 = 256;
@@ -303,8 +301,6 @@ pub struct SimEngine {
     remaining_preds: Vec<usize>,
     completed: usize,
     now: u64,
-    /// Bus busy-cycle total at the previous trace window sample.
-    bus_busy_base: u64,
     instructions: u64,
     memory_accesses: u64,
     /// The multiprogramming co-runner, if any.
@@ -313,24 +309,9 @@ pub struct SimEngine {
     next_disturbance_at: u64,
     disturbance_accesses: u64,
     started: bool,
-    /// Where emitted trace events go; `None` (the default) disables tracing
-    /// at the cost of one branch per emit site.
-    trace: Option<Box<dyn TraceSink>>,
-    /// Scratch buffer reused when draining policy-buffered events.
-    policy_events: Vec<PolicyEvent>,
-    /// Cycle at which the next cache-counter sample is due (`u64::MAX` while
-    /// tracing is off).
-    next_cache_sample_at: u64,
-    /// (accesses, l1 misses, l2 misses) totals at the previous window sample.
-    cache_sample_base: (u64, u64, u64),
-    /// Last emitted ready-depth value (consecutive duplicates are elided).
-    last_ready_depth: Option<u64>,
-    /// Per-core trace clocks: the timestamp of each core's last emitted
-    /// event.  The event loop can complete an overshooting core before an
-    /// earlier-queued one, so dispatch decisions made "in the past" of a core
-    /// that already ran ahead are re-stamped at the core's local clock —
-    /// per-core event streams are monotone non-decreasing by construction.
-    trace_core_clock: Vec<u64>,
+    /// The observer of a traced run; `None` (the default) disables tracing
+    /// at the cost of one branch per hook.
+    tracer: Option<Box<Tracer>>,
     /// Period of the policy feedback windows (`u64::MAX` when the policy does
     /// not ask for feedback — see [`SchedulerPolicy::feedback_window`]).
     feedback_window: u64,
@@ -387,7 +368,6 @@ impl SimEngine {
             steal_cycles: 0,
             completed: 0,
             now: 0,
-            bus_busy_base: 0,
             instructions: 0,
             memory_accesses: 0,
             disturbance: None,
@@ -395,12 +375,7 @@ impl SimEngine {
             next_disturbance_at: u64::MAX,
             disturbance_accesses: 0,
             started: false,
-            trace: None,
-            policy_events: Vec::new(),
-            next_cache_sample_at: u64::MAX,
-            cache_sample_base: (0, 0, 0),
-            last_ready_depth: None,
-            trace_core_clock: vec![0; config.cores],
+            tracer: None,
             feedback_window,
             next_feedback_at: feedback_window,
             feedback_base: (0, 0, 0, 0),
@@ -414,91 +389,16 @@ impl SimEngine {
 
     /// Install a trace sink and enable event emission.
     ///
-    /// From now on the engine emits [`TraceEvent`]s (task start/complete,
-    /// core idle/busy transitions, ready-depth and windowed cache counters)
-    /// and drains the policy's buffered events (steals, migrations, the
-    /// hybrid switch), stamping them with simulation time.  Use a
-    /// [`pdfws_trace::SharedTrace`] handle to read the events back after the
-    /// run.  Install the sink before the first [`SimEngine::run_for`] call so
-    /// the initial dispatches are captured.
+    /// From now on the engine emits [`TraceEvent`](pdfws_trace::TraceEvent)s
+    /// (task start/complete, core idle/busy transitions, ready-depth and
+    /// windowed cache counters) and drains the policy's buffered events
+    /// (steals, migrations, the hybrid switch), stamping them with
+    /// simulation time.  Use a [`pdfws_trace::SharedTrace`] handle to read
+    /// the events back after the run.  Install the sink before the first
+    /// [`SimEngine::run_for`] call so the initial dispatches are captured.
     pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
         self.policy.trace_enable();
-        self.next_cache_sample_at = self.now.saturating_add(TRACE_CACHE_WINDOW);
-        self.trace = Some(sink);
-    }
-
-    /// Emit one event if a sink is installed.  Per-core events are clamped to
-    /// the core's local trace clock (see `trace_core_clock`).
-    #[inline]
-    fn emit(&mut self, event: TraceEvent) {
-        if let Some(sink) = self.trace.as_mut() {
-            match event.core() {
-                Some(core) => {
-                    let clock = &mut self.trace_core_clock[core];
-                    let t = event.time().max(*clock);
-                    *clock = t;
-                    sink.emit(event.with_time(t));
-                }
-                None => sink.emit(event),
-            }
-        }
-    }
-
-    /// Drain policy-buffered events, stamping them with time `t`.
-    fn drain_policy_trace(&mut self, t: u64) {
-        if self.trace.is_none() {
-            return;
-        }
-        let mut buffered = std::mem::take(&mut self.policy_events);
-        self.policy.trace_drain(&mut buffered);
-        for event in buffered.drain(..) {
-            self.emit(event.at(t));
-        }
-        self.policy_events = buffered;
-    }
-
-    /// Emit a ready-depth counter sample at time `t` unless unchanged.
-    fn emit_ready_depth(&mut self, t: u64) {
-        if self.trace.is_none() {
-            return;
-        }
-        let depth = self.policy.ready_count() as u64;
-        if self.last_ready_depth != Some(depth) {
-            self.last_ready_depth = Some(depth);
-            self.emit(TraceEvent::ReadyDepth { t, depth });
-        }
-    }
-
-    /// Emit the windowed cache-counter sample if one is due at time `t`.
-    /// With tracing off `next_cache_sample_at` is `u64::MAX`, so the inlined
-    /// fast path is a single compare on the simulation hot loop.
-    #[inline]
-    fn sample_cache_window(&mut self, t: u64) {
-        if t < self.next_cache_sample_at {
-            return;
-        }
-        let (l1, l2) = self.pricer.miss_totals();
-        let accesses = self.memory_accesses + self.disturbance_accesses;
-        let (base_acc, base_l1, base_l2) = self.cache_sample_base;
-        self.cache_sample_base = (accesses, l1, l2);
-        while self.next_cache_sample_at <= t {
-            self.next_cache_sample_at =
-                self.next_cache_sample_at.saturating_add(TRACE_CACHE_WINDOW);
-        }
-        self.emit(TraceEvent::CacheWindow {
-            t,
-            accesses: accesses - base_acc,
-            l1_misses: l1 - base_l1,
-            l2_misses: l2 - base_l2,
-        });
-        if let Some(mem) = self.offchip.components() {
-            let busy = mem.bus_busy_cycles();
-            let depth = mem.backlog_cycles(t);
-            let busy_cycles = busy - self.bus_busy_base;
-            self.bus_busy_base = busy;
-            self.emit(TraceEvent::BusOccupancy { t, busy_cycles });
-            self.emit(TraceEvent::DramQueueDepth { t, depth });
-        }
+        self.tracer = Some(Box::new(Tracer::new(sink, self.now, self.config.cores)));
     }
 
     /// Report a windowed [`WindowFeedback`] sample to the policy if one is due
@@ -550,7 +450,6 @@ impl SimEngine {
             self.policy.init(&self.dag);
             self.policy.task_ready(self.dag.root(), None);
             self.dispatch_idle_cores(self.now);
-            self.emit_ready_depth(self.now);
         }
         let deadline = self.now.saturating_add(budget);
 
@@ -591,7 +490,6 @@ impl SimEngine {
                     self.now = time;
                 }
                 self.dispatch_idle_cores(self.now);
-                self.emit_ready_depth(self.now);
                 continue;
             }
             self.now = time;
@@ -608,7 +506,12 @@ impl SimEngine {
             if end > self.now {
                 self.now = end;
             }
-            self.sample_cache_window(self.now);
+            if let Some(tracer) = self.tracer.as_deref_mut() {
+                if self.now >= tracer.next_sample_at {
+                    let accesses = self.memory_accesses + self.disturbance_accesses;
+                    tracer.sample_window(self.now, accesses, &self.pricer, &self.offchip);
+                }
+            }
             self.sample_feedback(self.now);
             if finished {
                 let popped = self.events.pop();
@@ -787,11 +690,9 @@ impl SimEngine {
     /// Handle completion of `task` on `core` at time `end`.
     fn complete_task(&mut self, task: TaskId, core: usize, end: u64) {
         self.completed += 1;
-        self.emit(TraceEvent::TaskComplete {
-            t: end,
-            core,
-            task: task.index() as u64,
-        });
+        if let Some(tracer) = &mut self.tracer {
+            tracer.task_complete(end, core, task);
+        }
         // Announce the completion first so a policy that tracks completions
         // sees it before being asked for work.
         self.policy.task_complete(task, core);
@@ -803,15 +704,18 @@ impl SimEngine {
             }
         }
         // Flush migrations buffered by `task_ready` before dispatch events.
-        self.drain_policy_trace(end);
+        if let Some(tracer) = &mut self.tracer {
+            tracer.drain_policy(end, self.policy.as_mut());
+        }
         // This core asks for work first (keeps locality for LIFO policies), then
         // every idle core gets a chance.
         if !self.poll_policy(core, end) {
             self.idle[core] = true;
-            self.emit(TraceEvent::CoreIdle { t: end, core });
+            if let Some(tracer) = &mut self.tracer {
+                tracer.core_idle(end, core);
+            }
         }
         self.dispatch_idle_cores(end);
-        self.emit_ready_depth(end);
     }
 
     /// Give every idle core a chance to pick up work at time `now`.  Cores
@@ -831,7 +735,9 @@ impl SimEngine {
             }
         }
         // Flush steal attempts/successes buffered by the `next_task` calls.
-        self.drain_policy_trace(now);
+        if let Some(tracer) = &mut self.tracer {
+            tracer.dispatched(now, self.policy.as_mut());
+        }
     }
 
     /// Ask the policy for work for `core` at `now`, charging any dispatch
@@ -876,15 +782,8 @@ impl SimEngine {
 
     fn start_task(&mut self, core: usize, task: TaskId, now: u64) {
         debug_assert!(self.cores[core].running.is_none());
-        if self.trace.is_some() {
-            if self.idle[core] {
-                self.emit(TraceEvent::CoreBusy { t: now, core });
-            }
-            self.emit(TraceEvent::TaskStart {
-                t: now,
-                core,
-                task: task.index() as u64,
-            });
+        if let Some(tracer) = &mut self.tracer {
+            tracer.task_start(now, core, task, self.idle[core]);
         }
         let node = self.dag.node(task);
         self.cores[core].running = Some(RunningTask::new(

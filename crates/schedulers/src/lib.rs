@@ -96,6 +96,7 @@ pub mod registry;
 pub mod result;
 pub mod spec;
 pub mod static_partition;
+mod tracer;
 pub mod ws;
 
 pub use adaptive::{tuned_threshold, window_pressure, AdaptiveConfig, AdaptivePolicy};
