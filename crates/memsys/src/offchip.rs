@@ -78,9 +78,10 @@ impl OffChip {
     }
 
     /// Carry `bytes` of the measured program's traffic for `block`, issued
-    /// by `requester` at `at`.
+    /// at `at`.  Neither model asks who issued it: both serve transfers in
+    /// issue order.
     #[inline]
-    pub fn carry(&mut self, requester: usize, block: u64, bytes: u64, at: u64) -> Carry {
+    pub fn carry(&mut self, block: u64, bytes: u64, at: u64) -> Carry {
         match self {
             OffChip::Legacy {
                 channel,
@@ -90,19 +91,19 @@ impl OffChip {
                 *queue_cycles += queue;
                 Carry::Queued(queue)
             }
-            OffChip::BusDram(mem) => Carry::Transaction(mem.transact(requester, block, bytes, at)),
+            OffChip::BusDram(mem) => Carry::Transaction(mem.transact(0, block, bytes, at)),
         }
     }
 
     /// Carry background traffic (the co-runner's): it occupies the model
     /// like any transfer, but nobody waits for it.
-    pub fn background(&mut self, requester: usize, block: u64, bytes: u64, at: u64) {
+    pub fn background(&mut self, block: u64, bytes: u64, at: u64) {
         match self {
             OffChip::Legacy { channel, .. } => {
                 channel.transfer(at, bytes);
             }
             OffChip::BusDram(mem) => {
-                mem.transact(requester, block, bytes, at);
+                mem.transact(0, block, bytes, at);
             }
         }
     }
@@ -166,8 +167,8 @@ mod tests {
     fn only_program_traffic_counts_as_legacy_queuing() {
         let resolved = MemSysParams::legacy().resolve(1.0, 240, 64);
         let mut off = OffChip::new(&resolved, 1.0);
-        off.background(9, 0, 64, 0);
-        assert_eq!(off.carry(0, 1, 64, 0), Carry::Queued(64));
+        off.background(0, 64, 0);
+        assert_eq!(off.carry(1, 64, 0), Carry::Queued(64));
         assert_eq!(off.backlog_until(), 128);
         assert_eq!(off.queue_cycles(), (64, 0, 0));
         assert!(off.components().is_none());
@@ -177,11 +178,11 @@ mod tests {
     fn bus_dram_carries_through_the_components() {
         let resolved = MemSysParams::bus_dram().resolve(2.67, 240, 64);
         let mut off = OffChip::new(&resolved, 2.67);
-        let Carry::Transaction(tx) = off.carry(0, 1 << 20, 64, 0) else {
+        let Carry::Transaction(tx) = off.carry(1 << 20, 64, 0) else {
             panic!("the component model reports transactions");
         };
         assert_eq!(tx.total_cycles, 240);
-        off.background(1, 0, 64, 0);
+        off.background(0, 64, 0);
         let (all, bus, dram) = off.queue_cycles();
         assert_eq!(all, bus + dram);
         assert!(all > 0, "the background transfer queued behind the first");

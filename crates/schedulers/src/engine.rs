@@ -831,10 +831,7 @@ impl SimEngine {
                 let block = d.region_base_block + (self.disturbance_cursor % d.region_blocks);
                 self.disturbance_cursor += 1;
                 self.disturbance_accesses += 1;
-                // The co-runner is its own bus requester, one id past the
-                // real cores.
-                self.pricer
-                    .corunner_access(block, self.config.cores, at, &mut self.offchip);
+                self.pricer.corunner_access(block, at, &mut self.offchip);
             }
         }
     }

@@ -54,7 +54,7 @@ impl RefPricer {
         let outcome = self.hierarchy.access_block(core, block, acc.write);
         let mut latency = outcome.latency;
         if outcome.offchip_bytes > 0 {
-            match offchip.carry(core, block, outcome.offchip_bytes, at) {
+            match offchip.carry(block, outcome.offchip_bytes, at) {
                 Carry::Queued(queue) => latency += queue,
                 Carry::Transaction(tx) if outcome.is_offchip() => {
                     latency = latency.saturating_sub(self.memory_latency) + tx.total_cycles;
@@ -67,17 +67,11 @@ impl RefPricer {
 
     /// One co-runner reference to `block` at `at`, through core 0's L1.  It
     /// is filtered like the program's references, and its off-chip traffic
-    /// is background load from `requester`.
-    pub(crate) fn corunner_access(
-        &mut self,
-        block: u64,
-        requester: usize,
-        at: u64,
-        offchip: &mut OffChip,
-    ) {
+    /// is background load.
+    pub(crate) fn corunner_access(&mut self, block: u64, at: u64, offchip: &mut OffChip) {
         let bytes = self.hierarchy.access_block(0, block, false).offchip_bytes;
         if bytes > 0 {
-            offchip.background(requester, block, bytes, at);
+            offchip.background(block, bytes, at);
         }
     }
 
