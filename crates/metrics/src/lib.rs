@@ -13,6 +13,6 @@ pub mod summary;
 pub mod table;
 
 pub use measures::{l2_mpki, relative_speedup, speedup, traffic_reduction_percent};
-pub use streaming::{P2Quantile, ReservoirSampler, StreamingQuantiles};
+pub use streaming::{P2Quantile, StreamingQuantiles};
 pub use summary::{geometric_mean, mean, percentile, Quantiles};
 pub use table::{Series, Table};

@@ -1,5 +1,4 @@
-//! Constant-memory streaming statistics: P² quantile estimation and reservoir
-//! sampling.
+//! Constant-memory streaming statistics: P² quantile estimation.
 //!
 //! [`Quantiles::from_values`](crate::Quantiles::from_values) needs every
 //! observation buffered, which caps sustained job-stream runs at whatever fits
@@ -10,19 +9,14 @@
 //!   markers tracking one target quantile, adjusted per observation with a
 //!   piecewise-parabolic height update.  Exact below five observations,
 //!   approximate (and tolerance-tested) beyond.
-//! * [`ReservoirSampler`] — Vitter's Algorithm R with a seeded deterministic
-//!   generator: a uniform fixed-size sample of the stream, from which *any*
-//!   quantile can be estimated after the fact.
 //! * [`StreamingQuantiles`] — the bundle the sinks use: count, running mean,
 //!   min/max, and P² markers for p50/p95/p99, exported as an ordinary
 //!   [`Quantiles`] summary.
 //!
-//! All three are deterministic: the same observation sequence (and seed, for
-//! the reservoir) produces bit-identical state.
+//! Both are deterministic: the same observation sequence produces
+//! bit-identical state.
 
-use crate::summary::{percentile, Quantiles};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::summary::Quantiles;
 
 /// Streaming estimator for a single quantile via the P² algorithm.
 ///
@@ -155,59 +149,6 @@ impl P2Quantile {
     }
 }
 
-/// Uniform fixed-size sample of a stream (Vitter's Algorithm R).
-///
-/// Deterministic for a given seed and observation order.  Memory is bounded by
-/// the capacity regardless of stream length.
-#[derive(Debug, Clone)]
-pub struct ReservoirSampler {
-    capacity: usize,
-    seen: u64,
-    sample: Vec<f64>,
-    rng: StdRng,
-}
-
-impl ReservoirSampler {
-    /// A sampler keeping at most `capacity` observations.
-    pub fn new(capacity: usize, seed: u64) -> Self {
-        assert!(capacity > 0, "reservoir capacity must be positive");
-        ReservoirSampler {
-            capacity,
-            seen: 0,
-            sample: Vec::with_capacity(capacity),
-            rng: StdRng::seed_from_u64(seed ^ 0x7E5E_4701_44E5_70C7),
-        }
-    }
-
-    /// Observations offered so far (not the number retained).
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// The retained sample, in retention order (not sorted).
-    pub fn sample(&self) -> &[f64] {
-        &self.sample
-    }
-
-    /// Offer one observation to the reservoir.
-    pub fn observe(&mut self, x: f64) {
-        self.seen += 1;
-        if self.sample.len() < self.capacity {
-            self.sample.push(x);
-            return;
-        }
-        let slot = self.rng.gen_range(0..self.seen);
-        if (slot as usize) < self.capacity {
-            self.sample[slot as usize] = x;
-        }
-    }
-
-    /// Estimate the `p`-th percentile (`0 <= p <= 100`) from the sample.
-    pub fn percentile(&self, p: f64) -> f64 {
-        percentile(&self.sample, p)
-    }
-}
-
 /// The constant-memory counterpart of [`Quantiles::from_values`]: count, mean,
 /// min/max exactly; p50/p95/p99 via one [`P2Quantile`] each.
 #[derive(Debug, Clone, PartialEq)]
@@ -315,6 +256,7 @@ impl StreamingQuantiles {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::summary::percentile;
 
     #[test]
     fn p2_is_exact_below_five_observations() {
@@ -425,45 +367,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn reservoir_is_exhaustive_below_capacity() {
-        let mut r = ReservoirSampler::new(100, 7);
-        for i in 0..50 {
-            r.observe(i as f64);
-        }
-        assert_eq!(r.sample().len(), 50);
-        assert_eq!(r.seen(), 50);
-        assert_eq!(r.percentile(100.0), 49.0);
-    }
-
-    #[test]
-    fn reservoir_stays_bounded_and_deterministic() {
-        let run = || {
-            let mut r = ReservoirSampler::new(64, 11);
-            for i in 0..10_000 {
-                r.observe((i % 997) as f64);
-            }
-            r.sample().to_vec()
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a.len(), 64);
-        assert_eq!(a, b, "same seed + stream must give the same reservoir");
-    }
-
-    #[test]
-    fn reservoir_percentile_approximates_the_stream() {
-        let mut r = ReservoirSampler::new(512, 3);
-        for i in 0..100_000u64 {
-            r.observe(((i * 7_919) % 100_000) as f64);
-        }
-        let p50 = r.percentile(50.0);
-        assert!(
-            (p50 - 50_000.0).abs() / 50_000.0 < 0.15,
-            "reservoir p50 {p50}"
-        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Trace sinks: where emitted events go.
 //!
-//! Producers hold an `Option<Box<dyn TraceSink>>` and skip the emit entirely
-//! when it is `None`, so the *off* mode costs a single branch per emit site
+//! A producer keeps its sink in an `Option` and skips the emit entirely when
+//! it is `None`, so the *off* mode costs a single branch per emit site
 //! (guarded by the `trace_overhead` bench's <2% budget).  [`NullSink`] exists
 //! for callers that must pass *a* sink but want events discarded;
 //! [`EventTrace`] buffers them in order; [`SharedTrace`] is a cloneable handle
@@ -15,14 +15,6 @@ use std::rc::Rc;
 pub trait TraceSink {
     /// Record one event.  Implementations must preserve emission order.
     fn emit(&mut self, event: TraceEvent);
-
-    /// Whether emits will actually be recorded.
-    ///
-    /// Producers may use this to skip building expensive events; they are free
-    /// to call [`emit`](TraceSink::emit) regardless.
-    fn enabled(&self) -> bool {
-        true
-    }
 }
 
 /// A sink that discards every event.
@@ -31,10 +23,6 @@ pub struct NullSink;
 
 impl TraceSink for NullSink {
     fn emit(&mut self, _event: TraceEvent) {}
-
-    fn enabled(&self) -> bool {
-        false
-    }
 }
 
 /// A buffering sink that records events in emission order.
@@ -129,9 +117,8 @@ mod tests {
     }
 
     #[test]
-    fn null_sink_reports_disabled_and_discards() {
+    fn null_sink_discards() {
         let mut sink = NullSink;
-        assert!(!sink.enabled());
         sink.emit(sample(1));
     }
 
@@ -139,7 +126,6 @@ mod tests {
     fn event_trace_buffers_in_order() {
         let mut trace = EventTrace::new();
         assert!(trace.is_empty());
-        assert!(trace.enabled());
         trace.emit(sample(1));
         trace.emit(TraceEvent::CoreIdle { t: 2, core: 0 });
         trace.emit(sample(3));
