@@ -58,8 +58,9 @@
 //! [`engine::SimEngine`] is an event core over one memory layer.  The event
 //! core advances simulated cores through the task DAG in bounded steps of
 //! compute and memory references, lets idle cores pick up work as tasks
-//! complete, and owns steal prices, the co-runner, policy feedback and
-//! tracing.  The memory layer prices what the tasks touch, the same for
+//! complete, and owns steal prices, the co-runner and policy feedback; a
+//! traced run also calls the hooks of a crate-private tracer, which decides
+//! every emitted event.  The memory layer prices what the tasks touch, the same for
 //! every policy: a reference pricer that sends every reference through the
 //! shared [`pdfws_cache_sim::CmpCacheHierarchy`], and the off-chip model every L2 miss crosses ([`pdfws_memsys::OffChip`]:
 //! the shared bus and banked DRAM, or `memsys=legacy`).  The

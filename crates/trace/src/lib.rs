@@ -15,9 +15,9 @@
 //!   rate, ready depth over time) as a metrics `Table` for the existing
 //!   `Figure`/`ArtifactSet` pipeline.
 //!
-//! Producers (the simulation engine, the stream and serve loops) hold an
-//! `Option<Box<dyn TraceSink>>` and emit nothing when it is `None`; the
-//! off-mode cost is one branch per emit site, guarded by the
+//! Producers (the simulation engine, the stream and serve loops) keep their
+//! sink in an `Option` and emit nothing when it is `None`; the off-mode
+//! cost is one branch per emit site, guarded by the
 //! `trace_overhead` bench.  Scheduler policies buffer [`PolicyEvent`]s via
 //! default-no-op trait hooks and the engine stamps them with simulation time
 //! as it drains, so custom policies keep compiling untouched.
