@@ -11,9 +11,9 @@
 //! leftmost-first like the sequential program) and wake idle cores.  The
 //! core also owns dispatch (priced steals, backoff wakes), the co-runner's
 //! bursts and the policy's feedback windows.  It observes nothing itself:
-//! while a trace sink is installed it calls the hooks of a [`Tracer`] at
-//! task start and completion, idle cores, dispatch rounds and step ends,
-//! and the tracer decides what each emits.
+//! while a trace sink is installed it calls the hooks of a `Tracer`
+//! (`tracer.rs`) at task start and completion, idle cores, dispatch rounds
+//! and step ends, and the tracer decides what each emits.
 //!
 //! The **memory layer** prices what the tasks touch, the same way for every
 //! policy: the reference pricer (`pricing.rs`) owns the cache hierarchy and
@@ -506,7 +506,7 @@ impl SimEngine {
             if end > self.now {
                 self.now = end;
             }
-            if let Some(tracer) = self.tracer.as_deref_mut() {
+            if let Some(tracer) = &mut self.tracer {
                 if self.now >= tracer.next_sample_at {
                     let accesses = self.memory_accesses + self.disturbance_accesses;
                     tracer.sample_window(self.now, accesses, &self.pricer, &self.offchip);
@@ -734,7 +734,8 @@ impl SimEngine {
                 self.poll_policy(core, now);
             }
         }
-        // Flush steal attempts/successes buffered by the `next_task` calls.
+        // Flush steal attempts/successes buffered by the `next_task` calls
+        // and sample the ready depth the round left.
         if let Some(tracer) = &mut self.tracer {
             tracer.dispatched(now, self.policy.as_mut());
         }
