@@ -61,7 +61,6 @@ fn main() {
                         .jobs(jobs)
                         .cores(cores)
                         .arrivals(ArrivalSpec::poisson(rate))
-                        .admission(AdmissionPolicy::Fifo)
                         .threads(cli.threads),
                 )
                 .run()
@@ -116,7 +115,6 @@ fn main() {
     if let Some(mix) = mixes.first() {
         let mut cfg = StreamConfig::new(cores, SchedulerSpec::pdf());
         cfg.arrivals = ArrivalSpec::poisson(rates[0]);
-        cfg.admission = AdmissionPolicy::Fifo;
         emit_stream_trace(&cli, mix, jobs, &cfg, &SchedulerSpec::paper_pair());
     }
 }

@@ -60,7 +60,7 @@ pub mod prelude {
         SimOptions, SimResult, SpecError,
     };
     pub use pdfws_spec::{Spec, SpecErrorKind, SpecFamily};
-    pub use pdfws_stream::{AdmissionPolicy, ArrivalSpec, JobMix, StreamOutcome, StreamSummary};
+    pub use pdfws_stream::{ArrivalSpec, JobMix, StreamOutcome, StreamSummary};
     pub use pdfws_workloads::{
         ComputeKernel, HashJoin, LuDecomposition, MatMul, MergeSort, ParallelScan, QuickSort, SpMv,
         SyntheticTree, Workload, WorkloadClass, WorkloadFactory, WorkloadRegistry, WorkloadSpec,

@@ -11,8 +11,8 @@ use crate::sweep::SweepRunner;
 use pdfws_metrics::{Series, Table};
 use pdfws_schedulers::{SchedulerSpec, SimOptions};
 use pdfws_stream::{
-    run_stream_sim_with_jobs, validate_stream_cfg, AdmissionPolicy, ArrivalSpec, JobMix,
-    StreamConfig, StreamOutcome, StreamSummary,
+    run_stream_sim_with_jobs, validate_stream_cfg, ArrivalSpec, JobMix, StreamConfig,
+    StreamOutcome, StreamSummary,
 };
 
 /// Builder for one job-stream experiment.
@@ -35,7 +35,7 @@ pub struct StreamExperiment {
 impl StreamExperiment {
     /// Start a stream experiment over a job mix.  Defaults: 16 jobs, 8 cores,
     /// the paper's two schedulers, [`StreamConfig::new`]'s stream knobs
-    /// (open-loop Poisson at 40 jobs/Mcycle, FIFO admission, 4 slots), and
+    /// (Poisson arrivals at 40 jobs/Mcycle, 4 slots), and
     /// [`SweepRunner::from_env`] threading.
     pub fn new(mix: JobMix) -> Self {
         StreamExperiment {
@@ -65,17 +65,10 @@ impl StreamExperiment {
         self
     }
 
-    /// The arrival process: any registered [`ArrivalSpec`] (open-loop
-    /// `poisson:rate=80`, `pareto:alpha=1.5,rate=80`, ... or closed-loop
-    /// `closed:population=4,think=20000`).
+    /// The arrival process: any registered [`ArrivalSpec`]
+    /// (`poisson:rate=80`, `pareto:alpha=1.5,rate=80`, ...).
     pub fn arrivals(mut self, arrivals: ArrivalSpec) -> Self {
         self.config.arrivals = arrivals;
-        self
-    }
-
-    /// The admission policy for freed slots.
-    pub fn admission(mut self, policy: AdmissionPolicy) -> Self {
-        self.config.admission = policy;
         self
     }
 
@@ -104,7 +97,7 @@ impl StreamExperiment {
         self
     }
 
-    /// Open-loop arrival-generator seed (independent of the job-sampling
+    /// Arrival-generator seed (independent of the job-sampling
     /// [`seed`](Self::seed)).
     pub fn arrival_seed(mut self, seed: u64) -> Self {
         self.config.arrival_seed = seed;
@@ -141,18 +134,16 @@ impl StreamExperiment {
         if self.schedulers.is_empty() {
             return Err(ExperimentError::NoSchedulers);
         }
-        // Validate before sampling (and before the worker pool): a bad config
-        // must panic here with its own message, not cost a stream of DAG
-        // builds and then surface as a scoped-thread panic.
-        validate_stream_cfg(&self.config);
+        // Validate before sampling: a bad config must not cost a stream of
+        // DAG builds first.
+        validate_stream_cfg(&self.config)?;
         let jobs = self.mix.generate(self.jobs, self.config.seed);
-        let tenants = self.mix.tenants();
         let results = self.runner.run_cells(self.schedulers.len(), |i| {
             let cfg = StreamConfig {
                 scheduler: self.schedulers[i].clone(),
                 ..self.config.clone()
             };
-            run_stream_sim_with_jobs(jobs.clone(), tenants, &cfg)
+            run_stream_sim_with_jobs(jobs.clone(), &cfg)
         });
         let mut outcomes = Vec::with_capacity(results.len());
         for result in results {
@@ -242,6 +233,7 @@ impl StreamReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pdfws_cmp_model::ModelError;
 
     fn quick() -> StreamExperiment {
         StreamExperiment::new(JobMix::class_b())
@@ -294,15 +286,19 @@ mod tests {
         assert_eq!(table.series.len(), 7);
         let jsonl = report.to_jsonl();
         assert_eq!(jsonl.lines().count(), 16); // 8 jobs x 2 schedulers
-        let records = pdfws_stream::records_from_jsonl(&jsonl).unwrap();
-        assert_eq!(records.len(), 16);
     }
 
     #[test]
-    fn closed_loop_experiments_bound_concurrency() {
-        let report = quick().arrivals(ArrivalSpec::closed(2, 100)).run().unwrap();
-        for outcome in report.outcomes() {
-            assert!(outcome.peak_concurrency <= 2, "{}", outcome.scheduler);
+    fn zero_quanta_and_zero_slots_are_typed_errors() {
+        for experiment in [quick().quantum_cycles(0), quick().max_concurrent(0)] {
+            let err = experiment.run().unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    ExperimentError::Model(ModelError::InvalidSweepParameter { .. })
+                ),
+                "{err}"
+            );
         }
     }
 }

@@ -428,7 +428,6 @@ fn claim_c7_stream_tail() -> Claim {
                 .cores(cores)
                 .arrivals(ArrivalSpec::poisson(80.0))
                 .arrival_seed(STREAM_SEED)
-                .admission(AdmissionPolicy::Fifo)
                 .seed(STREAM_SEED)
                 .threads(ctx.cfg.threads);
             if let Some(spec) = &ctx.cfg.memsys {

@@ -176,18 +176,11 @@ impl From<ModelError> for ServeError {
 
 /// Check the config invariants the serving loop requires.
 ///
-/// Rejects closed-loop arrivals, an empty tenant list, zero jobs or slots, a
-/// headroom that is not positive (NaN included), a zero DRR quantum, an
-/// invalid autoscale policy, or an autoscale ladder whose top rung is not
-/// `cores`.
+/// Rejects an empty tenant list, zero jobs or slots, a headroom that is not
+/// positive (NaN included), a zero DRR quantum, an invalid autoscale policy,
+/// or an autoscale ladder whose top rung is not `cores`.
 pub fn validate_serve_cfg(cfg: &ServeConfig) -> Result<(), ServeError> {
     let reject = |reason: String| Err(ServeError::Config(reason));
-    if !cfg.arrivals.is_open_loop() {
-        return reject(format!(
-            "the serving tier needs an open-loop arrival spec, got '{}'",
-            cfg.arrivals
-        ));
-    }
     if cfg.tenants.is_empty() {
         return reject("need at least one tenant".into());
     }
@@ -522,10 +515,7 @@ impl<'a> Tier<'a> {
     fn new(cfg: &'a ServeConfig, calib: Calibration, sink: Option<&'a mut dyn TraceSink>) -> Self {
         let n_tenants = cfg.tenants.len();
         let scaler = cfg.autoscale.clone().map(Autoscaler::new);
-        let mut gen = cfg
-            .arrivals
-            .generator(cfg.seed)
-            .expect("validated open-loop spec");
+        let mut gen = cfg.arrivals.generator(cfg.seed);
         let next_arrival = gen.next_arrival() as f64;
         // GPS shares: tenant `t` is guaranteed `weights[t] / w_all` of the
         // machine whenever it has active jobs (more when other tenants idle).
@@ -1280,13 +1270,6 @@ mod tests {
             Err(ServeError::Config(reason)) => reason,
             other => panic!("expected a config error, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn closed_loop_arrivals_are_rejected() {
-        let mut cfg = quick_cfg(10, 40.0);
-        cfg.arrivals = ArrivalSpec::closed(2, 100);
-        assert!(config_error(&cfg).contains("open-loop"));
     }
 
     #[test]

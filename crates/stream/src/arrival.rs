@@ -1,24 +1,16 @@
 //! Arrival generators: when jobs enter the system.
 //!
-//! Two standard traffic shapes from the queueing literature:
-//!
-//! * **Open loop** — arrivals are an exogenous process that does not react to
-//!   the system; if service is slower than the offered load, the queue grows
-//!   without bound.  This is the regime where PDF's cache advantage
-//!   compounds: faster drains mean shorter queues mean lower sojourn times at
-//!   the same arrival rate.  Each open-loop process is an [`ArrivalGen`]: a
-//!   constant-memory stream of absolute arrival cycles.
-//! * **Closed loop** — a fixed population of clients, each submitting its next
-//!   job a fixed think time after the previous one completes; in-flight jobs
-//!   never exceed the population size.  Its arrivals depend on completions,
-//!   so it has no generator (see [`ArrivalSpec::closed_loop`]).
+//! Every process is **open loop**: arrivals are an exogenous process that
+//! does not react to the system; if service is slower than the offered load,
+//! the queue grows without bound.  This is the regime where PDF's cache
+//! advantage compounds: faster drains mean shorter queues mean lower sojourn
+//! times at the same arrival rate.  Each process is an [`ArrivalGen`]: a
+//! constant-memory stream of absolute arrival cycles.
 //!
 //! Which process runs is an [`ArrivalSpec`](crate::ArrivalSpec) string
-//! (`poisson:rate=80`, `closed:population=4,think=20000`, …).  All randomness
-//! is seeded: the same spec and seed produce the same arrival schedule, cycle
+//! (`poisson:rate=80`, `pareto:alpha=1.5,rate=80`, …).  All randomness is
+//! seeded: the same spec and seed produce the same arrival schedule, cycle
 //! for cycle.
-//!
-//! [`ArrivalSpec::closed_loop`]: crate::ArrivalSpec::closed_loop
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -161,7 +153,7 @@ mod tests {
     use crate::ArrivalSpec;
 
     fn schedule(spec: &ArrivalSpec, n: usize, seed: u64) -> Vec<u64> {
-        let mut gen = spec.generator(seed).expect("open-loop spec");
+        let mut gen = spec.generator(seed);
         (0..n).map(|_| gen.next_arrival()).collect()
     }
 
@@ -212,20 +204,9 @@ mod tests {
     }
 
     #[test]
-    fn closed_loop_exposes_population_not_schedule() {
-        let p = ArrivalSpec::closed(3, 100);
-        assert!(p.generator(0).is_none());
-        assert_eq!(p.closed_loop(), Some((3, 100)));
-        assert_eq!(ArrivalSpec::uniform(1).closed_loop(), None);
-    }
-
-    #[test]
     fn labels_identify_the_process() {
         // Tables label a stream by its arrival spec's canonical string.
-        assert_eq!(
-            ArrivalSpec::closed(2, 5).to_string(),
-            "closed:population=2,think=5"
-        );
+        assert_eq!(ArrivalSpec::uniform(5).to_string(), "uniform:gap=5");
         assert_eq!(ArrivalSpec::poisson(80.0).to_string(), "poisson:rate=80");
     }
 }

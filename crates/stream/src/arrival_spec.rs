@@ -11,16 +11,14 @@
 //! diurnal:period=2000000,mean=40,amp=0.8
 //!                                      sinusoidal day/night load
 //! uniform:gap=25000                    deterministic arrivals, one per gap
-//! closed:population=4,think=20000      fixed client population
 //! ```
 //!
 //! Parsing validates the process name and every parameter against the
 //! [`ArrivalRegistry`]; the stored form is canonical (sorted keys, normalised
-//! numbers), so `to_string()` then `parse()` is the identity.  A validated
-//! open-loop spec yields a streaming [`ArrivalGen`] (constant-memory, one
-//! arrival cycle at a time — what the stream backend and the serving loop
-//! consume); the `closed` process instead exposes its client population and
-//! think time ([`ArrivalSpec::closed_loop`]).
+//! numbers), so `to_string()` then `parse()` is the identity.  Every process
+//! is open loop: a validated spec yields a streaming [`ArrivalGen`]
+//! (constant-memory, one arrival cycle at a time — what the stream backend
+//! and the serving loop consume).
 //!
 //! All rates are in jobs per million cycles; all generators are pure
 //! functions of (spec, seed).
@@ -29,11 +27,6 @@ use crate::arrival::{ArrivalGen, ModulatedGen, ParetoGen, PoissonGen, UniformGen
 use pdfws_spec::{spec_type, Domain, ParamKind, ParamSpec, Registry, Spec, SpecFamily, Vocab};
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
-
-/// Default client population of `closed`.
-const DEFAULT_POPULATION: u64 = 4;
-/// Default think time of `closed`, in cycles.
-const DEFAULT_THINK: u64 = 20_000;
 
 spec_type! {
     /// A parsed, validated arrival-process description: process name +
@@ -81,36 +74,12 @@ impl ArrivalSpec {
             .expect("positive gaps build valid uniform specs")
     }
 
-    /// Closed loop: `population` clients with `think` cycles of think time.
-    pub fn closed(population: u64, think: u64) -> Self {
-        format!("closed:population={population},think={think}")
-            .parse()
-            .expect("a closed loop needs at least one client")
-    }
-
     /// A streaming generator of absolute arrival cycles for this process,
-    /// seeded by `seed`; `None` for closed-loop processes (their arrivals
-    /// depend on completions, so no exogenous schedule exists).
-    pub fn generator(&self, seed: u64) -> Option<Box<dyn ArrivalGen>> {
+    /// seeded by `seed`.
+    pub fn generator(&self, seed: u64) -> Box<dyn ArrivalGen> {
         ArrivalRegistry::global()
             .resolve(self)
             .generator(self, seed)
-    }
-
-    /// Whether the process is open loop (has a [`generator`](Self::generator)).
-    pub fn is_open_loop(&self) -> bool {
-        self.generator(0).is_some()
-    }
-
-    /// The client population and think time (cycles) of a `closed` spec;
-    /// `None` for every other process.
-    pub fn closed_loop(&self) -> Option<(usize, u64)> {
-        (self.name() == "closed").then(|| {
-            (
-                self.u64_param("population").unwrap_or(DEFAULT_POPULATION) as usize,
-                self.u64_param("think").unwrap_or(DEFAULT_THINK),
-            )
-        })
     }
 }
 
@@ -119,8 +88,8 @@ impl ArrivalSpec {
 /// The registry guarantees `generator` only ever sees specs whose keys and
 /// values passed the factory's [`SpecFamily`] declarations.
 pub trait ArrivalFactory: SpecFamily {
-    /// The streaming generator; `None` for closed-loop processes.
-    fn generator(&self, spec: &ArrivalSpec, seed: u64) -> Option<Box<dyn ArrivalGen>>;
+    /// The streaming generator.
+    fn generator(&self, spec: &ArrivalSpec, seed: u64) -> Box<dyn ArrivalGen>;
 }
 
 /// The arrival-process axis.
@@ -140,7 +109,6 @@ impl Domain for ArrivalDomain {
             Arc::new(ParetoFactory),
             Arc::new(BurstFactory),
             Arc::new(DiurnalFactory),
-            Arc::new(ClosedFactory),
         ]
     }
     fn global() -> &'static ArrivalRegistry {
@@ -187,9 +155,9 @@ impl SpecFamily for PoissonFactory {
 }
 
 impl ArrivalFactory for PoissonFactory {
-    fn generator(&self, spec: &ArrivalSpec, seed: u64) -> Option<Box<dyn ArrivalGen>> {
+    fn generator(&self, spec: &ArrivalSpec, seed: u64) -> Box<dyn ArrivalGen> {
         let rate = spec.f64_param("rate").unwrap_or(40.0);
-        Some(Box::new(PoissonGen::new(rate, seed)))
+        Box::new(PoissonGen::new(rate, seed))
     }
 }
 
@@ -218,10 +186,8 @@ impl SpecFamily for UniformFactory {
 }
 
 impl ArrivalFactory for UniformFactory {
-    fn generator(&self, spec: &ArrivalSpec, _seed: u64) -> Option<Box<dyn ArrivalGen>> {
-        Some(Box::new(UniformGen::new(
-            spec.u64_param("gap").unwrap_or(25_000),
-        )))
+    fn generator(&self, spec: &ArrivalSpec, _seed: u64) -> Box<dyn ArrivalGen> {
+        Box::new(UniformGen::new(spec.u64_param("gap").unwrap_or(25_000)))
     }
 }
 
@@ -262,10 +228,10 @@ impl SpecFamily for ParetoFactory {
 }
 
 impl ArrivalFactory for ParetoFactory {
-    fn generator(&self, spec: &ArrivalSpec, seed: u64) -> Option<Box<dyn ArrivalGen>> {
+    fn generator(&self, spec: &ArrivalSpec, seed: u64) -> Box<dyn ArrivalGen> {
         let alpha = spec.f64_param("alpha").unwrap_or(1.5);
         let rate = spec.f64_param("rate").unwrap_or(40.0);
-        Some(Box::new(ParetoGen::new(alpha, rate, seed)))
+        Box::new(ParetoGen::new(alpha, rate, seed))
     }
 }
 
@@ -325,7 +291,7 @@ impl SpecFamily for BurstFactory {
 }
 
 impl ArrivalFactory for BurstFactory {
-    fn generator(&self, spec: &ArrivalSpec, seed: u64) -> Option<Box<dyn ArrivalGen>> {
+    fn generator(&self, spec: &ArrivalSpec, seed: u64) -> Box<dyn ArrivalGen> {
         let period = spec.u64_param("period").unwrap_or(400_000) as f64;
         let duty = spec.f64_param("duty").unwrap_or(0.25);
         let hi = spec.f64_param("hi").unwrap_or(160.0) / 1.0e6;
@@ -337,7 +303,7 @@ impl ArrivalFactory for BurstFactory {
                 lo
             }
         };
-        Some(Box::new(ModulatedGen::new(hi, rate_at, seed ^ 0xB52A_57F1)))
+        Box::new(ModulatedGen::new(hi, rate_at, seed ^ 0xB52A_57F1))
     }
 }
 
@@ -379,55 +345,16 @@ impl SpecFamily for DiurnalFactory {
 }
 
 impl ArrivalFactory for DiurnalFactory {
-    fn generator(&self, spec: &ArrivalSpec, seed: u64) -> Option<Box<dyn ArrivalGen>> {
+    fn generator(&self, spec: &ArrivalSpec, seed: u64) -> Box<dyn ArrivalGen> {
         let period = spec.u64_param("period").unwrap_or(2_000_000) as f64;
         let mean = spec.f64_param("mean").unwrap_or(40.0) / 1.0e6;
         let amp = spec.f64_param("amp").unwrap_or(0.8);
         let rate_at = move |t: f64| mean * (1.0 + amp * (std::f64::consts::TAU * t / period).sin());
-        Some(Box::new(ModulatedGen::new(
+        Box::new(ModulatedGen::new(
             mean * (1.0 + amp),
             rate_at,
             seed ^ 0xD1_0BA1,
-        )))
-    }
-}
-
-struct ClosedFactory;
-
-impl SpecFamily for ClosedFactory {
-    fn name(&self) -> &'static str {
-        "closed"
-    }
-    fn doc(&self) -> &'static str {
-        "closed loop: a fixed client population, each resubmitting after a \
-         think time (no exogenous schedule)"
-    }
-    fn params(&self) -> &'static [ParamSpec] {
-        &[
-            ParamSpec {
-                key: "population",
-                kind: ParamKind::U64,
-                doc: "number of concurrent clients (default 4)",
-            },
-            ParamSpec {
-                key: "think",
-                kind: ParamKind::U64,
-                doc: "cycles between a completion and the client's next \
-                      submission (default 20000)",
-            },
-        ]
-    }
-    fn validate_spec(&self, spec: &Spec) -> Result<(), String> {
-        if spec.u64_param("population") == Some(0) {
-            return Err("'population' must be at least 1 client".into());
-        }
-        Ok(())
-    }
-}
-
-impl ArrivalFactory for ClosedFactory {
-    fn generator(&self, _spec: &ArrivalSpec, _seed: u64) -> Option<Box<dyn ArrivalGen>> {
-        None
+        ))
     }
 }
 
@@ -437,13 +364,13 @@ mod tests {
 
     fn schedule(spec: &str, n: usize, seed: u64) -> Vec<u64> {
         let spec: ArrivalSpec = spec.parse().unwrap();
-        let mut gen = spec.generator(seed).unwrap();
+        let mut gen = spec.generator(seed);
         (0..n).map(|_| gen.next_arrival()).collect()
     }
 
     #[test]
     fn all_builtin_processes_parse_and_display_canonically() {
-        for name in ["poisson", "uniform", "pareto", "burst", "diurnal", "closed"] {
+        for name in ["poisson", "uniform", "pareto", "burst", "diurnal"] {
             let spec: ArrivalSpec = name.parse().unwrap();
             assert_eq!(spec.name(), name);
             assert_eq!(spec.to_string(), name);
@@ -482,7 +409,6 @@ mod tests {
             "burst:period=0",
             "burst:hi=10,lo=40",
             "diurnal:period=0",
-            "closed:population=0",
         ] {
             assert!(
                 bad.parse::<ArrivalSpec>().is_err(),
@@ -559,13 +485,6 @@ mod tests {
     }
 
     #[test]
-    fn open_loop_flag_matches_the_generator() {
-        assert!(ArrivalSpec::poisson(40.0).is_open_loop());
-        assert!(ArrivalSpec::burst().is_open_loop());
-        assert!(!ArrivalSpec::closed(2, 100).is_open_loop());
-    }
-
-    #[test]
     fn help_lists_processes_and_parameters() {
         let help = ArrivalRegistry::global().help();
         for needle in [
@@ -573,7 +492,7 @@ mod tests {
             "pareto",
             "alpha=<f64>0>",
             "duty=<0..1>",
-            "closed",
+            "uniform",
         ] {
             assert!(help.contains(needle), "missing {needle} in:\n{help}");
         }
@@ -594,13 +513,13 @@ mod tests {
             }
         }
         impl ArrivalFactory for Tide {
-            fn generator(&self, _spec: &ArrivalSpec, _seed: u64) -> Option<Box<dyn ArrivalGen>> {
-                Some(Box::new(UniformGen::new(1_000)))
+            fn generator(&self, _spec: &ArrivalSpec, _seed: u64) -> Box<dyn ArrivalGen> {
+                Box::new(UniformGen::new(1_000))
             }
         }
         ArrivalRegistry::global().register(Arc::new(Tide));
         let spec: ArrivalSpec = "test-tide".parse().unwrap();
-        let mut gen = spec.generator(0).unwrap();
+        let mut gen = spec.generator(0);
         assert_eq!(gen.next_arrival(), 0);
         assert_eq!(gen.next_arrival(), 1_000);
         let err = "test-tide:x=1".parse::<ArrivalSpec>().unwrap_err();

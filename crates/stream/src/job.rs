@@ -4,13 +4,13 @@ use pdfws_task_dag::TaskDag;
 use pdfws_workloads::{WorkloadClass, WorkloadSpec};
 use std::sync::Arc;
 
-/// One job in the stream: an instantiated task DAG plus the metadata the
-/// admission layer and the metrics sink need.
+/// One job in the stream: an instantiated task DAG plus the metadata its
+/// job record carries.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamJob {
     /// Stream-unique id, in generation order.
     pub id: u64,
-    /// Tenant the job belongs to (used by the fair-share admission policy).
+    /// Tenant the job belongs to (the index of its entry in the job mix).
     pub tenant: u32,
     /// SLO class label the job was submitted under (`"none"` outside the
     /// serving tier; tenant-declared classes like `"latency"` / `"batch"`
@@ -27,24 +27,7 @@ pub struct StreamJob {
     /// (e.g. to replay the same sampled stream under several schedulers)
     /// shares the DAG instead of copying it.
     pub dag: Arc<TaskDag>,
-    /// Total instructions in the DAG (the job's *work*; the SJF admission
-    /// policy orders by this).
-    pub work: u64,
-    /// Cycle at which the job enters the system.  Assigned by the arrival
-    /// process: up front for open-loop runs, on predecessor completion for
-    /// closed-loop runs.
+    /// Cycle at which the job enters the system, assigned by the arrival
+    /// process before the stream runs.
     pub arrival_cycle: u64,
-}
-
-impl StreamJob {
-    /// Sort key for FIFO admission: arrival time, then generation order.
-    pub fn fifo_key(&self) -> (u64, u64) {
-        (self.arrival_cycle, self.id)
-    }
-
-    /// Sort key for shortest-job-first admission: work, then generation order
-    /// (the tie-break keeps the policy deterministic).
-    pub fn sjf_key(&self) -> (u64, u64) {
-        (self.work, self.id)
-    }
 }

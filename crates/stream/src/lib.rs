@@ -12,23 +12,21 @@
 //!   mixes; any registered workload spec string can serve traffic).
 //! * [`ArrivalSpec`] — the arrival-process axis, a registry addressed by
 //!   spec strings: seeded open-loop generators ([`ArrivalGen`]: Poisson,
-//!   uniform, Pareto, burst, diurnal) and closed-loop (fixed population +
-//!   think time) submission.
-//! * [`admission::AdmissionQueue`] — FIFO, shortest-job-first and per-tenant
-//!   fair-share admission to a bounded set of machine slots.
-//! * [`sim_backend::run_stream_sim`] — time-multiplexes the cycle-level
-//!   [`SimEngine`](pdfws_schedulers::SimEngine) across co-resident jobs with
-//!   round-robin quanta, modelling cross-job cache pressure through the
-//!   engine's [`Disturbance`](pdfws_schedulers::Disturbance) hook.
+//!   uniform, Pareto, burst, diurnal).
+//! * [`sim_backend::run_stream_sim`] — admits arrived jobs first come, first
+//!   served to a bounded set of machine slots and time-multiplexes the
+//!   cycle-level [`SimEngine`](pdfws_schedulers::SimEngine) across the
+//!   co-resident jobs with round-robin quanta, modelling cross-job cache
+//!   pressure through the engine's
+//!   [`Disturbance`](pdfws_schedulers::Disturbance) hook.
 //! * [`record::StreamOutcome`] — what a run returns: every job's
-//!   [`JobRecord`] in completion order and the admission order, summarised
-//!   as p50/p95/p99 sojourn, queueing delay, achieved jobs-per-megacycle,
-//!   per-job L2 MPKI and SLO attainment, built on `pdfws-metrics`'
-//!   [`Quantiles`](pdfws_metrics::Quantiles).  Per-job [`JobRecord`]s carry the full
+//!   [`JobRecord`] in completion order, summarised as p50/p95/p99 sojourn,
+//!   queueing delay, achieved jobs-per-megacycle and per-job L2 MPKI, built
+//!   on `pdfws-metrics`' [`Quantiles`](pdfws_metrics::Quantiles).  Per-job
+//!   [`JobRecord`]s carry the full
 //!   [`SchedulerSpec`](pdfws_schedulers::SchedulerSpec) *and*
-//!   [`WorkloadSpec`](pdfws_workloads::WorkloadSpec) strings and round-trip
-//!   through JSONL ([`StreamOutcome::to_jsonl`](record::StreamOutcome::to_jsonl) /
-//!   [`records_from_jsonl`]).
+//!   [`WorkloadSpec`](pdfws_workloads::WorkloadSpec) strings and are written
+//!   as JSONL ([`StreamOutcome::to_jsonl`](record::StreamOutcome::to_jsonl)).
 //!
 //! The high-level entry point is `pdfws_core::StreamExperiment`, which sweeps
 //! schedulers over one stream the way `Experiment` sweeps them over one DAG.
@@ -36,15 +34,13 @@
 //! # Example
 //!
 //! ```
-//! use pdfws_stream::{
-//!     AdmissionPolicy, ArrivalSpec, JobMix, StreamConfig, run_stream_sim,
-//! };
+//! use pdfws_stream::{ArrivalSpec, JobMix, StreamConfig, run_stream_sim};
 //! use pdfws_schedulers::SchedulerSpec;
 //!
 //! let mix = JobMix::class_b();
 //! let mut cfg = StreamConfig::new(4, SchedulerSpec::pdf());
-//! cfg.arrivals = "closed:population=2,think=1000".parse().unwrap();
-//! cfg.admission = AdmissionPolicy::Fifo;
+//! cfg.arrivals = "poisson:rate=200".parse().unwrap();
+//! cfg.max_concurrent = 2;
 //! let outcome = run_stream_sim(&mix, 6, &cfg).unwrap();
 //! let summary = outcome.summary();
 //! assert_eq!(summary.jobs, 6);
@@ -52,7 +48,6 @@
 //! assert!(outcome.peak_concurrency <= 2);
 //! ```
 
-pub mod admission;
 pub mod arrival;
 pub mod arrival_spec;
 pub mod job;
@@ -60,11 +55,10 @@ pub mod record;
 pub mod sim_backend;
 pub mod source;
 
-pub use admission::{AdmissionPolicy, AdmissionQueue};
 pub use arrival::ArrivalGen;
 pub use arrival_spec::{ArrivalDomain, ArrivalFactory, ArrivalRegistry, ArrivalSpec};
 pub use job::StreamJob;
-pub use record::{records_from_jsonl, JobRecord, StreamOutcome, StreamSummary};
+pub use record::{JobRecord, StreamOutcome, StreamSummary};
 pub use sim_backend::{
     run_stream_sim, run_stream_sim_traced, run_stream_sim_with_jobs, validate_stream_cfg,
     StreamConfig,

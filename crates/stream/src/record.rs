@@ -6,11 +6,11 @@
 //! so records from two differently parameterized instances of the same policy
 //! or program — say `ws:steal=one` vs `ws:steal=half`, or `spmv:rows=256` vs
 //! `spmv:rows=1024` — stay distinguishable after they are written out.
-//! [`StreamOutcome::to_jsonl`] and [`records_from_jsonl`] round-trip records
-//! through one JSON object per line; both specs travel as their canonical
-//! strings and parse back to identical values.  (The vendored `serde` is a
-//! no-op marker stand-in — see `vendor/serde` — so the JSON layer here is
-//! hand-rolled over the same canonical forms the serde derives would use.)
+//! [`StreamOutcome::to_jsonl`] writes records as one JSON object per line;
+//! both specs travel as their canonical strings, which parse back to
+//! identical values.  (The vendored `serde` is a no-op marker stand-in — see
+//! `vendor/serde` — so the writer here is hand-rolled over the same canonical
+//! forms the serde derives would use.)
 
 use pdfws_metrics::Quantiles;
 use pdfws_schedulers::SchedulerSpec;
@@ -86,50 +86,6 @@ impl JobRecord {
             self.completion_cycle,
         )
     }
-
-    /// Parse one record back from its [`JobRecord::to_json`] form.
-    pub fn from_json(line: &str) -> Result<JobRecord, String> {
-        let fields = parse_json_object(line)?;
-        let get = |key: &str| -> Result<&JsonValue, String> {
-            fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("job record is missing field '{key}'"))
-        };
-        let scheduler: SchedulerSpec = get("scheduler")?
-            .as_str()?
-            .parse()
-            .map_err(|e| format!("bad scheduler spec in record: {e}"))?;
-        let workload: WorkloadSpec = get("workload")?
-            .as_str()?
-            .parse()
-            .map_err(|e| format!("bad workload spec in record: {e}"))?;
-        let class: WorkloadClass = get("class")?.as_str()?.parse()?;
-        // Absent in records written before the serving tier existed; those
-        // streams predate SLO classes, so default rather than reject.
-        let slo_class = match get("slo_class") {
-            Ok(v) => v.as_str()?.to_string(),
-            Err(_) => "none".to_string(),
-        };
-        Ok(JobRecord {
-            id: get("id")?.as_u64()?,
-            tenant: get("tenant")?.as_u64()? as u32,
-            slo_class,
-            workload,
-            class,
-            scheduler,
-            arrival_cycle: get("arrival_cycle")?.as_u64()?,
-            admit_cycle: get("admit_cycle")?.as_u64()?,
-            dispatch_cycle: get("t_dispatch")?.as_u64()?,
-            completion_cycle: get("completion_cycle")?.as_u64()?,
-            queue_cycles: get("queue_cycles")?.as_u64()?,
-            sojourn_cycles: get("sojourn_cycles")?.as_u64()?,
-            service_cycles: get("service_cycles")?.as_u64()?,
-            instructions: get("instructions")?.as_u64()?,
-            l2_mpki: get("l2_mpki")?.as_f64()?,
-        })
-    }
 }
 
 /// Escape and quote a string for JSON.
@@ -150,128 +106,6 @@ fn json_string(s: &str) -> String {
     out
 }
 
-/// The subset of JSON values job records use.  Integer tokens keep full u64
-/// precision (routing them through f64 would silently round values >= 2^53).
-#[derive(Debug, Clone, PartialEq)]
-enum JsonValue {
-    String(String),
-    Unsigned(u64),
-    Number(f64),
-}
-
-impl JsonValue {
-    fn as_str(&self) -> Result<&str, String> {
-        match self {
-            JsonValue::String(s) => Ok(s),
-            other => Err(format!("expected a string, got {other:?}")),
-        }
-    }
-
-    fn as_u64(&self) -> Result<u64, String> {
-        match self {
-            JsonValue::Unsigned(n) => Ok(*n),
-            other => Err(format!("expected an unsigned integer, got {other:?}")),
-        }
-    }
-
-    fn as_f64(&self) -> Result<f64, String> {
-        match self {
-            JsonValue::Number(n) => Ok(*n),
-            JsonValue::Unsigned(n) => Ok(*n as f64),
-            JsonValue::String(s) => Err(format!("expected a number, got string '{s}'")),
-        }
-    }
-}
-
-/// Parse one flat JSON object (`{"key":value,...}`) of strings and numbers.
-fn parse_json_object(line: &str) -> Result<Vec<(String, JsonValue)>, String> {
-    let mut chars = line.trim().chars().peekable();
-    let mut fields = Vec::new();
-    if chars.next() != Some('{') {
-        return Err("job record must be a JSON object".to_string());
-    }
-    loop {
-        match chars.peek() {
-            Some('}') => {
-                chars.next();
-                break;
-            }
-            Some(',') | Some(' ') => {
-                chars.next();
-            }
-            Some('"') => {
-                let key = parse_string(&mut chars)?;
-                if chars.next() != Some(':') {
-                    return Err(format!("expected ':' after key '{key}'"));
-                }
-                let value = match chars.peek() {
-                    Some('"') => JsonValue::String(parse_string(&mut chars)?),
-                    Some(_) => {
-                        let mut num = String::new();
-                        while let Some(&c) = chars.peek() {
-                            if c == ',' || c == '}' {
-                                break;
-                            }
-                            num.push(c);
-                            chars.next();
-                        }
-                        match num.trim().parse::<u64>() {
-                            Ok(n) => JsonValue::Unsigned(n),
-                            Err(_) => JsonValue::Number(
-                                num.trim()
-                                    .parse::<f64>()
-                                    .map_err(|_| format!("bad number '{num}' for key '{key}'"))?,
-                            ),
-                        }
-                    }
-                    None => return Err("record ended mid-value".to_string()),
-                };
-                fields.push((key, value));
-            }
-            Some(c) => return Err(format!("unexpected character '{c}' in record")),
-            None => return Err("record ended before '}'".to_string()),
-        }
-    }
-    Ok(fields)
-}
-
-/// Parse a quoted JSON string (cursor on the opening quote).
-fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars>) -> Result<String, String> {
-    if chars.next() != Some('"') {
-        return Err("expected a string".to_string());
-    }
-    let mut out = String::new();
-    loop {
-        match chars.next() {
-            Some('"') => return Ok(out),
-            Some('\\') => match chars.next() {
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                Some('n') => out.push('\n'),
-                Some('t') => out.push('\t'),
-                Some('u') => {
-                    let hex: String = (0..4).filter_map(|_| chars.next()).collect();
-                    let code = u32::from_str_radix(&hex, 16)
-                        .map_err(|_| format!("bad \\u escape '{hex}'"))?;
-                    out.push(char::from_u32(code).ok_or("invalid unicode escape")?);
-                }
-                other => return Err(format!("bad escape {other:?}")),
-            },
-            Some(c) => out.push(c),
-            None => return Err("unterminated string".to_string()),
-        }
-    }
-}
-
-/// Parse a whole JSONL document of job records (blank lines ignored).
-pub fn records_from_jsonl(text: &str) -> Result<Vec<JobRecord>, String> {
-    text.lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty())
-        .map(JobRecord::from_json)
-        .collect()
-}
-
 /// The full result of driving one job stream through one scheduler.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamOutcome {
@@ -281,8 +115,6 @@ pub struct StreamOutcome {
     pub cores: usize,
     /// Per-job records, in completion order.
     pub records: Vec<JobRecord>,
-    /// Job ids in the order the admission layer released them.
-    pub admission_order: Vec<u64>,
     /// Largest number of jobs ever co-resident (admitted, not yet complete).
     pub peak_concurrency: usize,
     /// Global cycle at which the last job completed.
@@ -334,25 +166,6 @@ impl StreamOutcome {
         }
     }
 
-    /// The record for a specific job id, if it completed.
-    pub fn record(&self, id: u64) -> Option<&JobRecord> {
-        self.records.iter().find(|r| r.id == id)
-    }
-
-    /// Fraction of jobs whose sojourn time met `slo_cycles` (an SLO attainment
-    /// number in [0, 1]).
-    pub fn slo_attainment(&self, slo_cycles: u64) -> f64 {
-        if self.records.is_empty() {
-            return 0.0;
-        }
-        let met = self
-            .records
-            .iter()
-            .filter(|r| r.sojourn_cycles <= slo_cycles)
-            .count();
-        met as f64 / self.records.len() as f64
-    }
-
     /// Serialize every record as JSONL (one JSON object per line), each
     /// carrying the full scheduler spec string.
     pub fn to_jsonl(&self) -> String {
@@ -398,7 +211,6 @@ mod tests {
                 .enumerate()
                 .map(|(i, &s)| record(i as u64, s, s / 10))
                 .collect(),
-            admission_order: (0..sojourns.len() as u64).collect(),
             peak_concurrency: 2,
             makespan_cycles: 1_000_000,
         }
@@ -416,44 +228,28 @@ mod tests {
     }
 
     #[test]
-    fn slo_attainment_counts_met_jobs() {
-        let o = outcome(&[100, 200, 300, 400]);
-        assert!((o.slo_attainment(250) - 0.5).abs() < 1e-12);
-        assert_eq!(o.slo_attainment(1_000), 1.0);
-        assert_eq!(o.slo_attainment(10), 0.0);
-    }
-
-    #[test]
-    fn record_lookup_finds_by_id() {
-        let o = outcome(&[100, 200]);
-        assert_eq!(o.record(1).unwrap().sojourn_cycles, 200);
-        assert!(o.record(9).is_none());
-    }
-
-    #[test]
     fn json_round_trips_a_record_exactly() {
         let mut r = record(3, 12_345, 678);
         r.workload = "mergesort:n=4096,grain=64".parse().unwrap();
         r.scheduler = "ws:victim=random,seed=7".parse().unwrap();
         r.l2_mpki = 0.123456789;
-        let line = r.to_json();
-        assert!(
-            line.contains("\"scheduler\":\"ws:seed=7,victim=random\""),
-            "{line}"
+        // Both specs travel canonically and the f64 in its shortest
+        // round-trip form, so the line parses back to an identical record.
+        assert_eq!(
+            r.to_json(),
+            "{\"id\":3,\"tenant\":0,\"slo_class\":\"none\",\
+             \"workload\":\"mergesort:grain=64,n=4096\",\"class\":\"compute-bound\",\
+             \"scheduler\":\"ws:seed=7,victim=random\",\"arrival_cycle\":0,\
+             \"admit_cycle\":678,\"completion_cycle\":12345,\"queue_cycles\":678,\
+             \"sojourn_cycles\":12345,\"service_cycles\":11667,\"instructions\":1000,\
+             \"l2_mpki\":0.123456789,\"t_admit\":678,\"t_dispatch\":678,\"t_complete\":12345}"
         );
-        assert!(
-            line.contains("\"workload\":\"mergesort:grain=64,n=4096\""),
-            "{line}"
-        );
-        let back = JobRecord::from_json(&line).unwrap();
-        assert_eq!(back, r);
     }
 
     #[test]
     fn json_strings_are_escaped() {
         // Ad-hoc workload names can contain anything; serialization must
-        // escape them even though such records only parse back once the name
-        // is registered.
+        // escape them.
         let mut r = record(0, 10, 1);
         r.workload = pdfws_workloads::WorkloadSpec::unregistered("merge \"sort\"\n");
         let line = r.to_json();
@@ -464,61 +260,35 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_round_trips_whole_outcomes() {
-        let mut o = outcome(&[100, 200, 300]);
-        for r in &mut o.records {
-            r.scheduler = "hybrid:threshold=2".parse().unwrap();
-        }
-        let text = o.to_jsonl();
-        assert_eq!(text.lines().count(), 3);
-        let back = records_from_jsonl(&text).unwrap();
-        assert_eq!(back, o.records);
-    }
-
-    #[test]
     fn lifecycle_timestamps_travel_as_t_aliases() {
         let mut r = record(5, 10_000, 100);
         r.dispatch_cycle = 250;
-        let line = r.to_json();
-        assert!(line.contains("\"t_admit\":100"), "{line}");
-        assert!(line.contains("\"t_dispatch\":250"), "{line}");
-        assert!(line.contains("\"t_complete\":10000"), "{line}");
-        let back = JobRecord::from_json(&line).unwrap();
-        assert_eq!(back, r);
-        assert_eq!(back.dispatch_cycle, 250);
-    }
-
-    #[test]
-    fn slo_class_round_trips_and_defaults_when_absent() {
-        let mut r = record(1, 500, 50);
         r.slo_class = "latency".to_string();
-        let line = r.to_json();
-        assert!(line.contains("\"slo_class\":\"latency\""), "{line}");
-        assert_eq!(JobRecord::from_json(&line).unwrap(), r);
-        // Pre-serving-tier JSONL has no slo_class field: default, don't reject.
-        let legacy = line.replace("\"slo_class\":\"latency\",", "");
-        let back = JobRecord::from_json(&legacy).unwrap();
-        assert_eq!(back.slo_class, "none");
+        assert_eq!(
+            r.to_json(),
+            "{\"id\":5,\"tenant\":0,\"slo_class\":\"latency\",\
+             \"workload\":\"compute-kernel\",\"class\":\"compute-bound\",\
+             \"scheduler\":\"pdf\",\"arrival_cycle\":0,\"admit_cycle\":100,\
+             \"completion_cycle\":10000,\"queue_cycles\":100,\"sojourn_cycles\":10000,\
+             \"service_cycles\":9900,\"instructions\":1000,\"l2_mpki\":0.5,\
+             \"t_admit\":100,\"t_dispatch\":250,\"t_complete\":10000}"
+        );
     }
 
     #[test]
     fn u64_fields_above_2_pow_53_survive_the_round_trip() {
+        // Integers are written digit for digit, never through an f64.
         let mut r = record(0, 10, 1);
         r.instructions = u64::MAX - 1;
         r.completion_cycle = (1u64 << 53) + 1;
-        let back = JobRecord::from_json(&r.to_json()).unwrap();
-        assert_eq!(back.instructions, u64::MAX - 1);
-        assert_eq!(back.completion_cycle, (1u64 << 53) + 1);
-    }
-
-    #[test]
-    fn malformed_records_are_rejected_with_context() {
-        assert!(JobRecord::from_json("not json").is_err());
-        let err = JobRecord::from_json("{\"id\":1}").unwrap_err();
-        assert!(err.contains("missing field"), "{err}");
-        let bad_spec = record(0, 10, 1).to_json().replace("\"pdf\"", "\"bogus\"");
-        let err = JobRecord::from_json(&bad_spec).unwrap_err();
-        assert!(err.contains("bad scheduler spec"), "{err}");
-        assert!(err.contains("unknown scheduler policy"), "{err}");
+        assert_eq!(
+            r.to_json(),
+            "{\"id\":0,\"tenant\":0,\"slo_class\":\"none\",\
+             \"workload\":\"compute-kernel\",\"class\":\"compute-bound\",\
+             \"scheduler\":\"pdf\",\"arrival_cycle\":0,\"admit_cycle\":1,\
+             \"completion_cycle\":9007199254740993,\"queue_cycles\":1,\"sojourn_cycles\":10,\
+             \"service_cycles\":9,\"instructions\":18446744073709551614,\"l2_mpki\":0.5,\
+             \"t_admit\":1,\"t_dispatch\":1,\"t_complete\":9007199254740993}"
+        );
     }
 }

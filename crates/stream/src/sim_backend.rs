@@ -11,16 +11,16 @@
 //! engine sees a co-runner polluting its shared L2 in proportion to `k - 1`,
 //! re-tuned at every admission and completion.
 //!
-//! Everything is deterministic for a fixed seed: job sampling, arrival times,
-//! admission order and per-job sojourn times are pure functions of the inputs.
+//! Admission is first come, first served: jobs take free slots in arrival
+//! order, ties broken by job id.  Everything is deterministic for a fixed
+//! seed: job sampling, arrival times, admission order and per-job sojourn
+//! times are pure functions of the inputs.
 //!
 //! Three entry points share one supervisor loop, and each returns a
-//! [`StreamOutcome`] holding every job's [`JobRecord`] and the admission
-//! order: [`run_stream_sim`] samples the jobs, [`run_stream_sim_with_jobs`]
-//! takes jobs already sampled, and [`run_stream_sim_traced`] also emits
-//! job-lifecycle trace events.
+//! [`StreamOutcome`] holding every job's [`JobRecord`]: [`run_stream_sim`]
+//! samples the jobs, [`run_stream_sim_with_jobs`] takes jobs already sampled,
+//! and [`run_stream_sim_traced`] also emits job-lifecycle trace events.
 
-use crate::admission::{AdmissionPolicy, AdmissionQueue};
 use crate::arrival_spec::ArrivalSpec;
 use crate::job::StreamJob;
 use crate::record::{JobRecord, StreamOutcome};
@@ -30,8 +30,7 @@ use pdfws_schedulers::{
     make_policy, Disturbance, EngineStatus, SchedulerSpec, SimEngine, SimOptions,
 };
 use pdfws_trace::{TraceEvent, TraceSink};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 /// Configuration of one stream run on the simulated backend.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,8 +45,6 @@ pub struct StreamConfig {
     pub quantum_cycles: u64,
     /// Maximum number of co-resident (admitted, unfinished) jobs.
     pub max_concurrent: usize,
-    /// Which queued job gets a freed slot.
-    pub admission: AdmissionPolicy,
     /// When jobs enter the system.
     pub arrivals: ArrivalSpec,
     /// Engine options applied to every job's engine.
@@ -62,21 +59,20 @@ pub struct StreamConfig {
     pub rival_pollution_blocks: u64,
     /// Seed for job sampling.
     pub seed: u64,
-    /// Seed for the open-loop arrival generator, independent of the
-    /// job-sampling `seed`.
+    /// Seed for the arrival generator, independent of the job-sampling
+    /// `seed`.
     pub arrival_seed: u64,
 }
 
 impl StreamConfig {
-    /// Sensible defaults: open-loop Poisson at 40 jobs/Mcycle, FIFO admission,
-    /// 4 slots, 20k-cycle quanta.
+    /// Sensible defaults: Poisson arrivals at 40 jobs/Mcycle, 4 slots,
+    /// 20k-cycle quanta.
     pub fn new(cores: usize, scheduler: SchedulerSpec) -> Self {
         StreamConfig {
             cores,
             scheduler,
             quantum_cycles: 20_000,
             max_concurrent: 4,
-            admission: AdmissionPolicy::Fifo,
             arrivals: ArrivalSpec::poisson(40.0),
             sim_options: SimOptions::default(),
             memsys: None,
@@ -103,7 +99,7 @@ struct ActiveJob {
 
 /// Drive `n_jobs` sampled from `mix` through the simulated CMP.
 ///
-/// Returns the per-job records (in completion order) plus the admission trace.
+/// Returns the per-job records, in completion order.
 pub fn run_stream_sim(
     mix: &JobMix,
     n_jobs: usize,
@@ -111,24 +107,29 @@ pub fn run_stream_sim(
 ) -> Result<StreamOutcome, ModelError> {
     // Validate before sampling: a bad config must not cost a stream of DAG
     // builds first.
-    validate_stream_cfg(cfg);
-    run_stream_sim_with_jobs(mix.generate(n_jobs, cfg.seed), mix.tenants(), cfg)
+    validate_stream_cfg(cfg)?;
+    run_stream_sim_with_jobs(mix.generate(n_jobs, cfg.seed), cfg)
 }
 
-/// Assert the config invariants both stream entry points require.  Public so
+/// Check the config invariants every stream entry point requires.  Public so
 /// callers that sample jobs themselves (e.g. `StreamExperiment`) can also
 /// validate *before* paying for DAG generation.
 ///
-/// # Panics
-///
-/// Panics on a non-positive quantum, zero job slots, or an empty closed-loop
-/// population.
-pub fn validate_stream_cfg(cfg: &StreamConfig) {
-    assert!(cfg.quantum_cycles > 0, "quantum must be positive");
-    assert!(cfg.max_concurrent > 0, "need at least one job slot");
-    if let Some((population, _)) = cfg.arrivals.closed_loop() {
-        assert!(population > 0, "a closed loop needs at least one client");
+/// Returns [`ModelError::InvalidSweepParameter`] on a zero quantum or zero
+/// job slots.
+pub fn validate_stream_cfg(cfg: &StreamConfig) -> Result<(), ModelError> {
+    let reject = |reason: &str| {
+        Err(ModelError::InvalidSweepParameter {
+            reason: reason.into(),
+        })
+    };
+    if cfg.quantum_cycles == 0 {
+        return reject("the stream quantum must be positive");
     }
+    if cfg.max_concurrent == 0 {
+        return reject("a stream needs at least one job slot");
+    }
+    Ok(())
 }
 
 /// [`run_stream_sim`] over already-sampled jobs.
@@ -136,14 +137,12 @@ pub fn validate_stream_cfg(cfg: &StreamConfig) {
 /// Callers that replay the *same* stream under several schedulers (the
 /// `StreamExperiment` comparison) sample once and pass clones: each job's DAG
 /// is behind an `Arc`, so the clone shares every DAG instead of rebuilding
-/// the whole stream per scheduler.  `tenants` is the tenant count the
-/// fair-share admission policy partitions by (i.e. [`JobMix::tenants`]).
+/// the whole stream per scheduler.
 pub fn run_stream_sim_with_jobs(
     jobs: Vec<StreamJob>,
-    tenants: usize,
     cfg: &StreamConfig,
 ) -> Result<StreamOutcome, ModelError> {
-    stream_sim_impl(jobs, tenants, cfg, None)
+    stream_sim_impl(jobs, cfg, None)
 }
 
 /// [`run_stream_sim`] with a trace sink: the supervisor additionally emits
@@ -160,24 +159,18 @@ pub fn run_stream_sim_traced(
     cfg: &StreamConfig,
     sink: &mut dyn TraceSink,
 ) -> Result<StreamOutcome, ModelError> {
-    validate_stream_cfg(cfg);
-    stream_sim_impl(
-        mix.generate(n_jobs, cfg.seed),
-        mix.tenants(),
-        cfg,
-        Some(sink),
-    )
+    validate_stream_cfg(cfg)?;
+    stream_sim_impl(mix.generate(n_jobs, cfg.seed), cfg, Some(sink))
 }
 
 /// The supervisor loop shared by every entry point: it records each job's
-/// admission and completion in the [`StreamOutcome`] it returns.
+/// completion in the [`StreamOutcome`] it returns.
 fn stream_sim_impl(
-    jobs: Vec<StreamJob>,
-    tenants: usize,
+    mut jobs: Vec<StreamJob>,
     cfg: &StreamConfig,
     mut sink: Option<&mut dyn TraceSink>,
 ) -> Result<StreamOutcome, ModelError> {
-    validate_stream_cfg(cfg);
+    validate_stream_cfg(cfg)?;
     let mut machine: CmpConfig = default_config(cfg.cores)?;
     if let Some(memsys) = cfg.memsys {
         machine.memsys = memsys;
@@ -185,78 +178,37 @@ fn stream_sim_impl(
     }
 
     let n_jobs = jobs.len();
-    let mut jobs = jobs;
-
-    // Arrival bookkeeping.  Open loop: all arrivals are known up front.
-    // Closed loop: the first `population` jobs arrive at cycle 0 and each
-    // completion releases the next job after the think time.
-    let mut future: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new(); // (arrival, id)
-    let mut unreleased: std::collections::VecDeque<StreamJob>;
-    let closed_loop = cfg.arrivals.closed_loop();
-    // Closed loop releases jobs in id order; this is the next id to hand to a
-    // client slot.
-    let mut next_release = 0u64;
-    match cfg.arrivals.generator(cfg.arrival_seed) {
-        Some(mut arrivals) => {
-            for job in jobs.iter_mut() {
-                job.arrival_cycle = arrivals.next_arrival();
-            }
-            for job in &jobs {
-                future.push(Reverse((job.arrival_cycle, job.id)));
-            }
-            unreleased = jobs.into_iter().collect();
-        }
-        None => {
-            let (population, _) = closed_loop.unwrap_or_else(|| {
-                panic!(
-                    "arrival process '{}' has neither a schedule nor a client population",
-                    cfg.arrivals
-                )
-            });
-            // The first wave of clients submits together at cycle 0.
-            for id in 0..population.min(n_jobs) as u64 {
-                future.push(Reverse((0, id)));
-            }
-            next_release = population.min(n_jobs) as u64;
-            unreleased = jobs.into_iter().collect();
-        }
+    let mut arrivals = cfg.arrivals.generator(cfg.arrival_seed);
+    for job in jobs.iter_mut() {
+        job.arrival_cycle = arrivals.next_arrival();
     }
+    // FIFO admission: the queue is filled in arrival order, ties by id, and
+    // drained from the front.
+    jobs.sort_by_key(|job| (job.arrival_cycle, job.id));
+    let mut arriving = jobs.into_iter().peekable();
+    let mut queue: VecDeque<StreamJob> = VecDeque::new();
 
-    let mut queue = AdmissionQueue::new(cfg.admission, tenants);
     let mut active: Vec<ActiveJob> = Vec::new();
     let mut outcome = StreamOutcome {
         scheduler: cfg.scheduler.clone(),
         cores: cfg.cores,
         records: Vec::new(),
-        admission_order: Vec::new(),
         peak_concurrency: 0,
         makespan_cycles: 0,
     };
     let mut last_outstanding: Option<u64> = None;
     let mut now: u64 = 0;
     let mut turn = 0usize;
-    let think = closed_loop.map_or(0, |(_, think)| think);
 
     while outcome.records.len() < n_jobs {
         // 1. Move every job that has arrived by `now` into the admission queue.
-        while let Some(&Reverse((t, id))) = future.peek() {
-            if t > now {
-                break;
-            }
-            future.pop();
-            let idx = unreleased
-                .iter()
-                .position(|j| j.id == id)
-                .expect("arrival refers to an unreleased job");
-            let mut job = unreleased.remove(idx).expect("index in range");
-            job.arrival_cycle = t;
-            queue.push(job);
+        while let Some(job) = arriving.next_if(|job| job.arrival_cycle <= now) {
+            queue.push_back(job);
         }
 
-        // 2. Fill free slots according to the admission policy.
+        // 2. Fill free slots from the head of the queue.
         while active.len() < cfg.max_concurrent {
-            let Some(job) = queue.pop() else { break };
-            outcome.admission_order.push(job.id);
+            let Some(job) = queue.pop_front() else { break };
             let StreamJob {
                 id,
                 tenant,
@@ -265,7 +217,6 @@ fn stream_sim_impl(
                 class,
                 dag,
                 arrival_cycle,
-                ..
             } = job;
             let engine = SimEngine::with_shared_dag(
                 dag,
@@ -302,15 +253,10 @@ fn stream_sim_impl(
 
         // 3. Nothing runnable: jump the clock to the next arrival.
         if active.is_empty() {
-            let Some(&Reverse((t, _))) = future.peek() else {
-                panic!(
-                    "stream deadlocked: {} of {n_jobs} jobs complete, queue {} deep, \
-                     no future arrivals",
-                    outcome.records.len(),
-                    queue.len()
-                );
-            };
-            now = now.max(t);
+            let next = arriving.peek().expect(
+                "with free slots and an empty queue, an unfinished stream has arrivals left",
+            );
+            now = now.max(next.arrival_cycle);
             continue;
         }
 
@@ -381,12 +327,6 @@ fn stream_sim_impl(
                 instructions: metrics.instructions,
                 l2_mpki: metrics.l2_mpki(),
             });
-            // Closed loop: the finishing client thinks, then submits the next
-            // job in the sequence.
-            if closed_loop.is_some() && next_release < n_jobs as u64 {
-                future.push(Reverse((now + think, next_release)));
-                next_release += 1;
-            }
             // swap_remove moved the tail job into `turn`; do not advance, so
             // the moved job is not skipped this round.
         } else {
@@ -415,7 +355,6 @@ mod tests {
         let mix = JobMix::class_b();
         let outcome = run_stream_sim(&mix, 10, &quick_cfg(SchedulerSpec::pdf())).unwrap();
         assert_eq!(outcome.records.len(), 10);
-        assert_eq!(outcome.admission_order.len(), 10);
         let mut ids: Vec<u64> = outcome.records.iter().map(|r| r.id).collect();
         ids.sort_unstable();
         assert_eq!(ids, (0..10).collect::<Vec<_>>());
@@ -467,40 +406,20 @@ mod tests {
     }
 
     #[test]
-    fn closed_loop_never_exceeds_the_population() {
+    fn a_flood_on_one_slot_is_admitted_in_id_order() {
         let mix = JobMix::class_b();
         let mut cfg = quick_cfg(SchedulerSpec::pdf());
-        cfg.arrivals = ArrivalSpec::closed(2, 500);
-        cfg.max_concurrent = 8; // slots are not the binding constraint
-        let outcome = run_stream_sim(&mix, 9, &cfg).unwrap();
-        assert_eq!(outcome.records.len(), 9);
-        assert!(
-            outcome.peak_concurrency <= 2,
-            "closed loop leaked concurrency: {}",
-            outcome.peak_concurrency
-        );
-    }
-
-    #[test]
-    fn sjf_admits_short_jobs_before_long_ones_under_backlog() {
-        let mix = JobMix::class_b();
-        // Everything arrives at cycle 0 (a client per job), one slot:
-        // admission order == policy order.
-        let mut cfg = quick_cfg(SchedulerSpec::pdf());
-        cfg.arrivals = ArrivalSpec::closed(8, 0);
+        cfg.arrivals = ArrivalSpec::uniform(1);
         cfg.max_concurrent = 1;
-        cfg.admission = AdmissionPolicy::ShortestJobFirst;
         let outcome = run_stream_sim(&mix, 8, &cfg).unwrap();
-        let jobs = mix.generate(8, cfg.seed);
-        let works: Vec<u64> = outcome
-            .admission_order
-            .iter()
-            .map(|&id| jobs[id as usize].work)
-            .collect();
-        assert!(
-            works.windows(2).all(|w| w[0] <= w[1]),
-            "SJF admission not sorted by work: {works:?}"
-        );
+        // One slot: completion order is admission order.
+        let ids: Vec<u64> = outcome.records.iter().map(|r| r.id).collect();
+        assert_eq!(ids, (0..8).collect::<Vec<_>>());
+        assert!(outcome
+            .records
+            .windows(2)
+            .all(|w| w[0].admit_cycle <= w[1].admit_cycle));
+        assert!(outcome.records.iter().any(|r| r.queue_cycles > 0));
     }
 
     #[test]
@@ -522,38 +441,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one client")]
-    fn zero_population_closed_loops_are_rejected() {
+    fn zero_quanta_and_zero_slots_are_typed_errors() {
         let mix = JobMix::class_b();
         let mut cfg = quick_cfg(SchedulerSpec::pdf());
-        cfg.arrivals = ArrivalSpec::closed(0, 100);
-        let _ = run_stream_sim(&mix, 3, &cfg);
-    }
-
-    #[test]
-    fn fair_share_serves_both_tenants_under_a_flood() {
-        let mix = JobMix::mixed();
-        let mut cfg = quick_cfg(SchedulerSpec::pdf());
-        cfg.arrivals = ArrivalSpec::closed(12, 0);
-        cfg.max_concurrent = 1;
-        cfg.admission = AdmissionPolicy::FairShare;
-        let outcome = run_stream_sim(&mix, 12, &cfg).unwrap();
-        let jobs = mix.generate(12, cfg.seed);
-        // In the first `tenants` admissions every represented tenant appears at
-        // most twice (fair share cannot drain one tenant first).
-        let first: Vec<u32> = outcome
-            .admission_order
-            .iter()
-            .take(4)
-            .map(|&id| jobs[id as usize].tenant)
-            .collect();
-        let mut counts = std::collections::HashMap::new();
-        for t in &first {
-            *counts.entry(*t).or_insert(0u32) += 1;
-        }
+        cfg.quantum_cycles = 0;
+        let err = run_stream_sim(&mix, 3, &cfg).unwrap_err();
         assert!(
-            counts.values().all(|&c| c <= 2),
-            "fair share admitted one tenant repeatedly: {first:?}"
+            matches!(&err, ModelError::InvalidSweepParameter { reason } if reason.contains("quantum")),
+            "{err}"
+        );
+        let mut cfg = quick_cfg(SchedulerSpec::pdf());
+        cfg.max_concurrent = 0;
+        let err = run_stream_sim_with_jobs(mix.generate(3, cfg.seed), &cfg).unwrap_err();
+        assert!(
+            matches!(&err, ModelError::InvalidSweepParameter { reason } if reason.contains("job slot")),
+            "{err}"
         );
     }
 }

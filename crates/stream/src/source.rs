@@ -12,9 +12,8 @@
 //! [`scale`](pdfws_workloads::WorkloadFactory::scale) and
 //! [`reseed`](pdfws_workloads::WorkloadFactory::reseed) hooks — the sampler
 //! does not need to know which parameter carries a workload's problem size.
-//! The resulting stream is heterogeneous (which is what makes the
-//! shortest-job-first admission policy differ from FIFO), and each job
-//! carries the exact canonical spec it was built from.  Sampling is a pure
+//! The resulting stream is heterogeneous in job size, and each job carries
+//! the exact canonical spec it was built from.  Sampling is a pure
 //! function of the mix and a seed, so a fixed seed reproduces the exact same
 //! job sequence — the property the determinism tests pin down.
 
@@ -190,7 +189,6 @@ impl JobMix {
                 let spec = factory.reseed(&factory.scale(base, scale), job_seed);
                 let workload = spec.build();
                 let dag = std::sync::Arc::new(workload.build_dag());
-                let work = dag.work();
                 StreamJob {
                     id,
                     tenant: tenant as u32,
@@ -198,7 +196,6 @@ impl JobMix {
                     class: workload.class(),
                     workload: spec,
                     dag,
-                    work,
                     arrival_cycle: 0,
                 }
             })
@@ -230,8 +227,7 @@ mod tests {
                 assert_eq!(job.id, i as u64);
                 assert!((job.tenant as usize) < mix.tenants());
                 assert!(!job.dag.is_empty(), "{}", job.workload);
-                assert_eq!(job.work, job.dag.work());
-                assert!(job.work > 0);
+                assert!(job.dag.work() > 0);
                 // Each job's spec string re-parses to the identical spec …
                 let reparsed: WorkloadSpec = job.workload.to_string().parse().unwrap();
                 assert_eq!(reparsed, job.workload);
@@ -255,8 +251,8 @@ mod tests {
     #[test]
     fn sizes_are_heterogeneous() {
         let jobs = JobMix::class_b().generate(24, 3);
-        let works: std::collections::HashSet<u64> = jobs.iter().map(|j| j.work).collect();
-        assert!(works.len() > 4, "job sizes should vary for SJF to matter");
+        let works: std::collections::HashSet<u64> = jobs.iter().map(|j| j.dag.work()).collect();
+        assert!(works.len() > 4, "job sizes should vary");
     }
 
     #[test]

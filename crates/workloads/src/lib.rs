@@ -86,8 +86,7 @@ impl std::fmt::Display for WorkloadClass {
 impl std::str::FromStr for WorkloadClass {
     type Err = String;
 
-    /// Parse a class back from its [`Display`](std::fmt::Display) name (used by
-    /// the job-stream record serialization).
+    /// Parse a class back from its [`Display`](std::fmt::Display) name.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "divide-and-conquer" => Ok(WorkloadClass::DivideAndConquer),

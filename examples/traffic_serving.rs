@@ -3,9 +3,9 @@
 //! The single-job experiments ask "which scheduler finishes one program
 //! faster"; a serving system asks "which scheduler keeps p99 latency low while
 //! traffic keeps arriving".  This example drives the same seeded stream of
-//! mixed-class jobs through PDF and WS twice — once open loop (Poisson
-//! arrivals that don't wait for the system) and once closed loop (a fixed
-//! client population) — and prints the dashboard numbers.
+//! mixed-class jobs through PDF and WS under open-loop Poisson arrivals
+//! (arrivals that don't wait for the system) and prints the dashboard
+//! numbers.
 //!
 //! Run with: `cargo run --release --example traffic_serving`
 
@@ -29,7 +29,7 @@ fn main() {
     println!("mix = {} ({} tenants)\n", mix.name, mix.tenants());
 
     println!("open loop, Poisson @ 80 jobs/Mcycle, FIFO admission, 8 cores:");
-    let open = StreamExperiment::new(mix.clone())
+    let open = StreamExperiment::new(mix)
         .jobs(24)
         .cores(8)
         .arrivals(ArrivalSpec::poisson(80.0))
@@ -41,17 +41,5 @@ fn main() {
     }
     if let Some(ratio) = open.ws_over_pdf_p95() {
         println!("  ws p95 / pdf p95 = {ratio:.3}\n");
-    }
-
-    println!("closed loop, 3 clients, 2k-cycle think time, SJF admission:");
-    let closed = StreamExperiment::new(mix)
-        .jobs(24)
-        .cores(8)
-        .arrivals(ArrivalSpec::closed(3, 2_000))
-        .admission(AdmissionPolicy::ShortestJobFirst)
-        .run()
-        .expect("8-core default configuration exists");
-    for spec in SchedulerSpec::paper_pair() {
-        print_summary("sim", &spec, &closed.summary(&spec).expect("scheduler ran"));
     }
 }

@@ -22,8 +22,8 @@
 //! * [`metrics`] — L2 misses per 1000 instructions, speedups, latency quantiles,
 //!   traffic, reporting.
 //! * [`stream`] — the multiprogrammed job-stream subsystem: the open
-//!   `ArrivalSpec` axis (Poisson/uniform/Pareto/burst/diurnal open loops and
-//!   closed loops), admission policies, and latency-SLO metrics under load.
+//!   `ArrivalSpec` axis (Poisson/uniform/Pareto/burst/diurnal open loops),
+//!   FIFO admission to bounded slots, and latency metrics under load.
 //! * [`serve`] — the multi-tenant serving tier on top of the stream subsystem:
 //!   weighted tenants with p99 sojourn SLOs, admission control with load
 //!   shedding, core autoscaling, and constant-memory streaming statistics for

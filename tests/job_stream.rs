@@ -2,10 +2,10 @@
 //! umbrella crate's public API.
 
 use pdfws::prelude::*;
-use pdfws::stream::{records_from_jsonl, run_stream_sim, StreamConfig};
+use pdfws::stream::{run_stream_sim, StreamConfig};
 
 #[test]
-fn same_seed_reproduces_admission_order_and_sojourn_times() {
+fn same_seed_reproduces_admit_cycles_and_sojourn_times() {
     let mix = JobMix::mixed();
     for spec in SchedulerSpec::paper_pair() {
         let mut cfg = StreamConfig::new(4, spec.clone());
@@ -14,7 +14,10 @@ fn same_seed_reproduces_admission_order_and_sojourn_times() {
         cfg.arrival_seed = 21;
         let a = run_stream_sim(&mix, 10, &cfg).unwrap();
         let b = run_stream_sim(&mix, 10, &cfg).unwrap();
-        assert_eq!(a.admission_order, b.admission_order, "{spec}");
+        let admits = |o: &StreamOutcome| -> Vec<(u64, u64)> {
+            o.records.iter().map(|r| (r.id, r.admit_cycle)).collect()
+        };
+        assert_eq!(admits(&a), admits(&b), "{spec}");
         let sojourns_a: Vec<u64> = a.records.iter().map(|r| r.sojourn_cycles).collect();
         let sojourns_b: Vec<u64> = b.records.iter().map(|r| r.sojourn_cycles).collect();
         assert_eq!(sojourns_a, sojourns_b, "{spec}");
@@ -34,31 +37,13 @@ fn different_seeds_change_the_stream() {
 }
 
 #[test]
-fn closed_loop_concurrency_never_exceeds_the_population() {
-    let mix = JobMix::mixed();
-    for population in [1usize, 2, 3] {
-        let mut cfg = StreamConfig::new(4, SchedulerSpec::ws());
-        cfg.quantum_cycles = 8_000;
-        cfg.max_concurrent = 8; // slots must not be what bounds concurrency here
-        cfg.arrivals = ArrivalSpec::closed(population as u64, 300);
-        let outcome = run_stream_sim(&mix, 7, &cfg).unwrap();
-        assert_eq!(outcome.records.len(), 7);
-        assert!(
-            outcome.peak_concurrency <= population,
-            "population {population} but peak concurrency {}",
-            outcome.peak_concurrency
-        );
-    }
-}
-
-#[test]
 fn open_loop_respects_the_slot_limit() {
     let mix = JobMix::class_b();
     let mut cfg = StreamConfig::new(4, SchedulerSpec::pdf());
     cfg.quantum_cycles = 8_000;
     cfg.max_concurrent = 2;
-    // A client per job with no think time: everything arrives at once.
-    cfg.arrivals = ArrivalSpec::closed(9, 0);
+    // One arrival per cycle: a backlog builds at once.
+    cfg.arrivals = ArrivalSpec::uniform(1);
     let outcome = run_stream_sim(&mix, 9, &cfg).unwrap();
     assert_eq!(outcome.records.len(), 9);
     assert!(outcome.peak_concurrency <= 2);
@@ -87,33 +72,10 @@ fn stream_experiment_compares_the_paper_pair() {
 }
 
 #[test]
-fn admission_policies_change_the_order_not_the_job_set() {
-    let mix = JobMix::mixed();
-    let mut outcomes = Vec::new();
-    for policy in [
-        AdmissionPolicy::Fifo,
-        AdmissionPolicy::ShortestJobFirst,
-        AdmissionPolicy::FairShare,
-    ] {
-        let mut cfg = StreamConfig::new(4, SchedulerSpec::pdf());
-        cfg.quantum_cycles = 8_000;
-        cfg.max_concurrent = 1;
-        cfg.admission = policy;
-        cfg.arrivals = ArrivalSpec::closed(8, 0);
-        let outcome = run_stream_sim(&mix, 8, &cfg).unwrap();
-        let mut ids: Vec<u64> = outcome.records.iter().map(|r| r.id).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, (0..8).collect::<Vec<_>>(), "{policy}");
-        outcomes.push(outcome.admission_order);
-    }
-    assert_ne!(outcomes[0], outcomes[1], "SJF should reorder a backlog");
-}
-
-#[test]
 fn parameterized_specs_drive_the_stream_and_round_trip_through_jsonl() {
     // A parameterized spec must thread through the whole stream path: config ->
-    // per-job engines -> records -> JSONL -> parsed records, arriving back as
-    // an *identical* spec (not a lossy short name).
+    // per-job engines -> records -> JSONL, arriving as an *identical* spec
+    // (not a lossy short name).
     let spec: SchedulerSpec = "ws:victim=random,seed=7".parse().unwrap();
     let mix = JobMix::class_b();
     let mut cfg = StreamConfig::new(4, spec.clone());
@@ -129,19 +91,15 @@ fn parameterized_specs_drive_the_stream_and_round_trip_through_jsonl() {
         jsonl.contains("\"scheduler\":\"ws:seed=7,victim=random\""),
         "records must carry the canonical spec string: {jsonl}"
     );
-    let parsed = records_from_jsonl(&jsonl).expect("records parse back");
-    assert_eq!(parsed, outcome.records);
-    assert_eq!(
-        parsed[0].scheduler, spec,
-        "spec must round-trip identically"
-    );
+    let written: SchedulerSpec = "ws:seed=7,victim=random".parse().unwrap();
+    assert_eq!(written, spec, "spec must round-trip identically");
 }
 
 #[test]
 fn tenant_and_slo_class_thread_through_records_and_jsonl() {
     // Every sampled job carries its tenant (mix-entry index) and that
-    // tenant's SLO class, and both survive the JSONL round trip — the
-    // serving tier's per-tenant attribution rides on these fields.
+    // tenant's SLO class, and both are written to JSONL — the serving tier's
+    // per-tenant attribution rides on these fields.
     let mix = JobMix::class_a().with_slo_classes(&["latency", "latency", "batch"]);
     let mut cfg = StreamConfig::new(4, SchedulerSpec::pdf());
     cfg.quantum_cycles = 8_000;
@@ -159,8 +117,6 @@ fn tenant_and_slo_class_thread_through_records_and_jsonl() {
     let jsonl = outcome.to_jsonl();
     assert!(jsonl.contains("\"tenant\":"), "records must name a tenant");
     assert!(jsonl.contains("\"slo_class\":\"latency\""));
-    let parsed = records_from_jsonl(&jsonl).expect("records parse back");
-    assert_eq!(parsed, outcome.records);
 }
 
 #[test]

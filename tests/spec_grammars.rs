@@ -108,13 +108,9 @@ fn parse_and_build(input: &str, cores: usize, seed: u64) {
         assert_eq!(r.tasks, dag.len(), "{input}");
     }
     if let Some(spec) = typed(input.parse::<ArrivalSpec>()) {
-        match spec.generator(seed) {
-            Some(mut arrivals) => {
-                let times: Vec<u64> = (0..8).map(|_| arrivals.next_arrival()).collect();
-                assert!(times.windows(2).all(|w| w[0] <= w[1]), "{input}: {times:?}");
-            }
-            None => assert!(spec.closed_loop().is_some(), "{input}"),
-        }
+        let mut arrivals = spec.generator(seed);
+        let times: Vec<u64> = (0..8).map(|_| arrivals.next_arrival()).collect();
+        assert!(times.windows(2).all(|w| w[0] <= w[1]), "{input}: {times:?}");
     }
     // DAG size has no bound, so workload specs are only parsed.
     let _ = typed(input.parse::<WorkloadSpec>());
