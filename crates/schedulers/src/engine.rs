@@ -12,8 +12,9 @@
 //! core also owns dispatch (priced steals, backoff wakes), the co-runner's
 //! bursts and the policy's feedback windows.  It observes nothing itself:
 //! while a trace sink is installed it calls the hooks of a `Tracer`
-//! (`tracer.rs`) at task start and completion, idle cores, dispatch rounds
-//! and step ends, and the tracer decides what each emits.
+//! (`tracer.rs`) at task start and completion, idle cores, dispatch rounds,
+//! step ends and the last completion, and the tracer decides what each
+//! emits.
 //!
 //! The **memory layer** prices what the tasks touch, the same way for every
 //! policy: the reference pricer (`pricing.rs`) owns the cache hierarchy and
@@ -716,6 +717,12 @@ impl SimEngine {
             }
         }
         self.dispatch_idle_cores(end);
+        if let Some(tracer) = &mut self.tracer {
+            if self.completed == self.dag.len() {
+                let accesses = self.memory_accesses + self.disturbance_accesses;
+                tracer.finish(self.now, accesses, &self.pricer, &self.offchip);
+            }
+        }
     }
 
     /// Give every idle core a chance to pick up work at time `now`.  Cores

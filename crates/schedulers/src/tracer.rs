@@ -6,7 +6,8 @@
 //! tracer decides what those moments emit: it clamps per-core events to each
 //! core's trace clock, stamps the policy's buffered events with simulation
 //! time, elides unchanged ready depths and samples the cache, bus and DRAM
-//! counters once per [`TRACE_CACHE_WINDOW`].
+//! counters once per [`TRACE_CACHE_WINDOW`], plus once more for the run's
+//! last, partial window when the last task completes.
 
 use crate::policy::SchedulerPolicy;
 use crate::pricing::RefPricer;
@@ -125,12 +126,29 @@ impl Tracer {
         pricer: &RefPricer,
         offchip: &OffChip,
     ) {
-        let (l1, l2) = pricer.miss_totals();
-        let (base_acc, base_l1, base_l2) = self.cache_base;
-        self.cache_base = (accesses, l1, l2);
         while self.next_sample_at <= t {
             self.next_sample_at = self.next_sample_at.saturating_add(TRACE_CACHE_WINDOW);
         }
+        self.emit_window(t, accesses, pricer, offchip);
+    }
+
+    /// The last task completed at `t`: emit the partial window since the
+    /// last sample, so the window deltas sum to the run's totals.  A window
+    /// in which nothing was counted is not emitted.
+    pub(crate) fn finish(&mut self, t: u64, accesses: u64, pricer: &RefPricer, offchip: &OffChip) {
+        let (l1, l2) = pricer.miss_totals();
+        let busy = offchip.components().map_or(0, |mem| mem.bus_busy_cycles());
+        if (accesses, l1, l2) != self.cache_base || busy != self.bus_busy_base {
+            self.emit_window(t, accesses, pricer, offchip);
+        }
+    }
+
+    /// Emit the cache deltas since the previous window and the bus and DRAM
+    /// state at `t`.
+    fn emit_window(&mut self, t: u64, accesses: u64, pricer: &RefPricer, offchip: &OffChip) {
+        let (l1, l2) = pricer.miss_totals();
+        let (base_acc, base_l1, base_l2) = self.cache_base;
+        self.cache_base = (accesses, l1, l2);
         self.emit(TraceEvent::CacheWindow {
             t,
             accesses: accesses - base_acc,

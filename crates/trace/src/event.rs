@@ -98,7 +98,9 @@ pub enum TraceEvent {
         depth: u64,
     },
     /// Windowed cache counters: activity accumulated since the previous
-    /// window sample (deltas, not running totals).
+    /// window sample (deltas, not running totals).  The engine emits one
+    /// more, partial window when the last task completes, so a run's
+    /// windows sum to its totals.
     CacheWindow {
         /// Timestamp (end of the window).
         t: TraceTime,

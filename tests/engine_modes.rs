@@ -52,6 +52,10 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// Simulate one traced cell and append its result fields, the sums of its
 /// windowed trace counters and its event fingerprint under `== {header}`.
+///
+/// The window sums must add up to the run: their L1 and L2 misses equal the
+/// hierarchy's totals, and without a co-runner (whose bursts are counted as
+/// accesses too) their accesses equal the program's references.
 fn render_cell(
     out: &mut String,
     header: &str,
@@ -81,6 +85,16 @@ fn render_cell(
             TraceEvent::DramQueueDepth { depth, .. } => dram_depth += depth,
             _ => {}
         }
+    }
+    let hierarchy_l1: u64 = r.hierarchy.l1.iter().map(|c| c.misses()).sum();
+    assert_eq!(l1_misses, hierarchy_l1, "{header}: trace-sum L1 misses");
+    assert_eq!(
+        l2_misses,
+        r.hierarchy.l2.misses(),
+        "{header}: trace-sum L2 misses"
+    );
+    if options.disturbance.is_none() {
+        assert_eq!(accesses, r.memory_accesses, "{header}: trace-sum accesses");
     }
     writeln!(out, "== {header}").unwrap();
     writeln!(
