@@ -111,7 +111,7 @@ fn json_string(s: &str) -> String {
 pub struct StreamOutcome {
     /// Scheduler spec that served the stream.
     pub scheduler: SchedulerSpec,
-    /// Cores of the machine (simulated) or worker threads (real).
+    /// Cores of the simulated machine.
     pub cores: usize,
     /// Per-job records, in completion order.
     pub records: Vec<JobRecord>,

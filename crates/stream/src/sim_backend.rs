@@ -108,7 +108,7 @@ pub fn run_stream_sim(
     // Validate before sampling: a bad config must not cost a stream of DAG
     // builds first.
     validate_stream_cfg(cfg)?;
-    run_stream_sim_with_jobs(mix.generate(n_jobs, cfg.seed), cfg)
+    stream_sim_impl(mix.generate(n_jobs, cfg.seed), cfg, None)
 }
 
 /// Check the config invariants every stream entry point requires.  Public so
@@ -142,6 +142,7 @@ pub fn run_stream_sim_with_jobs(
     jobs: Vec<StreamJob>,
     cfg: &StreamConfig,
 ) -> Result<StreamOutcome, ModelError> {
+    validate_stream_cfg(cfg)?;
     stream_sim_impl(jobs, cfg, None)
 }
 
@@ -163,14 +164,14 @@ pub fn run_stream_sim_traced(
     stream_sim_impl(mix.generate(n_jobs, cfg.seed), cfg, Some(sink))
 }
 
-/// The supervisor loop shared by every entry point: it records each job's
-/// completion in the [`StreamOutcome`] it returns.
+/// The supervisor loop shared by every entry point, each of which has
+/// validated `cfg`: it records each job's completion in the
+/// [`StreamOutcome`] it returns.
 fn stream_sim_impl(
     mut jobs: Vec<StreamJob>,
     cfg: &StreamConfig,
     mut sink: Option<&mut dyn TraceSink>,
 ) -> Result<StreamOutcome, ModelError> {
-    validate_stream_cfg(cfg)?;
     let mut machine: CmpConfig = default_config(cfg.cores)?;
     if let Some(memsys) = cfg.memsys {
         machine.memsys = memsys;
