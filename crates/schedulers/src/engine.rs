@@ -1320,12 +1320,12 @@ mod tests {
         for i in 0..leaves {
             let base = i as u64 * (1 << 24);
             let first = b
-                .task(&format!("fill{i}"))
+                .task(format_args!("fill{i}"))
                 .instructions(500)
                 .access(AccessPattern::range_read(base, 64 * blocks_per_leaf))
                 .build();
             let second = b
-                .task(&format!("reuse{i}"))
+                .task(format_args!("reuse{i}"))
                 .instructions(500)
                 .access(AccessPattern::range_write(base, 64 * blocks_per_leaf))
                 .build();

@@ -88,7 +88,7 @@ mod tests {
         let mut b = DagBuilder::new();
         let root = b.task("root").build();
         let kids: Vec<_> = (0..children)
-            .map(|i| b.task(&format!("c{i}")).build())
+            .map(|i| b.task(format_args!("c{i}")).build())
             .collect();
         for &c in &kids {
             b.edge(root, c);

@@ -123,7 +123,9 @@ mod tests {
     fn tasks_go_to_their_home_core_only() {
         let mut b = DagBuilder::new();
         let root = b.task("root").build();
-        let kids: Vec<_> = (0..6).map(|i| b.task(&format!("c{i}")).build()).collect();
+        let kids: Vec<_> = (0..6)
+            .map(|i| b.task(format_args!("c{i}")).build())
+            .collect();
         for &c in &kids {
             b.edge(root, c);
         }
@@ -153,7 +155,9 @@ mod tests {
     fn cross_core_placements_are_counted_as_migrations() {
         let mut b = DagBuilder::new();
         let root = b.task("root").build();
-        let kids: Vec<_> = (0..6).map(|i| b.task(&format!("c{i}")).build()).collect();
+        let kids: Vec<_> = (0..6)
+            .map(|i| b.task(format_args!("c{i}")).build())
+            .collect();
         for &c in &kids {
             b.edge(root, c);
         }

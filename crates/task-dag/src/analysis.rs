@@ -106,7 +106,7 @@ mod tests {
         let mut b = DagBuilder::new();
         let mut prev = None;
         for i in 0..n {
-            let t = b.task(&format!("t{i}")).instructions(instr).build();
+            let t = b.task(format_args!("t{i}")).instructions(instr).build();
             if let Some(p) = prev {
                 b.edge(p, t);
             }

@@ -12,11 +12,16 @@ use crate::graph::{check_count, DagError, Rows, TaskDag, Tasks};
 use crate::memref::AccessPattern;
 use crate::node::TaskId;
 use std::collections::HashSet;
+use std::fmt;
 
 /// Incremental builder for a [`TaskDag`].
 ///
 /// Tasks are appended straight into the DAG's flat columns and arenas, and
-/// edges into one edge list; nothing is allocated per task or per edge.
+/// edges into one edge list; nothing is allocated per task or per edge.  A
+/// label is formatted into the label arena as the task starts, so a
+/// generator passes `format_args!(..)` rather than a formatted `String`, and
+/// a generator that knows its counts in closed form reserves every column
+/// once with [`DagBuilder::with_capacity`].
 /// Unknown ids and self-loops are caught as the edge is added, duplicate
 /// edges when [`DagBuilder::finish`] groups the list into successor and
 /// predecessor rows.
@@ -33,25 +38,19 @@ pub struct DagBuilder {
 
 impl Default for DagBuilder {
     fn default() -> Self {
-        DagBuilder {
-            tasks: Tasks::new(),
-            edges: Vec::new(),
-            first_rejected: None,
-            too_large: None,
-        }
+        Self::with_capacity(0, 0, 0)
     }
 }
 
 /// Builder for one task; created by [`DagBuilder::task`].
 ///
-/// Its access patterns go straight into the DAG's pattern arena; the task
-/// exists once [`TaskBuilder::build`] is called (a builder dropped without
-/// it adds nothing).
+/// Its label and access patterns go straight into the DAG's arenas; the
+/// task exists once [`TaskBuilder::build`] is called (a builder dropped
+/// without it adds nothing: the next task, or `finish`, discards its bytes).
 #[derive(Debug)]
 #[must_use = "a task is only added by `build()`"]
 pub struct TaskBuilder<'a> {
     dag: &'a mut DagBuilder,
-    label: &'a str,
     compute_instructions: u64,
 }
 
@@ -61,13 +60,25 @@ impl DagBuilder {
         Self::default()
     }
 
-    /// Start defining a task with the given label.
-    pub fn task<'a>(&'a mut self, label: &'a str) -> TaskBuilder<'a> {
-        // Patterns left by a task builder dropped without `build()`.
-        self.tasks.accesses.discard_open_row();
+    /// An empty builder whose columns hold `tasks` tasks, `edges` edges and
+    /// `patterns` access patterns without growing.  Reserve exact counts: the
+    /// finished DAG trims any slack, which copies the column.
+    pub fn with_capacity(tasks: usize, edges: usize, patterns: usize) -> Self {
+        DagBuilder {
+            tasks: Tasks::with_capacity(tasks, patterns),
+            edges: Vec::with_capacity(edges),
+            first_rejected: None,
+            too_large: None,
+        }
+    }
+
+    /// Start defining a task, writing its label into the label arena.
+    pub fn task(&mut self, label: impl fmt::Display) -> TaskBuilder<'_> {
+        // Bytes left by a task builder dropped without `build()`.
+        self.tasks.discard_open();
+        self.tasks.push_label(label);
         TaskBuilder {
             dag: self,
-            label,
             compute_instructions: 0,
         }
     }
@@ -75,7 +86,7 @@ impl DagBuilder {
     /// Add a task directly from its parts and return its id.
     pub fn add_task(
         &mut self,
-        label: &str,
+        label: impl fmt::Display,
         compute_instructions: u64,
         accesses: impl IntoIterator<Item = AccessPattern>,
     ) -> TaskId {
@@ -127,7 +138,8 @@ impl DagBuilder {
     /// Errors, first match wins: a count past [`crate::graph::MAX_COUNT`],
     /// the earliest bad edge in call order (unknown id, self-loop or
     /// duplicate), no tasks, not exactly one root, a cycle.
-    pub fn finish(self) -> Result<TaskDag, DagError> {
+    pub fn finish(mut self) -> Result<TaskDag, DagError> {
+        self.tasks.discard_open();
         if let Some(err) = self.too_large {
             return Err(err);
         }
@@ -187,10 +199,16 @@ fn first_duplicate(edges: &[(TaskId, TaskId)]) -> (usize, DagError) {
 }
 
 impl TaskDag {
-    /// Number of nodes reachable by Kahn's algorithm (equals `len()` iff acyclic).
+    /// Number of nodes Kahn's algorithm reaches from the root (equals
+    /// `len()` iff acyclic, given that the root is the only entry task).
     fn topological_order_len(&self) -> usize {
-        let mut indeg = self.in_degrees();
-        let mut ready: Vec<TaskId> = self.task_ids().filter(|t| indeg[t.index()] == 0).collect();
+        let mut indeg: Vec<u32> = self
+            .predecessors
+            .offsets
+            .windows(2)
+            .map(|w| w[1] - w[0])
+            .collect();
+        let mut ready = vec![self.root];
         let mut visited = 0;
         while let Some(t) = ready.pop() {
             visited += 1;
@@ -229,7 +247,7 @@ impl TaskBuilder<'_> {
     /// Finish the task and return its id.
     pub fn build(self) -> TaskId {
         let dag = self.dag;
-        let id = dag.tasks.commit(self.label, self.compute_instructions);
+        let id = dag.tasks.commit(self.compute_instructions);
         if let Err(err) = dag.tasks.check() {
             dag.too_large.get_or_insert(err);
         }
@@ -361,6 +379,32 @@ mod tests {
         assert_eq!(c, TaskId(1));
         assert_eq!(b.len(), 2);
         assert!(!b.is_empty());
+    }
+
+    #[test]
+    fn labels_are_formatted_in_place_and_dropped_tasks_leave_nothing() {
+        let build = |drop_some: bool| {
+            let mut b = DagBuilder::with_capacity(2, 1, 1);
+            let root = b.task(format_args!("t{}", 0)).build();
+            if drop_some {
+                let _ = b.task("dropped").access(AccessPattern::range_read(0, 64));
+            }
+            let leaf = b
+                .task(format_args!("t{}[{}..{}]", 1, 2, 3))
+                .access(AccessPattern::range_write(64, 64))
+                .build();
+            if drop_some {
+                let _ = b.task(format_args!("open at finish"));
+            }
+            b.edge(root, leaf);
+            b.finish().unwrap()
+        };
+        let dag = build(true);
+        assert_eq!(dag, build(false));
+        let labels: Vec<&str> = dag.nodes().map(|n| n.label).collect();
+        assert_eq!(labels, vec!["t0", "t1[2..3]"]);
+        assert_eq!(dag.tasks.labels, "t0t1[2..3]");
+        assert_eq!(dag.node(TaskId(1)).accesses.len(), 1);
     }
 
     #[test]

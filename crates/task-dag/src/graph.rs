@@ -4,7 +4,7 @@
 use crate::memref::AccessPattern;
 use crate::node::{Accesses, TaskId, TaskNode};
 use serde::{Deserialize, Serialize};
-use std::fmt;
+use std::fmt::{self, Write};
 use std::mem::size_of;
 
 /// Errors detected while building or validating a DAG.
@@ -91,10 +91,13 @@ pub(crate) struct Rows<T> {
 }
 
 impl<T> Rows<T> {
-    pub(crate) fn new() -> Self {
+    /// No rows, with room for `rows` rows of `items` items in all.
+    pub(crate) fn with_capacity(rows: usize, items: usize) -> Self {
+        let mut offsets = Vec::with_capacity(rows + 1);
+        offsets.push(0);
         Rows {
-            offsets: vec![0],
-            items: Vec::new(),
+            offsets,
+            items: Vec::with_capacity(items),
         }
     }
 
@@ -140,20 +143,22 @@ impl Rows<TaskId> {
         edges: &[(TaskId, TaskId)],
         key: impl Fn(&(TaskId, TaskId)) -> (TaskId, TaskId),
     ) -> Self {
+        // Counts, summed into where each row ends; filling every row from its
+        // end, walking the edges backwards, leaves `offsets[r]` where row `r`
+        // starts.
         let mut offsets = vec![0u32; rows + 1];
         for edge in edges {
-            offsets[key(edge).0.index() + 1] += 1;
+            offsets[key(edge).0.index()] += 1;
         }
-        for i in 0..rows {
-            offsets[i + 1] += offsets[i];
+        for i in 1..offsets.len() {
+            offsets[i] += offsets[i - 1];
         }
-        let mut next = offsets[..rows].to_vec();
         let mut items = vec![TaskId(0); edges.len()];
-        for edge in edges {
+        for edge in edges.iter().rev() {
             let (row, item) = key(edge);
-            let slot = &mut next[row.index()];
+            let slot = &mut offsets[row.index()];
+            *slot -= 1;
             items[*slot as usize] = item;
-            *slot += 1;
         }
         Rows { offsets, items }
     }
@@ -182,11 +187,14 @@ pub(crate) struct Tasks {
 }
 
 impl Tasks {
-    pub(crate) fn new() -> Self {
+    /// No tasks, with room for `tasks` tasks and `patterns` patterns.
+    pub(crate) fn with_capacity(tasks: usize, patterns: usize) -> Self {
+        let mut label_offsets = Vec::with_capacity(tasks + 1);
+        label_offsets.push(0);
         Tasks {
-            compute: Vec::new(),
-            accesses: Rows::new(),
-            label_offsets: vec![0],
+            compute: Vec::with_capacity(tasks),
+            accesses: Rows::with_capacity(tasks, patterns),
+            label_offsets,
             labels: String::new(),
         }
     }
@@ -200,13 +208,24 @@ impl Tasks {
         self.accesses.items.push(pattern);
     }
 
-    /// Close the open task: the patterns pushed since the last commit are
-    /// its trace.
-    pub(crate) fn commit(&mut self, label: &str, compute_instructions: u64) -> TaskId {
+    /// Format the open task's label onto the end of the label arena.
+    pub(crate) fn push_label(&mut self, label: impl fmt::Display) {
+        write!(self.labels, "{label}").expect("a String never fails to grow");
+    }
+
+    /// Drop the open task's label bytes and patterns.
+    pub(crate) fn discard_open(&mut self) {
+        let end = *self.label_offsets.last().expect("offsets start with 0");
+        self.labels.truncate(end as usize);
+        self.accesses.discard_open_row();
+    }
+
+    /// Close the open task: the label bytes and patterns pushed since the
+    /// last commit are its label and trace.
+    pub(crate) fn commit(&mut self, compute_instructions: u64) -> TaskId {
         let id = TaskId(self.compute.len() as u32);
         self.compute.push(compute_instructions);
         self.accesses.close_row();
-        self.labels.push_str(label);
         self.label_offsets.push(self.labels.len() as u32);
         id
     }

@@ -21,7 +21,11 @@
 //! ([`TaskNode`]) of borrows into those arrays, whose `label` is a `&str` and
 //! whose `accesses` ([`Accesses`]) derefs to `[AccessPattern]`.
 //! [`DagBuilder`] appends straight into the same arrays and one edge list,
-//! with no allocation per task or per edge.
+//! with no allocation per task or per edge: a label is any `Display` value
+//! (`format_args!("sort[{start}..{end}]")`), formatted into the label arena,
+//! and patterns go in one at a time through [`TaskBuilder::access`].  A
+//! generator that knows its counts reserves every column once with
+//! [`DagBuilder::with_capacity`].
 //!
 //! The `u32` ids and offsets cap a DAG at [`MAX_COUNT`] (2³² − 1) tasks,
 //! edges, access patterns and label bytes; [`DagBuilder::finish`] returns
@@ -67,7 +71,7 @@ pub mod graph;
 pub mod memref;
 pub mod node;
 
-pub use builder::DagBuilder;
+pub use builder::{DagBuilder, TaskBuilder};
 pub use graph::{DagError, TaskDag, MAX_COUNT};
 pub use memref::{AccessPattern, MemAccess};
 pub use node::{Accesses, TaskId, TaskNode};

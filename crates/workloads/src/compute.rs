@@ -80,7 +80,7 @@ impl Workload for ComputeKernel {
             let first = t * self.grain;
             let count = self.grain.min(self.items - first);
             let task = b
-                .task(&format!("compute[{first}..{}]", first + count))
+                .task(format_args!("compute[{first}..{}]", first + count))
                 .instructions(count * self.instr_per_item)
                 .access(AccessPattern::range_read(
                     input.element(first, ELEM_BYTES),

@@ -105,7 +105,7 @@ impl Workload for HashJoin {
             let count = self.tuples_per_task.min(self.build_tuples - first);
             let inserts: Vec<u64> = (0..count).map(|_| bucket_addr(&mut rng)).collect();
             let task = b
-                .task(&format!("build[{first}..{}]", first + count))
+                .task(format_args!("build[{first}..{}]", first + count))
                 .instructions(count * self.instr_per_tuple)
                 .access(AccessPattern::range_read(
                     build_rel.base + first * TUPLE_BYTES,
@@ -124,7 +124,7 @@ impl Workload for HashJoin {
             let count = self.tuples_per_task.min(self.probe_tuples - first);
             let probes: Vec<u64> = (0..count).map(|_| bucket_addr(&mut rng)).collect();
             let task = b
-                .task(&format!("probe[{first}..{}]", first + count))
+                .task(format_args!("probe[{first}..{}]", first + count))
                 .instructions(count * self.instr_per_tuple)
                 .access(AccessPattern::range_read(
                     probe_rel.base + first * TUPLE_BYTES,

@@ -52,8 +52,20 @@ pub use spec::{SpecSynth, WorkloadSpec, WorkloadSpecError};
 pub use spmv::SpMv;
 pub use synthetic::SyntheticTree;
 
-use pdfws_task_dag::TaskDag;
+use pdfws_task_dag::{DagBuilder, TaskDag, MAX_COUNT};
 use serde::{Deserialize, Serialize};
+
+/// A builder whose columns hold a DAG of exactly these counts, computed in
+/// closed form by the generator, or an unreserved one when a count is past
+/// what a DAG can hold (the build then ends in `TooLarge`).
+pub(crate) fn reserved_builder(tasks: u64, edges: u64, patterns: u64) -> DagBuilder {
+    let fits = |n: u64| n <= MAX_COUNT as u64;
+    if fits(tasks) && fits(edges) && fits(patterns) {
+        DagBuilder::with_capacity(tasks as usize, edges as usize, patterns as usize)
+    } else {
+        DagBuilder::new()
+    }
+}
 
 /// The application classes the paper's findings are organised by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]

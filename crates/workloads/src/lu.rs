@@ -13,6 +13,7 @@ use crate::spec::{SpecSynth, WorkloadSpec};
 use crate::{Workload, WorkloadClass};
 use pdfws_task_dag::builder::DagBuilder;
 use pdfws_task_dag::{AccessPattern, TaskDag, TaskId};
+use std::fmt;
 
 /// Matrix element size in bytes.
 pub const ELEM_BYTES: u64 = 8;
@@ -64,13 +65,13 @@ impl LuDecomposition {
     fn block_task(
         &self,
         b: &mut DagBuilder,
-        label: String,
+        label: fmt::Arguments<'_>,
         reads: &[Region],
         write: Region,
         passes: u32,
     ) -> TaskId {
         let mut builder = b
-            .task(&label)
+            .task(label)
             .instructions(self.block * self.block * self.instr_per_elem * passes as u64);
         for r in reads {
             builder = builder.access(AccessPattern::RepeatedRange {
@@ -126,7 +127,7 @@ impl Workload for LuDecomposition {
             let diag_region = self.block_region(&m, k, k);
             let diag = self.block_task(
                 &mut b,
-                format!("lu-diag[{k}]"),
+                format_args!("lu-diag[{k}]"),
                 &[diag_region],
                 diag_region,
                 2,
@@ -139,7 +140,7 @@ impl Workload for LuDecomposition {
                 let row_region = self.block_region(&m, k, x);
                 let row = self.block_task(
                     &mut b,
-                    format!("lu-row[{k},{x}]"),
+                    format_args!("lu-row[{k},{x}]"),
                     &[diag_region, row_region],
                     row_region,
                     1,
@@ -151,7 +152,7 @@ impl Workload for LuDecomposition {
                 let col_region = self.block_region(&m, x, k);
                 let col = self.block_task(
                     &mut b,
-                    format!("lu-col[{x},{k}]"),
+                    format_args!("lu-col[{x},{k}]"),
                     &[diag_region, col_region],
                     col_region,
                     1,
@@ -169,7 +170,7 @@ impl Workload for LuDecomposition {
                     let a_ij = self.block_region(&m, i, j);
                     let update = self.block_task(
                         &mut b,
-                        format!("lu-update[{k}][{i},{j}]"),
+                        format_args!("lu-update[{k}][{i},{j}]"),
                         &[a_ik, a_kj, a_ij],
                         a_ij,
                         1,

@@ -82,38 +82,33 @@ impl MatMul {
     /// and charge the row length via `passes` on a repeated range of the first row
     /// — the footprint and reference counts stay realistic while the pattern stays
     /// compact).
-    fn block_read(
-        &self,
-        m: &Region,
+    fn block_read<'a>(
+        &'a self,
+        m: &'a Region,
         r0: u64,
         c0: u64,
         rows: u64,
         cols: u64,
         passes: u32,
-    ) -> Vec<AccessPattern> {
-        let mut patterns = Vec::with_capacity(rows as usize);
-        for r in 0..rows {
-            patterns.push(AccessPattern::RepeatedRange {
-                base: self.elem(m, r0 + r, c0),
-                len: cols * ELEM_BYTES,
-                passes,
-                write: false,
-            });
-        }
-        patterns
+    ) -> impl Iterator<Item = AccessPattern> + 'a {
+        (0..rows).map(move |r| AccessPattern::RepeatedRange {
+            base: self.elem(m, r0 + r, c0),
+            len: cols * ELEM_BYTES,
+            passes,
+            write: false,
+        })
     }
 
-    fn block_write(
-        &self,
-        m: &Region,
+    fn block_write<'a>(
+        &'a self,
+        m: &'a Region,
         r0: u64,
         c0: u64,
         rows: u64,
         cols: u64,
-    ) -> Vec<AccessPattern> {
+    ) -> impl Iterator<Item = AccessPattern> + 'a {
         (0..rows)
-            .map(|r| AccessPattern::range_write(self.elem(m, r0 + r, c0), cols * ELEM_BYTES))
-            .collect()
+            .map(move |r| AccessPattern::range_write(self.elem(m, r0 + r, c0), cols * ELEM_BYTES))
     }
 
     /// Recursive quadrant decomposition of the output region C[r0..r0+size, c0..c0+size].
@@ -136,30 +131,29 @@ impl MatMul {
             // band (all n rows, cols c0..c0+size), each reused `size` times in the
             // real loop nest; model one pass over A rows and one strided pass over
             // B per output row block, with reuse expressed as `passes = 2`.
-            let mut accesses = self.block_read(a_m, r0, 0, size, self.n, 2);
-            // B column band: strided by row length.
-            accesses.push(AccessPattern::Strided {
-                base: self.elem(b_m, 0, c0),
-                count: self.n * size.div_ceil(8).max(1),
-                stride: self.n * ELEM_BYTES,
-                write: false,
-            });
-            accesses.extend(self.block_write(c_m, r0, c0, size, size));
             let instr = size * size * self.n * self.instr_per_madd / 8;
             let leaf = b
-                .task(&format!("mm-leaf[{r0},{c0}]x{size}"))
+                .task(format_args!("mm-leaf[{r0},{c0}]x{size}"))
                 .instructions(instr)
-                .accesses(accesses)
+                .accesses(self.block_read(a_m, r0, 0, size, self.n, 2))
+                // B column band: strided by row length.
+                .access(AccessPattern::Strided {
+                    base: self.elem(b_m, 0, c0),
+                    count: self.n * size.div_ceil(8).max(1),
+                    stride: self.n * ELEM_BYTES,
+                    write: false,
+                })
+                .accesses(self.block_write(c_m, r0, c0, size, size))
                 .build();
             return (leaf, leaf);
         }
 
         let fork = b
-            .task(&format!("mm-fork[{r0},{c0}]x{size}"))
+            .task(format_args!("mm-fork[{r0},{c0}]x{size}"))
             .instructions(30)
             .build();
         let join = b
-            .task(&format!("mm-join[{r0},{c0}]x{size}"))
+            .task(format_args!("mm-join[{r0},{c0}]x{size}"))
             .instructions(20)
             .build();
         let half = size / 2;
@@ -190,23 +184,20 @@ impl MatMul {
             } else {
                 rows_per_chunk
             };
-            let mut accesses = vec![
+            let instr = rows * self.n * self.n * self.instr_per_madd / 8;
+            let t = builder
+                .task(format_args!("mm-coarse-band[{c}]"))
+                .instructions(instr)
                 // The whole band of A, read once per column block of B (reuse).
-                AccessPattern::RepeatedRange {
+                .access(AccessPattern::RepeatedRange {
                     base: self.elem(&a_m, r0, 0),
                     len: rows * self.n * ELEM_BYTES,
                     passes: 2,
                     write: false,
-                },
+                })
                 // All of B.
-                AccessPattern::range_read(b_m.base, b_m.len),
-            ];
-            accesses.extend(self.block_write(&c_m, r0, 0, rows, self.n));
-            let instr = rows * self.n * self.n * self.instr_per_madd / 8;
-            let t = builder
-                .task(&format!("mm-coarse-band[{c}]"))
-                .instructions(instr)
-                .accesses(accesses)
+                .access(AccessPattern::range_read(b_m.base, b_m.len))
+                .accesses(self.block_write(&c_m, r0, 0, rows, self.n))
                 .build();
             builder.edge(fork, t);
             builder.edge(t, join);

@@ -20,7 +20,7 @@
 
 use crate::layout::{AddressSpace, Region};
 use crate::spec::{SpecSynth, WorkloadSpec};
-use crate::{Workload, WorkloadClass};
+use crate::{reserved_builder, Workload, WorkloadClass};
 use pdfws_task_dag::builder::DagBuilder;
 use pdfws_task_dag::{AccessPattern, TaskDag, TaskId};
 
@@ -102,7 +102,7 @@ impl MergeSort {
             // Base case: read and write the range in buffer A (in-place sort).
             let region = buf_a.slice(start, len, KEY_BYTES);
             let leaf = b
-                .task(&format!("sort[{start}..{}]", start + len))
+                .task(format_args!("sort[{start}..{}]", start + len))
                 .instructions(len * self.leaf_instr_per_key)
                 .access(AccessPattern::range_read(region.base, region.len))
                 .access(AccessPattern::range_write(region.base, region.len))
@@ -112,7 +112,7 @@ impl MergeSort {
 
         let half = len / 2;
         let fork = b
-            .task(&format!("fork[{start}..{}]", start + len))
+            .task(format_args!("fork[{start}..{}]", start + len))
             .instructions(30)
             .build();
         let (le, lx, ld) = self.build_range(b, buf_a, buf_b, start, half);
@@ -128,7 +128,7 @@ impl MergeSort {
         let dst = if depth % 2 == 0 { buf_b } else { buf_a };
         let out_region = dst.slice(start, len, KEY_BYTES);
         let merge = b
-            .task(&format!("merge[{start}..{}]", start + len))
+            .task(format_args!("merge[{start}..{}]", start + len))
             .instructions(len * self.merge_instr_per_key)
             .access(AccessPattern::range_read(left_region.base, left_region.len))
             .access(AccessPattern::range_read(
@@ -167,7 +167,7 @@ impl MergeSort {
             }
             let region = buf_a.slice(start, len, KEY_BYTES);
             let t = b
-                .task(&format!("coarse-sort[{c}]"))
+                .task(format_args!("coarse-sort[{c}]"))
                 .instructions(len * self.leaf_instr_per_key)
                 .access(AccessPattern::RepeatedRange {
                     base: region.base,
@@ -197,15 +197,20 @@ impl MergeSort {
 
     /// Tasks [`Workload::build_dag`] creates, in closed form (saturating).
     ///
-    /// Fine-grained: halving `n` keys until a range fits `grain` leaves
-    /// ranges of only two lengths per depth, `k` and `k + 1`, so counting
-    /// how many of each takes one step per depth; `L` leaves come with
+    /// Fine-grained: `L` leaves (see [`MergeSort::leaves`]) come with
     /// `L - 1` forks and as many merges.  Coarse: the fork, at most one task
     /// per chunk, and the final merge.
     pub fn task_count(&self) -> u64 {
         if let Some(chunks) = self.coarse_chunks {
             return chunks.saturating_add(2);
         }
+        u64::try_from(3 * self.leaves() - 2).unwrap_or(u64::MAX)
+    }
+
+    /// Leaf tasks of the fine-grained recursion.  Halving `n` keys until a
+    /// range fits `grain` leaves ranges of only two lengths per depth, `k`
+    /// and `k + 1`, so counting how many of each takes one step per depth.
+    fn leaves(&self) -> u128 {
         // `short` ranges of `k` keys and `long` ranges of `k + 1` keys.
         let (mut k, mut short, mut long) = (self.n_keys, 1u128, 0u128);
         let mut leaves = 0u128;
@@ -227,7 +232,20 @@ impl MergeSort {
             };
             k /= 2;
         }
-        u64::try_from(3 * leaves - 2).unwrap_or(u64::MAX)
+        leaves
+    }
+
+    /// Tasks, edges and access patterns of the fine-grained DAG (saturating):
+    /// each of the `L - 1` internal nodes adds a fork with two out-edges and a
+    /// merge with two in-edges and three patterns; each leaf has two patterns.
+    fn dag_counts(&self) -> (u64, u64, u64) {
+        let leaves = self.leaves();
+        let count = |n: u128| u64::try_from(n).unwrap_or(u64::MAX);
+        (
+            count(3 * leaves - 2),
+            count(4 * (leaves - 1)),
+            count(5 * leaves - 3),
+        )
     }
 }
 
@@ -250,11 +268,13 @@ impl Workload for MergeSort {
 
     fn build_dag(&self) -> TaskDag {
         assert!(self.n_keys >= 2, "need at least two keys to sort");
+        assert!(self.grain_keys >= 1, "grain must be at least one key");
         if let Some(chunks) = self.coarse_chunks {
             return self.build_coarse(chunks);
         }
         let (buf_a, buf_b) = self.layout();
-        let mut b = DagBuilder::new();
+        let (tasks, edges, patterns) = self.dag_counts();
+        let mut b = reserved_builder(tasks, edges, patterns);
         let _ = self.build_range(&mut b, &buf_a, &buf_b, 0, self.n_keys);
         b.finish().expect("merge sort DAG is valid by construction")
     }
@@ -300,6 +320,21 @@ mod tests {
         assert_eq!(forks, 7);
         assert_eq!(dag.len(), 22);
         assert!(dag.is_valid_schedule_order(&dag.one_df_order()));
+    }
+
+    #[test]
+    fn closed_form_counts_match_the_built_dag() {
+        for ms in [
+            MergeSort::small(),
+            MergeSort::new(1000).with_grain(7),
+            MergeSort::new(16).with_grain(1),
+            MergeSort::new(5).with_grain(8),
+        ] {
+            let dag = ms.build_dag();
+            let patterns: usize = dag.nodes().map(|n| n.accesses.len()).sum();
+            let built = (dag.len() as u64, dag.edge_count() as u64, patterns as u64);
+            assert_eq!(ms.dag_counts(), built, "{ms:?}");
+        }
     }
 
     #[test]

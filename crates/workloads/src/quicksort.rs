@@ -66,7 +66,7 @@ impl QuickSort {
         let region = data.slice(start, len, ELEM_BYTES);
         if len <= self.grain_keys {
             let leaf = b
-                .task(&format!("qsort-leaf[{start}..{}]", start + len))
+                .task(format_args!("qsort-leaf[{start}..{}]", start + len))
                 .instructions(len * self.leaf_instr_per_key)
                 .access(AccessPattern::range_read(region.base, region.len))
                 .access(AccessPattern::range_write(region.base, region.len))
@@ -76,7 +76,7 @@ impl QuickSort {
 
         // Partition: one streaming read+write pass over the whole range.
         let partition = b
-            .task(&format!("partition[{start}..{}]", start + len))
+            .task(format_args!("partition[{start}..{}]", start + len))
             .instructions(len * self.partition_instr_per_key)
             .access(AccessPattern::range_read(region.base, region.len))
             .access(AccessPattern::range_write(region.base, region.len))
@@ -87,7 +87,7 @@ impl QuickSort {
         let (le, lx) = self.build_range(b, data, start, left_len);
         let (re, rx) = self.build_range(b, data, start + left_len, len - left_len);
         let join = b
-            .task(&format!("qsort-join[{start}..{}]", start + len))
+            .task(format_args!("qsort-join[{start}..{}]", start + len))
             .instructions(20)
             .build();
         b.edge(partition, le);

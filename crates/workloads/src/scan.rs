@@ -82,7 +82,7 @@ impl Workload for ParallelScan {
             let first = c * self.grain;
             let count = self.grain.min(self.n - first);
             let t = b
-                .task(&format!("upsweep[{c}]"))
+                .task(format_args!("upsweep[{c}]"))
                 .instructions(count * self.instr_per_elem)
                 .access(AccessPattern::range_read(
                     input.element(first, ELEM_BYTES),
@@ -114,7 +114,7 @@ impl Workload for ParallelScan {
             let first = c * self.grain;
             let count = self.grain.min(self.n - first);
             let t = b
-                .task(&format!("downsweep[{c}]"))
+                .task(format_args!("downsweep[{c}]"))
                 .instructions(count * self.instr_per_elem)
                 .access(AccessPattern::range_read(
                     partials.element(c, ELEM_BYTES),

@@ -104,7 +104,7 @@ impl Workload for SpMv {
         let tasks_per_iter = self.rows.div_ceil(self.rows_per_task);
         for iter in 0..self.iterations {
             let join = b
-                .task(&format!("spmv-iter-join[{iter}]"))
+                .task(format_args!("spmv-iter-join[{iter}]"))
                 .instructions(50)
                 .build();
             for t in 0..tasks_per_iter {
@@ -123,7 +123,7 @@ impl Workload for SpMv {
                     })
                     .collect();
                 let task = b
-                    .task(&format!("spmv[{iter}][{row0}..{}]", row0 + rows))
+                    .task(format_args!("spmv[{iter}][{row0}..{}]", row0 + rows))
                     .instructions(nnz * self.instr_per_nnz)
                     .access(AccessPattern::range_read(
                         values.element(row0 * self.nnz_per_row, ELEM_BYTES),

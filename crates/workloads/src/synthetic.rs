@@ -10,7 +10,7 @@
 
 use crate::layout::AddressSpace;
 use crate::spec::{SpecSynth, WorkloadSpec};
-use crate::{Workload, WorkloadClass};
+use crate::{reserved_builder, Workload, WorkloadClass};
 use pdfws_task_dag::builder::DagBuilder;
 use pdfws_task_dag::{AccessPattern, TaskDag, TaskId};
 
@@ -62,12 +62,12 @@ impl SyntheticTree {
     ) -> (TaskId, TaskId) {
         if depth == 0 {
             let private = space.alloc(self.leaf_private_bytes.max(64));
-            let shared_len = (self.shared_bytes as f64 * self.shared_fraction) as u64;
-            let private_len =
-                (self.leaf_private_bytes as f64 * (1.0 - self.shared_fraction)) as u64;
-            let mut accesses = Vec::new();
+            let (shared_len, private_len) = self.leaf_lens();
+            let mut leaf = b
+                .task(format_args!("syn-leaf[{path}]"))
+                .instructions(self.leaf_instructions);
             if shared_len >= 64 {
-                accesses.push(AccessPattern::RepeatedRange {
+                leaf = leaf.access(AccessPattern::RepeatedRange {
                     base: shared_base,
                     len: shared_len,
                     passes: self.passes,
@@ -75,27 +75,24 @@ impl SyntheticTree {
                 });
             }
             if private_len >= 64 {
-                accesses.push(AccessPattern::RepeatedRange {
-                    base: private.base,
-                    len: private_len,
-                    passes: self.passes,
-                    write: false,
-                });
-                accesses.push(AccessPattern::range_write(private.base, private_len));
+                leaf = leaf
+                    .access(AccessPattern::RepeatedRange {
+                        base: private.base,
+                        len: private_len,
+                        passes: self.passes,
+                        write: false,
+                    })
+                    .access(AccessPattern::range_write(private.base, private_len));
             }
-            let leaf = b
-                .task(&format!("syn-leaf[{path}]"))
-                .instructions(self.leaf_instructions)
-                .accesses(accesses)
-                .build();
+            let leaf = leaf.build();
             return (leaf, leaf);
         }
         let fork = b
-            .task(&format!("syn-fork[{depth},{path}]"))
+            .task(format_args!("syn-fork[{depth},{path}]"))
             .instructions(20)
             .build();
         let join = b
-            .task(&format!("syn-join[{depth},{path}]"))
+            .task(format_args!("syn-join[{depth},{path}]"))
             .instructions(20)
             .build();
         for c in 0..self.fanout {
@@ -112,11 +109,18 @@ impl SyntheticTree {
         (fork, join)
     }
 
-    /// Tasks [`Workload::build_dag`] creates, in closed form: `fanout^depth`
-    /// leaves plus a fork and a join per internal node (saturating).
-    pub fn task_count(&self) -> u64 {
+    /// Bytes of the shared and of the private region each leaf reads; a
+    /// region under one line is not touched.
+    fn leaf_lens(&self) -> (u64, u64) {
+        let shared_len = (self.shared_bytes as f64 * self.shared_fraction) as u64;
+        let private_len = (self.leaf_private_bytes as f64 * (1.0 - self.shared_fraction)) as u64;
+        (shared_len, private_len)
+    }
+
+    /// Leaves and internal nodes of the tree (saturating).
+    fn shape(&self) -> (u64, u64) {
         if self.fanout <= 1 {
-            return 2 * self.depth as u64 + 1;
+            return (1, self.depth as u64);
         }
         let (mut level, mut internal) = (1u64, 0u64);
         for _ in 0..self.depth {
@@ -126,7 +130,32 @@ impl SyntheticTree {
             internal = internal.saturating_add(level);
             level = level.saturating_mul(self.fanout as u64);
         }
-        level.saturating_add(internal.saturating_mul(2))
+        (level, internal)
+    }
+
+    /// Tasks [`Workload::build_dag`] creates, in closed form: `fanout^depth`
+    /// leaves plus a fork and a join per internal node (saturating).
+    pub fn task_count(&self) -> u64 {
+        let (leaves, internal) = self.shape();
+        leaves.saturating_add(internal.saturating_mul(2))
+    }
+
+    /// Tasks, edges and access patterns [`Workload::build_dag`] creates
+    /// (saturating): every node but the root hangs off its parent's fork and
+    /// join by two edges, and each leaf reads the regions of at least a line,
+    /// writing back its private one.
+    fn dag_counts(&self) -> (u64, u64, u64) {
+        let (leaves, internal) = self.shape();
+        let (shared_len, private_len) = self.leaf_lens();
+        let per_leaf = (shared_len >= 64) as u64 + 2 * (private_len >= 64) as u64;
+        (
+            self.task_count(),
+            leaves
+                .saturating_add(internal)
+                .saturating_sub(1)
+                .saturating_mul(2),
+            leaves.saturating_mul(per_leaf),
+        )
     }
 }
 
@@ -147,7 +176,8 @@ impl Workload for SyntheticTree {
         );
         let mut space = AddressSpace::new();
         let shared = space.alloc(self.shared_bytes.max(64));
-        let mut b = DagBuilder::new();
+        let (tasks, edges, patterns) = self.dag_counts();
+        let mut b = reserved_builder(tasks, edges, patterns);
         let _ = self.build_node(&mut b, &mut space, shared.base, self.depth, 0);
         b.finish()
             .expect("synthetic tree DAG is valid by construction")
@@ -243,6 +273,33 @@ mod tests {
         assert_eq!(dag.len() as u64, t.task_count());
         let per_task = dag.heap_bytes() / dag.len();
         assert!(per_task <= 96, "{per_task} heap bytes per task");
+    }
+
+    #[test]
+    fn closed_form_counts_match_the_built_dag() {
+        let zoo = SyntheticTree {
+            depth: 2,
+            fanout: 24,
+            leaf_instructions: 200,
+            leaf_private_bytes: 64,
+            shared_bytes: 4096,
+            shared_fraction: 0.25,
+            passes: 1,
+        };
+        let chain = SyntheticTree {
+            fanout: 1,
+            ..SyntheticTree::small()
+        };
+        let private = SyntheticTree {
+            shared_fraction: 0.0,
+            ..SyntheticTree::small()
+        };
+        for t in [SyntheticTree::small(), zoo, chain, private] {
+            let dag = t.build_dag();
+            let patterns: usize = dag.nodes().map(|n| n.accesses.len()).sum();
+            let built = (dag.len() as u64, dag.edge_count() as u64, patterns as u64);
+            assert_eq!(t.dag_counts(), built, "{t:?}");
+        }
     }
 
     #[test]

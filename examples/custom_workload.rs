@@ -43,7 +43,7 @@ impl Workload for Stencil {
         let mut prev = b.task("stencil-init").instructions(50).build();
         for it in 0..self.iters {
             let join = b
-                .task(&format!("sweep-join[{it}]"))
+                .task(format_args!("sweep-join[{it}]"))
                 .instructions(20)
                 .build();
             for c in 0..self.points.div_ceil(self.grain) {
@@ -54,7 +54,7 @@ impl Workload for Stencil {
                 let halo = field.slice(lo, hi - lo, 8);
                 let out = field.slice(first, count, 8);
                 let t = b
-                    .task(&format!("sweep[{it}][{c}]"))
+                    .task(format_args!("sweep[{it}][{c}]"))
                     .instructions(count * 5)
                     .access(AccessPattern::range_read(halo.base, halo.len))
                     .access(AccessPattern::range_write(out.base, out.len))

@@ -120,7 +120,7 @@ fn phase_change_dag() -> TaskDag {
         let region = space.alloc(group_bytes);
         for t in 0..per_group {
             let task = b
-                .task(&format!("share[{g},{t}]"))
+                .task(format_args!("share[{g},{t}]"))
                 .instructions(500)
                 .accesses(vec![AccessPattern::RepeatedRange {
                     base: region.base,
@@ -139,12 +139,18 @@ fn phase_change_dag() -> TaskDag {
         let half = chain_bytes / 2;
         let mut prev = barrier;
         for l in 0..links {
-            let fork = b.task(&format!("fork[{c},{l}]")).instructions(50).build();
-            let join = b.task(&format!("join[{c},{l}]")).instructions(50).build();
+            let fork = b
+                .task(format_args!("fork[{c},{l}]"))
+                .instructions(50)
+                .build();
+            let join = b
+                .task(format_args!("join[{c},{l}]"))
+                .instructions(50)
+                .build();
             b.edge(prev, fork);
             for s in 0..2u64 {
                 let sub = b
-                    .task(&format!("diamond[{c},{l},{s}]"))
+                    .task(format_args!("diamond[{c},{l},{s}]"))
                     .instructions(100)
                     .accesses(vec![
                         AccessPattern::RepeatedRange {
