@@ -421,6 +421,17 @@ impl Gps {
             .fold(f64::INFINITY, f64::min)
     }
 
+    /// Zero the remaining work of every head whose completion time,
+    /// `now` plus its horizon, rounds to `now`.
+    fn finish_rounded_heads(&self, active: &mut [ActiveJob], now: f64) {
+        for (&t, stretch) in self.busy.iter().zip(&self.stretch) {
+            let head = &mut active[self.head[t]];
+            if now + head.remaining.max(0.0) * stretch == now {
+                head.remaining = 0.0;
+            }
+        }
+    }
+
     /// Progress every head job by `dt` cycles of fluid service.
     fn progress(&self, active: &mut [ActiveJob], dt: f64) {
         for (&t, rate) in self.busy.iter().zip(&self.rate) {
@@ -623,9 +634,19 @@ impl<'a> Tier<'a> {
                 self.active.len(),
                 self.queued_total
             );
+            // Past 2^53 cycles `now + horizon` can round back to `now`: the
+            // head it belongs to makes no progress, and with nothing else due
+            // at `now` the loop would spin.  Its remaining work is below the
+            // clock's resolution, so it finishes now.
+            let stalled = t_complete == self.now && t_tick > self.now && t_arrival > self.now;
             self.advance(t_event);
-            if t_event == t_complete && self.complete() {
-                changed = true;
+            if t_event == t_complete {
+                let mut retired = self.complete();
+                if !retired && stalled {
+                    self.gps.finish_rounded_heads(&mut self.active, self.now);
+                    retired = self.complete();
+                }
+                changed |= retired;
             }
             if t_event == t_tick {
                 self.tick();
@@ -1447,6 +1468,33 @@ mod tests {
         }
         tier.gps.settle(&tier.weights);
         tier
+    }
+
+    /// Two tenants dispatchable in one pass, where the deficits alone decide
+    /// who goes first.  Quantum 100k, weight 1 each, the cursor on tenant 1.
+    /// Tenant 0 (deficit 0) waits on a 500 000-cycle head: five quanta, so it
+    /// is admitted in the fifth round.  Tenant 1 (deficit 450 000) waits on
+    /// a 1 000 003-cycle head: six quanta, the sixth round, although it is
+    /// visited first in every round.  The first four rounds admit nothing and
+    /// are banked in closed form; one round too many would admit tenant 1
+    /// first.
+    #[test]
+    fn deficits_decide_the_admission_order_within_one_pass() {
+        let mut cfg = quick_cfg(1, 1.0);
+        cfg.tenants = crate::tenant::parse_tenants("a+b").unwrap();
+        cfg.drr_quantum_cycles = 100_000;
+        let tenants: [DrrState; 2] = [
+            ((1, false), (1, 0), vec![3], (0, false)),
+            ((1, false), (1, 0), vec![4], (450_000, false)),
+        ];
+        let mut tier = drr_tier(&cfg, &tenants, 1);
+        tier.dispatch();
+        let order: Vec<(u64, usize)> = tier.active.iter().map(|j| (j.id, j.tenant)).collect();
+        assert_eq!(order, vec![(0, 0), (1, 1)]);
+        // Tenant 1 keeps 1 050 000 - 1 000 003 cycles; tenant 0, visited
+        // with an empty queue after it, banks nothing.
+        assert_eq!(tier.deficits, vec![0.0, 49_997.0]);
+        assert_eq!(tier.drr_cursor, 1);
     }
 
     #[test]

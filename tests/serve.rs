@@ -4,7 +4,9 @@
 //! sustained constant-state serving path.
 
 use pdfws::prelude::*;
-use pdfws::serve::{parse_tenants, run_serve, ArrivalSpec, ServeConfig};
+use pdfws::serve::{parse_tenants, run_serve, ArrivalSpec, AutoscalePolicy, ServeConfig};
+use std::sync::mpsc;
+use std::time::Duration;
 
 fn base_cfg(jobs: usize, rate: f64) -> ServeConfig {
     let mut cfg = ServeConfig::new(4, SchedulerSpec::pdf());
@@ -36,6 +38,33 @@ fn shedding_holds_the_slo_where_the_baseline_violates_it() {
         "without shedding the same load must violate the SLO: {}",
         baseline.worst_p99_over_target()
     );
+}
+
+/// Past 2^53 cycles a head's completion time `now + remaining` can round
+/// back to `now`, where no fluid progress is possible.  Here arrivals 2^51
+/// cycles apart and a cooldown holding the tier at two cores until
+/// 2^53 + 2^52 + 2^50 leave a head at 1.0 remaining cycles on an even cycle;
+/// the loop must retire it rather than spin.  The run happens on its own
+/// thread so a regression fails the test instead of hanging the suite.
+#[test]
+fn a_head_whose_completion_rounds_to_now_retires_past_2_53_cycles() {
+    let mut cfg = ServeConfig::new(4, SchedulerSpec::pdf());
+    cfg.jobs = 8;
+    cfg.arrivals = "uniform:gap=2251799813685248".parse().unwrap();
+    cfg.seed = 17;
+    cfg.autoscale = Some(AutoscalePolicy {
+        interval_cycles: (1 << 40) - 1,
+        cooldown_cycles: (1 << 53) + (1 << 52) + (1 << 50),
+        ..AutoscalePolicy::for_cores(4)
+    });
+    let (done, report) = mpsc::channel();
+    std::thread::spawn(move || done.send(run_serve(&cfg)));
+    let report = report
+        .recv_timeout(Duration::from_secs(300))
+        .expect("the serving loop stalled past 2^53 cycles")
+        .unwrap();
+    assert_eq!(report.completed + report.shed, 8);
+    assert!(report.makespan_cycles > 1 << 53);
 }
 
 #[test]
