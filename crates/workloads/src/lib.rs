@@ -95,22 +95,6 @@ impl std::fmt::Display for WorkloadClass {
     }
 }
 
-impl std::str::FromStr for WorkloadClass {
-    type Err = String;
-
-    /// Parse a class back from its [`Display`](std::fmt::Display) name.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "divide-and-conquer" => Ok(WorkloadClass::DivideAndConquer),
-            "bandwidth-limited irregular" => Ok(WorkloadClass::BandwidthLimitedIrregular),
-            "low data reuse" => Ok(WorkloadClass::LowReuse),
-            "compute-bound" => Ok(WorkloadClass::ComputeBound),
-            "coarse-grained" => Ok(WorkloadClass::CoarseGrained),
-            other => Err(format!("unknown workload class '{other}'")),
-        }
-    }
-}
-
 /// A benchmark program: something that can lay out its data and produce the task
 /// DAG the schedulers will execute.
 pub trait Workload {
@@ -160,20 +144,6 @@ mod tests {
             "bandwidth-limited irregular"
         );
         assert_eq!(WorkloadClass::CoarseGrained.to_string(), "coarse-grained");
-    }
-
-    #[test]
-    fn class_names_round_trip_through_from_str() {
-        for class in [
-            WorkloadClass::DivideAndConquer,
-            WorkloadClass::BandwidthLimitedIrregular,
-            WorkloadClass::LowReuse,
-            WorkloadClass::ComputeBound,
-            WorkloadClass::CoarseGrained,
-        ] {
-            assert_eq!(class.to_string().parse::<WorkloadClass>(), Ok(class));
-        }
-        assert!("bogus".parse::<WorkloadClass>().is_err());
     }
 
     /// Every workload must produce a valid DAG whose 1DF order is a topological
