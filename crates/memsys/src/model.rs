@@ -71,11 +71,6 @@ impl MemSystem {
         self.bus.busy_until().max(self.dram.data_busy_until())
     }
 
-    /// Outstanding backlog, in cycles, as seen at cycle `at`.
-    pub fn backlog_cycles(&self, at: u64) -> u64 {
-        self.backlog_until().saturating_sub(at)
-    }
-
     /// Total cycles transactions spent waiting for the bus.
     pub fn bus_queue_cycles(&self) -> u64 {
         self.bus.queue_cycles()
@@ -141,10 +136,9 @@ mod tests {
     fn backlog_reflects_committed_work() {
         let r = resolved();
         let mut mem = MemSystem::new(&r);
-        assert_eq!(mem.backlog_cycles(0), 0);
+        assert_eq!(mem.backlog_until(), 0);
         mem.transact(0, 0, r.line_bytes, 0);
-        assert!(mem.backlog_cycles(0) > 0);
-        assert_eq!(mem.backlog_cycles(u64::MAX), 0);
+        assert!(mem.backlog_until() > 0);
     }
 
     #[test]

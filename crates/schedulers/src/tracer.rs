@@ -33,6 +33,8 @@ pub(crate) struct Tracer {
     cache_base: (u64, u64, u64),
     /// Bus busy-cycle total at the previous window sample.
     bus_busy_base: u64,
+    /// DRAM queue-cycle total at the previous window sample.
+    dram_queue_base: u64,
     /// Last emitted ready-depth value (consecutive duplicates are elided).
     last_ready_depth: Option<u64>,
     /// Per-core trace clocks: the timestamp of each core's last emitted
@@ -52,6 +54,7 @@ impl Tracer {
             next_sample_at: now.saturating_add(TRACE_CACHE_WINDOW),
             cache_base: (0, 0, 0),
             bus_busy_base: 0,
+            dram_queue_base: 0,
             last_ready_depth: None,
             core_clock: vec![0; cores],
         }
@@ -118,7 +121,7 @@ impl Tracer {
     }
 
     /// Emit the window sample due at the step end `t`: `accesses` references
-    /// so far, the pricer's miss totals and the bus and DRAM state.
+    /// so far, the pricer's miss totals and the bus and DRAM counters.
     pub(crate) fn sample_window(
         &mut self,
         t: u64,
@@ -137,14 +140,18 @@ impl Tracer {
     /// in which nothing was counted is not emitted.
     pub(crate) fn finish(&mut self, t: u64, accesses: u64, pricer: &RefPricer, offchip: &OffChip) {
         let (l1, l2) = pricer.miss_totals();
-        let busy = offchip.components().map_or(0, |mem| mem.bus_busy_cycles());
-        if (accesses, l1, l2) != self.cache_base || busy != self.bus_busy_base {
+        let (busy, dram) = offchip.components().map_or((0, 0), |mem| {
+            (mem.bus_busy_cycles(), mem.dram_queue_cycles())
+        });
+        if (accesses, l1, l2) != self.cache_base
+            || (busy, dram) != (self.bus_busy_base, self.dram_queue_base)
+        {
             self.emit_window(t, accesses, pricer, offchip);
         }
     }
 
-    /// Emit the cache deltas since the previous window and the bus and DRAM
-    /// state at `t`.
+    /// Emit the cache, bus-busy and DRAM queue-cycle deltas since the
+    /// previous window.
     fn emit_window(&mut self, t: u64, accesses: u64, pricer: &RefPricer, offchip: &OffChip) {
         let (l1, l2) = pricer.miss_totals();
         let (base_acc, base_l1, base_l2) = self.cache_base;
@@ -156,10 +163,10 @@ impl Tracer {
             l2_misses: l2 - base_l2,
         });
         if let Some(mem) = offchip.components() {
-            let busy = mem.bus_busy_cycles();
-            let depth = mem.backlog_cycles(t);
+            let (busy, dram) = (mem.bus_busy_cycles(), mem.dram_queue_cycles());
             let busy_cycles = busy - self.bus_busy_base;
-            self.bus_busy_base = busy;
+            let depth = dram - self.dram_queue_base;
+            (self.bus_busy_base, self.dram_queue_base) = (busy, dram);
             self.emit(TraceEvent::BusOccupancy { t, busy_cycles });
             self.emit(TraceEvent::DramQueueDepth { t, depth });
         }

@@ -121,13 +121,16 @@ pub enum TraceEvent {
         /// Bus-busy cycles accumulated during the window.
         busy_cycles: u64,
     },
-    /// Counter sample: outstanding memory-system backlog at the sample
-    /// instant — how many cycles of committed bus/DRAM work are still ahead
-    /// of the clock.  Only emitted by the component memory-system model.
+    /// Counter sample: DRAM queue cycles accrued since the previous sample
+    /// (a delta, like [`CacheWindow`](TraceEvent::CacheWindow)) — the cycles
+    /// the window's DRAM requests waited inside the controller for a bank or
+    /// the data bus, co-runner traffic included.  The samples of a run sum to
+    /// its `dram_queue_cycles`.  Only emitted by the component memory-system
+    /// model.
     DramQueueDepth {
-        /// Timestamp.
+        /// Timestamp (end of the window).
         t: TraceTime,
-        /// Backlog in cycles (0 when the memory system is idle).
+        /// DRAM queue cycles accrued during the window.
         depth: u64,
     },
     /// A stream job was admitted into the serving slots.

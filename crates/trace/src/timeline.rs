@@ -23,9 +23,9 @@ use pdfws_metrics::{Series, Table};
 /// * `l2_misses` — shared-L2 misses from `CacheWindow` samples per bin;
 /// * `bus_occupancy` — cycles the shared bus spent occupied per bin, from
 ///   `BusOccupancy` samples;
-/// * `dram_queue_depth` — mean memory-system backlog (cycles of outstanding
-///   work) over the bin's `DramQueueDepth` samples (the last observed sample
-///   carries forward through empty bins).
+/// * `dram_queue_depth` — mean over the bin's `DramQueueDepth` samples of
+///   the DRAM queue cycles each sample window accrued (the last observed
+///   mean carries forward through empty bins).
 ///
 /// The x-axis is the bin's end timestamp in cycles.  An empty event slice
 /// yields an all-zero table (the bins still exist).
@@ -239,7 +239,7 @@ mod tests {
                 .values
                 .clone()
         };
-        // Both occupancy samples land in the first bin; the backlog sample
+        // Both occupancy samples land in the first bin; the DRAM sample
         // carries its mean into the empty second bin.
         assert_eq!(series("bus_occupancy"), vec![42.0, 0.0]);
         assert_eq!(series("dram_queue_depth"), vec![100.0, 100.0]);

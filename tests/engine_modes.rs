@@ -51,11 +51,13 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Simulate one traced cell and append its result fields, the sums of its
-/// windowed trace counters and its event fingerprint under `== {header}`.
+/// windowed trace counters and its event fingerprint under `== {header}`;
+/// returns the trace's DRAM queue-cycle sum.
 ///
 /// The window sums must add up to the run: their L1 and L2 misses equal the
-/// hierarchy's totals, and without a co-runner (whose bursts are counted as
-/// accesses too) their accesses equal the program's references.
+/// hierarchy's totals, their DRAM queue cycles the run's, and without a
+/// co-runner (whose bursts are counted as accesses too) their accesses equal
+/// the program's references.
 fn render_cell(
     out: &mut String,
     header: &str,
@@ -63,7 +65,7 @@ fn render_cell(
     config: &CmpConfig,
     spec: &SchedulerSpec,
     options: &SimOptions,
-) {
+) -> u64 {
     let (r, events) = simulate_traced(dag, config, spec, options);
     let (mut accesses, mut l1_misses, mut l2_misses) = (0u64, 0u64, 0u64);
     let (mut bus_busy, mut dram_depth) = (0u64, 0u64);
@@ -96,6 +98,10 @@ fn render_cell(
     if options.disturbance.is_none() {
         assert_eq!(accesses, r.memory_accesses, "{header}: trace-sum accesses");
     }
+    assert_eq!(
+        dram_depth, r.dram_queue_cycles,
+        "{header}: trace-sum DRAM queue cycles"
+    );
     writeln!(out, "== {header}").unwrap();
     writeln!(
         out,
@@ -131,6 +137,7 @@ fn render_cell(
         fnv1a(format!("{events:?}").as_bytes())
     )
     .unwrap();
+    dram_depth
 }
 
 fn render_grid() -> String {
@@ -150,6 +157,8 @@ fn render_grid() -> String {
         region_blocks: 256,
     };
     let mut out = String::new();
+    // DRAM queue cycles the bus+DRAM co-runner cells' traces show.
+    let mut corunner_dram = 0;
     for memsys in ["bus", "legacy"] {
         for corunner in [None, Some(disturbance)] {
             for scheduler in ["pdf", "ws", "adaptive", "static"] {
@@ -167,10 +176,17 @@ fn render_grid() -> String {
                     "alone"
                 };
                 let header = format!("memsys={memsys} {co} scheduler={scheduler}");
-                render_cell(&mut out, &header, &workload.dag, &config, &spec, &options);
+                let dram = render_cell(&mut out, &header, &workload.dag, &config, &spec, &options);
+                if memsys == "bus" && corunner.is_some() {
+                    corunner_dram += dram;
+                }
             }
         }
     }
+    assert!(
+        corunner_dram > 0,
+        "a saturated bus with DRAM behind it must show DRAM queuing in its trace"
+    );
     // The fine-grained regime (see the module docs).
     let zoo = WorkloadInstance::from_spec(
         &"synthetic:depth=3,fanout=16,leaf-instr=200,private-bytes=64,shared-bytes=4096,\
