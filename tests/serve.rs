@@ -58,11 +58,17 @@ fn a_head_whose_completion_rounds_to_now_retires_past_2_53_cycles() {
         ..AutoscalePolicy::for_cores(4)
     });
     let (done, report) = mpsc::channel();
-    std::thread::spawn(move || done.send(run_serve(&cfg)));
-    let report = report
-        .recv_timeout(Duration::from_secs(300))
-        .expect("the serving loop stalled past 2^53 cycles")
-        .unwrap();
+    let run = std::thread::spawn(move || {
+        // Fails only once the test has stopped waiting.
+        let _ = done.send(run_serve(&cfg));
+    });
+    let report = report.recv_timeout(Duration::from_secs(300));
+    assert!(
+        !matches!(report, Err(mpsc::RecvTimeoutError::Timeout)),
+        "the serving loop stalled past 2^53 cycles"
+    );
+    run.join().expect("the serving run does not panic");
+    let report = report.expect("the run sent its report").unwrap();
     assert_eq!(report.completed + report.shed, 8);
     assert!(report.makespan_cycles > 1 << 53);
 }
