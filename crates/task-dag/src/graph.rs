@@ -210,7 +210,7 @@ impl Tasks {
 
     /// Format the open task's label onto the end of the label arena.
     pub(crate) fn push_label(&mut self, label: impl fmt::Display) {
-        write!(self.labels, "{label}").expect("a String never fails to grow");
+        write!(self.labels, "{label}").expect("a label's `Display` does not fail");
     }
 
     /// Drop the open task's label bytes and patterns.

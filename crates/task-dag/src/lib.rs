@@ -23,7 +23,7 @@
 //! [`DagBuilder`] appends straight into the same arrays and one edge list,
 //! with no allocation per task or per edge: a label is any `Display` value
 //! (`format_args!("sort[{start}..{end}]")`), formatted into the label arena,
-//! and patterns go in one at a time through [`TaskBuilder::access`].  A
+//! and patterns go in one at a time through [`builder::TaskBuilder::access`].  A
 //! generator that knows its counts reserves every column once with
 //! [`DagBuilder::with_capacity`].
 //!
@@ -71,7 +71,7 @@ pub mod graph;
 pub mod memref;
 pub mod node;
 
-pub use builder::{DagBuilder, TaskBuilder};
+pub use builder::DagBuilder;
 pub use graph::{DagError, TaskDag, MAX_COUNT};
 pub use memref::{AccessPattern, MemAccess};
 pub use node::{Accesses, TaskId, TaskNode};
