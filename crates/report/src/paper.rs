@@ -46,7 +46,7 @@ impl ReplicationSuite {
 /// each lies inside the grid its binary prints.
 impl Setup {
     /// Only the workloads registered as `name` (listed together).
-    fn named(self, name: &str) -> Setup {
+    fn workloads_named(self, name: &str) -> Setup {
         let all = self.workloads;
         let is = |w: &&str| w.split(':').next() == Some(name);
         let first = all.iter().position(is).unwrap_or(all.len());
@@ -96,7 +96,7 @@ fn fig1_cells(quick: bool) -> Setup {
 
 /// C3: class A's SpMV at the top core count.
 fn classa_cells(quick: bool) -> Setup {
-    CLASS_A.at(quick).named("spmv").top()
+    CLASS_A.at(quick).workloads_named("spmv").top()
 }
 
 /// C4: both class-B programs at the top core count.
@@ -107,7 +107,7 @@ fn classb_cells(quick: bool) -> Setup {
 /// C5: the granularity study's fine and coarse merge sorts (fine first) under
 /// PDF at the top core count.
 fn grain_cells(quick: bool) -> Setup {
-    COARSE_VS_FINE.at(quick).named("mergesort").top()
+    COARSE_VS_FINE.at(quick).workloads_named("mergesort").top()
 }
 
 /// C6: the power study; the claim compares its first (fully powered) and

@@ -1193,6 +1193,30 @@ mod tests {
     }
 
     #[test]
+    fn adaptive_without_a_feedback_window_is_hybrid() {
+        // `adaptive` is `hybrid` plus the tuner: with a window longer than
+        // the run no feedback arrives, so the two agree in every result
+        // field but the scheduler's name.
+        let dag = reuse_dag(16, 1_000);
+        let cfg = default_config(8).unwrap();
+        let run =
+            |spec: String| simulate(&dag, &cfg, &spec.parse().unwrap(), &SimOptions::default());
+        let hybrid = run("hybrid:threshold=4".into());
+        assert!(hybrid.migrations > 0, "the deque mode must have run");
+        let window = hybrid.cycles + 1;
+        let adaptive = run(format!("adaptive:threshold=4,window={window}"));
+        assert_eq!(
+            adaptive.scheduler,
+            format!("adaptive:threshold=4,window={window}")
+        );
+        let adaptive = crate::SimResult {
+            scheduler: hybrid.scheduler.clone(),
+            ..adaptive
+        };
+        assert_eq!(adaptive, hybrid);
+    }
+
+    #[test]
     fn run_for_reports_running_before_done() {
         let dag = leaf_tree(16, 10_000);
         let cfg = default_config(2).unwrap();

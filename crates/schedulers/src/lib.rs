@@ -39,12 +39,13 @@
 //!   (round-robin / seeded-random / hierarchical), `steal=` the granularity
 //!   (one task or half the deque), and `steal_cycles=` / `fail_backoff=`
 //!   price the steal protocol in real simulated cycles.
-//! * [`hybrid::HybridPolicy`] — PDF while the ready queue is shallow, per-core
-//!   deques once its depth exceeds `threshold`.
-//! * [`adaptive::AdaptivePolicy`] — a hybrid whose threshold is tuned *online*
-//!   from windowed feedback (L2 MPKI plus migration rate) the engine reports
-//!   back through [`policy::WindowFeedback`]; under sustained cache pressure it
-//!   falls back from deques to the PDF heap.
+//! * [`hybrid::HybridPolicy`] — the two-mode policy: a PDF queue while the
+//!   ready queue is shallow, per-core deques once its depth exceeds
+//!   `threshold`.  `hybrid` switches once; `adaptive` is the same policy plus
+//!   the [`adaptive`] tuner, which retunes the threshold from windowed
+//!   feedback (L2 MPKI plus migration rate) the engine reports back through
+//!   [`policy::WindowFeedback`] and, under sustained cache pressure, drains
+//!   the deques back into the PDF queue.
 //! * [`static_partition::StaticPartitionPolicy`] — an SMP-style baseline that
 //!   assigns ready tasks to cores statically (round-robin by task id) with FIFO
 //!   per-core queues; used by the coarse-grained-threading experiment.
@@ -100,7 +101,7 @@ pub mod static_partition;
 mod tracer;
 pub mod ws;
 
-pub use adaptive::{tuned_threshold, window_pressure, AdaptiveConfig, AdaptivePolicy};
+pub use adaptive::{tuned_threshold, window_pressure, AdaptiveConfig};
 pub use engine::{Disturbance, EngineCounters, EngineError, EngineStatus, SimEngine, SimOptions};
 pub use hybrid::HybridPolicy;
 pub use pdf::PdfPolicy;
@@ -109,7 +110,7 @@ pub use registry::{ParamKind, ParamSpec, PolicyFactory, Registry, SchedulerDomai
 pub use result::SimResult;
 pub use spec::{SchedulerSpec, SpecError};
 pub use static_partition::StaticPartitionPolicy;
-pub use ws::{StealGranularity, VictimSelect, WorkStealingPolicy};
+pub use ws::WorkStealingPolicy;
 
 use pdfws_cmp_model::CmpConfig;
 use pdfws_task_dag::TaskDag;

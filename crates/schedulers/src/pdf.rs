@@ -12,6 +12,7 @@
 //! working set close to the sequential working set [Blelloch–Gibbons, SPAA 2004].
 
 use crate::policy::SchedulerPolicy;
+use crate::spec::SchedulerSpec;
 use pdfws_task_dag::{TaskDag, TaskId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -26,26 +27,14 @@ pub struct PdfPolicy {
     ready: BinaryHeap<Reverse<(u64, TaskId)>>,
 }
 
-impl Default for PdfPolicy {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl PdfPolicy {
-    /// Create the PDF policy.
-    pub fn new() -> Self {
+    /// Build the PDF policy, reporting `spec.canonical()` as its name.
+    pub fn new(spec: &SchedulerSpec) -> Self {
         PdfPolicy {
-            name: "pdf".to_string(),
+            name: spec.canonical(),
             ranks: Vec::new(),
             ready: BinaryHeap::new(),
         }
-    }
-
-    /// Replace the reported name (the registry passes the canonical spec string).
-    pub fn named(mut self, name: String) -> Self {
-        self.name = name;
-        self
     }
 
     /// The 1DF rank of a task (valid after `init`).
@@ -101,7 +90,7 @@ mod tests {
         // A root forking four children: the sequential order is left to right, so
         // PDF must hand them out left to right no matter the arrival order.
         let (dag, children) = star_dag(4);
-        let mut pdf = PdfPolicy::new();
+        let mut pdf = PdfPolicy::new(&SchedulerSpec::pdf());
         pdf.init(&dag);
         // Enable in scrambled order.
         pdf.task_ready(children[2], Some(0));
@@ -116,7 +105,7 @@ mod tests {
     #[test]
     fn single_core_pdf_reproduces_the_sequential_order() {
         let dag = binary_tree(4, 10);
-        let mut pdf = PdfPolicy::new();
+        let mut pdf = PdfPolicy::new(&SchedulerSpec::pdf());
         let started = drain_policy(&dag, &mut pdf, 1);
         assert_eq!(started, dag.one_df_order());
     }
@@ -124,7 +113,7 @@ mod tests {
     #[test]
     fn rank_accessor_matches_dag_ranks() {
         let dag = binary_tree(3, 10);
-        let mut pdf = PdfPolicy::new();
+        let mut pdf = PdfPolicy::new(&SchedulerSpec::pdf());
         pdf.init(&dag);
         let ranks = dag.one_df_ranks();
         for t in dag.task_ids() {
@@ -137,7 +126,7 @@ mod tests {
         // With P cores and many ready leaves, the first P tasks handed out must be
         // the P sequentially-earliest ones.
         let dag = binary_tree(5, 10); // 32 leaves
-        let mut pdf = PdfPolicy::new();
+        let mut pdf = PdfPolicy::new(&SchedulerSpec::pdf());
         pdf.init(&dag);
         let ranks = dag.one_df_ranks();
         // Mark all leaves ready (simulating the state after the fork phase).
@@ -161,7 +150,7 @@ mod tests {
     #[test]
     fn ready_count_tracks_queue_size() {
         let dag = binary_tree(2, 1);
-        let mut pdf = PdfPolicy::new();
+        let mut pdf = PdfPolicy::new(&SchedulerSpec::pdf());
         pdf.init(&dag);
         assert_eq!(pdf.ready_count(), 0);
         pdf.task_ready(dag.root(), None);
@@ -173,6 +162,6 @@ mod tests {
 
     #[test]
     fn names_reflect_the_parameterization() {
-        assert_eq!(PdfPolicy::new().name(), "pdf");
+        assert_eq!(PdfPolicy::new(&SchedulerSpec::pdf()).name(), "pdf");
     }
 }

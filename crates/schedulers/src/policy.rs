@@ -149,8 +149,14 @@ pub trait SchedulerPolicy {
 pub(crate) mod testing {
     //! Shared helpers for policy unit tests.
 
+    use crate::spec::SchedulerSpec;
     use pdfws_task_dag::builder::SpTree;
     use pdfws_task_dag::TaskDag;
+
+    /// Parse a scheduler spec string the test knows is valid.
+    pub fn spec(s: &str) -> SchedulerSpec {
+        s.parse().unwrap_or_else(|e| panic!("'{s}': {e}"))
+    }
 
     /// A balanced binary fork-join tree of the given depth; leaves carry `leaf_instr`
     /// instructions.  Depth 0 is a single leaf.
@@ -215,24 +221,21 @@ pub(crate) mod testing {
 #[cfg(test)]
 mod tests {
     use super::testing::*;
-    use crate::adaptive::AdaptivePolicy;
-    use crate::hybrid::HybridPolicy;
-    use crate::pdf::PdfPolicy;
-    use crate::static_partition::StaticPartitionPolicy;
-    use crate::ws::WorkStealingPolicy;
+    use crate::make_policy;
 
     #[test]
     fn every_policy_schedules_every_task_exactly_once() {
         for cores in [1usize, 2, 4, 8] {
             let dag = binary_tree(4, 100);
-            for policy in [
-                &mut PdfPolicy::new() as &mut dyn super::SchedulerPolicy,
-                &mut WorkStealingPolicy::new(cores),
-                &mut StaticPartitionPolicy::new(cores),
-                &mut HybridPolicy::new(cores, 3),
-                &mut AdaptivePolicy::new(cores, 3),
+            for s in [
+                "pdf",
+                "ws",
+                "static",
+                "hybrid:threshold=3",
+                "adaptive:threshold=3",
             ] {
-                let started = drain_policy(&dag, policy, cores);
+                let mut policy = make_policy(&spec(s), cores);
+                let started = drain_policy(&dag, policy.as_mut(), cores);
                 assert_eq!(
                     started.len(),
                     dag.len(),
@@ -257,14 +260,15 @@ mod tests {
     fn started_order_respects_precedence_for_all_policies() {
         let dag = binary_tree(3, 10);
         for cores in [1usize, 3] {
-            for policy in [
-                &mut PdfPolicy::new() as &mut dyn super::SchedulerPolicy,
-                &mut WorkStealingPolicy::new(cores),
-                &mut StaticPartitionPolicy::new(cores),
-                &mut HybridPolicy::new(cores, 2),
-                &mut AdaptivePolicy::new(cores, 2),
+            for s in [
+                "pdf",
+                "ws",
+                "static",
+                "hybrid:threshold=2",
+                "adaptive:threshold=2",
             ] {
-                let started = drain_policy(&dag, policy, cores);
+                let mut policy = make_policy(&spec(s), cores);
+                let started = drain_policy(&dag, policy.as_mut(), cores);
                 // In drain_policy a task only becomes ready after its predecessors
                 // completed in an earlier round, so a valid start order is also a
                 // valid schedule order.

@@ -14,13 +14,12 @@
 //! adds the scheduler-specific half: the [`PolicyFactory`] trait with its
 //! `build` method, the scheduler error vocabulary, and the built-in policies.
 
-use crate::adaptive::{AdaptiveConfig, AdaptivePolicy};
 use crate::hybrid::HybridPolicy;
 use crate::pdf::PdfPolicy;
 use crate::policy::SchedulerPolicy;
 use crate::spec::SchedulerSpec;
 use crate::static_partition::StaticPartitionPolicy;
-use crate::ws::{StealGranularity, VictimSelect, WorkStealingPolicy};
+use crate::ws::WorkStealingPolicy;
 use pdfws_spec::{Domain, Spec, SpecFamily, Vocab};
 use std::sync::{Arc, OnceLock};
 
@@ -87,7 +86,7 @@ impl SpecFamily for PdfFactory {
 
 impl PolicyFactory for PdfFactory {
     fn build(&self, spec: &SchedulerSpec, _cores: usize) -> Box<dyn SchedulerPolicy> {
-        Box::new(PdfPolicy::new().named(spec.canonical()))
+        Box::new(PdfPolicy::new(spec))
     }
 }
 
@@ -140,20 +139,13 @@ impl SpecFamily for WsFactory {
         ]
     }
     fn validate_spec(&self, spec: &Spec) -> Result<(), String> {
-        seed_requires_random_victim(spec)?;
-        cluster_requires_hier_victim(spec)?;
-        steal_prices_within_cap(spec)
+        validate_ws_params(spec)
     }
 }
 
 impl PolicyFactory for WsFactory {
     fn build(&self, spec: &SchedulerSpec, cores: usize) -> Box<dyn SchedulerPolicy> {
-        let (victim, steal, seed, steal_cycles, fail_backoff) = ws_options_of(spec);
-        Box::new(
-            WorkStealingPolicy::with_options(cores, victim, steal, seed)
-                .priced(steal_cycles, fail_backoff)
-                .named(spec.canonical()),
-        )
+        Box::new(WorkStealingPolicy::new(spec, cores))
     }
 }
 
@@ -165,10 +157,21 @@ impl PolicyFactory for WsFactory {
 /// the event queue's packed range (`pdfws_memsys::queue::TIME_LIMIT`).
 const MAX_STEAL_PRICE_CYCLES: u64 = 1 << 32;
 
-/// Reject steal prices above [`MAX_STEAL_PRICE_CYCLES`] (shared by the `ws`,
-/// `hybrid` and `adaptive` factories, whose prices [`ws_options_of`]
-/// decodes).
-fn steal_prices_within_cap(spec: &Spec) -> Result<(), String> {
+/// The checks every spec carrying the work-stealing parameters passes
+/// (`ws`, `hybrid` and `adaptive`; [`WorkStealingPolicy::new`] decodes them).
+fn validate_ws_params(spec: &Spec) -> Result<(), String> {
+    // An inert `seed` or `cluster` would still produce a distinct spec
+    // string: reject it so identical runs cannot masquerade as different
+    // schedulers.
+    if spec.param("seed").is_some() && spec.param("victim") != Some("random") {
+        return Err("'seed' only affects victim=random; add victim=random or drop seed".into());
+    }
+    if spec.param("cluster").is_some() && spec.param("victim") != Some("hier") {
+        return Err("'cluster' only affects victim=hier; add victim=hier or drop cluster".into());
+    }
+    if spec.param("cluster") == Some("0") {
+        return Err("'cluster' must be at least 1 core".into());
+    }
     for key in ["steal_cycles", "fail_backoff"] {
         if spec
             .u64_param(key)
@@ -178,55 +181,6 @@ fn steal_prices_within_cap(spec: &Spec) -> Result<(), String> {
                 "'{key}' must be at most {MAX_STEAL_PRICE_CYCLES} cycles (2^32)"
             ));
         }
-    }
-    Ok(())
-}
-
-/// Decode the shared work-stealing parameters (`victim` — including the
-/// hierarchical geometry — `steal`, `seed`, and the steal prices, at most
-/// [`MAX_STEAL_PRICE_CYCLES`] each) from a validated spec (used by the `ws`,
-/// `hybrid` and `adaptive` factories).
-fn ws_options_of(spec: &Spec) -> (VictimSelect, StealGranularity, u64, u64, u64) {
-    let victim = match spec.param("victim").unwrap_or("round-robin") {
-        "random" => VictimSelect::Random,
-        "hier" => VictimSelect::Hier {
-            cluster: spec
-                .u64_param("cluster")
-                .unwrap_or(crate::ws::DEFAULT_CLUSTER as u64) as usize,
-        },
-        _ => VictimSelect::RoundRobin,
-    };
-    let steal = match spec.param("steal").unwrap_or("one") {
-        "half" => StealGranularity::Half,
-        _ => StealGranularity::One,
-    };
-    (
-        victim,
-        steal,
-        spec.u64_param("seed").unwrap_or(0),
-        spec.u64_param("steal_cycles").unwrap_or(0),
-        spec.u64_param("fail_backoff").unwrap_or(0),
-    )
-}
-
-/// A `seed` with any victim strategy other than `random` would be silently
-/// inert while still producing a distinct spec string — reject it so identical
-/// runs cannot masquerade as different schedulers.
-fn seed_requires_random_victim(spec: &Spec) -> Result<(), String> {
-    if spec.param("seed").is_some() && spec.param("victim") != Some("random") {
-        return Err("'seed' only affects victim=random; add victim=random or drop seed".into());
-    }
-    Ok(())
-}
-
-/// Same inert-parameter discipline for the hierarchical geometry: `cluster`
-/// only shapes the `hier` victim scan.
-fn cluster_requires_hier_victim(spec: &Spec) -> Result<(), String> {
-    if spec.param("cluster").is_some() && spec.param("victim") != Some("hier") {
-        return Err("'cluster' only affects victim=hier; add victim=hier or drop cluster".into());
-    }
-    if spec.param("cluster") == Some("0") {
-        return Err("'cluster' must be at least 1 core".into());
     }
     Ok(())
 }
@@ -247,7 +201,7 @@ impl SpecFamily for StaticFactory {
 
 impl PolicyFactory for StaticFactory {
     fn build(&self, spec: &SchedulerSpec, cores: usize) -> Box<dyn SchedulerPolicy> {
-        Box::new(StaticPartitionPolicy::new(cores).named(spec.canonical()))
+        Box::new(StaticPartitionPolicy::new(spec, cores))
     }
 }
 
@@ -302,21 +256,13 @@ impl SpecFamily for HybridFactory {
         ]
     }
     fn validate_spec(&self, spec: &Spec) -> Result<(), String> {
-        seed_requires_random_victim(spec)?;
-        cluster_requires_hier_victim(spec)?;
-        steal_prices_within_cap(spec)
+        validate_ws_params(spec)
     }
 }
 
 impl PolicyFactory for HybridFactory {
     fn build(&self, spec: &SchedulerSpec, cores: usize) -> Box<dyn SchedulerPolicy> {
-        let threshold = spec.u64_param("threshold").unwrap_or(2 * cores as u64) as usize;
-        let (victim, steal, seed, steal_cycles, fail_backoff) = ws_options_of(spec);
-        Box::new(
-            HybridPolicy::with_ws_options(cores, threshold, victim, steal, seed)
-                .priced(steal_cycles, fail_backoff)
-                .named(spec.canonical()),
-        )
+        Box::new(HybridPolicy::new(spec, cores))
     }
 }
 
@@ -395,9 +341,7 @@ impl SpecFamily for AdaptiveFactory {
         ]
     }
     fn validate_spec(&self, spec: &Spec) -> Result<(), String> {
-        seed_requires_random_victim(spec)?;
-        cluster_requires_hier_victim(spec)?;
-        steal_prices_within_cap(spec)?;
+        validate_ws_params(spec)?;
         if spec.param("window") == Some("0") {
             return Err("the feedback 'window' must be non-zero".into());
         }
@@ -414,23 +358,8 @@ impl SpecFamily for AdaptiveFactory {
 
 impl PolicyFactory for AdaptiveFactory {
     fn build(&self, spec: &SchedulerSpec, cores: usize) -> Box<dyn SchedulerPolicy> {
-        let config = AdaptiveConfig {
-            threshold: spec.u64_param("threshold").unwrap_or(2 * cores as u64) as usize,
-            window: spec
-                .u64_param("window")
-                .unwrap_or(crate::adaptive::DEFAULT_WINDOW),
-            step: spec
-                .u64_param("step")
-                .unwrap_or(crate::adaptive::DEFAULT_STEP as u64) as usize,
-            lo: spec.f64_param("lo").unwrap_or(crate::adaptive::DEFAULT_LO),
-            hi: spec.f64_param("hi").unwrap_or(crate::adaptive::DEFAULT_HI),
-        };
-        let (victim, steal, seed, steal_cycles, fail_backoff) = ws_options_of(spec);
-        Box::new(
-            AdaptivePolicy::with_options(cores, config, victim, steal, seed)
-                .priced(steal_cycles, fail_backoff)
-                .named(spec.canonical()),
-        )
+        // The two-mode policy with the tuner and a threshold floored at 1.
+        Box::new(HybridPolicy::new(spec, cores))
     }
 }
 
@@ -450,7 +379,7 @@ mod tests {
 
     #[test]
     fn build_resolves_each_builtin_spec() {
-        for s in [
+        let mut specs: Vec<String> = [
             "pdf",
             "ws",
             "ws:steal=half",
@@ -462,7 +391,30 @@ mod tests {
             "adaptive",
             "adaptive:threshold=6,window=1024,step=2,lo=0.25,hi=8",
             "adaptive:victim=hier,cluster=4,steal_cycles=64",
-        ] {
+        ]
+        .map(String::from)
+        .to_vec();
+        // The work-stealing parameter grid, under every family that takes it.
+        for family in ["ws", "hybrid", "adaptive"] {
+            for victim in [
+                "victim=round-robin",
+                "victim=random",
+                "victim=random,seed=7",
+                "victim=hier,cluster=1",
+                "victim=hier,cluster=2",
+                "victim=hier,cluster=4",
+            ] {
+                for steal in ["steal=one", "steal=half"] {
+                    for prices in [
+                        "steal_cycles=0,fail_backoff=0",
+                        "steal_cycles=64,fail_backoff=128",
+                    ] {
+                        specs.push(format!("{family}:{victim},{steal},{prices}"));
+                    }
+                }
+            }
+        }
+        for s in &specs {
             let spec: SchedulerSpec = s.parse().unwrap();
             let policy = make_policy(&spec, 4);
             assert_eq!(policy.name(), spec.canonical(), "{s}");
@@ -523,7 +475,7 @@ mod tests {
             fn build(&self, spec: &SchedulerSpec, _cores: usize) -> Box<dyn SchedulerPolicy> {
                 // A LIFO stack is just the static policy on one queue for the
                 // purposes of this test; realism is not the point here.
-                Box::new(StaticPartitionPolicy::new(1).named(spec.canonical()))
+                Box::new(StaticPartitionPolicy::new(spec, 1))
             }
         }
         Registry::global().register(Arc::new(Lifo));

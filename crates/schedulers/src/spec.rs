@@ -41,8 +41,7 @@ spec_type! {
 }
 
 impl SchedulerSpec {
-    /// Internal: a spec that is already known valid (the named constructors
-    /// and the policies' canonical-name synthesis).
+    /// Internal: a spec that is already known valid (the named constructors).
     pub(crate) fn known_valid(policy: &str, params: BTreeMap<String, String>) -> Self {
         SchedulerSpec(Spec::known_valid(policy, params))
     }
@@ -60,13 +59,6 @@ impl SchedulerSpec {
     /// Static round-robin partitioning (no parameters).
     pub fn static_partition() -> Self {
         Self::known_valid("static", BTreeMap::new())
-    }
-
-    /// The adaptive hybrid with an explicit PDF→deques switch threshold.
-    pub fn hybrid(threshold: u64) -> Self {
-        let mut params = BTreeMap::new();
-        params.insert("threshold".to_string(), threshold.to_string());
-        Self::known_valid("hybrid", params)
     }
 
     /// The spec of the sequential baseline: on one core the PDF schedule *is*
@@ -231,10 +223,6 @@ mod tests {
         assert_eq!(SchedulerSpec::pdf(), "pdf".parse().unwrap());
         assert_eq!(SchedulerSpec::ws(), "ws".parse().unwrap());
         assert_eq!(SchedulerSpec::static_partition(), "static".parse().unwrap());
-        assert_eq!(
-            SchedulerSpec::hybrid(2),
-            "hybrid:threshold=2".parse().unwrap()
-        );
         assert_eq!(SchedulerSpec::sequential_baseline(), SchedulerSpec::pdf());
         assert_eq!(SchedulerSpec::paper_pair().len(), 2);
     }

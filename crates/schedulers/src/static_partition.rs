@@ -16,6 +16,7 @@
 //! locality-aware scheduler would have avoided.
 
 use crate::policy::SchedulerPolicy;
+use crate::spec::SchedulerSpec;
 use pdfws_task_dag::{TaskDag, TaskId};
 use pdfws_trace::PolicyEvent;
 use std::collections::VecDeque;
@@ -34,22 +35,17 @@ pub struct StaticPartitionPolicy {
 }
 
 impl StaticPartitionPolicy {
-    /// Create a policy for `cores` cores.
-    pub fn new(cores: usize) -> Self {
+    /// Build the policy for `cores` cores, reporting `spec.canonical()` as
+    /// its name.
+    pub fn new(spec: &SchedulerSpec, cores: usize) -> Self {
         assert!(cores > 0, "static partitioning needs at least one core");
         StaticPartitionPolicy {
-            name: "static".to_string(),
+            name: spec.canonical(),
             queues: vec![VecDeque::new(); cores],
             migrations: 0,
             tracing: false,
             pending: Vec::new(),
         }
-    }
-
-    /// Replace the reported name (the registry passes the canonical spec string).
-    pub fn named(mut self, name: String) -> Self {
-        self.name = name;
-        self
     }
 
     /// The core a task is statically assigned to.
@@ -130,7 +126,7 @@ mod tests {
             b.edge(root, c);
         }
         let dag = b.finish().unwrap();
-        let mut sp = StaticPartitionPolicy::new(3);
+        let mut sp = StaticPartitionPolicy::new(&SchedulerSpec::static_partition(), 3);
         sp.init(&dag);
         for &c in &kids {
             sp.task_ready(c, Some(0));
@@ -162,7 +158,7 @@ mod tests {
             b.edge(root, c);
         }
         let dag = b.finish().unwrap();
-        let mut sp = StaticPartitionPolicy::new(3);
+        let mut sp = StaticPartitionPolicy::new(&SchedulerSpec::static_partition(), 3);
         sp.init(&dag);
         assert_eq!(sp.migrations(), 0);
         // The root has no enabling core: not a migration.
@@ -188,7 +184,7 @@ mod tests {
         b.edge(root, dummy);
         b.edge(root, c3);
         let dag = b.finish().unwrap();
-        let mut sp = StaticPartitionPolicy::new(2);
+        let mut sp = StaticPartitionPolicy::new(&SchedulerSpec::static_partition(), 2);
         sp.init(&dag);
         sp.task_ready(c1, Some(0));
         sp.task_ready(c3, Some(0));
@@ -200,7 +196,7 @@ mod tests {
     fn drains_complete_dags() {
         let dag = binary_tree(5, 10);
         for cores in [1usize, 2, 5] {
-            let mut sp = StaticPartitionPolicy::new(cores);
+            let mut sp = StaticPartitionPolicy::new(&SchedulerSpec::static_partition(), cores);
             let started = drain_policy(&dag, &mut sp, cores);
             assert_eq!(started.len(), dag.len());
             if cores == 1 {
@@ -217,6 +213,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one core")]
     fn zero_cores_panics() {
-        let _ = StaticPartitionPolicy::new(0);
+        let _ = StaticPartitionPolicy::new(&SchedulerSpec::static_partition(), 0);
     }
 }

@@ -14,7 +14,7 @@
 //! The paper's scheduler scans victims round-robin starting from the core after
 //! the thief ("first non-empty queue it finds"); that is the default.  Two
 //! further strategies from the work-stealing literature are available through
-//! the [`SchedulerSpec`](crate::SchedulerSpec) parameters:
+//! the [`SchedulerSpec`] parameters:
 //!
 //! * `victim=random` — the scan *starts* at a seeded-random victim (the
 //!   Blumofe–Leiserson randomized strategy, made deterministic for simulation);
@@ -38,16 +38,16 @@
 //!   thief backs off and stays idle for `N` cycles before probing again.
 
 use crate::policy::SchedulerPolicy;
+use crate::spec::SchedulerSpec;
 use pdfws_task_dag::{TaskDag, TaskId};
 use pdfws_trace::PolicyEvent;
 use std::collections::VecDeque;
 
 /// How a thief chooses its victim.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum VictimSelect {
+#[derive(Debug, Clone, Copy)]
+enum VictimSelect {
     /// Scan round-robin starting from the core after the thief (the paper's
     /// "first non-empty queue it finds").
-    #[default]
     RoundRobin,
     /// Scan from a seeded-random starting core (deterministic for a fixed seed).
     Random,
@@ -63,13 +63,12 @@ pub enum VictimSelect {
 }
 
 /// The default cluster width for `victim=hier` when `cluster` is not given.
-pub(crate) const DEFAULT_CLUSTER: usize = 2;
+const DEFAULT_CLUSTER: usize = 2;
 
 /// How much a successful steal transfers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StealGranularity {
+#[derive(Debug, Clone, Copy)]
+enum StealGranularity {
     /// One task per steal (the classic discipline).
-    #[default]
     One,
     /// Half of the victim's deque (rounded up), oldest entries first; the
     /// thief runs the oldest and keeps the rest on its own deque.
@@ -105,31 +104,27 @@ pub struct WorkStealingPolicy {
 }
 
 impl WorkStealingPolicy {
-    /// Create the classic WS policy (round-robin victims, steal-one) for
-    /// `cores` cores.
-    pub fn new(cores: usize) -> Self {
-        Self::with_options(cores, VictimSelect::RoundRobin, StealGranularity::One, 0)
-    }
-
-    /// Create a WS policy with explicit victim selection, steal granularity and
-    /// seed (the seed only matters for [`VictimSelect::Random`]).
-    pub fn with_options(
-        cores: usize,
-        victim: VictimSelect,
-        steal: StealGranularity,
-        seed: u64,
-    ) -> Self {
+    /// Build the policy a validated `ws`-family spec describes for `cores`
+    /// cores, reporting `spec.canonical()` as its name.  This is the one
+    /// decoder of the work-stealing parameters (`victim`, `cluster`, `steal`,
+    /// `seed`, `steal_cycles`, `fail_backoff`), so `hybrid` and `adaptive`
+    /// build their deque mode through it from their own specs.
+    pub fn new(spec: &SchedulerSpec, cores: usize) -> Self {
         assert!(cores > 0, "work stealing needs at least one core");
-        // Synthesize the canonical spec for direct construction (the registry
-        // overrides this with the exact spec it resolved) by building a real
-        // SchedulerSpec, so the one canonicalisation implementation is reused.
-        // Inert parameters are dropped — a seed only matters for the random
-        // victim — so the synthesized name always re-parses through
-        // `SchedulerSpec::from_str` (the factories reject inert combinations).
-        let params = ws_spec_params(victim, steal, seed, 0, 0);
-        let name = crate::spec::SchedulerSpec::known_valid("ws", params).canonical();
+        let victim = match spec.param("victim") {
+            Some("random") => VictimSelect::Random,
+            Some("hier") => VictimSelect::Hier {
+                cluster: spec.u64_param("cluster").unwrap_or(DEFAULT_CLUSTER as u64) as usize,
+            },
+            _ => VictimSelect::RoundRobin,
+        };
+        let steal = match spec.param("steal") {
+            Some("half") => StealGranularity::Half,
+            _ => StealGranularity::One,
+        };
+        let seed = spec.u64_param("seed").unwrap_or(0);
         WorkStealingPolicy {
-            name,
+            name: spec.canonical(),
             deques: vec![VecDeque::new(); cores],
             steals: 0,
             tasks_stolen: 0,
@@ -137,8 +132,8 @@ impl WorkStealingPolicy {
             steal,
             seed,
             rng: seed_state(seed),
-            steal_cycles: 0,
-            fail_backoff: 0,
+            steal_cycles: spec.u64_param("steal_cycles").unwrap_or(0),
+            fail_backoff: spec.u64_param("fail_backoff").unwrap_or(0),
             pending_cost: 0,
             unassigned: VecDeque::new(),
             tracing: false,
@@ -146,47 +141,9 @@ impl WorkStealingPolicy {
         }
     }
 
-    /// Price stealing: a successful steal occupies the thief for `steal_cycles`
-    /// simulated cycles, and a fully-empty victim scan idles it for
-    /// `fail_backoff` cycles.  Zero (the default) keeps the paper's free-steal
-    /// model bit-identically.  Re-synthesizes the canonical name; the registry
-    /// overrides it with the exact spec it resolved.
-    pub fn priced(mut self, steal_cycles: u64, fail_backoff: u64) -> Self {
-        self.steal_cycles = steal_cycles;
-        self.fail_backoff = fail_backoff;
-        let params = ws_spec_params(
-            self.victim,
-            self.steal,
-            self.seed,
-            steal_cycles,
-            fail_backoff,
-        );
-        self.name = crate::spec::SchedulerSpec::known_valid("ws", params).canonical();
-        self
-    }
-
-    /// Replace the reported name (the registry passes the canonical spec string).
-    pub fn named(mut self, name: String) -> Self {
-        self.name = name;
-        self
-    }
-
     /// Number of cores (deques).
     pub fn cores(&self) -> usize {
         self.deques.len()
-    }
-
-    /// The full option tuple `(victim, steal, seed, steal_cycles,
-    /// fail_backoff)`, for wrappers (hybrid, adaptive) that re-synthesize
-    /// canonical names from the embedded instance.
-    pub(crate) fn options(&self) -> (VictimSelect, StealGranularity, u64, u64, u64) {
-        (
-            self.victim,
-            self.steal,
-            self.seed,
-            self.steal_cycles,
-            self.fail_backoff,
-        )
     }
 
     /// Number of tasks currently queued on `core`'s deque.
@@ -267,8 +224,8 @@ impl WorkStealingPolicy {
     }
 
     /// Remove every queued task (all deques plus the unassigned pool) and
-    /// return them, oldest-first per deque.  `adaptive` uses this when it
-    /// falls back from deque mode to the global priority queue; steal counters
+    /// return them, oldest-first per deque.  The two-mode policy's tuner
+    /// uses this to fall back from deque mode to the PDF queue; steal counters
     /// and the rng are deliberately left untouched so the run's statistics
     /// stay cumulative.
     pub(crate) fn drain_all(&mut self) -> Vec<TaskId> {
@@ -400,47 +357,6 @@ impl SchedulerPolicy for WorkStealingPolicy {
     }
 }
 
-/// Build the `ws`-family parameter map for canonical-name synthesis, shared by
-/// `ws`, `hybrid` and `adaptive` direct constructors.  Inert or default-valued
-/// parameters are dropped so the result always re-parses through the factory
-/// validation: the seed only with `victim=random`, `cluster` only with
-/// `victim=hier` (and only when it differs from [`DEFAULT_CLUSTER`]), the
-/// steal prices only when non-zero.
-pub(crate) fn ws_spec_params(
-    victim: VictimSelect,
-    steal: StealGranularity,
-    seed: u64,
-    steal_cycles: u64,
-    fail_backoff: u64,
-) -> std::collections::BTreeMap<String, String> {
-    let mut params = std::collections::BTreeMap::new();
-    if steal == StealGranularity::Half {
-        params.insert("steal".to_string(), "half".to_string());
-    }
-    match victim {
-        VictimSelect::RoundRobin => {}
-        VictimSelect::Random => {
-            params.insert("victim".to_string(), "random".to_string());
-            if seed != 0 {
-                params.insert("seed".to_string(), seed.to_string());
-            }
-        }
-        VictimSelect::Hier { cluster } => {
-            params.insert("victim".to_string(), "hier".to_string());
-            if cluster != DEFAULT_CLUSTER {
-                params.insert("cluster".to_string(), cluster.to_string());
-            }
-        }
-    }
-    if steal_cycles != 0 {
-        params.insert("steal_cycles".to_string(), steal_cycles.to_string());
-    }
-    if fail_backoff != 0 {
-        params.insert("fail_backoff".to_string(), fail_backoff.to_string());
-    }
-    params
-}
-
 /// Non-zero xorshift64 state for a seed.
 fn seed_state(seed: u64) -> u64 {
     seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1
@@ -457,8 +373,13 @@ fn xorshift(mut x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::testing::{binary_tree, drain_policy};
+    use crate::policy::testing::{binary_tree, drain_policy, spec};
     use pdfws_task_dag::builder::DagBuilder;
+
+    /// The policy `ws_spec` describes, on `cores` cores.
+    fn ws_policy(ws_spec: &str, cores: usize) -> WorkStealingPolicy {
+        WorkStealingPolicy::new(&spec(ws_spec), cores)
+    }
 
     fn star_dag(children: usize) -> (pdfws_task_dag::TaskDag, Vec<TaskId>) {
         let mut b = DagBuilder::new();
@@ -475,7 +396,7 @@ mod tests {
     #[test]
     fn owner_pops_lifo_thief_steals_fifo() {
         let (dag, kids) = star_dag(4);
-        let mut ws = WorkStealingPolicy::new(2);
+        let mut ws = ws_policy("ws", 2);
         ws.init(&dag);
         // Core 0 enabled all four children (they land on core 0's deque in order).
         for &c in &kids {
@@ -498,7 +419,7 @@ mod tests {
     #[test]
     fn steal_scans_round_robin_from_the_next_core() {
         let (dag, kids) = star_dag(2);
-        let mut ws = WorkStealingPolicy::new(4);
+        let mut ws = ws_policy("ws", 4);
         ws.init(&dag);
         // Work only on core 3's deque.
         ws.task_ready(kids[0], Some(3));
@@ -513,7 +434,7 @@ mod tests {
     #[test]
     fn own_work_is_not_counted_as_a_steal() {
         let (dag, kids) = star_dag(1);
-        let mut ws = WorkStealingPolicy::new(2);
+        let mut ws = ws_policy("ws", 2);
         ws.init(&dag);
         ws.task_ready(dag.root(), None);
         assert_eq!(ws.next_task(0), Some(dag.root()));
@@ -527,7 +448,7 @@ mod tests {
         // With one core there is nobody to steal from, so WS follows the same
         // depth-first order the sequential program does.
         let dag = binary_tree(3, 10);
-        let mut ws = WorkStealingPolicy::new(1);
+        let mut ws = ws_policy("ws", 1);
         let started = drain_policy(&dag, &mut ws, 1);
         assert_eq!(started, dag.one_df_order());
         assert_eq!(ws.migrations(), 0);
@@ -539,7 +460,7 @@ mod tests {
         // A deep binary tree (1024 leaves) on 4 cores: steals should be a small
         // fraction of the number of tasks.
         let dag = binary_tree(10, 100);
-        let mut ws = WorkStealingPolicy::new(4);
+        let mut ws = ws_policy("ws", 4);
         let started = drain_policy(&dag, &mut ws, 4);
         assert_eq!(started.len(), dag.len());
         assert!(
@@ -556,7 +477,7 @@ mod tests {
         // tasks each core starts must stay within its own half: WS working sets
         // become disjoint.
         let dag = binary_tree(6, 10);
-        let mut ws = WorkStealingPolicy::new(2);
+        let mut ws = ws_policy("ws", 2);
         ws.init(&dag);
         let mut remaining = dag.in_degrees();
         ws.task_ready(dag.root(), None);
@@ -594,12 +515,7 @@ mod tests {
     #[test]
     fn steal_half_takes_half_the_victims_deque_in_one_event() {
         let (dag, kids) = star_dag(6);
-        let mut ws = WorkStealingPolicy::with_options(
-            2,
-            VictimSelect::RoundRobin,
-            StealGranularity::Half,
-            0,
-        );
+        let mut ws = ws_policy("ws:steal=half", 2);
         ws.init(&dag);
         for &c in &kids {
             ws.task_ready(c, Some(0));
@@ -622,12 +538,7 @@ mod tests {
     #[test]
     fn stolen_runs_keep_the_deque_age_invariant_for_later_thieves() {
         let (dag, kids) = star_dag(6);
-        let mut ws = WorkStealingPolicy::with_options(
-            3,
-            VictimSelect::RoundRobin,
-            StealGranularity::Half,
-            0,
-        );
+        let mut ws = ws_policy("ws:steal=half", 3);
         ws.init(&dag);
         for &c in &kids {
             ws.task_ready(c, Some(0));
@@ -658,14 +569,14 @@ mod tests {
         )
         .into_dag()
         .unwrap();
-        let run = |steal: StealGranularity| {
-            let mut ws = WorkStealingPolicy::with_options(4, VictimSelect::RoundRobin, steal, 0);
+        let run = |ws_spec| {
+            let mut ws = ws_policy(ws_spec, 4);
             let started = drain_policy(&dag, &mut ws, 4);
             assert_eq!(started.len(), dag.len());
             ws.migrations()
         };
-        let one = run(StealGranularity::One);
-        let half = run(StealGranularity::Half);
+        let one = run("ws");
+        let half = run("ws:steal=half");
         assert!(
             half < one,
             "steal=half should need fewer steal events: half={half} one={one}"
@@ -674,9 +585,9 @@ mod tests {
 
     #[test]
     fn nearest_victim_prefers_the_closest_core() {
-        let nearest = VictimSelect::Hier { cluster: 1 };
+        let nearest = "ws:victim=hier,cluster=1";
         let (dag, kids) = star_dag(2);
-        let mut ws = WorkStealingPolicy::with_options(4, nearest, StealGranularity::One, 0);
+        let mut ws = ws_policy(nearest, 4);
         ws.init(&dag);
         // Work on deques 0 and 2; the thief is core 3.
         ws.task_ready(kids[0], Some(0));
@@ -689,7 +600,7 @@ mod tests {
 
         // The full probe order is +1, -1, +2, -2, ..., clamped to the chip.
         for n in [1usize, 2, 5, 8, 32] {
-            let mut ws = WorkStealingPolicy::with_options(n, nearest, StealGranularity::One, 0);
+            let mut ws = ws_policy(nearest, n);
             for core in 0..n {
                 let expect: Vec<usize> = (1..n)
                     .flat_map(|d| [core.checked_add(d), core.checked_sub(d)])
@@ -705,28 +616,29 @@ mod tests {
     #[test]
     fn random_victim_selection_is_seeded_and_changes_the_scan() {
         let (dag, kids) = star_dag(2);
-        let setup = |victim: VictimSelect, seed: u64| {
-            let mut ws = WorkStealingPolicy::with_options(4, victim, StealGranularity::One, seed);
+        let setup = |ws_spec: &str| {
+            let mut ws = ws_policy(ws_spec, 4);
             ws.init(&dag);
             ws.task_ready(kids[0], Some(1));
             ws.task_ready(kids[1], Some(3));
             // Which deque does core 0's first steal hit?
             ws.next_task(0)
         };
-        let round_robin = setup(VictimSelect::RoundRobin, 0);
+        let random = |seed| setup(&format!("ws:victim=random,seed={seed}"));
+        let round_robin = setup("ws");
         assert_eq!(round_robin, Some(kids[0]), "RR scans core 1 first");
         // Same seed, same choice (determinism).
         for seed in 0..8 {
             assert_eq!(
-                setup(VictimSelect::Random, seed),
-                setup(VictimSelect::Random, seed),
+                random(seed),
+                random(seed),
                 "seed {seed} must be deterministic"
             );
         }
         // Some seed starts the scan at core 2 or 3, finding kids[1] first —
         // i.e. the parameter actually changes the schedule.
         assert!(
-            (0..8).any(|seed| setup(VictimSelect::Random, seed) == Some(kids[1])),
+            (0..8).any(|seed| random(seed) == Some(kids[1])),
             "no seed in 0..8 changed the victim scan"
         );
     }
@@ -735,58 +647,16 @@ mod tests {
     fn random_victims_still_drain_whole_dags() {
         let dag = binary_tree(7, 20);
         for seed in [0u64, 1, 42] {
-            let mut ws = WorkStealingPolicy::with_options(
-                3,
-                VictimSelect::Random,
-                StealGranularity::One,
-                seed,
-            );
+            let mut ws = ws_policy(&format!("ws:victim=random,seed={seed}"), 3);
             let started = drain_policy(&dag, &mut ws, 3);
             assert_eq!(started.len(), dag.len(), "seed {seed}");
         }
     }
 
     #[test]
-    fn names_reflect_the_parameterization() {
-        assert_eq!(WorkStealingPolicy::new(2).name(), "ws");
-        let ws =
-            WorkStealingPolicy::with_options(2, VictimSelect::Random, StealGranularity::Half, 7);
-        assert_eq!(ws.name(), "ws:seed=7,steal=half,victim=random");
-        assert_eq!(
-            WorkStealingPolicy::new(2)
-                .named("ws:steal=one".into())
-                .name(),
-            "ws:steal=one"
-        );
-        // Priced steals and the hierarchical victim render (and only when
-        // they differ from the free/default values).
-        assert_eq!(
-            WorkStealingPolicy::new(2).priced(64, 128).name(),
-            "ws:fail_backoff=128,steal_cycles=64"
-        );
-        assert_eq!(WorkStealingPolicy::new(2).priced(0, 0).name(), "ws");
-        let hier = |cluster| {
-            WorkStealingPolicy::with_options(
-                8,
-                VictimSelect::Hier { cluster },
-                StealGranularity::One,
-                0,
-            )
-            .name()
-        };
-        assert_eq!(hier(2), "ws:victim=hier");
-        assert_eq!(hier(4), "ws:cluster=4,victim=hier");
-    }
-
-    #[test]
     fn hier_victim_prefers_the_same_cluster_then_spills_outward() {
         let (dag, kids) = star_dag(3);
-        let mut ws = WorkStealingPolicy::with_options(
-            8,
-            VictimSelect::Hier { cluster: 4 },
-            StealGranularity::One,
-            0,
-        );
+        let mut ws = ws_policy("ws:victim=hier,cluster=4", 8);
         ws.init(&dag);
         // Work on cores 0 (foreign cluster), 5 and 7 (thief's cluster).
         ws.task_ready(kids[0], Some(0));
@@ -807,12 +677,7 @@ mod tests {
         // core count), offsets 1..n must enumerate all n-1 other cores.
         for n in 1usize..10 {
             for cluster in 1usize..=n + 1 {
-                let mut ws = WorkStealingPolicy::with_options(
-                    n,
-                    VictimSelect::Hier { cluster },
-                    StealGranularity::One,
-                    0,
-                );
+                let mut ws = ws_policy(&format!("ws:victim=hier,cluster={cluster}"), n);
                 for core in 0..n {
                     let mut seen: Vec<usize> = (1..n).map(|o| ws.victim_at(core, o)).collect();
                     seen.sort_unstable();
@@ -826,7 +691,7 @@ mod tests {
     #[test]
     fn priced_steals_report_their_dispatch_cost_exactly_once() {
         let (dag, kids) = star_dag(2);
-        let mut ws = WorkStealingPolicy::new(2).priced(64, 128);
+        let mut ws = ws_policy("ws:steal_cycles=64,fail_backoff=128", 2);
         ws.init(&dag);
         ws.task_ready(kids[0], Some(0));
         ws.task_ready(kids[1], Some(0));
@@ -844,49 +709,8 @@ mod tests {
     }
 
     #[test]
-    fn every_constructor_path_synthesizes_a_reparseable_name() {
-        // A directly-constructed policy must never report a spec string the
-        // parser rejects (the ROADMAP's inert-parameter bug: `ws:seed=7` with
-        // a non-random victim).  Inert seeds are dropped from the name.
-        use crate::spec::SchedulerSpec;
-        for victim in [
-            VictimSelect::RoundRobin,
-            VictimSelect::Random,
-            VictimSelect::Hier { cluster: 1 },
-            VictimSelect::Hier { cluster: 2 },
-            VictimSelect::Hier { cluster: 4 },
-        ] {
-            for steal in [StealGranularity::One, StealGranularity::Half] {
-                for seed in [0u64, 7] {
-                    for (sc, fb) in [(0u64, 0u64), (64, 128)] {
-                        let name = WorkStealingPolicy::with_options(2, victim, steal, seed)
-                            .priced(sc, fb)
-                            .name();
-                        let spec: SchedulerSpec = name
-                            .parse()
-                            .unwrap_or_else(|e| panic!("'{name}' does not re-parse: {e}"));
-                        assert_eq!(
-                            spec.canonical(),
-                            name,
-                            "{victim:?}/{steal:?}/seed={seed}/{sc}/{fb}"
-                        );
-                    }
-                }
-            }
-        }
-        // The inert seed is dropped, not round-tripped into an invalid spec.
-        let inert = WorkStealingPolicy::with_options(
-            2,
-            VictimSelect::Hier { cluster: 1 },
-            StealGranularity::One,
-            7,
-        );
-        assert_eq!(inert.name(), "ws:cluster=1,victim=hier");
-    }
-
-    #[test]
     #[should_panic(expected = "at least one core")]
     fn zero_cores_panics() {
-        let _ = WorkStealingPolicy::new(0);
+        let _ = ws_policy("ws", 0);
     }
 }

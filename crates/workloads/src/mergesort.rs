@@ -197,7 +197,7 @@ impl MergeSort {
 
     /// Tasks [`Workload::build_dag`] creates, in closed form (saturating).
     ///
-    /// Fine-grained: `L` leaves (see [`MergeSort::leaves`]) come with
+    /// Fine-grained: `L` leaves (counted by the private `leaves`) come with
     /// `L - 1` forks and as many merges.  Coarse: the fork, at most one task
     /// per chunk, and the final merge.
     pub fn task_count(&self) -> u64 {

@@ -1,7 +1,7 @@
 //! Add your own scheduler in ~30 lines.
 //!
-//! The scheduler API is open: implement [`SchedulerPolicy`] (four required
-//! methods), name it and declare its parameters ([`SpecFamily`]), wrap it in
+//! The scheduler API is open: implement [`SchedulerPolicy`] (five required
+//! methods: `name`, `init`, `task_ready`, `next_task`, `ready_count`), name it and declare its parameters ([`SpecFamily`]), wrap it in
 //! a [`PolicyFactory`] that builds it, and register it.  From that point `"lifo"` — or
 //! `"lifo:your=params"` if you declare any — parses as a [`SchedulerSpec`]
 //! everywhere: `Experiment`, `StreamExperiment`, stream configs, bench
