@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pdfws_cmp_model::default_config;
 use pdfws_schedulers::{simulate, SchedulerSpec, SimOptions};
-use pdfws_workloads::{MergeSort, Workload};
+use pdfws_workloads::WorkloadSpec;
 use std::hint::black_box;
 
 fn bench_fig1(c: &mut Criterion) {
@@ -17,7 +17,8 @@ fn bench_fig1(c: &mut Criterion) {
     group.sample_size(10);
     // A reduced instance so each iteration stays around tens of milliseconds; the
     // full-size figure is produced by the fig1_mergesort binary.
-    let dag = MergeSort::new(1 << 14).build_dag();
+    let spec: WorkloadSpec = "mergesort:grain=2048,n=16384".parse().expect("valid spec");
+    let dag = spec.build().build_dag();
     for &cores in &[1usize, 8, 32] {
         let cfg = default_config(cores).expect("default configuration");
         for spec in SchedulerSpec::paper_pair() {

@@ -45,6 +45,23 @@ fn main() {
         None => setup.instances().remove(0),
     };
     eprintln!("# workload: {}", workload.spec.canonical());
+    // Every grid of both parts sweeps this one workload at the top core count
+    // under the setup's schedulers (plus `--memsys`), yielding one report.
+    let grid = || {
+        cli.grid(
+            SweepGrid::new()
+                .workload(workload.clone())
+                .cores(&[cores])
+                .specs(&specs),
+        )
+    };
+    let one_report = |runner: SweepRunner, grid: SweepGrid| {
+        runner
+            .run(&grid)
+            .expect("sweep runs")
+            .into_reports()
+            .remove(0)
+    };
     let base_cfg = default_config(cores).expect("default configuration exists");
 
     // --- Part 1: powering down L2 segments -----------------------------------
@@ -67,7 +84,7 @@ fn main() {
         x,
     );
 
-    // One experiment per powered fraction, both schedulers as sweep cells, and
+    // One grid per powered fraction, both schedulers as sweep cells, and
     // the powered-fraction axis itself fanned out as runner cells — all
     // fractions × (baseline + 2 schedulers) simulations are independent, so
     // the whole part-1 table parallelizes (the DAG is built once up front and
@@ -75,15 +92,8 @@ fn main() {
     let threads = cli.threads;
     eprintln!("# power-down sweep on {threads} threads ...");
     let reports: Vec<ExperimentReport> = cli.runner().run_cells(configs.len(), |i| {
-        cli.experiment(
-            Experiment::new(workload.clone())
-                .cores(cores)
-                .with_config(configs[i])
-                .schedulers(&specs)
-                .threads(1), // the outer run_cells already owns the worker pool
-        )
-        .run()
-        .expect("experiment runs")
+        // The outer run_cells already owns the worker pool.
+        one_report(SweepRunner::sequential(), grid().with_config(configs[i]))
     });
     for spec in &specs {
         let cells = reports.iter().zip(&configs).zip(fractions);
@@ -121,16 +131,10 @@ fn main() {
         "scenario",
         vec!["alone".to_string(), "with co-runner".to_string()],
     );
-    // One experiment per scenario, both schedulers as cells of the same sweep.
+    // One grid per scenario, both schedulers as cells of the same sweep.
     eprintln!("# multiprogramming sweep on {threads} threads ...");
-    let scenario = |disturbance| {
-        let experiment = Experiment::new(workload.clone())
-            .cores(cores)
-            .schedulers(&specs)
-            .options(SimOptions { disturbance })
-            .threads(threads);
-        cli.experiment(experiment).run().expect("experiment runs")
-    };
+    let scenario =
+        |disturbance| one_report(cli.runner(), grid().options(SimOptions { disturbance }));
     let (alone, noisy) = (scenario(None), scenario(Some(disturbance)));
     for spec in &specs {
         let alone_cycles = alone.find(cores, spec).unwrap().metrics.cycles as f64;

@@ -298,14 +298,6 @@ impl Cli {
         }
     }
 
-    /// Apply the `--memsys` selection to an experiment builder.
-    pub fn experiment(&self, experiment: Experiment) -> Experiment {
-        match &self.memsys {
-            Some(spec) => experiment.memsys(spec.clone()),
-            None => experiment,
-        }
-    }
-
     /// Apply the `--memsys` selection to a stream-experiment builder.
     pub fn stream(&self, experiment: StreamExperiment) -> StreamExperiment {
         match &self.memsys {

@@ -342,7 +342,6 @@ pub const TRACE_SUMMARY_BINS: usize = 24;
 mod tests {
     use super::*;
     use pdfws_report::experiments::CONFIGS;
-    use pdfws_workloads::{MergeSort, ParallelScan};
 
     /// A command line with no flags.
     fn cli() -> Cli {
@@ -353,7 +352,7 @@ mod tests {
     fn figure1_tables_have_two_series_each() {
         let reports = sweep_reports(
             &cli(),
-            &[MergeSort::small().into_instance()],
+            &["mergesort".parse().unwrap()],
             &[1, 2],
             &SchedulerSpec::paper_pair(),
         );
@@ -370,7 +369,7 @@ mod tests {
 
     #[test]
     fn comparison_rows_cover_requested_cores() {
-        let workloads = [ParallelScan::small().into_instance()];
+        let workloads = ["scan".parse().unwrap()];
         let reports = sweep_reports(&cli(), &workloads, &[2, 4], &SchedulerSpec::paper_pair());
         let t = comparison_table("test", &reports, &[2, 4]);
         assert_eq!(t.x_values, ["scan@2", "scan@4"]);

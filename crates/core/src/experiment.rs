@@ -1,16 +1,13 @@
-//! The experiment builder: sweep (cores × scheduler) cells over one workload.
+//! What a sweep returns for one workload: its (cores × scheduler) cells, the
+//! sequential baseline, and the tables the figures are drawn from.
 //!
-//! `Experiment` is a one-workload veneer over the workspace's single
-//! sweep-execution path, [`SweepGrid`] /
-//! [`SweepRunner`]; multi-workload grids use that
-//! API directly.
+//! [`SweepRunner`](crate::sweep::SweepRunner) is the only producer of an
+//! [`ExperimentReport`]: one per workload of a
+//! [`SweepGrid`](crate::sweep::SweepGrid), in the grid's order.
 
-use crate::spec::WorkloadInstance;
-use crate::sweep::{SweepGrid, SweepRunner};
 use pdfws_cmp_model::{CmpConfig, ModelError};
-use pdfws_memsys::MemSysSpec;
 use pdfws_metrics::{Series, Table};
-use pdfws_schedulers::{SchedulerSpec, SimOptions, SimResult};
+use pdfws_schedulers::{SchedulerSpec, SimResult};
 use pdfws_workloads::WorkloadSpecError;
 use std::collections::HashMap;
 use std::fmt;
@@ -18,7 +15,7 @@ use std::fmt;
 /// Errors from configuring or running an experiment.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExperimentError {
-    /// No workloads were requested (sweep grids only; `Experiment` always has one).
+    /// No workloads were requested.
     NoWorkloads,
     /// No core counts were requested.
     NoCores,
@@ -240,123 +237,26 @@ impl ExperimentReport {
     }
 }
 
-/// Builder for one experiment over one workload.
-#[derive(Debug, Clone)]
-pub struct Experiment {
-    workload: WorkloadInstance,
-    cores: Vec<usize>,
-    schedulers: Vec<SchedulerSpec>,
-    fixed_config: Option<CmpConfig>,
-    memsys: Option<MemSysSpec>,
-    options: SimOptions,
-    runner: SweepRunner,
-}
-
-impl Experiment {
-    /// Start an experiment over a workload.  Defaults: 8 cores, the paper's two
-    /// schedulers (PDF and WS), default configurations, default engine options,
-    /// and [`SweepRunner::from_env`] threading (sequential unless
-    /// `PDFWS_THREADS` is set).
-    pub fn new(workload: WorkloadInstance) -> Self {
-        Experiment {
-            workload,
-            cores: vec![8],
-            schedulers: SchedulerSpec::paper_pair().to_vec(),
-            fixed_config: None,
-            memsys: None,
-            options: SimOptions::default(),
-            runner: SweepRunner::from_env(),
-        }
-    }
-
-    /// Start an experiment over a workload spec string
-    /// (`Experiment::for_spec("mergesort:n=4096")?`), resolved through the
-    /// global workload registry.
-    pub fn for_spec(s: &str) -> Result<Self, ExperimentError> {
-        Ok(Self::new(s.parse::<WorkloadInstance>()?))
-    }
-
-    /// Run at a single core count.
-    pub fn cores(mut self, cores: usize) -> Self {
-        self.cores = vec![cores];
-        self
-    }
-
-    /// Sweep several core counts (the Figure 1 x-axis).
-    pub fn core_sweep(mut self, cores: &[usize]) -> Self {
-        self.cores = cores.to_vec();
-        self
-    }
-
-    /// Choose which schedulers to run (any mix of registered specs, e.g.
-    /// `&[SchedulerSpec::pdf(), "ws:steal=half".parse().unwrap()]`).
-    pub fn schedulers(mut self, specs: &[SchedulerSpec]) -> Self {
-        self.schedulers = specs.to_vec();
-        self
-    }
-
-    /// Use an explicit machine configuration for every cell instead of the default
-    /// configuration for each core count (the core count still comes from the
-    /// sweep; only cache/bandwidth parameters are taken from `config`).
-    pub fn with_config(mut self, config: CmpConfig) -> Self {
-        self.fixed_config = Some(config);
-        self
-    }
-
-    /// Use a memory-system model for every cell, e.g.
-    /// `"legacy".parse().unwrap()` or `"bus:dram:banks=32".parse().unwrap()`.
-    /// Overrides the `memsys` block of both the default and any
-    /// [`Experiment::with_config`] configuration.
-    pub fn memsys(mut self, spec: MemSysSpec) -> Self {
-        self.memsys = Some(spec);
-        self
-    }
-
-    /// Set engine options (the disturbance co-runner).
-    pub fn options(mut self, options: SimOptions) -> Self {
-        self.options = options;
-        self
-    }
-
-    /// Run the sweep's cells on `threads` worker threads.  Results are
-    /// bit-identical for every thread count (see [`SweepRunner`]).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.runner = SweepRunner::new(threads);
-        self
-    }
-
-    /// Run every (cores × scheduler) cell plus the one-core sequential baseline
-    /// (on one core the PDF schedule *is* the sequential depth-first
-    /// execution), through the workspace's single sweep-execution path.
-    pub fn run(self) -> Result<ExperimentReport, ExperimentError> {
-        let mut grid = SweepGrid::new()
-            .workload(self.workload)
-            .cores(&self.cores)
-            .specs(&self.schedulers)
-            .options(self.options);
-        if let Some(cfg) = self.fixed_config {
-            grid = grid.with_config(cfg);
-        }
-        if let Some(spec) = self.memsys {
-            grid = grid.memsys(spec);
-        }
-        let mut reports = self.runner.run(&grid)?.into_reports();
-        Ok(reports.swap_remove(0))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::Instantiate;
+    use crate::sweep::{SweepGrid, SweepRunner};
     use pdfws_cmp_model::default_config;
-    use pdfws_workloads::{MergeSort, ParallelScan};
+
+    /// A grid over the bare `mergesort` spec (`MergeSort::small()`).
+    fn mergesort() -> SweepGrid {
+        SweepGrid::new().workload_str("mergesort").unwrap()
+    }
+
+    /// Run a one-workload grid and return its report.
+    fn run(grid: SweepGrid) -> Result<ExperimentReport, ExperimentError> {
+        let mut reports = SweepRunner::sequential().run(&grid)?.into_reports();
+        Ok(reports.swap_remove(0))
+    }
 
     #[test]
     fn defaults_run_the_paper_pair_on_eight_cores() {
-        let report = Experiment::new(MergeSort::small().into_instance())
-            .run()
-            .unwrap();
+        let report = run(mergesort()).unwrap();
         assert_eq!(report.runs().len(), 2);
         assert_eq!(report.workload, "mergesort");
         assert!(report.find(8, &SchedulerSpec::pdf()).is_some());
@@ -366,15 +266,16 @@ mod tests {
 
     #[test]
     fn sweep_produces_one_cell_per_cores_times_scheduler() {
-        let report = Experiment::new(ParallelScan::small().into_instance())
-            .core_sweep(&[1, 2, 4])
-            .schedulers(&[
+        let grid = SweepGrid::new()
+            .workload_str("scan")
+            .unwrap()
+            .cores(&[1, 2, 4])
+            .specs(&[
                 SchedulerSpec::pdf(),
                 SchedulerSpec::ws(),
                 SchedulerSpec::static_partition(),
-            ])
-            .run()
-            .unwrap();
+            ]);
+        let report = run(grid).unwrap();
         assert_eq!(report.runs().len(), 9);
         // Every cell executed the full DAG.
         for run in report.runs() {
@@ -385,10 +286,7 @@ mod tests {
 
     #[test]
     fn speedups_are_relative_to_the_one_core_baseline() {
-        let report = Experiment::new(MergeSort::small().into_instance())
-            .core_sweep(&[1, 4])
-            .run()
-            .unwrap();
+        let report = run(mergesort().cores(&[1, 4])).unwrap();
         let one_core_pdf = report.find(1, &SchedulerSpec::pdf()).unwrap();
         let s = report.speedup(one_core_pdf);
         // One core under the baseline configuration: speedup is exactly 1.
@@ -399,10 +297,7 @@ mod tests {
 
     #[test]
     fn pdf_ws_comparisons_are_available() {
-        let report = Experiment::new(MergeSort::small().into_instance())
-            .cores(4)
-            .run()
-            .unwrap();
+        let report = run(mergesort().cores(&[4])).unwrap();
         assert!(report.pdf_over_ws_speedup(4).is_some());
         assert!(report.pdf_traffic_reduction_percent(4).is_some());
         assert!(report.pdf_over_ws_speedup(16).is_none());
@@ -411,11 +306,7 @@ mod tests {
     #[test]
     fn metric_tables_render_requested_cells() {
         let specs = [SchedulerSpec::pdf(), SchedulerSpec::ws()];
-        let report = Experiment::new(MergeSort::small().into_instance())
-            .core_sweep(&[1, 2])
-            .schedulers(&specs)
-            .run()
-            .unwrap();
+        let report = run(mergesort().cores(&[1, 2]).specs(&specs)).unwrap();
         let mpki = report.mpki_table(&[1, 2], &specs);
         assert_eq!(mpki.rows(), 2);
         assert_eq!(mpki.series.len(), 2);
@@ -430,33 +321,21 @@ mod tests {
     #[test]
     #[should_panic(expected = "no (16 cores, pdf) cell")]
     fn metric_tables_panic_on_missing_cells() {
-        let report = Experiment::new(MergeSort::small().into_instance())
-            .cores(2)
-            .run()
-            .unwrap();
+        let report = run(mergesort().cores(&[2])).unwrap();
         report.mpki_table(&[16], &[SchedulerSpec::pdf()]);
     }
 
     #[test]
     fn empty_sweeps_are_rejected() {
-        let e = Experiment::new(MergeSort::small().into_instance())
-            .core_sweep(&[])
-            .run()
-            .unwrap_err();
+        let e = run(mergesort().cores(&[])).unwrap_err();
         assert_eq!(e, ExperimentError::NoCores);
-        let e = Experiment::new(MergeSort::small().into_instance())
-            .schedulers(&[])
-            .run()
-            .unwrap_err();
+        let e = run(mergesort().specs(&[])).unwrap_err();
         assert_eq!(e, ExperimentError::NoSchedulers);
     }
 
     #[test]
     fn invalid_core_counts_surface_model_errors() {
-        let e = Experiment::new(MergeSort::small().into_instance())
-            .cores(999)
-            .run()
-            .unwrap_err();
+        let e = run(mergesort().cores(&[999])).unwrap_err();
         assert!(matches!(e, ExperimentError::Model(_)));
         assert!(e.to_string().contains("configuration error"));
     }
@@ -466,11 +345,7 @@ mod tests {
         let mut cfg = default_config(4).unwrap();
         cfg.l2.capacity_bytes = 1024 * 1024;
         cfg.l2.latency_cycles = 10;
-        let report = Experiment::new(MergeSort::small().into_instance())
-            .cores(4)
-            .with_config(cfg)
-            .run()
-            .unwrap();
+        let report = run(mergesort().cores(&[4]).with_config(cfg)).unwrap();
         let run = report.find(4, &SchedulerSpec::pdf()).unwrap();
         assert_eq!(run.config.l2.capacity_bytes, 1024 * 1024);
         assert_eq!(report.baseline_config.cores, 1);

@@ -1,16 +1,19 @@
 //! High-level experiment API: configurations × workloads × schedulers → metrics.
 //!
 //! This is the crate downstream users interact with.  It wires the other crates
-//! together behind one builder:
+//! together behind one grid: workloads named by their spec strings, swept over
+//! core counts and scheduler specs.
 //!
 //! ```
 //! use pdfws_core::prelude::*;
 //!
-//! let report = Experiment::new(MergeSort::new(1 << 13).into_instance())
-//!     .core_sweep(&[1, 4, 8])
-//!     .schedulers(&[SchedulerSpec::pdf(), "ws:steal=half".parse().unwrap()])
-//!     .run()
-//!     .unwrap();
+//! let grid = SweepGrid::new()
+//!     .workload_str("mergesort:grain=2048,n=8192")
+//!     .unwrap()
+//!     .cores(&[1, 4, 8])
+//!     .specs(&[SchedulerSpec::pdf(), "ws:steal=half".parse().unwrap()]);
+//! let sweep = SweepRunner::sequential().run(&grid).unwrap();
+//! let report = &sweep.reports()[0];
 //!
 //! // Speedups are measured against the one-core default configuration.
 //! for run in report.runs() {
@@ -24,22 +27,21 @@
 //! }
 //! ```
 //!
-//! Underneath, everything executes through the [`sweep`] module —
-//! [`SweepGrid`] describes a (workload × cores × spec)
-//! grid and [`SweepRunner`] runs its cells on a worker
-//! pool with bit-identical results for every thread count, sharing each
-//! workload's DAG by `Arc` across all cells.  Multi-workload sweeps use that
-//! API directly; `Experiment::threads(n)` / `StreamExperiment::threads(n)`
-//! (or the `PDFWS_THREADS` environment variable) opt the builders into
-//! parallel execution.
+//! Everything executes through the [`sweep`] module — [`SweepGrid`]
+//! describes a (workload × cores × spec) grid and [`SweepRunner`] runs its
+//! cells on a worker pool with bit-identical results for every thread count,
+//! sharing each workload's DAG by `Arc` across all cells.
+//! [`SweepRunner::new`] sizes the pool; [`SweepRunner::from_env`] reads the
+//! `PDFWS_THREADS` environment variable, as does the default of
+//! `StreamExperiment`, whose `threads(n)` overrides it.
 
 pub mod experiment;
 pub mod spec;
 pub mod stream_experiment;
 pub mod sweep;
 
-pub use experiment::{Experiment, ExperimentError, ExperimentReport, RunRecord};
-pub use spec::{Instantiate, WorkloadInstance};
+pub use experiment::{ExperimentError, ExperimentReport, RunRecord};
+pub use spec::WorkloadInstance;
 pub use stream_experiment::{StreamExperiment, StreamReport};
 pub use sweep::{
     parse_threads, threads_from_env, SweepGrid, SweepProfile, SweepReport, SweepRunner, THREADS_ENV,
@@ -47,8 +49,8 @@ pub use sweep::{
 
 /// The types almost every experiment needs.
 pub mod prelude {
-    pub use crate::experiment::{Experiment, ExperimentError, ExperimentReport, RunRecord};
-    pub use crate::spec::{Instantiate, WorkloadInstance};
+    pub use crate::experiment::{ExperimentError, ExperimentReport, RunRecord};
+    pub use crate::spec::WorkloadInstance;
     pub use crate::stream_experiment::{StreamExperiment, StreamReport};
     pub use crate::sweep::{SweepGrid, SweepProfile, SweepReport, SweepRunner};
     pub use pdfws_cmp_model::{default_config, default_core_counts, CmpConfig, ProcessNode};

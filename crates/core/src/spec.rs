@@ -6,24 +6,21 @@
 //! carry next to the scheduler spec string.
 //!
 //! Building a DAG can be expensive for large instances, so an instance builds
-//! it once — `Workload::build_dag` is called exactly once — and shares it
-//! behind an [`Arc`]: every (cores × scheduler) cell of a sweep, on every
-//! worker thread, simulates the same immutable DAG without rebuilding or
-//! cloning it.  The simulator never mutates the DAG.
+//! it once — [`Workload::build_dag`](pdfws_workloads::Workload::build_dag)
+//! is called exactly once — and shares it behind an [`Arc`]: every
+//! (cores × scheduler) cell of a sweep, on every worker thread, simulates the
+//! same immutable DAG without rebuilding or cloning it.  The simulator never mutates the DAG.
 //!
-//! Instances come from three places:
+//! Instances come from two places:
 //!
-//! * a **spec string** — `"mergesort:n=4096".parse::<WorkloadInstance>()`,
-//!   resolved through the global workload registry (the job-stream and CLI
-//!   path);
-//! * a **live workload value** — [`Instantiate::into_instance`] /
-//!   [`WorkloadInstance::from_workload`], which records the value's own
-//!   canonical spec ([`Workload::spec`]);
+//! * a **spec string** — `"mergesort:n=4096".parse::<WorkloadInstance>()` or
+//!   [`WorkloadInstance::from_spec`], resolved through the global workload
+//!   registry (every sweep, job stream, bench binary and example);
 //! * **raw parts** — [`WorkloadInstance::from_parts`] for hand-built DAGs
 //!   that are not in the registry.
 
 use pdfws_task_dag::TaskDag;
-use pdfws_workloads::{Workload, WorkloadClass, WorkloadSpec, WorkloadSpecError};
+use pdfws_workloads::{WorkloadClass, WorkloadSpec, WorkloadSpecError};
 use std::sync::Arc;
 
 /// A workload that has been instantiated: its DAG plus reporting metadata.
@@ -44,20 +41,6 @@ pub struct WorkloadInstance {
 }
 
 impl WorkloadInstance {
-    /// Build an instance from any workload generator.  Calls `build_dag`
-    /// exactly once; the resulting DAG is shared by reference from then on.
-    /// The instance's canonical spec is the workload's own
-    /// ([`Workload::spec`]).
-    pub fn from_workload(w: &dyn Workload) -> Self {
-        WorkloadInstance {
-            name: w.name().to_string(),
-            spec: w.spec(),
-            class: w.class(),
-            dag: Arc::new(w.build_dag()),
-            data_bytes: w.data_bytes(),
-        }
-    }
-
     /// Instantiate a validated [`WorkloadSpec`] through the global workload
     /// registry (`"mergesort:n=4096".parse::<WorkloadSpec>()?` → instance).
     pub fn from_spec(spec: &WorkloadSpec) -> Self {
@@ -100,53 +83,37 @@ impl std::str::FromStr for WorkloadInstance {
     }
 }
 
-/// Convenience conversion: `MergeSort::new(n).into_instance()`.
-pub trait Instantiate {
-    /// Instantiate the workload into a [`WorkloadInstance`] (builds the DAG
-    /// once).
-    fn into_instance(self) -> WorkloadInstance;
-}
-
-impl<W: Workload> Instantiate for W {
-    fn into_instance(self) -> WorkloadInstance {
-        WorkloadInstance::from_workload(&self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdfws_workloads::{MergeSort, ParallelScan};
+    use pdfws_workloads::{MergeSort, Workload};
 
     #[test]
     fn instance_captures_name_class_spec_and_dag() {
-        let inst = MergeSort::small().into_instance();
+        let inst: WorkloadInstance = "mergesort".parse().unwrap();
         assert_eq!(inst.name, "mergesort");
         assert_eq!(inst.spec.canonical(), "mergesort");
         assert_eq!(inst.class, WorkloadClass::DivideAndConquer);
         assert!(inst.dag.len() > 1);
         assert!(inst.data_bytes > 0);
-        // A parameterized constructor reports its parameters in the spec.
-        let inst = MergeSort::new(4096).into_instance();
+        // A parameterized spec keeps its parameters, in canonical order.
+        let inst: WorkloadInstance = "mergesort:n=4096,grain=2048".parse().unwrap();
         assert_eq!(inst.spec.canonical(), "mergesort:grain=2048,n=4096");
-    }
-
-    #[test]
-    fn from_workload_matches_into_instance() {
-        let w = ParallelScan::small();
-        let a = WorkloadInstance::from_workload(&w);
-        let b = ParallelScan::small().into_instance();
-        assert_eq!(a, b);
     }
 
     #[test]
     fn spec_strings_parse_into_equivalent_instances() {
         let from_str: WorkloadInstance = "mergesort".parse().unwrap();
-        let from_ctor = MergeSort::small().into_instance();
-        assert_eq!(from_str.name, from_ctor.name);
-        assert_eq!(from_str.spec, from_ctor.spec);
-        assert_eq!(*from_str.dag, *from_ctor.dag, "DAGs must be bit-identical");
-        assert_eq!(from_str.data_bytes, from_ctor.data_bytes);
+        let from_spec = WorkloadInstance::from_spec(&"mergesort".parse().unwrap());
+        assert_eq!(from_str, from_spec);
+        // The bare name is the generator's `small()` instance.
+        let small = MergeSort::small();
+        assert_eq!(
+            *from_str.dag,
+            small.build_dag(),
+            "DAGs must be bit-identical"
+        );
+        assert_eq!(from_str.data_bytes, small.data_bytes());
         assert!("bogosort".parse::<WorkloadInstance>().is_err());
     }
 

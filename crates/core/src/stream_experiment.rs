@@ -1,7 +1,7 @@
 //! The stream-experiment builder: one job stream × several schedulers.
 //!
-//! [`StreamExperiment`] is the serving-shaped sibling of
-//! [`Experiment`](crate::experiment::Experiment): instead of sweeping
+//! [`StreamExperiment`] is the serving-shaped sibling of a
+//! [`SweepGrid`](crate::sweep::SweepGrid): instead of sweeping
 //! (cores × scheduler) cells over one DAG, it drives one *stream* of DAG jobs
 //! through each requested scheduler on the simulated backend and reports
 //! latency and throughput per scheduler.
@@ -9,7 +9,7 @@
 use crate::experiment::ExperimentError;
 use crate::sweep::SweepRunner;
 use pdfws_metrics::{Series, Table};
-use pdfws_schedulers::{SchedulerSpec, SimOptions};
+use pdfws_schedulers::SchedulerSpec;
 use pdfws_stream::{
     run_stream_sim_with_jobs, validate_stream_cfg, ArrivalSpec, JobMix, StreamConfig,
     StreamOutcome, StreamSummary,
@@ -84,13 +84,6 @@ impl StreamExperiment {
         self
     }
 
-    /// Cross-job cache-interference strength (L2 blocks polluted per rival per
-    /// disturbance period; 0 disables).
-    pub fn rival_pollution_blocks(mut self, blocks: u64) -> Self {
-        self.config.rival_pollution_blocks = blocks;
-        self
-    }
-
     /// Job-sampling seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.config.seed = seed;
@@ -101,12 +94,6 @@ impl StreamExperiment {
     /// [`seed`](Self::seed)).
     pub fn arrival_seed(mut self, seed: u64) -> Self {
         self.config.arrival_seed = seed;
-        self
-    }
-
-    /// Engine options applied to every job's engine.
-    pub fn options(mut self, options: SimOptions) -> Self {
-        self.config.sim_options = options;
         self
     }
 

@@ -7,7 +7,7 @@
 //! [`SweepGrid`] describes such a grid declaratively; [`SweepRunner`] executes
 //! its cells on a `std::thread` worker pool and assembles one
 //! [`ExperimentReport`] per workload.  This is the single sweep-execution path
-//! in the workspace: [`Experiment`](crate::experiment::Experiment),
+//! in the workspace: the examples, the claims,
 //! [`StreamExperiment`](crate::stream_experiment::StreamExperiment) and all the
 //! bench binaries route through it.
 //!
@@ -24,7 +24,7 @@
 //! # DAG sharing and baseline dedup
 //!
 //! A workload's [`TaskDag`] is built once (when its [`WorkloadInstance`] is
-//! constructed) and shared by `Arc` across every cell and worker thread —
+//! resolved from its spec) and shared by `Arc` across every cell and worker thread —
 //! a 6-cores × 5-specs sweep simulates 30 cells plus one baseline from one
 //! DAG build, where the pre-sweep code rebuilt or cloned the DAG per cell.
 //! The sequential baseline is likewise deduplicated per (workload DAG,
@@ -35,8 +35,10 @@
 //! use pdfws_core::prelude::*;
 //!
 //! let grid = SweepGrid::new()
-//!     .workload(MergeSort::new(1 << 12).into_instance())
-//!     .workload(ParallelScan::new(1 << 14).into_instance())
+//!     .workload_str("mergesort:grain=2048,n=4096")
+//!     .unwrap()
+//!     .workload_str("scan:grain=8192,n=16384")
+//!     .unwrap()
 //!     .cores(&[1, 4])
 //!     .specs(&SchedulerSpec::paper_pair());
 //! let report = SweepRunner::new(2).run(&grid).unwrap();
@@ -85,8 +87,7 @@ pub fn threads_from_env(default: usize) -> usize {
 ///
 /// The grid is inert data; hand it to a [`SweepRunner`] to execute.  Axes can
 /// be listed in any order and the report ordering is always workloads in
-/// insertion order, then cores (outer) × specs (inner) — the classic
-/// `Experiment` ordering.
+/// insertion order, then cores (outer) × specs (inner).
 #[derive(Debug, Clone)]
 pub struct SweepGrid {
     workloads: Vec<WorkloadInstance>,
@@ -335,11 +336,10 @@ impl SweepRunner {
     }
 
     /// A runner sized from the `PDFWS_THREADS` environment variable, or
-    /// sequential when it is unset or unparsable.  Library entry points
-    /// ([`Experiment`](crate::experiment::Experiment),
-    /// [`StreamExperiment`](crate::stream_experiment::StreamExperiment))
-    /// default to this, so exported sweeps stay single-threaded unless the
-    /// user opts in; the bench binaries additionally accept `--threads N`.
+    /// sequential when it is unset or unparsable.
+    /// [`StreamExperiment`](crate::stream_experiment::StreamExperiment)
+    /// defaults to this, so exported streams stay single-threaded unless the
+    /// user opts in; the bench binaries instead take `--threads N`.
     pub fn from_env() -> Self {
         SweepRunner::new(threads_from_env(1))
     }
@@ -650,13 +650,15 @@ impl SweepReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::Instantiate;
-    use pdfws_workloads::{MergeSort, ParallelScan};
+
+    fn instance(spec: &str) -> WorkloadInstance {
+        spec.parse().unwrap()
+    }
 
     fn small_grid() -> SweepGrid {
         SweepGrid::new()
-            .workload(MergeSort::small().into_instance())
-            .workload(ParallelScan::small().into_instance())
+            .workload(instance("mergesort"))
+            .workload(instance("scan"))
             .cores(&[1, 2])
             .specs(&SchedulerSpec::paper_pair())
     }
@@ -693,7 +695,7 @@ mod tests {
 
     #[test]
     fn baselines_are_deduplicated_per_shared_dag() {
-        let shared = MergeSort::small().into_instance();
+        let shared = instance("mergesort");
         let grid = SweepGrid::new()
             .workload(shared.clone())
             .workload(shared.clone()) // same Arc: baseline must not rerun
@@ -706,8 +708,8 @@ mod tests {
 
         // A distinct DAG build of the same workload gets its own baseline.
         let grid = SweepGrid::new()
-            .workload(MergeSort::small().into_instance())
-            .workload(MergeSort::small().into_instance())
+            .workload(instance("mergesort"))
+            .workload(instance("mergesort"))
             .cores(&[2])
             .specs(&[SchedulerSpec::pdf()]);
         let plan = Plan::build(&grid).unwrap();

@@ -4,9 +4,10 @@
 //! the claims of [`ReplicationSuite::paper`](crate::ReplicationSuite::paper)
 //! evaluate cells taken from them, so an experiment is re-sized in one place.
 //!
-//! Workload specs spell out the parameters of each workload's "paper-scale
-//! instance" constructor: a bare registry spec such as `spmv:rows=131072`
-//! takes the registry's unit-test defaults and describes another program.
+//! Workload specs spell out every parameter that differs from the registry's
+//! defaults, which are the generators' unit-test (`small()`) sizes: a bare
+//! registry spec such as `spmv:rows=131072` keeps the small instance's other
+//! parameters and describes another program than the one spelled out below.
 
 use pdfws_core::prelude::*;
 

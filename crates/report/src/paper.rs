@@ -357,16 +357,16 @@ fn claim_c6_power_down() -> Claim {
             );
             let mut cycles: Vec<Vec<f64>> = Vec::new(); // per fraction, per spec
             for config in &configs {
-                let mut experiment = Experiment::new(instance.clone())
-                    .cores(cores)
+                let mut grid = SweepGrid::new()
+                    .workload(instance.clone())
+                    .cores(&[cores])
                     .with_config(*config)
-                    .schedulers(&specs)
-                    .threads(ctx.cfg.threads);
+                    .specs(&specs);
                 if let Some(spec) = &ctx.cfg.memsys {
-                    experiment = experiment.memsys(spec.clone());
+                    grid = grid.memsys(spec.clone());
                 }
-                let report = experiment.run()?;
-                let run = |spec| cell(&report, cores, spec).metrics.cycles as f64;
+                let sweep = SweepRunner::new(ctx.cfg.threads).run(&grid)?;
+                let run = |spec| cell(&sweep.reports()[0], cores, spec).metrics.cycles as f64;
                 cycles.push(specs.iter().map(run).collect());
             }
             let slowdown = |spec_idx: usize| cycles[1][spec_idx] / cycles[0][spec_idx];

@@ -116,8 +116,6 @@ pub struct ServeConfig {
     /// Deficit-round-robin quantum in estimated-service cycles credited per
     /// tenant weight per dispatch round.
     pub drr_quantum_cycles: u64,
-    /// Engine options for calibration runs.
-    pub sim_options: SimOptions,
     /// Memory-system override for calibration machines.
     pub memsys: Option<MemSysParams>,
     /// Seed for arrival generation and job sampling.
@@ -141,7 +139,6 @@ impl ServeConfig {
             autoscale: Some(AutoscalePolicy::for_cores(cores)),
             max_active: 2 * cores.max(1),
             drr_quantum_cycles: 50_000,
-            sim_options: SimOptions::default(),
             memsys: None,
             seed: 42,
         }
@@ -282,7 +279,7 @@ fn calibrate(cfg: &ServeConfig, levels: &[usize]) -> Result<Calibration, ModelEr
                         dag.clone(),
                         machine,
                         make_policy(&cfg.scheduler, machine.cores),
-                        cfg.sim_options.clone(),
+                        SimOptions::default(),
                     );
                     service.push(engine.run().cycles.max(1));
                 }

@@ -29,7 +29,8 @@
 //!   as JSONL ([`StreamOutcome::to_jsonl`](record::StreamOutcome::to_jsonl)).
 //!
 //! The high-level entry point is `pdfws_core::StreamExperiment`, which sweeps
-//! schedulers over one stream the way `Experiment` sweeps them over one DAG.
+//! schedulers over one stream the way a `pdfws_core::SweepGrid` sweeps them
+//! over one DAG.
 //!
 //! # Example
 //!

@@ -32,6 +32,10 @@ use pdfws_schedulers::{
 use pdfws_trace::{TraceEvent, TraceSink};
 use std::collections::VecDeque;
 
+/// Cache-interference model: L2 blocks polluted per co-resident rival per
+/// disturbance period.
+const RIVAL_POLLUTION_BLOCKS: u64 = 64;
+
 /// Configuration of one stream run on the simulated backend.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamConfig {
@@ -47,16 +51,11 @@ pub struct StreamConfig {
     pub max_concurrent: usize,
     /// When jobs enter the system.
     pub arrivals: ArrivalSpec,
-    /// Engine options applied to every job's engine.
-    pub sim_options: SimOptions,
     /// Memory-system model override for the simulated machine (`None`: the
     /// default configuration's own model, the component bus+DRAM system).
     /// Parse a `--memsys` string into a `pdfws_memsys::MemSysSpec` and store
     /// its `memsys_params()` here.
     pub memsys: Option<MemSysParams>,
-    /// Cache-interference model: L2 blocks polluted per co-resident rival per
-    /// disturbance period.  0 disables cross-job interference.
-    pub rival_pollution_blocks: u64,
     /// Seed for job sampling.
     pub seed: u64,
     /// Seed for the arrival generator, independent of the job-sampling
@@ -74,9 +73,7 @@ impl StreamConfig {
             quantum_cycles: 20_000,
             max_concurrent: 4,
             arrivals: ArrivalSpec::poisson(40.0),
-            sim_options: SimOptions::default(),
             memsys: None,
-            rival_pollution_blocks: 64,
             seed: 42,
             arrival_seed: 0x57_2EA4,
         }
@@ -223,7 +220,7 @@ fn stream_sim_impl(
                 dag,
                 &machine,
                 make_policy(&cfg.scheduler, machine.cores),
-                cfg.sim_options.clone(),
+                SimOptions::default(),
             );
             if let Some(s) = sink.as_deref_mut() {
                 s.emit(TraceEvent::JobAdmit { t: now, job: id });
@@ -266,8 +263,8 @@ fn stream_sim_impl(
         turn = turn.checked_rem(active.len()).unwrap_or(0);
         let rivals = active.len() - 1;
         let slot = &mut active[turn];
-        let disturbance = if rivals > 0 && cfg.rival_pollution_blocks > 0 {
-            let blocks = cfg.rival_pollution_blocks * rivals as u64;
+        let disturbance = if rivals > 0 {
+            let blocks = RIVAL_POLLUTION_BLOCKS * rivals as u64;
             Some(Disturbance {
                 period_cycles: (cfg.quantum_cycles / 4).max(1),
                 blocks_per_burst: blocks,

@@ -8,7 +8,6 @@
 //! power/multiprogramming benefits the paper notes.
 
 use crate::layout::AddressSpace;
-use crate::spec::{SpecSynth, WorkloadSpec};
 use crate::{Workload, WorkloadClass};
 use pdfws_task_dag::builder::DagBuilder;
 use pdfws_task_dag::{AccessPattern, TaskDag};
@@ -28,15 +27,6 @@ pub struct ComputeKernel {
 }
 
 impl ComputeKernel {
-    /// A paper-scale instance.
-    pub fn new(items: u64) -> Self {
-        ComputeKernel {
-            items,
-            grain: 1024,
-            instr_per_item: 400,
-        }
-    }
-
     /// A small instance for tests.
     pub fn small() -> Self {
         ComputeKernel {
@@ -100,15 +90,6 @@ impl Workload for ComputeKernel {
 
     fn data_bytes(&self) -> u64 {
         2 * self.items * ELEM_BYTES
-    }
-
-    fn spec(&self) -> WorkloadSpec {
-        let d = ComputeKernel::small();
-        SpecSynth::new("compute-kernel")
-            .u64_if("items", self.items, d.items)
-            .u64_if("grain", self.grain, d.grain)
-            .u64_if("instr-per-item", self.instr_per_item, d.instr_per_item)
-            .finish()
     }
 }
 

@@ -8,7 +8,6 @@
 //! controls.
 
 use crate::layout::AddressSpace;
-use crate::spec::{SpecSynth, WorkloadSpec};
 use crate::{Workload, WorkloadClass};
 use pdfws_task_dag::builder::DagBuilder;
 use pdfws_task_dag::{AccessPattern, TaskDag};
@@ -38,18 +37,6 @@ pub struct HashJoin {
 }
 
 impl HashJoin {
-    /// A paper-scale instance.
-    pub fn new(build_tuples: u64) -> Self {
-        HashJoin {
-            build_tuples,
-            probe_tuples: build_tuples * 4,
-            tuples_per_task: 4096,
-            buckets: (build_tuples / 4).next_power_of_two().max(1024),
-            seed: 0x4A01_17AB,
-            instr_per_tuple: 12,
-        }
-    }
-
     /// A small instance for tests.
     pub fn small() -> Self {
         HashJoin {
@@ -144,18 +131,6 @@ impl Workload for HashJoin {
 
     fn data_bytes(&self) -> u64 {
         (self.build_tuples + 2 * self.probe_tuples) * TUPLE_BYTES + self.buckets * BUCKET_BYTES
-    }
-
-    fn spec(&self) -> WorkloadSpec {
-        let d = HashJoin::small();
-        SpecSynth::new("hashjoin")
-            .u64_if("build-tuples", self.build_tuples, d.build_tuples)
-            .u64_if("probe-tuples", self.probe_tuples, d.probe_tuples)
-            .u64_if("tuples-per-task", self.tuples_per_task, d.tuples_per_task)
-            .u64_if("buckets", self.buckets, d.buckets)
-            .u64_if("seed", self.seed, d.seed)
-            .u64_if("instr-per-tuple", self.instr_per_tuple, d.instr_per_tuple)
-            .finish()
     }
 }
 

@@ -23,9 +23,10 @@
 //! (`"mergesort:grain=64,n=262144"`), the workload-side twin of
 //! `pdfws-schedulers`' `SchedulerSpec`: every generator is registered in the
 //! global [`WorkloadRegistry`] with typed parameters whose defaults are its
-//! `small()` constructor, every constructor reports its canonical spec
-//! ([`Workload::spec`]), and user workloads register through
-//! [`WorkloadFactory`] (see `examples/custom_workload.rs`).
+//! `small()` constructor, and user workloads register through
+//! [`WorkloadFactory`] (see `examples/custom_workload.rs`).  A registered
+//! workload is built only from its spec; each generator's `small()` and
+//! public fields serve its own unit tests.
 
 pub mod compute;
 pub mod hashjoin;
@@ -48,7 +49,7 @@ pub use mergesort::MergeSort;
 pub use quicksort::QuickSort;
 pub use registry::{WorkloadDomain, WorkloadFactory, WorkloadRegistry};
 pub use scan::ParallelScan;
-pub use spec::{SpecSynth, WorkloadSpec, WorkloadSpecError};
+pub use spec::{WorkloadSpec, WorkloadSpecError};
 pub use spmv::SpMv;
 pub use synthetic::SyntheticTree;
 
@@ -110,24 +111,7 @@ pub trait Workload {
     /// Approximate input-data footprint in bytes (used to size experiments
     /// relative to the L2 capacity).
     fn data_bytes(&self) -> u64;
-
-    /// The canonical [`WorkloadSpec`] describing this instance: the registered
-    /// name plus every parameter that differs from its registered (`small()`)
-    /// default.  For registered workloads
-    /// `spec().to_string().parse::<WorkloadSpec>()` reproduces an identical
-    /// spec and [`WorkloadSpec::build`] an equivalent instance, so reports and
-    /// job-stream records can carry the string and get the workload back.
-    ///
-    /// The default implementation reports the bare name, which is right for
-    /// parameterless custom workloads; parameterized ones should override it
-    /// (see the built-in programs and `examples/custom_workload.rs`).
-    fn spec(&self) -> WorkloadSpec {
-        WorkloadSpec::unregistered(self.name())
-    }
 }
-
-/// A boxed workload plus its parameters, convenient for experiment sweeps.
-pub type BoxedWorkload = Box<dyn Workload>;
 
 #[cfg(test)]
 mod tests {
@@ -150,12 +134,18 @@ mod tests {
     /// order; this is the cross-cutting smoke test for the whole crate.
     #[test]
     fn all_workloads_build_valid_dags() {
-        let workloads: Vec<BoxedWorkload> = vec![
+        let workloads: Vec<Box<dyn Workload>> = vec![
             Box::new(MergeSort::small()),
-            Box::new(MergeSort::small().coarse_grained(4)),
+            Box::new(MergeSort {
+                coarse_chunks: Some(4),
+                ..MergeSort::small()
+            }),
             Box::new(QuickSort::small()),
             Box::new(MatMul::small()),
-            Box::new(MatMul::small().coarse_grained(4)),
+            Box::new(MatMul {
+                coarse_chunks: Some(4),
+                ..MatMul::small()
+            }),
             Box::new(LuDecomposition::small()),
             Box::new(SpMv::small()),
             Box::new(HashJoin::small()),

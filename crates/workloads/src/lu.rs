@@ -9,7 +9,6 @@
 //! decreasing parallelism per step, heavy block reuse and a long critical path.
 
 use crate::layout::{AddressSpace, Region};
-use crate::spec::{SpecSynth, WorkloadSpec};
 use crate::{Workload, WorkloadClass};
 use pdfws_task_dag::builder::DagBuilder;
 use pdfws_task_dag::{AccessPattern, TaskDag, TaskId};
@@ -30,15 +29,6 @@ pub struct LuDecomposition {
 }
 
 impl LuDecomposition {
-    /// A paper-scale instance (512×512 with 64×64 blocks).
-    pub fn new(n: u64) -> Self {
-        LuDecomposition {
-            n,
-            block: 64,
-            instr_per_elem: 6,
-        }
-    }
-
     /// A small instance for tests (64×64 with 16×16 blocks).
     pub fn small() -> Self {
         LuDecomposition {
@@ -188,15 +178,6 @@ impl Workload for LuDecomposition {
     fn data_bytes(&self) -> u64 {
         self.n * self.n * ELEM_BYTES
     }
-
-    fn spec(&self) -> WorkloadSpec {
-        let d = LuDecomposition::small();
-        SpecSynth::new("lu")
-            .u64_if("n", self.n, d.n)
-            .u64_if("block", self.block, d.block)
-            .u64_if("instr-per-elem", self.instr_per_elem, d.instr_per_elem)
-            .finish()
-    }
 }
 
 #[cfg(test)]
@@ -238,7 +219,12 @@ mod tests {
 
     #[test]
     fn parallelism_decreases_but_is_nontrivial() {
-        let dag = LuDecomposition::new(256).build_dag();
+        let dag = LuDecomposition {
+            n: 256,
+            block: 64,
+            ..LuDecomposition::small()
+        }
+        .build_dag();
         let a = dag.analyze();
         assert!(a.parallelism > 2.0, "parallelism = {}", a.parallelism);
         // Critical path: start, then (diag, panel, update) per eliminated

@@ -9,11 +9,11 @@
 //! when the cores work on distant parts of C they each pull their own copies of A
 //! and B through the cache.
 //!
-//! The [`MatMul::coarse_grained`] variant divides C into `chunks` horizontal bands
-//! handled by one big task each — the SMP-style program.
+//! The coarse-grained variant (`coarse_chunks`, spec parameter `coarse`)
+//! divides C into `chunks` horizontal bands handled by one big task each — the
+//! SMP-style program.
 
 use crate::layout::{AddressSpace, Region};
-use crate::spec::{SpecSynth, WorkloadSpec};
 use crate::{Workload, WorkloadClass};
 use pdfws_task_dag::builder::DagBuilder;
 use pdfws_task_dag::{AccessPattern, TaskDag, TaskId};
@@ -35,16 +35,6 @@ pub struct MatMul {
 }
 
 impl MatMul {
-    /// A paper-scale instance (512×512, 64×64 leaf blocks).
-    pub fn new(n: u64) -> Self {
-        MatMul {
-            n,
-            grain: 64,
-            instr_per_madd: 2,
-            coarse_chunks: None,
-        }
-    }
-
     /// A small instance for tests (32×32, 8×8 blocks).
     pub fn small() -> Self {
         MatMul {
@@ -53,18 +43,6 @@ impl MatMul {
             instr_per_madd: 2,
             coarse_chunks: None,
         }
-    }
-
-    /// Override the leaf block size.
-    pub fn with_grain(mut self, grain: u64) -> Self {
-        self.grain = grain.max(1);
-        self
-    }
-
-    /// Turn this instance into the coarse-grained variant.
-    pub fn coarse_grained(mut self, chunks: u64) -> Self {
-        self.coarse_chunks = Some(chunks.max(1));
-        self
     }
 
     fn matrix_bytes(&self) -> u64 {
@@ -265,18 +243,6 @@ impl Workload for MatMul {
     fn data_bytes(&self) -> u64 {
         3 * self.matrix_bytes()
     }
-
-    fn spec(&self) -> WorkloadSpec {
-        let d = MatMul::small();
-        let mut s = SpecSynth::new("matmul")
-            .u64_if("n", self.n, d.n)
-            .u64_if("grain", self.grain, d.grain)
-            .u64_if("instr-per-madd", self.instr_per_madd, d.instr_per_madd);
-        if let Some(chunks) = self.coarse_chunks {
-            s = s.u64("coarse", chunks);
-        }
-        s.finish()
-    }
 }
 
 #[cfg(test)]
@@ -325,15 +291,23 @@ mod tests {
 
     #[test]
     fn work_scales_cubically() {
-        let small = MatMul::new(32).with_grain(8).build_dag().work();
-        let large = MatMul::new(64).with_grain(8).build_dag().work();
+        let small = MatMul::small().build_dag().work();
+        let large = MatMul {
+            n: 64,
+            ..MatMul::small()
+        }
+        .build_dag()
+        .work();
         let ratio = large as f64 / small as f64;
         assert!(ratio > 6.0 && ratio < 10.0, "ratio = {ratio}");
     }
 
     #[test]
     fn coarse_variant_has_one_task_per_band() {
-        let mm = MatMul::small().coarse_grained(4);
+        let mm = MatMul {
+            coarse_chunks: Some(4),
+            ..MatMul::small()
+        };
         assert_eq!(mm.name(), "matmul-coarse");
         let dag = mm.build_dag();
         // fork + 4 bands + join.
@@ -344,11 +318,22 @@ mod tests {
     #[test]
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_dimension_is_rejected() {
-        let _ = MatMul::new(48).build_dag();
+        let _ = MatMul {
+            n: 48,
+            ..MatMul::small()
+        }
+        .build_dag();
     }
 
     #[test]
     fn data_bytes_counts_three_matrices() {
-        assert_eq!(MatMul::new(64).data_bytes(), 3 * 64 * 64 * 8);
+        assert_eq!(
+            MatMul {
+                n: 64,
+                ..MatMul::small()
+            }
+            .data_bytes(),
+            3 * 64 * 64 * 8
+        );
     }
 }

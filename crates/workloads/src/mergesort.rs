@@ -13,13 +13,13 @@
 //! subtrees and keep evicting each other's soon-to-be-reused data once the
 //! aggregate footprint exceeds the L2.
 //!
-//! The [`MergeSort::coarse_grained`] variant models the SMP-style version of the
-//! same program: only `chunks` top-level tasks, each sorting `n / chunks` keys
-//! sequentially, followed by a single sequential merge chain — the fine-grained
-//! structure (and with it the constructive-sharing opportunity) is gone.
+//! The coarse-grained variant (`coarse_chunks`, spec parameter `coarse`)
+//! models the SMP-style version of the same program: only `chunks` top-level
+//! tasks, each sorting `n / chunks` keys sequentially, followed by a single
+//! sequential merge chain — the fine-grained structure (and with it the
+//! constructive-sharing opportunity) is gone.
 
 use crate::layout::{AddressSpace, Region};
-use crate::spec::{SpecSynth, WorkloadSpec};
 use crate::{reserved_builder, Workload, WorkloadClass};
 use pdfws_task_dag::builder::DagBuilder;
 use pdfws_task_dag::{AccessPattern, TaskDag, TaskId};
@@ -43,17 +43,6 @@ pub struct MergeSort {
 pub const KEY_BYTES: u64 = 8;
 
 impl MergeSort {
-    /// A paper-scale instance: 2^20 keys (8 MiB per buffer), 2 Ki-key leaves.
-    pub fn new(n_keys: u64) -> Self {
-        MergeSort {
-            n_keys,
-            grain_keys: 2048,
-            leaf_instr_per_key: 12,
-            merge_instr_per_key: 4,
-            coarse_chunks: None,
-        }
-    }
-
     /// A small instance for unit tests (256 keys, 32-key leaves).
     pub fn small() -> Self {
         MergeSort {
@@ -63,19 +52,6 @@ impl MergeSort {
             merge_instr_per_key: 4,
             coarse_chunks: None,
         }
-    }
-
-    /// Override the leaf grain (keys per leaf task).
-    pub fn with_grain(mut self, grain_keys: u64) -> Self {
-        self.grain_keys = grain_keys.max(1);
-        self
-    }
-
-    /// Turn this instance into the coarse-grained SMP-style variant with the given
-    /// number of top-level chunks.
-    pub fn coarse_grained(mut self, chunks: u64) -> Self {
-        self.coarse_chunks = Some(chunks.max(1));
-        self
     }
 
     fn layout(&self) -> (Region, Region) {
@@ -282,23 +258,6 @@ impl Workload for MergeSort {
     fn data_bytes(&self) -> u64 {
         2 * self.n_keys * KEY_BYTES
     }
-
-    fn spec(&self) -> WorkloadSpec {
-        let d = MergeSort::small();
-        let mut s = SpecSynth::new("mergesort")
-            .u64_if("n", self.n_keys, d.n_keys)
-            .u64_if("grain", self.grain_keys, d.grain_keys)
-            .u64_if("leaf-instr", self.leaf_instr_per_key, d.leaf_instr_per_key)
-            .u64_if(
-                "merge-instr",
-                self.merge_instr_per_key,
-                d.merge_instr_per_key,
-            );
-        if let Some(chunks) = self.coarse_chunks {
-            s = s.u64("coarse", chunks);
-        }
-        s.finish()
-    }
 }
 
 #[cfg(test)]
@@ -326,9 +285,21 @@ mod tests {
     fn closed_form_counts_match_the_built_dag() {
         for ms in [
             MergeSort::small(),
-            MergeSort::new(1000).with_grain(7),
-            MergeSort::new(16).with_grain(1),
-            MergeSort::new(5).with_grain(8),
+            MergeSort {
+                n_keys: 1000,
+                grain_keys: 7,
+                ..MergeSort::small()
+            },
+            MergeSort {
+                n_keys: 16,
+                grain_keys: 1,
+                ..MergeSort::small()
+            },
+            MergeSort {
+                n_keys: 5,
+                grain_keys: 8,
+                ..MergeSort::small()
+            },
         ] {
             let dag = ms.build_dag();
             let patterns: usize = dag.nodes().map(|n| n.accesses.len()).sum();
@@ -383,8 +354,16 @@ mod tests {
 
     #[test]
     fn work_scales_roughly_n_log_n() {
-        let small = MergeSort::new(1 << 12).with_grain(64).build_dag().work();
-        let large = MergeSort::new(1 << 14).with_grain(64).build_dag().work();
+        let work = |n_keys| {
+            MergeSort {
+                n_keys,
+                grain_keys: 64,
+                ..MergeSort::small()
+            }
+            .build_dag()
+            .work()
+        };
+        let (small, large) = (work(1 << 12), work(1 << 14));
         // 4x the keys, ~4.7x the work (n log n): definitely more than 4x, less than 6x.
         assert!(large > 4 * small);
         assert!(large < 6 * small);
@@ -393,7 +372,10 @@ mod tests {
     #[test]
     fn coarse_variant_has_few_big_tasks() {
         let fine = MergeSort::small();
-        let coarse = MergeSort::small().coarse_grained(4);
+        let coarse = MergeSort {
+            coarse_chunks: Some(4),
+            ..MergeSort::small()
+        };
         assert_eq!(coarse.name(), "mergesort-coarse");
         assert_eq!(coarse.class(), WorkloadClass::CoarseGrained);
         let dag = coarse.build_dag();
@@ -405,18 +387,34 @@ mod tests {
 
     #[test]
     fn data_bytes_counts_both_buffers() {
-        assert_eq!(MergeSort::new(1 << 10).data_bytes(), 2 * (1 << 10) * 8);
+        assert_eq!(
+            MergeSort {
+                n_keys: 1 << 10,
+                ..MergeSort::small()
+            }
+            .data_bytes(),
+            2 * (1 << 10) * 8
+        );
     }
 
     #[test]
     #[should_panic(expected = "at least two keys")]
     fn single_key_is_rejected() {
-        let _ = MergeSort::new(1).build_dag();
+        let _ = MergeSort {
+            n_keys: 1,
+            ..MergeSort::small()
+        }
+        .build_dag();
     }
 
     #[test]
-    fn grain_of_one_is_clamped_and_valid() {
-        let dag = MergeSort::new(16).with_grain(0).build_dag();
+    fn grain_of_one_is_valid() {
+        let dag = MergeSort {
+            n_keys: 16,
+            grain_keys: 1,
+            ..MergeSort::small()
+        }
+        .build_dag();
         assert!(dag.is_valid_schedule_order(&dag.one_df_order()));
     }
 }

@@ -6,7 +6,6 @@
 //! The sort is in place: one array, no ping-pong buffer.
 
 use crate::layout::{AddressSpace, Region};
-use crate::spec::{SpecSynth, WorkloadSpec};
 use crate::{Workload, WorkloadClass};
 use pdfws_task_dag::builder::DagBuilder;
 use pdfws_task_dag::{AccessPattern, TaskDag, TaskId};
@@ -28,16 +27,6 @@ pub struct QuickSort {
 }
 
 impl QuickSort {
-    /// A paper-scale instance.
-    pub fn new(n_keys: u64) -> Self {
-        QuickSort {
-            n_keys,
-            grain_keys: 2048,
-            partition_instr_per_key: 3,
-            leaf_instr_per_key: 14,
-        }
-    }
-
     /// A small instance for tests.
     pub fn small() -> Self {
         QuickSort {
@@ -46,12 +35,6 @@ impl QuickSort {
             partition_instr_per_key: 3,
             leaf_instr_per_key: 14,
         }
-    }
-
-    /// Override the leaf grain.
-    pub fn with_grain(mut self, grain_keys: u64) -> Self {
-        self.grain_keys = grain_keys.max(1);
-        self
     }
 
     /// Recursive build: partition task, then the two half-sorts in parallel, then a
@@ -132,20 +115,6 @@ impl Workload for QuickSort {
     fn data_bytes(&self) -> u64 {
         self.n_keys * ELEM_BYTES
     }
-
-    fn spec(&self) -> WorkloadSpec {
-        let d = QuickSort::small();
-        SpecSynth::new("quicksort")
-            .u64_if("n", self.n_keys, d.n_keys)
-            .u64_if("grain", self.grain_keys, d.grain_keys)
-            .u64_if(
-                "partition-instr",
-                self.partition_instr_per_key,
-                d.partition_instr_per_key,
-            )
-            .u64_if("leaf-instr", self.leaf_instr_per_key, d.leaf_instr_per_key)
-            .finish()
-    }
 }
 
 #[cfg(test)]
@@ -190,7 +159,12 @@ mod tests {
 
     #[test]
     fn unbalanced_split_produces_subtrees_of_different_sizes() {
-        let dag = QuickSort::new(4096).with_grain(64).build_dag();
+        let dag = QuickSort {
+            n_keys: 4096,
+            grain_keys: 64,
+            ..QuickSort::small()
+        }
+        .build_dag();
         let (_, depth) = dag.longest_path(|_| 1);
         // A perfectly balanced tree over 4096/64 = 64 leaves would have depth
         // ~6 partitions + leaf + joins; the 45/55 split makes it deeper.
@@ -199,8 +173,16 @@ mod tests {
 
     #[test]
     fn work_grows_superlinearly() {
-        let a = QuickSort::new(1 << 12).with_grain(64).build_dag().work();
-        let b = QuickSort::new(1 << 14).with_grain(64).build_dag().work();
+        let work = |n_keys| {
+            QuickSort {
+                n_keys,
+                grain_keys: 64,
+                ..QuickSort::small()
+            }
+            .build_dag()
+            .work()
+        };
+        let (a, b) = (work(1 << 12), work(1 << 14));
         assert!(b > 4 * a);
     }
 }

@@ -999,7 +999,11 @@ mod tests {
         assert_eq!(w.class(), WorkloadClass::CoarseGrained);
         assert_eq!(
             w.build_dag(),
-            MergeSort::small().coarse_grained(4).build_dag()
+            MergeSort {
+                coarse_chunks: Some(4),
+                ..MergeSort::small()
+            }
+            .build_dag()
         );
         let spec: WorkloadSpec = "matmul:coarse=4".parse().unwrap();
         assert_eq!(spec.build().name(), "matmul-coarse");

@@ -8,7 +8,6 @@
 //! there is only limited data reuse that can be exploited ...").
 
 use crate::layout::AddressSpace;
-use crate::spec::{SpecSynth, WorkloadSpec};
 use crate::{Workload, WorkloadClass};
 use pdfws_task_dag::builder::DagBuilder;
 use pdfws_task_dag::{AccessPattern, TaskDag};
@@ -28,15 +27,6 @@ pub struct ParallelScan {
 }
 
 impl ParallelScan {
-    /// A paper-scale instance.
-    pub fn new(n: u64) -> Self {
-        ParallelScan {
-            n,
-            grain: 8192,
-            instr_per_elem: 2,
-        }
-    }
-
     /// A small instance for tests.
     pub fn small() -> Self {
         ParallelScan {
@@ -137,15 +127,6 @@ impl Workload for ParallelScan {
 
     fn data_bytes(&self) -> u64 {
         2 * self.n * ELEM_BYTES
-    }
-
-    fn spec(&self) -> WorkloadSpec {
-        let d = ParallelScan::small();
-        SpecSynth::new("scan")
-            .u64_if("n", self.n, d.n)
-            .u64_if("grain", self.grain, d.grain)
-            .u64_if("instr-per-elem", self.instr_per_elem, d.instr_per_elem)
-            .finish()
     }
 }
 

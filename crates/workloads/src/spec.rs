@@ -26,8 +26,7 @@
 //!
 //! Every parameter has a default equal to the workload's `small()`
 //! constructor, so the bare name builds exactly the instance the unit tests
-//! exercise, and `small()`/`new(n)` constructors now *are* canonical strings
-//! (see [`Workload::spec`]).
+//! exercise.  A registered workload is built only from its spec.
 
 use crate::registry::{WorkloadDomain, WorkloadRegistry};
 use crate::Workload;
@@ -42,8 +41,7 @@ spec_type! {
     /// A parsed, validated workload description: registered name +
     /// parameters.
     ///
-    /// Construct one by parsing (`"mergesort:n=4096".parse()`), from a live
-    /// workload value ([`Workload::spec`]), or via
+    /// Construct one by parsing (`"mergesort:n=4096".parse()`) or via
     /// [`WorkloadSpec::with_param`].  Every parsed spec validates against the
     /// global [`WorkloadRegistry`], so it is always resolvable into a
     /// workload object with [`WorkloadSpec::build`].
@@ -52,8 +50,7 @@ spec_type! {
 
 impl WorkloadSpec {
     /// Internal: build a spec that is already known valid (used by the
-    /// registry's scale/reseed hooks and by the [`SpecSynth`] the workload
-    /// constructors report themselves through).
+    /// registry's scale/reseed hooks).
     pub(crate) fn known_valid(name: &str, params: BTreeMap<String, String>) -> Self {
         WorkloadSpec(Spec::known_valid(name, params))
     }
@@ -75,54 +72,6 @@ impl WorkloadSpec {
     /// [`WorkloadSpec::unregistered`] values.
     pub fn build(&self) -> Box<dyn Workload> {
         WorkloadRegistry::global().resolve(self).build(self)
-    }
-}
-
-/// Builder the workload constructors use to report themselves as canonical
-/// specs: parameters equal to the registered (`small()`) defaults are omitted,
-/// so `MergeSort::small().spec()` is just `"mergesort"` and every synthesized
-/// spec re-parses to an identical value.
-#[derive(Debug)]
-pub struct SpecSynth {
-    name: &'static str,
-    params: BTreeMap<String, String>,
-}
-
-impl SpecSynth {
-    /// Start a synthesis for the registered `name`.
-    pub fn new(name: &'static str) -> Self {
-        SpecSynth {
-            name,
-            params: BTreeMap::new(),
-        }
-    }
-
-    /// Record a `u64` parameter if it differs from its registered default.
-    pub fn u64_if(mut self, key: &str, value: u64, default: u64) -> Self {
-        if value != default {
-            self.params.insert(key.to_string(), value.to_string());
-        }
-        self
-    }
-
-    /// Record a fraction parameter if it differs from its registered default.
-    pub fn fraction_if(mut self, key: &str, value: f64, default: f64) -> Self {
-        if value != default {
-            self.params.insert(key.to_string(), value.to_string());
-        }
-        self
-    }
-
-    /// Record a parameter unconditionally (used for `coarse`, whose absence
-    /// *is* the default).
-    pub fn u64(mut self, key: &str, value: u64) -> Self {
-        self.params.insert(key.to_string(), value.to_string());
-        self
-    }
-
-    /// Finish into the canonical spec.
-    pub fn finish(self) -> WorkloadSpec {
-        WorkloadSpec::known_valid(self.name, self.params)
     }
 }
 
@@ -177,8 +126,21 @@ mod tests {
         assert!(err.to_string().contains("multiple"), "{err}");
         let err = "mergesort:n=1".parse::<WorkloadSpec>().unwrap_err();
         assert!(err.to_string().contains("at least"), "{err}");
-        let err = "mergesort:coarse=0".parse::<WorkloadSpec>().unwrap_err();
-        assert!(err.to_string().contains("coarse"), "{err}");
+        // Zero grains and chunk counts are parse errors, never clamped.
+        for (raw, key) in [
+            ("mergesort:coarse=0", "coarse"),
+            ("mergesort:grain=0", "grain"),
+            ("quicksort:grain=0", "grain"),
+            ("matmul:grain=0", "grain"),
+            ("matmul:coarse=0", "coarse"),
+        ] {
+            let err = raw.parse::<WorkloadSpec>().unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains(&format!("'{key}' must be at least 1")),
+                "{raw}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! L2; scattered co-scheduling keeps re-fetching it.
 
 use crate::layout::AddressSpace;
-use crate::spec::{SpecSynth, WorkloadSpec};
 use crate::{Workload, WorkloadClass};
 use pdfws_task_dag::builder::DagBuilder;
 use pdfws_task_dag::{AccessPattern, TaskDag};
@@ -41,19 +40,6 @@ pub struct SpMv {
 }
 
 impl SpMv {
-    /// A paper-scale instance.
-    pub fn new(rows: u64) -> Self {
-        SpMv {
-            rows,
-            nnz_per_row: 16,
-            rows_per_task: 1024,
-            iterations: 4,
-            locality_window: 8192,
-            seed: 0xB10C_5EED,
-            instr_per_nnz: 4,
-        }
-    }
-
     /// A small instance for tests.
     pub fn small() -> Self {
         SpMv {
@@ -151,19 +137,6 @@ impl Workload for SpMv {
         let nnz_total = self.rows * self.nnz_per_row;
         nnz_total * ELEM_BYTES + nnz_total * 4 + 2 * self.rows * ELEM_BYTES
     }
-
-    fn spec(&self) -> WorkloadSpec {
-        let d = SpMv::small();
-        SpecSynth::new("spmv")
-            .u64_if("rows", self.rows, d.rows)
-            .u64_if("nnz-per-row", self.nnz_per_row, d.nnz_per_row)
-            .u64_if("rows-per-task", self.rows_per_task, d.rows_per_task)
-            .u64_if("iterations", self.iterations as u64, d.iterations as u64)
-            .u64_if("locality-window", self.locality_window, d.locality_window)
-            .u64_if("seed", self.seed, d.seed)
-            .u64_if("instr-per-nnz", self.instr_per_nnz, d.instr_per_nnz)
-            .finish()
-    }
 }
 
 /// Helper exposing the x-vector footprint (the shared, reusable structure).
@@ -211,7 +184,14 @@ mod tests {
 
     #[test]
     fn streams_dominate_footprint_but_vector_is_shared() {
-        let s = SpMv::new(1 << 14);
+        let s = SpMv {
+            rows: 1 << 14,
+            nnz_per_row: 16,
+            rows_per_task: 1024,
+            iterations: 4,
+            locality_window: 8192,
+            ..SpMv::small()
+        };
         assert!(s.data_bytes() > 4 * s.vector_bytes());
     }
 

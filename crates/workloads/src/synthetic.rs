@@ -9,7 +9,6 @@
 //! demonstrate the mechanism behind the paper's findings.
 
 use crate::layout::AddressSpace;
-use crate::spec::{SpecSynth, WorkloadSpec};
 use crate::{reserved_builder, Workload, WorkloadClass};
 use pdfws_task_dag::builder::DagBuilder;
 use pdfws_task_dag::{AccessPattern, TaskDag, TaskId};
@@ -185,23 +184,6 @@ impl Workload for SyntheticTree {
 
     fn data_bytes(&self) -> u64 {
         self.shared_bytes + self.leaves() * self.leaf_private_bytes
-    }
-
-    fn spec(&self) -> WorkloadSpec {
-        let d = SyntheticTree::small();
-        SpecSynth::new("synthetic")
-            .u64_if("depth", self.depth as u64, d.depth as u64)
-            .u64_if("fanout", self.fanout as u64, d.fanout as u64)
-            .u64_if("leaf-instr", self.leaf_instructions, d.leaf_instructions)
-            .u64_if(
-                "private-bytes",
-                self.leaf_private_bytes,
-                d.leaf_private_bytes,
-            )
-            .u64_if("shared-bytes", self.shared_bytes, d.shared_bytes)
-            .fraction_if("shared-fraction", self.shared_fraction, d.shared_fraction)
-            .u64_if("passes", self.passes as u64, d.passes as u64)
-            .finish()
     }
 }
 

@@ -4,7 +4,7 @@
 //! methods: `name`, `init`, `task_ready`, `next_task`, `ready_count`), name it and declare its parameters ([`SpecFamily`]), wrap it in
 //! a [`PolicyFactory`] that builds it, and register it.  From that point `"lifo"` — or
 //! `"lifo:your=params"` if you declare any — parses as a [`SchedulerSpec`]
-//! everywhere: `Experiment`, `StreamExperiment`, stream configs, bench
+//! everywhere: `SweepGrid`, `StreamExperiment`, stream configs, bench
 //! binaries.
 //!
 //! ```text
@@ -76,11 +76,15 @@ fn main() {
 
     // ...and the name parses like any built-in spec.
     let lifo: SchedulerSpec = "lifo".parse().expect("registered name parses");
-    let report = Experiment::new(MergeSort::new(1 << 16).into_instance())
-        .cores(8)
-        .schedulers(&[SchedulerSpec::pdf(), SchedulerSpec::ws(), lifo.clone()])
-        .run()
+    let grid = SweepGrid::new()
+        .workload_str("mergesort:grain=2048,n=65536")
+        .expect("a built-in workload spec")
+        .cores(&[8])
+        .specs(&[SchedulerSpec::pdf(), SchedulerSpec::ws(), lifo.clone()]);
+    let sweep = SweepRunner::from_env()
+        .run(&grid)
         .expect("the 8-core default configuration exists");
+    let report = &sweep.reports()[0];
 
     println!("parallel merge sort, 8 cores, pdf vs ws vs your policy:\n");
     println!(

@@ -5,8 +5,8 @@
 //! methods), name it and declare its typed parameters ([`SpecFamily`]), wrap
 //! it in a [`WorkloadFactory`] that builds it, and register it.  From that point
 //! `"stencil"` — or `"stencil:points=8192,iters=4"` — parses as a
-//! [`WorkloadSpec`] everywhere: `Experiment::for_spec`, `SweepGrid`,
-//! job-stream mixes, and every bench binary's `--workload` flag.
+//! [`WorkloadSpec`] everywhere: `SweepGrid::workload_str`, job-stream mixes,
+//! and every bench binary's `--workload` flag.
 //!
 //! ```text
 //! cargo run --release --example custom_workload
@@ -69,22 +69,6 @@ impl Workload for Stencil {
     fn data_bytes(&self) -> u64 {
         self.points * 8
     }
-    fn spec(&self) -> WorkloadSpec {
-        // Report only non-default parameters, like the built-in workloads do.
-        let mut s = WorkloadSpec::unregistered("stencil");
-        for (key, value, default) in [
-            ("points", self.points, 4096),
-            ("iters", self.iters, 2),
-            ("grain", self.grain, 256),
-        ] {
-            if value != default {
-                s = s
-                    .with_param(key, &value.to_string())
-                    .expect("stencil params are declared");
-            }
-        }
-        s
-    }
 }
 
 struct StencilFactory;
@@ -143,12 +127,15 @@ fn main() {
     let err = "stencil:points=many".parse::<WorkloadSpec>().unwrap_err();
     println!("typed parameters come for free: {err}\n");
 
-    let report = Experiment::for_spec("stencil:points=16384,iters=4")
+    let grid = SweepGrid::new()
+        .workload_str("stencil:points=16384,iters=4")
         .expect("the stencil spec parses")
-        .cores(8)
-        .schedulers(&SchedulerSpec::paper_pair())
-        .run()
+        .cores(&[8])
+        .specs(&SchedulerSpec::paper_pair());
+    let sweep = SweepRunner::from_env()
+        .run(&grid)
         .expect("the 8-core default configuration exists");
+    let report = &sweep.reports()[0];
 
     println!("{} on 8 cores, pdf vs ws:\n", report.workload);
     println!(

@@ -8,14 +8,17 @@
 use pdfws::prelude::*;
 
 fn main() {
-    // The Figure-1 workload at a small size so this example runs in a second.
-    let workload = MergeSort::new(1 << 16).into_instance();
-
-    let report = Experiment::new(workload)
-        .cores(8)
-        .schedulers(&SchedulerSpec::paper_pair())
-        .run()
+    // The Figure-1 workload at a small size so this example runs in a second:
+    // 64 Ki keys, sorted by 2 Ki-key leaf tasks.
+    let grid = SweepGrid::new()
+        .workload_str("mergesort:grain=2048,n=65536")
+        .expect("a built-in workload spec")
+        .cores(&[8])
+        .specs(&SchedulerSpec::paper_pair());
+    let sweep = SweepRunner::from_env()
+        .run(&grid)
         .expect("the 8-core default configuration exists");
+    let report = &sweep.reports()[0];
 
     println!("parallel merge sort on the default 8-core CMP (240 mm^2 die):\n");
     println!(

@@ -30,8 +30,9 @@
 //!   sustained 10⁶–10⁷-job runs.
 //! * [`trace`] — structured event tracing: typed per-core/steal/cache-window
 //!   events, Perfetto (Chrome trace-event) export, and binned timeline tables.
-//! * [`core`](mod@core_api) — the high-level [`Experiment`](core_api::experiment::Experiment)
-//!   and [`StreamExperiment`](core_api::stream_experiment::StreamExperiment) APIs
+//! * [`core`](mod@core_api) — the high-level [`SweepGrid`](core_api::SweepGrid) /
+//!   [`SweepRunner`](core_api::SweepRunner) and
+//!   [`StreamExperiment`](core_api::stream_experiment::StreamExperiment) APIs
 //!   used by every example and benchmark.
 //! * [`report`] — durable artifacts: [`Figure`](report::Figure) renderers
 //!   (CSV/JSONL/markdown/ASCII charts) and the paper-claim
@@ -44,13 +45,13 @@
 //! use pdfws::prelude::*;
 //!
 //! // Simulate parallel merge sort on the default 8-core CMP under both schedulers.
-//! let workload = MergeSort::new(1 << 14).into_instance();
-//! let report = Experiment::new(workload)
-//!     .cores(8)
-//!     .schedulers(&[SchedulerSpec::pdf(), "ws:steal=half".parse().unwrap()])
-//!     .run()
-//!     .expect("simulation succeeds");
-//! for run in report.runs() {
+//! let grid = SweepGrid::new()
+//!     .workload_str("mergesort:grain=2048,n=16384")
+//!     .expect("a built-in workload spec")
+//!     .cores(&[8])
+//!     .specs(&[SchedulerSpec::pdf(), "ws:steal=half".parse().unwrap()]);
+//! let sweep = SweepRunner::sequential().run(&grid).expect("simulation succeeds");
+//! for run in sweep.reports()[0].runs() {
 //!     println!("{:>4}: {:.3} L2 misses / 1000 instr", run.scheduler, run.metrics.l2_mpki());
 //! }
 //! ```

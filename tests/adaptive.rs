@@ -79,10 +79,10 @@ fn adaptive_sweeps_are_deterministic_across_runner_threads() {
     .map(|s| s.parse().unwrap())
     .collect();
     let grid = SweepGrid::new()
-        .workloads(&[
-            SyntheticTree::small().into_instance(),
-            SpMv::small().into_instance(),
-        ])
+        .workload_str("synthetic")
+        .unwrap()
+        .workload_str("spmv")
+        .unwrap()
         .cores(&[4, 8])
         .specs(&specs);
     let sequential = SweepRunner::new(1)

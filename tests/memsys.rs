@@ -102,13 +102,15 @@ fn memsys_spec_selects_the_model_end_to_end() {
     // real) while both remain self-consistent across reruns.
     let instance: WorkloadInstance = "spmv:rows=4096".parse().unwrap();
     let run = |memsys: Option<MemSysSpec>| {
-        let mut experiment = Experiment::new(instance.clone())
-            .cores(8)
-            .schedulers(&[SchedulerSpec::pdf()]);
+        let mut grid = SweepGrid::new()
+            .workload(instance.clone())
+            .cores(&[8])
+            .specs(&[SchedulerSpec::pdf()]);
         if let Some(spec) = memsys {
-            experiment = experiment.memsys(spec);
+            grid = grid.memsys(spec);
         }
-        experiment.run().unwrap()
+        let mut reports = SweepRunner::from_env().run(&grid).unwrap().into_reports();
+        reports.remove(0)
     };
     let component = run(None);
     let legacy = run(Some("legacy".parse().unwrap()));

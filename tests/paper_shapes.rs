@@ -23,16 +23,34 @@ fn small_cache_config(cores: usize) -> CmpConfig {
     cfg
 }
 
+/// A one-workload grid on the scaled-down machine at `cores`, under the
+/// paper's pair unless `specs` narrows it.
+fn grid(workload: &WorkloadInstance, cores: usize) -> SweepGrid {
+    SweepGrid::new()
+        .workload(workload.clone())
+        .cores(&[cores])
+        .with_config(small_cache_config(cores))
+}
+
+/// The report of a one-workload grid.
+fn run(grid: SweepGrid) -> ExperimentReport {
+    SweepRunner::from_env()
+        .run(&grid)
+        .unwrap()
+        .into_reports()
+        .remove(0)
+}
+
+fn instance(spec: &str) -> WorkloadInstance {
+    spec.parse().unwrap()
+}
+
 #[test]
 fn mergesort_pdf_produces_no_more_l2_misses_than_ws_at_scale() {
     // 2^16 keys * 8 B * 2 buffers = 1 MiB of data against a 256 KiB L2.
-    let spec = MergeSort::new(1 << 16).with_grain(1 << 10).into_instance();
+    let spec = instance("mergesort:grain=1024,n=65536");
     for cores in [8usize, 16] {
-        let report = Experiment::new(spec.clone())
-            .cores(cores)
-            .with_config(small_cache_config(cores))
-            .run()
-            .unwrap();
+        let report = run(grid(&spec, cores));
         let pdf = report.find(cores, &SchedulerSpec::pdf()).unwrap();
         let ws = report.find(cores, &SchedulerSpec::ws()).unwrap();
         assert!(
@@ -53,14 +71,9 @@ fn mergesort_pdf_produces_no_more_l2_misses_than_ws_at_scale() {
 
 #[test]
 fn ws_l2_misses_grow_with_cores_faster_than_pdf_for_mergesort() {
-    let spec = MergeSort::new(1 << 16).with_grain(1 << 10).into_instance();
+    let spec = instance("mergesort:grain=1024,n=65536");
     let mpki = |cores: usize, scheduler: &SchedulerSpec| {
-        let report = Experiment::new(spec.clone())
-            .cores(cores)
-            .with_config(small_cache_config(cores))
-            .schedulers(std::slice::from_ref(scheduler))
-            .run()
-            .unwrap();
+        let report = run(grid(&spec, cores).specs(std::slice::from_ref(scheduler)));
         report.find(cores, scheduler).unwrap().metrics.l2_mpki()
     };
     let (pdf, ws) = (SchedulerSpec::pdf(), SchedulerSpec::ws());
@@ -74,13 +87,9 @@ fn ws_l2_misses_grow_with_cores_faster_than_pdf_for_mergesort() {
 
 #[test]
 fn low_reuse_scan_ties_between_schedulers() {
-    let spec = ParallelScan::new(1 << 15).into_instance();
+    let spec = instance("scan:grain=8192,n=32768");
     let cores = 8;
-    let report = Experiment::new(spec)
-        .cores(cores)
-        .with_config(small_cache_config(cores))
-        .run()
-        .unwrap();
+    let report = run(grid(&spec, cores));
     let pdf = report.find(cores, &SchedulerSpec::pdf()).unwrap();
     let ws = report.find(cores, &SchedulerSpec::ws()).unwrap();
     let rel = ws.metrics.cycles as f64 / pdf.metrics.cycles as f64;
@@ -92,13 +101,9 @@ fn low_reuse_scan_ties_between_schedulers() {
 
 #[test]
 fn compute_bound_kernel_ties_between_schedulers() {
-    let spec = ComputeKernel::new(1 << 13).into_instance();
+    let spec = instance("compute-kernel:grain=1024,items=8192");
     let cores = 8;
-    let report = Experiment::new(spec)
-        .cores(cores)
-        .with_config(small_cache_config(cores))
-        .run()
-        .unwrap();
+    let report = run(grid(&spec, cores));
     let pdf = report.find(cores, &SchedulerSpec::pdf()).unwrap();
     let ws = report.find(cores, &SchedulerSpec::ws()).unwrap();
     let rel = ws.metrics.cycles as f64 / pdf.metrics.cycles as f64;
@@ -116,18 +121,11 @@ fn coarse_grained_mergesort_cannot_exploit_constructive_sharing() {
     // thing, so PDF's traffic advantage disappears, while the fine-grained version
     // of the same program retains it.
     let cores = 8;
-    let run = |spec: WorkloadInstance| {
-        Experiment::new(spec)
-            .cores(cores)
-            .with_config(small_cache_config(cores))
-            .schedulers(&SchedulerSpec::paper_pair())
-            .run()
-            .unwrap()
-    };
-    let fine = run(MergeSort::new(1 << 16).with_grain(1 << 10).into_instance());
-    let coarse = run(MergeSort::new(1 << 16)
-        .coarse_grained(cores as u64)
-        .into_instance());
+    let fine = run(grid(&instance("mergesort:grain=1024,n=65536"), cores));
+    let coarse = run(grid(
+        &instance("mergesort:coarse=8,grain=2048,n=65536"),
+        cores,
+    ));
 
     let fine_reduction = fine.pdf_traffic_reduction_percent(cores).unwrap();
     let coarse_reduction = coarse.pdf_traffic_reduction_percent(cores).unwrap();
@@ -151,7 +149,7 @@ fn shrinking_the_l2_hurts_ws_more_than_pdf() {
     // in the halved L2 while WS's per-core working sets spill: at 2^16 keys
     // both schedulers outgrow even the full 256 KiB L2 and the halving
     // penalty is dominated by capacity misses neither scheduler can avoid.
-    let spec = MergeSort::new(1 << 15).with_grain(1 << 10).into_instance();
+    let spec = instance("mergesort:grain=1024,n=32768");
     let cores = 8;
     let full = small_cache_config(cores);
     let mut half = full;
@@ -160,12 +158,9 @@ fn shrinking_the_l2_hurts_ws_more_than_pdf() {
 
     let slowdown = |scheduler: &SchedulerSpec| {
         let run_with = |cfg: CmpConfig| {
-            let report = Experiment::new(spec.clone())
-                .cores(cores)
+            let report = run(grid(&spec, cores)
                 .with_config(cfg)
-                .schedulers(std::slice::from_ref(scheduler))
-                .run()
-                .unwrap();
+                .specs(std::slice::from_ref(scheduler)));
             report.find(cores, scheduler).unwrap().metrics.cycles as f64
         };
         run_with(half) / run_with(full)

@@ -195,11 +195,13 @@ fn every_registered_policy_matches_the_sequential_baseline_on_one_core() {
 fn experiments_distinguish_two_variants_of_the_same_policy() {
     let steal_one = SchedulerSpec::ws();
     let steal_half: SchedulerSpec = "ws:steal=half".parse().unwrap();
-    let report = Experiment::new(MergeSort::new(1 << 12).into_instance())
-        .cores(4)
-        .schedulers(&[steal_one.clone(), steal_half.clone()])
-        .run()
-        .unwrap();
+    let grid = SweepGrid::new()
+        .workload_str("mergesort:grain=2048,n=4096")
+        .unwrap()
+        .cores(&[4])
+        .specs(&[steal_one.clone(), steal_half.clone()]);
+    let sweep = SweepRunner::from_env().run(&grid).unwrap();
+    let report = &sweep.reports()[0];
     assert_eq!(report.runs().len(), 2);
     let one = report.find(4, &steal_one).unwrap();
     let half = report.find(4, &steal_half).unwrap();
@@ -265,12 +267,13 @@ fn custom_policies_register_and_run_through_the_experiment_api() {
 
     Registry::global().register(Arc::new(FifoFactory));
     let spec: SchedulerSpec = "test-fifo".parse().expect("registered name parses");
-    let report = Experiment::new(ParallelScan::small().into_instance())
-        .cores(2)
-        .schedulers(std::slice::from_ref(&spec))
-        .run()
-        .unwrap();
-    let run = report.find(2, &spec).unwrap();
+    let grid = SweepGrid::new()
+        .workload_str("scan")
+        .unwrap()
+        .cores(&[2])
+        .specs(std::slice::from_ref(&spec));
+    let sweep = SweepRunner::from_env().run(&grid).unwrap();
+    let run = sweep.reports()[0].find(2, &spec).unwrap();
     assert_eq!(run.metrics.scheduler, "test-fifo");
     assert!(run.metrics.cycles > 0);
 }

