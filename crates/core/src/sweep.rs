@@ -24,9 +24,10 @@
 //! # DAG sharing and baseline dedup
 //!
 //! A workload's [`TaskDag`] is built once (when its [`WorkloadInstance`] is
-//! resolved from its spec) and shared by `Arc` across every cell and worker thread —
-//! a 6-cores × 5-specs sweep simulates 30 cells plus one baseline from one
-//! DAG build, where the pre-sweep code rebuilt or cloned the DAG per cell.
+//! resolved from its spec) and shared by `Arc` across every cell and worker
+//! thread — a 6-cores × 5-specs sweep simulates 30 cells plus one baseline
+//! from one DAG build, where the pre-sweep code rebuilt or cloned the DAG per
+//! cell.
 //! The sequential baseline is likewise deduplicated per (workload DAG,
 //! baseline config): grids that list the same shared DAG several times run
 //! its baseline once.
@@ -339,7 +340,7 @@ impl SweepRunner {
     /// sequential when it is unset or unparsable.
     /// [`StreamExperiment`](crate::stream_experiment::StreamExperiment)
     /// defaults to this, so exported streams stay single-threaded unless the
-    /// user opts in; the bench binaries instead take `--threads N`.
+    /// user opts in; the bench binaries also take `--threads N`.
     pub fn from_env() -> Self {
         SweepRunner::new(threads_from_env(1))
     }
